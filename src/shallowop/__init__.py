@@ -24,7 +24,7 @@ from .construct import (
     least_squares_solve,
     uniform_error,
 )
-from .errors import ConfigError, CoverageError, DocumentError, ShapeError
+from .errors import BudgetError, ConfigError, CoverageError, DocumentError, ShapeError
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -85,4 +85,4 @@ from .targets import (
     family_sup_error,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -11,12 +11,22 @@ uniform error by epsilon whenever every scalar fit met delta.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, ShapeError
-from .inputs import CompactEnsemble, FunctionalSpec, ZeroFunctional, random_functional, stack_flat
+from .errors import BudgetError, CoverageError, ShapeError
+from .inputs import (
+    CompactEnsemble,
+    FunctionalSpec,
+    ZeroFunctional,
+    draw_functional_params,
+    functional_from_params,
+    functional_matrix,
+    functional_weights,
+    random_functional,  # noqa: F401  not called here; benchmarks/tracer.py hooks this name
+    stack_flat,
+)
 from .network import Activation, Neuron, ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
 from .targets import Seminorm, SeminormFamily, TargetElement
@@ -105,15 +115,14 @@ def finite_rank_apply(pou: PartitionOfUnity, net: EpsilonNet, sample_index: int)
     """Convex combination sum_j psi_j(s_i) v_j of the centers.
 
     Convexity gives rho(F(s_i) - result) <= sum_j psi_j d_ij < epsilon; the
-    right-hand bound is re-asserted here from the stored distances.
+    right-hand bound is re-checked here from the stored distances.
     """
     if not 0 <= sample_index < pou.n_samples:
         raise IndexError(f"sample index {sample_index} out of range")
     w = pou.weights[sample_index]
     bound = float(np.dot(w, pou.distances[sample_index]))
-    assert bound < pou.epsilon * (1.0 + 1e-9), (
-        f"convexity bound {bound} reached epsilon {pou.epsilon}"
-    )
+    if not bound < pou.epsilon * (1.0 + 1e-9):
+        raise BudgetError(f"convexity bound {bound} reached epsilon {pou.epsilon}")
     out = net.centers[0].zero_like()
     for wj, c in zip(w, net.centers):
         if wj != 0.0:
@@ -155,7 +164,11 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for one scalar random-feature fit."""
+    """Knobs for one scalar random-feature fit.
+
+    `seed` roots the feature bank's two streams: functional weights come
+    from derive_seed(seed, 0) and thresholds from derive_seed(seed, 1).
+    """
 
     functional_spec: FunctionalSpec
     width: int = 64
@@ -205,32 +218,52 @@ class ScalarRidgeNet:
 def draw_features(cfg: FitConfig, width: int, signature: tuple):
     """Feature bank for a width: index 0 is the bias, the rest are random.
 
-    Feature k depends only on (cfg.seed, k), so smaller widths are prefixes
-    of larger ones and width sweeps compare nested models.
+    Weights of features 1.. are drawn in order from the generator seeded by
+    derive_seed(cfg.seed, 0), and thresholds of features 0.. from the one
+    seeded by derive_seed(cfg.seed, 1).  Smaller widths are therefore
+    prefixes of larger ones, so width sweeps compare nested models.
+    assemble_vector_network grows coefficient j's bank from the same streams
+    under derive_seed(cfg.seed, j), so its neurons are the features this
+    function draws for that seed.
     """
-    lo, hi = cfg.theta_range
-    functionals = [ZeroFunctional()]
-    thetas = np.empty(width)
-    thetas[0] = np.random.default_rng(derive_seed(cfg.seed, 0, 1)).uniform(lo, hi)
-    for k in range(1, width):
-        functionals.append(random_functional(cfg.functional_spec, derive_seed(cfg.seed, k, 0)))
-        thetas[k] = np.random.default_rng(derive_seed(cfg.seed, k, 1)).uniform(lo, hi)
-    for l in functionals[1:]:
-        if l.signature != signature:
-            raise ShapeError(
-                f"functional spec draws {l.signature} functionals, ensemble is {signature}"
-            )
-    return tuple(functionals), thetas
+    spec = cfg.functional_spec
+    _require_pairing(spec, signature)
+    params, thetas = _draw_rows(cfg, _feature_streams(cfg.seed), 0, width)
+    functionals = (ZeroFunctional(),) + tuple(functional_from_params(spec, p)
+                                              for p in params[1:])
+    return functionals, thetas
+
+
+def _require_pairing(spec: FunctionalSpec, signature: tuple):
+    if spec.signature != signature:
+        raise ShapeError(
+            f"functional spec draws {spec.signature} functionals, ensemble is {signature}"
+        )
+
+
+def _feature_streams(seed):
+    """The (weights, thresholds) generators of one feature bank."""
+    return (np.random.default_rng(derive_seed(seed, 0)),
+            np.random.default_rng(derive_seed(seed, 1)))
+
+
+def _draw_rows(cfg: FitConfig, streams, start: int, stop: int):
+    """Functional parameters and thresholds of features [start, stop).
+
+    Feature 0 is the bias: a zero parameter row that draws no weights.
+    """
+    weights_rng, thresholds_rng = streams
+    params = draw_functional_params(cfg.functional_spec, weights_rng, stop - max(start, 1))
+    if start == 0:
+        params = np.vstack([np.zeros((1, params.shape[1])), params])
+    return params, thresholds_rng.uniform(*cfg.theta_range, stop - start)
 
 
 def _design_matrix(samples, functionals, thetas, activation):
     samples = list(samples)
     flats = stack_flat(samples)
-    mat = np.zeros((len(functionals), flats.shape[1]))
-    for k, l in enumerate(functionals):
-        if not isinstance(l, ZeroFunctional):
-            mat[k] = l.weight_vector()
-    return activation(flats @ mat.T - thetas)
+    weights = functional_matrix(functionals, samples[0].signature)
+    return activation(flats @ weights.T - thetas)
 
 
 def fit_ridge_features(inputs, targets, functionals, thetas, activation,
@@ -295,7 +328,7 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
     Returns (network, budget, report).  A scalar stage that cannot reach its
     tolerance at fit_cfg.max_width leaves report.converged False rather than
     raising; whenever it is True, the training uniform error is below epsilon
-    by construction and that is asserted.
+    by construction, and a BudgetError is raised if it is not.
     """
     f_values = list(f_values)
     if len(f_values) != len(ensemble):
@@ -309,9 +342,8 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
     net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
     pou = build_partition(f_values, net1, rho)
     stage1_sup = float(np.max(np.sum(pou.weights * pou.distances, axis=1)))
-    assert stage1_sup < (epsilon / 2.0) * (1.0 + 1e-9), (
-        f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}"
-    )
+    if not stage1_sup < (epsilon / 2.0) * (1.0 + 1e-9):
+        raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")
 
     m = len(net1)
     c_max = max(rho(v) for v in net1.centers)
@@ -323,7 +355,10 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
         )
         budget = ErrorBudget(float(epsilon), m, 0.0, None, True)
         train_sup = float(max(rho(t) for t in f_values))
-        assert train_sup < (epsilon / 2.0) * (1.0 + 1e-9)
+        if not train_sup < (epsilon / 2.0) * (1.0 + 1e-9):
+            raise BudgetError(
+                f"rho-null centers leave uniform error {train_sup} with epsilon {epsilon}"
+            )
         report = AssemblyReport(stage1_sup, np.zeros(m), np.zeros(m, dtype=int),
                                 True, train_sup)
         return network, budget, report
@@ -331,41 +366,70 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
     delta = epsilon / (2.0 * m * c_max)
     budget = ErrorBudget(float(epsilon), m, float(c_max), float(delta), False)
 
-    neurons = []
-    errors = np.empty(m)
-    widths = np.empty(m, dtype=int)
-    for j in range(m):
-        cfg_j = replace(fit_cfg, seed=derive_seed(fit_cfg.seed, j))
-        fit = _fit_to_tolerance(ensemble, pou.weights[:, j], cfg_j, delta)
-        errors[j] = fit.sup_error
-        widths[j] = fit.width
-        vj = net1.centers[j]
-        for l, theta, c in zip(fit.functionals, fit.thetas, fit.coeffs):
-            neurons.append(Neuron(l, theta, c * vj))
-
+    neurons, errors, widths = _fit_coefficients(ensemble, pou.weights, net1.centers,
+                                                fit_cfg, delta)
     network = ShallowVectorNetwork(
         neurons, fit_cfg.activation, ensemble.signature, out_dim, out_grid
     )
     converged = bool(np.all(errors < delta))
     train_sup = float(uniform_error(f_values, network, ensemble,
                                     SeminormFamily((rho,)))[0])
-    if converged:
-        assert train_sup < epsilon * (1.0 + 1e-9), (
-            f"budget violated: uniform error {train_sup} with epsilon {epsilon}"
-        )
+    if converged and not train_sup < epsilon * (1.0 + 1e-9):
+        raise BudgetError(f"budget violated: uniform error {train_sup} with epsilon {epsilon}")
     report = AssemblyReport(stage1_sup, errors, widths, converged, train_sup)
     return network, budget, report
 
 
-def _fit_to_tolerance(ensemble, targets, cfg: FitConfig, delta: float) -> ScalarRidgeNet:
-    """Double the width until the training sup error drops below delta."""
-    width = cfg.width
+def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: float):
+    """Fit partition column j with bank derive_seed(fit_cfg.seed, j) and
+    return (neurons, sup errors, widths); the neurons of column j carry
+    center j as their coefficient direction.
+    """
+    spec = fit_cfg.functional_spec
+    _require_pairing(spec, ensemble.signature)
+    flats = stack_flat(ensemble)
+    m = len(centers)
+    neurons = []
+    errors = np.empty(m)
+    widths = np.empty(m, dtype=int)
+    for j, vj in enumerate(centers):
+        params, thetas, coeffs, errors[j] = _fit_to_tolerance(
+            flats, weights[:, j], fit_cfg, derive_seed(fit_cfg.seed, j), delta
+        )
+        widths[j] = len(thetas)
+        neurons.append(Neuron(ZeroFunctional(), thetas[0], coeffs[0] * vj))
+        for p, theta, c in zip(params[1:], thetas[1:], coeffs[1:]):
+            neurons.append(Neuron(functional_from_params(spec, p), theta, c * vj))
+    return neurons, errors, widths
+
+
+def _fit_to_tolerance(flats, targets, cfg: FitConfig, seed, delta: float):
+    """Double the width until the training sup error drops below delta.
+
+    The bank is the one draw_features(replace(cfg, seed=seed), width) gives.
+    Each doubling continues its two streams for the new features only and
+    appends their design columns.  Returns (params, thetas, coeffs, sup error).
+    """
+    streams = _feature_streams(seed)
+    params = thetas = design = None
+    width, target = 0, cfg.width
     while True:
-        fit = fit_scalar_ridge(ensemble, targets, replace(cfg, width=width,
-                                                          max_width=max(width, cfg.max_width)))
-        if fit.sup_error < delta or width >= cfg.max_width:
-            return fit
-        width = min(2 * width, cfg.max_width)
+        new_params, new_thetas = _draw_rows(cfg, streams, width, target)
+        columns = flats @ functional_weights(cfg.functional_spec, new_params).T
+        columns -= new_thetas
+        columns = cfg.activation(columns)
+        if design is None:
+            params, thetas, design = new_params, new_thetas, columns
+        else:
+            params = np.vstack([params, new_params])
+            thetas = np.concatenate([thetas, new_thetas])
+            design = np.hstack([design, columns])
+        width = target
+        coeffs = least_squares_solve(design, targets, cfg.lam)
+        sup_error = float(np.max(np.abs(design @ coeffs - targets)))
+        if sup_error < delta or width >= cfg.max_width:
+            return params, thetas, coeffs, sup_error
+        target = min(2 * width, cfg.max_width)
 
 
 def uniform_error(f_values, net: ShallowVectorNetwork, ensemble,

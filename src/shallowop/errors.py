@@ -15,3 +15,7 @@ class DocumentError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration field is invalid."""
+
+
+class BudgetError(RuntimeError):
+    """A bound the construction guarantees failed to hold on the samples."""

@@ -236,7 +236,9 @@ class ZeroFunctional(LinearFunctional):
     signature = None
 
     def weight_vector(self):
-        raise ShapeError("zero functional has no intrinsic dimension; use functional_matrix")
+        raise ShapeError(
+            "zero functional has no intrinsic dimension; functional_matrix stacks it as a zero row"
+        )
 
     def __call__(self, s: InputPoint) -> float:
         return 0.0
@@ -277,7 +279,7 @@ def functional_matrix(functionals, signature: tuple) -> np.ndarray:
             continue
         if l.signature != signature:
             raise ShapeError(
-                f"functional {k} expects signature {l.signature}, ensemble has {signature}"
+                f"functional {k} expects signature {l.signature}, inputs have {signature}"
             )
         rows[k] = l.weight_vector()
     return rows
@@ -314,22 +316,60 @@ class FunctionalSpec:
         if self.kind == "matrix":
             object.__setattr__(self, "shape", _checked_shape(self.shape))
 
+    @property
+    def signature(self) -> tuple:
+        """Input signature the drawn functionals pair with."""
+        if self.kind == "function":
+            return ("function", self.grid)
+        if self.kind == "sequence":
+            return ("sequence", self.length)
+        return ("matrix", self.shape)
 
-def random_functional(spec: FunctionalSpec, seed) -> LinearFunctional:
-    """Draw a seeded random functional; a pure function of (spec, seed)."""
-    rng = np.random.default_rng(seed)
+
+def draw_functional_params(spec: FunctionalSpec, rng: np.random.Generator,
+                           count: int) -> np.ndarray:
+    """Parameters of `count` random functionals, one (count, dim) draw from rng.
+
+    Rows are phi on the grid (function kind), sequence coefficients, or
+    flattened weight matrices.  Each row consumes the same stretch of the
+    stream whatever `count` is, so drawing a rows and then b rows gives
+    bitwise the same a + b rows as one call: banks grow by continuing a
+    generator instead of redrawing.
+    """
     if spec.kind == "function":
         grid = spec.grid
         xhat = (grid.nodes() - grid.a) / (grid.b - grid.a)
-        coeffs = rng.standard_normal(1 + 2 * spec.order) * spec.scale
-        phi = np.full(grid.n, coeffs[0])
+        coeffs = rng.standard_normal((count, 1 + 2 * spec.order)) * spec.scale
+        phi = np.repeat(coeffs[:, :1], grid.n, axis=1)
+        # term by term rather than one matrix product, so a row's bits do not
+        # depend on how many rows share the call
         for k in range(1, spec.order + 1):
-            phi += coeffs[2 * k - 1] * np.sin(k * np.pi * xhat)
-            phi += coeffs[2 * k] * np.cos(k * np.pi * xhat)
-        return QuadraturePairing(phi, grid)
+            phi += coeffs[:, 2 * k - 1, None] * np.sin(k * np.pi * xhat)
+            phi += coeffs[:, 2 * k, None] * np.cos(k * np.pi * xhat)
+        return phi
+    return rng.standard_normal((count, signature_dim(spec.signature))) * spec.scale
+
+
+def functional_weights(spec: FunctionalSpec, params: np.ndarray) -> np.ndarray:
+    """Weight rows of drawn functionals: row k pairs with inputs by a dot product."""
+    if spec.kind == "function":
+        return params * spec.grid.trapezoid_weights()
+    return params
+
+
+def functional_from_params(spec: FunctionalSpec, params: np.ndarray) -> LinearFunctional:
+    """The functional object for one row of `draw_functional_params`."""
+    if spec.kind == "function":
+        return QuadraturePairing(params, spec.grid)
     if spec.kind == "sequence":
-        return SequenceDot(rng.standard_normal(spec.length) * spec.scale)
-    return MatrixTrace(rng.standard_normal(spec.shape) * spec.scale)
+        return SequenceDot(params)
+    return MatrixTrace(params.reshape(spec.shape))
+
+
+def random_functional(spec: FunctionalSpec, seed) -> LinearFunctional:
+    """Draw a seeded random functional; a pure function of (spec, seed)."""
+    params = draw_functional_params(spec, np.random.default_rng(seed), 1)
+    return functional_from_params(spec, params[0])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .inputs import (
     QuadraturePairing,
     SequenceDot,
     ZeroFunctional,
-    signature_dim,
+    functional_matrix,
     stack_flat,
 )
 from .targets import GridMeta, TargetElement
@@ -189,20 +189,11 @@ class ShallowVectorNetwork:
         if self.output_dim < 1:
             raise ShapeError("output dim must be positive")
 
-        in_dim = signature_dim(input_signature)
         m = len(self.neurons)
-        self._L = np.zeros((m, in_dim))
+        self._L = functional_matrix([n.functional for n in self.neurons], input_signature)
         self._theta = np.zeros(m)
         self._V = np.zeros((m, self.output_dim))
         for j, nrn in enumerate(self.neurons):
-            l = nrn.functional
-            if not isinstance(l, ZeroFunctional):
-                if l.signature != input_signature:
-                    raise ShapeError(
-                        f"neuron {j} functional expects {l.signature}, network input is "
-                        f"{input_signature}"
-                    )
-                self._L[j] = l.weight_vector()
             if nrn.coeff.dim != self.output_dim or nrn.coeff.grid != self.output_grid:
                 raise ShapeError(f"neuron {j} coefficient does not match the output shape")
             self._theta[j] = nrn.theta

@@ -1,8 +1,17 @@
 """Deterministic seed derivation for nested sampling stages.
 
-All randomness flows through numpy SeedSequence paths so that any stage
-(ensemble draw, feature k's functional, feature k's threshold) is a pure
-function of the root seed and its integer path.
+All randomness flows through numpy SeedSequence paths, so every stream is a
+pure function of the root seed and its integer path.  A sweep uses:
+
+    derive_seed(root, r)            run r, the r-th epsilon of a sweep
+    derive_seed(run, 0)             the run's ensemble draw
+    derive_seed(run, 1)             the run's fit seed s
+    derive_seed(s, j)               partition coefficient j's feature bank b
+    derive_seed(b, 0)               the bank's functional weights, rows 1, 2, ...
+    derive_seed(b, 1)               the bank's thresholds, rows 0, 1, ...
+
+A bank's rows are drawn in order from its two generators, so growing a bank
+continues the streams and its first K rows do not depend on its final width.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from shallowop import construct
 from shallowop.construct import (
     EpsilonNet,
     ErrorBudget,
     FitConfig,
+    PartitionOfUnity,
     assemble_vector_network,
     build_epsilon_net,
     build_partition,
@@ -16,10 +20,17 @@ from shallowop.construct import (
     least_squares_solve,
     uniform_error,
 )
-from shallowop.errors import CoverageError, ShapeError
-from shallowop.inputs import EnsembleSpec, FunctionalSpec, SequenceDot, sample_ensemble
+from shallowop.errors import BudgetError, CoverageError, ShapeError
+from shallowop.inputs import (
+    EnsembleSpec,
+    FunctionalSpec,
+    SequenceDot,
+    ZeroFunctional,
+    sample_ensemble,
+)
 from shallowop.network import Polynomial, Relu, ShallowVectorNetwork, Tanh
 from shallowop.operators import make_kernel, integral_operator, poisson_operator
+from shallowop.seeding import derive_seed
 from shallowop.targets import (
     DualPairing,
     GridMeta,
@@ -142,6 +153,12 @@ class TestFiniteRank:
         for i in range(4):
             assert ABS(finite_rank_apply(pou, net, i) - values[i]) == 0.0
 
+    def test_convexity_bound_survives_stripped_asserts(self):
+        net = EpsilonNet((scalar_elem(0.0),), 1.0, ABS, (0,))
+        pou = PartitionOfUnity(np.ones((1, 1)), np.full((1, 1), 1.5), 1.0, ABS)
+        with pytest.raises(BudgetError, match="convexity bound"):
+            finite_rank_apply(pou, net, 0)
+
     def test_index_out_of_range(self):
         values = [scalar_elem(0.0)]
         net = build_epsilon_net(values, ABS, 1.0)
@@ -256,13 +273,37 @@ class TestScalarRidge:
         resid = np.max(np.abs(fit.evaluate_many(list(ens)) - y))
         np.testing.assert_allclose(fit.sup_error, resid, rtol=1e-9, atol=1e-15)
 
-    def test_feature_banks_nest_across_widths(self):
-        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=11)
-        f8, t8 = draw_features(cfg, 8, ("function", self.GRID))
-        f16, t16 = draw_features(cfg, 16, ("function", self.GRID))
+    SPECS = (
+        FunctionalSpec(kind="function", grid=GRID, order=3),
+        FunctionalSpec(kind="sequence", length=5),
+        FunctionalSpec(kind="matrix", shape=(2, 2)),
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_feature_banks_nest_across_widths(self, spec):
+        cfg = FitConfig(functional_spec=spec, width=8, seed=11)
+        f8, t8 = draw_features(cfg, 8, spec.signature)
+        f16, t16 = draw_features(cfg, 16, spec.signature)
         np.testing.assert_array_equal(t8, t16[:8])
+        assert f8[0] == f16[0] == ZeroFunctional()
         for a, b in zip(f8[1:], f16[1:8]):
-            np.testing.assert_array_equal(a.phi, b.phi)
+            np.testing.assert_array_equal(a.weight_vector(), b.weight_vector())
+
+    def test_draw_rejects_mismatched_signature(self):
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=11)
+        with pytest.raises(ShapeError):
+            draw_features(cfg, 8, ("sequence", 101))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_grown_bank_equals_fresh_draw(self, spec):
+        cfg = FitConfig(functional_spec=spec, width=64, max_width=256, seed=12)
+        streams = construct._feature_streams(cfg.seed)
+        grown = [construct._draw_rows(cfg, streams, a, b)
+                 for a, b in ((0, 64), (64, 128), (128, 256))]
+        rows, thetas = construct._draw_rows(cfg, construct._feature_streams(cfg.seed), 0, 256)
+        np.testing.assert_array_equal(np.vstack([g[0] for g in grown]), rows)
+        np.testing.assert_array_equal(np.concatenate([g[1] for g in grown]), thetas)
+        assert np.all(rows[0] == 0.0)
 
     def test_deterministic_in_seed(self):
         ens, y = self.sin_problem(count=30)
@@ -365,6 +406,35 @@ class TestAssemble:
         np.testing.assert_allclose(measured, report.train_sup_error, rtol=1e-12)
         assert np.all(report.coefficient_errors < budget.delta)
 
+    def test_network_neurons_are_the_public_banks(self):
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        net, budget, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        assert budget.m >= 2
+        assert np.any(report.coefficient_widths > cfg.width)  # some banks were grown
+        start = 0
+        for j, width in enumerate(report.coefficient_widths):
+            cfg_j = replace(cfg, seed=derive_seed(cfg.seed, j))
+            functionals, thetas = draw_features(cfg_j, width, ens.signature)
+            neurons = net.neurons[start:start + width]
+            start += width
+            np.testing.assert_array_equal([n.theta for n in neurons], thetas)
+            assert neurons[0].functional == ZeroFunctional()
+            for nrn, l in zip(neurons[1:], functionals[1:]):
+                np.testing.assert_array_equal(nrn.functional.phi, l.phi)
+        assert start == net.width
+
+    def test_violated_budget_raises_not_asserts(self, monkeypatch):
+        ens = band_ensemble(20, self.GRID, seed=2)
+        v = TargetElement(np.full(101, 2.0), self.GRID)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
+        eps = 0.05
+        monkeypatch.setattr(construct, "uniform_error",
+                            lambda *args: np.array([2.0 * eps]))
+        with pytest.raises(BudgetError, match="budget violated"):
+            assemble_vector_network([v] * 20, ens, self.family(), 0, eps, cfg)
+
     def test_budget_arithmetic(self):
         b = ErrorBudget(0.1, 4, 0.5, 0.1 / (2 * 4 * 0.5), False)
         assert b.stage1 == 0.05
@@ -402,6 +472,13 @@ class TestAssemble:
         values = [TargetElement(np.zeros(101), self.GRID)] * 4
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4, seed=0)
         with pytest.raises(ShapeError):
+            assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
+
+    def test_mismatched_functional_spec_rejected(self):
+        ens = band_ensemble(5, self.GRID, seed=6)
+        values = [TargetElement(np.full(101, 1.0), self.GRID)] * 5
+        cfg = FitConfig(functional_spec=FunctionalSpec(kind="sequence", length=101), width=4)
+        with pytest.raises(ShapeError, match="functional spec"):
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
 
 

@@ -14,7 +14,10 @@ from shallowop.inputs import (
     SequencePoint,
     ZeroFunctional,
     apply_functional,
+    draw_functional_params,
+    functional_from_params,
     functional_matrix,
+    functional_weights,
     random_functional,
     sample_ensemble,
     stack_flat,
@@ -133,6 +136,13 @@ class TestFunctionals:
             functional_matrix([SequenceDot(np.ones(8))], ("sequence", 9))
 
 
+SPECS = (
+    FunctionalSpec(kind="function", grid=GRID, order=3, scale=0.7),
+    FunctionalSpec(kind="sequence", length=6),
+    FunctionalSpec(kind="matrix", shape=(2, 3)),
+)
+
+
 class TestRandomFunctional:
     def test_deterministic_in_seed(self):
         spec = FunctionalSpec(kind="function", grid=GRID, order=3)
@@ -141,6 +151,16 @@ class TestRandomFunctional:
         np.testing.assert_array_equal(a.phi, b.phi)
         c = random_functional(spec, derive_seed(42, 1))
         assert not np.array_equal(a.phi, c.phi)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_one_row_draw_matches_batch_head(self, spec):
+        l = random_functional(spec, derive_seed(42, 0))
+        params = draw_functional_params(spec, np.random.default_rng(derive_seed(42, 0)), 5)
+        assert l.signature == spec.signature
+        np.testing.assert_array_equal(l.weight_vector(), functional_weights(spec, params)[0])
+        np.testing.assert_array_equal(
+            functional_from_params(spec, params[0]).weight_vector(), l.weight_vector()
+        )
 
     def test_variants(self):
         l = random_functional(FunctionalSpec(kind="sequence", length=6), 1)
