@@ -50,7 +50,6 @@ from .inputs import (
 )
 from .network import (
     Gaussian,
-    Neuron,
     Polynomial,
     Relu,
     ShallowVectorNetwork,
@@ -85,4 +84,4 @@ from .targets import (
     family_sup_error,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -27,7 +27,7 @@ from .inputs import (
     random_functional,  # noqa: F401  not called here; benchmarks/tracer.py hooks this name
     stack_flat,
 )
-from .network import Activation, Neuron, ShallowVectorNetwork, make_activation
+from .network import Activation, ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
 from .targets import Seminorm, SeminormFamily, TargetElement
 
@@ -350,9 +350,8 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
     if c_max == 0.0:
         # every center is rho-null, so the zero network is already within
         # epsilon/2; return it
-        network = ShallowVectorNetwork(
-            [], fit_cfg.activation, ensemble.signature, out_dim, out_grid
-        )
+        network = ShallowVectorNetwork.zero(fit_cfg.activation, ensemble.signature,
+                                            out_dim, out_grid)
         budget = ErrorBudget(float(epsilon), m, 0.0, None, True)
         train_sup = float(max(rho(t) for t in f_values))
         if not train_sup < (epsilon / 2.0) * (1.0 + 1e-9):
@@ -366,11 +365,10 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
     delta = epsilon / (2.0 * m * c_max)
     budget = ErrorBudget(float(epsilon), m, float(c_max), float(delta), False)
 
-    neurons, errors, widths = _fit_coefficients(ensemble, pou.weights, net1.centers,
-                                                fit_cfg, delta)
-    network = ShallowVectorNetwork(
-        neurons, fit_cfg.activation, ensemble.signature, out_dim, out_grid
-    )
+    L, thetas, V, errors, widths = _fit_coefficients(ensemble, pou.weights, net1.centers,
+                                                     fit_cfg, delta)
+    network = ShallowVectorNetwork(L, thetas, V, fit_cfg.activation, ensemble.signature,
+                                   out_grid)
     converged = bool(np.all(errors < delta))
     train_sup = float(uniform_error(f_values, network, ensemble,
                                     SeminormFamily((rho,)))[0])
@@ -382,25 +380,25 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
 
 def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: float):
     """Fit partition column j with bank derive_seed(fit_cfg.seed, j) and
-    return (neurons, sup errors, widths); the neurons of column j carry
-    center j as their coefficient direction.
+    return the network matrices (L, theta, V), sup errors and widths.
+
+    Column j contributes one block of rows: its bank's weight rows and
+    thresholds, and the outer product of its ridge coefficients with center j.
     """
-    spec = fit_cfg.functional_spec
-    _require_pairing(spec, ensemble.signature)
+    _require_pairing(fit_cfg.functional_spec, ensemble.signature)
     flats = stack_flat(ensemble)
     m = len(centers)
-    neurons = []
+    blocks = []
     errors = np.empty(m)
     widths = np.empty(m, dtype=int)
     for j, vj in enumerate(centers):
-        params, thetas, coeffs, errors[j] = _fit_to_tolerance(
+        L_j, thetas, coeffs, errors[j] = _fit_to_tolerance(
             flats, weights[:, j], fit_cfg, derive_seed(fit_cfg.seed, j), delta
         )
         widths[j] = len(thetas)
-        neurons.append(Neuron(ZeroFunctional(), thetas[0], coeffs[0] * vj))
-        for p, theta, c in zip(params[1:], thetas[1:], coeffs[1:]):
-            neurons.append(Neuron(functional_from_params(spec, p), theta, c * vj))
-    return neurons, errors, widths
+        blocks.append((L_j, thetas, np.outer(coeffs, vj.values)))
+    L, thetas, V = (np.concatenate(parts) for parts in zip(*blocks))
+    return L, thetas, V, errors, widths
 
 
 def _fit_to_tolerance(flats, targets, cfg: FitConfig, seed, delta: float):
@@ -408,27 +406,29 @@ def _fit_to_tolerance(flats, targets, cfg: FitConfig, seed, delta: float):
 
     The bank is the one draw_features(replace(cfg, seed=seed), width) gives.
     Each doubling continues its two streams for the new features only and
-    appends their design columns.  Returns (params, thetas, coeffs, sup error).
+    appends their design columns.  Returns (weight rows, thetas, coeffs,
+    sup error); the bias feature's weight row is zero.
     """
     streams = _feature_streams(seed)
-    params = thetas = design = None
+    L = thetas = design = None
     width, target = 0, cfg.width
     while True:
         new_params, new_thetas = _draw_rows(cfg, streams, width, target)
-        columns = flats @ functional_weights(cfg.functional_spec, new_params).T
+        new_L = functional_weights(cfg.functional_spec, new_params)
+        columns = flats @ new_L.T
         columns -= new_thetas
         columns = cfg.activation(columns)
         if design is None:
-            params, thetas, design = new_params, new_thetas, columns
+            L, thetas, design = new_L, new_thetas, columns
         else:
-            params = np.vstack([params, new_params])
+            L = np.vstack([L, new_L])
             thetas = np.concatenate([thetas, new_thetas])
             design = np.hstack([design, columns])
         width = target
         coeffs = least_squares_solve(design, targets, cfg.lam)
         sup_error = float(np.max(np.abs(design @ coeffs - targets)))
         if sup_error < delta or width >= cfg.max_width:
-            return params, thetas, coeffs, sup_error
+            return L, thetas, coeffs, sup_error
         target = min(2 * width, cfg.max_width)
 
 

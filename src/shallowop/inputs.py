@@ -250,11 +250,6 @@ class ZeroFunctional(LinearFunctional):
         return hash(ZeroFunctional)
 
 
-def apply_functional(l: LinearFunctional, s: InputPoint) -> float:
-    """Evaluate a functional on a compatible input point."""
-    return l(s)
-
-
 def stack_flat(samples) -> np.ndarray:
     """Stack input points into an (n_samples, dim) matrix."""
     samples = list(samples)

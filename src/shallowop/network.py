@@ -1,29 +1,22 @@
 """Shallow vector-valued networks: sums of activation ridges times coefficients.
 
-A network holds neurons (functional, threshold, coefficient element) plus one
-shared activation, and evaluates to sum_j eta(l_j(s) - theta_j) v_j.  The
-neuron list may be empty, in which case the network is identically zero.
-Networks are immutable after construction and evaluation is pure.
+A network holds weight rows l_j, thresholds theta_j and coefficient rows v_j
+as three matrices plus one shared activation, and evaluates to
+sum_j eta(l_j(s) - theta_j) v_j.  The width may be zero, in which case the
+network is identically zero.  Networks are immutable after construction and
+evaluation is pure.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DocumentError, ShapeError
-from .inputs import (
-    InputPoint,
-    LinearFunctional,
-    MatrixTrace,
-    QuadraturePairing,
-    SequenceDot,
-    ZeroFunctional,
-    functional_matrix,
-    stack_flat,
-)
+from .inputs import InputPoint, signature_dim, stack_flat
 from .targets import GridMeta, TargetElement
 
 
@@ -149,59 +142,53 @@ def make_activation(spec) -> Activation:
     return made
 
 
-def activation_eval(eta: Activation, x: float) -> float:
-    """Scalar activation value."""
-    return float(eta(np.float64(x)))
-
-
-@dataclass(frozen=True, eq=False)
-class Neuron:
-    """One ridge term: s |-> eta(functional(s) - theta) * coeff."""
-
-    functional: LinearFunctional
-    theta: float
-    coeff: TargetElement
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        if not math.isfinite(self.theta):
-            raise ValueError("neuron threshold must be finite")
-        if not isinstance(self.coeff, TargetElement):
-            raise TypeError("neuron coefficient must be a TargetElement")
-
-
 class ShallowVectorNetwork:
-    """Finite sum of neurons sharing one activation and one shape contract.
+    """Finite sum of ridges s |-> eta(l_k(s) - theta_k) v_k sharing one activation.
 
-    Construction stacks the neuron data into matrices, so batch evaluation
-    is two matrix products: weights = eta(S L^T - theta), outputs = weights V.
+    Held as three matrices: weight rows L (width, input dim), thresholds
+    theta (width,) and coefficient rows V (width, output dim).  Row k of L
+    pairs with a flattened input by a dot product, so batch evaluation is two
+    matrix products: eta(S L^T - theta) V.  The matrices are read-only copies.
     """
 
-    def __init__(self, neurons, activation: Activation, input_signature: tuple,
-                 output_dim: int, output_grid: GridMeta | None = None):
-        self.neurons = tuple(neurons)
+    def __init__(self, weights, thresholds, coefficients, activation: Activation,
+                 input_signature: tuple, output_grid: GridMeta | None = None):
+        self.weights = _readonly_array(weights, "weights", 2)
+        self.thresholds = _readonly_array(thresholds, "thresholds", 1)
+        self.coefficients = _readonly_array(coefficients, "coefficients", 2)
         self.activation = activation
         self.input_signature = input_signature
-        self.output_dim = int(output_dim)
         self.output_grid = output_grid
-        if self.output_grid is not None and self.output_dim != self.output_grid.n:
-            raise ShapeError("output dim does not match output grid node count")
+        self.output_dim = self.coefficients.shape[1]
+        width = self.thresholds.shape[0]
+        if self.weights.shape[0] != width or self.coefficients.shape[0] != width:
+            raise ShapeError(
+                f"weights, thresholds and coefficients have {self.weights.shape[0]}, "
+                f"{width} and {self.coefficients.shape[0]} rows"
+            )
+        if self.weights.shape[1] != signature_dim(input_signature):
+            raise ShapeError(
+                f"weights have {self.weights.shape[1]} columns, input signature "
+                f"{input_signature} has dimension {signature_dim(input_signature)}"
+            )
         if self.output_dim < 1:
-            raise ShapeError("output dim must be positive")
+            raise ShapeError("coefficients need at least one column (output dim)")
+        if output_grid is not None and self.output_dim != output_grid.n:
+            raise ShapeError(
+                f"coefficients have {self.output_dim} columns, output grid has "
+                f"{output_grid.n} nodes"
+            )
 
-        m = len(self.neurons)
-        self._L = functional_matrix([n.functional for n in self.neurons], input_signature)
-        self._theta = np.zeros(m)
-        self._V = np.zeros((m, self.output_dim))
-        for j, nrn in enumerate(self.neurons):
-            if nrn.coeff.dim != self.output_dim or nrn.coeff.grid != self.output_grid:
-                raise ShapeError(f"neuron {j} coefficient does not match the output shape")
-            self._theta[j] = nrn.theta
-            self._V[j] = nrn.coeff.values
+    @classmethod
+    def zero(cls, activation: Activation, input_signature: tuple, output_dim: int,
+             output_grid: GridMeta | None = None) -> ShallowVectorNetwork:
+        """The width-0 network, identically zero."""
+        return cls(np.zeros((0, signature_dim(input_signature))), np.zeros(0),
+                   np.zeros((0, output_dim)), activation, input_signature, output_grid)
 
     @property
     def width(self) -> int:
-        return len(self.neurons)
+        return self.thresholds.shape[0]
 
     def _check_input(self, s: InputPoint):
         if s.signature != self.input_signature:
@@ -211,10 +198,8 @@ class ShallowVectorNetwork:
 
     def __call__(self, s: InputPoint) -> TargetElement:
         self._check_input(s)
-        if not self.neurons:
-            return TargetElement(np.zeros(self.output_dim), self.output_grid)
-        w = self.activation(self._L @ s.flat - self._theta)
-        return TargetElement(w @ self._V, self.output_grid)
+        w = self.activation(self.weights @ s.flat - self.thresholds)
+        return TargetElement(w @ self.coefficients, self.output_grid)
 
     def evaluate_many(self, samples) -> np.ndarray:
         """(n_samples, output_dim) evaluations, one matrix product per stage."""
@@ -222,26 +207,32 @@ class ShallowVectorNetwork:
         flats = stack_flat(samples)
         if samples[0].signature != self.input_signature:
             raise ShapeError("batch signature does not match the network input")
-        if not self.neurons:
-            return np.zeros((flats.shape[0], self.output_dim))
-        w = self.activation(flats @ self._L.T - self._theta)
-        return w @ self._V
+        w = self.activation(flats @ self.weights.T - self.thresholds)
+        return w @ self.coefficients
 
 
-def evaluate_network(net: ShallowVectorNetwork, s: InputPoint) -> TargetElement:
-    """Evaluate the network sum at one input point."""
-    return net(s)
+def _readonly_array(values, field: str, ndim: int) -> np.ndarray:
+    a = np.array(values, dtype=np.float64, order="C")
+    if a.ndim != ndim:
+        raise ShapeError(f"{field} must be {ndim}-d, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{field} contain non-finite entries")
+    a.setflags(write=False)
+    return a
 
 
 def network_sum(a: ShallowVectorNetwork, b: ShallowVectorNetwork) -> ShallowVectorNetwork:
-    """Concatenate neuron lists; the class is a span, so sums stay inside it."""
+    """Stack both networks' rows; the class is a span, so sums stay inside it."""
     if a.activation != b.activation:
         raise ShapeError("cannot sum networks with different activations")
     if (a.input_signature != b.input_signature or a.output_dim != b.output_dim
             or a.output_grid != b.output_grid):
         raise ShapeError("cannot sum networks with different shapes")
     return ShallowVectorNetwork(
-        a.neurons + b.neurons, a.activation, a.input_signature, a.output_dim, a.output_grid
+        np.vstack([a.weights, b.weights]),
+        np.concatenate([a.thresholds, b.thresholds]),
+        np.vstack([a.coefficients, b.coefficients]),
+        a.activation, a.input_signature, a.output_grid,
     )
 
 
@@ -285,59 +276,41 @@ def _signature_from_doc(doc):
     raise DocumentError(f"unknown input kind {kind!r} in field 'input_shape'")
 
 
-def _functional_to_doc(l: LinearFunctional):
-    if isinstance(l, ZeroFunctional):
-        return {"variant": "zero"}
-    if isinstance(l, QuadraturePairing):
-        return {"variant": "quadrature", "phi": l.phi.tolist(), "grid": _grid_to_doc(l.grid)}
-    if isinstance(l, SequenceDot):
-        return {"variant": "sequence_dot", "coeffs": l.coeffs.tolist()}
-    if isinstance(l, MatrixTrace):
-        return {"variant": "matrix_trace", "weight": l.weight.tolist()}
-    raise DocumentError(f"cannot serialize functional of type {type(l).__name__}")
+def _matrix_to_doc(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode("ascii")}
 
 
-def _functional_from_doc(doc, field):
+def _matrix_from_doc(doc, field: str) -> np.ndarray:
     try:
-        variant = doc["variant"]
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"missing functional variant in field {field!r}") from exc
-    try:
-        if variant == "zero":
-            return ZeroFunctional()
-        if variant == "quadrature":
-            return QuadraturePairing(np.array(doc["phi"], dtype=float),
-                                     _grid_from_doc(doc["grid"], field + ".grid"))
-        if variant == "sequence_dot":
-            return SequenceDot(np.array(doc["coeffs"], dtype=float))
-        if variant == "matrix_trace":
-            return MatrixTrace(np.array(doc["weight"], dtype=float))
-    except DocumentError:
-        raise
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
-        raise DocumentError(f"malformed functional in field {field!r}: {exc}") from exc
-    raise DocumentError(f"unknown functional variant {variant!r} in field {field!r}")
+        shape = doc["shape"]
+        data = base64.b64decode(doc["data"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise DocumentError(f"malformed field {field!r}: {exc}") from exc
+    if not (isinstance(shape, list)
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+        raise DocumentError(f"field {field!r} has shape {shape!r}, not a list of sizes")
+    if len(data) != 8 * math.prod(shape):
+        raise DocumentError(
+            f"field {field!r} holds {len(data)} bytes, shape {shape} needs {8 * math.prod(shape)}"
+        )
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
 def serialize_network(net: ShallowVectorNetwork) -> dict:
     """JSON-compatible document capturing the network exactly.
 
-    Floats survive a json round trip bit-identically (shortest round-trip
-    decimal form), so deserialized networks evaluate bit-identically.
+    Each matrix is stored as its shape and the base64 of its little-endian
+    float64 bytes, so deserialized networks evaluate bit-identically.
     """
     return {
         "activation": net.activation.to_doc(),
         "input_shape": _signature_to_doc(net.input_signature),
         "output_grid": _grid_to_doc(net.output_grid),
         "output_dim": net.output_dim,
-        "neurons": [
-            {
-                "functional": _functional_to_doc(n.functional),
-                "theta": n.theta,
-                "coeff": n.coeff.values.tolist(),
-            }
-            for n in net.neurons
-        ],
+        "weights": _matrix_to_doc(net.weights),
+        "thresholds": _matrix_to_doc(net.thresholds),
+        "coefficients": _matrix_to_doc(net.coefficients),
     }
 
 
@@ -345,7 +318,8 @@ def deserialize_network(doc: dict) -> ShallowVectorNetwork:
     """Rebuild a network from its document, diagnosing the offending field."""
     if not isinstance(doc, dict):
         raise DocumentError(f"network document must be a mapping, got {type(doc).__name__}")
-    for field in ("activation", "input_shape", "output_dim", "neurons"):
+    for field in ("activation", "input_shape", "output_dim", "weights", "thresholds",
+                  "coefficients"):
         if field not in doc:
             raise DocumentError(f"network document is missing field {field!r}")
     activation = make_activation(doc["activation"])
@@ -355,19 +329,14 @@ def deserialize_network(doc: dict) -> ShallowVectorNetwork:
         output_dim = int(doc["output_dim"])
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"malformed field 'output_dim': {exc}") from exc
-    neurons = []
-    for j, ndoc in enumerate(doc["neurons"]):
-        field = f"neurons[{j}]"
-        try:
-            functional = _functional_from_doc(ndoc["functional"], field + ".functional")
-            theta = float(ndoc["theta"])
-            coeff = TargetElement(np.array(ndoc["coeff"], dtype=float), output_grid)
-        except DocumentError:
-            raise
-        except (KeyError, TypeError, ValueError, ShapeError) as exc:
-            raise DocumentError(f"malformed field {field!r}: {exc}") from exc
-        neurons.append(Neuron(functional, theta, coeff))
+    matrices = [_matrix_from_doc(doc[field], field)
+                for field in ("weights", "thresholds", "coefficients")]
+    if matrices[2].ndim == 2 and matrices[2].shape[1] != output_dim:
+        raise DocumentError(
+            f"field 'coefficients' has {matrices[2].shape[1]} columns, "
+            f"field 'output_dim' says {output_dim}"
+        )
     try:
-        return ShallowVectorNetwork(neurons, activation, signature, output_dim, output_grid)
-    except ShapeError as exc:
+        return ShallowVectorNetwork(*matrices, activation, signature, output_grid)
+    except (ShapeError, ValueError) as exc:
         raise DocumentError(f"inconsistent network document: {exc}") from exc

@@ -270,11 +270,6 @@ class SeminormFamily:
         return [rho.label() for rho in self.members]
 
 
-def seminorm_eval(rho: Seminorm, t: TargetElement) -> float:
-    """Evaluate a seminorm on a compatible element."""
-    return rho(t)
-
-
 def family_sup_error(family: SeminormFamily, diffs) -> np.ndarray:
     """Per-seminorm maximum over a list of difference elements.
 

@@ -26,6 +26,7 @@ from shallowop.inputs import (
     FunctionalSpec,
     SequenceDot,
     ZeroFunctional,
+    functional_matrix,
     sample_ensemble,
 )
 from shallowop.network import Polynomial, Relu, ShallowVectorNetwork, Tanh
@@ -413,16 +414,22 @@ class TestAssemble:
         net, budget, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         assert budget.m >= 2
         assert np.any(report.coefficient_widths > cfg.width)  # some banks were grown
+        centers = build_epsilon_net(values, LqNorm(2.0), 0.025).centers
         start = 0
         for j, width in enumerate(report.coefficient_widths):
             cfg_j = replace(cfg, seed=derive_seed(cfg.seed, j))
             functionals, thetas = draw_features(cfg_j, width, ens.signature)
-            neurons = net.neurons[start:start + width]
+            rows = slice(start, start + width)
             start += width
-            np.testing.assert_array_equal([n.theta for n in neurons], thetas)
-            assert neurons[0].functional == ZeroFunctional()
-            for nrn, l in zip(neurons[1:], functionals[1:]):
-                np.testing.assert_array_equal(nrn.functional.phi, l.phi)
+            np.testing.assert_array_equal(
+                net.weights[rows], functional_matrix(functionals, ens.signature)
+            )
+            np.testing.assert_array_equal(net.thresholds[rows], thetas)
+            # every coefficient row is a multiple of center j
+            V_j = net.coefficients[rows]
+            vj = centers[j].values
+            scale = V_j @ vj / (vj @ vj)
+            np.testing.assert_allclose(V_j, np.outer(scale, vj), rtol=1e-12, atol=0.0)
         assert start == net.width
 
     def test_violated_budget_raises_not_asserts(self, monkeypatch):
@@ -488,7 +495,7 @@ class TestUniformError:
     def test_exact_reproduction_gives_zero(self):
         ens = band_ensemble(10, self.GRID, seed=7)
         values = [TargetElement(np.zeros(31), self.GRID) for _ in range(10)]
-        net = ShallowVectorNetwork([], Tanh(), ens.signature, 31, self.GRID)
+        net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         fam = SeminormFamily((LqNorm(2.0), LqNorm(1.0)))
         np.testing.assert_array_equal(uniform_error(values, net, ens, fam), [0.0, 0.0])
 
@@ -496,7 +503,7 @@ class TestUniformError:
         ens = band_ensemble(10, self.GRID, seed=8)
         v = TargetElement(np.full(31, 3.0), self.GRID)
         values = [v for _ in range(10)]
-        net = ShallowVectorNetwork([], Tanh(), ens.signature, 31, self.GRID)
+        net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         fam = SeminormFamily((LqNorm(2.0), LqNorm(1.0)))
         got = uniform_error(values, net, ens, fam)
         np.testing.assert_allclose(got, [LqNorm(2.0)(v), LqNorm(1.0)(v)], rtol=1e-12)
@@ -505,7 +512,7 @@ class TestUniformError:
         ens = band_ensemble(10, self.GRID, seed=9)
         v = TargetElement(np.full(31, 3.0), self.GRID)
         values = [v for _ in range(10)]
-        net = ShallowVectorNetwork([], Tanh(), ens.signature, 31, self.GRID)
+        net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         duals = [
             DualPairing(np.zeros(31), self.GRID, name="null"),
             DualPairing(np.ones(31), self.GRID, name="mean"),
@@ -516,7 +523,7 @@ class TestUniformError:
 
     def test_shape_mismatch(self):
         ens = band_ensemble(3, self.GRID, seed=10)
-        net = ShallowVectorNetwork([], Tanh(), ens.signature, 31, self.GRID)
+        net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         fam = SeminormFamily((LqNorm(2.0),))
         with pytest.raises(ShapeError):
             uniform_error([], net, ens, fam)

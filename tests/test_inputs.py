@@ -13,7 +13,6 @@ from shallowop.inputs import (
     SequenceDot,
     SequencePoint,
     ZeroFunctional,
-    apply_functional,
     draw_functional_params,
     functional_from_params,
     functional_matrix,
@@ -76,7 +75,7 @@ class TestInputPoints:
 class TestFunctionals:
     def test_quadrature_pairing_integrates_constants(self):
         l = QuadraturePairing(np.ones(GRID.n), GRID)
-        assert apply_functional(l, fn_sample(np.ones_like)) == pytest.approx(1.0, rel=1e-12)
+        assert l(fn_sample(np.ones_like)) == pytest.approx(1.0, rel=1e-12)
 
     def test_quadrature_pairing_sine_mass(self):
         # trapezoid integrates sin(pi x) * sin(pi x) exactly on a uniform

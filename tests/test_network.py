@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,61 +6,63 @@ import pytest
 
 from shallowop.errors import DocumentError, ShapeError
 from shallowop.inputs import (
+    FunctionSample,
     MatrixPoint,
-    MatrixTrace,
     QuadraturePairing,
-    SequenceDot,
     SequencePoint,
     ZeroFunctional,
+    functional_matrix,
 )
 from shallowop.network import (
     Gaussian,
-    Neuron,
     Polynomial,
     Relu,
     ShallowVectorNetwork,
     Sigmoid,
     Tanh,
-    activation_eval,
     deserialize_network,
-    evaluate_network,
     make_activation,
     network_sum,
     serialize_network,
 )
-from shallowop.targets import GridMeta, TargetElement
+from shallowop.targets import GridMeta
 
 TANH_1 = 0.7615941559557649
 EXP_NEG_1 = 0.36787944117144233
 
 
 def random_network(rng, width=4, in_dim=6, out_dim=5, activation=Tanh()):
-    neurons = [
-        Neuron(
-            SequenceDot(rng.standard_normal(in_dim)),
-            rng.uniform(-1.0, 1.0),
-            TargetElement(rng.standard_normal(out_dim)),
-        )
-        for _ in range(width)
-    ]
-    return ShallowVectorNetwork(neurons, activation, ("sequence", in_dim), out_dim)
+    return ShallowVectorNetwork(
+        rng.standard_normal((width, in_dim)),
+        rng.uniform(-1.0, 1.0, width),
+        rng.standard_normal((width, out_dim)),
+        activation,
+        ("sequence", in_dim),
+    )
+
+
+def packed(a):
+    """A matrix as the network document stores it."""
+    a = np.asarray(a, dtype=float)
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
 
 
 class TestActivations:
     def test_point_values(self):
-        assert activation_eval(Tanh(), 0.0) == 0.0
-        assert activation_eval(Relu(), -3.0) == 0.0
-        assert activation_eval(Relu(), 2.0) == 2.0
-        assert activation_eval(Sigmoid(), 0.0) == 0.5
-        assert activation_eval(Gaussian(), 0.0) == 1.0
-        assert activation_eval(Tanh(), 1.0) == pytest.approx(TANH_1, rel=1e-15)
-        assert activation_eval(Gaussian(), 1.0) == pytest.approx(EXP_NEG_1, rel=1e-15)
-        assert activation_eval(Polynomial((0.0, 0.0, 1.0)), 3.0) == 9.0
+        assert Tanh()(np.float64(0.0)) == 0.0
+        assert Relu()(np.float64(-3.0)) == 0.0
+        assert Relu()(np.float64(2.0)) == 2.0
+        assert Sigmoid()(np.float64(0.0)) == 0.5
+        assert Gaussian()(np.float64(0.0)) == 1.0
+        assert Tanh()(np.float64(1.0)) == pytest.approx(TANH_1, rel=1e-15)
+        assert Gaussian()(np.float64(1.0)) == pytest.approx(EXP_NEG_1, rel=1e-15)
+        assert Polynomial((0.0, 0.0, 1.0))(np.float64(3.0)) == 9.0
 
     def test_sigmoid_saturates_without_overflow(self):
         with np.errstate(over="raise"):
-            assert activation_eval(Sigmoid(), 800.0) == 1.0
-            assert activation_eval(Sigmoid(), -800.0) == 0.0
+            assert Sigmoid()(np.float64(800.0)) == 1.0
+            assert Sigmoid()(np.float64(-800.0)) == 0.0
 
     def test_vectorized_shapes(self):
         x = np.linspace(-2.0, 2.0, 7)
@@ -85,35 +88,53 @@ class TestActivations:
 
 class TestEvaluate:
     def test_empty_network_is_zero(self):
-        net = ShallowVectorNetwork([], Tanh(), ("sequence", 3), 4)
-        out = evaluate_network(net, SequencePoint([1.0, -2.0, 5.0]))
+        net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
+        assert net.width == 0
+        out = net(SequencePoint([1.0, -2.0, 5.0]))
         np.testing.assert_array_equal(out.values, np.zeros(4))
+        batch = net.evaluate_many([SequencePoint([1.0, -2.0, 5.0])] * 2)
+        np.testing.assert_array_equal(batch, np.zeros((2, 4)))
 
     def test_single_relu_trace_neuron(self):
-        nrn = Neuron(MatrixTrace(np.eye(2)), 0.0, TargetElement(np.array([1.0, 0.0])))
-        net = ShallowVectorNetwork([nrn], Relu(), ("matrix", (2, 2)), 2)
+        # the one weight row is the Frobenius pairing with the identity
+        net = ShallowVectorNetwork(np.eye(2).reshape(1, 4), [0.0], [[1.0, 0.0]], Relu(),
+                                   ("matrix", (2, 2)))
         out = net(MatrixPoint(np.eye(2)))
         np.testing.assert_array_equal(out.values, [2.0, 0.0])
 
     def test_constant_via_zero_functional(self):
         grid = GridMeta(0.0, 1.0, 11)
-        nrn = Neuron(ZeroFunctional(), -1.0, TargetElement(np.ones(11), grid))
-        net = ShallowVectorNetwork([nrn], Tanh(), ("sequence", 2), 11, grid)
+        net = ShallowVectorNetwork(np.zeros((1, 2)), [-1.0], np.ones((1, 11)), Tanh(),
+                                   ("sequence", 2), grid)
         out = net(SequencePoint([3.0, -7.0]))
         np.testing.assert_allclose(out.values, TANH_1, rtol=1e-15)
         assert out.grid == grid
 
     def test_input_signature_checked(self):
-        net = ShallowVectorNetwork([], Tanh(), ("sequence", 3), 4)
+        net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
         with pytest.raises(ShapeError):
             net(SequencePoint([1.0, 2.0]))
 
     def test_neuron_shape_mismatches_rejected(self):
-        nrn = Neuron(SequenceDot(np.ones(3)), 0.0, TargetElement(np.ones(4)))
-        with pytest.raises(ShapeError):
-            ShallowVectorNetwork([nrn], Tanh(), ("sequence", 5), 4)
-        with pytest.raises(ShapeError):
-            ShallowVectorNetwork([nrn], Tanh(), ("sequence", 3), 6)
+        L, theta, V = np.ones((1, 3)), np.zeros(1), np.ones((1, 4))
+        with pytest.raises(ShapeError, match="weights"):
+            ShallowVectorNetwork(L, theta, V, Tanh(), ("sequence", 5))
+        with pytest.raises(ShapeError, match="output grid"):
+            ShallowVectorNetwork(L, theta, V, Tanh(), ("sequence", 3), GridMeta(0.0, 1.0, 6))
+        with pytest.raises(ShapeError, match="rows"):
+            ShallowVectorNetwork(L, np.zeros(2), V, Tanh(), ("sequence", 3))
+        with pytest.raises(ShapeError, match="thresholds"):
+            ShallowVectorNetwork(L, np.zeros((1, 1)), V, Tanh(), ("sequence", 3))
+        with pytest.raises(ValueError, match="thresholds"):
+            ShallowVectorNetwork(L, [np.inf], V, Tanh(), ("sequence", 3))
+
+    def test_matrices_are_read_only_copies(self):
+        L, theta, V = np.ones((2, 3)), np.zeros(2), np.ones((2, 4))
+        net = ShallowVectorNetwork(L, theta, V, Tanh(), ("sequence", 3))
+        L[0, 0] = 5.0
+        assert net.weights[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            net.coefficients[0, 0] = 2.0
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(0)
@@ -128,7 +149,7 @@ class TestNetworkSum:
     def test_sum_with_empty_is_identity(self):
         rng = np.random.default_rng(1)
         a = random_network(rng)
-        empty = ShallowVectorNetwork([], Tanh(), a.input_signature, a.output_dim)
+        empty = ShallowVectorNetwork.zero(Tanh(), a.input_signature, a.output_dim)
         s = SequencePoint(rng.standard_normal(6))
         np.testing.assert_array_equal(network_sum(a, empty)(s).values, a(s).values)
 
@@ -162,12 +183,8 @@ class TestNetworkSum:
 
 class TestInvariants:
     def scaled_coeffs(self, net, lam):
-        neurons = [
-            Neuron(n.functional, n.theta, lam * n.coeff) for n in net.neurons
-        ]
-        return ShallowVectorNetwork(
-            neurons, net.activation, net.input_signature, net.output_dim, net.output_grid
-        )
+        return ShallowVectorNetwork(net.weights, net.thresholds, lam * net.coefficients,
+                                    net.activation, net.input_signature, net.output_grid)
 
     def test_coefficient_scaling_power_of_two_exact(self):
         rng = np.random.default_rng(5)
@@ -193,10 +210,11 @@ class TestInvariants:
         net = random_network(rng, width=8)
         perm = rng.permutation(8)
         shuffled = ShallowVectorNetwork(
-            [net.neurons[i] for i in perm],
+            net.weights[perm],
+            net.thresholds[perm],
+            net.coefficients[perm],
             net.activation,
             net.input_signature,
-            net.output_dim,
         )
         for _ in range(10):
             s = SequencePoint(rng.standard_normal(6))
@@ -210,18 +228,13 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         grid = GridMeta(0.0, 1.0, 21)
         phi = rng.standard_normal(21)
-        l = QuadraturePairing(phi, grid)
-        neurons = [
-            Neuron(l, rng.uniform(-1.0, 1.0), TargetElement(rng.standard_normal(3)))
-            for _ in range(4)
-        ]
+        L = functional_matrix([QuadraturePairing(phi, grid)] * 4, ("function", grid))
         net = ShallowVectorNetwork(
-            neurons, Polynomial((0.5, -1.0, 2.0)), ("function", grid), 3
+            L, rng.uniform(-1.0, 1.0, 4), rng.standard_normal((4, 3)),
+            Polynomial((0.5, -1.0, 2.0)), ("function", grid),
         )
         s0 = rng.standard_normal(21)
         xs = np.linspace(-2.0, 2.0, 9)
-        from shallowop.inputs import FunctionSample
-
         ys = np.array([net(FunctionSample(x * s0, grid)).values[0] for x in xs])
         fit = np.polynomial.Polynomial.fit(xs, ys, deg=2)
         assert np.max(np.abs(fit(xs) - ys)) < 1e-8
@@ -232,44 +245,53 @@ class TestSerialization:
         return deserialize_network(json.loads(json.dumps(serialize_network(net))))
 
     def test_empty_roundtrip(self):
-        net = ShallowVectorNetwork([], Tanh(), ("sequence", 3), 4)
+        net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
         back = self.roundtrip(net)
         assert back.width == 0
         assert back.input_signature == ("sequence", 3)
         assert back.output_dim == 4
 
+    def test_document_holds_packed_matrices(self):
+        rng = np.random.default_rng(13)
+        net = random_network(rng, width=3)
+        doc = serialize_network(net)
+        assert doc["weights"] == packed(net.weights)
+        assert doc["thresholds"] == packed(net.thresholds)
+        assert doc["coefficients"] == packed(net.coefficients)
+        assert doc["output_dim"] == 5
+        assert "neurons" not in doc
+
+    def test_sequence_roundtrip_bit_identical(self):
+        rng = np.random.default_rng(14)
+        net = random_network(rng, width=6)
+        back = self.roundtrip(net)
+        for name in ("weights", "thresholds", "coefficients"):
+            assert getattr(back, name).tobytes() == getattr(net, name).tobytes()
+        s = SequencePoint(rng.standard_normal(6))
+        np.testing.assert_array_equal(back(s).values, net(s).values)
+        assert json.dumps(serialize_network(back)) == json.dumps(serialize_network(net))
+
     def test_three_neuron_roundtrip_bit_identical(self):
         rng = np.random.default_rng(9)
         grid = GridMeta(-1.0, 2.0, 17)
-        neurons = [
-            Neuron(
-                QuadraturePairing(rng.standard_normal(13), GridMeta(0.0, 1.0, 13)),
-                rng.uniform(-1.0, 1.0),
-                TargetElement(rng.standard_normal(17), grid),
-            )
-            for _ in range(2)
-        ]
-        neurons.append(
-            Neuron(ZeroFunctional(), 0.25, TargetElement(rng.standard_normal(17), grid))
-        )
+        in_grid = GridMeta(0.0, 1.0, 13)
+        functionals = [QuadraturePairing(rng.standard_normal(13), in_grid) for _ in range(2)]
+        L = functional_matrix(functionals + [ZeroFunctional()], ("function", in_grid))
+        thetas = np.append(rng.uniform(-1.0, 1.0, 2), 0.25)
         net = ShallowVectorNetwork(
-            neurons, Sigmoid(), ("function", GridMeta(0.0, 1.0, 13)), 17, grid
+            L, thetas, rng.standard_normal((3, 17)), Sigmoid(), ("function", in_grid), grid
         )
         back = self.roundtrip(net)
-        from shallowop.inputs import FunctionSample
-
+        assert back.output_grid == grid
         for _ in range(10):
-            s = FunctionSample(rng.standard_normal(13), GridMeta(0.0, 1.0, 13))
+            s = FunctionSample(rng.standard_normal(13), in_grid)
             np.testing.assert_array_equal(back(s).values, net(s).values)
 
     def test_matrix_and_polynomial_roundtrip(self):
         rng = np.random.default_rng(10)
-        neurons = [
-            Neuron(MatrixTrace(rng.standard_normal((2, 3))), 0.0,
-                   TargetElement(rng.standard_normal(4)))
-        ]
         net = ShallowVectorNetwork(
-            neurons, Polynomial((1.0, 0.5)), ("matrix", (2, 3)), 4
+            rng.standard_normal((1, 6)), [0.0], rng.standard_normal((1, 4)),
+            Polynomial((1.0, 0.5)), ("matrix", (2, 3)),
         )
         back = self.roundtrip(net)
         z = MatrixPoint(rng.standard_normal((2, 3)))
@@ -277,31 +299,75 @@ class TestSerialization:
         assert back.activation == net.activation
 
     def test_unknown_activation_diagnosed(self):
-        net = ShallowVectorNetwork([], Tanh(), ("sequence", 2), 2)
+        net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 2), 2)
         doc = serialize_network(net)
         doc["activation"] = "foo"
         with pytest.raises(DocumentError, match="activation"):
             deserialize_network(doc)
 
     def test_missing_field_diagnosed(self):
-        net = ShallowVectorNetwork([], Tanh(), ("sequence", 2), 2)
+        net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 2), 2)
         doc = serialize_network(net)
         del doc["input_shape"]
         with pytest.raises(DocumentError, match="input_shape"):
             deserialize_network(doc)
 
-    def test_unknown_functional_variant_diagnosed(self):
-        rng = np.random.default_rng(11)
-        net = random_network(rng, width=1)
-        doc = serialize_network(net)
-        doc["neurons"][0]["functional"]["variant"] = "mystery"
-        with pytest.raises(DocumentError, match=r"neurons\[0\]"):
+    def test_neuron_list_document_rejected(self):
+        # the neuron-list layout networks were saved in before the packed one
+        doc = {
+            "activation": "tanh",
+            "input_shape": {"kind": "sequence", "length": 2},
+            "output_grid": None,
+            "output_dim": 1,
+            "neurons": [{"functional": {"variant": "sequence_dot", "coeffs": [1.0, 2.0]},
+                         "theta": 0.0, "coeff": [1.0]}],
+        }
+        with pytest.raises(DocumentError, match="'weights'"):
+            deserialize_network(doc)
+
+    def test_invalid_base64_diagnosed(self):
+        doc = serialize_network(random_network(np.random.default_rng(15)))
+        doc["thresholds"]["data"] = "not base64!"
+        with pytest.raises(DocumentError, match="'thresholds'"):
+            deserialize_network(doc)
+
+    @pytest.mark.parametrize("field", ("weights", "thresholds", "coefficients"))
+    def test_byte_count_mismatch_diagnosed(self, field):
+        doc = serialize_network(random_network(np.random.default_rng(16)))
+        doc[field]["shape"][0] += 1
+        with pytest.raises(DocumentError, match=f"'{field}'.*bytes"):
+            deserialize_network(doc)
+
+    @pytest.mark.parametrize("field", ("weights", "thresholds", "coefficients"))
+    def test_row_counts_disagree_diagnosed(self, field):
+        rng = np.random.default_rng(17)
+        doc = serialize_network(random_network(rng, width=4))
+        wider = serialize_network(random_network(rng, width=5))
+        doc[field] = wider[field]
+        with pytest.raises(DocumentError, match="rows"):
+            deserialize_network(doc)
+
+    def test_weights_width_disagrees_with_input_shape(self):
+        doc = serialize_network(random_network(np.random.default_rng(18), in_dim=6))
+        doc["input_shape"]["length"] = 7
+        with pytest.raises(DocumentError, match="weights"):
             deserialize_network(doc)
 
     def test_inconsistent_shape_diagnosed(self):
         rng = np.random.default_rng(12)
         net = random_network(rng, width=1)
         doc = serialize_network(net)
-        doc["neurons"][0]["coeff"] = [1.0, 2.0]
-        with pytest.raises(DocumentError):
+        doc["coefficients"] = packed([[1.0, 2.0]])
+        with pytest.raises(DocumentError, match="'coefficients'.*'output_dim'"):
+            deserialize_network(doc)
+
+    @pytest.mark.parametrize("field", ("weights", "thresholds", "coefficients"))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_entry_rejected(self, field, bad):
+        net = random_network(np.random.default_rng(19), width=2)
+        values = np.array(getattr(net, field))
+        values.flat[-1] = bad
+        doc = serialize_network(net)
+        doc[field] = packed(values)
+        with pytest.raises(DocumentError, match=f"{field} contain non-finite"):
             deserialize_network(doc)

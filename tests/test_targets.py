@@ -11,7 +11,6 @@ from shallowop.targets import (
     SupDerivative,
     TargetElement,
     family_sup_error,
-    seminorm_eval,
 )
 
 GRID = GridMeta(0.0, 1.0, 101)
@@ -79,7 +78,7 @@ class TestTargetElement:
 
 class TestLqNorm:
     def test_constant_one_has_unit_l2_norm(self):
-        assert seminorm_eval(LqNorm(2.0), on_grid(np.ones_like)) == pytest.approx(1.0, rel=1e-12)
+        assert LqNorm(2.0)(on_grid(np.ones_like)) == pytest.approx(1.0, rel=1e-12)
 
     def test_identity_l2_norm(self):
         # exact value is 1/sqrt(3); trapezoid error at n=101 is ~1e-5
