@@ -78,10 +78,11 @@ from .targets import (
     GridMeta,
     LqNorm,
     SchwartzWeighted,
+    Seminorm,
     SeminormFamily,
     SupDerivative,
     TargetElement,
     family_sup_error,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

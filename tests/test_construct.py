@@ -5,6 +5,7 @@ import pytest
 
 from shallowop import construct
 from shallowop.construct import (
+    SEMINORM_BLOCK_ROWS,
     EpsilonNet,
     ErrorBudget,
     FitConfig,
@@ -37,6 +38,7 @@ from shallowop.targets import (
     GridMeta,
     LqNorm,
     SeminormFamily,
+    SupDerivative,
     TargetElement,
 )
 
@@ -55,6 +57,16 @@ def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
 
 def fn_spec(grid):
     return FunctionalSpec(kind="function", grid=grid, order=3)
+
+
+def reference_net_indices(values, rho, epsilon):
+    """The greedy net, one scalar seminorm call per (value, center) pair."""
+    centers, indices = [], []
+    for i, t in enumerate(values):
+        if all(rho(t - c) >= epsilon for c in centers):
+            centers.append(t)
+            indices.append(i)
+    return tuple(indices)
 
 
 class TestEpsilonNet:
@@ -93,6 +105,34 @@ class TestEpsilonNet:
         for a in range(len(net)):
             for b in range(a + 1, len(net)):
                 assert rho(net.centers[a] - net.centers[b]) >= 1.0
+
+    def test_value_at_exactly_epsilon_becomes_a_center(self):
+        # |1.0 - 0.0| is exactly epsilon: not strictly covered
+        values = [scalar_elem(x) for x in (0.0, 0.5, 1.0, 1.25, 2.0)]
+        net = build_epsilon_net(values, ABS, 1.0)
+        assert net.center_indices == (0, 2, 4)
+        assert net.center_indices == reference_net_indices(values, ABS, 1.0)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_matches_scalar_greedy_loop(self, trial):
+        rng = np.random.default_rng(360 + trial)
+        grid = GridMeta(0.0, 1.0, 9)
+        values = [TargetElement(rng.standard_normal(9), grid) for _ in range(50)]
+        for rho, eps in ((LqNorm(2.0), 1.0), (SupDerivative(1), 12.0), (LqNorm(1.0), 0.6)):
+            net = build_epsilon_net(values, rho, eps)
+            assert net.center_indices == reference_net_indices(values, rho, eps)
+            assert all(net.centers[k] is values[i] for k, i in enumerate(net.center_indices))
+
+    def test_matches_scalar_greedy_loop_across_row_blocks(self):
+        rng = np.random.default_rng(370)
+        values = [scalar_elem(x) for x in rng.uniform(0.0, 10.0, 2 * SEMINORM_BLOCK_ROWS + 41)]
+        net = build_epsilon_net(values, ABS, 1.0)
+        assert net.center_indices == reference_net_indices(values, ABS, 1.0)
+
+    def test_mismatched_metadata_rejected(self):
+        values = [TargetElement(np.zeros(5), GridMeta(0.0, 1.0, 5)), TargetElement(np.ones(5))]
+        with pytest.raises(ShapeError):
+            build_epsilon_net(values, LqNorm(2.0), 0.5)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_halving_epsilon_never_drops_centers(self, trial):
@@ -136,6 +176,20 @@ class TestPartition:
         np.testing.assert_allclose(pou.weights.sum(axis=1), 1.0, atol=1e-12)
         support = pou.weights > 0.0
         assert np.all(pou.distances[support] < 1.2)
+
+    def test_distances_match_scalar_calls(self):
+        rng = np.random.default_rng(350)
+        rho = LqNorm(2.0)
+        values = [TargetElement(rng.standard_normal(3)) for _ in range(2 * SEMINORM_BLOCK_ROWS + 41)]
+        net = build_epsilon_net(values, rho, 2.0)
+        pou = build_partition(values, net, rho)
+        want = [[rho(t - c) for c in net.centers] for t in values]
+        np.testing.assert_allclose(pou.distances, want, rtol=1e-12, atol=0)
+
+    def test_values_and_centers_must_share_metadata(self):
+        net = EpsilonNet((scalar_elem(0.0),), 1.0, ABS, (0,))
+        with pytest.raises(ShapeError):
+            build_partition([TargetElement(np.zeros(2))], net, ABS)
 
 
 class TestFiniteRank:
@@ -520,6 +574,27 @@ class TestUniformError:
         got = dual_uniform_error(values, net, ens, duals)
         assert got[0] == 0.0
         assert got[1] == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [12, 2 * SEMINORM_BLOCK_ROWS + 41])
+    def test_matches_per_sample_loop(self, count):
+        rng = np.random.default_rng(400 + count)
+        ens = band_ensemble(count, self.GRID, seed=11 + count)
+        values = [TargetElement(rng.standard_normal(31), self.GRID) for _ in range(count)]
+        net = ShallowVectorNetwork(rng.standard_normal((5, 31)), rng.uniform(-1, 1, 5),
+                                   rng.standard_normal((5, 31)), Tanh(), ens.signature,
+                                   self.GRID)
+        fam = SeminormFamily((LqNorm(2.0), SupDerivative(1),
+                              DualPairing(rng.standard_normal(31), self.GRID)))
+        want = [max(rho(t - net(s)) for t, s in zip(values, ens)) for rho in fam]
+        np.testing.assert_allclose(uniform_error(values, net, ens, fam), want,
+                                   rtol=1e-12, atol=0)
+
+    def test_output_dim_mismatch(self):
+        ens = band_ensemble(3, self.GRID, seed=10)
+        net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 30)
+        values = [TargetElement(np.zeros(31), self.GRID)] * 3
+        with pytest.raises(ShapeError):
+            uniform_error(values, net, ens, SeminormFamily((LqNorm(2.0),)))
 
     def test_shape_mismatch(self):
         ens = band_ensemble(3, self.GRID, seed=10)

@@ -205,6 +205,16 @@ class TestRunExperiment:
         assert run.dual_train_errors["mean"] >= 0.0
         assert set(run.dual_heldout_errors) == {"mean"}
 
+    def test_dual_sharing_a_member_label_keeps_its_own_value(self):
+        mean, = run_experiment(ExperimentConfig.from_dict(small_dict(
+            duals=[{"name": "mean", "values": "ones"}]))).runs
+        shared, = run_experiment(ExperimentConfig.from_dict(small_dict(
+            duals=[{"name": "lq(q=2)", "values": "ones"}]))).runs
+        assert shared.train_errors == mean.train_errors
+        assert shared.heldout_errors == mean.heldout_errors
+        assert shared.dual_train_errors == {"lq(q=2)": mean.dual_train_errors["mean"]}
+        assert shared.dual_heldout_errors == {"lq(q=2)": mean.dual_heldout_errors["mean"]}
+
     def test_dual_vector_length_mismatch_raises(self):
         cfg = ExperimentConfig.from_dict(small_dict(duals=[{"values": [1.0, 2.0]}]))
         with pytest.raises(ConfigError, match="entries"):

@@ -14,6 +14,7 @@ from shallowop.inputs import (
     functional_matrix,
 )
 from shallowop.network import (
+    EVAL_BLOCK_ROWS,
     Gaussian,
     Polynomial,
     Relu,
@@ -140,6 +141,15 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         net = random_network(rng)
         pts = [SequencePoint(rng.standard_normal(6)) for _ in range(9)]
+        batch = net.evaluate_many(pts)
+        single = np.stack([net(p).values for p in pts])
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
+
+
+    def test_batch_longer_than_a_block_matches_pointwise(self):
+        rng = np.random.default_rng(1)
+        net = random_network(rng, width=7)
+        pts = [SequencePoint(rng.standard_normal(6)) for _ in range(2 * EVAL_BLOCK_ROWS + 37)]
         batch = net.evaluate_many(pts)
         single = np.stack([net(p).values for p in pts])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)

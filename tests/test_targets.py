@@ -7,10 +7,12 @@ from shallowop.targets import (
     GridMeta,
     LqNorm,
     SchwartzWeighted,
+    Seminorm,
     SeminormFamily,
     SupDerivative,
     TargetElement,
     family_sup_error,
+    stack_values,
 )
 
 GRID = GridMeta(0.0, 1.0, 101)
@@ -251,3 +253,132 @@ class TestSeminormFamily:
     def test_family_sup_error_empty(self):
         fam = SeminormFamily((LqNorm(2.0),))
         np.testing.assert_array_equal(family_sup_error(fam, []), [0.0])
+
+
+def scalar_reference(rho, v, grid):
+    """The seminorm of one value vector, written out per kind without batch."""
+    if isinstance(rho, LqNorm):
+        w = np.ones_like(v) if grid is None else grid.trapezoid_weights()
+        return float(np.sum(w * np.abs(v) ** rho.q) ** (1.0 / rho.q))
+    if isinstance(rho, DualPairing):
+        w = np.ones_like(v) if grid is None else grid.trapezoid_weights()
+        return float(abs(np.dot(w * rho.test, v)))
+    order = rho.order if isinstance(rho, SupDerivative) else rho.beta
+    d = v
+    if order:
+        diffs = np.diff(v, n=order) / grid.spacing**order
+        d = diffs[np.clip(np.arange(v.size) - order // 2, 0, v.size - 1 - order)]
+    if isinstance(rho, SupDerivative):
+        return float(np.max(np.abs(d)))
+    x = grid.nodes()
+    mask = np.abs(x) <= rho.radius
+    return float(np.max(np.abs(x[mask] ** rho.alpha * d[mask]))) if mask.any() else 0.0
+
+
+class TestBatch:
+    """rho.batch on an (n, dim) matrix agrees, row by row, with rho on that
+    row's element and with a per-kind scalar reference."""
+
+    GRIDDED = [
+        LqNorm(1.0),
+        LqNorm(2.0),
+        LqNorm(3.5),
+        SupDerivative(0),
+        SupDerivative(1),
+        SupDerivative(2),
+        SchwartzWeighted(alpha=0, beta=0, radius=0.5),
+        SchwartzWeighted(alpha=2, beta=1, radius=0.7),
+        SchwartzWeighted(alpha=1, beta=2, radius=8.0),
+    ]
+    PLAIN = [LqNorm(1.0), LqNorm(2.0), LqNorm(3.5), SupDerivative(0)]
+
+    @staticmethod
+    def check_rows(rho, values, grid):
+        got = rho.batch(values, grid)
+        assert got.shape == (values.shape[0],)
+        called = [rho(TargetElement(row, grid)) for row in values]
+        np.testing.assert_allclose(got, called, rtol=1e-12, atol=0)
+        reference = [scalar_reference(rho, row, grid) for row in values]
+        np.testing.assert_allclose(got, reference, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_rows_agree_with_call_on_a_grid(self, trial):
+        rng = np.random.default_rng(2000 + trial)
+        g = GridMeta(-1.0, 1.0, 33)
+        values = rng.standard_normal((17, 33)) * rng.uniform(0.01, 100.0, (17, 1))
+        dual = DualPairing(rng.standard_normal(33), g)
+        for rho in self.GRIDDED + [dual]:
+            self.check_rows(rho, values, g)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_rows_agree_with_call_without_a_grid(self, trial):
+        rng = np.random.default_rng(2100 + trial)
+        values = rng.standard_normal((17, 12)) * rng.uniform(0.01, 100.0, (17, 1))
+        dual = DualPairing(rng.standard_normal(12))
+        for rho in self.PLAIN + [dual]:
+            self.check_rows(rho, values, None)
+
+    def test_radius_masking_every_node_gives_zeros(self):
+        g = GridMeta(1.0, 2.0, 9)
+        rho = SchwartzWeighted(alpha=1, beta=1, radius=0.5)
+        values = np.random.default_rng(0).standard_normal((4, 9))
+        np.testing.assert_array_equal(rho.batch(values, g), np.zeros(4))
+
+    def test_a_row_does_not_depend_on_the_other_rows(self):
+        rng = np.random.default_rng(1)
+        g = GridMeta(0.0, 1.0, 50)
+        values = rng.standard_normal((300, 50))
+        test = rng.standard_normal(50)
+        for rho, grid in [(LqNorm(2.0), g), (SupDerivative(1), g), (DualPairing(test, g), g),
+                          (LqNorm(3.5), None), (DualPairing(test), None)]:
+            whole = rho.batch(values, grid)
+            np.testing.assert_array_equal(whole[120:127], rho.batch(values[120:127], grid))
+
+    def test_dual_batch_rejects_mismatched_grid_or_length(self):
+        dual = DualPairing(np.ones(11), GridMeta(0.0, 1.0, 11))
+        with pytest.raises(ShapeError):
+            dual.batch(np.ones((3, 11)), None)
+        with pytest.raises(ShapeError):
+            dual.batch(np.ones((3, 11)), GridMeta(0.0, 2.0, 11))
+        with pytest.raises(ShapeError):
+            DualPairing(np.ones(11)).batch(np.ones((3, 12)))
+
+    def test_batch_shape_checked(self):
+        g = GridMeta(0.0, 1.0, 11)
+        for rho in (LqNorm(2.0), SupDerivative(1), SchwartzWeighted()):
+            with pytest.raises(ShapeError):
+                rho.batch(np.ones(11), g)
+            with pytest.raises(ShapeError):
+                rho.batch(np.ones((2, 10)), g)
+        with pytest.raises(ShapeError):
+            SupDerivative(1).batch(np.ones((2, 11)), None)
+
+    def test_custom_seminorm_needs_only_batch(self):
+        class MaxAbs(Seminorm):
+            def batch(self, values, grid=None):
+                return np.max(np.abs(values), axis=1)
+
+            def label(self):
+                return "max_abs"
+
+        assert MaxAbs()(TargetElement(np.array([1.0, -3.0]))) == 3.0
+        fam = SeminormFamily((MaxAbs(),))
+        diffs = [TargetElement(np.array([1.0, -3.0])), TargetElement(np.array([4.0, 0.0]))]
+        np.testing.assert_array_equal(family_sup_error(fam, diffs), [4.0])
+
+    def test_family_sup_error_is_max_over_elements(self):
+        rng = np.random.default_rng(3)
+        g = GridMeta(0.0, 1.0, 21)
+        fam = SeminormFamily((LqNorm(2.0), SupDerivative(1), DualPairing(np.ones(21), g)))
+        diffs = [TargetElement(rng.standard_normal(21), g) for _ in range(9)]
+        want = [max(rho(d) for d in diffs) for rho in fam]
+        np.testing.assert_allclose(family_sup_error(fam, diffs), want, rtol=1e-12, atol=0)
+
+    def test_stack_values_rejects_mixed_metadata(self):
+        g = GridMeta(0.0, 1.0, 5)
+        with pytest.raises(ShapeError):
+            stack_values([TargetElement(np.ones(5), g), TargetElement(np.ones(5))])
+        with pytest.raises(ShapeError):
+            stack_values([TargetElement(np.ones(5)), TargetElement(np.ones(6))])
+        values, grid = stack_values([TargetElement(np.ones(5), g)] * 3)
+        assert values.shape == (3, 5) and grid == g
