@@ -12,7 +12,6 @@ from .construct import (
     ErrorBudget,
     FitConfig,
     PartitionOfUnity,
-    ScalarRidgeNet,
     assemble_vector_network,
     build_epsilon_net,
     build_partition,
@@ -47,6 +46,7 @@ from .inputs import (
     ZeroFunctional,
     random_functional,
     sample_ensemble,
+    stack_flat,
 )
 from .network import (
     Gaussian,
@@ -85,4 +85,4 @@ from .targets import (
     family_sup_error,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

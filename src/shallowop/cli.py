@@ -31,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the config's root seed")
     run.add_argument("--out", default=None,
                      help="override the config's output directory")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent sweep runs")
 
     presets = sub.add_parser("presets", help="inspect the shipped presets")
     psub = presets.add_subparsers(dest="presets_command", required=True)
@@ -64,14 +62,12 @@ def _cmd_run(args) -> int:
         if args.seed < 0:
             raise ConfigError("field 'seed': must be a nonnegative integer")
         config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed})
-    if args.threads < 1:
-        raise ConfigError("field 'threads': must be a positive integer")
 
     out_dir = args.out if args.out is not None else config.out
     if out_dir is None:
         raise ConfigError("no output directory: set 'out' in the config or pass --out")
 
-    report = run_experiment(config, threads=args.threads)
+    report = run_experiment(config)
     written = emit_report(report, out_dir)
     for run in report.runs:
         target = config.seminorms[config.target_index].get("kind", "?")

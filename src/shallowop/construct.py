@@ -11,7 +11,7 @@ uniform error by epsilon whenever every scalar fit met delta.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,15 +19,13 @@ from .errors import BudgetError, CoverageError, ShapeError
 from .inputs import (
     CompactEnsemble,
     FunctionalSpec,
-    ZeroFunctional,
     draw_functional_params,
-    functional_from_params,
-    functional_matrix,
     functional_weights,
     random_functional,  # noqa: F401  not called here; benchmarks/tracer.py hooks this name
+    signature_dim,
     stack_flat,
 )
-from .network import Activation, ShallowVectorNetwork, make_activation
+from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
 from .targets import Seminorm, SeminormFamily, TargetElement, stack_values
 
@@ -221,47 +219,17 @@ class FitConfig:
         object.__setattr__(self, "activation", make_activation(self.activation))
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarRidgeNet:
-    """Scalar network sum_k c_k eta(l_k(s) - theta_k); feature 0 is the bias."""
-
-    functionals: tuple
-    thetas: np.ndarray
-    coeffs: np.ndarray
-    activation: Activation
-    sup_error: float
-
-    @property
-    def width(self):
-        return len(self.functionals)
-
-    def design_matrix(self, samples) -> np.ndarray:
-        return _design_matrix(samples, self.functionals, self.thetas, self.activation)
-
-    def evaluate_many(self, samples) -> np.ndarray:
-        return self.design_matrix(samples) @ self.coeffs
-
-    def __call__(self, s) -> float:
-        return float(self.evaluate_many([s])[0])
-
-
 def draw_features(cfg: FitConfig, width: int, signature: tuple):
-    """Feature bank for a width: index 0 is the bias, the rest are random.
+    """Feature bank (L, theta) for a width: row 0 is the bias, the rest random.
 
-    Weights of features 1.. are drawn in order from the generator seeded by
-    derive_seed(cfg.seed, 0), and thresholds of features 0.. from the one
-    seeded by derive_seed(cfg.seed, 1).  Smaller widths are therefore
-    prefixes of larger ones, so width sweeps compare nested models.
-    assemble_vector_network grows coefficient j's bank from the same streams
-    under derive_seed(cfg.seed, j), so its neurons are the features this
-    function draws for that seed.
+    Weight rows 1.. are drawn in order from the generator seeded by
+    derive_seed(cfg.seed, 0), and thresholds 0.. from the one seeded by
+    derive_seed(cfg.seed, 1); the bias row L[0] is zero.  Smaller widths are
+    therefore prefixes of larger ones, so width sweeps compare nested models,
+    and fit_scalar_ridge grows exactly this bank across its width doublings.
     """
-    spec = cfg.functional_spec
-    _require_pairing(spec, signature)
-    params, thetas = _draw_rows(cfg, _feature_streams(cfg.seed), 0, width)
-    functionals = (ZeroFunctional(),) + tuple(functional_from_params(spec, p)
-                                              for p in params[1:])
-    return functionals, thetas
+    _require_pairing(cfg.functional_spec, signature)
+    return _draw_rows(cfg, _feature_streams(cfg.seed), 0, width)
 
 
 def _require_pairing(spec: FunctionalSpec, signature: tuple):
@@ -278,41 +246,61 @@ def _feature_streams(seed):
 
 
 def _draw_rows(cfg: FitConfig, streams, start: int, stop: int):
-    """Functional parameters and thresholds of features [start, stop).
+    """Weight rows and thresholds of features [start, stop).
 
-    Feature 0 is the bias: a zero parameter row that draws no weights.
+    Feature 0 is the bias: a zero weight row that draws no weights.
     """
     weights_rng, thresholds_rng = streams
-    params = draw_functional_params(cfg.functional_spec, weights_rng, stop - max(start, 1))
+    spec = cfg.functional_spec
+    params = draw_functional_params(spec, weights_rng, stop - max(start, 1))
     if start == 0:
         params = np.vstack([np.zeros((1, params.shape[1])), params])
-    return params, thresholds_rng.uniform(*cfg.theta_range, stop - start)
+    return (functional_weights(spec, params),
+            thresholds_rng.uniform(*cfg.theta_range, stop - start))
 
 
-def _design_matrix(samples, functionals, thetas, activation):
-    samples = list(samples)
-    flats = stack_flat(samples)
-    weights = functional_matrix(functionals, samples[0].signature)
-    return activation(flats @ weights.T - thetas)
+def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
+    """Ridge-solve the coefficients of one design matrix.
 
-
-def fit_ridge_features(inputs, targets, functionals, thetas, activation,
-                       lam: float) -> ScalarRidgeNet:
-    """Ridge-solve the coefficients for an explicit feature bank."""
-    targets = np.asarray(targets, dtype=float)
-    design = _design_matrix(inputs, functionals, thetas, activation)
-    if design.shape[0] != targets.shape[0]:
-        raise ShapeError("one target per input sample required")
+    Returns (coeffs, sup_error), sup_error being the largest absolute
+    training residual.
+    """
     coeffs = least_squares_solve(design, targets, lam)
-    sup_error = float(np.max(np.abs(design @ coeffs - targets))) if len(targets) else 0.0
-    return ScalarRidgeNet(tuple(functionals), np.asarray(thetas, dtype=float),
-                          coeffs, activation, sup_error)
+    return coeffs, float(np.max(np.abs(design @ coeffs - targets)))
 
 
-def fit_scalar_ridge(inputs: CompactEnsemble, targets, cfg: FitConfig) -> ScalarRidgeNet:
-    """Draw cfg.width seeded features and ridge-fit the coefficients."""
-    functionals, thetas = draw_features(cfg, cfg.width, inputs.signature)
-    return fit_ridge_features(inputs, targets, functionals, thetas, cfg.activation, cfg.lam)
+def fit_scalar_ridge(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, delta: float):
+    """Fit one scalar target with cfg's seeded feature bank to tolerance delta.
+
+    flats is the (n_samples, dim) stack of the inputs.  The width starts at
+    cfg.width and doubles until the training sup error drops below delta or
+    the width reaches cfg.max_width (a fixed-width fit sets max_width =
+    width).  The bank is the one draw_features(cfg, width) gives: each
+    doubling continues its two streams for the new features only and
+    appends their design columns.  Returns (L, theta, coeffs, sup_error).
+    """
+    dim = signature_dim(cfg.functional_spec.signature)
+    if flats.ndim != 2 or flats.shape[1] != dim:
+        raise ShapeError(f"inputs {flats.shape} do not stack to {dim}-vectors")
+    streams = _feature_streams(cfg.seed)
+    L = thetas = design = None
+    width, target = 0, cfg.width
+    while True:
+        new_L, new_thetas = _draw_rows(cfg, streams, width, target)
+        columns = flats @ new_L.T
+        columns -= new_thetas
+        columns = cfg.activation(columns)
+        if design is None:
+            L, thetas, design = new_L, new_thetas, columns
+        else:
+            L = np.vstack([L, new_L])
+            thetas = np.concatenate([thetas, new_thetas])
+            design = np.hstack([design, columns])
+        width = target
+        coeffs, sup_error = fit_ridge_features(design, targets, cfg.lam)
+        if sup_error < delta or width >= cfg.max_width:
+            return L, thetas, coeffs, sup_error
+        target = min(2 * width, cfg.max_width)
 
 
 @dataclass(frozen=True)
@@ -409,11 +397,13 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
 
 
 def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: float):
-    """Fit partition column j with bank derive_seed(fit_cfg.seed, j) and
-    return the network matrices (L, theta, V), sup errors and widths.
+    """Fit partition column j with fit_scalar_ridge under the bank seed
+    derive_seed(fit_cfg.seed, j) and return the network matrices
+    (L, theta, V), sup errors and widths.
 
-    Column j contributes one block of rows: its bank's weight rows and
-    thresholds, and the outer product of its ridge coefficients with center j.
+    The inputs are stacked once for all columns.  Column j contributes one
+    block of rows: its bank's weight rows and thresholds, and the outer
+    product of its ridge coefficients with center j.
     """
     _require_pairing(fit_cfg.functional_spec, ensemble.signature)
     flats = stack_flat(ensemble)
@@ -422,44 +412,12 @@ def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: flo
     errors = np.empty(m)
     widths = np.empty(m, dtype=int)
     for j, vj in enumerate(centers):
-        L_j, thetas, coeffs, errors[j] = _fit_to_tolerance(
-            flats, weights[:, j], fit_cfg, derive_seed(fit_cfg.seed, j), delta
-        )
+        cfg_j = replace(fit_cfg, seed=derive_seed(fit_cfg.seed, j))
+        L_j, thetas, coeffs, errors[j] = fit_scalar_ridge(flats, weights[:, j], cfg_j, delta)
         widths[j] = len(thetas)
         blocks.append((L_j, thetas, np.outer(coeffs, vj.values)))
     L, thetas, V = (np.concatenate(parts) for parts in zip(*blocks))
     return L, thetas, V, errors, widths
-
-
-def _fit_to_tolerance(flats, targets, cfg: FitConfig, seed, delta: float):
-    """Double the width until the training sup error drops below delta.
-
-    The bank is the one draw_features(replace(cfg, seed=seed), width) gives.
-    Each doubling continues its two streams for the new features only and
-    appends their design columns.  Returns (weight rows, thetas, coeffs,
-    sup error); the bias feature's weight row is zero.
-    """
-    streams = _feature_streams(seed)
-    L = thetas = design = None
-    width, target = 0, cfg.width
-    while True:
-        new_params, new_thetas = _draw_rows(cfg, streams, width, target)
-        new_L = functional_weights(cfg.functional_spec, new_params)
-        columns = flats @ new_L.T
-        columns -= new_thetas
-        columns = cfg.activation(columns)
-        if design is None:
-            L, thetas, design = new_L, new_thetas, columns
-        else:
-            L = np.vstack([L, new_L])
-            thetas = np.concatenate([thetas, new_thetas])
-            design = np.hstack([design, columns])
-        width = target
-        coeffs = least_squares_solve(design, targets, cfg.lam)
-        sup_error = float(np.max(np.abs(design @ coeffs - targets)))
-        if sup_error < delta or width >= cfg.max_width:
-            return L, thetas, coeffs, sup_error
-        target = min(2 * width, cfg.max_width)
 
 
 def uniform_error(f_values, net: ShallowVectorNetwork, ensemble,

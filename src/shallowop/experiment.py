@@ -3,7 +3,7 @@
 A config names an operator, a sampled ensemble with a held-out split, a
 seminorm family with one targeted member, an epsilon sweep, and fit knobs.
 Each epsilon gets its own deterministic seed path, so sweeps reproduce
-byte-identically (wall-clock fields aside) and may run in parallel.
+byte-identically (wall-clock fields aside).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +24,7 @@ from .construct import (
 )
 from .errors import ConfigError
 from .inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, sample_ensemble
-from .network import serialize_network
+from .network import make_activation, serialize_network
 from .operators import (
     Operator,
     integral_operator,
@@ -247,12 +246,16 @@ def _parse_seminorms(raw) -> tuple[dict, ...]:
         _require(kind in _SEMINORM_KINDS, field,
                  f"unknown seminorm kind {kind!r}")
         if kind == "lq":
-            _require(s.get("q", 2.0) >= 1, field, "lq needs q >= 1")
+            q = s.get("q", 2.0)
+            _require(isinstance(q, (int, float)) and q >= 1, f"{field}.q",
+                     "lq needs a number q >= 1")
         if kind == "sup_derivative":
             _require(isinstance(s.get("order", 0), int) and s.get("order", 0) >= 0,
                      field, "derivative order must be a nonnegative integer")
         if kind == "schwartz":
-            _require(s.get("radius", 8.0) > 0, field, "radius must be positive")
+            radius = s.get("radius", 8.0)
+            _require(isinstance(radius, (int, float)) and radius > 0, f"{field}.radius",
+                     "must be a positive number")
         if kind == "dual":
             values = s.get("values", "ones")
             ok = values == "ones" or (isinstance(values, list) and values)
@@ -301,8 +304,15 @@ def _parse_fit(raw) -> dict:
     _require(isinstance(tr, (list, tuple)) and len(tr) == 2 and tr[1] > tr[0],
              "fit.theta_range", "must be an increasing (low, high) pair")
     fit["theta_range"] = [float(tr[0]), float(tr[1])]
-    _require(fit["functional_order"] >= 0, "fit.functional_order", "must be nonnegative")
-    _require(fit["functional_scale"] > 0, "fit.functional_scale", "must be positive")
+    order, scale = fit["functional_order"], fit["functional_scale"]
+    _require(isinstance(order, int) and order >= 0, "fit.functional_order",
+             "must be a nonnegative integer")
+    _require(isinstance(scale, (int, float)) and scale > 0, "fit.functional_scale",
+             "must be a positive number")
+    try:
+        make_activation(fit["activation"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'fit.activation': {exc}") from exc
     return fit
 
 
@@ -511,14 +521,9 @@ def _run_one(config: ExperimentConfig, run_index: int, epsilon: float) -> RunRes
     )
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the epsilon sweep; results come back ordered by sweep position."""
-    indexed = list(enumerate(config.epsilons))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(lambda ie: _run_one(config, *ie), indexed))
-    else:
-        runs = [_run_one(config, i, e) for i, e in indexed]
+    runs = [_run_one(config, i, e) for i, e in enumerate(config.epsilons)]
     created = datetime.now(timezone.utc).isoformat()
     return ExperimentReport(config, tuple(runs), created)
 

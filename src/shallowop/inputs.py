@@ -237,7 +237,7 @@ class ZeroFunctional(LinearFunctional):
 
     def weight_vector(self):
         raise ShapeError(
-            "zero functional has no intrinsic dimension; functional_matrix stacks it as a zero row"
+            "zero functional has no intrinsic dimension; a feature bank holds it as a zero row"
         )
 
     def __call__(self, s: InputPoint) -> float:
@@ -260,24 +260,6 @@ def stack_flat(samples) -> np.ndarray:
         if s.signature != sig:
             raise ShapeError("samples have mixed signatures")
     return np.stack([s.flat for s in samples])
-
-
-def functional_matrix(functionals, signature: tuple) -> np.ndarray:
-    """Stack functional weight vectors into an (n_functionals, dim) matrix.
-
-    Zero functionals become zero rows of the signature's dimension.
-    """
-    dim = signature_dim(signature)
-    rows = np.zeros((len(functionals), dim))
-    for k, l in enumerate(functionals):
-        if isinstance(l, ZeroFunctional):
-            continue
-        if l.signature != signature:
-            raise ShapeError(
-                f"functional {k} expects signature {l.signature}, inputs have {signature}"
-            )
-        rows[k] = l.weight_vector()
-    return rows
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,15 @@ from shallowop import (
     build_partition,
     derive_seed,
     deserialize_network,
-    draw_features,
     dual_uniform_error,
     finite_rank_apply,
-    fit_ridge_features,
+    fit_scalar_ridge,
     integral_operator,
     make_kernel,
     poisson_solve_1d,
     sample_ensemble,
     serialize_network,
+    stack_flat,
     zero_operator,
 )
 from shallowop.experiment import build_operator, run_experiment
@@ -72,11 +72,11 @@ def scalar_target_problem():
     return ens, y
 
 
-def fit_at_width(ens, y, width, activation, lam, seed):
+def sup_error_at_width(ens, y, width, activation, lam, seed):
+    """Training sup error of one fixed-width scalar fit."""
     cfg = FitConfig(functional_spec=FSPEC, width=width, max_width=width,
                     activation=activation, lam=lam, seed=seed)
-    fns, thetas = draw_features(cfg, width, ens.signature)
-    return fit_ridge_features(list(ens), y, fns, thetas, cfg.activation, cfg.lam)
+    return fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)[3]
 
 
 def test_criterion_01_finite_rank_suite():
@@ -146,7 +146,7 @@ def test_criterion_03_degenerate_zero_branch(preset_sweep):
 def test_criterion_04_tanh_width_sweep():
     ens, y = scalar_target_problem()
     widths = (25, 50, 100, 200)
-    errs = [fit_at_width(ens, y, w, "tanh", 0.0, 271).sup_error for w in widths]
+    errs = [sup_error_at_width(ens, y, w, "tanh", 0.0, 271) for w in widths]
     assert min(errs) < 1e-2
     assert errs[-1] < 1e-2
     for a, b in zip(errs, errs[1:]):
@@ -156,9 +156,9 @@ def test_criterion_04_tanh_width_sweep():
 
 def test_criterion_05_polynomial_negative_control():
     ens, y = scalar_target_problem()
-    tanh200 = fit_at_width(ens, y, 200, "tanh", 1e-8, 271).sup_error
+    tanh200 = sup_error_at_width(ens, y, 200, "tanh", 1e-8, 271)
     poly = {"name": "polynomial", "coefficients": [0.0, 0.0, 1.0]}
-    poly400 = fit_at_width(ens, y, 400, poly, 1e-8, 271).sup_error
+    poly400 = sup_error_at_width(ens, y, 400, poly, 1e-8, 271)
     assert poly400 >= 5.0 * tanh200
     report_line(5, f"poly@400 {poly400:.2e} vs tanh@200 {tanh200:.2e} "
                    f"(x{poly400 / tanh200:.0f})")

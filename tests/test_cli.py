@@ -1,6 +1,7 @@
 """Preset registry and the command-line front end."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -106,17 +107,6 @@ class TestCliRun:
         assert rows_a[0]["train_sup_error"] != rows_b[0]["train_sup_error"]
         assert rows_a[0]["train_sup_error"] == rows_c[0]["train_sup_error"]
 
-    def test_threads_flag_reproduces_serial_numbers(self, tmp_path, capsys):
-        cfg = quick_config(tmp_path)
-        out_a, out_b = tmp_path / "serial", tmp_path / "threaded"
-        main(["run", "--config", str(cfg), "--out", str(out_a)])
-        main(["run", "--config", str(cfg), "--out", str(out_b), "--threads", "2"])
-        rows_a = read_report_csv(out_a / "report.csv")
-        rows_b = read_report_csv(out_b / "report.csv")
-        for a, b in zip(rows_a, rows_b):
-            a.pop("wall_ms"), b.pop("wall_ms")
-            assert a == b
-
     def test_missing_config_file_diagnosed(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
         err = capsys.readouterr().err
@@ -140,12 +130,21 @@ class TestCliRun:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_bad_thread_count_rejected(self, tmp_path, capsys):
-        cfg = quick_config(tmp_path)
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "--threads", "0"])
-        assert code == 2
-        assert "threads" in capsys.readouterr().err
+    @pytest.mark.parametrize("overrides, field", [
+        ({"fit": {"activation": "nope"}}, "fit.activation"),
+        ({"fit": {"activation": {"name": "polynomial", "coefficients": []}}}, "fit.activation"),
+        ({"fit": {"functional_order": "3"}}, "fit.functional_order"),
+        ({"fit": {"functional_scale": "1.0"}}, "fit.functional_scale"),
+        ({"seminorms": [{"kind": "lq", "q": "2"}]}, "seminorms[0].q"),
+        ({"seminorms": [{"kind": "schwartz", "radius": "8"}]}, "seminorms[0].radius"),
+    ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
+            "string_q", "string_radius"])
+    def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
+        cfg = quick_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            ExperimentConfig.from_dict(json.loads(cfg.read_text()))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestCliPresets:

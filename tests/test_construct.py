@@ -25,10 +25,8 @@ from shallowop.errors import BudgetError, CoverageError, ShapeError
 from shallowop.inputs import (
     EnsembleSpec,
     FunctionalSpec,
-    SequenceDot,
-    ZeroFunctional,
-    functional_matrix,
     sample_ensemble,
+    stack_flat,
 )
 from shallowop.network import Polynomial, Relu, ShallowVectorNetwork, Tanh
 from shallowop.operators import make_kernel, integral_operator, poisson_operator
@@ -290,6 +288,10 @@ class TestLeastSquares:
             least_squares_solve(np.eye(2), np.ones(2), -1.0)
 
 
+def bank_design(flats, L, thetas, activation):
+    return activation(flats @ L.T - thetas)
+
+
 class TestScalarRidge:
     GRID = GridMeta(0.0, 1.0, 101)
 
@@ -304,29 +306,28 @@ class TestScalarRidge:
 
     def test_zero_targets_give_zero_network(self):
         ens, _ = self.sin_problem(count=20)
-        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=3)
-        fit = fit_scalar_ridge(ens, np.zeros(20), cfg)
-        np.testing.assert_array_equal(fit.coeffs, np.zeros(16))
-        assert fit.sup_error == 0.0
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, max_width=16, seed=3)
+        _, _, coeffs, sup_error = fit_scalar_ridge(stack_flat(ens), np.zeros(20), cfg, 0.0)
+        np.testing.assert_array_equal(coeffs, np.zeros(16))
+        assert sup_error == 0.0
 
     def test_relu_pair_recovers_identity(self):
         xs = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-        from shallowop.inputs import SequencePoint
-
-        samples = [SequencePoint([x]) for x in xs]
-        functionals = [SequenceDot([1.0]), SequenceDot([-1.0])]
-        fit = fit_ridge_features(samples, xs, functionals, np.zeros(2), Relu(), 0.0)
-        np.testing.assert_allclose(fit.coeffs, [1.0, -1.0], atol=1e-10)
-        assert fit.sup_error < 1e-12
+        design = bank_design(xs[:, None], np.array([[1.0], [-1.0]]), np.zeros(2), Relu())
+        coeffs, sup_error = fit_ridge_features(design, xs, 0.0)
+        np.testing.assert_allclose(coeffs, [1.0, -1.0], atol=1e-10)
+        assert sup_error < 1e-12
 
     def test_sin_of_pairing_fits_below_one_percent(self):
         ens, y = self.sin_problem()
-        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=200, lam=1e-8, seed=5)
-        fit = fit_scalar_ridge(ens, y, cfg)
-        assert fit.sup_error < 1e-2
-        # the recorded error matches a brute-force residual sweep
-        resid = np.max(np.abs(fit.evaluate_many(list(ens)) - y))
-        np.testing.assert_allclose(fit.sup_error, resid, rtol=1e-9, atol=1e-15)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=200, max_width=200,
+                        lam=1e-8, seed=5)
+        L, thetas, coeffs, sup_error = fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)
+        assert sup_error < 1e-2
+        # the recorded error matches a brute-force residual sweep of the network
+        net = ShallowVectorNetwork(L, thetas, coeffs[:, None], cfg.activation, ens.signature)
+        resid = np.max(np.abs(net.evaluate_many(list(ens))[:, 0] - y))
+        np.testing.assert_allclose(sup_error, resid, rtol=1e-9, atol=1e-15)
 
     SPECS = (
         FunctionalSpec(kind="function", grid=GRID, order=3),
@@ -337,17 +338,18 @@ class TestScalarRidge:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_feature_banks_nest_across_widths(self, spec):
         cfg = FitConfig(functional_spec=spec, width=8, seed=11)
-        f8, t8 = draw_features(cfg, 8, spec.signature)
-        f16, t16 = draw_features(cfg, 16, spec.signature)
+        L8, t8 = draw_features(cfg, 8, spec.signature)
+        L16, t16 = draw_features(cfg, 16, spec.signature)
         np.testing.assert_array_equal(t8, t16[:8])
-        assert f8[0] == f16[0] == ZeroFunctional()
-        for a, b in zip(f8[1:], f16[1:8]):
-            np.testing.assert_array_equal(a.weight_vector(), b.weight_vector())
+        assert np.all(L8[0] == 0.0) and np.all(L16[0] == 0.0)
+        np.testing.assert_array_equal(L8, L16[:8])
 
     def test_draw_rejects_mismatched_signature(self):
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=11)
         with pytest.raises(ShapeError):
             draw_features(cfg, 8, ("sequence", 101))
+        with pytest.raises(ShapeError):
+            fit_scalar_ridge(np.zeros((4, 100)), np.zeros(4), cfg, 0.1)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_grown_bank_equals_fresh_draw(self, spec):
@@ -362,25 +364,26 @@ class TestScalarRidge:
 
     def test_deterministic_in_seed(self):
         ens, y = self.sin_problem(count=30)
-        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=32, seed=9)
-        a = fit_scalar_ridge(ens, y, cfg)
-        b = fit_scalar_ridge(ens, y, cfg)
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=32, max_width=32, seed=9)
+        a = fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)
+        b = fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)
+        np.testing.assert_array_equal(a[2], b[2])
 
     @pytest.mark.parametrize("trial", range(5))
     def test_fit_optimality_against_perturbations(self, trial):
         rng = np.random.default_rng(500 + trial)
         ens, y = self.sin_problem(count=40, seed=600 + trial)
         lam = 1e-6
-        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=24, lam=lam,
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=24, max_width=24, lam=lam,
                         seed=700 + trial)
-        fit = fit_scalar_ridge(ens, y, cfg)
-        design = fit.design_matrix(list(ens))
-        best = np.sum((design @ fit.coeffs - y) ** 2) + lam * np.sum(fit.coeffs**2)
+        flats = stack_flat(ens)
+        L, thetas, coeffs, _ = fit_scalar_ridge(flats, y, cfg, 0.0)
+        design = bank_design(flats, L, thetas, cfg.activation)
+        best = np.sum((design @ coeffs - y) ** 2) + lam * np.sum(coeffs**2)
         for _ in range(200):
-            xi = rng.standard_normal(fit.width)
+            xi = rng.standard_normal(len(coeffs))
             xi *= 1e-4 / np.linalg.norm(xi)
-            c = fit.coeffs + xi
+            c = coeffs + xi
             obj = np.sum((design @ c - y) ** 2) + lam * np.sum(c**2)
             assert best <= obj + 1e-15
 
@@ -394,8 +397,10 @@ class TestScalarRidge:
         # degree-2 features span only quadratics of the pairings, so the sin
         # target stalls far above what tanh features reach
         ens, y = self.sin_problem()
-        tanh_cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=200, lam=1e-8, seed=5)
-        tanh_err = fit_scalar_ridge(ens, y, tanh_cfg).sup_error
+        flats = stack_flat(ens)
+        tanh_cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=200, max_width=200,
+                             lam=1e-8, seed=5)
+        tanh_err = fit_scalar_ridge(flats, y, tanh_cfg, 0.0)[3]
         poly_errs = []
         for width in (100, 200, 400):
             cfg = FitConfig(
@@ -406,7 +411,7 @@ class TestScalarRidge:
                 lam=1e-8,
                 seed=5,
             )
-            poly_errs.append(fit_scalar_ridge(ens, y, cfg).sup_error)
+            poly_errs.append(fit_scalar_ridge(flats, y, cfg, 0.0)[3])
         assert min(poly_errs) >= 5.0 * tanh_err
 
 
@@ -472,18 +477,57 @@ class TestAssemble:
         start = 0
         for j, width in enumerate(report.coefficient_widths):
             cfg_j = replace(cfg, seed=derive_seed(cfg.seed, j))
-            functionals, thetas = draw_features(cfg_j, width, ens.signature)
+            L_j, thetas = draw_features(cfg_j, width, ens.signature)
             rows = slice(start, start + width)
             start += width
-            np.testing.assert_array_equal(
-                net.weights[rows], functional_matrix(functionals, ens.signature)
-            )
+            np.testing.assert_array_equal(net.weights[rows], L_j)
             np.testing.assert_array_equal(net.thresholds[rows], thetas)
             # every coefficient row is a multiple of center j
             V_j = net.coefficients[rows]
             vj = centers[j].values
             scale = V_j @ vj / (vj @ vj)
             np.testing.assert_allclose(V_j, np.outer(scale, vj), rtol=1e-12, atol=0.0)
+        assert start == net.width
+
+    def test_assembly_runs_the_public_fit(self, monkeypatch):
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        solve = construct.fit_ridge_features
+        solved_widths = []
+
+        def counting(design, targets, lam):
+            solved_widths.append(design.shape[1])
+            return solve(design, targets, lam)
+
+        monkeypatch.setattr(construct, "fit_ridge_features", counting)
+        net, budget, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        # one solve per width tried: cfg.width, doubled up to each final width
+        tried = []
+        for width in report.coefficient_widths:
+            k = cfg.width
+            while k < width:
+                tried.append(k)
+                k *= 2
+            tried.append(int(width))
+        assert solved_widths == tried
+        assert np.any(report.coefficient_widths > cfg.width)
+        # block j of the network is fit_scalar_ridge on partition column j
+        rho = LqNorm(2.0)
+        net1 = build_epsilon_net(values, rho, 0.025)
+        psi = build_partition(values, net1, rho).weights
+        flats = stack_flat(ens)
+        start = 0
+        for j, center in enumerate(net1.centers):
+            cfg_j = replace(cfg, seed=derive_seed(cfg.seed, j))
+            L, thetas, coeffs, err = fit_scalar_ridge(flats, psi[:, j], cfg_j, budget.delta)
+            rows = slice(start, start + len(thetas))
+            start += len(thetas)
+            np.testing.assert_array_equal(net.weights[rows], L)
+            np.testing.assert_array_equal(net.thresholds[rows], thetas)
+            np.testing.assert_array_equal(net.coefficients[rows],
+                                          np.outer(coeffs, center.values))
+            assert err == report.coefficient_errors[j]
         assert start == net.width
 
     def test_violated_budget_raises_not_asserts(self, monkeypatch):

@@ -15,7 +15,6 @@ from shallowop.inputs import (
     ZeroFunctional,
     draw_functional_params,
     functional_from_params,
-    functional_matrix,
     functional_weights,
     random_functional,
     sample_ensemble,
@@ -119,20 +118,29 @@ class TestFunctionals:
         lhs = l(a * s + b * t)
         assert lhs == pytest.approx(a * l(s) + b * l(t), abs=1e-9)
 
-    def test_functional_matrix_matches_pairwise(self):
+    def test_functional_weights_match_pairwise(self):
+        # weight rows pair with stacked inputs as the functional objects do;
+        # a zero row (a feature bank's bias) pairs as the zero functional
         rng = np.random.default_rng(3)
-        ls = [SequenceDot(rng.standard_normal(8)) for _ in range(5)]
-        ls.insert(2, ZeroFunctional())
-        pts = [SequencePoint(rng.standard_normal(8)) for _ in range(4)]
-        mat = functional_matrix(ls, ("sequence", 8))
-        got = mat @ stack_flat(pts).T
-        want = np.array([[l(p) for p in pts] for l in ls])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-        assert np.all(mat[2] == 0.0)
+        points = {
+            "function": lambda: FunctionSample(rng.standard_normal(GRID.n), GRID),
+            "sequence": lambda: SequencePoint(rng.standard_normal(6)),
+            "matrix": lambda: MatrixPoint(rng.standard_normal((2, 3))),
+        }
+        for spec in SPECS:
+            params = draw_functional_params(spec, rng, 5)
+            params[2] = 0.0
+            pts = [points[spec.kind]() for _ in range(4)]
+            got = functional_weights(spec, params) @ stack_flat(pts).T
+            want = np.array([[functional_from_params(spec, p)(s) for s in pts]
+                             for p in params])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+            assert np.all(got[2] == 0.0)
+            assert all(ZeroFunctional()(s) == 0.0 for s in pts)
 
-    def test_functional_matrix_signature_mismatch(self):
+    def test_sequence_dot_signature_mismatch(self):
         with pytest.raises(ShapeError):
-            functional_matrix([SequenceDot(np.ones(8))], ("sequence", 9))
+            SequenceDot(np.ones(8))(SequencePoint(np.ones(9)))
 
 
 SPECS = (

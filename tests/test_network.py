@@ -10,8 +10,6 @@ from shallowop.inputs import (
     MatrixPoint,
     QuadraturePairing,
     SequencePoint,
-    ZeroFunctional,
-    functional_matrix,
 )
 from shallowop.network import (
     EVAL_BLOCK_ROWS,
@@ -238,7 +236,7 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         grid = GridMeta(0.0, 1.0, 21)
         phi = rng.standard_normal(21)
-        L = functional_matrix([QuadraturePairing(phi, grid)] * 4, ("function", grid))
+        L = np.tile(QuadraturePairing(phi, grid).weight_vector(), (4, 1))
         net = ShallowVectorNetwork(
             L, rng.uniform(-1.0, 1.0, 4), rng.standard_normal((4, 3)),
             Polynomial((0.5, -1.0, 2.0)), ("function", grid),
@@ -286,7 +284,7 @@ class TestSerialization:
         grid = GridMeta(-1.0, 2.0, 17)
         in_grid = GridMeta(0.0, 1.0, 13)
         functionals = [QuadraturePairing(rng.standard_normal(13), in_grid) for _ in range(2)]
-        L = functional_matrix(functionals + [ZeroFunctional()], ("function", in_grid))
+        L = np.vstack([l.weight_vector() for l in functionals] + [np.zeros(13)])
         thetas = np.append(rng.uniform(-1.0, 1.0, 2), 0.25)
         net = ShallowVectorNetwork(
             L, thetas, rng.standard_normal((3, 17)), Sigmoid(), ("function", in_grid), grid
