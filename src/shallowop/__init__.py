@@ -37,13 +37,8 @@ from .inputs import (
     EnsembleSpec,
     FunctionSample,
     FunctionalSpec,
-    LinearFunctional,
     MatrixPoint,
-    MatrixTrace,
-    QuadraturePairing,
-    SequenceDot,
     SequencePoint,
-    ZeroFunctional,
     random_functional,
     sample_ensemble,
     stack_flat,
@@ -81,8 +76,9 @@ from .targets import (
     Seminorm,
     SeminormFamily,
     SupDerivative,
+    TargetBatch,
     TargetElement,
     family_sup_error,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

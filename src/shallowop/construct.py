@@ -23,7 +23,6 @@ from .inputs import (
     functional_weights,
     random_functional,  # noqa: F401  not called here; benchmarks/tracer.py hooks this name
     signature_dim,
-    stack_flat,
 )
 from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
@@ -70,15 +69,15 @@ def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
     apart, which is exactly the finite-cover step of the compactness argument.
     The scan keeps each later value's distance to its nearest center so far:
     one batched seminorm pass per accepted center, and the next center is the
-    first later value still at distance >= epsilon.
+    first later value still at distance >= epsilon.  values is a TargetBatch
+    or a list of elements; the centers are values[i] for the center indices.
     """
-    values = list(values)
-    if not values:
+    if not len(values):
         raise ValueError("cannot build an epsilon net from no values")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     F, grid = stack_values(values)
-    nearest = np.full(len(values), np.inf)
+    nearest = np.full(F.shape[0], np.inf)
     indices = [0]
     while True:
         i = indices[-1]
@@ -346,16 +345,16 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
     Returns (network, budget, report).  A scalar stage that cannot reach its
     tolerance at fit_cfg.max_width leaves report.converged False rather than
     raising; whenever it is True, the training uniform error is below epsilon
-    by construction, and a BudgetError is raised if it is not.
+    by construction, and a BudgetError is raised if it is not.  f_values is
+    the TargetBatch of operator values or a list of elements, one per sample.
     """
-    f_values = list(f_values)
     if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per ensemble sample required")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rho = family[rho_index]
-    out_dim = f_values[0].dim
-    out_grid = f_values[0].grid
+    F, out_grid = stack_values(f_values)
+    out_dim = F.shape[1]
 
     net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
     pou = build_partition(f_values, net1, rho)
@@ -371,7 +370,7 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
         network = ShallowVectorNetwork.zero(fit_cfg.activation, ensemble.signature,
                                             out_dim, out_grid)
         budget = ErrorBudget(float(epsilon), m, 0.0, None, True)
-        train_sup = float(np.max(_seminorm_rows(rho, *stack_values(f_values))))
+        train_sup = float(np.max(_seminorm_rows(rho, F, out_grid)))
         if not train_sup < (epsilon / 2.0) * (1.0 + 1e-9):
             raise BudgetError(
                 f"rho-null centers leave uniform error {train_sup} with epsilon {epsilon}"
@@ -401,12 +400,12 @@ def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: flo
     derive_seed(fit_cfg.seed, j) and return the network matrices
     (L, theta, V), sup errors and widths.
 
-    The inputs are stacked once for all columns.  Column j contributes one
-    block of rows: its bank's weight rows and thresholds, and the outer
-    product of its ridge coefficients with center j.
+    Every column is fitted on the ensemble's input matrix.  Column j
+    contributes one block of rows: its bank's weight rows and thresholds,
+    and the outer product of its ridge coefficients with center j.
     """
     _require_pairing(fit_cfg.functional_spec, ensemble.signature)
-    flats = stack_flat(ensemble)
+    flats = ensemble.flats
     m = len(centers)
     blocks = []
     errors = np.empty(m)
@@ -424,22 +423,18 @@ def uniform_error(f_values, net: ShallowVectorNetwork, ensemble,
                   family: SeminormFamily) -> np.ndarray:
     """Per-seminorm max over samples of rho(F(s) - net(s)).
 
-    One batched pass per seminorm over the residual matrix.
+    f_values is a TargetBatch or a list of elements, and ensemble a
+    CompactEnsemble or a list of input points.  One batched pass per
+    seminorm over the residual matrix, which overwrites the network outputs.
     """
-    f_values = list(f_values)
-    samples = list(ensemble)
-    if len(f_values) != len(samples):
+    if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per sample required")
-    # evaluate before stacking the values and drop the outputs before the
-    # seminorm passes, so no two (n, dim) matrices are live beside the
-    # temporaries of either step
-    approx = net.evaluate_many(samples)
+    approx = net.evaluate_many(ensemble)
     F, grid = stack_values(f_values)
     if approx.shape != F.shape:
         raise ShapeError(f"network outputs {approx.shape} do not match values {F.shape}")
-    F -= approx
-    del approx
-    return np.array([np.max(_seminorm_rows(rho, F, grid)) for rho in family])
+    residual = np.subtract(F, approx, out=approx)
+    return np.array([np.max(_seminorm_rows(rho, residual, grid)) for rho in family])
 
 
 def dual_uniform_error(f_values, net: ShallowVectorNetwork, ensemble, duals) -> np.ndarray:

@@ -42,6 +42,7 @@ from .targets import (
     SchwartzWeighted,
     SeminormFamily,
     SupDerivative,
+    TargetBatch,
 )
 
 CSV_COLUMNS = (
@@ -232,7 +233,14 @@ def _parse_operator(raw, ensemble: EnsembleSpec, grid) -> dict:
                  "matrix maps need a matrix ensemble")
         _require(raw.get("map") in ("row_sums", "sin_of_trace_times_basis"),
                  "operator.map", f"unknown matrix map {raw.get('map')!r}")
+    if "out_dim" in raw:
+        _require(_is_int(raw["out_dim"]) and raw["out_dim"] >= 1, "operator.out_dim",
+                 "must be a positive integer")
     return dict(raw)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_seminorms(raw) -> tuple[dict, ...]:
@@ -253,6 +261,9 @@ def _parse_seminorms(raw) -> tuple[dict, ...]:
             _require(isinstance(s.get("order", 0), int) and s.get("order", 0) >= 0,
                      field, "derivative order must be a nonnegative integer")
         if kind == "schwartz":
+            for index in ("alpha", "beta"):
+                _require(_is_int(s.get(index, 0)) and s.get(index, 0) >= 0,
+                         f"{field}.{index}", "must be a nonnegative integer")
             radius = s.get("radius", 8.0)
             _require(isinstance(radius, (int, float)) and radius > 0, f"{field}.radius",
                      "must be a positive number")
@@ -405,6 +416,9 @@ class RunResult:
     network_width: int
     coefficient_widths: tuple[int, ...]
     coefficient_errors: tuple[float, ...]
+    #: training samples; a fit with width >= n_train can interpolate them
+    n_train: int
+    interpolating: bool
     train_errors: dict
     heldout_errors: dict | None
     dual_train_errors: dict | None
@@ -425,6 +439,8 @@ class RunResult:
             "network_width": self.network_width,
             "coefficient_widths": list(self.coefficient_widths),
             "coefficient_errors": list(self.coefficient_errors),
+            "n_train": self.n_train,
+            "interpolating": self.interpolating,
             "train_errors": dict(self.train_errors),
             "heldout_errors": None if self.heldout_errors is None else dict(self.heldout_errors),
             "dual_train_errors": (None if self.dual_train_errors is None
@@ -452,16 +468,14 @@ class ExperimentReport:
         }
 
 
-def _split(ensemble: CompactEnsemble, values, fraction: float):
+def _split(ensemble: CompactEnsemble, values: TargetBatch, fraction: float):
+    """Train and held-out parts of the ensemble and its values, as views."""
     n = len(ensemble)
     n_heldout = int(np.floor(fraction * n))
     n_train = n - n_heldout
-    train = CompactEnsemble(ensemble.samples[:n_train], ensemble.spec, ensemble.seed)
-    train_values = values[:n_train]
     if n_heldout == 0:
-        return train, train_values, None, None
-    heldout = CompactEnsemble(ensemble.samples[n_train:], ensemble.spec, ensemble.seed)
-    return train, train_values, heldout, values[n_train:]
+        return ensemble, values, None, None
+    return ensemble[:n_train], values[:n_train], ensemble[n_train:], values[n_train:]
 
 
 def _run_one(config: ExperimentConfig, run_index: int, epsilon: float) -> RunResult:
@@ -510,6 +524,8 @@ def _run_one(config: ExperimentConfig, run_index: int, epsilon: float) -> RunRes
         network_width=net.width,
         coefficient_widths=tuple(int(w) for w in report.coefficient_widths),
         coefficient_errors=tuple(float(e) for e in report.coefficient_errors),
+        n_train=len(train),
+        interpolating=bool(np.any(report.coefficient_widths >= len(train))),
         train_errors=train_errs,
         heldout_errors=heldout_errs,
         dual_train_errors=dual_train,

@@ -1,9 +1,10 @@
-"""Discretized input points, continuous linear functionals, and sampled ensembles.
+"""Discretized input points, random functional weights, and sampled ensembles.
 
-Every input variant flattens to a real vector, and every functional reduces to
-a dot product against a fixed weight vector, so pairings over whole ensembles
-are single matrix products.  Compact sets are surrogated by parametric
-families with bounded parameters, sampled finitely with a seeded generator.
+Every input variant flattens to a real vector, and every continuous linear
+functional is a weight row paired with it by a dot product, so pairings over
+whole ensembles are single matrix products.  Compact sets are surrogated by
+parametric families with bounded parameters, sampled finitely with a seeded
+generator into one (n_samples, dim) matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .targets import GridMeta, _as_readonly_vector
+from .targets import GridMeta, _as_readonly_vector, _readonly_rows
 
 
 class InputPoint:
@@ -145,113 +146,14 @@ def signature_dim(signature: tuple) -> int:
     raise ShapeError(f"unknown input signature kind {kind!r}")
 
 
-class LinearFunctional:
-    """Base class for continuous linear functionals on input points.
+def stack_inputs(samples) -> tuple[np.ndarray, tuple]:
+    """The (n_samples, dim) input matrix and the samples' common signature.
 
-    Application is a dot product of `weight_vector` with the input's flat
-    view, so batches reduce to one matrix product.
+    A CompactEnsemble gives its own read-only matrix; a list of input points
+    is stacked into a new one.
     """
-
-    #: signature this functional pairs with, or None for the zero functional
-    signature: tuple | None = None
-
-    def weight_vector(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def _require_compatible(self, s: InputPoint):
-        if self.signature is not None and s.signature != self.signature:
-            raise ShapeError(
-                f"functional expects input signature {self.signature}, got {s.signature}"
-            )
-
-    def __call__(self, s: InputPoint) -> float:
-        self._require_compatible(s)
-        return float(np.dot(self.weight_vector(), s.flat))
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraturePairing(LinearFunctional):
-    """f |-> sum_i w_i phi_i f_i with composite trapezoid weights."""
-
-    phi: np.ndarray
-    grid: GridMeta
-
-    def __post_init__(self):
-        v = _as_readonly_vector(self.phi)
-        if v.shape[0] != self.grid.n:
-            raise ShapeError("phi length does not match its grid")
-        object.__setattr__(self, "phi", v)
-
-    @property
-    def signature(self):
-        return ("function", self.grid)
-
-    def weight_vector(self):
-        return self.grid.trapezoid_weights() * self.phi
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceDot(LinearFunctional):
-    """s |-> sum_{n <= N} a_n s_n on truncated sequences."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_readonly_vector(self.coeffs))
-
-    @property
-    def signature(self):
-        return ("sequence", self.coeffs.shape[0])
-
-    def weight_vector(self):
-        return self.coeffs
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixTrace(LinearFunctional):
-    """Z |-> trace(W^T Z), the Frobenius pairing with a weight matrix."""
-
-    weight: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weight, dtype=float, copy=True)
-        if w.ndim != 2 or w.size == 0:
-            raise ShapeError(f"weight must be a nonempty matrix, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight matrix contains non-finite entries")
-        w.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def signature(self):
-        return ("matrix", self.weight.shape)
-
-    def weight_vector(self):
-        return self.weight.reshape(-1)
-
-
-class ZeroFunctional(LinearFunctional):
-    """The zero functional; continuous and linear on every input variant."""
-
-    signature = None
-
-    def weight_vector(self):
-        raise ShapeError(
-            "zero functional has no intrinsic dimension; a feature bank holds it as a zero row"
-        )
-
-    def __call__(self, s: InputPoint) -> float:
-        return 0.0
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroFunctional)
-
-    def __hash__(self):
-        return hash(ZeroFunctional)
-
-
-def stack_flat(samples) -> np.ndarray:
-    """Stack input points into an (n_samples, dim) matrix."""
+    if isinstance(samples, CompactEnsemble):
+        return samples.flats, samples.signature
     samples = list(samples)
     if not samples:
         raise ShapeError("cannot stack an empty sample list")
@@ -259,7 +161,22 @@ def stack_flat(samples) -> np.ndarray:
     for s in samples[1:]:
         if s.signature != sig:
             raise ShapeError("samples have mixed signatures")
-    return np.stack([s.flat for s in samples])
+    return np.stack([s.flat for s in samples]), sig
+
+
+def stack_flat(samples) -> np.ndarray:
+    """Stack input points, or take an ensemble's matrix: (n_samples, dim)."""
+    return stack_inputs(samples)[0]
+
+
+def _point(signature: tuple, row: np.ndarray) -> InputPoint:
+    """The input point of signature whose flattened values are row."""
+    kind = signature[0]
+    if kind == "function":
+        return FunctionSample(row, signature[1])
+    if kind == "sequence":
+        return SequencePoint(row)
+    return MatrixPoint(row.reshape(signature[1]))
 
 
 @dataclass(frozen=True)
@@ -334,19 +251,13 @@ def functional_weights(spec: FunctionalSpec, params: np.ndarray) -> np.ndarray:
     return params
 
 
-def functional_from_params(spec: FunctionalSpec, params: np.ndarray) -> LinearFunctional:
-    """The functional object for one row of `draw_functional_params`."""
-    if spec.kind == "function":
-        return QuadraturePairing(params, spec.grid)
-    if spec.kind == "sequence":
-        return SequenceDot(params)
-    return MatrixTrace(params.reshape(spec.shape))
+def random_functional(spec: FunctionalSpec, seed) -> np.ndarray:
+    """The weight row of one seeded random functional; a pure function of (spec, seed).
 
-
-def random_functional(spec: FunctionalSpec, seed) -> LinearFunctional:
-    """Draw a seeded random functional; a pure function of (spec, seed)."""
+    It pairs with a flattened input of spec.signature by a dot product.
+    """
     params = draw_functional_params(spec, np.random.default_rng(seed), 1)
-    return functional_from_params(spec, params[0])
+    return functional_weights(spec, params)[0]
 
 
 @dataclass(frozen=True)
@@ -397,41 +308,60 @@ class EnsembleSpec:
 
 @dataclass(frozen=True, eq=False)
 class CompactEnsemble:
-    """Finite sample of a parametric compact set, with its generator and seed."""
+    """Finite sample of a parametric compact set, with its generator and seed.
 
-    samples: tuple[InputPoint, ...]
+    Held as one validated, read-only (n_samples, dim) matrix `flats`: row i
+    is sample i flattened for spec.input_signature.  It is built from that
+    matrix or from a sequence of input points.  Indexing and iteration build
+    input points on demand, and a slice is an ensemble over a view of the
+    same matrix, not a copy.
+    """
+
+    flats: np.ndarray
     spec: EnsembleSpec
     seed: object
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if not samples:
-            raise ValueError("ensemble must be nonempty")
-        sig = samples[0].signature
-        for s in samples[1:]:
-            if s.signature != sig:
-                raise ShapeError("ensemble samples have mixed signatures")
-        object.__setattr__(self, "samples", samples)
+        sig = self.spec.input_signature
+        flats = self.flats
+        if not isinstance(flats, np.ndarray):
+            flats, points_sig = stack_inputs(flats)
+            if points_sig != sig:
+                raise ShapeError(f"ensemble samples {points_sig} do not match {sig}")
+        flats = _readonly_rows(flats, "ensemble inputs")
+        if flats.shape[1] != signature_dim(sig):
+            raise ShapeError(f"ensemble rows have {flats.shape[1]} entries, {sig} needs "
+                             f"{signature_dim(sig)}")
+        object.__setattr__(self, "flats", flats)
 
     def __len__(self):
-        return len(self.samples)
+        return self.flats.shape[0]
 
     def __getitem__(self, i):
-        return self.samples[i]
+        if isinstance(i, slice):
+            return CompactEnsemble(self.flats[i], self.spec, self.seed)
+        return _point(self.signature, self.flats[i])
 
     def __iter__(self):
-        return iter(self.samples)
+        sig = self.signature
+        return (_point(sig, row) for row in self.flats)
 
     @property
     def signature(self):
-        return self.samples[0].signature
+        return self.spec.input_signature
+
+
+#: rows per block of a band-limited draw: a block's temporaries stay in cache
+DRAW_BLOCK_ROWS = 256
 
 
 def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
     """Draw samples uniformly within the ensemble's parameter box/ball.
 
     Pure in (spec, seed): rerunning reproduces bit-identical samples.  Every
-    sample satisfies its family bound exactly.
+    sample satisfies its family bound exactly.  The (count, dim) matrix is
+    drawn in one pass; for band_limited and sequence_box a row's bits do not
+    depend on count, so the first k rows of a draw are a draw of k.
     """
     rng = np.random.default_rng(seed)
     if spec.family == "band_limited":
@@ -440,18 +370,24 @@ def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
         xhat = (grid.nodes() - grid.a) / (grid.b - grid.a)
         modes = np.stack([np.sin((k + 1) * np.pi * xhat) for k in range(len(radii))])
         coeffs = rng.uniform(-1.0, 1.0, (spec.count, len(radii))) * radii
-        samples = [FunctionSample(c @ modes, grid) for c in coeffs]
+        # term by term rather than one matrix product, as in
+        # draw_functional_params, over blocks of rows that stay in cache
+        flats = np.empty((spec.count, grid.n))
+        for start in range(0, spec.count, DRAW_BLOCK_ROWS):
+            rows = flats[start:start + DRAW_BLOCK_ROWS]
+            block = coeffs[start:start + DRAW_BLOCK_ROWS]
+            np.multiply(block[:, :1], modes[0], out=rows)
+            for k in range(1, len(radii)):
+                rows += block[:, k, None] * modes[k]
     elif spec.family == "sequence_box":
         radii = np.asarray(spec.radii)
-        draws = rng.uniform(-1.0, 1.0, (spec.count, len(radii))) * radii
-        samples = [SequencePoint(row) for row in draws]
+        flats = rng.uniform(-1.0, 1.0, (spec.count, len(radii))) * radii
     else:  # matrix_ball
-        r, c = spec.shape
-        d = r * c
+        d = spec.shape[0] * spec.shape[1]
         dirs = rng.standard_normal((spec.count, d))
         norms = np.linalg.norm(dirs, axis=1)
         norms[norms == 0.0] = 1.0
         radial = spec.radius * rng.uniform(0.0, 1.0, spec.count) ** (1.0 / d)
-        flat = dirs / norms[:, None] * radial[:, None]
-        samples = [MatrixPoint(row.reshape(r, c)) for row in flat]
-    return CompactEnsemble(tuple(samples), spec, seed)
+        flats = dirs / norms[:, None] * radial[:, None]
+    flats.setflags(write=False)
+    return CompactEnsemble(flats, spec, seed)

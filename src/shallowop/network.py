@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DocumentError, ShapeError
-from .inputs import InputPoint, signature_dim, stack_flat
+from .inputs import InputPoint, signature_dim, stack_inputs
 from .targets import GridMeta, TargetElement
 
 
@@ -208,13 +208,13 @@ class ShallowVectorNetwork:
     def evaluate_many(self, samples) -> np.ndarray:
         """(n_samples, output_dim) evaluations, two matrix products per block.
 
-        Inputs are evaluated in blocks of EVAL_BLOCK_ROWS rows, so the
-        (rows, width) activation matrix stays bounded however many samples
-        come in.
+        samples is a CompactEnsemble, whose input matrix is used as it is,
+        or a list of input points.  Inputs are evaluated in blocks of
+        EVAL_BLOCK_ROWS rows, so the (rows, width) activation matrix stays
+        bounded however many samples come in.
         """
-        samples = list(samples)
-        flats = stack_flat(samples)
-        if samples[0].signature != self.input_signature:
+        flats, signature = stack_inputs(samples)
+        if signature != self.input_signature:
             raise ShapeError("batch signature does not match the network input")
         out = np.empty((flats.shape[0], self.output_dim))
         for start in range(0, flats.shape[0], EVAL_BLOCK_ROWS):

@@ -5,6 +5,11 @@ Poisson solution operator (three-point finite differences), pointwise
 superposition maps, and matrix-input maps.  All are wrapped as Operator
 objects carrying the shape metadata the fitting pipeline needs; the pipeline
 treats them as opaque maps even when they happen to be linear.
+
+Each operator is one batched map from an (n, dim) input matrix to an
+(n, d) value matrix, so an ensemble of thousands of samples is one array
+pass: one matrix product, one banded solve with n right-hand sides, or one
+elementwise map.  A single input is the one-row batch.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import ConfigError, ShapeError
-from .inputs import FunctionSample, InputPoint, MatrixPoint, SequencePoint
-from .targets import GridMeta, TargetElement
+from .inputs import FunctionSample, InputPoint, MatrixPoint, SequencePoint, stack_inputs
+from .targets import GridMeta, TargetBatch, TargetElement
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +61,17 @@ def make_kernel(name: str, **params) -> Kernel:
     raise ConfigError(f"unknown kernel {name!r}")
 
 
+def _integral_matrix(kernel: Kernel, in_grid: GridMeta, out_grid: GridMeta) -> np.ndarray:
+    """The (out_grid.n, in_grid.n) matrix w_k K(x_i, s_k) of the trapezoid rule."""
+    if kernel.domain is not None and kernel.domain != out_grid:
+        raise ShapeError(
+            f"kernel is calibrated for grid {kernel.domain}, output grid is {out_grid}"
+        )
+    x = out_grid.nodes()[:, None]
+    s = in_grid.nodes()[None, :]
+    return kernel(x, s) * in_grid.trapezoid_weights()
+
+
 def integral_operator_apply(kernel: Kernel, f: FunctionSample,
                             out_grid: GridMeta | None = None) -> TargetElement:
     """(Ff)(x_i) = sum_k w_k K(x_i, s_k) f(s_k) with trapezoid weights."""
@@ -63,14 +79,23 @@ def integral_operator_apply(kernel: Kernel, f: FunctionSample,
         raise ShapeError("integral operator needs a function sample")
     if out_grid is None:
         out_grid = f.grid
-    if kernel.domain is not None and kernel.domain != out_grid:
-        raise ShapeError(
-            f"kernel is calibrated for grid {kernel.domain}, output grid is {out_grid}"
-        )
-    x = out_grid.nodes()[:, None]
-    s = f.grid.nodes()[None, :]
-    mat = kernel(x, s) * f.grid.trapezoid_weights()
-    return TargetElement(mat @ f.values, out_grid)
+    mat = _integral_matrix(kernel, f.grid, out_grid)
+    return TargetElement((f.values[None, :] @ mat.T)[0], out_grid)
+
+
+def _poisson_rows(F: np.ndarray, grid: GridMeta) -> np.ndarray:
+    """-u'' = f for every row f of F: one banded solve with n right-hand sides."""
+    n = grid.n
+    if n < 3:
+        raise ValueError(f"poisson solve needs at least 3 nodes, got {n}")
+    h = grid.spacing
+    interior = n - 2
+    ab = np.zeros((2, interior))
+    ab[0, 1:] = -1.0 / h**2
+    ab[1, :] = 2.0 / h**2
+    U = np.zeros(F.shape)
+    U[:, 1:-1] = solveh_banded(ab, F[:, 1:-1].T).T
+    return U
 
 
 def poisson_solve_1d(f: FunctionSample) -> TargetElement:
@@ -82,17 +107,7 @@ def poisson_solve_1d(f: FunctionSample) -> TargetElement:
     """
     if not isinstance(f, FunctionSample):
         raise ShapeError("poisson solve needs a function sample")
-    n = f.grid.n
-    if n < 3:
-        raise ValueError(f"poisson solve needs at least 3 nodes, got {n}")
-    h = f.grid.spacing
-    interior = n - 2
-    ab = np.zeros((2, interior))
-    ab[0, 1:] = -1.0 / h**2
-    ab[1, :] = 2.0 / h**2
-    u = np.zeros(n)
-    u[1:-1] = solveh_banded(ab, f.values[1:-1])
-    return TargetElement(u, f.grid)
+    return TargetElement(_poisson_rows(f.values[None, :], f.grid)[0], f.grid)
 
 
 _POINTWISE_MAPS = {
@@ -102,37 +117,51 @@ _POINTWISE_MAPS = {
 }
 
 
-def superposition_apply(map_id: str, f: InputPoint) -> TargetElement:
-    """Pointwise g(f) on function samples or truncated sequences."""
+def _pointwise_map(map_id: str):
     try:
-        g = _POINTWISE_MAPS[map_id]
+        return _POINTWISE_MAPS[map_id]
     except KeyError:
         raise ConfigError(
             f"unknown pointwise map {map_id!r}, expected one of {sorted(_POINTWISE_MAPS)}"
         ) from None
+
+
+def superposition_apply(map_id: str, f: InputPoint) -> TargetElement:
+    """Pointwise g(f) on function samples or truncated sequences."""
+    g = _pointwise_map(map_id)
     if isinstance(f, FunctionSample):
-        return TargetElement(g(f.values), f.grid)
+        return TargetElement(g(f.values[None, :])[0], f.grid)
     if isinstance(f, SequencePoint):
-        return TargetElement(g(f.values))
+        return TargetElement(g(f.values[None, :])[0])
     raise ShapeError("superposition needs a function sample or sequence point")
+
+
+def _matrix_map_rows(map_id: str, Z: np.ndarray, out_dim: int) -> np.ndarray:
+    """The benchmark map on each matrix of the (n, rows, cols) stack Z."""
+    if map_id == "row_sums":
+        return Z.sum(axis=2)
+    if map_id == "sin_of_trace_times_basis":
+        out = np.zeros((Z.shape[0], out_dim))
+        out[:, 0] = np.sin(np.trace(Z, axis1=1, axis2=2))
+        return out
+    raise ConfigError(f"unknown matrix map {map_id!r}")
 
 
 def matrix_map_apply(map_id: str, z: MatrixPoint, out_dim: int = 3) -> TargetElement:
     """Benchmark maps on matrix inputs."""
     if not isinstance(z, MatrixPoint):
         raise ShapeError("matrix map needs a matrix point")
-    if map_id == "row_sums":
-        return TargetElement(z.values.sum(axis=1))
-    if map_id == "sin_of_trace_times_basis":
-        out = np.zeros(out_dim)
-        out[0] = np.sin(np.trace(z.values))
-        return TargetElement(out)
-    raise ConfigError(f"unknown matrix map {map_id!r}")
+    return TargetElement(_matrix_map_rows(map_id, z.values[None], out_dim)[0])
 
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """An opaque map from input points to target elements, with shape metadata."""
+    """An opaque map from input points to target elements, with shape metadata.
+
+    fn is the batched map: it takes the (n, dim) matrix whose rows are n
+    flattened inputs of input_signature and returns a new (n, output_dim)
+    matrix of their images.
+    """
 
     name: str
     fn: object
@@ -141,57 +170,57 @@ class Operator:
     output_grid: GridMeta | None = None
 
     def __post_init__(self):
+        if self.output_dim < 1:
+            raise ShapeError(f"operator output dim must be positive, got {self.output_dim}")
         if self.output_grid is not None and self.output_dim != self.output_grid.n:
             raise ShapeError("operator output dim does not match its output grid")
 
     def __call__(self, s: InputPoint) -> TargetElement:
-        if s.signature != self.input_signature:
-            raise ShapeError(
-                f"operator {self.name} expects {self.input_signature}, got {s.signature}"
-            )
-        out = self.fn(s)
-        if out.dim != self.output_dim or out.grid != self.output_grid:
-            raise ShapeError(f"operator {self.name} produced a mismatched output shape")
-        return out
+        """The image of one input: the one-row batch."""
+        return self.apply_many([s])[0]
 
-    def apply_many(self, samples) -> list[TargetElement]:
-        return [self(s) for s in samples]
+    def apply_many(self, samples) -> TargetBatch:
+        """Images of an ensemble or a list of input points, in one batched map.
+
+        Returns the read-only (n, output_dim) value matrix with the output
+        grid, as a TargetBatch.  A signature or output shape mismatch raises
+        ShapeError, and a non-finite value raises ValueError.
+        """
+        flats, signature = stack_inputs(samples)
+        if signature != self.input_signature:
+            raise ShapeError(
+                f"operator {self.name} expects {self.input_signature}, got {signature}"
+            )
+        out = np.asarray(self.fn(flats), dtype=float)
+        if out.shape != (flats.shape[0], self.output_dim):
+            raise ShapeError(
+                f"operator {self.name} produced values of shape {out.shape}, expected "
+                f"{(flats.shape[0], self.output_dim)}"
+            )
+        out.setflags(write=False)  # so the batch holds fn's new matrix without a copy
+        return TargetBatch(out, self.output_grid)
 
 
 def integral_operator(kernel: Kernel, grid: GridMeta) -> Operator:
-    return Operator(
-        f"integral_{kernel.name}",
-        lambda f: integral_operator_apply(kernel, f),
-        ("function", grid),
-        grid.n,
-        grid,
-    )
+    """The trapezoid-rule integral operator on grid; its matrix is built once here."""
+    mat = _integral_matrix(kernel, grid, grid)
+    return Operator(f"integral_{kernel.name}", lambda F: F @ mat.T, ("function", grid),
+                    grid.n, grid)
 
 
 def poisson_operator(grid: GridMeta) -> Operator:
-    return Operator("poisson_1d", poisson_solve_1d, ("function", grid), grid.n, grid)
+    return Operator("poisson_1d", lambda F: _poisson_rows(F, grid), ("function", grid),
+                    grid.n, grid)
 
 
 def superposition_operator(map_id: str, signature: tuple) -> Operator:
-    if map_id not in _POINTWISE_MAPS:
-        raise ConfigError(f"unknown pointwise map {map_id!r}")
+    g = _pointwise_map(map_id)
     kind = signature[0]
     if kind == "function":
         grid = signature[1]
-        return Operator(
-            f"superpose_{map_id}",
-            lambda f: superposition_apply(map_id, f),
-            signature,
-            grid.n,
-            grid,
-        )
+        return Operator(f"superpose_{map_id}", g, signature, grid.n, grid)
     if kind == "sequence":
-        return Operator(
-            f"superpose_{map_id}",
-            lambda s: superposition_apply(map_id, s),
-            signature,
-            signature[1],
-        )
+        return Operator(f"superpose_{map_id}", g, signature, signature[1])
     raise ShapeError("superposition operators accept function or sequence inputs")
 
 
@@ -202,7 +231,7 @@ def matrix_map_operator(map_id: str, shape: tuple[int, int], out_dim: int = 3) -
         raise ConfigError(f"unknown matrix map {map_id!r}")
     return Operator(
         f"matrix_{map_id}",
-        lambda z: matrix_map_apply(map_id, z, out_dim),
+        lambda F: _matrix_map_rows(map_id, F.reshape(-1, *shape), out_dim),
         ("matrix", tuple(shape)),
         out_dim,
     )
@@ -213,7 +242,7 @@ def zero_operator(signature: tuple, output_dim: int,
     """The constant-zero operator; its best approximant is the empty network."""
     return Operator(
         "zero",
-        lambda s: TargetElement(np.zeros(output_dim), output_grid),
+        lambda F: np.zeros((F.shape[0], output_dim)),
         signature,
         output_dim,
         output_grid,

@@ -1,7 +1,8 @@
 """Discretized target-space elements and the seminorms that topologize them.
 
 A target element is a finite real vector: samples of a function on a uniform
-grid, truncated sequence coefficients, or a flattened matrix.  Seminorms come
+grid, truncated sequence coefficients, or a flattened matrix.  A TargetBatch
+holds n elements sharing one grid as one (n, dim) matrix.  Seminorms come
 in four evaluable flavors (weighted Lq, sup of a finite-difference derivative,
 polynomially weighted sup on a truncated grid, and pairing against a fixed
 test vector); each is nonnegative, absolutely homogeneous, and subadditive on
@@ -118,6 +119,58 @@ class TargetElement:
         return TargetElement(np.zeros(self.dim), self.grid)
 
 
+def _readonly_rows(values, field: str) -> np.ndarray:
+    """values as a validated read-only (n, dim) float matrix.
+
+    A read-only float64 matrix, such as a slice of another batch, is held
+    as it is, without a copy; anything else is copied first.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
+        raise ShapeError(f"{field} must be a nonempty (n, dim) matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{field} contain non-finite entries")
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class TargetBatch:
+    """n target elements sharing one grid, held as one read-only (n, dim) matrix.
+
+    Indexing with an integer gives that row as a TargetElement; slicing gives
+    a TargetBatch over a view of the same matrix.
+    """
+
+    values: np.ndarray
+    grid: GridMeta | None = None
+
+    def __post_init__(self):
+        v = _readonly_rows(self.values, "batch values")
+        if self.grid is not None and v.shape[1] != self.grid.n:
+            raise ShapeError(
+                f"batch rows have {v.shape[1]} values, grid has {self.grid.n} nodes"
+            )
+        object.__setattr__(self, "values", v)
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[1]
+
+    def __len__(self):
+        return self.values.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TargetBatch(self.values[i], self.grid)
+        return TargetElement(self.values[i], self.grid)
+
+    def __iter__(self):
+        return (TargetElement(row, self.grid) for row in self.values)
+
+
 def _difference_at_nodes(values: np.ndarray, grid: GridMeta | None, order: int) -> np.ndarray:
     """Order-th finite difference of each row of values at every grid node.
 
@@ -152,8 +205,12 @@ def _require_rows(values: np.ndarray, grid: GridMeta | None):
 def stack_values(elements) -> tuple[np.ndarray, GridMeta | None]:
     """The (n, dim) matrix of the elements' values, and their common grid.
 
-    Raises ShapeError when the elements do not share grid metadata and dim.
+    A TargetBatch gives its own read-only matrix; a list of elements is
+    stacked into a new one.  Raises ShapeError when the elements do not
+    share grid metadata and dim.
     """
+    if isinstance(elements, TargetBatch):
+        return elements.values, elements.grid
     elements = list(elements)
     if not elements:
         raise ValueError("no target elements to stack")

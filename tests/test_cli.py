@@ -50,6 +50,13 @@ class TestPresets:
             assert get_preset(name).fit["lam"] == 0.0
 
 
+MATRIX_ENSEMBLE = {"family": "matrix_ball", "count": 30, "shape": [2, 2], "radius": 1.0}
+
+
+def sin_trace(out_dim):
+    return {"kind": "matrix_map", "map": "sin_of_trace_times_basis", "out_dim": out_dim}
+
+
 def quick_config(tmp_path, **overrides):
     doc = {
         "name": "quick",
@@ -137,8 +144,21 @@ class TestCliRun:
         ({"fit": {"functional_scale": "1.0"}}, "fit.functional_scale"),
         ({"seminorms": [{"kind": "lq", "q": "2"}]}, "seminorms[0].q"),
         ({"seminorms": [{"kind": "schwartz", "radius": "8"}]}, "seminorms[0].radius"),
+        ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace(0)}, "operator.out_dim"),
+        ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace("two")}, "operator.out_dim"),
+        ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace(2.5)}, "operator.out_dim"),
+        ({"ensemble": MATRIX_ENSEMBLE, "operator": {"kind": "zero", "out_dim": -1}},
+         "operator.out_dim"),
+        ({"seminorms": [{"kind": "schwartz", "alpha": -1}]}, "seminorms[0].alpha"),
+        ({"seminorms": [{"kind": "schwartz", "alpha": "x"}]}, "seminorms[0].alpha"),
+        ({"seminorms": [{"kind": "schwartz", "alpha": 1.5}]}, "seminorms[0].alpha"),
+        ({"seminorms": [{"kind": "schwartz", "beta": -1}]}, "seminorms[0].beta"),
+        ({"seminorms": [{"kind": "schwartz", "beta": "x"}]}, "seminorms[0].beta"),
+        ({"seminorms": [{"kind": "schwartz", "beta": 1.5}]}, "seminorms[0].beta"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
-            "string_q", "string_radius"])
+            "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
+            "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha",
+            "negative_beta", "string_beta", "float_beta"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):

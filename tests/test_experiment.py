@@ -10,12 +10,15 @@ from shallowop.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     ExperimentReport,
+    _split,
     build_operator,
     emit_report,
     read_report_csv,
     run_experiment,
 )
+from shallowop.inputs import sample_ensemble
 from shallowop.network import deserialize_network
+from shallowop.presets import get_preset, preset_dict
 
 
 def small_dict(**overrides):
@@ -303,3 +306,44 @@ class TestEmitReport:
         bad.write_text("epsilon,surprise\n0.1,1\n")
         with pytest.raises(ValueError, match="columns"):
             read_report_csv(bad)
+
+
+class TestRunDiagnostics:
+    def test_integral_gaussian_runs_interpolate(self, tmp_path):
+        # 80 training samples and coefficient fits that end at width 128
+        cfg = get_preset("integral_gaussian")
+        report = run_experiment(cfg)
+        assert len(report.runs) == len(cfg.epsilons)
+        for run in report.runs:
+            assert run.n_train == 80
+            assert max(run.coefficient_widths) >= run.n_train
+            assert run.interpolating is True
+        emit_report(report, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert [r["interpolating"] for r in doc["runs"]] == [True] * len(cfg.epsilons)
+        assert [r["n_train"] for r in doc["runs"]] == [80] * len(cfg.epsilons)
+        with open(tmp_path / "report.csv") as fh:
+            assert tuple(fh.readline().strip().split(",")) == CSV_COLUMNS
+
+    def test_wide_poisson_run_does_not_interpolate(self):
+        raw = preset_dict("poisson_dirichlet")
+        raw["ensemble"]["count"] = 4000
+        raw["epsilons"] = [0.15]
+        (run,) = run_experiment(ExperimentConfig.from_dict(raw)).runs
+        assert run.n_train == 3200
+        assert max(run.coefficient_widths) < run.n_train
+        assert run.interpolating is False
+        assert run.to_dict()["interpolating"] is False
+
+    def test_split_parts_are_views(self):
+        cfg = ExperimentConfig.from_dict(small_dict())
+        ens = sample_ensemble(cfg.ensemble, 3)
+        values = build_operator(cfg).apply_many(ens)
+        train, train_values, heldout, heldout_values = _split(ens, values, 0.2)
+        assert (len(train), len(heldout)) == (32, 8)
+        for part, whole in ((train, ens), (heldout, ens)):
+            assert np.shares_memory(part.flats, whole.flats)
+        for part in (train_values, heldout_values):
+            assert np.shares_memory(part.values, values.values)
+        np.testing.assert_array_equal(heldout.flats, ens.flats[32:])
+        np.testing.assert_array_equal(heldout_values.values, values.values[32:])

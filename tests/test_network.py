@@ -8,7 +8,6 @@ from shallowop.errors import DocumentError, ShapeError
 from shallowop.inputs import (
     FunctionSample,
     MatrixPoint,
-    QuadraturePairing,
     SequencePoint,
 )
 from shallowop.network import (
@@ -236,7 +235,7 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         grid = GridMeta(0.0, 1.0, 21)
         phi = rng.standard_normal(21)
-        L = np.tile(QuadraturePairing(phi, grid).weight_vector(), (4, 1))
+        L = np.tile(grid.trapezoid_weights() * phi, (4, 1))  # the pairing with phi
         net = ShallowVectorNetwork(
             L, rng.uniform(-1.0, 1.0, 4), rng.standard_normal((4, 3)),
             Polynomial((0.5, -1.0, 2.0)), ("function", grid),
@@ -283,8 +282,9 @@ class TestSerialization:
         rng = np.random.default_rng(9)
         grid = GridMeta(-1.0, 2.0, 17)
         in_grid = GridMeta(0.0, 1.0, 13)
-        functionals = [QuadraturePairing(rng.standard_normal(13), in_grid) for _ in range(2)]
-        L = np.vstack([l.weight_vector() for l in functionals] + [np.zeros(13)])
+        # two trapezoid pairings with random phi, and the zero functional
+        phis = [rng.standard_normal(13) for _ in range(2)]
+        L = np.vstack([in_grid.trapezoid_weights() * phi for phi in phis] + [np.zeros(13)])
         thetas = np.append(rng.uniform(-1.0, 1.0, 2), 0.25)
         net = ShallowVectorNetwork(
             L, thetas, rng.standard_normal((3, 17)), Sigmoid(), ("function", in_grid), grid

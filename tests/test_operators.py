@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from shallowop.errors import ConfigError, ShapeError
-from shallowop.inputs import FunctionSample, MatrixPoint, SequencePoint
+from shallowop.inputs import (
+    EnsembleSpec,
+    FunctionSample,
+    MatrixPoint,
+    SequencePoint,
+    sample_ensemble,
+)
 from shallowop.operators import (
     Kernel,
+    Operator,
     integral_operator,
     integral_operator_apply,
     make_kernel,
@@ -16,7 +24,8 @@ from shallowop.operators import (
     superposition_operator,
     zero_operator,
 )
-from shallowop.targets import GridMeta
+from shallowop.seeding import derive_seed
+from shallowop.targets import GridMeta, TargetBatch, TargetElement
 
 EXP_NEG_1 = 0.36787944117144233
 
@@ -227,3 +236,152 @@ class TestOperatorWrappers:
         op = zero_operator(("sequence", 3), 5)
         out = op(SequencePoint([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out.values, np.zeros(5))
+
+
+BATCH_GRID = GridMeta(0.0, 1.0, 101)
+BATCH_ROWS = 300  # more than one 256-row block
+
+
+def batch_ensemble(family):
+    specs = {
+        "function": EnsembleSpec("band_limited", BATCH_ROWS, radii=(1.0, 0.5, 0.25, 2.0),
+                                 grid=BATCH_GRID),
+        "sequence": EnsembleSpec("sequence_box", BATCH_ROWS, radii=(3.0, 1.0, 0.5, 0.25, 0.1)),
+        "matrix": EnsembleSpec("matrix_ball", BATCH_ROWS, shape=(3, 2), radius=2.0),
+    }
+    return sample_ensemble(specs[family], derive_seed(808, len(family)))
+
+
+def per_row(fn, ens):
+    """The reference: fn applied to one sample's values at a time."""
+    return np.array([fn(s.values) for s in ens])
+
+
+def bytes_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedOperators:
+    def test_poisson_is_the_per_sample_banded_solve(self):
+        ens = batch_ensemble("function")
+        got = poisson_operator(BATCH_GRID).apply_many(ens).values
+        n, h = BATCH_GRID.n, BATCH_GRID.spacing
+        ab = np.zeros((2, n - 2))
+        ab[0, 1:] = -1.0 / h**2
+        ab[1, :] = 2.0 / h**2
+
+        def banded(f):
+            u = np.zeros(n)
+            u[1:-1] = solveh_banded(ab, f[1:-1])
+            return u
+
+        assert bytes_equal(got, per_row(banded, ens))
+        # and it solves the dense tridiagonal system
+        dense = (np.diag(np.full(n - 2, 2.0)) - np.diag(np.ones(n - 3), 1)
+                 - np.diag(np.ones(n - 3), -1)) / h**2
+        want = per_row(lambda f: np.concatenate([[0.0], np.linalg.solve(dense, f[1:-1]),
+                                                 [0.0]]), ens)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_integral_matches_a_quadrature_loop(self):
+        ens = batch_ensemble("function")
+        kernel = make_kernel("gaussian", width=0.3)
+        got = integral_operator(kernel, BATCH_GRID).apply_many(ens).values
+        x = BATCH_GRID.nodes()
+        w = BATCH_GRID.trapezoid_weights()
+        want = per_row(lambda f: np.array([np.sum(w * kernel(xi, x) * f) for xi in x]), ens)
+        # relative to the image's size: single nodes where the integral
+        # cancels to near zero carry the absolute error of the whole sum
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("map_id, g", [("sin", np.sin), ("square", np.square),
+                                           ("exp-", lambda v: np.exp(-v))])
+    @pytest.mark.parametrize("family", ["function", "sequence"])
+    def test_superposition_is_elementwise(self, map_id, g, family):
+        ens = batch_ensemble(family)
+        op = superposition_operator(map_id, ens.signature)
+        assert bytes_equal(op.apply_many(ens).values, per_row(g, ens))
+
+    def test_matrix_maps_over_the_stack(self):
+        ens = batch_ensemble("matrix")
+
+        def sin_trace(z):
+            out = np.zeros(4)
+            out[0] = np.sin(np.trace(z))
+            return out
+
+        rows = matrix_map_operator("row_sums", (3, 2)).apply_many(ens).values
+        assert bytes_equal(rows, per_row(lambda z: z.sum(axis=1), ens))
+        traces = matrix_map_operator("sin_of_trace_times_basis", (3, 2), 4).apply_many(ens)
+        assert bytes_equal(traces.values, per_row(sin_trace, ens))
+
+    @pytest.mark.parametrize("family", ["function", "sequence", "matrix"])
+    def test_zero_gives_zeros(self, family):
+        ens = batch_ensemble(family)
+        got = zero_operator(ens.signature, 7).apply_many(ens).values
+        assert bytes_equal(got, np.zeros((BATCH_ROWS, 7)))
+
+    def operators(self):
+        kernel = make_kernel("gaussian", width=0.3)
+        return [
+            ("function", integral_operator(kernel, BATCH_GRID)),
+            ("function", poisson_operator(BATCH_GRID)),
+            ("function", superposition_operator("sin", ("function", BATCH_GRID))),
+            ("sequence", superposition_operator("square", ("sequence", 5))),
+            ("matrix", matrix_map_operator("row_sums", (3, 2))),
+            ("matrix", matrix_map_operator("sin_of_trace_times_basis", (3, 2))),
+            ("matrix", zero_operator(("matrix", (3, 2)), 3)),
+        ]
+
+    def test_list_and_ensemble_give_the_same_batch(self):
+        for family, op in self.operators():
+            ens = batch_ensemble(family)
+            a, b = op.apply_many(ens), op.apply_many(list(ens))
+            assert isinstance(a, TargetBatch) and isinstance(b, TargetBatch)
+            assert bytes_equal(a.values, b.values)
+            assert a.grid == b.grid == op.output_grid
+            assert len(a) == BATCH_ROWS and a.dim == op.output_dim
+
+    def test_one_sample_is_the_one_row_batch(self):
+        for family, op in self.operators():
+            ens = batch_ensemble(family)
+            got = op(ens[5])
+            assert isinstance(got, TargetElement) and got.grid == op.output_grid
+            np.testing.assert_allclose(got.values, op.apply_many(ens).values[5],
+                                       rtol=1e-13, atol=1e-15)
+            assert bytes_equal(got.values, op.apply_many([ens[5]]).values[0])
+
+    def test_batch_is_read_only_and_slices_are_views(self):
+        ens = batch_ensemble("function")
+        batch = poisson_operator(BATCH_GRID).apply_many(ens)
+        assert not batch.values.flags.writeable
+        with pytest.raises(ValueError):
+            batch.values[0, 0] = 1.0
+        head, tail = batch[:240], batch[240:]
+        assert isinstance(head, TargetBatch) and len(tail) == 60
+        assert np.shares_memory(head.values, batch.values)
+        assert np.shares_memory(tail.values, batch.values)
+        elements = list(batch)
+        assert all(type(t) is TargetElement and t.grid == BATCH_GRID for t in elements)
+        assert bytes_equal(elements[-1].values, batch.values[-1])
+        assert bytes_equal(batch[-1].values, batch.values[-1])
+
+    def test_shape_and_finiteness_are_checked(self):
+        ens = batch_ensemble("sequence")
+        sig = ens.signature
+        with pytest.raises(ShapeError, match="shape"):
+            Operator("short", lambda F: F[:, :3], sig, 5).apply_many(ens)
+        with pytest.raises(ShapeError, match="shape"):
+            Operator("rows", lambda F: F[:-1], sig, 5).apply_many(ens)
+        with pytest.raises(ValueError, match="non-finite"):
+            Operator("blowup", lambda F: F + np.inf, sig, 5).apply_many(ens)
+        with pytest.raises(ShapeError):
+            superposition_operator("sin", ("sequence", 6)).apply_many(ens)
+        with pytest.raises(ShapeError):
+            zero_operator(sig, 0)
+        with pytest.raises(ShapeError):
+            poisson_operator(BATCH_GRID).apply_many([])
+        with pytest.raises(ValueError, match="non-finite"):
+            TargetBatch(np.array([[1.0, np.nan]]))
+        with pytest.raises(ShapeError):
+            TargetBatch(np.ones((2, 3)), GridMeta(0.0, 1.0, 4))
