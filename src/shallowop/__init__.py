@@ -81,4 +81,4 @@ from .targets import (
     family_sup_error,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -12,7 +12,13 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .experiment import ExperimentConfig, emit_report, run_experiment
+from .experiment import (
+    ExperimentConfig,
+    build_operator,
+    build_seminorm,
+    emit_report,
+    run_experiment,
+)
 from .presets import get_preset, preset_description, preset_dict, preset_names
 
 
@@ -69,11 +75,13 @@ def _cmd_run(args) -> int:
 
     report = run_experiment(config)
     written = emit_report(report, out_dir)
+    i = config.target_index
+    target = build_seminorm(config.seminorms[i], f"seminorms[{i}]",
+                            build_operator(config)).label()
     for run in report.runs:
-        target = config.seminorms[config.target_index].get("kind", "?")
         status = "converged" if run.converged else "NOT converged"
         print(f"epsilon={run.epsilon:g}  m={run.m_centers}  width={run.network_width}  "
-              f"{status}  train_sup[{target}]={max(run.train_errors.values()):.3e}")
+              f"{status}  train_sup[{target}]={run.train_errors[target]:.3e}")
     print(f"wrote {', '.join(str(p) for p in written)}")
     return 0
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .targets import (
     GridMeta,
     LqNorm,
     SchwartzWeighted,
+    Seminorm,
     SeminormFamily,
     SupDerivative,
     TargetBatch,
@@ -58,8 +61,25 @@ CSV_COLUMNS = (
     "wall_ms",
 )
 
-_OPERATOR_KINDS = ("integral", "poisson", "superposition", "matrix_map", "zero")
+#: the input kinds each operator kind accepts
+_OPERATOR_INPUTS = {
+    "integral": ("function",),
+    "poisson": ("function",),
+    "superposition": ("function", "sequence"),
+    "matrix_map": ("matrix",),
+    "zero": ("function", "sequence", "matrix"),
+}
 _SEMINORM_KINDS = ("lq", "sup_derivative", "schwartz", "dual")
+_ENSEMBLE_FAMILIES = ("band_limited", "sequence_box", "matrix_ball")
+_FIT_DEFAULTS = {
+    "activation": "tanh",
+    "width": 64,
+    "max_width": 512,
+    "theta_range": [-3.0, 3.0],
+    "lam": 0.0,
+    "functional_order": 3,
+    "functional_scale": 1.0,
+}
 
 
 def _require(cond, field, message):
@@ -67,9 +87,57 @@ def _require(cond, field, message):
         raise ConfigError(f"field {field!r}: {message}")
 
 
+def _get(doc, at, key, default, ok, message):
+    """doc[key], or default when it is absent, read from the mapping at field
+    `at` ("" at the top level); ConfigError naming the field unless ok(value).
+    """
+    value = doc.get(key, default)
+    _require(ok(value), f"{at}.{key}" if at else key, message)
+    return value
+
+
+def _named(field, make, *args, **kwargs):
+    """make(*args, **kwargs), with its TypeError or ValueError named as field's."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {field!r}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _is_mapping(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _mappings(doc, key, nonempty) -> tuple[dict, ...]:
+    """doc[key] as a tuple of copied mappings, item i named key[i] when bad."""
+    items = _get(doc, "", key, [], lambda v: _is_list(v) and (v or not nonempty),
+                 "must be a nonempty list" if nonempty else "must be a list")
+    for i, item in enumerate(items):
+        _require(_is_mapping(item), f"{key}[{i}]", "must be a mapping")
+    return tuple(dict(item) for item in items)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description.
+
+    from_dict checks a config by building its operator, seminorms, duals and
+    fit config once, so a config that loads builds; a bad field raises
+    ConfigError naming it.
+    """
 
     name: str
     operator: dict
@@ -94,63 +162,42 @@ class ExperimentConfig:
         }
         for key in raw:
             _require(key in known, key, "unknown config field")
-
-        name = raw.get("name", "experiment")
-        _require(isinstance(name, str) and name, "name", "must be a nonempty string")
-
-        grid = None
-        if raw.get("grid") is not None:
-            g = raw["grid"]
-            try:
-                grid = GridMeta(float(g["a"]), float(g["b"]), int(g["n"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"field 'grid': {exc}") from exc
-
-        ensemble = _parse_ensemble(raw.get("ensemble"), grid)
-        operator = _parse_operator(raw.get("operator"), ensemble, grid)
-
-        heldout = raw.get("heldout_fraction", 0.2)
-        _require(isinstance(heldout, (int, float)) and 0.0 <= heldout < 1.0,
-                 "heldout_fraction", "must lie in [0, 1)")
-
-        seminorms = _parse_seminorms(raw.get("seminorms"))
-        target_index = raw.get("target_index", 0)
-        _require(isinstance(target_index, int) and 0 <= target_index < len(seminorms),
-                 "target_index", f"must index the {len(seminorms)} configured seminorms")
-
-        epsilons = raw.get("epsilons", [])
-        _require(isinstance(epsilons, (list, tuple)), "epsilons", "must be a list")
-        for e in epsilons:
-            _require(isinstance(e, (int, float)) and e > 0, "epsilons",
-                     f"every value must be positive, got {e}")
-
-        fit = _parse_fit(raw.get("fit", {}))
-        duals = _parse_duals(raw.get("duals", []))
-
-        seed = raw.get("seed", 0)
-        _require(isinstance(seed, int) and seed >= 0, "seed",
-                 "must be a nonnegative integer")
-
-        out = raw.get("out")
-        _require(out is None or (isinstance(out, str) and out), "out",
-                 "must be a nonempty string when given")
-        save_networks = raw.get("save_networks", False)
-        _require(isinstance(save_networks, bool), "save_networks", "must be a boolean")
-
-        return ExperimentConfig(
-            name=name,
-            operator=operator,
-            ensemble=ensemble,
-            heldout_fraction=float(heldout),
+        grid = _get(raw, "", "grid", None, lambda g: g is None or _is_mapping(g),
+                    "must be a mapping")
+        seminorms = _mappings(raw, "seminorms", nonempty=True)
+        fit = _get(raw, "", "fit", {}, _is_mapping, "must be a mapping")
+        for key in fit:
+            _require(key in _FIT_DEFAULTS, f"fit.{key}", "unknown fit field")
+        config = ExperimentConfig(
+            name=_get(raw, "", "name", "experiment", lambda v: isinstance(v, str) and v,
+                      "must be a nonempty string"),
+            operator=dict(_get(raw, "", "operator", None, _is_mapping, "must be a mapping")),
+            ensemble=_build_ensemble(
+                _get(raw, "", "ensemble", None, _is_mapping, "must be a mapping"),
+                None if grid is None else _build_grid(grid)),
+            heldout_fraction=float(_get(raw, "", "heldout_fraction", 0.2,
+                                        lambda v: _is_number(v) and 0.0 <= v < 1.0,
+                                        "must be a number in [0, 1)")),
             seminorms=seminorms,
-            target_index=target_index,
-            epsilons=tuple(float(e) for e in epsilons),
-            fit=fit,
-            duals=duals,
-            seed=seed,
-            out=out,
-            save_networks=save_networks,
+            target_index=_get(raw, "", "target_index", 0,
+                              lambda v: _is_int(v) and 0 <= v < len(seminorms),
+                              f"must index the {len(seminorms)} configured seminorms"),
+            epsilons=tuple(float(e) for e in _get(
+                raw, "", "epsilons", [],
+                lambda v: _is_list(v) and all(_is_number(e) and e > 0 for e in v),
+                "must be a list of positive finite numbers")),
+            fit={**_FIT_DEFAULTS, **fit},
+            duals=_mappings(raw, "duals", nonempty=False),
+            seed=_get(raw, "", "seed", 0, lambda v: _is_int(v) and v >= 0,
+                      "must be a nonnegative integer"),
+            out=_get(raw, "", "out", None, lambda v: v is None or (isinstance(v, str) and v),
+                     "must be a nonempty string when given"),
+            save_networks=_get(raw, "", "save_networks", False, lambda v: isinstance(v, bool),
+                               "must be a boolean"),
         )
+        # kept as the fit config holds it, so integer bounds read back as floats
+        config.fit["theta_range"] = list(_build(config).fit.theta_range)
+        return config
 
     def to_dict(self) -> dict:
         doc = {
@@ -174,25 +221,33 @@ class ExperimentConfig:
         return doc
 
 
-def _parse_ensemble(raw, grid) -> EnsembleSpec:
-    _require(isinstance(raw, dict), "ensemble", "must be a mapping")
-    family = raw.get("family")
-    try:
-        if family == "band_limited":
-            _require(grid is not None, "grid", "band_limited ensembles need a grid")
-            return EnsembleSpec(family=family, count=raw.get("count", 0),
-                                radii=tuple(raw.get("radii", ())), grid=grid)
-        if family == "sequence_box":
-            return EnsembleSpec(family=family, count=raw.get("count", 0),
-                                radii=tuple(raw.get("radii", ())))
-        if family == "matrix_ball":
-            shape = raw.get("shape")
-            return EnsembleSpec(family=family, count=raw.get("count", 0),
-                                shape=tuple(shape) if shape else None,
-                                radius=raw.get("radius"))
-    except ConfigError as exc:
-        raise ConfigError(f"field 'ensemble': {exc}") from exc
-    raise ConfigError(f"field 'ensemble.family': unknown family {family!r}")
+def _build_grid(doc) -> GridMeta:
+    a, b = (float(_get(doc, "grid", end, None, _is_number, "must be a finite number"))
+            for end in ("a", "b"))
+    n = _get(doc, "grid", "n", None, _is_int, "must be an integer")
+    return _named("grid", GridMeta, a, b, n)
+
+
+def _build_ensemble(doc, grid) -> EnsembleSpec:
+    family = _get(doc, "ensemble", "family", None, lambda f: f in _ENSEMBLE_FAMILIES,
+                  f"unknown family {doc.get('family')!r}")
+    count = _get(doc, "ensemble", "count", None, lambda c: _is_int(c) and c >= 1,
+                 "must be a positive integer")
+    if family == "matrix_ball":
+        shape = _get(doc, "ensemble", "shape", None,
+                     lambda s: _is_list(s) and len(s) == 2
+                     and all(_is_int(d) and d >= 1 for d in s),
+                     "must be a (rows, cols) pair of positive integers")
+        radius = _get(doc, "ensemble", "radius", None, lambda r: _is_number(r) and r >= 0,
+                      "must be a nonnegative number")
+        return EnsembleSpec(family=family, count=count, shape=tuple(shape), radius=radius)
+    radii = tuple(_get(doc, "ensemble", "radii", None,
+                       lambda r: _is_list(r) and r and all(_is_number(x) and x >= 0 for x in r),
+                       "must be a nonempty list of nonnegative numbers"))
+    if family == "sequence_box":
+        return EnsembleSpec(family=family, count=count, radii=radii)
+    _require(grid is not None, "grid", "band_limited ensembles need a grid")
+    return EnsembleSpec(family=family, count=count, radii=radii, grid=grid)
 
 
 def _ensemble_to_dict(spec: EnsembleSpec) -> dict:
@@ -206,199 +261,116 @@ def _ensemble_to_dict(spec: EnsembleSpec) -> dict:
     return doc
 
 
-def _parse_operator(raw, ensemble: EnsembleSpec, grid) -> dict:
-    _require(isinstance(raw, dict), "operator", "must be a mapping")
-    kind = raw.get("kind")
-    _require(kind in _OPERATOR_KINDS, "operator.kind",
-             f"must be one of {_OPERATOR_KINDS}, got {kind!r}")
-    if kind in ("integral", "poisson"):
-        _require(ensemble.family == "band_limited", "operator.kind",
-                 f"{kind} operators need a function ensemble")
-    if kind == "integral":
-        kernel = raw.get("kernel", {"name": "gaussian"})
-        _require(isinstance(kernel, dict) and "name" in kernel, "operator.kernel",
-                 "must be a mapping with a kernel name")
-        probe = dict(kernel)
-        try:
-            make_kernel(probe.pop("name"), **probe)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'operator.kernel': {exc}") from exc
-    if kind == "superposition":
-        _require(ensemble.family in ("band_limited", "sequence_box"), "operator.kind",
-                 "superposition operators need a function or sequence ensemble")
-        _require(raw.get("map") in ("sin", "square", "exp-"), "operator.map",
-                 f"unknown pointwise map {raw.get('map')!r}")
-    if kind == "matrix_map":
-        _require(ensemble.family == "matrix_ball", "operator.kind",
-                 "matrix maps need a matrix ensemble")
-        _require(raw.get("map") in ("row_sums", "sin_of_trace_times_basis"),
-                 "operator.map", f"unknown matrix map {raw.get('map')!r}")
-    if "out_dim" in raw:
-        _require(_is_int(raw["out_dim"]) and raw["out_dim"] >= 1, "operator.out_dim",
-                 "must be a positive integer")
-    return dict(raw)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_seminorms(raw) -> tuple[dict, ...]:
-    _require(isinstance(raw, (list, tuple)) and raw, "seminorms",
-             "must be a nonempty list")
-    out = []
-    for i, s in enumerate(raw):
-        field = f"seminorms[{i}]"
-        _require(isinstance(s, dict), field, "must be a mapping")
-        kind = s.get("kind")
-        _require(kind in _SEMINORM_KINDS, field,
-                 f"unknown seminorm kind {kind!r}")
-        if kind == "lq":
-            q = s.get("q", 2.0)
-            _require(isinstance(q, (int, float)) and q >= 1, f"{field}.q",
-                     "lq needs a number q >= 1")
-        if kind == "sup_derivative":
-            _require(isinstance(s.get("order", 0), int) and s.get("order", 0) >= 0,
-                     field, "derivative order must be a nonnegative integer")
-        if kind == "schwartz":
-            for index in ("alpha", "beta"):
-                _require(_is_int(s.get(index, 0)) and s.get(index, 0) >= 0,
-                         f"{field}.{index}", "must be a nonnegative integer")
-            radius = s.get("radius", 8.0)
-            _require(isinstance(radius, (int, float)) and radius > 0, f"{field}.radius",
-                     "must be a positive number")
-        if kind == "dual":
-            values = s.get("values", "ones")
-            ok = values == "ones" or (isinstance(values, list) and values)
-            _require(ok, field, "dual values must be 'ones' or a nonempty list")
-        out.append(dict(s))
-    return tuple(out)
-
-
-def _parse_duals(raw) -> tuple[dict, ...]:
-    _require(isinstance(raw, (list, tuple)), "duals", "must be a list")
-    out = []
-    for i, d in enumerate(raw):
-        field = f"duals[{i}]"
-        _require(isinstance(d, dict), field, "must be a mapping")
-        values = d.get("values", "ones")
-        ok = values == "ones" or (isinstance(values, list) and values)
-        _require(ok, field, "dual values must be 'ones' or a nonempty list")
-        out.append(dict(d))
-    return tuple(out)
-
-
-_FIT_DEFAULTS = {
-    "activation": "tanh",
-    "width": 64,
-    "max_width": 512,
-    "theta_range": [-3.0, 3.0],
-    "lam": 0.0,
-    "functional_order": 3,
-    "functional_scale": 1.0,
-}
-
-
-def _parse_fit(raw) -> dict:
-    _require(isinstance(raw, dict), "fit", "must be a mapping")
-    fit = dict(_FIT_DEFAULTS)
-    for key, value in raw.items():
-        _require(key in _FIT_DEFAULTS, f"fit.{key}", "unknown fit field")
-        fit[key] = value
-    _require(isinstance(fit["width"], int) and fit["width"] >= 1, "fit.width",
-             "must be a positive integer")
-    _require(isinstance(fit["max_width"], int) and fit["max_width"] >= fit["width"],
-             "fit.max_width", "must be an integer >= fit.width")
-    _require(isinstance(fit["lam"], (int, float)) and fit["lam"] >= 0, "fit.lam",
-             "must be nonnegative")
-    tr = fit["theta_range"]
-    _require(isinstance(tr, (list, tuple)) and len(tr) == 2 and tr[1] > tr[0],
-             "fit.theta_range", "must be an increasing (low, high) pair")
-    fit["theta_range"] = [float(tr[0]), float(tr[1])]
-    order, scale = fit["functional_order"], fit["functional_scale"]
-    _require(isinstance(order, int) and order >= 0, "fit.functional_order",
-             "must be a nonnegative integer")
-    _require(isinstance(scale, (int, float)) and scale > 0, "fit.functional_scale",
-             "must be a positive number")
-    try:
-        make_activation(fit["activation"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'fit.activation': {exc}") from exc
-    return fit
-
-
 def build_operator(config: ExperimentConfig) -> Operator:
     """Instantiate the configured ground-truth operator."""
-    kind = config.operator["kind"]
-    signature = config.ensemble.input_signature
+    doc, sig = config.operator, config.ensemble.input_signature
+    kind = _get(doc, "operator", "kind", None,
+                lambda k: isinstance(k, str) and k in _OPERATOR_INPUTS,
+                f"must be one of {tuple(_OPERATOR_INPUTS)}, got {doc.get('kind')!r}")
+    inputs = _OPERATOR_INPUTS[kind]
+    _require(sig[0] in inputs, "operator.kind",
+             f"{kind} operators need a {' or '.join(inputs)} ensemble")
+    out_dim = _get(doc, "operator", "out_dim", 3, lambda d: _is_int(d) and d >= 1,
+                   "must be a positive integer")
     if kind == "integral":
-        kernel_cfg = dict(config.operator.get("kernel", {"name": "gaussian"}))
-        kernel = make_kernel(kernel_cfg.pop("name"), **kernel_cfg)
-        return integral_operator(kernel, config.ensemble.grid)
+        kernel = _get(doc, "operator", "kernel", {"name": "gaussian"},
+                      lambda k: _is_mapping(k) and "name" in k,
+                      "must be a mapping with a kernel name")
+        params = {k: v for k, v in kernel.items() if k != "name"}
+        return integral_operator(
+            _named("operator.kernel", make_kernel, kernel["name"], **params), sig[1])
     if kind == "poisson":
-        return poisson_operator(config.ensemble.grid)
+        return poisson_operator(sig[1])
     if kind == "superposition":
-        return superposition_operator(config.operator["map"], signature)
+        return _named("operator.map", superposition_operator, doc.get("map"), sig)
     if kind == "matrix_map":
-        return matrix_map_operator(config.operator["map"], config.ensemble.shape,
-                                   config.operator.get("out_dim", 3))
-    out_dim, out_grid = _zero_output_shape(config)
-    return zero_operator(signature, out_dim, out_grid)
-
-
-def _zero_output_shape(config: ExperimentConfig):
-    sig = config.ensemble.input_signature
+        return _named("operator.map", matrix_map_operator, doc.get("map"), sig[1], out_dim)
     if sig[0] == "function":
-        return sig[1].n, sig[1]
-    if sig[0] == "sequence":
-        return sig[1], None
-    return config.operator.get("out_dim", 3), None
+        return zero_operator(sig, sig[1].n, sig[1])
+    return zero_operator(sig, sig[1] if sig[0] == "sequence" else out_dim)
 
 
-def build_seminorm(spec: dict, out_dim: int, out_grid):
-    kind = spec["kind"]
+def build_seminorm(spec: dict, field: str, op: Operator) -> Seminorm:
+    """The seminorm spec describes on op's outputs; its bad fields are named under field."""
+    kind = _get(spec, field, "kind", None, lambda k: k in _SEMINORM_KINDS,
+                f"unknown seminorm kind {spec.get('kind')!r}")
     if kind == "lq":
-        return LqNorm(float(spec.get("q", 2.0)))
+        return LqNorm(float(_get(spec, field, "q", 2.0, lambda q: _is_number(q) and q >= 1,
+                                 "lq needs a number q >= 1")))
     if kind == "sup_derivative":
-        return SupDerivative(int(spec.get("order", 0)))
+        return SupDerivative(_get(spec, field, "order", 0, lambda o: _is_int(o) and o >= 0,
+                                  "derivative order must be a nonnegative integer"))
     if kind == "schwartz":
-        return SchwartzWeighted(int(spec.get("alpha", 0)), int(spec.get("beta", 0)),
-                                float(spec.get("radius", 8.0)))
-    values = spec.get("values", "ones")
-    test = np.ones(out_dim) if values == "ones" else np.asarray(values, dtype=float)
-    if test.shape[0] != out_dim:
-        raise ConfigError(
-            f"dual test vector has {test.shape[0]} entries, output has {out_dim}"
-        )
-    return DualPairing(test, out_grid, name=spec.get("name", "dual"))
+        alpha, beta = (_get(spec, field, index, 0, lambda v: _is_int(v) and v >= 0,
+                            "must be a nonnegative integer") for index in ("alpha", "beta"))
+        radius = _get(spec, field, "radius", 8.0, lambda r: _is_number(r) and r > 0,
+                      "must be a positive number")
+        return SchwartzWeighted(alpha, beta, float(radius))
+    return _build_dual(spec, field, op)
 
 
-def build_family(config: ExperimentConfig, out_dim: int, out_grid) -> SeminormFamily:
-    members = tuple(build_seminorm(s, out_dim, out_grid) for s in config.seminorms)
-    return SeminormFamily(members, name=config.name)
+def _build_dual(spec: dict, field: str, op: Operator) -> DualPairing:
+    n = op.output_dim
+    values = _get(spec, field, "values", "ones",
+                  lambda v: v == "ones" or (isinstance(v, list) and v
+                                            and all(_is_number(x) for x in v)),
+                  "dual values must be 'ones' or a nonempty list of numbers")
+    _require(values == "ones" or len(values) == n, f"{field}.values",
+             f"dual test vector has {len(values)} entries, output has {n}")
+    name = _get(spec, field, "name", "dual", lambda v: isinstance(v, str) and v,
+                "must be a nonempty string")
+    test = np.ones(n) if values == "ones" else np.asarray(values, dtype=float)
+    return DualPairing(test, op.output_grid, name=name)
 
 
-def build_fit_config(config: ExperimentConfig, seed) -> FitConfig:
-    sig = config.ensemble.input_signature
-    fit = config.fit
+def build_fit_config(config: ExperimentConfig) -> FitConfig:
+    """The stage-2 fit config of config.fit; runs give it their own bank seed."""
+    fit, sig = config.fit, config.ensemble.input_signature
+    width = _get(fit, "fit", "width", None, lambda w: _is_int(w) and w >= 1,
+                 "must be a positive integer")
+    max_width = _get(fit, "fit", "max_width", None, lambda w: _is_int(w) and w >= width,
+                     "must be an integer >= fit.width")
+    lam = _get(fit, "fit", "lam", None, lambda v: _is_number(v) and v >= 0,
+               "must be a nonnegative number")
+    lo, hi = _get(fit, "fit", "theta_range", None,
+                  lambda t: _is_list(t) and len(t) == 2 and all(map(_is_number, t))
+                  and t[1] > t[0], "must be an increasing (low, high) pair of numbers")
+    order = _get(fit, "fit", "functional_order", None, lambda v: _is_int(v) and v >= 0,
+                 "must be a nonnegative integer")
+    scale = float(_get(fit, "fit", "functional_scale", None, lambda v: _is_number(v) and v > 0,
+                       "must be a positive number"))
     if sig[0] == "function":
-        fspec = FunctionalSpec(kind="function", grid=sig[1],
-                               order=int(fit["functional_order"]),
-                               scale=float(fit["functional_scale"]))
+        fspec = FunctionalSpec(kind="function", grid=sig[1], order=order, scale=scale)
     elif sig[0] == "sequence":
-        fspec = FunctionalSpec(kind="sequence", length=sig[1],
-                               scale=float(fit["functional_scale"]))
+        fspec = FunctionalSpec(kind="sequence", length=sig[1], scale=scale)
     else:
-        fspec = FunctionalSpec(kind="matrix", shape=sig[1],
-                               scale=float(fit["functional_scale"]))
+        fspec = FunctionalSpec(kind="matrix", shape=sig[1], scale=scale)
     return FitConfig(
         functional_spec=fspec,
-        width=fit["width"],
-        max_width=fit["max_width"],
-        activation=fit["activation"],
-        theta_range=tuple(fit["theta_range"]),
-        lam=float(fit["lam"]),
-        seed=seed,
+        width=width,
+        max_width=max_width,
+        activation=_named("fit.activation", make_activation, fit["activation"]),
+        theta_range=(float(lo), float(hi)),
+        lam=float(lam),
+    )
+
+
+class _Parts(NamedTuple):
+    """What a config builds: its operator, seminorms, duals and fit config."""
+
+    operator: Operator
+    members: tuple[Seminorm, ...]
+    duals: tuple[DualPairing, ...]
+    fit: FitConfig
+
+
+def _build(config: ExperimentConfig) -> _Parts:
+    op = build_operator(config)
+    return _Parts(
+        op,
+        tuple(build_seminorm(s, f"seminorms[{i}]", op) for i, s in enumerate(config.seminorms)),
+        tuple(_build_dual(d, f"duals[{i}]", op) for i, d in enumerate(config.duals)),
+        build_fit_config(config),
     )
 
 
@@ -478,39 +450,37 @@ def _split(ensemble: CompactEnsemble, values: TargetBatch, fraction: float):
     return ensemble[:n_train], values[:n_train], ensemble[n_train:], values[n_train:]
 
 
-def _run_one(config: ExperimentConfig, run_index: int, epsilon: float) -> RunResult:
+def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
+             epsilon: float) -> RunResult:
     start = time.perf_counter()
     run_seed = derive_seed(config.seed, run_index)
     ensemble = sample_ensemble(config.ensemble, derive_seed(run_seed, 0))
-    op = build_operator(config)
-    values = op.apply_many(ensemble)
-    family = build_family(config, op.output_dim, op.output_grid)
-    duals = [build_seminorm({**d, "kind": "dual"}, op.output_dim, op.output_grid)
-             for d in config.duals]
-
+    values = parts.operator.apply_many(ensemble)
     train, train_values, heldout, heldout_values = _split(
         ensemble, values, config.heldout_fraction
     )
-    fit_cfg = build_fit_config(config, derive_seed(run_seed, 1))
+    fit_cfg = replace(parts.fit, seed=derive_seed(run_seed, 1))
+    # the family and the duals together, so assembly's training pass measures
+    # every error the report needs; errors are split by position rather than
+    # label, since a dual may share a member's label
+    everything = SeminormFamily(parts.members + parts.duals)
     net, budget, report = assemble_vector_network(
-        train_values, train, family, config.target_index, epsilon, fit_cfg
+        train_values, train, everything, config.target_index, epsilon, fit_cfg
     )
+    n_members = len(parts.members)
+    labels = [rho.label() for rho in parts.members]
+    dual_labels = [d.label() for d in parts.duals]
 
-    # one error pass per split over the family and the duals together, split
-    # by position rather than label: a dual may share a member's label
-    everything = SeminormFamily(family.members + tuple(duals))
-    labels = family.labels()
-    dual_labels = [d.label() for d in duals]
+    def _by_label(errors):
+        raw = [float(e) for e in errors]
+        duals = dict(zip(dual_labels, raw[n_members:])) if parts.duals else None
+        return dict(zip(labels, raw[:n_members])), duals
 
-    def _errors(values, samples):
-        raw = [float(e) for e in uniform_error(values, net, samples, everything)]
-        family_errs = dict(zip(labels, raw[:len(labels)]))
-        return family_errs, (dict(zip(dual_labels, raw[len(labels):])) if duals else None)
-
-    train_errs, dual_train = _errors(train_values, train)
+    train_errs, dual_train = _by_label(report.train_errors)
     heldout_errs = dual_heldout = None
     if heldout is not None:
-        heldout_errs, dual_heldout = _errors(heldout_values, heldout)
+        heldout_errs, dual_heldout = _by_label(
+            uniform_error(heldout_values, net, heldout, everything))
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunResult(
@@ -539,7 +509,8 @@ def _run_one(config: ExperimentConfig, run_index: int, epsilon: float) -> RunRes
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the epsilon sweep; results come back ordered by sweep position."""
-    runs = [_run_one(config, i, e) for i, e in enumerate(config.epsilons)]
+    parts = _build(config)
+    runs = [_run_one(config, parts, i, e) for i, e in enumerate(config.epsilons)]
     created = datetime.now(timezone.utc).isoformat()
     return ExperimentReport(config, tuple(runs), created)
 

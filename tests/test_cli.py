@@ -51,6 +51,8 @@ class TestPresets:
 
 
 MATRIX_ENSEMBLE = {"family": "matrix_ball", "count": 30, "shape": [2, 2], "radius": 1.0}
+BAND_ENSEMBLE = {"family": "band_limited", "count": 30, "radii": [1.0, 0.5]}
+TWO_SEMINORMS = [{"kind": "lq", "q": 2.0}, {"kind": "sup_derivative", "order": 0}]
 
 
 def sin_trace(out_dim):
@@ -61,7 +63,7 @@ def quick_config(tmp_path, **overrides):
     doc = {
         "name": "quick",
         "grid": {"a": 0.0, "b": 1.0, "n": 41},
-        "ensemble": {"family": "band_limited", "count": 30, "radii": [1.0, 0.5]},
+        "ensemble": BAND_ENSEMBLE,
         "operator": {"kind": "poisson"},
         "seminorms": [{"kind": "lq", "q": 2.0}],
         "epsilons": [0.2, 0.1],
@@ -96,6 +98,18 @@ class TestCliRun:
         assert main(["run", "--config", str(cfg), "--out", str(override)]) == 0
         assert (override / "report.csv").exists()
         assert not (tmp_path / "from_config").exists()
+
+    def test_summary_line_shows_the_targeted_error_under_its_label(self, tmp_path, capsys):
+        # the sup error of a Poisson solution exceeds its L2 error on [0, 1]
+        cfg = quick_config(tmp_path, seminorms=TWO_SEMINORMS, target_index=0)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        runs = json.loads((out / "report.json").read_text())["runs"]
+        for line, run in zip(lines, runs):
+            errors = run["train_errors"]
+            assert errors["sup_d0"] > errors["lq(q=2)"]
+            assert line.endswith(f"train_sup[lq(q=2)]={errors['lq(q=2)']:.3e}")
 
     def test_missing_out_dir_is_a_config_error(self, tmp_path, capsys):
         cfg = quick_config(tmp_path)
@@ -155,10 +169,38 @@ class TestCliRun:
         ({"seminorms": [{"kind": "schwartz", "beta": -1}]}, "seminorms[0].beta"),
         ({"seminorms": [{"kind": "schwartz", "beta": "x"}]}, "seminorms[0].beta"),
         ({"seminorms": [{"kind": "schwartz", "beta": 1.5}]}, "seminorms[0].beta"),
+        ({"ensemble": {**BAND_ENSEMBLE, "count": "100"}}, "ensemble.count"),
+        ({"ensemble": {**BAND_ENSEMBLE, "radii": "abc"}}, "ensemble.radii"),
+        ({"ensemble": {**BAND_ENSEMBLE, "radii": [1, "x"]}}, "ensemble.radii"),
+        ({"ensemble": {**BAND_ENSEMBLE, "radii": 5}}, "ensemble.radii"),
+        ({"ensemble": {**MATRIX_ENSEMBLE, "shape": "ab"}, "operator": sin_trace(3)},
+         "ensemble.shape"),
+        ({"ensemble": {**MATRIX_ENSEMBLE, "radius": "1"}, "operator": sin_trace(3)},
+         "ensemble.radius"),
+        ({"fit": {"theta_range": ["a", "b"]}}, "fit.theta_range"),
+        ({"duals": [{"values": ["a"]}]}, "duals[0].values"),
+        ({"ensemble": {**BAND_ENSEMBLE, "count": 2.5}}, "ensemble.count"),
+        ({"ensemble": {**BAND_ENSEMBLE, "count": True}}, "ensemble.count"),
+        ({"grid": {"a": 0.0, "b": 1.0, "n": 2.7}}, "grid.n"),
+        ({"fit": {"width": True}}, "fit.width"),
+        ({"fit": {"lam": True}}, "fit.lam"),
+        ({"seed": True}, "seed"),
+        ({"seminorms": TWO_SEMINORMS, "target_index": True}, "target_index"),
+        ({"seminorms": [{"kind": "sup_derivative", "order": True}]}, "seminorms[0].order"),
+        ({"seminorms": [{"kind": "lq", "q": True}]}, "seminorms[0].q"),
+        ({"epsilons": [True]}, "epsilons"),
+        ({"epsilons": [float("inf")]}, "epsilons"),
+        ({"duals": [{"values": [1.0, 2.0]}]}, "duals[0].values"),
+        ({"duals": [{"name": 3}]}, "duals[0].name"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
             "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha",
-            "negative_beta", "string_beta", "float_beta"])
+            "negative_beta", "string_beta", "float_beta", "string_count", "string_radii",
+            "mixed_radii", "scalar_radii", "string_shape", "string_radius_matrix",
+            "string_theta_range", "string_dual_values", "float_count", "bool_count",
+            "float_grid_n", "bool_width", "bool_lam", "bool_seed", "bool_target_index",
+            "bool_order", "bool_q", "bool_epsilon", "infinite_epsilon",
+            "short_dual_values", "int_dual_name"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):

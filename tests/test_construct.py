@@ -462,7 +462,21 @@ class TestAssemble:
         measured = uniform_error(values, net, ens, self.family())[0]
         assert measured < eps
         np.testing.assert_allclose(measured, report.train_sup_error, rtol=1e-12)
+        assert report.train_errors[0] == report.train_sup_error
         assert np.all(report.coefficient_errors < budget.delta)
+
+    @pytest.mark.parametrize("zero", [False, True], ids=["fitted", "degenerate"])
+    def test_train_errors_cover_the_whole_family(self, zero):
+        ens = band_ensemble(30, self.GRID, seed=4)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        if zero:
+            values = [TargetElement(np.zeros(101), self.GRID) for _ in range(30)]
+        family = SeminormFamily((LqNorm(2.0), SupDerivative(0)))
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, lam=0.0, seed=6)
+        net, _, report = assemble_vector_network(values, ens, family, 1, 0.2, cfg)
+        np.testing.assert_array_equal(report.train_errors,
+                                      uniform_error(values, net, ens, family))
+        assert report.train_errors[1] == report.train_sup_error
 
     def test_network_neurons_are_the_public_banks(self):
         ens = band_ensemble(40, self.GRID, seed=5)

@@ -17,7 +17,7 @@ from shallowop.experiment import (
     run_experiment,
 )
 from shallowop.inputs import sample_ensemble
-from shallowop.network import deserialize_network
+from shallowop.network import ShallowVectorNetwork, deserialize_network
 from shallowop.presets import get_preset, preset_dict
 
 
@@ -213,9 +213,29 @@ class TestRunExperiment:
         assert shared.dual_heldout_errors == {"lq(q=2)": mean.dual_heldout_errors["mean"]}
 
     def test_dual_vector_length_mismatch_raises(self):
-        cfg = ExperimentConfig.from_dict(small_dict(duals=[{"values": [1.0, 2.0]}]))
-        with pytest.raises(ConfigError, match="entries"):
-            run_experiment(cfg)
+        with pytest.raises(ConfigError, match=r"duals\[0\].*entries"):
+            ExperimentConfig.from_dict(small_dict(duals=[{"values": [1.0, 2.0]}]))
+
+    @pytest.mark.parametrize("heldout, calls", [(0.2, 2), (0.0, 1)])
+    def test_network_evaluated_once_per_split(self, monkeypatch, heldout, calls):
+        counted = []
+        evaluate_many = ShallowVectorNetwork.evaluate_many
+
+        def counting(net, samples):
+            counted.append(len(samples))
+            return evaluate_many(net, samples)
+
+        monkeypatch.setattr(ShallowVectorNetwork, "evaluate_many", counting)
+        cfg = ExperimentConfig.from_dict(small_dict(
+            heldout_fraction=heldout,
+            seminorms=[{"kind": "lq", "q": 2.0}, {"kind": "sup_derivative", "order": 0}],
+            duals=[{"name": "mean", "values": "ones"}],
+        ))
+        (run,) = run_experiment(cfg).runs
+        assert len(counted) == calls
+        assert counted[0] == run.n_train
+        assert set(run.train_errors) == {"lq(q=2)", "sup_d0"}
+        assert set(run.dual_train_errors) == {"mean"}
 
     def test_seed_changes_numbers(self):
         a = run_experiment(ExperimentConfig.from_dict(small_dict(seed=7)))
