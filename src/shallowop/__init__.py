@@ -62,7 +62,6 @@ from .operators import (
     make_kernel,
     matrix_map_operator,
     poisson_operator,
-    poisson_solve_1d,
     superposition_operator,
     zero_operator,
 )
@@ -78,7 +77,6 @@ from .targets import (
     SupDerivative,
     TargetBatch,
     TargetElement,
-    family_sup_error,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -26,7 +26,7 @@ from .inputs import (
 )
 from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
-from .targets import Seminorm, SeminormFamily, TargetElement, stack_values
+from .targets import Seminorm, SeminormFamily, TargetBatch, TargetElement, stack_values
 
 
 #: rows per batched seminorm call: a block's temporaries stay in cache, which
@@ -50,11 +50,11 @@ def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class EpsilonNet:
-    """Greedy net: centers cover the source values strictly within epsilon."""
+    """Greedy net: centers, the read-only (m, d) batch of the source values at
+    center_indices, cover those values strictly within epsilon."""
 
-    centers: tuple[TargetElement, ...]
+    centers: TargetBatch
     epsilon: float
-    rho: Seminorm
     center_indices: tuple[int, ...]
 
     def __len__(self):
@@ -87,8 +87,7 @@ def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
         if not uncovered.size:
             break
         indices.append(i + 1 + int(uncovered[0]))
-    centers = tuple(values[i] for i in indices)
-    return EpsilonNet(centers, float(epsilon), rho, tuple(indices))
+    return EpsilonNet(TargetBatch(F[indices], grid), float(epsilon), tuple(indices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +102,6 @@ class PartitionOfUnity:
     weights: np.ndarray
     distances: np.ndarray
     epsilon: float
-    rho: Seminorm
 
     @property
     def n_samples(self):
@@ -117,12 +115,11 @@ def build_partition(f_values, net: EpsilonNet, rho: Seminorm) -> PartitionOfUnit
     center reaches is reported by index.
     """
     F, grid = stack_values(f_values)
-    centers, center_grid = stack_values(net.centers)
-    if center_grid != grid or centers.shape[1] != F.shape[1]:
+    if net.centers.grid != grid or net.centers.dim != F.shape[1]:
         raise ShapeError("values and centers have mismatched grid metadata")
     eps = net.epsilon
-    dist = np.empty((F.shape[0], centers.shape[0]))
-    for j, c in enumerate(centers):
+    dist = np.empty((F.shape[0], len(net)))
+    for j, c in enumerate(net.centers.values):
         dist[:, j] = _seminorm_rows(rho, F, grid, c)
     raw = np.maximum(0.0, 1.0 - dist / eps)
     norms = raw.sum(axis=1)
@@ -131,11 +128,11 @@ def build_partition(f_values, net: EpsilonNet, rho: Seminorm) -> PartitionOfUnit
         raise CoverageError(
             f"sample {dead[0]} is not within {eps} of any center under {rho.label()}"
         )
-    return PartitionOfUnity(raw / norms[:, None], dist, eps, rho)
+    return PartitionOfUnity(raw / norms[:, None], dist, eps)
 
 
 def finite_rank_apply(pou: PartitionOfUnity, net: EpsilonNet, sample_index: int) -> TargetElement:
-    """Convex combination sum_j psi_j(s_i) v_j of the centers.
+    """Convex combination sum_j psi_j(s_i) v_j of the centers, one row product.
 
     Convexity gives rho(F(s_i) - result) <= sum_j psi_j d_ij < epsilon; the
     right-hand bound is re-checked here from the stored distances.
@@ -146,11 +143,7 @@ def finite_rank_apply(pou: PartitionOfUnity, net: EpsilonNet, sample_index: int)
     bound = float(np.dot(w, pou.distances[sample_index]))
     if not bound < pou.epsilon * (1.0 + 1e-9):
         raise BudgetError(f"convexity bound {bound} reached epsilon {pou.epsilon}")
-    out = net.centers[0].zero_like()
-    for wj, c in zip(w, net.centers):
-        if wj != 0.0:
-            out = out + wj * c
-    return out
+    return TargetElement(w @ net.centers.values, net.centers.grid)
 
 
 def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -367,7 +360,7 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
         raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")
 
     m = len(net1)
-    c_max = float(np.max(rho.batch(*stack_values(net1.centers))))
+    c_max = float(np.max(rho.batch(net1.centers.values, net1.centers.grid)))
     if c_max == 0.0:
         # every center is rho-null, so the zero network is already within
         # epsilon/2, which is then the bound its training error is held to
@@ -379,8 +372,8 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
     else:
         delta = epsilon / (2.0 * m * c_max)
         budget = ErrorBudget(float(epsilon), m, float(c_max), float(delta), False)
-        L, thetas, V, errors, widths = _fit_coefficients(ensemble, pou.weights, net1.centers,
-                                                         fit_cfg, delta)
+        L, thetas, V, errors, widths = _fit_coefficients(ensemble, pou.weights,
+                                                         net1.centers.values, fit_cfg, delta)
         network = ShallowVectorNetwork(L, thetas, V, fit_cfg.activation, ensemble.signature,
                                        out_grid)
         converged, bound = bool(np.all(errors < delta)), epsilon
@@ -413,7 +406,7 @@ def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: flo
         cfg_j = replace(fit_cfg, seed=derive_seed(fit_cfg.seed, j))
         L_j, thetas, coeffs, errors[j] = fit_scalar_ridge(flats, weights[:, j], cfg_j, delta)
         widths[j] = len(thetas)
-        blocks.append((L_j, thetas, np.outer(coeffs, vj.values)))
+        blocks.append((L_j, thetas, np.outer(coeffs, vj)))
     L, thetas, V = (np.concatenate(parts) for parts in zip(*blocks))
     return L, thetas, V, errors, widths
 

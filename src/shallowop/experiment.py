@@ -61,15 +61,22 @@ CSV_COLUMNS = (
     "wall_ms",
 )
 
-#: the input kinds each operator kind accepts
-_OPERATOR_INPUTS = {
-    "integral": ("function",),
-    "poisson": ("function",),
-    "superposition": ("function", "sequence"),
-    "matrix_map": ("matrix",),
-    "zero": ("function", "sequence", "matrix"),
+#: the input kinds each operator kind accepts, and the fields it reads
+_OPERATORS = {
+    "integral": (("function",), ("kind", "kernel")),
+    "poisson": (("function",), ("kind",)),
+    "superposition": (("function", "sequence"), ("kind", "map")),
+    "matrix_map": (("matrix",), ("kind", "map", "out_dim")),
+    "zero": (("function", "sequence", "matrix"), ("kind", "out_dim")),
 }
-_SEMINORM_KINDS = ("lq", "sup_derivative", "schwartz", "dual")
+_DUAL_FIELDS = ("values", "name")
+#: the fields each seminorm kind reads
+_SEMINORM_FIELDS = {
+    "lq": ("kind", "q"),
+    "sup_derivative": ("kind", "order"),
+    "schwartz": ("kind", "alpha", "beta", "radius"),
+    "dual": ("kind",) + _DUAL_FIELDS,
+}
 _ENSEMBLE_FAMILIES = ("band_limited", "sequence_box", "matrix_ball")
 _FIT_DEFAULTS = {
     "activation": "tanh",
@@ -85,6 +92,12 @@ _FIT_DEFAULTS = {
 def _require(cond, field, message):
     if not cond:
         raise ConfigError(f"field {field!r}: {message}")
+
+
+def _only(doc, at, fields):
+    """ConfigError naming the first key of doc, read at field `at`, not in fields."""
+    for key in doc:
+        _require(key in fields, f"{at}.{key}" if at else key, "unknown field")
 
 
 def _get(doc, at, key, default, ok, message):
@@ -156,18 +169,14 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
-        known = {
-            "name", "operator", "grid", "ensemble", "heldout_fraction", "seminorms",
-            "target_index", "epsilons", "fit", "duals", "seed", "out", "save_networks",
-        }
-        for key in raw:
-            _require(key in known, key, "unknown config field")
+        _only(raw, "", ("name", "operator", "grid", "ensemble", "heldout_fraction",
+                        "seminorms", "target_index", "epsilons", "fit", "duals", "seed",
+                        "out", "save_networks"))
         grid = _get(raw, "", "grid", None, lambda g: g is None or _is_mapping(g),
                     "must be a mapping")
         seminorms = _mappings(raw, "seminorms", nonempty=True)
         fit = _get(raw, "", "fit", {}, _is_mapping, "must be a mapping")
-        for key in fit:
-            _require(key in _FIT_DEFAULTS, f"fit.{key}", "unknown fit field")
+        _only(fit, "fit", _FIT_DEFAULTS)
         config = ExperimentConfig(
             name=_get(raw, "", "name", "experiment", lambda v: isinstance(v, str) and v,
                       "must be a nonempty string"),
@@ -195,8 +204,12 @@ class ExperimentConfig:
             save_networks=_get(raw, "", "save_networks", False, lambda v: isinstance(v, bool),
                                "must be a boolean"),
         )
+        parts = _build(config)
+        # report errors are keyed by label, so a repeated one would hide a column
+        _unique([rho.label() for rho in parts.members], "seminorms[{}]")
+        _unique([d.label() for d in parts.duals], "duals[{}].name")
         # kept as the fit config holds it, so integer bounds read back as floats
-        config.fit["theta_range"] = list(_build(config).fit.theta_range)
+        config.fit["theta_range"] = list(parts.fit.theta_range)
         return config
 
     def to_dict(self) -> dict:
@@ -221,7 +234,15 @@ class ExperimentConfig:
         return doc
 
 
+def _unique(labels, field):
+    """ConfigError naming field.format(i) for the first label i that repeats."""
+    for i, label in enumerate(labels):
+        _require(label not in labels[:i], field.format(i),
+                 f"label {label!r} repeats that of {field.format(labels.index(label))}")
+
+
 def _build_grid(doc) -> GridMeta:
+    _only(doc, "grid", ("a", "b", "n"))
     a, b = (float(_get(doc, "grid", end, None, _is_number, "must be a finite number"))
             for end in ("a", "b"))
     n = _get(doc, "grid", "n", None, _is_int, "must be an integer")
@@ -234,6 +255,7 @@ def _build_ensemble(doc, grid) -> EnsembleSpec:
     count = _get(doc, "ensemble", "count", None, lambda c: _is_int(c) and c >= 1,
                  "must be a positive integer")
     if family == "matrix_ball":
+        _only(doc, "ensemble", ("family", "count", "shape", "radius"))
         shape = _get(doc, "ensemble", "shape", None,
                      lambda s: _is_list(s) and len(s) == 2
                      and all(_is_int(d) and d >= 1 for d in s),
@@ -241,6 +263,7 @@ def _build_ensemble(doc, grid) -> EnsembleSpec:
         radius = _get(doc, "ensemble", "radius", None, lambda r: _is_number(r) and r >= 0,
                       "must be a nonnegative number")
         return EnsembleSpec(family=family, count=count, shape=tuple(shape), radius=radius)
+    _only(doc, "ensemble", ("family", "count", "radii"))
     radii = tuple(_get(doc, "ensemble", "radii", None,
                        lambda r: _is_list(r) and r and all(_is_number(x) and x >= 0 for x in r),
                        "must be a nonempty list of nonnegative numbers"))
@@ -265,11 +288,12 @@ def build_operator(config: ExperimentConfig) -> Operator:
     """Instantiate the configured ground-truth operator."""
     doc, sig = config.operator, config.ensemble.input_signature
     kind = _get(doc, "operator", "kind", None,
-                lambda k: isinstance(k, str) and k in _OPERATOR_INPUTS,
-                f"must be one of {tuple(_OPERATOR_INPUTS)}, got {doc.get('kind')!r}")
-    inputs = _OPERATOR_INPUTS[kind]
+                lambda k: isinstance(k, str) and k in _OPERATORS,
+                f"must be one of {tuple(_OPERATORS)}, got {doc.get('kind')!r}")
+    inputs, fields = _OPERATORS[kind]
     _require(sig[0] in inputs, "operator.kind",
              f"{kind} operators need a {' or '.join(inputs)} ensemble")
+    _only(doc, "operator", fields)
     out_dim = _get(doc, "operator", "out_dim", 3, lambda d: _is_int(d) and d >= 1,
                    "must be a positive integer")
     if kind == "integral":
@@ -292,8 +316,9 @@ def build_operator(config: ExperimentConfig) -> Operator:
 
 def build_seminorm(spec: dict, field: str, op: Operator) -> Seminorm:
     """The seminorm spec describes on op's outputs; its bad fields are named under field."""
-    kind = _get(spec, field, "kind", None, lambda k: k in _SEMINORM_KINDS,
+    kind = _get(spec, field, "kind", None, lambda k: k in _SEMINORM_FIELDS,
                 f"unknown seminorm kind {spec.get('kind')!r}")
+    _only(spec, field, _SEMINORM_FIELDS[kind])
     if kind == "lq":
         return LqNorm(float(_get(spec, field, "q", 2.0, lambda q: _is_number(q) and q >= 1,
                                  "lq needs a number q >= 1")))
@@ -366,6 +391,8 @@ class _Parts(NamedTuple):
 
 def _build(config: ExperimentConfig) -> _Parts:
     op = build_operator(config)
+    for i, dual in enumerate(config.duals):
+        _only(dual, f"duals[{i}]", _DUAL_FIELDS)
     return _Parts(
         op,
         tuple(build_seminorm(s, f"seminorms[{i}]", op) for i, s in enumerate(config.seminorms)),

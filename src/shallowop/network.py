@@ -194,16 +194,9 @@ class ShallowVectorNetwork:
     def width(self) -> int:
         return self.thresholds.shape[0]
 
-    def _check_input(self, s: InputPoint):
-        if s.signature != self.input_signature:
-            raise ShapeError(
-                f"network expects input signature {self.input_signature}, got {s.signature}"
-            )
-
     def __call__(self, s: InputPoint) -> TargetElement:
-        self._check_input(s)
-        w = self.activation(self.weights @ s.flat - self.thresholds)
-        return TargetElement(w @ self.coefficients, self.output_grid)
+        """The network at one input: the one-row batch."""
+        return TargetElement(self.evaluate_many([s])[0], self.output_grid)
 
     def evaluate_many(self, samples) -> np.ndarray:
         """(n_samples, output_dim) evaluations, two matrix products per block.
@@ -215,7 +208,9 @@ class ShallowVectorNetwork:
         """
         flats, signature = stack_inputs(samples)
         if signature != self.input_signature:
-            raise ShapeError("batch signature does not match the network input")
+            raise ShapeError(
+                f"network expects input signature {self.input_signature}, got {signature}"
+            )
         out = np.empty((flats.shape[0], self.output_dim))
         for start in range(0, flats.shape[0], EVAL_BLOCK_ROWS):
             block = slice(start, start + EVAL_BLOCK_ROWS)

@@ -20,22 +20,17 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import ConfigError, ShapeError
-from .inputs import FunctionSample, InputPoint, MatrixPoint, SequencePoint, stack_inputs
+from .inputs import InputPoint, stack_inputs
 from .targets import GridMeta, TargetBatch, TargetElement
 
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Bivariate kernel K(x, s), vectorized over node arrays.
-
-    `domain` optionally pins the grid the kernel was calibrated for;
-    applying it on a different grid is then an error.
-    """
+    """Bivariate kernel K(x, s), vectorized over node arrays."""
 
     fn: object
     name: str
     params: dict = field(default_factory=dict)
-    domain: GridMeta | None = None
 
     def __call__(self, x, s):
         return self.fn(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
@@ -61,30 +56,14 @@ def make_kernel(name: str, **params) -> Kernel:
     raise ConfigError(f"unknown kernel {name!r}")
 
 
-def _integral_matrix(kernel: Kernel, in_grid: GridMeta, out_grid: GridMeta) -> np.ndarray:
-    """The (out_grid.n, in_grid.n) matrix w_k K(x_i, s_k) of the trapezoid rule."""
-    if kernel.domain is not None and kernel.domain != out_grid:
-        raise ShapeError(
-            f"kernel is calibrated for grid {kernel.domain}, output grid is {out_grid}"
-        )
-    x = out_grid.nodes()[:, None]
-    s = in_grid.nodes()[None, :]
-    return kernel(x, s) * in_grid.trapezoid_weights()
-
-
-def integral_operator_apply(kernel: Kernel, f: FunctionSample,
-                            out_grid: GridMeta | None = None) -> TargetElement:
-    """(Ff)(x_i) = sum_k w_k K(x_i, s_k) f(s_k) with trapezoid weights."""
-    if not isinstance(f, FunctionSample):
-        raise ShapeError("integral operator needs a function sample")
-    if out_grid is None:
-        out_grid = f.grid
-    mat = _integral_matrix(kernel, f.grid, out_grid)
-    return TargetElement((f.values[None, :] @ mat.T)[0], out_grid)
-
-
 def _poisson_rows(F: np.ndarray, grid: GridMeta) -> np.ndarray:
-    """-u'' = f for every row f of F: one banded solve with n right-hand sides."""
+    """-u'' = f with u = 0 at both endpoints, for every row f of F.
+
+    Standard second-order three-point scheme; the symmetric tridiagonal
+    system is solved by banded Cholesky, one solve with n right-hand sides.
+    Exact (to roundoff) whenever the true solution is a cubic, since the
+    truncation term carries u''''.
+    """
     n = grid.n
     if n < 3:
         raise ValueError(f"poisson solve needs at least 3 nodes, got {n}")
@@ -96,18 +75,6 @@ def _poisson_rows(F: np.ndarray, grid: GridMeta) -> np.ndarray:
     U = np.zeros(F.shape)
     U[:, 1:-1] = solveh_banded(ab, F[:, 1:-1].T).T
     return U
-
-
-def poisson_solve_1d(f: FunctionSample) -> TargetElement:
-    """Solve -u'' = f with u = 0 at both endpoints, on f's own grid.
-
-    Standard second-order three-point scheme; the symmetric tridiagonal
-    system is solved by banded Cholesky.  Exact (to roundoff) whenever the
-    true solution is a cubic, since the truncation term carries u''''.
-    """
-    if not isinstance(f, FunctionSample):
-        raise ShapeError("poisson solve needs a function sample")
-    return TargetElement(_poisson_rows(f.values[None, :], f.grid)[0], f.grid)
 
 
 _POINTWISE_MAPS = {
@@ -126,32 +93,13 @@ def _pointwise_map(map_id: str):
         ) from None
 
 
-def superposition_apply(map_id: str, f: InputPoint) -> TargetElement:
-    """Pointwise g(f) on function samples or truncated sequences."""
-    g = _pointwise_map(map_id)
-    if isinstance(f, FunctionSample):
-        return TargetElement(g(f.values[None, :])[0], f.grid)
-    if isinstance(f, SequencePoint):
-        return TargetElement(g(f.values[None, :])[0])
-    raise ShapeError("superposition needs a function sample or sequence point")
-
-
 def _matrix_map_rows(map_id: str, Z: np.ndarray, out_dim: int) -> np.ndarray:
-    """The benchmark map on each matrix of the (n, rows, cols) stack Z."""
+    """Row sums, or sin(trace) * e_1, of each matrix of the (n, rows, cols) stack Z."""
     if map_id == "row_sums":
         return Z.sum(axis=2)
-    if map_id == "sin_of_trace_times_basis":
-        out = np.zeros((Z.shape[0], out_dim))
-        out[:, 0] = np.sin(np.trace(Z, axis1=1, axis2=2))
-        return out
-    raise ConfigError(f"unknown matrix map {map_id!r}")
-
-
-def matrix_map_apply(map_id: str, z: MatrixPoint, out_dim: int = 3) -> TargetElement:
-    """Benchmark maps on matrix inputs."""
-    if not isinstance(z, MatrixPoint):
-        raise ShapeError("matrix map needs a matrix point")
-    return TargetElement(_matrix_map_rows(map_id, z.values[None], out_dim)[0])
+    out = np.zeros((Z.shape[0], out_dim))
+    out[:, 0] = np.sin(np.trace(Z, axis1=1, axis2=2))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,13 +150,16 @@ class Operator:
 
 
 def integral_operator(kernel: Kernel, grid: GridMeta) -> Operator:
-    """The trapezoid-rule integral operator on grid; its matrix is built once here."""
-    mat = _integral_matrix(kernel, grid, grid)
+    """(Ff)(x_i) = sum_k w_k K(x_i, s_k) f(s_k) with trapezoid weights w_k on
+    grid; the matrix w_k K(x_i, s_k) is built once here."""
+    x = grid.nodes()
+    mat = kernel(x[:, None], x[None, :]) * grid.trapezoid_weights()
     return Operator(f"integral_{kernel.name}", lambda F: F @ mat.T, ("function", grid),
                     grid.n, grid)
 
 
 def poisson_operator(grid: GridMeta) -> Operator:
+    """The 1-d Dirichlet Poisson solution operator f |-> u on grid."""
     return Operator("poisson_1d", lambda F: _poisson_rows(F, grid), ("function", grid),
                     grid.n, grid)
 

@@ -326,7 +326,7 @@ class SchwartzWeighted(Seminorm):
         return np.max(np.abs(x[mask] ** self.alpha * d[:, mask]), axis=1)
 
     def label(self) -> str:
-        return f"schwartz(a{self.alpha},b{self.beta})"
+        return f"schwartz(a{self.alpha},b{self.beta},r={self.radius:g})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,15 +388,3 @@ class SeminormFamily:
 
     def labels(self) -> list[str]:
         return [rho.label() for rho in self.members]
-
-
-def family_sup_error(family: SeminormFamily, diffs) -> np.ndarray:
-    """Per-seminorm maximum over a list of difference elements.
-
-    An empty list yields zero for every seminorm.
-    """
-    diffs = list(diffs)
-    if not diffs:
-        return np.zeros(len(family))
-    values, grid = stack_values(diffs)
-    return np.array([np.max(rho.batch(values, grid)) for rho in family])

@@ -34,7 +34,7 @@ from shallowop import (
     fit_scalar_ridge,
     integral_operator,
     make_kernel,
-    poisson_solve_1d,
+    poisson_operator,
     sample_ensemble,
     serialize_network,
     stack_flat,
@@ -201,12 +201,12 @@ def test_criterion_07_operator_oracles():
 
     # -u'' = 1, u(0) = u(1) = 0 has u = x(1-x)/2; the second-difference
     # scheme reproduces quadratics exactly
-    u = poisson_solve_1d(FunctionSample(np.ones(GRID.n), GRID))
+    u = poisson_operator(GRID)(FunctionSample(np.ones(GRID.n), GRID))
     np.testing.assert_allclose(u.values, x * (1.0 - x) / 2.0, rtol=0, atol=1e-12)
 
     def poisson_sin_err(grid):
         xs = grid.nodes()
-        u = poisson_solve_1d(FunctionSample(np.sin(np.pi * xs), grid))
+        u = poisson_operator(grid)(FunctionSample(np.sin(np.pi * xs), grid))
         return float(np.max(np.abs(u.values - np.sin(np.pi * xs) / np.pi**2)))
 
     e_p1 = poisson_sin_err(GRID)

@@ -192,6 +192,15 @@ class TestCliRun:
         ({"epsilons": [float("inf")]}, "epsilons"),
         ({"duals": [{"values": [1.0, 2.0]}]}, "duals[0].values"),
         ({"duals": [{"name": 3}]}, "duals[0].name"),
+        ({"seminorms": [{"kind": "lq", "qq": 3}]}, "seminorms[0].qq"),
+        ({"operator": {"kind": "poisson", "kernal": {}}}, "operator.kernal"),
+        ({"ensemble": {**BAND_ENSEMBLE, "radius": 1.0}}, "ensemble.radius"),
+        ({"ensemble": {**BAND_ENSEMBLE, "shape": [2, 2]}}, "ensemble.shape"),
+        ({"duals": [{"vals": [1.0]}]}, "duals[0].vals"),
+        ({"grid": {"a": 0.0, "b": 1.0, "n": 41, "m": 3}}, "grid.m"),
+        ({"seminorms": [{"kind": "schwartz", "radius": 8}, {"kind": "schwartz"}]},
+         "seminorms[1]"),
+        ({"duals": [{"name": "m"}, {"name": "m", "values": "ones"}]}, "duals[1].name"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
             "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha",
@@ -200,7 +209,9 @@ class TestCliRun:
             "string_theta_range", "string_dual_values", "float_count", "bool_count",
             "float_grid_n", "bool_width", "bool_lam", "bool_seed", "bool_target_index",
             "bool_order", "bool_q", "bool_epsilon", "infinite_epsilon",
-            "short_dual_values", "int_dual_name"])
+            "short_dual_values", "int_dual_name", "unknown_lq_key", "unknown_operator_key",
+            "band_limited_radius", "band_limited_shape", "unknown_dual_key", "unknown_grid_key",
+            "repeated_schwartz_label", "repeated_dual_name"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from shallowop.targets import (
     LqNorm,
     SeminormFamily,
     SupDerivative,
+    TargetBatch,
     TargetElement,
 )
 
@@ -45,6 +50,11 @@ ABS = LqNorm(1.0)  # on 1-entry elements this is plain absolute value
 
 def scalar_elem(x):
     return TargetElement(np.array([float(x)]))
+
+
+def scalar_batch(*xs):
+    """The 1-entry elements xs as one (len(xs), 1) batch."""
+    return TargetBatch(np.array(xs, dtype=float)[:, None])
 
 
 def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
@@ -119,7 +129,23 @@ class TestEpsilonNet:
         for rho, eps in ((LqNorm(2.0), 1.0), (SupDerivative(1), 12.0), (LqNorm(1.0), 0.6)):
             net = build_epsilon_net(values, rho, eps)
             assert net.center_indices == reference_net_indices(values, rho, eps)
-            assert all(net.centers[k] is values[i] for k, i in enumerate(net.center_indices))
+            want = np.array([values[i].values for i in net.center_indices])
+            assert net.centers.values.shape == want.shape
+            assert net.centers.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("as_batch", [True, False])
+    def test_centers_are_a_read_only_batch_of_value_rows(self, as_batch):
+        rng = np.random.default_rng(380)
+        grid = GridMeta(0.0, 1.0, 9)
+        values = TargetBatch(rng.standard_normal((50, 9)), grid)
+        net = build_epsilon_net(values if as_batch else list(values), LqNorm(2.0), 1.0)
+        assert len(net) > 1
+        assert isinstance(net.centers, TargetBatch) and net.centers.grid == grid
+        want = values.values[list(net.center_indices)]
+        assert net.centers.values.shape == want.shape
+        assert net.centers.values.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            net.centers.values[0, 0] = 1.0
 
     def test_matches_scalar_greedy_loop_across_row_blocks(self):
         rng = np.random.default_rng(370)
@@ -149,17 +175,17 @@ class TestPartition:
         np.testing.assert_array_equal(pou.weights, np.ones((3, 1)))
 
     def test_support_condition_gives_unit_weight(self):
-        net = EpsilonNet((scalar_elem(0.0), scalar_elem(2.0)), 1.5, ABS, (0, 1))
+        net = EpsilonNet(scalar_batch(0.0, 2.0), 1.5, (0, 1))
         pou = build_partition([scalar_elem(0.0)], net, ABS)
         np.testing.assert_array_equal(pou.weights, [[1.0, 0.0]])
 
     def test_equidistant_sample_splits_evenly(self):
-        net = EpsilonNet((scalar_elem(0.0), scalar_elem(2.0)), 2.0, ABS, (0, 1))
+        net = EpsilonNet(scalar_batch(0.0, 2.0), 2.0, (0, 1))
         pou = build_partition([scalar_elem(1.0)], net, ABS)
         np.testing.assert_array_equal(pou.weights, [[0.5, 0.5]])
 
     def test_uncovered_sample_diagnosed_by_index(self):
-        net = EpsilonNet((scalar_elem(0.0),), 1.0, ABS, (0,))
+        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
         with pytest.raises(CoverageError, match="sample 1"):
             build_partition([scalar_elem(0.5), scalar_elem(9.0)], net, ABS)
 
@@ -185,7 +211,7 @@ class TestPartition:
         np.testing.assert_allclose(pou.distances, want, rtol=1e-12, atol=0)
 
     def test_values_and_centers_must_share_metadata(self):
-        net = EpsilonNet((scalar_elem(0.0),), 1.0, ABS, (0,))
+        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
         with pytest.raises(ShapeError):
             build_partition([TargetElement(np.zeros(2))], net, ABS)
 
@@ -207,10 +233,30 @@ class TestFiniteRank:
             assert ABS(finite_rank_apply(pou, net, i) - values[i]) == 0.0
 
     def test_convexity_bound_survives_stripped_asserts(self):
-        net = EpsilonNet((scalar_elem(0.0),), 1.0, ABS, (0,))
-        pou = PartitionOfUnity(np.ones((1, 1)), np.full((1, 1), 1.5), 1.0, ABS)
+        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
+        pou = PartitionOfUnity(np.ones((1, 1)), np.full((1, 1), 1.5), 1.0)
         with pytest.raises(BudgetError, match="convexity bound"):
             finite_rank_apply(pou, net, 0)
+
+    def test_convexity_bound_raises_under_python_O(self):
+        code = (
+            "import numpy as np\n"
+            "from shallowop.construct import (EpsilonNet, PartitionOfUnity,\n"
+            "                                 finite_rank_apply)\n"
+            "from shallowop.errors import BudgetError\n"
+            "from shallowop.targets import TargetBatch\n"
+            "net = EpsilonNet(TargetBatch(np.zeros((1, 1))), 1.0, (0,))\n"
+            "pou = PartitionOfUnity(np.ones((1, 1)), np.full((1, 1), 1.5), 1.0)\n"
+            "try:\n"
+            "    finite_rank_apply(pou, net, 0)\n"
+            "except BudgetError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(construct.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("False convexity bound")
 
     def test_index_out_of_range(self):
         values = [scalar_elem(0.0)]

@@ -212,6 +212,13 @@ class TestRunExperiment:
         assert shared.dual_train_errors == {"lq(q=2)": mean.dual_train_errors["mean"]}
         assert shared.dual_heldout_errors == {"lq(q=2)": mean.dual_heldout_errors["mean"]}
 
+    def test_schwartz_members_with_two_radii_report_two_columns(self):
+        cfg = ExperimentConfig.from_dict(small_dict(seminorms=[
+            {"kind": "schwartz", "radius": 8.0}, {"kind": "schwartz", "radius": 0.25}]))
+        (run,) = run_experiment(cfg).runs
+        assert list(run.train_errors) == ["schwartz(a0,b0,r=8)", "schwartz(a0,b0,r=0.25)"]
+        assert list(run.heldout_errors) == list(run.train_errors)
+
     def test_dual_vector_length_mismatch_raises(self):
         with pytest.raises(ConfigError, match=r"duals\[0\].*entries"):
             ExperimentConfig.from_dict(small_dict(duals=[{"values": [1.0, 2.0]}]))

@@ -108,6 +108,17 @@ class TestEvaluate:
         np.testing.assert_allclose(out.values, TANH_1, rtol=1e-15)
         assert out.grid == grid
 
+    def test_call_is_the_one_row_batch(self):
+        rng = np.random.default_rng(2)
+        grid = GridMeta(0.0, 1.0, 5)
+        net = ShallowVectorNetwork(rng.standard_normal((7, 6)), rng.uniform(-1.0, 1.0, 7),
+                                   rng.standard_normal((7, 5)), Tanh(), ("sequence", 6), grid)
+        for _ in range(5):
+            s = SequencePoint(rng.standard_normal(6))
+            out = net(s)
+            assert out.grid == grid
+            assert out.values.tobytes() == net.evaluate_many([s])[0].tobytes()
+
     def test_input_signature_checked(self):
         net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
         with pytest.raises(ShapeError):

@@ -11,16 +11,11 @@ from shallowop.inputs import (
     sample_ensemble,
 )
 from shallowop.operators import (
-    Kernel,
     Operator,
     integral_operator,
-    integral_operator_apply,
     make_kernel,
-    matrix_map_apply,
     matrix_map_operator,
     poisson_operator,
-    poisson_solve_1d,
-    superposition_apply,
     superposition_operator,
     zero_operator,
 )
@@ -45,19 +40,19 @@ def fine_quadrature_oracle(kernel, f_analytic, xs, n_fine=2001):
 class TestIntegralOperator:
     def test_zero_kernel(self):
         g = GridMeta(0.0, 1.0, 31)
-        out = integral_operator_apply(make_kernel("constant", value=0.0), fn_sample(np.sin, g))
+        out = integral_operator(make_kernel("constant", value=0.0), g)(fn_sample(np.sin, g))
         np.testing.assert_array_equal(out.values, np.zeros(31))
 
     def test_unit_kernel_integrates_constants(self):
         g = GridMeta(0.0, 1.0, 31)
-        out = integral_operator_apply(make_kernel("constant"), fn_sample(np.ones_like, g))
+        out = integral_operator(make_kernel("constant"), g)(fn_sample(np.ones_like, g))
         np.testing.assert_allclose(out.values, 1.0, rtol=1e-12)
 
     def test_gaussian_kernel_against_fine_quadrature(self):
         g = GridMeta(0.0, 1.0, 101)
         kernel = make_kernel("gaussian", width=1.0)
         f = fn_sample(lambda x: np.sin(np.pi * x), g)
-        got = integral_operator_apply(kernel, f).values
+        got = integral_operator(kernel, g)(f).values
         want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
         assert np.max(np.abs(got - want)) < 1e-3
 
@@ -67,7 +62,7 @@ class TestIntegralOperator:
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
             f = fn_sample(lambda x: np.sin(np.pi * x), g)
-            got = integral_operator_apply(kernel, f).values
+            got = integral_operator(kernel, g)(f).values
             want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
             errs.append(np.max(np.abs(got - want)))
         assert 3.0 < errs[0] / errs[1] < 5.0
@@ -80,19 +75,10 @@ class TestIntegralOperator:
         f = FunctionSample(rng.standard_normal(41), g)
         h = FunctionSample(rng.standard_normal(41), g)
         a, b = rng.uniform(-2.0, 2.0, 2)
-        lhs = integral_operator_apply(kernel, a * f + b * h).values
-        rhs = (a * integral_operator_apply(kernel, f)
-               + b * integral_operator_apply(kernel, h)).values
+        op = integral_operator(kernel, g)
+        lhs = op(a * f + b * h).values
+        rhs = (a * op(f) + b * op(h)).values
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_calibrated_domain_mismatch(self):
-        g = GridMeta(0.0, 1.0, 11)
-        other = GridMeta(0.0, 1.0, 21)
-        kernel = Kernel(lambda x, s: x * s, "bilinear", domain=g)
-        with pytest.raises(ShapeError):
-            integral_operator_apply(kernel, fn_sample(np.sin, other))
-        # matching grid passes
-        integral_operator_apply(kernel, fn_sample(np.sin, g))
 
     def test_unknown_kernel(self):
         with pytest.raises(ConfigError):
@@ -104,14 +90,14 @@ class TestIntegralOperator:
 class TestPoisson:
     def test_unit_load_gives_parabola(self):
         g = GridMeta(0.0, 1.0, 101)
-        u = poisson_solve_1d(fn_sample(np.ones_like, g))
+        u = poisson_operator(g)(fn_sample(np.ones_like, g))
         x = g.nodes()
         np.testing.assert_allclose(u.values, x * (1.0 - x) / 2.0, atol=1e-13)
         assert u.values[50] == pytest.approx(0.125, abs=1e-13)
 
     def test_boundary_values_exactly_zero(self):
         g = GridMeta(0.0, 1.0, 41)
-        u = poisson_solve_1d(FunctionSample(np.random.default_rng(0).standard_normal(41), g))
+        u = poisson_operator(g)(FunctionSample(np.random.default_rng(0).standard_normal(41), g))
         assert u.values[0] == 0.0
         assert u.values[-1] == 0.0
 
@@ -119,7 +105,7 @@ class TestPoisson:
         errs = []
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
-            u = poisson_solve_1d(fn_sample(lambda x: np.sin(np.pi * x), g))
+            u = poisson_operator(g)(fn_sample(lambda x: np.sin(np.pi * x), g))
             exact = np.sin(np.pi * g.nodes()) / np.pi**2
             errs.append(np.max(np.abs(u.values - exact)))
         assert errs[0] < 1e-3
@@ -127,7 +113,7 @@ class TestPoisson:
 
     def test_zero_load(self):
         g = GridMeta(0.0, 1.0, 11)
-        u = poisson_solve_1d(fn_sample(np.zeros_like, g))
+        u = poisson_operator(g)(fn_sample(np.zeros_like, g))
         np.testing.assert_array_equal(u.values, np.zeros(11))
 
     @pytest.mark.parametrize("trial", range(5))
@@ -137,8 +123,9 @@ class TestPoisson:
         f = FunctionSample(rng.standard_normal(33), g)
         h = FunctionSample(rng.standard_normal(33), g)
         a, b = rng.uniform(-2.0, 2.0, 2)
-        lhs = poisson_solve_1d(a * f + b * h).values
-        rhs = (a * poisson_solve_1d(f) + b * poisson_solve_1d(h)).values
+        op = poisson_operator(g)
+        lhs = op(a * f + b * h).values
+        rhs = (a * op(f) + b * op(h)).values
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("trial", range(5))
@@ -146,60 +133,62 @@ class TestPoisson:
         rng = np.random.default_rng(60 + trial)
         g = GridMeta(0.0, 1.0, 51)
         f = FunctionSample(np.abs(rng.standard_normal(51)), g)
-        assert np.min(poisson_solve_1d(f).values) >= -1e-12
+        assert np.min(poisson_operator(g)(f).values) >= -1e-12
 
     def test_too_few_nodes(self):
+        g = GridMeta(0.0, 1.0, 2)
         with pytest.raises(ValueError):
-            poisson_solve_1d(fn_sample(np.ones_like, GridMeta(0.0, 1.0, 2)))
+            poisson_operator(g)(fn_sample(np.ones_like, g))
 
 
 class TestSuperposition:
     def test_sin_of_zero(self):
         g = GridMeta(0.0, 1.0, 11)
-        out = superposition_apply("sin", fn_sample(np.zeros_like, g))
+        out = superposition_operator("sin", ("function", g))(fn_sample(np.zeros_like, g))
         np.testing.assert_array_equal(out.values, np.zeros(11))
 
     def test_square_is_exact_nodewise(self):
         g = GridMeta(0.0, 1.0, 11)
-        out = superposition_apply("square", fn_sample(lambda x: x, g))
+        out = superposition_operator("square", ("function", g))(fn_sample(lambda x: x, g))
         np.testing.assert_array_equal(out.values, g.nodes() ** 2)
 
     def test_exp_minus_constant(self):
         g = GridMeta(0.0, 1.0, 11)
-        out = superposition_apply("exp-", fn_sample(np.ones_like, g))
+        out = superposition_operator("exp-", ("function", g))(fn_sample(np.ones_like, g))
         np.testing.assert_allclose(out.values, EXP_NEG_1, rtol=1e-15)
 
     def test_sequence_input(self):
-        out = superposition_apply("sin", SequencePoint([0.0, np.pi / 2]))
+        out = superposition_operator("sin", ("sequence", 2))(SequencePoint([0.0, np.pi / 2]))
         np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-15)
         assert out.grid is None
 
     def test_unknown_map(self):
         g = GridMeta(0.0, 1.0, 11)
         with pytest.raises(ConfigError):
-            superposition_apply("cube", fn_sample(np.ones_like, g))
+            superposition_operator("cube", ("function", g))(fn_sample(np.ones_like, g))
 
 
 class TestMatrixMaps:
     def test_row_sums(self):
-        out = matrix_map_apply("row_sums", MatrixPoint([[1.0, 2.0], [3.0, 4.0]]))
+        out = matrix_map_operator("row_sums", (2, 2))(MatrixPoint([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(out.values, [3.0, 7.0])
 
     def test_zero_matrix(self):
         z = MatrixPoint(np.zeros((2, 2)))
-        np.testing.assert_array_equal(matrix_map_apply("row_sums", z).values, [0.0, 0.0])
+        np.testing.assert_array_equal(matrix_map_operator("row_sums", (2, 2))(z).values,
+                                      [0.0, 0.0])
         np.testing.assert_array_equal(
-            matrix_map_apply("sin_of_trace_times_basis", z).values, [0.0, 0.0, 0.0]
+            matrix_map_operator("sin_of_trace_times_basis", (2, 2))(z).values, [0.0, 0.0, 0.0]
         )
 
     def test_sin_of_trace_at_half_pi(self):
         z = MatrixPoint(np.diag([np.pi / 4, np.pi / 4]))
-        out = matrix_map_apply("sin_of_trace_times_basis", z)
+        out = matrix_map_operator("sin_of_trace_times_basis", (2, 2))(z)
         np.testing.assert_allclose(out.values, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_unknown_map(self):
         with pytest.raises(ConfigError):
-            matrix_map_apply("det", MatrixPoint(np.eye(2)))
+            matrix_map_operator("det", (2, 2))(MatrixPoint(np.eye(2)))
 
 
 class TestOperatorWrappers:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from shallowop.construct import uniform_error
 from shallowop.errors import ShapeError
+from shallowop.inputs import SequencePoint
+from shallowop.network import ShallowVectorNetwork, Tanh
 from shallowop.targets import (
     DualPairing,
     GridMeta,
@@ -11,7 +14,6 @@ from shallowop.targets import (
     SeminormFamily,
     SupDerivative,
     TargetElement,
-    family_sup_error,
     stack_values,
 )
 
@@ -158,6 +160,10 @@ class TestSchwartzWeighted:
         with pytest.raises(ShapeError):
             SchwartzWeighted()(TargetElement(np.ones(8)))
 
+    def test_label_names_the_radius(self):
+        assert SchwartzWeighted(1, 2, 8.0).label() == "schwartz(a1,b2,r=8)"
+        assert SchwartzWeighted(radius=0.25).label() != SchwartzWeighted().label()
+
 
 class TestDualPairing:
     def test_pairing_against_constant_integrates(self):
@@ -240,19 +246,6 @@ class TestSeminormFamily:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SeminormFamily(())
-
-    def test_family_sup_error(self):
-        g = GridMeta(0.0, 1.0, 11)
-        fam = SeminormFamily((LqNorm(1.0), SupDerivative(0)))
-        diffs = [
-            TargetElement(np.ones(11), g),
-            TargetElement(np.full(11, 2.0), g),
-        ]
-        np.testing.assert_allclose(family_sup_error(fam, diffs), [2.0, 2.0], rtol=1e-12)
-
-    def test_family_sup_error_empty(self):
-        fam = SeminormFamily((LqNorm(2.0),))
-        np.testing.assert_array_equal(family_sup_error(fam, []), [0.0])
 
 
 def scalar_reference(rho, v, grid):
@@ -362,17 +355,13 @@ class TestBatch:
                 return "max_abs"
 
         assert MaxAbs()(TargetElement(np.array([1.0, -3.0]))) == 3.0
+        # a family of it measures the pipeline's uniform error; against the
+        # zero network the residuals are the values themselves
         fam = SeminormFamily((MaxAbs(),))
         diffs = [TargetElement(np.array([1.0, -3.0])), TargetElement(np.array([4.0, 0.0]))]
-        np.testing.assert_array_equal(family_sup_error(fam, diffs), [4.0])
-
-    def test_family_sup_error_is_max_over_elements(self):
-        rng = np.random.default_rng(3)
-        g = GridMeta(0.0, 1.0, 21)
-        fam = SeminormFamily((LqNorm(2.0), SupDerivative(1), DualPairing(np.ones(21), g)))
-        diffs = [TargetElement(rng.standard_normal(21), g) for _ in range(9)]
-        want = [max(rho(d) for d in diffs) for rho in fam]
-        np.testing.assert_allclose(family_sup_error(fam, diffs), want, rtol=1e-12, atol=0)
+        inputs = [SequencePoint([0.0]), SequencePoint([1.0])]
+        zero = ShallowVectorNetwork.zero(Tanh(), ("sequence", 1), 2)
+        np.testing.assert_array_equal(uniform_error(diffs, zero, inputs, fam), [4.0])
 
     def test_stack_values_rejects_mixed_metadata(self):
         g = GridMeta(0.0, 1.0, 5)
