@@ -79,4 +79,4 @@ from .targets import (
     TargetElement,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -11,7 +11,7 @@ uniform error by epsilon whenever every scalar fit met delta.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,11 @@ from .targets import Seminorm, SeminormFamily, TargetBatch, TargetElement, stack
 #: rows per batched seminorm call: a block's temporaries stay in cache, which
 #: makes a pass over thousands of rows about three times faster than one call
 SEMINORM_BLOCK_ROWS = 256
+
+#: bytes of float64 factor input per np.linalg.qr call in stage 2: the fits
+#: solve their designs in stacks of this size, so their working set stays
+#: bounded however many partition columns a run has
+SOLVE_STACK_BYTES = 1 << 20
 
 
 def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.ndarray:
@@ -147,33 +152,109 @@ def finite_rank_apply(pou: PartitionOfUnity, net: EpsilonNet, sample_index: int)
 
 
 def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """Minimize ||A c - y||^2 + lam ||c||^2.
+    """Minimize ||A c - y||^2 + lam ||c||^2 for one design or a stack of them.
 
-    Solved as one least-squares problem on the sqrt(lam)-augmented matrix, so
-    the conditioning is that of A itself rather than of A^T A.  With lam = 0
-    this is the minimum-norm solution; a rank-deficient design then triggers
-    a warning because the minimizer is no longer unique.
+    design is one (n, k) matrix with targets (n,), or a (b, n, k) stack with
+    targets (b, n); the result is (k,) or (b, k).  Every member is solved
+    from one Householder QR, all members by one np.linalg.qr call:
+    - a tall design (n >= k), or any design with lam > 0, factors [A | y]
+      with A augmented by sqrt(lam) I, so the conditioning is that of A
+      rather than of A^T A, and back-substitutes;
+    - a wide design (n < k) with lam = 0 takes the minimum-norm solution
+      Q R^-T y from the QR of A^T = Q R.
+    A member whose triangular factor is numerically singular (its diagonal
+    ratio min |r_ii| / max |r_ii| is at most eps * max(n, k)), or whose
+    coefficients come out non-finite, is solved alone by SVD least squares
+    instead.  With lam = 0 that is the minimum-norm minimizer, and a warning
+    says the design is rank-deficient.  A member's result depends only on
+    its own design, targets and lam, never on the rest of its stack.
     """
     design = np.asarray(design, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if design.ndim != 2 or targets.ndim != 1 or design.shape[0] != targets.shape[0]:
+    single = design.ndim == 2
+    if single:
+        design, targets = design[None], targets[None]
+    if design.ndim != 3 or targets.ndim != 2 or design.shape[:2] != targets.shape:
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
     if lam < 0:
         raise ValueError(f"regularization must be nonnegative, got {lam}")
+    b, n, k = design.shape
+    coeffs = np.full((b, k), np.nan)
+    if lam > 0 or n >= k:
+        # [A | y], rows augmented by [sqrt(lam) I | 0], laid out column by
+        # column as LAPACK reads it, so the QR copies no transposes
+        columns = np.empty((b, k + 1, n + k if lam > 0 else n))
+        columns[:, :k, :n] = design.transpose(0, 2, 1)
+        columns[:, k, :n] = targets
+        if lam > 0:
+            columns[:, :k, n:] = np.sqrt(lam) * np.eye(k)
+            columns[:, k, n:] = 0.0
+        R = np.linalg.qr(columns.transpose(0, 2, 1), mode="r")
+        tri, rhs = R[:, :k, :k], R[:, :k, k]
+        solved = _solvable(tri, n, k)
+        coeffs[solved] = _back_substitute(tri[solved], rhs[solved])
+    else:
+        # A^T = Q R with Q = H_0 ... H_{n-1} kept as Householder reflectors:
+        # row i of reflectors holds v_i[i + 1:] (v_i[i] = 1), and its first
+        # n columns hold R^T in their lower triangle
+        reflectors, tau = np.linalg.qr(design.transpose(0, 2, 1), mode="raw")
+        lower = np.tril(reflectors[:, :, :n])
+        solved = _solvable(lower, n, k)
+        # R^T reversed in both axes is upper triangular
+        w = _back_substitute(lower[solved][:, ::-1, ::-1],
+                             targets[solved][:, ::-1])[:, ::-1]
+        coeffs[solved] = _apply_reflectors(reflectors[solved], tau[solved], w)
+    for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1)):
+        coeffs[i] = _svd_solve(design[i], targets[i], lam)
+    return coeffs[0] if single else coeffs
+
+
+def _solvable(tri: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Members of a stack of triangular factors that are not numerically singular."""
+    diag = np.abs(np.diagonal(tri, axis1=1, axis2=2))
+    return diag.min(axis=1) > np.finfo(float).eps * max(n, k) * diag.max(axis=1)
+
+
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """upper^-1 rhs for a stack of nonsingular upper-triangular matrices.
+
+    Partial pivoting swaps no rows of an upper-triangular matrix, so the LU
+    solve is back substitution and meets no zero pivot.
+    """
+    return np.linalg.solve(upper, rhs[:, :, None])[:, :, 0]
+
+
+def _apply_reflectors(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q [w; 0] for a stack of Q = H_0 ... H_{n-1}, H_i = I - tau_i v_i v_i^T,
+    stored as np.linalg.qr(..., mode="raw") returns them; applying the n
+    reflectors is cheaper than forming Q.  Overwrites the diagonal of
+    reflectors with the implicit v_i[i] = 1.
+    """
+    b, n, k = reflectors.shape
+    reflectors[:, range(n), range(n)] = 1.0
+    x = np.zeros((b, k))
+    x[:, :n] = w
+    for i in range(n - 1, -1, -1):
+        v, tail = reflectors[:, i, i:], x[:, i:]
+        tail -= (tau[:, i] * np.einsum("bj,bj->b", v, tail))[:, None] * v
+    return x
+
+
+def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+    """One member by SVD least squares on the sqrt(lam)-augmented design."""
     n, k = design.shape
     if lam > 0:
         aug = np.vstack([design, np.sqrt(lam) * np.eye(k)])
         rhs = np.concatenate([targets, np.zeros(k)])
-        coeffs, _, _, _ = np.linalg.lstsq(aug, rhs, rcond=None)
-        return coeffs
+        return np.linalg.lstsq(aug, rhs, rcond=None)[0]
     coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < min(n, k):
         warnings.warn(
             f"unregularized design is rank-deficient (rank {rank} < {min(n, k)}); "
             "solution is the minimum-norm minimizer",
-            stacklevel=2,
+            stacklevel=3,
         )
     return coeffs
 
@@ -207,17 +288,23 @@ class FitConfig:
         object.__setattr__(self, "activation", make_activation(self.activation))
 
 
-def draw_features(cfg: FitConfig, width: int, signature: tuple):
-    """Feature bank (L, theta) for a width: row 0 is the bias, the rest random.
+def draw_features(cfg: FitConfig, width: int, signature: tuple, streams=None, start: int = 0):
+    """Features [start, width) of cfg's bank (L, theta): row 0 is the bias,
+    the rest random.
 
     Weight rows 1.. are drawn in order from the generator seeded by
     derive_seed(cfg.seed, 0), and thresholds 0.. from the one seeded by
     derive_seed(cfg.seed, 1); the bias row L[0] is zero.  Smaller widths are
-    therefore prefixes of larger ones, so width sweeps compare nested models,
-    and fit_scalar_ridge grows exactly this bank across its width doublings.
+    therefore prefixes of larger ones, so width sweeps compare nested models.
+    streams, when given, are the bank's two generators after features
+    [0, start) were drawn from them, and only the new features are drawn:
+    fit_scalar_ridge grows its banks that way across width doublings.
     """
     _require_pairing(cfg.functional_spec, signature)
-    return _draw_rows(cfg, _feature_streams(cfg.seed), 0, width)
+    if streams is None:
+        L, thetas = _draw_rows(cfg, _feature_streams(cfg.seed), 0, width)
+        return L[start:], thetas[start:]
+    return _draw_rows(cfg, streams, start, width)
 
 
 def _require_pairing(spec: FunctionalSpec, signature: tuple):
@@ -248,13 +335,17 @@ def _draw_rows(cfg: FitConfig, streams, start: int, stop: int):
 
 
 def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
-    """Ridge-solve the coefficients of one design matrix.
+    """Ridge-solve the coefficients of one design matrix or a stack of them.
 
     Returns (coeffs, sup_error), sup_error being the largest absolute
-    training residual.
+    training residual: a float for one (n, k) design, and one per member,
+    shape (b,), for a (b, n, k) stack with targets (b, n).
     """
     coeffs = least_squares_solve(design, targets, lam)
-    return coeffs, float(np.max(np.abs(design @ coeffs - targets)))
+    design = np.asarray(design, dtype=float)
+    residual = np.matmul(design, coeffs[..., None])[..., 0] - targets
+    sup_error = np.max(np.abs(residual), axis=-1)
+    return coeffs, (float(sup_error) if design.ndim == 2 else sup_error)
 
 
 def fit_scalar_ridge(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, delta: float):
@@ -264,31 +355,67 @@ def fit_scalar_ridge(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, del
     cfg.width and doubles until the training sup error drops below delta or
     the width reaches cfg.max_width (a fixed-width fit sets max_width =
     width).  The bank is the one draw_features(cfg, width) gives: each
-    doubling continues its two streams for the new features only and
-    appends their design columns.  Returns (L, theta, coeffs, sup_error).
+    doubling continues its two streams for the new features only.  Returns
+    (L, theta, coeffs, sup_error).  This is the one-column case of the fit
+    assembly runs for every partition column.
     """
     dim = signature_dim(cfg.functional_spec.signature)
     if flats.ndim != 2 or flats.shape[1] != dim:
         raise ShapeError(f"inputs {flats.shape} do not stack to {dim}-vectors")
-    streams = _feature_streams(cfg.seed)
-    L = thetas = design = None
+    return _fit_columns(flats, np.asarray(targets, dtype=float)[:, None], cfg, [cfg.seed],
+                        delta)[0]
+
+
+def _fit_columns(flats, targets, cfg: FitConfig, seeds, delta: float):
+    """Fit column j of targets with the bank seeded by seeds[j], every column
+    stepping through the width schedule in lockstep.
+
+    All pending columns share one width: cfg.width, doubled per step up to
+    cfg.max_width.  A step draws each pending bank's new features with
+    draw_features, continuing its streams, and solves the pending designs in
+    stacks of at most SOLVE_STACK_BYTES; a column stops once its training
+    sup error is below delta or its width reaches cfg.max_width.  Returns one
+    (L, theta, coeffs, sup_error) per column.
+    """
+    n = flats.shape[0]
+    signature = cfg.functional_spec.signature
+    streams = [_feature_streams(seed) for seed in seeds]
+    banks = [(np.empty((0, flats.shape[1])), np.empty(0))] * len(seeds)
+    fits = [None] * len(seeds)
+    pending = list(range(len(seeds)))
     width, target = 0, cfg.width
-    while True:
-        new_L, new_thetas = _draw_rows(cfg, streams, width, target)
-        columns = flats @ new_L.T
-        columns -= new_thetas
-        columns = cfg.activation(columns)
-        if design is None:
-            L, thetas, design = new_L, new_thetas, columns
-        else:
-            L = np.vstack([L, new_L])
-            thetas = np.concatenate([thetas, new_thetas])
-            design = np.hstack([design, columns])
+    while pending:
+        for j in pending:
+            new_L, new_thetas = draw_features(cfg, target, signature, streams[j], width)
+            banks[j] = (np.vstack([banks[j][0], new_L]),
+                        np.concatenate([banks[j][1], new_thetas]))
         width = target
-        coeffs, sup_error = fit_ridge_features(design, targets, cfg.lam)
-        if sup_error < delta or width >= cfg.max_width:
-            return L, thetas, coeffs, sup_error
+        size = _stack_size(n, width, cfg.lam)
+        for first in range(0, len(pending), size):
+            stack = pending[first:first + size]
+            # member i holds the transposed design A^T: one feature per row
+            designs = np.empty((len(stack), width, n))
+            for i, j in enumerate(stack):
+                L, thetas = banks[j]
+                block = np.matmul(L, flats.T, out=designs[i])
+                block -= thetas[:, None]
+                designs[i] = cfg.activation(block)
+            coeffs, errors = fit_ridge_features(designs.transpose(0, 2, 1),
+                                                targets[:, stack].T, cfg.lam)
+            for i, j in enumerate(stack):
+                if errors[i] < delta or width >= cfg.max_width:
+                    fits[j] = (*banks[j], coeffs[i], float(errors[i]))
+        pending = [j for j in pending if fits[j] is None]
         target = min(2 * width, cfg.max_width)
+    return fits
+
+
+def _stack_size(n: int, width: int, lam: float) -> int:
+    """Members per solve stack: as many (n, width) designs as keep the
+    column-major [A | y] that least_squares_solve factors within
+    SOLVE_STACK_BYTES, and at least one."""
+    rows = n + width if lam > 0 else n
+    return max(1, SOLVE_STACK_BYTES // (8 * rows * (width + 1)))
 
 
 @dataclass(frozen=True)
@@ -388,26 +515,22 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
 
 
 def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: float):
-    """Fit partition column j with fit_scalar_ridge under the bank seed
-    derive_seed(fit_cfg.seed, j) and return the network matrices
+    """Fit every partition column j, as fit_scalar_ridge would under the bank
+    seed derive_seed(fit_cfg.seed, j), and return the network matrices
     (L, theta, V), sup errors and widths.
 
-    Every column is fitted on the ensemble's input matrix.  Column j
+    The columns are fitted together on the ensemble's input matrix.  Column j
     contributes one block of rows: its bank's weight rows and thresholds,
     and the outer product of its ridge coefficients with center j.
     """
     _require_pairing(fit_cfg.functional_spec, ensemble.signature)
-    flats = ensemble.flats
-    m = len(centers)
-    blocks = []
-    errors = np.empty(m)
-    widths = np.empty(m, dtype=int)
-    for j, vj in enumerate(centers):
-        cfg_j = replace(fit_cfg, seed=derive_seed(fit_cfg.seed, j))
-        L_j, thetas, coeffs, errors[j] = fit_scalar_ridge(flats, weights[:, j], cfg_j, delta)
-        widths[j] = len(thetas)
-        blocks.append((L_j, thetas, np.outer(coeffs, vj)))
-    L, thetas, V = (np.concatenate(parts) for parts in zip(*blocks))
+    seeds = [derive_seed(fit_cfg.seed, j) for j in range(len(centers))]
+    fits = _fit_columns(ensemble.flats, weights, fit_cfg, seeds, delta)
+    L = np.concatenate([fit[0] for fit in fits])
+    thetas = np.concatenate([fit[1] for fit in fits])
+    V = np.concatenate([np.outer(fit[2], vj) for fit, vj in zip(fits, centers)])
+    errors = np.array([fit[3] for fit in fits])
+    widths = np.array([len(fit[1]) for fit in fits], dtype=int)
     return L, thetas, V, errors, widths
 
 

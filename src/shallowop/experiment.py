@@ -77,6 +77,11 @@ _SEMINORM_FIELDS = {
     "schwartz": ("kind", "alpha", "beta", "radius"),
     "dual": ("kind",) + _DUAL_FIELDS,
 }
+#: each kernel's one parameter: (field, default, check, message)
+_KERNEL_PARAMS = {
+    "gaussian": ("width", 1.0, lambda w: _is_number(w) and w > 0, "must be a positive number"),
+    "constant": ("value", 1.0, lambda v: _is_number(v), "must be a finite number"),
+}
 _ENSEMBLE_FAMILIES = ("band_limited", "sequence_box", "matrix_ball")
 _FIT_DEFAULTS = {
     "activation": "tanh",
@@ -297,12 +302,14 @@ def build_operator(config: ExperimentConfig) -> Operator:
     out_dim = _get(doc, "operator", "out_dim", 3, lambda d: _is_int(d) and d >= 1,
                    "must be a positive integer")
     if kind == "integral":
-        kernel = _get(doc, "operator", "kernel", {"name": "gaussian"},
-                      lambda k: _is_mapping(k) and "name" in k,
-                      "must be a mapping with a kernel name")
-        params = {k: v for k, v in kernel.items() if k != "name"}
-        return integral_operator(
-            _named("operator.kernel", make_kernel, kernel["name"], **params), sig[1])
+        kernel = _get(doc, "operator", "kernel", {"name": "gaussian"}, _is_mapping,
+                      "must be a mapping")
+        name = _get(kernel, "operator.kernel", "name", None, lambda k: k in _KERNEL_PARAMS,
+                    f"must be one of {tuple(_KERNEL_PARAMS)}, got {kernel.get('name')!r}")
+        param, default, ok, message = _KERNEL_PARAMS[name]
+        _only(kernel, "operator.kernel", ("name", param))
+        value = float(_get(kernel, "operator.kernel", param, default, ok, message))
+        return integral_operator(make_kernel(name, **{param: value}), sig[1])
     if kind == "poisson":
         return poisson_operator(sig[1])
     if kind == "superposition":

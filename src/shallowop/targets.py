@@ -246,6 +246,13 @@ class Seminorm:
         raise NotImplementedError
 
 
+def _number_label(x: float) -> str:
+    """x as :g writes it when that reads back as x, else its round-trip repr,
+    so seminorms that differ in a parameter never share a label."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class LqNorm(Seminorm):
     """Discrete Lq norm: trapezoid-weighted on grid elements, plain lq else."""
@@ -269,7 +276,7 @@ class LqNorm(Seminorm):
         return np.sum(a, axis=1) ** (1.0 / self.q)
 
     def label(self) -> str:
-        return f"lq(q={self.q:g})"
+        return f"lq(q={_number_label(self.q)})"
 
 
 @dataclass(frozen=True)
@@ -326,7 +333,7 @@ class SchwartzWeighted(Seminorm):
         return np.max(np.abs(x[mask] ** self.alpha * d[:, mask]), axis=1)
 
     def label(self) -> str:
-        return f"schwartz(a{self.alpha},b{self.beta},r={self.radius:g})"
+        return f"schwartz(a{self.alpha},b{self.beta},r={_number_label(self.radius)})"
 
 
 @dataclass(frozen=True, eq=False)

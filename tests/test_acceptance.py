@@ -3,9 +3,11 @@
 One test per numbered criterion; each finishes by printing a single
 "criterion NN PASS" line with its measured quantities (visible with -s or
 in captured output), so the -v listing plus these lines give one
-pass/fail line per criterion.
+pass/fail line per criterion.  One more table pins what every preset run
+builds, so a change to how stage 2 solves cannot move it unnoticed.
 """
 
+import itertools
 import json
 import time
 
@@ -303,3 +305,37 @@ def test_criterion_10_preset_settings_converge(preset_sweep):
         run = next(r for r in reports[name].runs if r.epsilon == 0.1)
         assert run.converged, f"{name} failed to converge at eps=0.1"
     report_line(10, "function/sequence/matrix/Hilbert presets converged at eps=0.1")
+
+
+# (preset, epsilon, m, coefficient widths as (width, repeat) runs, converged)
+# of every preset run, as version 0.8.0 built them
+PRESET_RUNS = (
+    ("integral_gaussian", 0.2, 9, ((128, 4), (64, 1), (128, 4)), True),
+    ("integral_gaussian", 0.1, 31, ((128, 31),), True),
+    ("integral_gaussian", 0.05, 59, ((128, 59),), True),
+    ("poisson_dirichlet", 0.2, 2, ((64, 2),), True),
+    ("poisson_dirichlet", 0.1, 2, ((64, 2),), True),
+    ("poisson_dirichlet", 0.05, 6, ((64, 1), (128, 3), (64, 1), (128, 1)), True),
+    ("superposition_sin", 0.2, 58, ((128, 58),), True),
+    ("superposition_sin", 0.1, 70, ((128, 70),), True),
+    ("superposition_sin", 0.05, 79, ((128, 79),), True),
+    ("matrix_sin_trace", 0.2, 14, ((128, 14),), True),
+    ("matrix_sin_trace", 0.1, 25, ((128, 25),), True),
+    ("sequence_decay", 0.2, 31, ((128, 31),), True),
+    ("sequence_decay", 0.1, 64, ((128, 64),), True),
+    ("hilbert_poisson", 0.2, 1, ((64, 1),), True),
+    ("hilbert_poisson", 0.1, 3, ((64, 3),), True),
+    ("hilbert_poisson", 0.05, 5, ((128, 1), (64, 1), (128, 2), (64, 1)), True),
+    ("zero_map", 0.1, 1, ((0, 1),), True),
+)
+
+
+def test_preset_runs_keep_their_centers_widths_and_convergence(preset_sweep):
+    reports, _ = preset_sweep
+    built = []
+    for name in preset_names():
+        for run in reports[name].runs:
+            widths = [(w, sum(1 for _ in group))
+                      for w, group in itertools.groupby(run.coefficient_widths)]
+            built.append((name, run.epsilon, run.m_centers, tuple(widths), run.converged))
+    assert built == list(PRESET_RUNS)

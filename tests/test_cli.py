@@ -201,6 +201,22 @@ class TestCliRun:
         ({"seminorms": [{"kind": "schwartz", "radius": 8}, {"kind": "schwartz"}]},
          "seminorms[1]"),
         ({"duals": [{"name": "m"}, {"name": "m", "values": "ones"}]}, "duals[1].name"),
+        ({"operator": {"kind": "integral", "kernel": {"name": "gaussian", "width": "nan"}}},
+         "operator.kernel.width"),
+        ({"operator": {"kind": "integral", "kernel": {"name": "gaussian", "width": "0.25"}}},
+         "operator.kernel.width"),
+        ({"operator": {"kind": "integral", "kernel": {"name": "gaussian", "width": True}}},
+         "operator.kernel.width"),
+        ({"operator": {"kind": "integral", "kernel": {"name": "gaussian",
+                                                       "width": float("nan")}}},
+         "operator.kernel.width"),
+        ({"operator": {"kind": "integral", "kernel": {"name": "constant", "value": "nan"}}},
+         "operator.kernel.value"),
+        ({"operator": {"kind": "integral", "kernel": {"name": "constant", "value": True}}},
+         "operator.kernel.value"),
+        ({"operator": {"kind": "integral", "kernel": {"width": 0.25}}}, "operator.kernel.name"),
+        ({"operator": {"kind": "integral", "kernel": {"name": "gaussian", "value": 1.0}}},
+         "operator.kernel.value"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
             "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha",
@@ -211,7 +227,10 @@ class TestCliRun:
             "bool_order", "bool_q", "bool_epsilon", "infinite_epsilon",
             "short_dual_values", "int_dual_name", "unknown_lq_key", "unknown_operator_key",
             "band_limited_radius", "band_limited_shape", "unknown_dual_key", "unknown_grid_key",
-            "repeated_schwartz_label", "repeated_dual_name"])
+            "repeated_schwartz_label", "repeated_dual_name", "string_nan_kernel_width",
+            "string_kernel_width", "bool_kernel_width", "nan_kernel_width",
+            "string_kernel_value", "bool_kernel_value", "unnamed_kernel",
+            "kernel_param_of_another_kernel"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):

@@ -332,6 +332,76 @@ class TestLeastSquares:
             least_squares_solve(np.eye(3), np.ones(2), 0.0)
         with pytest.raises(ValueError):
             least_squares_solve(np.eye(2), np.ones(2), -1.0)
+        with pytest.raises(ShapeError):
+            least_squares_solve(np.ones((2, 3, 3)), np.ones((3, 3)), 0.0)
+
+
+def random_stack(rng, b, n, k):
+    return rng.standard_normal((b, n, k)), rng.standard_normal((b, n))
+
+
+def reference_solve(a, y, lam):
+    """SVD least squares on the sqrt(lam)-augmented matrix, one matrix."""
+    k = a.shape[1]
+    aug = np.vstack([a, np.sqrt(lam) * np.eye(k)])
+    return np.linalg.lstsq(aug, np.concatenate([y, np.zeros(k)]), rcond=None)[0]
+
+
+class TestStackedSolve:
+    # the last two are large enough for blocked factorizations
+    SHAPES = [(30, 8, 0.0), (12, 12, 0.0), (8, 20, 0.0), (30, 8, 1e-3), (8, 20, 1e-3),
+              (400, 96, 0.0), (80, 300, 0.0)]
+    IDS = ["tall", "square", "wide", "tall_lam", "wide_lam", "tall_large", "wide_large"]
+
+    @pytest.mark.parametrize("n, k, lam", SHAPES, ids=IDS)
+    def test_agrees_with_per_matrix_lstsq(self, n, k, lam):
+        rng = np.random.default_rng(n * k)
+        a, y = random_stack(rng, 5, n, k)
+        coeffs = least_squares_solve(a, y, lam)
+        assert coeffs.shape == (5, k)
+        for i in range(5):
+            np.testing.assert_allclose(coeffs[i], reference_solve(a[i], y[i], lam),
+                                       rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("n, k, lam", SHAPES, ids=IDS)
+    def test_member_bitwise_independent_of_its_stack(self, n, k, lam):
+        rng = np.random.default_rng(7 + n + k)
+        a, y = random_stack(rng, 6, n, k)
+        coeffs, errors = fit_ridge_features(a, y, lam)
+        other_a, other_y = random_stack(rng, 4, n, k)
+        for i in range(6):
+            alone = fit_ridge_features(a[i], y[i], lam)
+            np.testing.assert_array_equal(coeffs[i], alone[0])
+            assert errors[i] == alone[1]
+            # the same member among other members, at another position
+            mixed_a = np.concatenate([other_a[:i % 4 + 1], a[i:i + 1], other_a])
+            mixed_y = np.concatenate([other_y[:i % 4 + 1], y[i:i + 1], other_y])
+            mixed, mixed_errors = fit_ridge_features(mixed_a, mixed_y, lam)
+            np.testing.assert_array_equal(mixed[i % 4 + 1], coeffs[i])
+            assert mixed_errors[i % 4 + 1] == errors[i]
+        reversed_coeffs, _ = fit_ridge_features(a[::-1], y[::-1], lam)
+        np.testing.assert_array_equal(reversed_coeffs[::-1], coeffs)
+
+    @pytest.mark.parametrize("n, k", [(9, 4), (4, 9)], ids=["tall", "wide"])
+    def test_rank_deficient_member_falls_back_alone(self, n, k):
+        rng = np.random.default_rng(11)
+        a, y = random_stack(rng, 3, n, k)
+        # duplicate columns (tall) or rows (wide) make member 1 rank-deficient
+        if n >= k:
+            a[1, :, 1] = a[1, :, 0]
+        else:
+            a[1, 1] = a[1, 0]
+        with pytest.warns(UserWarning, match="rank-deficient") as caught:
+            coeffs = least_squares_solve(a, y, 0.0)
+        assert len([w for w in caught if "rank-deficient" in str(w.message)]) == 1
+        # the minimum-norm minimizer, as SVD least squares gives it
+        np.testing.assert_array_equal(coeffs[1], np.linalg.lstsq(a[1], y[1], rcond=None)[0])
+        import warnings as _w
+
+        with _w.catch_warnings():
+            _w.simplefilter("error")
+            for i in (0, 2):
+                np.testing.assert_array_equal(coeffs[i], least_squares_solve(a[i], y[i], 0.0))
 
 
 def bank_design(flats, L, thetas, activation):
@@ -459,6 +529,23 @@ class TestScalarRidge:
         assert min(poly_errs) >= 5.0 * tanh_err
 
 
+def expected_stacks(final_widths, n, cfg):
+    """(stack size, width) of every stacked solve that fits columns with these
+    final widths: per width tried, the columns not yet done, in stacks that
+    keep [A | y] (augmented by sqrt(lam) I) within SOLVE_STACK_BYTES."""
+    stacks, k = [], cfg.width
+    while True:
+        pending = int(np.sum(np.asarray(final_widths) >= k))
+        if not pending:
+            return stacks
+        rows = n + k if cfg.lam > 0 else n
+        size = max(1, construct.SOLVE_STACK_BYTES // (8 * rows * (k + 1)))
+        stacks += [(min(size, pending - first), k) for first in range(0, pending, size)]
+        if k >= cfg.max_width:
+            return stacks
+        k = min(2 * k, cfg.max_width)
+
+
 class TestAssemble:
     GRID = GridMeta(0.0, 1.0, 101)
 
@@ -552,23 +639,16 @@ class TestAssemble:
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
         solve = construct.fit_ridge_features
-        solved_widths = []
+        solved_stacks = []
 
         def counting(design, targets, lam):
-            solved_widths.append(design.shape[1])
+            solved_stacks.append((design.shape[0], design.shape[2]))
             return solve(design, targets, lam)
 
         monkeypatch.setattr(construct, "fit_ridge_features", counting)
         net, budget, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
-        # one solve per width tried: cfg.width, doubled up to each final width
-        tried = []
-        for width in report.coefficient_widths:
-            k = cfg.width
-            while k < width:
-                tried.append(k)
-                k *= 2
-            tried.append(int(width))
-        assert solved_widths == tried
+        # one stacked solve per width tried and stack: (stack size, width)
+        assert solved_stacks == expected_stacks(report.coefficient_widths, len(ens), cfg)
         assert np.any(report.coefficient_widths > cfg.width)
         # block j of the network is fit_scalar_ridge on partition column j
         rho = LqNorm(2.0)
@@ -587,6 +667,30 @@ class TestAssemble:
                                           np.outer(coeffs, center.values))
             assert err == report.coefficient_errors[j]
         assert start == net.width
+
+    def test_small_stacks_change_no_bit(self, monkeypatch):
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        net, _, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        solve = construct.fit_ridge_features
+        solved_stacks = []
+
+        def counting(design, targets, lam):
+            solved_stacks.append((design.shape[0], design.shape[2]))
+            return solve(design, targets, lam)
+
+        # two members of the first width per stack, then one
+        monkeypatch.setattr(construct, "SOLVE_STACK_BYTES", 2 * 8 * (40 + 16) * 17)
+        monkeypatch.setattr(construct, "fit_ridge_features", counting)
+        small, _, small_report = assemble_vector_network(values, ens, self.family(), 0, 0.05,
+                                                         cfg)
+        assert solved_stacks == expected_stacks(report.coefficient_widths, len(ens), cfg)
+        assert solved_stacks[0] == (2, 16) and len(solved_stacks) > 4
+        for name in ("weights", "thresholds", "coefficients"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(net, name))
+        np.testing.assert_array_equal(small_report.coefficient_errors,
+                                      report.coefficient_errors)
 
     def test_violated_budget_raises_not_asserts(self, monkeypatch):
         ens = band_ensemble(20, self.GRID, seed=2)

@@ -126,6 +126,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="operator.kernel"):
             ExperimentConfig.from_dict(bad)
 
+    def test_seminorms_apart_in_the_seventh_digit_load(self):
+        cfg = ExperimentConfig.from_dict(small_dict(seminorms=[
+            {"kind": "lq", "q": 2.0000001}, {"kind": "lq", "q": 2.0000002}]))
+        run = run_experiment(cfg).runs[0]
+        assert list(run.train_errors) == ["lq(q=2.0000001)", "lq(q=2.0000002)"]
+
     def test_bad_dual_values_named(self):
         with pytest.raises(ConfigError, match=r"duals\[0\]"):
             ExperimentConfig.from_dict(small_dict(duals=[{"values": []}]))

@@ -164,6 +164,13 @@ class TestSchwartzWeighted:
         assert SchwartzWeighted(1, 2, 8.0).label() == "schwartz(a1,b2,r=8)"
         assert SchwartzWeighted(radius=0.25).label() != SchwartzWeighted().label()
 
+    def test_labels_keep_parameters_g_format_would_merge(self):
+        assert LqNorm(2.0000001).label() == "lq(q=2.0000001)"
+        assert LqNorm(2.0000001).label() != LqNorm(2.0000002).label()
+        assert LqNorm(1.5).label() == "lq(q=1.5)"
+        assert SchwartzWeighted(radius=8.0000001).label() == "schwartz(a0,b0,r=8.0000001)"
+        assert SchwartzWeighted().label() == "schwartz(a0,b0,r=8)"
+
 
 class TestDualPairing:
     def test_pairing_against_constant_integrates(self):
