@@ -16,10 +16,8 @@ from .construct import (
     build_epsilon_net,
     build_partition,
     draw_features,
-    dual_uniform_error,
-    finite_rank_apply,
+    fit_columns,
     fit_ridge_features,
-    fit_scalar_ridge,
     least_squares_solve,
     uniform_error,
 )
@@ -41,7 +39,6 @@ from .inputs import (
     SequencePoint,
     random_functional,
     sample_ensemble,
-    stack_flat,
 )
 from .network import (
     Gaussian,
@@ -79,4 +76,4 @@ from .targets import (
     TargetElement,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -12,13 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .experiment import (
-    ExperimentConfig,
-    build_operator,
-    build_seminorm,
-    emit_report,
-    run_experiment,
-)
+from .experiment import ExperimentConfig, emit_report, run_experiment
 from .presets import get_preset, preset_description, preset_dict, preset_names
 
 
@@ -75,9 +69,7 @@ def _cmd_run(args) -> int:
 
     report = run_experiment(config)
     written = emit_report(report, out_dir)
-    i = config.target_index
-    target = build_seminorm(config.seminorms[i], f"seminorms[{i}]",
-                            build_operator(config)).label()
+    target = config.parts.members[config.target_index].label()
     for run in report.runs:
         status = "converged" if run.converged else "NOT converged"
         print(f"epsilon={run.epsilon:g}  m={run.m_centers}  width={run.network_width}  "

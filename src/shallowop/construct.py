@@ -26,7 +26,7 @@ from .inputs import (
 )
 from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
-from .targets import Seminorm, SeminormFamily, TargetBatch, TargetElement, stack_values
+from .targets import Seminorm, SeminormFamily, TargetBatch
 
 
 #: rows per batched seminorm call: a block's temporaries stay in cache, which
@@ -66,7 +66,7 @@ class EpsilonNet:
         return len(self.centers)
 
 
-def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
+def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> EpsilonNet:
     """Scan values in order; keep one as a center iff no existing center is
     strictly within epsilon of it.
 
@@ -74,14 +74,12 @@ def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
     apart, which is exactly the finite-cover step of the compactness argument.
     The scan keeps each later value's distance to its nearest center so far:
     one batched seminorm pass per accepted center, and the next center is the
-    first later value still at distance >= epsilon.  values is a TargetBatch
-    or a list of elements; the centers are values[i] for the center indices.
+    first later value still at distance >= epsilon.  The centers are the
+    rows values[i] for the center indices.
     """
-    if not len(values):
-        raise ValueError("cannot build an epsilon net from no values")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    F, grid = stack_values(values)
+    F, grid = values.values, values.grid
     nearest = np.full(F.shape[0], np.inf)
     indices = [0]
     while True:
@@ -108,18 +106,14 @@ class PartitionOfUnity:
     distances: np.ndarray
     epsilon: float
 
-    @property
-    def n_samples(self):
-        return self.weights.shape[0]
 
-
-def build_partition(f_values, net: EpsilonNet, rho: Seminorm) -> PartitionOfUnity:
+def build_partition(f_values: TargetBatch, net: EpsilonNet, rho: Seminorm) -> PartitionOfUnity:
     """Hats max(0, 1 - dist/epsilon), normalized per sample.
 
     The cover property makes every normalizer strictly positive; a sample no
     center reaches is reported by index.
     """
-    F, grid = stack_values(f_values)
+    F, grid = f_values.values, f_values.grid
     if net.centers.grid != grid or net.centers.dim != F.shape[1]:
         raise ShapeError("values and centers have mismatched grid metadata")
     eps = net.epsilon
@@ -136,26 +130,11 @@ def build_partition(f_values, net: EpsilonNet, rho: Seminorm) -> PartitionOfUnit
     return PartitionOfUnity(raw / norms[:, None], dist, eps)
 
 
-def finite_rank_apply(pou: PartitionOfUnity, net: EpsilonNet, sample_index: int) -> TargetElement:
-    """Convex combination sum_j psi_j(s_i) v_j of the centers, one row product.
-
-    Convexity gives rho(F(s_i) - result) <= sum_j psi_j d_ij < epsilon; the
-    right-hand bound is re-checked here from the stored distances.
-    """
-    if not 0 <= sample_index < pou.n_samples:
-        raise IndexError(f"sample index {sample_index} out of range")
-    w = pou.weights[sample_index]
-    bound = float(np.dot(w, pou.distances[sample_index]))
-    if not bound < pou.epsilon * (1.0 + 1e-9):
-        raise BudgetError(f"convexity bound {bound} reached epsilon {pou.epsilon}")
-    return TargetElement(w @ net.centers.values, net.centers.grid)
-
-
 def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """Minimize ||A c - y||^2 + lam ||c||^2 for one design or a stack of them.
+    """Minimize ||A c - y||^2 + lam ||c||^2 for each member of a stack.
 
-    design is one (n, k) matrix with targets (n,), or a (b, n, k) stack with
-    targets (b, n); the result is (k,) or (b, k).  Every member is solved
+    design is a (b, n, k) stack with targets (b, n), and the result is
+    (b, k); one design is the stack design[None].  Every member is solved
     from one Householder QR, all members by one np.linalg.qr call:
     - a tall design (n >= k), or any design with lam > 0, factors [A | y]
       with A augmented by sqrt(lam) I, so the conditioning is that of A
@@ -171,9 +150,6 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
     """
     design = np.asarray(design, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    single = design.ndim == 2
-    if single:
-        design, targets = design[None], targets[None]
     if design.ndim != 3 or targets.ndim != 2 or design.shape[:2] != targets.shape:
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
@@ -208,7 +184,7 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
         coeffs[solved] = _apply_reflectors(reflectors[solved], tau[solved], w)
     for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1)):
         coeffs[i] = _svd_solve(design[i], targets[i], lam)
-    return coeffs[0] if single else coeffs
+    return coeffs
 
 
 def _solvable(tri: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -288,42 +264,15 @@ class FitConfig:
         object.__setattr__(self, "activation", make_activation(self.activation))
 
 
-def draw_features(cfg: FitConfig, width: int, signature: tuple, streams=None, start: int = 0):
-    """Features [start, width) of cfg's bank (L, theta): row 0 is the bias,
+def draw_features(cfg: FitConfig, streams, start: int, stop: int):
+    """Features [start, stop) of cfg's bank (L, theta): row 0 is the bias,
     the rest random.
 
-    Weight rows 1.. are drawn in order from the generator seeded by
-    derive_seed(cfg.seed, 0), and thresholds 0.. from the one seeded by
-    derive_seed(cfg.seed, 1); the bias row L[0] is zero.  Smaller widths are
-    therefore prefixes of larger ones, so width sweeps compare nested models.
-    streams, when given, are the bank's two generators after features
-    [0, start) were drawn from them, and only the new features are drawn:
-    fit_scalar_ridge grows its banks that way across width doublings.
-    """
-    _require_pairing(cfg.functional_spec, signature)
-    if streams is None:
-        L, thetas = _draw_rows(cfg, _feature_streams(cfg.seed), 0, width)
-        return L[start:], thetas[start:]
-    return _draw_rows(cfg, streams, start, width)
-
-
-def _require_pairing(spec: FunctionalSpec, signature: tuple):
-    if spec.signature != signature:
-        raise ShapeError(
-            f"functional spec draws {spec.signature} functionals, ensemble is {signature}"
-        )
-
-
-def _feature_streams(seed):
-    """The (weights, thresholds) generators of one feature bank."""
-    return (np.random.default_rng(derive_seed(seed, 0)),
-            np.random.default_rng(derive_seed(seed, 1)))
-
-
-def _draw_rows(cfg: FitConfig, streams, start: int, stop: int):
-    """Weight rows and thresholds of features [start, stop).
-
-    Feature 0 is the bias: a zero weight row that draws no weights.
+    streams are the bank's (weights, thresholds) generators after features
+    [0, start) were drawn from them: weight rows 1.. come in order from the
+    first, thresholds 0.. from the second, and the bias row L[0] is zero and
+    draws no weights.  A bank drawn in several calls therefore equals one
+    drawn at once, so banks nest across width doublings.
     """
     weights_rng, thresholds_rng = streams
     spec = cfg.functional_spec
@@ -334,59 +283,50 @@ def _draw_rows(cfg: FitConfig, streams, start: int, stop: int):
             thresholds_rng.uniform(*cfg.theta_range, stop - start))
 
 
-def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
-    """Ridge-solve the coefficients of one design matrix or a stack of them.
+def _feature_streams(seed):
+    """The (weights, thresholds) generators of one feature bank."""
+    return (np.random.default_rng(derive_seed(seed, 0)),
+            np.random.default_rng(derive_seed(seed, 1)))
 
-    Returns (coeffs, sup_error), sup_error being the largest absolute
-    training residual: a float for one (n, k) design, and one per member,
-    shape (b,), for a (b, n, k) stack with targets (b, n).
+
+def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
+    """Ridge-solve the coefficients of a (b, n, k) stack of designs with
+    targets (b, n).
+
+    Returns (coeffs, sup_error): coeffs (b, k), and sup_error (b,), each
+    member's largest absolute training residual.
     """
     coeffs = least_squares_solve(design, targets, lam)
-    design = np.asarray(design, dtype=float)
     residual = np.matmul(design, coeffs[..., None])[..., 0] - targets
-    sup_error = np.max(np.abs(residual), axis=-1)
-    return coeffs, (float(sup_error) if design.ndim == 2 else sup_error)
+    return coeffs, np.max(np.abs(residual), axis=-1)
 
 
-def fit_scalar_ridge(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, delta: float):
-    """Fit one scalar target with cfg's seeded feature bank to tolerance delta.
+def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
+                delta: float):
+    """Fit column j of targets with the feature bank seeded by seeds[j], every
+    column stepping through the width schedule in lockstep.
 
-    flats is the (n_samples, dim) stack of the inputs.  The width starts at
-    cfg.width and doubles until the training sup error drops below delta or
-    the width reaches cfg.max_width (a fixed-width fit sets max_width =
-    width).  The bank is the one draw_features(cfg, width) gives: each
-    doubling continues its two streams for the new features only.  Returns
-    (L, theta, coeffs, sup_error).  This is the one-column case of the fit
-    assembly runs for every partition column.
+    flats is the (n_samples, dim) input matrix and targets is (n_samples,
+    len(seeds)).  All pending columns share one width: cfg.width, doubled
+    per step up to cfg.max_width (a fixed-width fit sets max_width = width).
+    A step draws each pending bank's new features with draw_features,
+    continuing its streams, and solves the pending designs in stacks of at
+    most SOLVE_STACK_BYTES; a column stops once its training sup error is
+    below delta or its width reaches cfg.max_width.  Returns one
+    (L, theta, coeffs, sup_error) per column.
     """
     dim = signature_dim(cfg.functional_spec.signature)
     if flats.ndim != 2 or flats.shape[1] != dim:
         raise ShapeError(f"inputs {flats.shape} do not stack to {dim}-vectors")
-    return _fit_columns(flats, np.asarray(targets, dtype=float)[:, None], cfg, [cfg.seed],
-                        delta)[0]
-
-
-def _fit_columns(flats, targets, cfg: FitConfig, seeds, delta: float):
-    """Fit column j of targets with the bank seeded by seeds[j], every column
-    stepping through the width schedule in lockstep.
-
-    All pending columns share one width: cfg.width, doubled per step up to
-    cfg.max_width.  A step draws each pending bank's new features with
-    draw_features, continuing its streams, and solves the pending designs in
-    stacks of at most SOLVE_STACK_BYTES; a column stops once its training
-    sup error is below delta or its width reaches cfg.max_width.  Returns one
-    (L, theta, coeffs, sup_error) per column.
-    """
     n = flats.shape[0]
-    signature = cfg.functional_spec.signature
     streams = [_feature_streams(seed) for seed in seeds]
-    banks = [(np.empty((0, flats.shape[1])), np.empty(0))] * len(seeds)
+    banks = [(np.empty((0, dim)), np.empty(0))] * len(seeds)
     fits = [None] * len(seeds)
     pending = list(range(len(seeds)))
     width, target = 0, cfg.width
     while pending:
         for j in pending:
-            new_L, new_thetas = draw_features(cfg, target, signature, streams[j], width)
+            new_L, new_thetas = draw_features(cfg, streams[j], width, target)
             banks[j] = (np.vstack([banks[j][0], new_L]),
                         np.concatenate([banks[j][1], new_thetas]))
         width = target
@@ -459,26 +399,25 @@ class AssemblyReport:
     train_errors: np.ndarray
 
 
-def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: SeminormFamily,
-                            rho_index: int, epsilon: float, fit_cfg: FitConfig):
+def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
+                            family: SeminormFamily, rho_index: int, epsilon: float,
+                            fit_cfg: FitConfig):
     """Run the full two-stage construction for one target seminorm.
 
     Returns (network, budget, report).  A scalar stage that cannot reach its
     tolerance at fit_cfg.max_width leaves report.converged False rather than
     raising; whenever it is True, the training uniform error is below epsilon
-    by construction, and a BudgetError is raised if it is not.  f_values is
-    the TargetBatch of operator values or a list of elements, one per sample.
-    The training errors come from one uniform_error pass over the whole
-    family, so a caller that wants them under more seminorms than the target
-    passes those in the family too.
+    by construction, and a BudgetError is raised if it is not.  f_values
+    holds the operator value of each ensemble sample.  The training errors
+    come from one uniform_error pass over the whole family, so a caller that
+    wants them under more seminorms than the target passes those in the
+    family too.
     """
     if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per ensemble sample required")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     rho = family[rho_index]
-    F, out_grid = stack_values(f_values)
-    out_dim = F.shape[1]
 
     net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
     pou = build_partition(f_values, net1, rho)
@@ -492,7 +431,7 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
         # every center is rho-null, so the zero network is already within
         # epsilon/2, which is then the bound its training error is held to
         network = ShallowVectorNetwork.zero(fit_cfg.activation, ensemble.signature,
-                                            out_dim, out_grid)
+                                            f_values.dim, f_values.grid)
         budget = ErrorBudget(float(epsilon), m, 0.0, None, True)
         errors, widths = np.zeros(m), np.zeros(m, dtype=int)
         converged, bound = True, epsilon / 2.0
@@ -502,7 +441,7 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
         L, thetas, V, errors, widths = _fit_coefficients(ensemble, pou.weights,
                                                          net1.centers.values, fit_cfg, delta)
         network = ShallowVectorNetwork(L, thetas, V, fit_cfg.activation, ensemble.signature,
-                                       out_grid)
+                                       f_values.grid)
         converged, bound = bool(np.all(errors < delta)), epsilon
 
     train_errors = uniform_error(f_values, network, ensemble, family)
@@ -515,17 +454,22 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble, family: Seminor
 
 
 def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: float):
-    """Fit every partition column j, as fit_scalar_ridge would under the bank
-    seed derive_seed(fit_cfg.seed, j), and return the network matrices
+    """Fit every partition column j with fit_columns under the bank seed
+    derive_seed(fit_cfg.seed, j), and return the network matrices
     (L, theta, V), sup errors and widths.
 
     The columns are fitted together on the ensemble's input matrix.  Column j
     contributes one block of rows: its bank's weight rows and thresholds,
     and the outer product of its ridge coefficients with center j.
     """
-    _require_pairing(fit_cfg.functional_spec, ensemble.signature)
+    spec = fit_cfg.functional_spec
+    if spec.signature != ensemble.signature:
+        raise ShapeError(
+            f"functional spec draws {spec.signature} functionals, ensemble is "
+            f"{ensemble.signature}"
+        )
     seeds = [derive_seed(fit_cfg.seed, j) for j in range(len(centers))]
-    fits = _fit_columns(ensemble.flats, weights, fit_cfg, seeds, delta)
+    fits = fit_columns(ensemble.flats, weights, fit_cfg, seeds, delta)
     L = np.concatenate([fit[0] for fit in fits])
     thetas = np.concatenate([fit[1] for fit in fits])
     V = np.concatenate([np.outer(fit[2], vj) for fit, vj in zip(fits, centers)])
@@ -534,24 +478,20 @@ def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: flo
     return L, thetas, V, errors, widths
 
 
-def uniform_error(f_values, net: ShallowVectorNetwork, ensemble,
+def uniform_error(f_values: TargetBatch, net: ShallowVectorNetwork, ensemble,
                   family: SeminormFamily) -> np.ndarray:
     """Per-seminorm max over samples of rho(F(s) - net(s)).
 
-    f_values is a TargetBatch or a list of elements, and ensemble a
-    CompactEnsemble or a list of input points.  One batched pass per
-    seminorm over the residual matrix, which overwrites the network outputs.
+    f_values holds the value of each sample of ensemble, a CompactEnsemble
+    or a list of input points.  One batched pass per seminorm over the
+    residual matrix, which overwrites the network outputs.
     """
     if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per sample required")
     approx = net.evaluate_many(ensemble)
-    F, grid = stack_values(f_values)
+    F, grid = f_values.values, f_values.grid
     if approx.shape != F.shape:
         raise ShapeError(f"network outputs {approx.shape} do not match values {F.shape}")
     residual = np.subtract(F, approx, out=approx)
     return np.array([np.max(_seminorm_rows(rho, residual, grid)) for rho in family])
 
-
-def dual_uniform_error(f_values, net: ShallowVectorNetwork, ensemble, duals) -> np.ndarray:
-    """Max over samples of |<t', F(s) - net(s)>| for each dual pairing."""
-    return uniform_error(f_values, net, ensemble, SeminormFamily(tuple(duals)))

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -154,7 +155,7 @@ class ExperimentConfig:
 
     from_dict checks a config by building its operator, seminorms, duals and
     fit config once, so a config that loads builds; a bad field raises
-    ConfigError naming it.
+    ConfigError naming it.  What it built is kept as `parts`, which runs use.
     """
 
     name: str
@@ -209,7 +210,7 @@ class ExperimentConfig:
             save_networks=_get(raw, "", "save_networks", False, lambda v: isinstance(v, bool),
                                "must be a boolean"),
         )
-        parts = _build(config)
+        parts = config.parts
         # report errors are keyed by label, so a repeated one would hide a column
         _unique([rho.label() for rho in parts.members], "seminorms[{}]")
         _unique([d.label() for d in parts.duals], "duals[{}].name")
@@ -237,6 +238,11 @@ class ExperimentConfig:
         if self.out is not None:
             doc["out"] = self.out
         return doc
+
+    @cached_property
+    def parts(self) -> _Parts:
+        """The operator, seminorms, duals and fit config, built on first use."""
+        return _build(self)
 
 
 def _unique(labels, field):
@@ -543,8 +549,7 @@ def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the epsilon sweep; results come back ordered by sweep position."""
-    parts = _build(config)
-    runs = [_run_one(config, parts, i, e) for i, e in enumerate(config.epsilons)]
+    runs = [_run_one(config, config.parts, i, e) for i, e in enumerate(config.epsilons)]
     created = datetime.now(timezone.utc).isoformat()
     return ExperimentReport(config, tuple(runs), created)
 

@@ -164,11 +164,6 @@ def stack_inputs(samples) -> tuple[np.ndarray, tuple]:
     return np.stack([s.flat for s in samples]), sig
 
 
-def stack_flat(samples) -> np.ndarray:
-    """Stack input points, or take an ensemble's matrix: (n_samples, dim)."""
-    return stack_inputs(samples)[0]
-
-
 def _point(signature: tuple, row: np.ndarray) -> InputPoint:
     """The input point of signature whose flattened values are row."""
     kind = signature[0]

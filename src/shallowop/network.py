@@ -251,11 +251,22 @@ def _grid_to_doc(grid: GridMeta | None):
     return {"a": grid.a, "b": grid.b, "n": grid.n}
 
 
+def _size_from_doc(doc, key, field):
+    """doc[key] when it is an integer; a bool, float or string is a
+    DocumentError naming field, never truncated to an integer."""
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _grid_from_doc(doc, field):
     if doc is None:
         return None
     try:
-        return GridMeta(float(doc["a"]), float(doc["b"]), int(doc["n"]))
+        return GridMeta(float(doc["a"]), float(doc["b"]), _size_from_doc(doc, "n", f"{field}.n"))
+    except DocumentError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed grid in field {field!r}: {exc}") from exc
 
@@ -275,9 +286,10 @@ def _signature_from_doc(doc):
         if kind == "function":
             return ("function", _grid_from_doc(doc["grid"], "input_shape.grid"))
         if kind == "sequence":
-            return ("sequence", int(doc["length"]))
+            return ("sequence", _size_from_doc(doc, "length", "input_shape.length"))
         if kind == "matrix":
-            return ("matrix", (int(doc["rows"]), int(doc["cols"])))
+            return ("matrix", tuple(_size_from_doc(doc, key, f"input_shape.{key}")
+                                    for key in ("rows", "cols")))
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -334,10 +346,7 @@ def deserialize_network(doc: dict) -> ShallowVectorNetwork:
     activation = make_activation(doc["activation"])
     signature = _signature_from_doc(doc["input_shape"])
     output_grid = _grid_from_doc(doc.get("output_grid"), "output_grid")
-    try:
-        output_dim = int(doc["output_dim"])
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed field 'output_dim': {exc}") from exc
+    output_dim = _size_from_doc(doc, "output_dim", "output_dim")
     matrices = [_matrix_from_doc(doc[field], field)
                 for field in ("weights", "thresholds", "coefficients")]
     if matrices[2].ndim == 2 and matrices[2].shape[1] != output_dim:

@@ -202,28 +202,6 @@ def _require_rows(values: np.ndarray, grid: GridMeta | None):
         )
 
 
-def stack_values(elements) -> tuple[np.ndarray, GridMeta | None]:
-    """The (n, dim) matrix of the elements' values, and their common grid.
-
-    A TargetBatch gives its own read-only matrix; a list of elements is
-    stacked into a new one.  Raises ShapeError when the elements do not
-    share grid metadata and dim.
-    """
-    if isinstance(elements, TargetBatch):
-        return elements.values, elements.grid
-    elements = list(elements)
-    if not elements:
-        raise ValueError("no target elements to stack")
-    grid = elements[0].grid
-    # elements from one operator share one grid object; compare the rest
-    if any(t.grid is not grid and t.grid != grid for t in elements):
-        raise ShapeError("target elements have mismatched grid metadata")
-    try:
-        return np.array([t.values for t in elements]), grid
-    except ValueError as exc:  # vectors of different lengths
-        raise ShapeError(f"target elements have mismatched dims: {exc}") from exc
-
-
 class Seminorm:
     """Base class for evaluable continuous seminorms on target elements.
 

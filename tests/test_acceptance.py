@@ -31,15 +31,13 @@ from shallowop import (
     build_partition,
     derive_seed,
     deserialize_network,
-    dual_uniform_error,
-    finite_rank_apply,
-    fit_scalar_ridge,
+    fit_columns,
     integral_operator,
     make_kernel,
     poisson_operator,
     sample_ensemble,
     serialize_network,
-    stack_flat,
+    uniform_error,
     zero_operator,
 )
 from shallowop.experiment import build_operator, run_experiment
@@ -76,7 +74,7 @@ def sup_error_at_width(ens, y, width, activation, lam, seed):
     """Training sup error of one fixed-width scalar fit."""
     cfg = FitConfig(functional_spec=FSPEC, width=width, max_width=width,
                     activation=activation, lam=lam, seed=seed)
-    return fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)[3]
+    return fit_columns(ens.flats, y[:, None], cfg, [seed], 0.0)[0][3]
 
 
 def test_criterion_01_finite_rank_suite():
@@ -103,8 +101,10 @@ def test_criterion_01_finite_rank_suite():
             for a in range(len(net)):
                 for b in range(a + 1, len(net)):
                     assert rho(net.centers[a] - net.centers[b]) >= eps
+            # the finite-rank map: row i is sum_j psi_j(s_i) v_j
+            finite_rank = pou.weights @ net.centers.values
             err = max(
-                rho(values[i] - finite_rank_apply(pou, net, i))
+                rho(values[i] - TargetElement(finite_rank[i], values.grid))
                 for i in range(len(values))
             )
             assert err < eps * (1.0 + 1e-9), f"{name} at eps={eps}: {err}"
@@ -243,15 +243,16 @@ def test_criterion_08_dual_errors_along_width_sweep():
     op = integral_operator(make_kernel("gaussian", width=0.25), GRID)
     values = op.apply_many(ens)
     family = SeminormFamily((LqNorm(2.0),))
-    duals = [DualPairing(np.ones(GRID.n), GRID, name="mean"),
-             DualPairing(2.0 * np.sin(np.pi * GRID.nodes()), GRID, name="mode1")]
+    duals = SeminormFamily((DualPairing(np.ones(GRID.n), GRID, name="mean"),
+                            DualPairing(2.0 * np.sin(np.pi * GRID.nodes()), GRID,
+                                        name="mode1")))
 
     sweeps = []
     for width in (25, 50, 100, 200):
         cfg = FitConfig(functional_spec=FSPEC, width=width, max_width=width,
                         lam=1e-8, seed=0)
         net, _, _ = assemble_vector_network(values, ens, family, 0, 0.1, cfg)
-        sweeps.append(dual_uniform_error(values, net, ens, duals))
+        sweeps.append(uniform_error(values, net, ens, duals))
     sweeps = np.asarray(sweeps)
     for k in range(sweeps.shape[1]):
         for a, b in zip(sweeps[:, k], sweeps[1:, k]):
@@ -262,7 +263,7 @@ def test_criterion_08_dual_errors_along_width_sweep():
     zcfg = FitConfig(functional_spec=FSPEC, width=8, max_width=8, lam=0.0, seed=0)
     znet, _, zreport = assemble_vector_network(zero_vals, ens, family, 0, 0.1, zcfg)
     assert zreport.train_sup_error == 0.0
-    assert np.all(dual_uniform_error(zero_vals, znet, ens, duals) == 0.0)
+    assert np.all(uniform_error(zero_vals, znet, ens, duals) == 0.0)
     report_line(8, "dual errs " + " ".join(f"{e:.2e}" for e in sweeps[:, 0])
                    + "; zero case exact 0")
 

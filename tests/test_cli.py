@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from shallowop import experiment
 from shallowop.cli import main
 from shallowop.errors import ConfigError
 from shallowop.experiment import ExperimentConfig, read_report_csv
@@ -110,6 +111,21 @@ class TestCliRun:
             errors = run["train_errors"]
             assert errors["sup_d0"] > errors["lq(q=2)"]
             assert line.endswith(f"train_sup[lq(q=2)]={errors['lq(q=2)']:.3e}")
+
+    def test_run_builds_the_config_once(self, tmp_path, capsys, monkeypatch):
+        # loading builds the operator and seminorms; the sweep and the
+        # summary line use what loading built
+        built = []
+        build_operator = experiment.build_operator
+
+        def counting(config):
+            built.append(config.name)
+            return build_operator(config)
+
+        monkeypatch.setattr(experiment, "build_operator", counting)
+        cfg = quick_config(tmp_path, seminorms=TWO_SEMINORMS)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert built == ["quick"]
 
     def test_missing_out_dir_is_a_config_error(self, tmp_path, capsys):
         cfg = quick_config(tmp_path)

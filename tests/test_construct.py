@@ -13,15 +13,12 @@ from shallowop.construct import (
     EpsilonNet,
     ErrorBudget,
     FitConfig,
-    PartitionOfUnity,
     assemble_vector_network,
     build_epsilon_net,
     build_partition,
     draw_features,
-    dual_uniform_error,
-    finite_rank_apply,
+    fit_columns,
     fit_ridge_features,
-    fit_scalar_ridge,
     least_squares_solve,
     uniform_error,
 )
@@ -30,7 +27,7 @@ from shallowop.inputs import (
     EnsembleSpec,
     FunctionalSpec,
     sample_ensemble,
-    stack_flat,
+    signature_dim,
 )
 from shallowop.network import Polynomial, Relu, ShallowVectorNetwork, Tanh
 from shallowop.operators import make_kernel, integral_operator, poisson_operator
@@ -48,13 +45,14 @@ from shallowop.targets import (
 ABS = LqNorm(1.0)  # on 1-entry elements this is plain absolute value
 
 
-def scalar_elem(x):
-    return TargetElement(np.array([float(x)]))
-
-
 def scalar_batch(*xs):
     """The 1-entry elements xs as one (len(xs), 1) batch."""
     return TargetBatch(np.array(xs, dtype=float)[:, None])
+
+
+def batch_of(rows, grid=None):
+    """The value rows, one element each, as one batch."""
+    return TargetBatch(np.array(rows, dtype=float), grid)
 
 
 def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
@@ -79,12 +77,12 @@ def reference_net_indices(values, rho, epsilon):
 
 class TestEpsilonNet:
     def test_single_value(self):
-        net = build_epsilon_net([scalar_elem(7.0)], ABS, 0.5)
+        net = build_epsilon_net(scalar_batch(7.0), ABS, 0.5)
         assert len(net) == 1
         np.testing.assert_array_equal(net.centers[0].values, [7.0])
 
     def test_three_point_line(self):
-        values = [scalar_elem(x) for x in (0.0, 1.0, 2.0)]
+        values = scalar_batch(0.0, 1.0, 2.0)
         net = build_epsilon_net(values, ABS, 1.5)
         assert [c.values[0] for c in net.centers] == [0.0, 2.0]
         # brute-force cover check: every value strictly within epsilon
@@ -92,21 +90,21 @@ class TestEpsilonNet:
             assert min(ABS(t - c) for c in net.centers) < 1.5
 
     def test_epsilon_above_diameter(self):
-        values = [scalar_elem(x) for x in (0.0, 1.0, 2.0)]
+        values = scalar_batch(0.0, 1.0, 2.0)
         net = build_epsilon_net(values, ABS, 10.0)
         assert len(net) == 1
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            build_epsilon_net([], ABS, 1.0)
+            build_epsilon_net(TargetBatch(np.zeros((0, 1))), ABS, 1.0)
         with pytest.raises(ValueError):
-            build_epsilon_net([scalar_elem(0.0)], ABS, 0.0)
+            build_epsilon_net(scalar_batch(0.0), ABS, 0.0)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_cover_and_separation(self, trial):
         rng = np.random.default_rng(300 + trial)
         rho = LqNorm(2.0)
-        values = [TargetElement(rng.standard_normal(6)) for _ in range(40)]
+        values = batch_of([rng.standard_normal(6) for _ in range(40)])
         net = build_epsilon_net(values, rho, 1.0)
         for t in values:
             assert min(rho(t - c) for c in net.centers) < 1.0
@@ -116,7 +114,7 @@ class TestEpsilonNet:
 
     def test_value_at_exactly_epsilon_becomes_a_center(self):
         # |1.0 - 0.0| is exactly epsilon: not strictly covered
-        values = [scalar_elem(x) for x in (0.0, 0.5, 1.0, 1.25, 2.0)]
+        values = scalar_batch(0.0, 0.5, 1.0, 1.25, 2.0)
         net = build_epsilon_net(values, ABS, 1.0)
         assert net.center_indices == (0, 2, 4)
         assert net.center_indices == reference_net_indices(values, ABS, 1.0)
@@ -125,7 +123,7 @@ class TestEpsilonNet:
     def test_matches_scalar_greedy_loop(self, trial):
         rng = np.random.default_rng(360 + trial)
         grid = GridMeta(0.0, 1.0, 9)
-        values = [TargetElement(rng.standard_normal(9), grid) for _ in range(50)]
+        values = batch_of([rng.standard_normal(9) for _ in range(50)], grid)
         for rho, eps in ((LqNorm(2.0), 1.0), (SupDerivative(1), 12.0), (LqNorm(1.0), 0.6)):
             net = build_epsilon_net(values, rho, eps)
             assert net.center_indices == reference_net_indices(values, rho, eps)
@@ -133,12 +131,11 @@ class TestEpsilonNet:
             assert net.centers.values.shape == want.shape
             assert net.centers.values.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("as_batch", [True, False])
-    def test_centers_are_a_read_only_batch_of_value_rows(self, as_batch):
+    def test_centers_are_a_read_only_batch_of_value_rows(self):
         rng = np.random.default_rng(380)
         grid = GridMeta(0.0, 1.0, 9)
         values = TargetBatch(rng.standard_normal((50, 9)), grid)
-        net = build_epsilon_net(values if as_batch else list(values), LqNorm(2.0), 1.0)
+        net = build_epsilon_net(values, LqNorm(2.0), 1.0)
         assert len(net) > 1
         assert isinstance(net.centers, TargetBatch) and net.centers.grid == grid
         want = values.values[list(net.center_indices)]
@@ -149,19 +146,14 @@ class TestEpsilonNet:
 
     def test_matches_scalar_greedy_loop_across_row_blocks(self):
         rng = np.random.default_rng(370)
-        values = [scalar_elem(x) for x in rng.uniform(0.0, 10.0, 2 * SEMINORM_BLOCK_ROWS + 41)]
+        values = scalar_batch(*rng.uniform(0.0, 10.0, 2 * SEMINORM_BLOCK_ROWS + 41))
         net = build_epsilon_net(values, ABS, 1.0)
         assert net.center_indices == reference_net_indices(values, ABS, 1.0)
-
-    def test_mismatched_metadata_rejected(self):
-        values = [TargetElement(np.zeros(5), GridMeta(0.0, 1.0, 5)), TargetElement(np.ones(5))]
-        with pytest.raises(ShapeError):
-            build_epsilon_net(values, LqNorm(2.0), 0.5)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_halving_epsilon_never_drops_centers(self, trial):
         rng = np.random.default_rng(320 + trial)
-        values = [TargetElement(rng.standard_normal(4)) for _ in range(60)]
+        values = batch_of([rng.standard_normal(4) for _ in range(60)])
         rho = LqNorm(2.0)
         counts = [len(build_epsilon_net(values, rho, eps)) for eps in (2.0, 1.0, 0.5, 0.25)]
         assert counts == sorted(counts)
@@ -169,31 +161,31 @@ class TestEpsilonNet:
 
 class TestPartition:
     def test_single_center_is_all_ones(self):
-        values = [scalar_elem(x) for x in (0.0, 0.3, -0.2)]
+        values = scalar_batch(0.0, 0.3, -0.2)
         net = build_epsilon_net(values, ABS, 5.0)
         pou = build_partition(values, net, ABS)
         np.testing.assert_array_equal(pou.weights, np.ones((3, 1)))
 
     def test_support_condition_gives_unit_weight(self):
         net = EpsilonNet(scalar_batch(0.0, 2.0), 1.5, (0, 1))
-        pou = build_partition([scalar_elem(0.0)], net, ABS)
+        pou = build_partition(scalar_batch(0.0), net, ABS)
         np.testing.assert_array_equal(pou.weights, [[1.0, 0.0]])
 
     def test_equidistant_sample_splits_evenly(self):
         net = EpsilonNet(scalar_batch(0.0, 2.0), 2.0, (0, 1))
-        pou = build_partition([scalar_elem(1.0)], net, ABS)
+        pou = build_partition(scalar_batch(1.0), net, ABS)
         np.testing.assert_array_equal(pou.weights, [[0.5, 0.5]])
 
     def test_uncovered_sample_diagnosed_by_index(self):
         net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
         with pytest.raises(CoverageError, match="sample 1"):
-            build_partition([scalar_elem(0.5), scalar_elem(9.0)], net, ABS)
+            build_partition(scalar_batch(0.5, 9.0), net, ABS)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_partition_invariants(self, trial):
         rng = np.random.default_rng(340 + trial)
         rho = LqNorm(2.0)
-        values = [TargetElement(rng.standard_normal(5)) for _ in range(30)]
+        values = batch_of([rng.standard_normal(5) for _ in range(30)])
         net = build_epsilon_net(values, rho, 1.2)
         pou = build_partition(values, net, rho)
         assert np.all(pou.weights >= 0.0)
@@ -204,7 +196,7 @@ class TestPartition:
     def test_distances_match_scalar_calls(self):
         rng = np.random.default_rng(350)
         rho = LqNorm(2.0)
-        values = [TargetElement(rng.standard_normal(3)) for _ in range(2 * SEMINORM_BLOCK_ROWS + 41)]
+        values = batch_of([rng.standard_normal(3) for _ in range(2 * SEMINORM_BLOCK_ROWS + 41)])
         net = build_epsilon_net(values, rho, 2.0)
         pou = build_partition(values, net, rho)
         want = [[rho(t - c) for c in net.centers] for t in values]
@@ -213,42 +205,74 @@ class TestPartition:
     def test_values_and_centers_must_share_metadata(self):
         net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
         with pytest.raises(ShapeError):
-            build_partition([TargetElement(np.zeros(2))], net, ABS)
+            build_partition(TargetBatch(np.zeros((1, 2))), net, ABS)
+
+
+def finite_rank(pou, net):
+    """The finite-rank map on every sample: row i is sum_j psi_j(s_i) v_j."""
+    return TargetBatch(pou.weights @ net.centers.values, net.centers.grid)
+
+
+def overrun_partition(real):
+    """build_partition, but with every distance at 1.5 times the net's
+    epsilon, so the weighted distances reach the stage-1 budget."""
+    def build(values, net, rho):
+        pou = real(values, net, rho)
+        return replace(pou, distances=np.full_like(pou.distances, 1.5 * net.epsilon))
+    return build
 
 
 class TestFiniteRank:
     def test_single_center_reproduced_exactly(self):
-        values = [scalar_elem(3.0), scalar_elem(3.2)]
+        values = scalar_batch(3.0, 3.2)
         net = build_epsilon_net(values, ABS, 1.0)
         pou = build_partition(values, net, ABS)
-        out = finite_rank_apply(pou, net, 1)
+        out = finite_rank(pou, net)[1]
         np.testing.assert_array_equal(out.values, [3.0])
 
     def test_constant_operator_exact(self):
-        values = [scalar_elem(5.0) for _ in range(4)]
+        values = scalar_batch(*[5.0] * 4)
         net = build_epsilon_net(values, ABS, 0.7)
         assert len(net) == 1
         pou = build_partition(values, net, ABS)
+        out = finite_rank(pou, net)
         for i in range(4):
-            assert ABS(finite_rank_apply(pou, net, i) - values[i]) == 0.0
+            assert ABS(out[i] - values[i]) == 0.0
 
-    def test_convexity_bound_survives_stripped_asserts(self):
-        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
-        pou = PartitionOfUnity(np.ones((1, 1)), np.full((1, 1), 1.5), 1.0)
-        with pytest.raises(BudgetError, match="convexity bound"):
-            finite_rank_apply(pou, net, 0)
+    def test_convexity_bound_survives_stripped_asserts(self, monkeypatch):
+        # assembly's stage-1 check: the largest sum_j psi_j d_ij must stay
+        # below epsilon/2
+        grid = GridMeta(0.0, 1.0, 101)
+        ens = band_ensemble(5, grid, seed=1)
+        values = TargetBatch(np.full((5, 101), 2.0), grid)
+        cfg = FitConfig(functional_spec=fn_spec(grid), width=4, seed=0)
+        monkeypatch.setattr(construct, "build_partition",
+                            overrun_partition(construct.build_partition))
+        with pytest.raises(BudgetError, match="stage-1 error .* reached its budget 0.05"):
+            assemble_vector_network(values, ens, SeminormFamily((LqNorm(2.0),)), 0, 0.1, cfg)
 
     def test_convexity_bound_raises_under_python_O(self):
         code = (
+            "from dataclasses import replace\n"
             "import numpy as np\n"
-            "from shallowop.construct import (EpsilonNet, PartitionOfUnity,\n"
-            "                                 finite_rank_apply)\n"
+            "from shallowop import construct\n"
+            "from shallowop.construct import FitConfig, assemble_vector_network\n"
             "from shallowop.errors import BudgetError\n"
-            "from shallowop.targets import TargetBatch\n"
-            "net = EpsilonNet(TargetBatch(np.zeros((1, 1))), 1.0, (0,))\n"
-            "pou = PartitionOfUnity(np.ones((1, 1)), np.full((1, 1), 1.5), 1.0)\n"
+            "from shallowop.inputs import EnsembleSpec, FunctionalSpec, sample_ensemble\n"
+            "from shallowop.targets import GridMeta, LqNorm, SeminormFamily, TargetBatch\n"
+            "grid = GridMeta(0.0, 1.0, 101)\n"
+            "spec = EnsembleSpec('band_limited', 5, radii=(1.0,), grid=grid)\n"
+            "ens = sample_ensemble(spec, 1)\n"
+            "values = TargetBatch(np.full((5, 101), 2.0), grid)\n"
+            "cfg = FitConfig(functional_spec=FunctionalSpec(kind='function', grid=grid), width=4)\n"
+            "real = construct.build_partition\n"
+            "def overrun(values, net, rho):\n"
+            "    pou = real(values, net, rho)\n"
+            "    return replace(pou, distances=np.full_like(pou.distances, 1.5 * net.epsilon))\n"
+            "construct.build_partition = overrun\n"
             "try:\n"
-            "    finite_rank_apply(pou, net, 0)\n"
+            "    family = SeminormFamily((LqNorm(2.0),))\n"
+            "    assemble_vector_network(values, ens, family, 0, 0.1, cfg)\n"
             "except BudgetError as exc:\n"
             "    print(__debug__, exc)\n"
         )
@@ -256,14 +280,7 @@ class TestFiniteRank:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("False convexity bound")
-
-    def test_index_out_of_range(self):
-        values = [scalar_elem(0.0)]
-        net = build_epsilon_net(values, ABS, 1.0)
-        pou = build_partition(values, net, ABS)
-        with pytest.raises(IndexError):
-            finite_rank_apply(pou, net, 5)
+        assert proc.stdout.startswith("False stage-1 error")
 
     def test_poisson_image_bound(self):
         # the finite-rank stage must bring every sampled Poisson solution
@@ -276,9 +293,9 @@ class TestFiniteRank:
         eps = 0.05
         net = build_epsilon_net(values, rho, eps)
         pou = build_partition(values, net, rho)
+        out = finite_rank(pou, net)
         for i, t in enumerate(values):
-            g = finite_rank_apply(pou, net, i)
-            err = rho(t - g)
+            err = rho(t - out[i])
             bound = float(np.dot(pou.weights[i], pou.distances[i]))
             assert err <= bound + 1e-9 * eps
             assert bound < eps * (1.0 + 1e-9)
@@ -287,19 +304,19 @@ class TestFiniteRank:
 
 class TestLeastSquares:
     def test_identity_system(self):
-        c = least_squares_solve(np.eye(2), np.array([3.0, 4.0]), 0.0)
+        (c,) = least_squares_solve(np.eye(2)[None], np.array([[3.0, 4.0]]), 0.0)
         np.testing.assert_allclose(c, [3.0, 4.0], rtol=1e-12)
 
     def test_mean_through_ones_column(self):
         a = np.ones((6, 1))
-        c = least_squares_solve(a, np.full(6, 5.0), 0.0)
+        (c,) = least_squares_solve(a[None], np.full((1, 6), 5.0), 0.0)
         np.testing.assert_allclose(c, [5.0], rtol=1e-12)
 
     def test_no_random_perturbation_beats_solution(self):
         rng = np.random.default_rng(400)
         a = rng.standard_normal((40, 10))
         y = rng.standard_normal(40)
-        c = least_squares_solve(a, y, 0.0)
+        (c,) = least_squares_solve(a[None], y[None], 0.0)
         best = np.sum((a @ c - y) ** 2)
         for _ in range(1000):
             xi = rng.standard_normal(10)
@@ -311,7 +328,7 @@ class TestLeastSquares:
         a = rng.standard_normal((30, 8))
         y = rng.standard_normal(30)
         lam = 0.01
-        c = least_squares_solve(a, y, lam)
+        (c,) = least_squares_solve(a[None], y[None], lam)
         np.testing.assert_allclose(
             (a.T @ a + lam * np.eye(8)) @ c, a.T @ y, rtol=1e-8, atol=1e-10
         )
@@ -320,20 +337,22 @@ class TestLeastSquares:
         a = np.ones((5, 2))  # duplicate columns
         y = np.arange(5.0)
         with pytest.warns(UserWarning, match="rank-deficient"):
-            least_squares_solve(a, y, 0.0)
+            least_squares_solve(a[None], y[None], 0.0)
         import warnings as _w
 
         with _w.catch_warnings():
             _w.simplefilter("error")
-            least_squares_solve(a, y, 1e-10)
+            least_squares_solve(a[None], y[None], 1e-10)
 
     def test_shape_and_sign_errors(self):
         with pytest.raises(ShapeError):
-            least_squares_solve(np.eye(3), np.ones(2), 0.0)
+            least_squares_solve(np.eye(3)[None], np.ones((1, 2)), 0.0)
         with pytest.raises(ValueError):
-            least_squares_solve(np.eye(2), np.ones(2), -1.0)
+            least_squares_solve(np.eye(2)[None], np.ones((1, 2)), -1.0)
         with pytest.raises(ShapeError):
             least_squares_solve(np.ones((2, 3, 3)), np.ones((3, 3)), 0.0)
+        with pytest.raises(ShapeError):  # one design is a stack of one
+            least_squares_solve(np.eye(2), np.ones(2), 0.0)
 
 
 def random_stack(rng, b, n, k):
@@ -370,9 +389,9 @@ class TestStackedSolve:
         coeffs, errors = fit_ridge_features(a, y, lam)
         other_a, other_y = random_stack(rng, 4, n, k)
         for i in range(6):
-            alone = fit_ridge_features(a[i], y[i], lam)
-            np.testing.assert_array_equal(coeffs[i], alone[0])
-            assert errors[i] == alone[1]
+            alone = fit_ridge_features(a[i:i + 1], y[i:i + 1], lam)
+            np.testing.assert_array_equal(coeffs[i], alone[0][0])
+            assert errors[i] == alone[1][0]
             # the same member among other members, at another position
             mixed_a = np.concatenate([other_a[:i % 4 + 1], a[i:i + 1], other_a])
             mixed_y = np.concatenate([other_y[:i % 4 + 1], y[i:i + 1], other_y])
@@ -401,11 +420,24 @@ class TestStackedSolve:
         with _w.catch_warnings():
             _w.simplefilter("error")
             for i in (0, 2):
-                np.testing.assert_array_equal(coeffs[i], least_squares_solve(a[i], y[i], 0.0))
+                np.testing.assert_array_equal(coeffs[i],
+                                              least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
 
 
 def bank_design(flats, L, thetas, activation):
     return activation(flats @ L.T - thetas)
+
+
+def fit_one(flats, y, cfg, delta):
+    """fit_columns on the one column y, with the bank seeded by cfg.seed."""
+    return fit_columns(flats, np.asarray(y, dtype=float)[:, None], cfg, [cfg.seed], delta)[0]
+
+
+def bank_streams(seed):
+    """A bank's generators as FitConfig documents them: weights from
+    derive_seed(seed, 0), thresholds from derive_seed(seed, 1)."""
+    return (np.random.default_rng(derive_seed(seed, 0)),
+            np.random.default_rng(derive_seed(seed, 1)))
 
 
 class TestScalarRidge:
@@ -421,22 +453,22 @@ class TestScalarRidge:
     def test_zero_targets_give_zero_network(self):
         ens, _ = self.sin_problem(count=20)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, max_width=16, seed=3)
-        _, _, coeffs, sup_error = fit_scalar_ridge(stack_flat(ens), np.zeros(20), cfg, 0.0)
+        _, _, coeffs, sup_error = fit_one(ens.flats, np.zeros(20), cfg, 0.0)
         np.testing.assert_array_equal(coeffs, np.zeros(16))
         assert sup_error == 0.0
 
     def test_relu_pair_recovers_identity(self):
         xs = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
         design = bank_design(xs[:, None], np.array([[1.0], [-1.0]]), np.zeros(2), Relu())
-        coeffs, sup_error = fit_ridge_features(design, xs, 0.0)
-        np.testing.assert_allclose(coeffs, [1.0, -1.0], atol=1e-10)
-        assert sup_error < 1e-12
+        coeffs, sup_error = fit_ridge_features(design[None], xs[None], 0.0)
+        np.testing.assert_allclose(coeffs[0], [1.0, -1.0], atol=1e-10)
+        assert sup_error[0] < 1e-12
 
     def test_sin_of_pairing_fits_below_one_percent(self):
         ens, y = self.sin_problem()
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=200, max_width=200,
                         lam=1e-8, seed=5)
-        L, thetas, coeffs, sup_error = fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)
+        L, thetas, coeffs, sup_error = fit_one(ens.flats, y, cfg, 0.0)
         assert sup_error < 1e-2
         # the recorded error matches a brute-force residual sweep of the network
         net = ShallowVectorNetwork(L, thetas, coeffs[:, None], cfg.activation, ens.signature)
@@ -451,27 +483,32 @@ class TestScalarRidge:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_feature_banks_nest_across_widths(self, spec):
-        cfg = FitConfig(functional_spec=spec, width=8, seed=11)
-        L8, t8 = draw_features(cfg, 8, spec.signature)
-        L16, t16 = draw_features(cfg, 16, spec.signature)
+        rng = np.random.default_rng(13)
+        flats = rng.standard_normal((10, signature_dim(spec.signature)))
+        y = rng.standard_normal(10)
+        cfg = FitConfig(functional_spec=spec, width=8, max_width=8, seed=11)
+        # delta 0 is never met, so the grown fit doubles from 8 to 16
+        L8, t8, _, _ = fit_one(flats, y, cfg, 0.0)
+        grown_L, grown_t, _, _ = fit_one(flats, y, replace(cfg, max_width=16), 0.0)
+        L16, t16, _, _ = fit_one(flats, y, replace(cfg, width=16, max_width=16), 0.0)
+        assert len(t8) == 8 and len(t16) == 16
         np.testing.assert_array_equal(t8, t16[:8])
         assert np.all(L8[0] == 0.0) and np.all(L16[0] == 0.0)
         np.testing.assert_array_equal(L8, L16[:8])
+        np.testing.assert_array_equal(grown_L, L16)
+        np.testing.assert_array_equal(grown_t, t16)
 
     def test_draw_rejects_mismatched_signature(self):
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=11)
         with pytest.raises(ShapeError):
-            draw_features(cfg, 8, ("sequence", 101))
-        with pytest.raises(ShapeError):
-            fit_scalar_ridge(np.zeros((4, 100)), np.zeros(4), cfg, 0.1)
+            fit_columns(np.zeros((4, 100)), np.zeros((4, 1)), cfg, [cfg.seed], 0.1)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_grown_bank_equals_fresh_draw(self, spec):
         cfg = FitConfig(functional_spec=spec, width=64, max_width=256, seed=12)
-        streams = construct._feature_streams(cfg.seed)
-        grown = [construct._draw_rows(cfg, streams, a, b)
-                 for a, b in ((0, 64), (64, 128), (128, 256))]
-        rows, thetas = construct._draw_rows(cfg, construct._feature_streams(cfg.seed), 0, 256)
+        streams = bank_streams(cfg.seed)
+        grown = [draw_features(cfg, streams, a, b) for a, b in ((0, 64), (64, 128), (128, 256))]
+        rows, thetas = draw_features(cfg, bank_streams(cfg.seed), 0, 256)
         np.testing.assert_array_equal(np.vstack([g[0] for g in grown]), rows)
         np.testing.assert_array_equal(np.concatenate([g[1] for g in grown]), thetas)
         assert np.all(rows[0] == 0.0)
@@ -479,8 +516,8 @@ class TestScalarRidge:
     def test_deterministic_in_seed(self):
         ens, y = self.sin_problem(count=30)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=32, max_width=32, seed=9)
-        a = fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)
-        b = fit_scalar_ridge(stack_flat(ens), y, cfg, 0.0)
+        a = fit_one(ens.flats, y, cfg, 0.0)
+        b = fit_one(ens.flats, y, cfg, 0.0)
         np.testing.assert_array_equal(a[2], b[2])
 
     @pytest.mark.parametrize("trial", range(5))
@@ -490,8 +527,8 @@ class TestScalarRidge:
         lam = 1e-6
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=24, max_width=24, lam=lam,
                         seed=700 + trial)
-        flats = stack_flat(ens)
-        L, thetas, coeffs, _ = fit_scalar_ridge(flats, y, cfg, 0.0)
+        flats = ens.flats
+        L, thetas, coeffs, _ = fit_one(flats, y, cfg, 0.0)
         design = bank_design(flats, L, thetas, cfg.activation)
         best = np.sum((design @ coeffs - y) ** 2) + lam * np.sum(coeffs**2)
         for _ in range(200):
@@ -511,10 +548,10 @@ class TestScalarRidge:
         # degree-2 features span only quadratics of the pairings, so the sin
         # target stalls far above what tanh features reach
         ens, y = self.sin_problem()
-        flats = stack_flat(ens)
+        flats = ens.flats
         tanh_cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=200, max_width=200,
                              lam=1e-8, seed=5)
-        tanh_err = fit_scalar_ridge(flats, y, tanh_cfg, 0.0)[3]
+        tanh_err = fit_one(flats, y, tanh_cfg, 0.0)[3]
         poly_errs = []
         for width in (100, 200, 400):
             cfg = FitConfig(
@@ -525,7 +562,7 @@ class TestScalarRidge:
                 lam=1e-8,
                 seed=5,
             )
-            poly_errs.append(fit_scalar_ridge(flats, y, cfg, 0.0)[3])
+            poly_errs.append(fit_one(flats, y, cfg, 0.0)[3])
         assert min(poly_errs) >= 5.0 * tanh_err
 
 
@@ -554,7 +591,7 @@ class TestAssemble:
 
     def test_zero_operator_takes_degenerate_branch(self):
         ens = band_ensemble(20, self.GRID, seed=1)
-        values = [TargetElement(np.zeros(101), self.GRID) for _ in range(20)]
+        values = TargetBatch(np.zeros((20, 101)), self.GRID)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
         net, budget, report = assemble_vector_network(
             values, ens, self.family(), 0, 0.1, cfg
@@ -567,8 +604,7 @@ class TestAssemble:
 
     def test_constant_operator_fits_through_bias(self):
         ens = band_ensemble(20, self.GRID, seed=2)
-        v = TargetElement(np.full(101, 2.0), self.GRID)
-        values = [v for _ in range(20)]
+        values = TargetBatch(np.full((20, 101), 2.0), self.GRID)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
         eps = 0.05
         net, budget, report = assemble_vector_network(
@@ -603,7 +639,7 @@ class TestAssemble:
         ens = band_ensemble(30, self.GRID, seed=4)
         values = poisson_operator(self.GRID).apply_many(ens)
         if zero:
-            values = [TargetElement(np.zeros(101), self.GRID) for _ in range(30)]
+            values = TargetBatch(np.zeros((30, 101)), self.GRID)
         family = SeminormFamily((LqNorm(2.0), SupDerivative(0)))
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, lam=0.0, seed=6)
         net, _, report = assemble_vector_network(values, ens, family, 1, 0.2, cfg)
@@ -621,8 +657,7 @@ class TestAssemble:
         centers = build_epsilon_net(values, LqNorm(2.0), 0.025).centers
         start = 0
         for j, width in enumerate(report.coefficient_widths):
-            cfg_j = replace(cfg, seed=derive_seed(cfg.seed, j))
-            L_j, thetas = draw_features(cfg_j, width, ens.signature)
+            L_j, thetas = draw_features(cfg, bank_streams(derive_seed(cfg.seed, j)), 0, width)
             rows = slice(start, start + width)
             start += width
             np.testing.assert_array_equal(net.weights[rows], L_j)
@@ -650,15 +685,14 @@ class TestAssemble:
         # one stacked solve per width tried and stack: (stack size, width)
         assert solved_stacks == expected_stacks(report.coefficient_widths, len(ens), cfg)
         assert np.any(report.coefficient_widths > cfg.width)
-        # block j of the network is fit_scalar_ridge on partition column j
+        # block j of the network is fit_columns on partition column j alone
         rho = LqNorm(2.0)
         net1 = build_epsilon_net(values, rho, 0.025)
         psi = build_partition(values, net1, rho).weights
-        flats = stack_flat(ens)
         start = 0
         for j, center in enumerate(net1.centers):
-            cfg_j = replace(cfg, seed=derive_seed(cfg.seed, j))
-            L, thetas, coeffs, err = fit_scalar_ridge(flats, psi[:, j], cfg_j, budget.delta)
+            (L, thetas, coeffs, err), = fit_columns(ens.flats, psi[:, j:j + 1], cfg,
+                                                    [derive_seed(cfg.seed, j)], budget.delta)
             rows = slice(start, start + len(thetas))
             start += len(thetas)
             np.testing.assert_array_equal(net.weights[rows], L)
@@ -694,13 +728,13 @@ class TestAssemble:
 
     def test_violated_budget_raises_not_asserts(self, monkeypatch):
         ens = band_ensemble(20, self.GRID, seed=2)
-        v = TargetElement(np.full(101, 2.0), self.GRID)
+        values = TargetBatch(np.full((20, 101), 2.0), self.GRID)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
         eps = 0.05
         monkeypatch.setattr(construct, "uniform_error",
                             lambda *args: np.array([2.0 * eps]))
         with pytest.raises(BudgetError, match="budget violated"):
-            assemble_vector_network([v] * 20, ens, self.family(), 0, eps, cfg)
+            assemble_vector_network(values, ens, self.family(), 0, eps, cfg)
 
     def test_budget_arithmetic(self):
         b = ErrorBudget(0.1, 4, 0.5, 0.1 / (2 * 4 * 0.5), False)
@@ -736,14 +770,14 @@ class TestAssemble:
 
     def test_misaligned_values_rejected(self):
         ens = band_ensemble(5, self.GRID, seed=6)
-        values = [TargetElement(np.zeros(101), self.GRID)] * 4
+        values = TargetBatch(np.zeros((4, 101)), self.GRID)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4, seed=0)
         with pytest.raises(ShapeError):
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
 
     def test_mismatched_functional_spec_rejected(self):
         ens = band_ensemble(5, self.GRID, seed=6)
-        values = [TargetElement(np.full(101, 1.0), self.GRID)] * 5
+        values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
         cfg = FitConfig(functional_spec=FunctionalSpec(kind="sequence", length=101), width=4)
         with pytest.raises(ShapeError, match="functional spec"):
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
@@ -754,7 +788,7 @@ class TestUniformError:
 
     def test_exact_reproduction_gives_zero(self):
         ens = band_ensemble(10, self.GRID, seed=7)
-        values = [TargetElement(np.zeros(31), self.GRID) for _ in range(10)]
+        values = TargetBatch(np.zeros((10, 31)), self.GRID)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         fam = SeminormFamily((LqNorm(2.0), LqNorm(1.0)))
         np.testing.assert_array_equal(uniform_error(values, net, ens, fam), [0.0, 0.0])
@@ -762,7 +796,7 @@ class TestUniformError:
     def test_empty_net_against_constant(self):
         ens = band_ensemble(10, self.GRID, seed=8)
         v = TargetElement(np.full(31, 3.0), self.GRID)
-        values = [v for _ in range(10)]
+        values = TargetBatch(np.full((10, 31), 3.0), self.GRID)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         fam = SeminormFamily((LqNorm(2.0), LqNorm(1.0)))
         got = uniform_error(values, net, ens, fam)
@@ -770,14 +804,13 @@ class TestUniformError:
 
     def test_dual_errors(self):
         ens = band_ensemble(10, self.GRID, seed=9)
-        v = TargetElement(np.full(31, 3.0), self.GRID)
-        values = [v for _ in range(10)]
+        values = TargetBatch(np.full((10, 31), 3.0), self.GRID)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
-        duals = [
+        duals = SeminormFamily((
             DualPairing(np.zeros(31), self.GRID, name="null"),
             DualPairing(np.ones(31), self.GRID, name="mean"),
-        ]
-        got = dual_uniform_error(values, net, ens, duals)
+        ))
+        got = uniform_error(values, net, ens, duals)
         assert got[0] == 0.0
         assert got[1] == pytest.approx(3.0, rel=1e-12)
 
@@ -785,7 +818,7 @@ class TestUniformError:
     def test_matches_per_sample_loop(self, count):
         rng = np.random.default_rng(400 + count)
         ens = band_ensemble(count, self.GRID, seed=11 + count)
-        values = [TargetElement(rng.standard_normal(31), self.GRID) for _ in range(count)]
+        values = batch_of([rng.standard_normal(31) for _ in range(count)], self.GRID)
         net = ShallowVectorNetwork(rng.standard_normal((5, 31)), rng.uniform(-1, 1, 5),
                                    rng.standard_normal((5, 31)), Tanh(), ens.signature,
                                    self.GRID)
@@ -798,7 +831,7 @@ class TestUniformError:
     def test_output_dim_mismatch(self):
         ens = band_ensemble(3, self.GRID, seed=10)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 30)
-        values = [TargetElement(np.zeros(31), self.GRID)] * 3
+        values = TargetBatch(np.zeros((3, 31)), self.GRID)
         with pytest.raises(ShapeError):
             uniform_error(values, net, ens, SeminormFamily((LqNorm(2.0),)))
 
@@ -807,4 +840,4 @@ class TestUniformError:
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         fam = SeminormFamily((LqNorm(2.0),))
         with pytest.raises(ShapeError):
-            uniform_error([], net, ens, fam)
+            uniform_error(TargetBatch(np.zeros((2, 31)), self.GRID), net, ens, fam)

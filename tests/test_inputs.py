@@ -16,7 +16,7 @@ from shallowop.inputs import (
     random_functional,
     sample_ensemble,
     signature_dim,
-    stack_flat,
+    stack_inputs,
 )
 from shallowop.network import Polynomial, ShallowVectorNetwork
 from shallowop.seeding import derive_seed
@@ -63,11 +63,11 @@ class TestInputPoints:
 
     def test_stack_flat(self):
         pts = [SequencePoint([1.0, 2.0]), SequencePoint([3.0, 4.0])]
-        np.testing.assert_array_equal(stack_flat(pts), [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(stack_inputs(pts)[0], [[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ShapeError):
-            stack_flat([])
+            stack_inputs([])
         with pytest.raises(ShapeError):
-            stack_flat([SequencePoint([1.0]), SequencePoint([1.0, 2.0])])
+            stack_inputs([SequencePoint([1.0]), SequencePoint([1.0, 2.0])])
 
 
 def pairing(spec, params):
@@ -156,7 +156,7 @@ class TestFunctionals:
             params = draw_functional_params(spec, rng, 5)
             params[2] = 0.0
             pts = [points[spec.kind]() for _ in range(4)]
-            got = functional_weights(spec, params) @ stack_flat(pts).T
+            got = functional_weights(spec, params) @ stack_inputs(pts)[0].T
             want = np.array([[definitions[spec.kind](p, s) for s in pts] for p in params])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
             assert np.all(got[2] == 0.0)
@@ -289,7 +289,7 @@ class TestEnsembleMatrix:
         assert not ens.flats.flags.writeable
         with pytest.raises(ValueError):
             ens.flats[0, 0] = 1.0
-        assert stack_flat(ens) is ens.flats
+        assert stack_inputs(ens)[0] is ens.flats
 
     @pytest.mark.parametrize("spec", ENSEMBLE_SPECS, ids=lambda s: s.family)
     def test_indexing_and_iteration_give_points(self, spec):
@@ -302,7 +302,7 @@ class TestEnsembleMatrix:
             assert p.signature == ens.signature == spec.input_signature
             np.testing.assert_array_equal(p.flat, ens.flats[i])
             np.testing.assert_array_equal(points[i].flat, ens.flats[i])
-        np.testing.assert_array_equal(stack_flat(points), ens.flats)
+        np.testing.assert_array_equal(stack_inputs(points)[0], ens.flats)
 
     @pytest.mark.parametrize("spec", ENSEMBLE_SPECS, ids=lambda s: s.family)
     def test_slices_are_views(self, spec):

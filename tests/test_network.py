@@ -258,6 +258,20 @@ class TestInvariants:
         assert np.max(np.abs(fit(xs) - ys)) < 1e-8
 
 
+def kind_network(kind, rng):
+    """A small network on sequences (out dim 5), on 2 x 3 matrices (out dim
+    1), or on functions on a 13-node grid with a 17-node output grid."""
+    if kind == "sequence":
+        return random_network(rng, width=2)
+    if kind == "matrix":
+        return ShallowVectorNetwork(rng.standard_normal((2, 6)), rng.uniform(-1, 1, 2),
+                                    rng.standard_normal((2, 1)), Tanh(), ("matrix", (2, 3)))
+    in_grid, out_grid = GridMeta(0.0, 1.0, 13), GridMeta(-1.0, 2.0, 17)
+    return ShallowVectorNetwork(rng.standard_normal((2, 13)), rng.uniform(-1, 1, 2),
+                                rng.standard_normal((2, 17)), Tanh(), ("function", in_grid),
+                                out_grid)
+
+
 class TestSerialization:
     def roundtrip(self, net):
         return deserialize_network(json.loads(json.dumps(serialize_network(net))))
@@ -389,4 +403,27 @@ class TestSerialization:
         doc = serialize_network(net)
         doc[field] = packed(values)
         with pytest.raises(DocumentError, match=f"{field} contain non-finite"):
+            deserialize_network(doc)
+
+    # each bad size truncates to the document's true size, so only the type
+    # check can reject it
+    @pytest.mark.parametrize("kind, field, bad", [
+        ("sequence", "output_dim", 5.5),
+        ("sequence", "output_dim", "5"),
+        ("matrix", "output_dim", True),
+        ("sequence", "input_shape.length", 6.7),
+        ("sequence", "input_shape.length", "6"),
+        ("matrix", "input_shape.rows", 2.5),
+        ("matrix", "input_shape.cols", 3.0),
+        ("function", "output_grid.n", 17.5),
+        ("function", "input_shape.grid.n", 13.0),
+    ])
+    def test_non_integer_size_rejected(self, kind, field, bad):
+        doc = serialize_network(kind_network(kind, np.random.default_rng(20)))
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = bad
+        with pytest.raises(DocumentError, match=f"'{field}' must be an integer, got"):
             deserialize_network(doc)

@@ -13,8 +13,8 @@ from shallowop.targets import (
     Seminorm,
     SeminormFamily,
     SupDerivative,
+    TargetBatch,
     TargetElement,
-    stack_values,
 )
 
 GRID = GridMeta(0.0, 1.0, 101)
@@ -365,16 +365,7 @@ class TestBatch:
         # a family of it measures the pipeline's uniform error; against the
         # zero network the residuals are the values themselves
         fam = SeminormFamily((MaxAbs(),))
-        diffs = [TargetElement(np.array([1.0, -3.0])), TargetElement(np.array([4.0, 0.0]))]
+        diffs = TargetBatch(np.array([[1.0, -3.0], [4.0, 0.0]]))
         inputs = [SequencePoint([0.0]), SequencePoint([1.0])]
         zero = ShallowVectorNetwork.zero(Tanh(), ("sequence", 1), 2)
         np.testing.assert_array_equal(uniform_error(diffs, zero, inputs, fam), [4.0])
-
-    def test_stack_values_rejects_mixed_metadata(self):
-        g = GridMeta(0.0, 1.0, 5)
-        with pytest.raises(ShapeError):
-            stack_values([TargetElement(np.ones(5), g), TargetElement(np.ones(5))])
-        with pytest.raises(ShapeError):
-            stack_values([TargetElement(np.ones(5)), TargetElement(np.ones(6))])
-        values, grid = stack_values([TargetElement(np.ones(5), g)] * 3)
-        assert values.shape == (3, 5) and grid == g
