@@ -49,7 +49,6 @@ from .network import (
     Tanh,
     deserialize_network,
     make_activation,
-    network_sum,
     serialize_network,
 )
 from .operators import (
@@ -76,4 +75,4 @@ from .targets import (
     TargetElement,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

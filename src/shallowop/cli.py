@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .experiment import ExperimentConfig, emit_report, run_experiment
-from .presets import get_preset, preset_description, preset_dict, preset_names
+from .presets import preset_description, preset_dict, preset_names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,28 +40,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path_or_name: str) -> ExperimentConfig:
+def _load_config(path_or_name: str):
+    """The raw config document of a JSON file, or of a preset by name."""
     path = Path(path_or_name)
     if not path.exists():
         if path_or_name in preset_names():
-            return get_preset(path_or_name)
+            return preset_dict(path_or_name)
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("field 'seed': must be a nonnegative integer")
-        config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed})
+    raw = _load_config(args.config)
+    if args.seed is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": args.seed}
+    config = ExperimentConfig.from_dict(raw)
 
     out_dir = args.out if args.out is not None else config.out
     if out_dir is None:

@@ -2,9 +2,11 @@
 
 Every input variant flattens to a real vector, and every continuous linear
 functional is a weight row paired with it by a dot product, so pairings over
-whole ensembles are single matrix products.  Compact sets are surrogated by
-parametric families with bounded parameters, sampled finitely with a seeded
-generator into one (n_samples, dim) matrix.
+whole ensembles are single matrix products.  An input point carries its
+hashable shape `signature` and its 1-d `flat` view; functionals, operators
+and networks pair only with inputs of their own signature.  Compact sets
+are surrogated by parametric families with bounded parameters, sampled
+finitely with a seeded generator into one (n_samples, dim) matrix.
 """
 
 from __future__ import annotations
@@ -17,22 +19,8 @@ from .errors import ConfigError, ShapeError
 from .targets import GridMeta, _as_readonly_vector, _readonly_rows
 
 
-class InputPoint:
-    """Base class for discretized input-space points."""
-
-    @property
-    def signature(self) -> tuple:
-        """Hashable shape descriptor; functionals pair only with matching ones."""
-        raise NotImplementedError
-
-    @property
-    def flat(self) -> np.ndarray:
-        """1-d float view used for dot-product pairings."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True, eq=False)
-class FunctionSample(InputPoint):
+class FunctionSample:
     """A function sampled on a uniform grid."""
 
     values: np.ndarray
@@ -52,19 +40,9 @@ class FunctionSample(InputPoint):
     def flat(self):
         return self.values
 
-    def __add__(self, other):
-        if not isinstance(other, FunctionSample) or other.grid != self.grid:
-            raise ShapeError("can only add function samples on the same grid")
-        return FunctionSample(self.values + other.values, self.grid)
-
-    def __mul__(self, scalar):
-        return FunctionSample(self.values * float(scalar), self.grid)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
-class SequencePoint(InputPoint):
+class SequencePoint:
     """A truncated sequence-space point; the tail beyond the stored length is zero."""
 
     values: np.ndarray
@@ -80,19 +58,9 @@ class SequencePoint(InputPoint):
     def flat(self):
         return self.values
 
-    def __add__(self, other):
-        if not isinstance(other, SequencePoint) or other.values.shape != self.values.shape:
-            raise ShapeError("can only add sequence points of the same truncation length")
-        return SequencePoint(self.values + other.values)
-
-    def __mul__(self, scalar):
-        return SequencePoint(self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
-class MatrixPoint(InputPoint):
+class MatrixPoint:
     """A real matrix input."""
 
     values: np.ndarray
@@ -113,16 +81,6 @@ class MatrixPoint(InputPoint):
     @property
     def flat(self):
         return self.values.reshape(-1)
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixPoint) or other.values.shape != self.values.shape:
-            raise ShapeError("can only add matrices of the same shape")
-        return MatrixPoint(self.values + other.values)
-
-    def __mul__(self, scalar):
-        return MatrixPoint(self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def _checked_shape(shape) -> tuple[int, int]:
@@ -164,7 +122,7 @@ def stack_inputs(samples) -> tuple[np.ndarray, tuple]:
     return np.stack([s.flat for s in samples]), sig
 
 
-def _point(signature: tuple, row: np.ndarray) -> InputPoint:
+def _point(signature: tuple, row: np.ndarray) -> FunctionSample | SequencePoint | MatrixPoint:
     """The input point of signature whose flattened values are row."""
     kind = signature[0]
     if kind == "function":
@@ -306,10 +264,9 @@ class CompactEnsemble:
     """Finite sample of a parametric compact set, with its generator and seed.
 
     Held as one validated, read-only (n_samples, dim) matrix `flats`: row i
-    is sample i flattened for spec.input_signature.  It is built from that
-    matrix or from a sequence of input points.  Indexing and iteration build
-    input points on demand, and a slice is an ensemble over a view of the
-    same matrix, not a copy.
+    is sample i flattened for spec.input_signature.  Indexing and iteration
+    build input points on demand, and a slice is an ensemble over a view of
+    the same matrix, not a copy.
     """
 
     flats: np.ndarray
@@ -318,12 +275,7 @@ class CompactEnsemble:
 
     def __post_init__(self):
         sig = self.spec.input_signature
-        flats = self.flats
-        if not isinstance(flats, np.ndarray):
-            flats, points_sig = stack_inputs(flats)
-            if points_sig != sig:
-                raise ShapeError(f"ensemble samples {points_sig} do not match {sig}")
-        flats = _readonly_rows(flats, "ensemble inputs")
+        flats = _readonly_rows(self.flats, "ensemble inputs")
         if flats.shape[1] != signature_dim(sig):
             raise ShapeError(f"ensemble rows have {flats.shape[1]} entries, {sig} needs "
                              f"{signature_dim(sig)}")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DocumentError, ShapeError
-from .inputs import InputPoint, signature_dim, stack_inputs
-from .targets import GridMeta, TargetElement
+from .inputs import signature_dim, stack_inputs
+from .targets import GridMeta
 
 
 class Activation:
@@ -194,10 +194,6 @@ class ShallowVectorNetwork:
     def width(self) -> int:
         return self.thresholds.shape[0]
 
-    def __call__(self, s: InputPoint) -> TargetElement:
-        """The network at one input: the one-row batch."""
-        return TargetElement(self.evaluate_many([s])[0], self.output_grid)
-
     def evaluate_many(self, samples) -> np.ndarray:
         """(n_samples, output_dim) evaluations, two matrix products per block.
 
@@ -230,21 +226,6 @@ def _readonly_array(values, field: str, ndim: int) -> np.ndarray:
     return a
 
 
-def network_sum(a: ShallowVectorNetwork, b: ShallowVectorNetwork) -> ShallowVectorNetwork:
-    """Stack both networks' rows; the class is a span, so sums stay inside it."""
-    if a.activation != b.activation:
-        raise ShapeError("cannot sum networks with different activations")
-    if (a.input_signature != b.input_signature or a.output_dim != b.output_dim
-            or a.output_grid != b.output_grid):
-        raise ShapeError("cannot sum networks with different shapes")
-    return ShallowVectorNetwork(
-        np.vstack([a.weights, b.weights]),
-        np.concatenate([a.thresholds, b.thresholds]),
-        np.vstack([a.coefficients, b.coefficients]),
-        a.activation, a.input_signature, a.output_grid,
-    )
-
-
 def _grid_to_doc(grid: GridMeta | None):
     if grid is None:
         return None
@@ -260,11 +241,26 @@ def _size_from_doc(doc, key, field):
     return value
 
 
+def _endpoint_from_doc(doc, key, field):
+    """doc[key] as a float when it is a finite number; a bool, a string, a
+    non-finite value or an integer beyond float range is a DocumentError
+    naming field."""
+    value = doc[key]
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise DocumentError(f"field {field!r} must be a finite number, got {value!r}")
+
+
 def _grid_from_doc(doc, field):
     if doc is None:
         return None
     try:
-        return GridMeta(float(doc["a"]), float(doc["b"]), _size_from_doc(doc, "n", f"{field}.n"))
+        return GridMeta(_endpoint_from_doc(doc, "a", f"{field}.a"),
+                        _endpoint_from_doc(doc, "b", f"{field}.b"),
+                        _size_from_doc(doc, "n", f"{field}.n"))
     except DocumentError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

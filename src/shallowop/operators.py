@@ -9,19 +9,19 @@ treats them as opaque maps even when they happen to be linear.
 Each operator is one batched map from an (n, dim) input matrix to an
 (n, d) value matrix, so an ensemble of thousands of samples is one array
 pass: one matrix product, one banded solve with n right-hand sides, or one
-elementwise map.  A single input is the one-row batch.
+elementwise map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from .errors import ConfigError, ShapeError
-from .inputs import InputPoint, stack_inputs
-from .targets import GridMeta, TargetBatch, TargetElement
+from .inputs import stack_inputs
+from .targets import GridMeta, TargetBatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +30,6 @@ class Kernel:
 
     fn: object
     name: str
-    params: dict = field(default_factory=dict)
 
     def __call__(self, x, s):
         return self.fn(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
@@ -44,15 +43,12 @@ def make_kernel(name: str, **params) -> Kernel:
             raise ConfigError(f"gaussian kernel width must be positive, got {width}")
         if params:
             raise ConfigError(f"unexpected gaussian kernel parameters {sorted(params)}")
-        return Kernel(
-            lambda x, s: np.exp(-((x - s) / width) ** 2), "gaussian", {"width": width}
-        )
+        return Kernel(lambda x, s: np.exp(-((x - s) / width) ** 2), "gaussian")
     if name == "constant":
         value = float(params.pop("value", 1.0))
         if params:
             raise ConfigError(f"unexpected constant kernel parameters {sorted(params)}")
-        return Kernel(lambda x, s: np.full(np.broadcast(x, s).shape, value),
-                      "constant", {"value": value})
+        return Kernel(lambda x, s: np.full(np.broadcast(x, s).shape, value), "constant")
     raise ConfigError(f"unknown kernel {name!r}")
 
 
@@ -122,10 +118,6 @@ class Operator:
             raise ShapeError(f"operator output dim must be positive, got {self.output_dim}")
         if self.output_grid is not None and self.output_dim != self.output_grid.n:
             raise ShapeError("operator output dim does not match its output grid")
-
-    def __call__(self, s: InputPoint) -> TargetElement:
-        """The image of one input: the one-row batch."""
-        return self.apply_many([s])[0]
 
     def apply_many(self, samples) -> TargetBatch:
         """Images of an ensemble or a list of input points, in one batched map.

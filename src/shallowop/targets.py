@@ -71,7 +71,6 @@ class TargetElement:
 
     Elements with a grid are samples of a function on that grid; elements
     without one are plain coefficient vectors (sequence/matrix targets).
-    Arithmetic is only defined between elements with identical metadata.
     """
 
     values: np.ndarray
@@ -88,35 +87,6 @@ class TargetElement:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def _require_combinable(self, other: "TargetElement"):
-        if not isinstance(other, TargetElement):
-            raise TypeError(f"cannot combine TargetElement with {type(other).__name__}")
-        if self.grid != other.grid or self.dim != other.dim:
-            raise ShapeError("target elements have mismatched grid metadata")
-
-    def __add__(self, other):
-        self._require_combinable(other)
-        return TargetElement(self.values + other.values, self.grid)
-
-    def __sub__(self, other):
-        self._require_combinable(other)
-        return TargetElement(self.values - other.values, self.grid)
-
-    def __mul__(self, scalar):
-        return TargetElement(self.values * float(scalar), self.grid)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TargetElement(-self.values, self.grid)
-
-    @staticmethod
-    def zero(dim: int, grid: GridMeta | None = None) -> "TargetElement":
-        return TargetElement(np.zeros(dim), grid)
-
-    def zero_like(self) -> "TargetElement":
-        return TargetElement(np.zeros(self.dim), self.grid)
 
 
 def _readonly_rows(values, field: str) -> np.ndarray:
@@ -354,7 +324,6 @@ class SeminormFamily:
     """Ordered finite family of seminorms defining the target topology."""
 
     members: tuple[Seminorm, ...]
-    name: str = ""
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -370,6 +339,3 @@ class SeminormFamily:
 
     def __iter__(self):
         return iter(self.members)
-
-    def labels(self) -> list[str]:
-        return [rho.label() for rho in self.members]

@@ -100,11 +100,12 @@ def test_criterion_01_finite_rank_suite():
             assert np.all(pou.distances[pou.weights > 0.0] < eps)
             for a in range(len(net)):
                 for b in range(a + 1, len(net)):
-                    assert rho(net.centers[a] - net.centers[b]) >= eps
+                    gap = net.centers.values[a] - net.centers.values[b]
+                    assert rho(TargetElement(gap, net.centers.grid)) >= eps
             # the finite-rank map: row i is sum_j psi_j(s_i) v_j
             finite_rank = pou.weights @ net.centers.values
             err = max(
-                rho(values[i] - TargetElement(finite_rank[i], values.grid))
+                rho(TargetElement(values.values[i] - finite_rank[i], values.grid))
                 for i in range(len(values))
             )
             assert err < eps * (1.0 + 1e-9), f"{name} at eps={eps}: {err}"
@@ -188,11 +189,11 @@ def test_criterion_06_seminorm_axiom_trials():
         lam = float(rng.uniform(-3.0, 3.0))
 
         rho_t, rho_u = rho(t), rho(u)
-        hom = rho(lam * t)
+        hom = rho(TargetElement(lam * t.values, grid))
         assert abs(hom - abs(lam) * rho_t) <= 1e-9 * max(1.0, abs(lam) * rho_t)
-        tri = rho(t + u)
+        tri = rho(TargetElement(t.values + u.values, grid))
         assert tri <= (rho_t + rho_u) * (1.0 + 1e-9)
-        assert rho_t >= 0.0 and rho(t.zero_like()) == 0.0
+        assert rho_t >= 0.0 and rho(TargetElement(np.zeros(dim), grid)) == 0.0
         trials += 1
     assert trials == 1000
     report_line(6, "1000 homogeneity + triangle trials at 1e-9")
@@ -203,12 +204,12 @@ def test_criterion_07_operator_oracles():
 
     # -u'' = 1, u(0) = u(1) = 0 has u = x(1-x)/2; the second-difference
     # scheme reproduces quadratics exactly
-    u = poisson_operator(GRID)(FunctionSample(np.ones(GRID.n), GRID))
+    u = poisson_operator(GRID).apply_many([FunctionSample(np.ones(GRID.n), GRID)])[0]
     np.testing.assert_allclose(u.values, x * (1.0 - x) / 2.0, rtol=0, atol=1e-12)
 
     def poisson_sin_err(grid):
         xs = grid.nodes()
-        u = poisson_operator(grid)(FunctionSample(np.sin(np.pi * xs), grid))
+        u = poisson_operator(grid).apply_many([FunctionSample(np.sin(np.pi * xs), grid)])[0]
         return float(np.max(np.abs(u.values - np.sin(np.pi * xs) / np.pi**2)))
 
     e_p1 = poisson_sin_err(GRID)
@@ -221,7 +222,7 @@ def test_criterion_07_operator_oracles():
     def integral_err(grid, n_fine):
         xs = grid.nodes()
         f = FunctionSample(np.sin(np.pi * xs), grid)
-        out = integral_operator(kernel, grid)(f).values
+        out = integral_operator(kernel, grid).apply_many([f]).values[0]
         fine = np.linspace(0.0, 1.0, n_fine)
         w = np.full(n_fine, fine[1] - fine[0])
         w[0] *= 0.5
@@ -294,7 +295,7 @@ def test_criterion_09_determinism_and_serialization():
         derive_seed(909),
     )
     for s in probes:
-        assert np.array_equal(net(s).values, again(s).values)
+        assert np.array_equal(net.evaluate_many([s]), again.evaluate_many([s]))
     report_line(9, "reports byte-identical; round-trip bit-identical on 10 inputs")
 
 

@@ -126,6 +126,11 @@ class TestCliRun:
         cfg = quick_config(tmp_path, seminorms=TWO_SEMINORMS)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert built == ["quick"]
+        # a seed override is set on the document before it is built
+        built.clear()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                     "--seed", "5"]) == 0
+        assert built == ["quick"]
 
     def test_missing_out_dir_is_a_config_error(self, tmp_path, capsys):
         cfg = quick_config(tmp_path)

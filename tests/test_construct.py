@@ -55,6 +55,11 @@ def batch_of(rows, grid=None):
     return TargetBatch(np.array(rows, dtype=float), grid)
 
 
+def gap(rho, t, c):
+    """rho(t - c) for two elements on t's grid."""
+    return rho(TargetElement(t.values - c.values, t.grid))
+
+
 def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
     return sample_ensemble(
         EnsembleSpec(family="band_limited", count=count, radii=radii, grid=grid), seed
@@ -69,7 +74,7 @@ def reference_net_indices(values, rho, epsilon):
     """The greedy net, one scalar seminorm call per (value, center) pair."""
     centers, indices = [], []
     for i, t in enumerate(values):
-        if all(rho(t - c) >= epsilon for c in centers):
+        if all(gap(rho, t, c) >= epsilon for c in centers):
             centers.append(t)
             indices.append(i)
     return tuple(indices)
@@ -87,7 +92,7 @@ class TestEpsilonNet:
         assert [c.values[0] for c in net.centers] == [0.0, 2.0]
         # brute-force cover check: every value strictly within epsilon
         for t in values:
-            assert min(ABS(t - c) for c in net.centers) < 1.5
+            assert min(gap(ABS, t, c) for c in net.centers) < 1.5
 
     def test_epsilon_above_diameter(self):
         values = scalar_batch(0.0, 1.0, 2.0)
@@ -107,10 +112,10 @@ class TestEpsilonNet:
         values = batch_of([rng.standard_normal(6) for _ in range(40)])
         net = build_epsilon_net(values, rho, 1.0)
         for t in values:
-            assert min(rho(t - c) for c in net.centers) < 1.0
+            assert min(gap(rho, t, c) for c in net.centers) < 1.0
         for a in range(len(net)):
             for b in range(a + 1, len(net)):
-                assert rho(net.centers[a] - net.centers[b]) >= 1.0
+                assert gap(rho, net.centers[a], net.centers[b]) >= 1.0
 
     def test_value_at_exactly_epsilon_becomes_a_center(self):
         # |1.0 - 0.0| is exactly epsilon: not strictly covered
@@ -199,7 +204,7 @@ class TestPartition:
         values = batch_of([rng.standard_normal(3) for _ in range(2 * SEMINORM_BLOCK_ROWS + 41)])
         net = build_epsilon_net(values, rho, 2.0)
         pou = build_partition(values, net, rho)
-        want = [[rho(t - c) for c in net.centers] for t in values]
+        want = [[gap(rho, t, c) for c in net.centers] for t in values]
         np.testing.assert_allclose(pou.distances, want, rtol=1e-12, atol=0)
 
     def test_values_and_centers_must_share_metadata(self):
@@ -237,7 +242,7 @@ class TestFiniteRank:
         pou = build_partition(values, net, ABS)
         out = finite_rank(pou, net)
         for i in range(4):
-            assert ABS(out[i] - values[i]) == 0.0
+            assert gap(ABS, out[i], values[i]) == 0.0
 
     def test_convexity_bound_survives_stripped_asserts(self, monkeypatch):
         # assembly's stage-1 check: the largest sum_j psi_j d_ij must stay
@@ -295,7 +300,7 @@ class TestFiniteRank:
         pou = build_partition(values, net, rho)
         out = finite_rank(pou, net)
         for i, t in enumerate(values):
-            err = rho(t - out[i])
+            err = gap(rho, t, out[i])
             bound = float(np.dot(pou.weights[i], pou.distances[i]))
             assert err <= bound + 1e-9 * eps
             assert bound < eps * (1.0 + 1e-9)
@@ -587,7 +592,7 @@ class TestAssemble:
     GRID = GridMeta(0.0, 1.0, 101)
 
     def family(self):
-        return SeminormFamily((LqNorm(2.0),), name="l2")
+        return SeminormFamily((LqNorm(2.0),))
 
     def test_zero_operator_takes_degenerate_branch(self):
         ens = band_ensemble(20, self.GRID, seed=1)
@@ -824,7 +829,8 @@ class TestUniformError:
                                    self.GRID)
         fam = SeminormFamily((LqNorm(2.0), SupDerivative(1),
                               DualPairing(rng.standard_normal(31), self.GRID)))
-        want = [max(rho(t - net(s)) for t, s in zip(values, ens)) for rho in fam]
+        want = [max(rho(TargetElement(t.values - net.evaluate_many([s])[0], t.grid))
+                    for t, s in zip(values, ens)) for rho in fam]
         np.testing.assert_allclose(uniform_error(values, net, ens, fam), want,
                                    rtol=1e-12, atol=0)
 

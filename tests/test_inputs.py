@@ -34,14 +34,6 @@ class TestInputPoints:
         with pytest.raises(ShapeError):
             FunctionSample(np.ones(5), GRID)
 
-    def test_function_sample_arithmetic(self):
-        s = fn_sample(np.sin)
-        t = fn_sample(np.cos)
-        np.testing.assert_allclose((s + t).values, s.values + t.values)
-        np.testing.assert_allclose((0.5 * s).values, 0.5 * s.values)
-        with pytest.raises(ShapeError):
-            s + fn_sample(np.sin, GridMeta(0.0, 1.0, 51))
-
     def test_sequence_point_flat(self):
         s = SequencePoint([1.0, 2.0, 3.0])
         assert s.signature == ("sequence", 3)
@@ -82,7 +74,7 @@ def pairing(spec, params):
 
 
 def pair(spec, params, s):
-    return float(pairing(spec, params)(s).values[0])
+    return float(pairing(spec, params).evaluate_many([s])[0, 0])
 
 
 FN_SPEC = FunctionalSpec(kind="function", grid=GRID)
@@ -103,9 +95,9 @@ class TestFunctionals:
     def test_quadrature_pairing_grid_mismatch(self):
         l = pairing(FN_SPEC, np.ones(GRID.n))
         with pytest.raises(ShapeError):
-            l(fn_sample(np.sin, GridMeta(0.0, 1.0, 51)))
+            l.evaluate_many([fn_sample(np.sin, GridMeta(0.0, 1.0, 51))])
         with pytest.raises(ShapeError):
-            l(SequencePoint(np.ones(GRID.n)))
+            l.evaluate_many([SequencePoint(np.ones(GRID.n))])
 
     def test_sequence_dot(self):
         spec = FunctionalSpec(kind="sequence", length=2)
@@ -134,8 +126,8 @@ class TestFunctionals:
         s = SequencePoint(rng.standard_normal(16))
         t = SequencePoint(rng.standard_normal(16))
         a, b = rng.uniform(-2.0, 2.0, 2)
-        lhs = l(a * s + b * t).values[0]
-        assert lhs == pytest.approx(a * l(s).values[0] + b * l(t).values[0], abs=1e-9)
+        lhs, ls, lt = l.evaluate_many([SequencePoint(a * s.values + b * t.values), s, t])[:, 0]
+        assert lhs == pytest.approx(a * ls + b * lt, abs=1e-9)
 
     def test_functional_weights_match_pairwise(self):
         # weight rows pair with stacked inputs as the functionals they stand
@@ -164,8 +156,8 @@ class TestFunctionals:
 
     def test_sequence_dot_signature_mismatch(self):
         with pytest.raises(ShapeError):
-            pairing(FunctionalSpec(kind="sequence", length=8), np.ones(8))(
-                SequencePoint(np.ones(9)))
+            pairing(FunctionalSpec(kind="sequence", length=8), np.ones(8)).evaluate_many(
+                [SequencePoint(np.ones(9))])
 
 
 SPECS = (
@@ -268,7 +260,7 @@ class TestEnsembles:
         spec = EnsembleSpec(family="sequence_box", count=2, radii=(1.0,))
         with pytest.raises(ShapeError):
             CompactEnsemble(
-                (SequencePoint([1.0]), SequencePoint([1.0, 2.0])), spec, 0
+                stack_inputs((SequencePoint([1.0]), SequencePoint([1.0, 2.0])))[0], spec, 0
             )
 
 
@@ -318,7 +310,7 @@ class TestEnsembleMatrix:
     def test_built_from_points_or_matrix(self):
         spec = ENSEMBLE_SPECS[1]
         pts = [SequencePoint([1.0, 2.0, 3.0, 4.0]), SequencePoint([0.5, 0.0, 0.0, -1.0])]
-        from_points = CompactEnsemble(pts, spec, 0)
+        from_points = CompactEnsemble(stack_inputs(pts)[0], spec, 0)
         mine = np.array([p.flat for p in pts])
         from_matrix = CompactEnsemble(mine, spec, 0)
         np.testing.assert_array_equal(from_points.flats, from_matrix.flats)
@@ -335,9 +327,10 @@ class TestEnsembleMatrix:
         with pytest.raises(ShapeError):
             CompactEnsemble(np.zeros((3, 5)), spec, 0)
         with pytest.raises(ShapeError):
-            CompactEnsemble([SequencePoint(np.ones(4)), SequencePoint(np.ones(5))], spec, 0)
+            CompactEnsemble(stack_inputs([SequencePoint(np.ones(4)), SequencePoint(np.ones(5))])[0],
+                            spec, 0)
         with pytest.raises(ShapeError):
-            CompactEnsemble([FunctionSample(np.ones(GRID.n), GRID)], spec, 0)
+            CompactEnsemble(stack_inputs([FunctionSample(np.ones(GRID.n), GRID)])[0], spec, 0)
         bad = np.ones((3, 4))
         bad[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):

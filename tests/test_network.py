@@ -6,9 +6,11 @@ import pytest
 
 from shallowop.errors import DocumentError, ShapeError
 from shallowop.inputs import (
+    EnsembleSpec,
     FunctionSample,
     MatrixPoint,
     SequencePoint,
+    sample_ensemble,
 )
 from shallowop.network import (
     EVAL_BLOCK_ROWS,
@@ -20,7 +22,6 @@ from shallowop.network import (
     Tanh,
     deserialize_network,
     make_activation,
-    network_sum,
     serialize_network,
 )
 from shallowop.targets import GridMeta
@@ -88,8 +89,8 @@ class TestEvaluate:
     def test_empty_network_is_zero(self):
         net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
         assert net.width == 0
-        out = net(SequencePoint([1.0, -2.0, 5.0]))
-        np.testing.assert_array_equal(out.values, np.zeros(4))
+        out = net.evaluate_many([SequencePoint([1.0, -2.0, 5.0])])[0]
+        np.testing.assert_array_equal(out, np.zeros(4))
         batch = net.evaluate_many([SequencePoint([1.0, -2.0, 5.0])] * 2)
         np.testing.assert_array_equal(batch, np.zeros((2, 4)))
 
@@ -97,32 +98,21 @@ class TestEvaluate:
         # the one weight row is the Frobenius pairing with the identity
         net = ShallowVectorNetwork(np.eye(2).reshape(1, 4), [0.0], [[1.0, 0.0]], Relu(),
                                    ("matrix", (2, 2)))
-        out = net(MatrixPoint(np.eye(2)))
-        np.testing.assert_array_equal(out.values, [2.0, 0.0])
+        out = net.evaluate_many([MatrixPoint(np.eye(2))])[0]
+        np.testing.assert_array_equal(out, [2.0, 0.0])
 
     def test_constant_via_zero_functional(self):
         grid = GridMeta(0.0, 1.0, 11)
         net = ShallowVectorNetwork(np.zeros((1, 2)), [-1.0], np.ones((1, 11)), Tanh(),
                                    ("sequence", 2), grid)
-        out = net(SequencePoint([3.0, -7.0]))
-        np.testing.assert_allclose(out.values, TANH_1, rtol=1e-15)
-        assert out.grid == grid
-
-    def test_call_is_the_one_row_batch(self):
-        rng = np.random.default_rng(2)
-        grid = GridMeta(0.0, 1.0, 5)
-        net = ShallowVectorNetwork(rng.standard_normal((7, 6)), rng.uniform(-1.0, 1.0, 7),
-                                   rng.standard_normal((7, 5)), Tanh(), ("sequence", 6), grid)
-        for _ in range(5):
-            s = SequencePoint(rng.standard_normal(6))
-            out = net(s)
-            assert out.grid == grid
-            assert out.values.tobytes() == net.evaluate_many([s])[0].tobytes()
+        out = net.evaluate_many([SequencePoint([3.0, -7.0])])[0]
+        np.testing.assert_allclose(out, TANH_1, rtol=1e-15)
+        assert net.output_grid == grid
 
     def test_input_signature_checked(self):
         net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
         with pytest.raises(ShapeError):
-            net(SequencePoint([1.0, 2.0]))
+            net.evaluate_many([SequencePoint([1.0, 2.0])])
 
     def test_neuron_shape_mismatches_rejected(self):
         L, theta, V = np.ones((1, 3)), np.zeros(1), np.ones((1, 4))
@@ -150,7 +140,7 @@ class TestEvaluate:
         net = random_network(rng)
         pts = [SequencePoint(rng.standard_normal(6)) for _ in range(9)]
         batch = net.evaluate_many(pts)
-        single = np.stack([net(p).values for p in pts])
+        single = np.stack([net.evaluate_many([p])[0] for p in pts])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
@@ -159,8 +149,32 @@ class TestEvaluate:
         net = random_network(rng, width=7)
         pts = [SequencePoint(rng.standard_normal(6)) for _ in range(2 * EVAL_BLOCK_ROWS + 37)]
         batch = net.evaluate_many(pts)
-        single = np.stack([net(p).values for p in pts])
+        single = np.stack([net.evaluate_many([p])[0] for p in pts])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec("band_limited", 300, radii=(1.0, 0.5), grid=GridMeta(0.0, 1.0, 13)),
+        EnsembleSpec("sequence_box", 300, radii=(1.0, 0.5, 0.25)),
+        EnsembleSpec("matrix_ball", 300, shape=(2, 3), radius=1.5),
+    ], ids=lambda spec: spec.family)
+    def test_point_list_and_ensemble_evaluate_bitwise_equal(self, spec):
+        # a list of the ensemble's points, as saved-network users hold them,
+        # evaluates exactly as the ensemble's own matrix, across row blocks
+        rng = np.random.default_rng(11)
+        ens = sample_ensemble(spec, 12)
+        dim = ens.flats.shape[1]
+        net = ShallowVectorNetwork(rng.standard_normal((9, dim)), rng.uniform(-1.0, 1.0, 9),
+                                   rng.standard_normal((9, 4)), Tanh(), ens.signature)
+        want = net.evaluate_many(ens)
+        assert net.evaluate_many(list(ens)).tobytes() == want.tobytes()
+
+
+def stacked(a, b):
+    """The network over a's rows and then b's: it evaluates to a + b."""
+    return ShallowVectorNetwork(np.vstack([a.weights, b.weights]),
+                                np.concatenate([a.thresholds, b.thresholds]),
+                                np.vstack([a.coefficients, b.coefficients]),
+                                a.activation, a.input_signature, a.output_grid)
 
 
 class TestNetworkSum:
@@ -169,34 +183,28 @@ class TestNetworkSum:
         a = random_network(rng)
         empty = ShallowVectorNetwork.zero(Tanh(), a.input_signature, a.output_dim)
         s = SequencePoint(rng.standard_normal(6))
-        np.testing.assert_array_equal(network_sum(a, empty)(s).values, a(s).values)
+        np.testing.assert_array_equal(stacked(a, empty).evaluate_many([s]),
+                                      a.evaluate_many([s]))
 
     def test_self_sum_doubles(self):
         rng = np.random.default_rng(2)
         a = random_network(rng)
         s = SequencePoint(rng.standard_normal(6))
         np.testing.assert_allclose(
-            network_sum(a, a)(s).values, 2.0 * a(s).values, rtol=1e-12, atol=1e-12
+            stacked(a, a).evaluate_many([s]), 2.0 * a.evaluate_many([s]), rtol=1e-12, atol=1e-12
         )
 
     def test_additivity_on_random_inputs(self):
         rng = np.random.default_rng(3)
         a = random_network(rng, width=5)
         b = random_network(rng, width=3)
-        c = network_sum(a, b)
+        c = stacked(a, b)
         for _ in range(20):
-            s = SequencePoint(rng.standard_normal(6))
+            s = [SequencePoint(rng.standard_normal(6))]
             np.testing.assert_allclose(
-                c(s).values, a(s).values + b(s).values, rtol=1e-12, atol=1e-12
+                c.evaluate_many(s), a.evaluate_many(s) + b.evaluate_many(s),
+                rtol=1e-12, atol=1e-12
             )
-
-    def test_mismatches_rejected(self):
-        rng = np.random.default_rng(4)
-        a = random_network(rng)
-        with pytest.raises(ShapeError):
-            network_sum(a, random_network(rng, activation=Relu()))
-        with pytest.raises(ShapeError):
-            network_sum(a, random_network(rng, out_dim=7))
 
 
 class TestInvariants:
@@ -210,7 +218,8 @@ class TestInvariants:
         doubled = self.scaled_coeffs(net, 2.0)
         for _ in range(10):
             s = SequencePoint(rng.standard_normal(6))
-            np.testing.assert_array_equal(doubled(s).values, 2.0 * net(s).values)
+            np.testing.assert_array_equal(doubled.evaluate_many([s]),
+                                          2.0 * net.evaluate_many([s]))
 
     def test_coefficient_scaling_general(self):
         rng = np.random.default_rng(6)
@@ -220,7 +229,7 @@ class TestInvariants:
         for _ in range(10):
             s = SequencePoint(rng.standard_normal(6))
             np.testing.assert_allclose(
-                scaled(s).values, lam * net(s).values, rtol=1e-12, atol=1e-14
+                scaled.evaluate_many([s]), lam * net.evaluate_many([s]), rtol=1e-12, atol=1e-14
             )
 
     def test_permutation_invariance(self):
@@ -237,7 +246,7 @@ class TestInvariants:
         for _ in range(10):
             s = SequencePoint(rng.standard_normal(6))
             np.testing.assert_allclose(
-                shuffled(s).values, net(s).values, rtol=1e-12, atol=1e-12
+                shuffled.evaluate_many([s]), net.evaluate_many([s]), rtol=1e-12, atol=1e-12
             )
 
     def test_polynomial_activation_stays_polynomial_along_rays(self):
@@ -253,7 +262,7 @@ class TestInvariants:
         )
         s0 = rng.standard_normal(21)
         xs = np.linspace(-2.0, 2.0, 9)
-        ys = np.array([net(FunctionSample(x * s0, grid)).values[0] for x in xs])
+        ys = net.evaluate_many([FunctionSample(x * s0, grid) for x in xs])[:, 0]
         fit = np.polynomial.Polynomial.fit(xs, ys, deg=2)
         assert np.max(np.abs(fit(xs) - ys)) < 1e-8
 
@@ -300,7 +309,7 @@ class TestSerialization:
         for name in ("weights", "thresholds", "coefficients"):
             assert getattr(back, name).tobytes() == getattr(net, name).tobytes()
         s = SequencePoint(rng.standard_normal(6))
-        np.testing.assert_array_equal(back(s).values, net(s).values)
+        np.testing.assert_array_equal(back.evaluate_many([s]), net.evaluate_many([s]))
         assert json.dumps(serialize_network(back)) == json.dumps(serialize_network(net))
 
     def test_three_neuron_roundtrip_bit_identical(self):
@@ -318,7 +327,7 @@ class TestSerialization:
         assert back.output_grid == grid
         for _ in range(10):
             s = FunctionSample(rng.standard_normal(13), in_grid)
-            np.testing.assert_array_equal(back(s).values, net(s).values)
+            np.testing.assert_array_equal(back.evaluate_many([s]), net.evaluate_many([s]))
 
     def test_matrix_and_polynomial_roundtrip(self):
         rng = np.random.default_rng(10)
@@ -328,7 +337,7 @@ class TestSerialization:
         )
         back = self.roundtrip(net)
         z = MatrixPoint(rng.standard_normal((2, 3)))
-        np.testing.assert_array_equal(back(z).values, net(z).values)
+        np.testing.assert_array_equal(back.evaluate_many([z]), net.evaluate_many([z]))
         assert back.activation == net.activation
 
     def test_unknown_activation_diagnosed(self):
@@ -427,3 +436,23 @@ class TestSerialization:
         node[key] = bad
         with pytest.raises(DocumentError, match=f"'{field}' must be an integer, got"):
             deserialize_network(doc)
+
+    # each bad endpoint converts by float() to a valid grid, so only the type
+    # and finiteness checks can reject it
+    @pytest.mark.parametrize("field, bad", [
+        ("output_grid.a", "-0.5"),
+        ("output_grid.b", float("inf")),
+        ("input_shape.grid.a", False),
+        ("input_shape.grid.b", True),
+        ("input_shape.grid.b", "Infinity"),
+        pytest.param("output_grid.a", -10**400, id="output_grid.a-beyond_float_range"),
+    ])
+    def test_non_number_grid_endpoint_rejected(self, field, bad):
+        doc = serialize_network(kind_network("function", np.random.default_rng(20)))
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = bad
+        with pytest.raises(DocumentError, match=f"'{field}' must be a finite number, got"):
+            deserialize_network(json.loads(json.dumps(doc)))

@@ -40,19 +40,21 @@ def fine_quadrature_oracle(kernel, f_analytic, xs, n_fine=2001):
 class TestIntegralOperator:
     def test_zero_kernel(self):
         g = GridMeta(0.0, 1.0, 31)
-        out = integral_operator(make_kernel("constant", value=0.0), g)(fn_sample(np.sin, g))
+        out = integral_operator(make_kernel("constant", value=0.0), g).apply_many(
+            [fn_sample(np.sin, g)])[0]
         np.testing.assert_array_equal(out.values, np.zeros(31))
 
     def test_unit_kernel_integrates_constants(self):
         g = GridMeta(0.0, 1.0, 31)
-        out = integral_operator(make_kernel("constant"), g)(fn_sample(np.ones_like, g))
+        out = integral_operator(make_kernel("constant"), g).apply_many(
+            [fn_sample(np.ones_like, g)])[0]
         np.testing.assert_allclose(out.values, 1.0, rtol=1e-12)
 
     def test_gaussian_kernel_against_fine_quadrature(self):
         g = GridMeta(0.0, 1.0, 101)
         kernel = make_kernel("gaussian", width=1.0)
         f = fn_sample(lambda x: np.sin(np.pi * x), g)
-        got = integral_operator(kernel, g)(f).values
+        got = integral_operator(kernel, g).apply_many([f]).values[0]
         want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
         assert np.max(np.abs(got - want)) < 1e-3
 
@@ -62,7 +64,7 @@ class TestIntegralOperator:
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
             f = fn_sample(lambda x: np.sin(np.pi * x), g)
-            got = integral_operator(kernel, g)(f).values
+            got = integral_operator(kernel, g).apply_many([f]).values[0]
             want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
             errs.append(np.max(np.abs(got - want)))
         assert 3.0 < errs[0] / errs[1] < 5.0
@@ -76,8 +78,8 @@ class TestIntegralOperator:
         h = FunctionSample(rng.standard_normal(41), g)
         a, b = rng.uniform(-2.0, 2.0, 2)
         op = integral_operator(kernel, g)
-        lhs = op(a * f + b * h).values
-        rhs = (a * op(f) + b * op(h)).values
+        lhs = op.apply_many([FunctionSample(a * f.values + b * h.values, g)]).values[0]
+        rhs = a * op.apply_many([f]).values[0] + b * op.apply_many([h]).values[0]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_unknown_kernel(self):
@@ -90,14 +92,15 @@ class TestIntegralOperator:
 class TestPoisson:
     def test_unit_load_gives_parabola(self):
         g = GridMeta(0.0, 1.0, 101)
-        u = poisson_operator(g)(fn_sample(np.ones_like, g))
+        u = poisson_operator(g).apply_many([fn_sample(np.ones_like, g)])[0]
         x = g.nodes()
         np.testing.assert_allclose(u.values, x * (1.0 - x) / 2.0, atol=1e-13)
         assert u.values[50] == pytest.approx(0.125, abs=1e-13)
 
     def test_boundary_values_exactly_zero(self):
         g = GridMeta(0.0, 1.0, 41)
-        u = poisson_operator(g)(FunctionSample(np.random.default_rng(0).standard_normal(41), g))
+        f = FunctionSample(np.random.default_rng(0).standard_normal(41), g)
+        u = poisson_operator(g).apply_many([f])[0]
         assert u.values[0] == 0.0
         assert u.values[-1] == 0.0
 
@@ -105,7 +108,7 @@ class TestPoisson:
         errs = []
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
-            u = poisson_operator(g)(fn_sample(lambda x: np.sin(np.pi * x), g))
+            u = poisson_operator(g).apply_many([fn_sample(lambda x: np.sin(np.pi * x), g)])[0]
             exact = np.sin(np.pi * g.nodes()) / np.pi**2
             errs.append(np.max(np.abs(u.values - exact)))
         assert errs[0] < 1e-3
@@ -113,7 +116,7 @@ class TestPoisson:
 
     def test_zero_load(self):
         g = GridMeta(0.0, 1.0, 11)
-        u = poisson_operator(g)(fn_sample(np.zeros_like, g))
+        u = poisson_operator(g).apply_many([fn_sample(np.zeros_like, g)])[0]
         np.testing.assert_array_equal(u.values, np.zeros(11))
 
     @pytest.mark.parametrize("trial", range(5))
@@ -124,8 +127,8 @@ class TestPoisson:
         h = FunctionSample(rng.standard_normal(33), g)
         a, b = rng.uniform(-2.0, 2.0, 2)
         op = poisson_operator(g)
-        lhs = op(a * f + b * h).values
-        rhs = (a * op(f) + b * op(h)).values
+        lhs = op.apply_many([FunctionSample(a * f.values + b * h.values, g)]).values[0]
+        rhs = a * op.apply_many([f]).values[0] + b * op.apply_many([h]).values[0]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("trial", range(5))
@@ -133,62 +136,68 @@ class TestPoisson:
         rng = np.random.default_rng(60 + trial)
         g = GridMeta(0.0, 1.0, 51)
         f = FunctionSample(np.abs(rng.standard_normal(51)), g)
-        assert np.min(poisson_operator(g)(f).values) >= -1e-12
+        assert np.min(poisson_operator(g).apply_many([f]).values) >= -1e-12
 
     def test_too_few_nodes(self):
         g = GridMeta(0.0, 1.0, 2)
         with pytest.raises(ValueError):
-            poisson_operator(g)(fn_sample(np.ones_like, g))
+            poisson_operator(g).apply_many([fn_sample(np.ones_like, g)])
 
 
 class TestSuperposition:
     def test_sin_of_zero(self):
         g = GridMeta(0.0, 1.0, 11)
-        out = superposition_operator("sin", ("function", g))(fn_sample(np.zeros_like, g))
+        out = superposition_operator("sin", ("function", g)).apply_many(
+            [fn_sample(np.zeros_like, g)])[0]
         np.testing.assert_array_equal(out.values, np.zeros(11))
 
     def test_square_is_exact_nodewise(self):
         g = GridMeta(0.0, 1.0, 11)
-        out = superposition_operator("square", ("function", g))(fn_sample(lambda x: x, g))
+        out = superposition_operator("square", ("function", g)).apply_many(
+            [fn_sample(lambda x: x, g)])[0]
         np.testing.assert_array_equal(out.values, g.nodes() ** 2)
 
     def test_exp_minus_constant(self):
         g = GridMeta(0.0, 1.0, 11)
-        out = superposition_operator("exp-", ("function", g))(fn_sample(np.ones_like, g))
+        out = superposition_operator("exp-", ("function", g)).apply_many(
+            [fn_sample(np.ones_like, g)])[0]
         np.testing.assert_allclose(out.values, EXP_NEG_1, rtol=1e-15)
 
     def test_sequence_input(self):
-        out = superposition_operator("sin", ("sequence", 2))(SequencePoint([0.0, np.pi / 2]))
+        out = superposition_operator("sin", ("sequence", 2)).apply_many(
+            [SequencePoint([0.0, np.pi / 2])])[0]
         np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-15)
         assert out.grid is None
 
     def test_unknown_map(self):
         g = GridMeta(0.0, 1.0, 11)
         with pytest.raises(ConfigError):
-            superposition_operator("cube", ("function", g))(fn_sample(np.ones_like, g))
+            superposition_operator("cube", ("function", g)).apply_many([fn_sample(np.ones_like, g)])
 
 
 class TestMatrixMaps:
     def test_row_sums(self):
-        out = matrix_map_operator("row_sums", (2, 2))(MatrixPoint([[1.0, 2.0], [3.0, 4.0]]))
+        out = matrix_map_operator("row_sums", (2, 2)).apply_many(
+            [MatrixPoint([[1.0, 2.0], [3.0, 4.0]])])[0]
         np.testing.assert_array_equal(out.values, [3.0, 7.0])
 
     def test_zero_matrix(self):
         z = MatrixPoint(np.zeros((2, 2)))
-        np.testing.assert_array_equal(matrix_map_operator("row_sums", (2, 2))(z).values,
-                                      [0.0, 0.0])
         np.testing.assert_array_equal(
-            matrix_map_operator("sin_of_trace_times_basis", (2, 2))(z).values, [0.0, 0.0, 0.0]
+            matrix_map_operator("row_sums", (2, 2)).apply_many([z]).values[0], [0.0, 0.0])
+        np.testing.assert_array_equal(
+            matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z]).values[0],
+            [0.0, 0.0, 0.0]
         )
 
     def test_sin_of_trace_at_half_pi(self):
         z = MatrixPoint(np.diag([np.pi / 4, np.pi / 4]))
-        out = matrix_map_operator("sin_of_trace_times_basis", (2, 2))(z)
+        out = matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z])[0]
         np.testing.assert_allclose(out.values, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_unknown_map(self):
         with pytest.raises(ConfigError):
-            matrix_map_operator("det", (2, 2))(MatrixPoint(np.eye(2)))
+            matrix_map_operator("det", (2, 2)).apply_many([MatrixPoint(np.eye(2))])
 
 
 class TestOperatorWrappers:
@@ -196,9 +205,9 @@ class TestOperatorWrappers:
         g = GridMeta(0.0, 1.0, 21)
         op = poisson_operator(g)
         with pytest.raises(ShapeError):
-            op(SequencePoint(np.ones(21)))
+            op.apply_many([SequencePoint(np.ones(21))])
         with pytest.raises(ShapeError):
-            op(fn_sample(np.sin, GridMeta(0.0, 1.0, 31)))
+            op.apply_many([fn_sample(np.sin, GridMeta(0.0, 1.0, 31))])
 
     def test_apply_many(self):
         g = GridMeta(0.0, 1.0, 21)
@@ -212,18 +221,18 @@ class TestOperatorWrappers:
         op = superposition_operator("sin", ("function", g))
         assert op.output_grid == g
         seq_op = superposition_operator("square", ("sequence", 4))
-        out = seq_op(SequencePoint([1.0, 2.0, 3.0, 4.0]))
+        out = seq_op.apply_many([SequencePoint([1.0, 2.0, 3.0, 4.0])])[0]
         np.testing.assert_array_equal(out.values, [1.0, 4.0, 9.0, 16.0])
 
     def test_matrix_operator_row_sums_dim(self):
         op = matrix_map_operator("row_sums", (3, 2))
         assert op.output_dim == 3
-        out = op(MatrixPoint(np.ones((3, 2))))
+        out = op.apply_many([MatrixPoint(np.ones((3, 2)))])[0]
         np.testing.assert_array_equal(out.values, [2.0, 2.0, 2.0])
 
     def test_zero_operator(self):
         op = zero_operator(("sequence", 3), 5)
-        out = op(SequencePoint([1.0, 2.0, 3.0]))
+        out = op.apply_many([SequencePoint([1.0, 2.0, 3.0])])[0]
         np.testing.assert_array_equal(out.values, np.zeros(5))
 
 
@@ -334,7 +343,7 @@ class TestBatchedOperators:
     def test_one_sample_is_the_one_row_batch(self):
         for family, op in self.operators():
             ens = batch_ensemble(family)
-            got = op(ens[5])
+            got = op.apply_many([ens[5]])[0]
             assert isinstance(got, TargetElement) and got.grid == op.output_grid
             np.testing.assert_allclose(got.values, op.apply_many(ens).values[5],
                                        rtol=1e-13, atol=1e-15)

@@ -51,30 +51,6 @@ class TestTargetElement:
         with pytest.raises(ValueError):
             t.values[0] = 2.0
 
-    def test_arithmetic(self):
-        s = TargetElement(np.array([1.0, 2.0]))
-        t = TargetElement(np.array([3.0, 5.0]))
-        np.testing.assert_array_equal((s + t).values, [4.0, 7.0])
-        np.testing.assert_array_equal((t - s).values, [2.0, 3.0])
-        np.testing.assert_array_equal((2.0 * s).values, [2.0, 4.0])
-        np.testing.assert_array_equal((-s).values, [-1.0, -2.0])
-
-    def test_mismatched_metadata_rejected(self):
-        s = on_grid(np.sin)
-        t = TargetElement(np.zeros(101))
-        with pytest.raises(ShapeError):
-            s + t
-
-    def test_mismatched_length_rejected(self):
-        with pytest.raises(ShapeError):
-            TargetElement(np.zeros(3)) + TargetElement(np.zeros(4))
-
-    def test_zero_like(self):
-        t = on_grid(np.cos)
-        z = t.zero_like()
-        assert z.grid == t.grid
-        assert np.all(z.values == 0.0)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             TargetElement(np.array([1.0, np.nan]))
@@ -180,12 +156,12 @@ class TestDualPairing:
 
     def test_zero_element_pairs_to_zero(self):
         rho = DualPairing(np.ones(101), GRID)
-        assert rho(TargetElement.zero(101, GRID)) == 0.0
+        assert rho(TargetElement(np.zeros(101), GRID)) == 0.0
 
     def test_absolute_value(self):
         rho = DualPairing(np.ones(101), GRID)
         t = on_grid(np.ones_like)
-        assert rho(-t) == rho(t)
+        assert rho(TargetElement(-t.values, t.grid)) == rho(t)
 
     def test_plain_dot_without_grid(self):
         rho = DualPairing(np.array([1.0, 2.0]))
@@ -219,35 +195,36 @@ class TestSeminormAxioms:
     def test_triangle_inequality(self, trial):
         s, t, _ = self.random_elements(trial)
         for rho in self.FAMILY:
-            assert rho(s + t) <= rho(s) + rho(t) + 1e-9
+            assert rho(TargetElement(s.values + t.values, s.grid)) <= rho(s) + rho(t) + 1e-9
 
     @pytest.mark.parametrize("trial", range(25))
     def test_absolute_homogeneity(self, trial):
         _, t, rng = self.random_elements(trial)
         lam = rng.uniform(-3.0, 3.0)
         for rho in self.FAMILY:
-            np.testing.assert_allclose(rho(lam * t), abs(lam) * rho(t), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(rho(TargetElement(lam * t.values, t.grid)),
+                                       abs(lam) * rho(t), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_power_of_two_scaling_is_exact(self, trial):
         _, t, rng = self.random_elements(trial)
         dual = DualPairing(rng.standard_normal(64), t.grid)
         for rho in (SupDerivative(0), SupDerivative(1), dual):
-            assert rho(2.0 * t) == 2.0 * rho(t)
+            assert rho(TargetElement(2.0 * t.values, t.grid)) == 2.0 * rho(t)
 
     @pytest.mark.parametrize("trial", range(25))
     def test_nonnegative_and_zero_at_origin(self, trial):
         s, _, _ = self.random_elements(trial)
         for rho in self.FAMILY:
             assert rho(s) >= 0.0
-            assert rho(s.zero_like()) == 0.0
+            assert rho(TargetElement(np.zeros(s.dim), s.grid)) == 0.0
 
 
 class TestSeminormFamily:
     def test_family_basics(self):
-        fam = SeminormFamily((LqNorm(2.0), SupDerivative(0)), name="pair")
+        fam = SeminormFamily((LqNorm(2.0), SupDerivative(0)))
         assert len(fam) == 2
-        assert fam.labels() == ["lq(q=2)", "sup_d0"]
+        assert [rho.label() for rho in fam] == ["lq(q=2)", "sup_d0"]
         assert fam[1].order == 0
 
     def test_rejects_empty(self):
