@@ -265,22 +265,23 @@ class FitConfig:
 
 
 def draw_features(cfg: FitConfig, streams, start: int, stop: int):
-    """Features [start, stop) of cfg's bank (L, theta): row 0 is the bias,
+    """Features [start, stop) of cfg's bank (P, theta): row 0 is the bias,
     the rest random.
 
-    streams are the bank's (weights, thresholds) generators after features
-    [0, start) were drawn from them: weight rows 1.. come in order from the
-    first, thresholds 0.. from the second, and the bias row L[0] is zero and
-    draws no weights.  A bank drawn in several calls therefore equals one
-    drawn at once, so banks nest across width doublings.
+    P holds the functionals' parameters, so the bank's weight rows are
+    functional_weights(cfg.functional_spec, P), which is P @ basis for the
+    function kind and P itself otherwise.  streams are the bank's (weights,
+    thresholds) generators after features [0, start) were drawn from them:
+    parameter rows 1.. come in order from the first, thresholds 0.. from the
+    second, and the bias row P[0] is zero and draws nothing.  A bank drawn in
+    several calls therefore equals one drawn at once, so banks nest across
+    width doublings.
     """
     weights_rng, thresholds_rng = streams
-    spec = cfg.functional_spec
-    params = draw_functional_params(spec, weights_rng, stop - max(start, 1))
+    params = draw_functional_params(cfg.functional_spec, weights_rng, stop - max(start, 1))
     if start == 0:
         params = np.vstack([np.zeros((1, params.shape[1])), params])
-    return (functional_weights(spec, params),
-            thresholds_rng.uniform(*cfg.theta_range, stop - start))
+    return params, thresholds_rng.uniform(*cfg.theta_range, stop - start)
 
 
 def _feature_streams(seed):
@@ -312,23 +313,28 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     A step draws each pending bank's new features with draw_features,
     continuing its streams, and solves the pending designs in stacks of at
     most SOLVE_STACK_BYTES; a column stops once its training sup error is
-    below delta or its width reaches cfg.max_width.  Returns one
-    (L, theta, coeffs, sup_error) per column.
+    below delta or its width reaches cfg.max_width.  Each design is built
+    from the bank's weight rows, functional_weights of its parameters.
+    Returns one (P, theta, coeffs, sup_error) per column, P the bank's
+    parameters as draw_features returns them.
     """
-    dim = signature_dim(cfg.functional_spec.signature)
+    spec = cfg.functional_spec
+    dim = signature_dim(spec.signature)
     if flats.ndim != 2 or flats.shape[1] != dim:
         raise ShapeError(f"inputs {flats.shape} do not stack to {dim}-vectors")
     n = flats.shape[0]
     streams = [_feature_streams(seed) for seed in seeds]
-    banks = [(np.empty((0, dim)), np.empty(0))] * len(seeds)
+    # each bank as (P, L, theta): parameters, weight rows and thresholds
+    banks = [None] * len(seeds)
     fits = [None] * len(seeds)
     pending = list(range(len(seeds)))
     width, target = 0, cfg.width
     while pending:
         for j in pending:
-            new_L, new_thetas = draw_features(cfg, streams[j], width, target)
-            banks[j] = (np.vstack([banks[j][0], new_L]),
-                        np.concatenate([banks[j][1], new_thetas]))
+            P, thetas = draw_features(cfg, streams[j], width, target)
+            grown = (P, functional_weights(spec, P), thetas)
+            banks[j] = grown if width == 0 else tuple(
+                np.concatenate(parts) for parts in zip(banks[j], grown))
         width = target
         size = _stack_size(n, width, cfg.lam)
         for first in range(0, len(pending), size):
@@ -336,7 +342,7 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             # member i holds the transposed design A^T: one feature per row
             designs = np.empty((len(stack), width, n))
             for i, j in enumerate(stack):
-                L, thetas = banks[j]
+                _, L, thetas = banks[j]
                 block = np.matmul(L, flats.T, out=designs[i])
                 block -= thetas[:, None]
                 designs[i] = cfg.activation(block)
@@ -344,7 +350,8 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
                                                 targets[:, stack].T, cfg.lam)
             for i, j in enumerate(stack):
                 if errors[i] < delta or width >= cfg.max_width:
-                    fits[j] = (*banks[j], coeffs[i], float(errors[i]))
+                    P, _, thetas = banks[j]
+                    fits[j] = (P, thetas, coeffs[i], float(errors[i]))
         pending = [j for j in pending if fits[j] is None]
         target = min(2 * width, cfg.max_width)
     return fits
@@ -438,10 +445,11 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     else:
         delta = epsilon / (2.0 * m * c_max)
         budget = ErrorBudget(float(epsilon), m, float(c_max), float(delta), False)
-        L, thetas, V, errors, widths = _fit_coefficients(ensemble, pou.weights,
-                                                         net1.centers.values, fit_cfg, delta)
-        network = ShallowVectorNetwork(L, thetas, V, fit_cfg.activation, ensemble.signature,
-                                       f_values.grid)
+        P, thetas, c, errors, widths = _fit_coefficients(ensemble, pou.weights, fit_cfg,
+                                                         delta)
+        network = ShallowVectorNetwork(P, thetas, c, net1.centers.values, widths,
+                                       fit_cfg.activation, ensemble.signature, f_values.grid,
+                                       fit_cfg.functional_spec.basis)
         converged, bound = bool(np.all(errors < delta)), epsilon
 
     train_errors = uniform_error(f_values, network, ensemble, family)
@@ -453,14 +461,14 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     return network, budget, report
 
 
-def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: float):
+def _fit_coefficients(ensemble, weights, fit_cfg: FitConfig, delta: float):
     """Fit every partition column j with fit_columns under the bank seed
-    derive_seed(fit_cfg.seed, j), and return the network matrices
-    (L, theta, V), sup errors and widths.
+    derive_seed(fit_cfg.seed, j), and return the network factors (P, theta,
+    c), sup errors and widths.
 
     The columns are fitted together on the ensemble's input matrix.  Column j
-    contributes one block of rows: its bank's weight rows and thresholds,
-    and the outer product of its ridge coefficients with center j.
+    contributes one block of neurons: its bank's parameters, thresholds and
+    ridge coefficients, whose output rows are multiples of center j.
     """
     spec = fit_cfg.functional_spec
     if spec.signature != ensemble.signature:
@@ -468,14 +476,14 @@ def _fit_coefficients(ensemble, weights, centers, fit_cfg: FitConfig, delta: flo
             f"functional spec draws {spec.signature} functionals, ensemble is "
             f"{ensemble.signature}"
         )
-    seeds = [derive_seed(fit_cfg.seed, j) for j in range(len(centers))]
+    seeds = [derive_seed(fit_cfg.seed, j) for j in range(weights.shape[1])]
     fits = fit_columns(ensemble.flats, weights, fit_cfg, seeds, delta)
-    L = np.concatenate([fit[0] for fit in fits])
+    P = np.concatenate([fit[0] for fit in fits])
     thetas = np.concatenate([fit[1] for fit in fits])
-    V = np.concatenate([np.outer(fit[2], vj) for fit, vj in zip(fits, centers)])
+    c = np.concatenate([fit[2] for fit in fits])
     errors = np.array([fit[3] for fit in fits])
     widths = np.array([len(fit[1]) for fit in fits], dtype=int)
-    return L, thetas, V, errors, widths
+    return P, thetas, c, errors, widths
 
 
 def uniform_error(f_values: TargetBatch, net: ShallowVectorNetwork, ensemble,

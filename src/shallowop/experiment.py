@@ -128,8 +128,14 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite int or float, not a boolean; an integer beyond float range
+    is not finite."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_list(value) -> bool:

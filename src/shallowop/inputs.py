@@ -12,6 +12,7 @@ finitely with a seeded generator into one (n_samples, dim) matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +139,9 @@ class FunctionalSpec:
 
     Function-variant draws build phi as a low-order trigonometric combination
     c_0 + sum_k (a_k sin(k pi x) + b_k cos(k pi x)) in the grid's normalized
-    coordinate, with all coefficients N(0, scale^2).
+    coordinate, with all coefficients N(0, scale^2).  A draw's parameters are
+    those 1 + 2 order coefficients, and its weight row is params @ basis.
+    Sequence and matrix draws are their own weight rows.
     """
 
     kind: str
@@ -172,36 +175,65 @@ class FunctionalSpec:
             return ("sequence", self.length)
         return ("matrix", self.shape)
 
+    @cached_property
+    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Function kind, built once: the read-only (1 + 2 order, n) modes 1,
+        sin(pi xhat), cos(pi xhat), ..., cos(order pi xhat) on the grid, and
+        the grid's trapezoid weights."""
+        xhat = (self.grid.nodes() - self.grid.a) / (self.grid.b - self.grid.a)
+        modes = np.ones((1 + 2 * self.order, self.grid.n))
+        for k in range(1, self.order + 1):
+            modes[2 * k - 1] = np.sin(k * np.pi * xhat)
+            modes[2 * k] = np.cos(k * np.pi * xhat)
+        weights = self.grid.trapezoid_weights()
+        modes.setflags(write=False)
+        weights.setflags(write=False)
+        return modes, weights
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        """The read-only (1 + 2 order, n) rows that parameters combine into
+        weight rows: each trigonometric mode times the trapezoid weights.
+        None for sequences and matrices, whose parameters are their weight
+        rows."""
+        if self.kind != "function":
+            return None
+        modes, weights = self._trig
+        basis = modes * weights
+        basis.setflags(write=False)
+        return basis
+
 
 def draw_functional_params(spec: FunctionalSpec, rng: np.random.Generator,
                            count: int) -> np.ndarray:
-    """Parameters of `count` random functionals, one (count, dim) draw from rng.
+    """Parameters of `count` random functionals, one draw from rng.
 
-    Rows are phi on the grid (function kind), sequence coefficients, or
-    flattened weight matrices.  Each row consumes the same stretch of the
-    stream whatever `count` is, so drawing a rows and then b rows gives
-    bitwise the same a + b rows as one call: banks grow by continuing a
-    generator instead of redrawing.
+    Rows are the 1 + 2 order trigonometric coefficients (function kind),
+    sequence coefficients, or flattened weight matrices.  Each row consumes
+    the same stretch of the stream whatever `count` is, so drawing a rows
+    and then b rows gives bitwise the same a + b rows as one call: banks
+    grow by continuing a generator instead of redrawing.
     """
     if spec.kind == "function":
-        grid = spec.grid
-        xhat = (grid.nodes() - grid.a) / (grid.b - grid.a)
-        coeffs = rng.standard_normal((count, 1 + 2 * spec.order)) * spec.scale
-        phi = np.repeat(coeffs[:, :1], grid.n, axis=1)
-        # term by term rather than one matrix product, so a row's bits do not
-        # depend on how many rows share the call
-        for k in range(1, spec.order + 1):
-            phi += coeffs[:, 2 * k - 1, None] * np.sin(k * np.pi * xhat)
-            phi += coeffs[:, 2 * k, None] * np.cos(k * np.pi * xhat)
-        return phi
+        return rng.standard_normal((count, 1 + 2 * spec.order)) * spec.scale
     return rng.standard_normal((count, signature_dim(spec.signature))) * spec.scale
 
 
 def functional_weights(spec: FunctionalSpec, params: np.ndarray) -> np.ndarray:
-    """Weight rows of drawn functionals: row k pairs with inputs by a dot product."""
-    if spec.kind == "function":
-        return params * spec.grid.trapezoid_weights()
-    return params
+    """Weight rows of drawn functionals: row k pairs with inputs by a dot product.
+
+    For the function kind this is params @ spec.basis up to rounding, built
+    term by term (phi on the grid, then times the trapezoid weights) rather
+    than by one matrix product, so a row's bits do not depend on how many
+    rows share the call.
+    """
+    if spec.kind != "function":
+        return params
+    modes, weights = spec._trig
+    phi = np.repeat(params[:, :1], modes.shape[1], axis=1)
+    for i in range(1, modes.shape[0]):
+        phi += params[:, i, None] * modes[i]
+    return phi * weights
 
 
 def random_functional(spec: FunctionalSpec, seed) -> np.ndarray:
@@ -318,7 +350,7 @@ def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
         modes = np.stack([np.sin((k + 1) * np.pi * xhat) for k in range(len(radii))])
         coeffs = rng.uniform(-1.0, 1.0, (spec.count, len(radii))) * radii
         # term by term rather than one matrix product, as in
-        # draw_functional_params, over blocks of rows that stay in cache
+        # functional_weights, over blocks of rows that stay in cache
         flats = np.empty((spec.count, grid.n))
         for start in range(0, spec.count, DRAW_BLOCK_ROWS):
             rows = flats[start:start + DRAW_BLOCK_ROWS]

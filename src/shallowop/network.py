@@ -1,10 +1,11 @@
 """Shallow vector-valued networks: sums of activation ridges times coefficients.
 
-A network holds weight rows l_j, thresholds theta_j and coefficient rows v_j
-as three matrices plus one shared activation, and evaluates to
-sum_j eta(l_j(s) - theta_j) v_j.  The width may be zero, in which case the
-network is identically zero.  Networks are immutable after construction and
-evaluation is pure.
+A network evaluates to sum_j eta(l_j(s) - theta_j) v_j with one shared
+activation, and holds the factors the construction builds: weight rows
+l_j as parameters over a functional basis, and coefficient rows v_j as
+scalar coefficients times the rows of a center matrix.  The width may be
+zero, in which case the network is identically zero.  Networks are
+immutable after construction and evaluation is pure.
 """
 
 from __future__ import annotations
@@ -134,7 +135,12 @@ def make_activation(spec) -> Activation:
     if name not in _ACTIVATIONS:
         raise DocumentError(f"unknown activation {name!r} in field 'activation'")
     if name == "polynomial" and "coefficients" in options:
-        made = Polynomial(tuple(options.pop("coefficients")))
+        coefficients = options.pop("coefficients")
+        if not (isinstance(coefficients, (list, tuple)) and coefficients
+                and all(map(_is_finite_number, coefficients))):
+            raise DocumentError("polynomial coefficients in field 'activation' must be a "
+                                f"nonempty list of finite numbers, got {coefficients!r}")
+        made = Polynomial(tuple(coefficients))
     else:
         made = _ACTIVATIONS[name]()
     if options:
@@ -142,77 +148,107 @@ def make_activation(spec) -> Activation:
     return made
 
 
-#: input rows per block in ShallowVectorNetwork.evaluate_many
-EVAL_BLOCK_ROWS = 256
+#: bytes of float64 activations per block of input rows in
+#: ShallowVectorNetwork.evaluate_many: a block's temporaries stay in cache
+EVAL_BLOCK_BYTES = 1 << 18
 
 
 class ShallowVectorNetwork:
     """Finite sum of ridges s |-> eta(l_k(s) - theta_k) v_k sharing one activation.
 
-    Held as three matrices: weight rows L (width, input dim), thresholds
-    theta (width,) and coefficient rows V (width, output dim).  Row k of L
-    pairs with a flattened input by a dot product, so batch evaluation is two
-    matrix products: eta(S L^T - theta) V.  The matrices are read-only copies.
+    Held in the factored form the construction builds.  The weight rows are
+    L = P B: parameters P (width, r) over a basis B (r, input dim), where no
+    basis (None) means the identity, so that P is L.  The neurons fall into
+    len(widths) consecutive blocks, block j holding widths[j] neurons, and
+    neuron k of block j has coefficient row v_k = c_k U_j: a scalar
+    coefficient c_k times center row j of U (m, output dim).  Batch
+    evaluation projects the inputs once, S B^T, and then sums the scaled
+    activations eta((S B^T) P^T - theta) * c over each block before one
+    product with U.  A dense network (L, theta, V) is the case with no
+    basis, every width 1, c = 1 and U = V.  The arrays are read-only copies.
     """
 
-    def __init__(self, weights, thresholds, coefficients, activation: Activation,
-                 input_signature: tuple, output_grid: GridMeta | None = None):
+    def __init__(self, weights, thresholds, coefficients, centers, widths,
+                 activation: Activation, input_signature: tuple,
+                 output_grid: GridMeta | None = None, basis=None):
         self.weights = _readonly_array(weights, "weights", 2)
+        self.basis = None if basis is None else _readonly_array(basis, "basis", 2)
         self.thresholds = _readonly_array(thresholds, "thresholds", 1)
-        self.coefficients = _readonly_array(coefficients, "coefficients", 2)
+        self.coefficients = _readonly_array(coefficients, "coefficients", 1)
+        self.centers = _readonly_array(centers, "centers", 2)
         self.activation = activation
         self.input_signature = input_signature
         self.output_grid = output_grid
-        self.output_dim = self.coefficients.shape[1]
+        self.output_dim = self.centers.shape[1]
         width = self.thresholds.shape[0]
         if self.weights.shape[0] != width or self.coefficients.shape[0] != width:
             raise ShapeError(
                 f"weights, thresholds and coefficients have {self.weights.shape[0]}, "
                 f"{width} and {self.coefficients.shape[0]} rows"
             )
-        if self.weights.shape[1] != signature_dim(input_signature):
-            raise ShapeError(
-                f"weights have {self.weights.shape[1]} columns, input signature "
-                f"{input_signature} has dimension {signature_dim(input_signature)}"
-            )
+        self.widths = _readonly_widths(widths, width)
+        if self.widths.shape[0] != self.centers.shape[0]:
+            raise ShapeError(f"widths has {self.widths.shape[0]} blocks, centers have "
+                             f"{self.centers.shape[0]} rows")
+        dim = signature_dim(input_signature)
+        if self.basis is None:
+            if self.weights.shape[1] != dim:
+                raise ShapeError(f"weights have {self.weights.shape[1]} columns, input "
+                                 f"signature {input_signature} has dimension {dim}")
+        elif self.weights.shape[1] != self.basis.shape[0]:
+            raise ShapeError(f"weights have {self.weights.shape[1]} columns, basis has "
+                             f"{self.basis.shape[0]} rows")
+        elif self.basis.shape[1] != dim:
+            raise ShapeError(f"basis has {self.basis.shape[1]} columns, input signature "
+                             f"{input_signature} has dimension {dim}")
         if self.output_dim < 1:
-            raise ShapeError("coefficients need at least one column (output dim)")
+            raise ShapeError("centers need at least one column (output dim)")
         if output_grid is not None and self.output_dim != output_grid.n:
             raise ShapeError(
-                f"coefficients have {self.output_dim} columns, output grid has "
+                f"centers have {self.output_dim} columns, output grid has "
                 f"{output_grid.n} nodes"
             )
+        # first neuron of each block, as np.add.reduceat takes them
+        self._starts = np.cumsum(self.widths) - self.widths
 
     @classmethod
     def zero(cls, activation: Activation, input_signature: tuple, output_dim: int,
              output_grid: GridMeta | None = None) -> ShallowVectorNetwork:
         """The width-0 network, identically zero."""
-        return cls(np.zeros((0, signature_dim(input_signature))), np.zeros(0),
-                   np.zeros((0, output_dim)), activation, input_signature, output_grid)
+        return cls(np.zeros((0, signature_dim(input_signature))), np.zeros(0), np.zeros(0),
+                   np.zeros((0, output_dim)), np.zeros(0, dtype=np.int64), activation,
+                   input_signature, output_grid)
 
     @property
     def width(self) -> int:
         return self.thresholds.shape[0]
 
     def evaluate_many(self, samples) -> np.ndarray:
-        """(n_samples, output_dim) evaluations, two matrix products per block.
+        """(n_samples, output_dim) evaluations.
 
         samples is a CompactEnsemble, whose input matrix is used as it is,
-        or a list of input points.  Inputs are evaluated in blocks of
-        EVAL_BLOCK_ROWS rows, so the (rows, width) activation matrix stays
-        bounded however many samples come in.
+        or a list of input points.  The inputs are projected on the basis
+        once.  Then, per block of input rows, the scaled activations are
+        summed per neuron block and multiplied by the centers.  A block
+        holds as many rows as keep its (rows, width) activations within
+        EVAL_BLOCK_BYTES, and at least one.
         """
         flats, signature = stack_inputs(samples)
         if signature != self.input_signature:
             raise ShapeError(
                 f"network expects input signature {self.input_signature}, got {signature}"
             )
+        if self.basis is not None:
+            flats = flats @ self.basis.T
         out = np.empty((flats.shape[0], self.output_dim))
-        for start in range(0, flats.shape[0], EVAL_BLOCK_ROWS):
-            block = slice(start, start + EVAL_BLOCK_ROWS)
+        rows = max(1, EVAL_BLOCK_BYTES // (8 * max(1, self.width)))
+        for start in range(0, flats.shape[0], rows):
+            block = slice(start, start + rows)
             pre = flats[block] @ self.weights.T
             pre -= self.thresholds
-            out[block] = self.activation(pre) @ self.coefficients
+            act = self.activation(pre)
+            act *= self.coefficients
+            out[block] = np.add.reduceat(act, self._starts, axis=1) @ self.centers
         return out
 
 
@@ -222,6 +258,21 @@ def _readonly_array(values, field: str, ndim: int) -> np.ndarray:
         raise ShapeError(f"{field} must be {ndim}-d, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{field} contain non-finite entries")
+    a.setflags(write=False)
+    return a
+
+
+def _readonly_widths(values, neurons: int) -> np.ndarray:
+    """values as a read-only int64 vector of positive block sizes that sum to
+    neurons; a ShapeError or ValueError naming widths otherwise."""
+    a = np.array(values)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise ShapeError(f"widths must be a 1-d integer array, got {a.dtype} shape {a.shape}")
+    a = a.astype(np.int64)
+    # every block is positive, so none exceeds neurons and the sum cannot wrap
+    if np.any(a < 1) or np.any(a > neurons) or a.sum() != neurons:
+        raise ValueError(f"widths must be positive and sum to the {neurons} neurons, "
+                         f"got {a.tolist()}")
     a.setflags(write=False)
     return a
 
@@ -246,12 +297,17 @@ def _endpoint_from_doc(doc, key, field):
     non-finite value or an integer beyond float range is a DocumentError
     naming field."""
     value = doc[key]
+    if not _is_finite_number(value):
+        raise DocumentError(f"field {field!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _is_finite_number(value) -> bool:
+    """True for a number, not a boolean, that is finite as a float."""
     try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
+        return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
-        pass
-    raise DocumentError(f"field {field!r} must be a finite number, got {value!r}")
+        return False
 
 
 def _grid_from_doc(doc, field):
@@ -317,8 +373,10 @@ def _matrix_from_doc(doc, field: str) -> np.ndarray:
 def serialize_network(net: ShallowVectorNetwork) -> dict:
     """JSON-compatible document capturing the network exactly.
 
-    Each matrix is stored as its shape and the base64 of its little-endian
-    float64 bytes, so deserialized networks evaluate bit-identically.
+    Each array is stored as its shape and the base64 of its little-endian
+    float64 bytes, the basis as null when there is none, and the block
+    widths as a list of integers, so deserialized networks evaluate
+    bit-identically.
     """
     return {
         "activation": net.activation.to_doc(),
@@ -326,31 +384,50 @@ def serialize_network(net: ShallowVectorNetwork) -> dict:
         "output_grid": _grid_to_doc(net.output_grid),
         "output_dim": net.output_dim,
         "weights": _matrix_to_doc(net.weights),
+        "basis": None if net.basis is None else _matrix_to_doc(net.basis),
         "thresholds": _matrix_to_doc(net.thresholds),
         "coefficients": _matrix_to_doc(net.coefficients),
+        "centers": _matrix_to_doc(net.centers),
+        "widths": net.widths.tolist(),
     }
+
+
+def _widths_from_doc(value) -> list:
+    """value when it is a list of JSON integers; a DocumentError naming
+    'widths' otherwise, so no boolean is read as a block size."""
+    if not (isinstance(value, list)
+            and all(isinstance(n, int) and not isinstance(n, bool) for n in value)):
+        raise DocumentError(f"field 'widths' must be a list of integers, got {value!r}")
+    return value
+
+
+_NETWORK_FIELDS = ("activation", "input_shape", "output_dim", "weights", "basis",
+                   "thresholds", "coefficients", "centers", "widths")
 
 
 def deserialize_network(doc: dict) -> ShallowVectorNetwork:
     """Rebuild a network from its document, diagnosing the offending field."""
     if not isinstance(doc, dict):
         raise DocumentError(f"network document must be a mapping, got {type(doc).__name__}")
-    for field in ("activation", "input_shape", "output_dim", "weights", "thresholds",
-                  "coefficients"):
+    for field in _NETWORK_FIELDS:
         if field not in doc:
             raise DocumentError(f"network document is missing field {field!r}")
     activation = make_activation(doc["activation"])
     signature = _signature_from_doc(doc["input_shape"])
     output_grid = _grid_from_doc(doc.get("output_grid"), "output_grid")
     output_dim = _size_from_doc(doc, "output_dim", "output_dim")
-    matrices = [_matrix_from_doc(doc[field], field)
-                for field in ("weights", "thresholds", "coefficients")]
-    if matrices[2].ndim == 2 and matrices[2].shape[1] != output_dim:
+    weights, thresholds, coefficients, centers = (
+        _matrix_from_doc(doc[field], field)
+        for field in ("weights", "thresholds", "coefficients", "centers"))
+    basis = None if doc["basis"] is None else _matrix_from_doc(doc["basis"], "basis")
+    widths = _widths_from_doc(doc["widths"])
+    if centers.ndim == 2 and centers.shape[1] != output_dim:
         raise DocumentError(
-            f"field 'coefficients' has {matrices[2].shape[1]} columns, "
+            f"field 'centers' has {centers.shape[1]} columns, "
             f"field 'output_dim' says {output_dim}"
         )
     try:
-        return ShallowVectorNetwork(*matrices, activation, signature, output_grid)
+        return ShallowVectorNetwork(weights, thresholds, coefficients, centers, widths,
+                                    activation, signature, output_grid, basis)
     except (ShapeError, ValueError) as exc:
         raise DocumentError(f"inconsistent network document: {exc}") from exc

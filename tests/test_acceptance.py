@@ -40,8 +40,8 @@ from shallowop import (
     uniform_error,
     zero_operator,
 )
-from shallowop.experiment import build_operator, run_experiment
-from shallowop.presets import get_preset, preset_names
+from shallowop.experiment import ExperimentConfig, build_operator, run_experiment
+from shallowop.presets import get_preset, preset_dict, preset_names
 
 GRID = GridMeta(0.0, 1.0, 101)
 BAND = EnsembleSpec("band_limited", 100, radii=(1.0, 0.5, 0.25), grid=GRID)
@@ -297,6 +297,17 @@ def test_criterion_09_determinism_and_serialization():
     for s in probes:
         assert np.array_equal(net.evaluate_many([s]), again.evaluate_many([s]))
     report_line(9, "reports byte-identical; round-trip bit-identical on 10 inputs")
+
+
+def test_integral_gaussian_network_document_under_one_megabyte():
+    # the largest network the presets build: 59 blocks of 128 neurons, saved
+    # as its factors rather than as dense (7552, 101) weights and coefficients
+    raw = preset_dict("integral_gaussian")
+    raw["save_networks"] = True
+    run = next(r for r in run_experiment(ExperimentConfig.from_dict(raw)).runs
+               if r.epsilon == 0.05)
+    assert run.network_width == 59 * 128
+    assert len(json.dumps(run.network_doc)) < 1_000_000
 
 
 def test_criterion_10_preset_settings_converge(preset_sweep):

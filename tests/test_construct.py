@@ -26,6 +26,7 @@ from shallowop.errors import BudgetError, CoverageError, ShapeError
 from shallowop.inputs import (
     EnsembleSpec,
     FunctionalSpec,
+    functional_weights,
     sample_ensemble,
     signature_dim,
 )
@@ -473,10 +474,12 @@ class TestScalarRidge:
         ens, y = self.sin_problem()
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=200, max_width=200,
                         lam=1e-8, seed=5)
-        L, thetas, coeffs, sup_error = fit_one(ens.flats, y, cfg, 0.0)
+        P, thetas, coeffs, sup_error = fit_one(ens.flats, y, cfg, 0.0)
         assert sup_error < 1e-2
-        # the recorded error matches a brute-force residual sweep of the network
-        net = ShallowVectorNetwork(L, thetas, coeffs[:, None], cfg.activation, ens.signature)
+        # the recorded error matches a brute-force residual sweep of the
+        # network: one block of neurons whose center is the scalar 1
+        net = ShallowVectorNetwork(P, thetas, coeffs, [[1.0]], [len(thetas)], cfg.activation,
+                                   ens.signature, basis=cfg.functional_spec.basis)
         resid = np.max(np.abs(net.evaluate_many(list(ens))[:, 0] - y))
         np.testing.assert_allclose(sup_error, resid, rtol=1e-9, atol=1e-15)
 
@@ -533,8 +536,9 @@ class TestScalarRidge:
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=24, max_width=24, lam=lam,
                         seed=700 + trial)
         flats = ens.flats
-        L, thetas, coeffs, _ = fit_one(flats, y, cfg, 0.0)
-        design = bank_design(flats, L, thetas, cfg.activation)
+        P, thetas, coeffs, _ = fit_one(flats, y, cfg, 0.0)
+        design = bank_design(flats, functional_weights(cfg.functional_spec, P), thetas,
+                             cfg.activation)
         best = np.sum((design @ coeffs - y) ** 2) + lam * np.sum(coeffs**2)
         for _ in range(200):
             xi = rng.standard_normal(len(coeffs))
@@ -661,17 +665,16 @@ class TestAssemble:
         assert np.any(report.coefficient_widths > cfg.width)  # some banks were grown
         centers = build_epsilon_net(values, LqNorm(2.0), 0.025).centers
         start = 0
+        # every coefficient row of block j is a multiple of center j
+        np.testing.assert_array_equal(net.centers, centers.values)
+        np.testing.assert_array_equal(net.widths, report.coefficient_widths)
+        np.testing.assert_array_equal(net.basis, cfg.functional_spec.basis)
         for j, width in enumerate(report.coefficient_widths):
-            L_j, thetas = draw_features(cfg, bank_streams(derive_seed(cfg.seed, j)), 0, width)
+            P_j, thetas = draw_features(cfg, bank_streams(derive_seed(cfg.seed, j)), 0, width)
             rows = slice(start, start + width)
             start += width
-            np.testing.assert_array_equal(net.weights[rows], L_j)
+            np.testing.assert_array_equal(net.weights[rows], P_j)
             np.testing.assert_array_equal(net.thresholds[rows], thetas)
-            # every coefficient row is a multiple of center j
-            V_j = net.coefficients[rows]
-            vj = centers[j].values
-            scale = V_j @ vj / (vj @ vj)
-            np.testing.assert_allclose(V_j, np.outer(scale, vj), rtol=1e-12, atol=0.0)
         assert start == net.width
 
     def test_assembly_runs_the_public_fit(self, monkeypatch):
@@ -696,14 +699,15 @@ class TestAssemble:
         psi = build_partition(values, net1, rho).weights
         start = 0
         for j, center in enumerate(net1.centers):
-            (L, thetas, coeffs, err), = fit_columns(ens.flats, psi[:, j:j + 1], cfg,
+            (P, thetas, coeffs, err), = fit_columns(ens.flats, psi[:, j:j + 1], cfg,
                                                     [derive_seed(cfg.seed, j)], budget.delta)
             rows = slice(start, start + len(thetas))
             start += len(thetas)
-            np.testing.assert_array_equal(net.weights[rows], L)
+            np.testing.assert_array_equal(net.weights[rows], P)
             np.testing.assert_array_equal(net.thresholds[rows], thetas)
-            np.testing.assert_array_equal(net.coefficients[rows],
-                                          np.outer(coeffs, center.values))
+            np.testing.assert_array_equal(net.coefficients[rows], coeffs)
+            np.testing.assert_array_equal(net.centers[j], center.values)
+            assert net.widths[j] == len(thetas)
             assert err == report.coefficient_errors[j]
         assert start == net.width
 
@@ -825,8 +829,8 @@ class TestUniformError:
         ens = band_ensemble(count, self.GRID, seed=11 + count)
         values = batch_of([rng.standard_normal(31) for _ in range(count)], self.GRID)
         net = ShallowVectorNetwork(rng.standard_normal((5, 31)), rng.uniform(-1, 1, 5),
-                                   rng.standard_normal((5, 31)), Tanh(), ens.signature,
-                                   self.GRID)
+                                   np.ones(5), rng.standard_normal((5, 31)), np.ones(5, int),
+                                   Tanh(), ens.signature, self.GRID)
         fam = SeminormFamily((LqNorm(2.0), SupDerivative(1),
                               DualPairing(rng.standard_normal(31), self.GRID)))
         want = [max(rho(TargetElement(t.values - net.evaluate_many([s])[0], t.grid))

@@ -38,6 +38,20 @@ def small_dict(**overrides):
     return base
 
 
+#: a number field set to an integer that no float holds, and the overrides
+#: of small_dict that put it there
+BEYOND_FLOAT_RANGE = {
+    "epsilons": {"epsilons": [0.1, 10**400]},
+    "heldout_fraction": {"heldout_fraction": 10**400},
+    "fit.lam": {"fit": {"lam": 10**400}},
+    "fit.theta_range": {"fit": {"theta_range": [-3.0, 10**400]}},
+    "operator.kernel.width": {"operator": {"kind": "integral",
+                                           "kernel": {"name": "gaussian", "width": 10**400}}},
+    "fit.activation": {"fit": {"activation": {"name": "polynomial",
+                                              "coefficients": [0.0, 10**400]}}},
+}
+
+
 def stripped(report):
     doc = report.to_dict()
     doc = json.loads(json.dumps(doc))
@@ -135,6 +149,11 @@ class TestConfigParsing:
     def test_bad_dual_values_named(self):
         with pytest.raises(ConfigError, match=r"duals\[0\]"):
             ExperimentConfig.from_dict(small_dict(duals=[{"values": []}]))
+
+    @pytest.mark.parametrize("field", BEYOND_FLOAT_RANGE)
+    def test_integer_beyond_float_range_named(self, field):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            ExperimentConfig.from_dict(small_dict(**BEYOND_FLOAT_RANGE[field]))
 
     def test_empty_epsilons_allowed(self):
         cfg = ExperimentConfig.from_dict(small_dict(epsilons=[]))

@@ -69,8 +69,8 @@ def pairing(spec, params):
     input signature; the identity activation x -> x leaves l(s) as it is.
     """
     L = functional_weights(spec, np.atleast_2d(np.asarray(params, dtype=float)))
-    return ShallowVectorNetwork(L, np.zeros(1), np.ones((1, 1)), Polynomial((0.0, 1.0)),
-                                spec.signature)
+    return ShallowVectorNetwork(L, np.zeros(1), np.ones(1), np.ones((1, 1)), [1],
+                                Polynomial((0.0, 1.0)), spec.signature)
 
 
 def pair(spec, params, s):
@@ -80,20 +80,33 @@ def pair(spec, params, s):
 FN_SPEC = FunctionalSpec(kind="function", grid=GRID)
 
 
+def trig(k, scale=1.0):
+    """FN_SPEC's parameters of phi = scale * mode k: 1, sin(pi x), cos(pi x),
+    ..., cos(3 pi x) on [0, 1] for k = 0, 1, 2, ..., 6."""
+    return scale * np.eye(1 + 2 * FN_SPEC.order)[k]
+
+
+def trig_phi(p, x):
+    """phi on the [0, 1] nodes x for trigonometric parameters p, by definition."""
+    phi = np.full(x.shape, p[0])
+    for k in range(1, (len(p) - 1) // 2 + 1):
+        phi += p[2 * k - 1] * np.sin(k * np.pi * x) + p[2 * k] * np.cos(k * np.pi * x)
+    return phi
+
+
 class TestFunctionals:
     def test_quadrature_pairing_integrates_constants(self):
-        assert pair(FN_SPEC, np.ones(GRID.n), fn_sample(np.ones_like)) == pytest.approx(
+        assert pair(FN_SPEC, trig(0), fn_sample(np.ones_like)) == pytest.approx(
             1.0, rel=1e-12)
 
     def test_quadrature_pairing_sine_mass(self):
         # trapezoid integrates sin(pi x) * sin(pi x) exactly on a uniform
         # [0, 1] grid, so the pairing returns 4 * 1/2 = 2
-        x = GRID.nodes()
         s = fn_sample(lambda x: np.sin(np.pi * x))
-        assert pair(FN_SPEC, 4.0 * np.sin(np.pi * x), s) == pytest.approx(2.0, rel=1e-12)
+        assert pair(FN_SPEC, trig(1, 4.0), s) == pytest.approx(2.0, rel=1e-12)
 
     def test_quadrature_pairing_grid_mismatch(self):
-        l = pairing(FN_SPEC, np.ones(GRID.n))
+        l = pairing(FN_SPEC, trig(0))
         with pytest.raises(ShapeError):
             l.evaluate_many([fn_sample(np.sin, GridMeta(0.0, 1.0, 51))])
         with pytest.raises(ShapeError):
@@ -113,10 +126,10 @@ class TestFunctionals:
 
     def test_zero_functional(self):
         seq = FunctionalSpec(kind="sequence", length=1)
-        assert pair(FN_SPEC, np.zeros(GRID.n), fn_sample(np.sin)) == 0.0
+        assert pair(FN_SPEC, trig(0, 0.0), fn_sample(np.sin)) == 0.0
         assert pair(seq, [0.0], SequencePoint([1.0])) == 0.0
         # the zero functional is the zero weight row, whatever the spec
-        assert np.array_equal(functional_weights(FN_SPEC, np.zeros((1, GRID.n)))[0],
+        assert np.array_equal(functional_weights(FN_SPEC, trig(0, 0.0)[None])[0],
                               np.zeros(GRID.n))
 
     @pytest.mark.parametrize("trial", range(10))
@@ -140,7 +153,8 @@ class TestFunctionals:
             "matrix": lambda: MatrixPoint(rng.standard_normal((2, 3))),
         }
         definitions = {
-            "function": lambda p, s: np.sum(GRID.trapezoid_weights() * p * s.values),
+            "function": lambda p, s: np.sum(GRID.trapezoid_weights() * trig_phi(p, GRID.nodes())
+                                            * s.values),
             "sequence": lambda p, s: np.dot(p, s.values),
             "matrix": lambda p, s: np.trace(p.reshape(2, 3).T @ s.values),
         }
@@ -183,6 +197,22 @@ class TestRandomFunctional:
         assert l.shape == (signature_dim(spec.signature),)
         np.testing.assert_array_equal(l, functional_weights(spec, params)[0])
         np.testing.assert_array_equal(functional_weights(spec, params[:1])[0], l)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_weight_rows_are_params_over_the_basis(self, spec):
+        params = draw_functional_params(spec, np.random.default_rng(4), 6)
+        L = functional_weights(spec, params)
+        if spec.kind != "function":
+            assert spec.basis is None
+            np.testing.assert_array_equal(L, params)
+            return
+        # one basis per spec, read-only, that the term-by-term rows agree with
+        assert spec.basis is spec.basis and not spec.basis.flags.writeable
+        assert params.shape == (6, 1 + 2 * spec.order)
+        assert spec.basis.shape == (1 + 2 * spec.order, GRID.n)
+        np.testing.assert_allclose(L, params @ spec.basis, rtol=1e-12, atol=1e-15)
+        want = GRID.trapezoid_weights() * np.array([trig_phi(p, GRID.nodes()) for p in params])
+        np.testing.assert_allclose(L, want, rtol=1e-12, atol=1e-15)
 
     def test_variants(self):
         l = random_functional(FunctionalSpec(kind="sequence", length=6), 1)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from shallowop import network
 from shallowop.errors import DocumentError, ShapeError
 from shallowop.inputs import (
     EnsembleSpec,
@@ -13,7 +14,6 @@ from shallowop.inputs import (
     sample_ensemble,
 )
 from shallowop.network import (
-    EVAL_BLOCK_ROWS,
     Gaussian,
     Polynomial,
     Relu,
@@ -30,8 +30,15 @@ TANH_1 = 0.7615941559557649
 EXP_NEG_1 = 0.36787944117144233
 
 
+def dense(L, theta, V, activation, signature, output_grid=None):
+    """The network eta(S L^T - theta) V: no basis, every width 1, c = 1, U = V."""
+    width = len(theta)
+    return ShallowVectorNetwork(L, theta, np.ones(width), V, np.ones(width, dtype=int),
+                                activation, signature, output_grid)
+
+
 def random_network(rng, width=4, in_dim=6, out_dim=5, activation=Tanh()):
-    return ShallowVectorNetwork(
+    return dense(
         rng.standard_normal((width, in_dim)),
         rng.uniform(-1.0, 1.0, width),
         rng.standard_normal((width, out_dim)),
@@ -96,15 +103,13 @@ class TestEvaluate:
 
     def test_single_relu_trace_neuron(self):
         # the one weight row is the Frobenius pairing with the identity
-        net = ShallowVectorNetwork(np.eye(2).reshape(1, 4), [0.0], [[1.0, 0.0]], Relu(),
-                                   ("matrix", (2, 2)))
+        net = dense(np.eye(2).reshape(1, 4), [0.0], [[1.0, 0.0]], Relu(), ("matrix", (2, 2)))
         out = net.evaluate_many([MatrixPoint(np.eye(2))])[0]
         np.testing.assert_array_equal(out, [2.0, 0.0])
 
     def test_constant_via_zero_functional(self):
         grid = GridMeta(0.0, 1.0, 11)
-        net = ShallowVectorNetwork(np.zeros((1, 2)), [-1.0], np.ones((1, 11)), Tanh(),
-                                   ("sequence", 2), grid)
+        net = dense(np.zeros((1, 2)), [-1.0], np.ones((1, 11)), Tanh(), ("sequence", 2), grid)
         out = net.evaluate_many([SequencePoint([3.0, -7.0])])[0]
         np.testing.assert_allclose(out, TANH_1, rtol=1e-15)
         assert net.output_grid == grid
@@ -117,23 +122,23 @@ class TestEvaluate:
     def test_neuron_shape_mismatches_rejected(self):
         L, theta, V = np.ones((1, 3)), np.zeros(1), np.ones((1, 4))
         with pytest.raises(ShapeError, match="weights"):
-            ShallowVectorNetwork(L, theta, V, Tanh(), ("sequence", 5))
+            dense(L, theta, V, Tanh(), ("sequence", 5))
         with pytest.raises(ShapeError, match="output grid"):
-            ShallowVectorNetwork(L, theta, V, Tanh(), ("sequence", 3), GridMeta(0.0, 1.0, 6))
+            dense(L, theta, V, Tanh(), ("sequence", 3), GridMeta(0.0, 1.0, 6))
         with pytest.raises(ShapeError, match="rows"):
-            ShallowVectorNetwork(L, np.zeros(2), V, Tanh(), ("sequence", 3))
+            ShallowVectorNetwork(L, np.zeros(2), [1.0, 1.0], V, [2], Tanh(), ("sequence", 3))
         with pytest.raises(ShapeError, match="thresholds"):
-            ShallowVectorNetwork(L, np.zeros((1, 1)), V, Tanh(), ("sequence", 3))
+            dense(L, np.zeros((1, 1)), V, Tanh(), ("sequence", 3))
         with pytest.raises(ValueError, match="thresholds"):
-            ShallowVectorNetwork(L, [np.inf], V, Tanh(), ("sequence", 3))
+            dense(L, [np.inf], V, Tanh(), ("sequence", 3))
 
     def test_matrices_are_read_only_copies(self):
         L, theta, V = np.ones((2, 3)), np.zeros(2), np.ones((2, 4))
-        net = ShallowVectorNetwork(L, theta, V, Tanh(), ("sequence", 3))
+        net = dense(L, theta, V, Tanh(), ("sequence", 3))
         L[0, 0] = 5.0
         assert net.weights[0, 0] == 1.0
         with pytest.raises(ValueError):
-            net.coefficients[0, 0] = 2.0
+            net.centers[0, 0] = 2.0
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(0)
@@ -144,10 +149,12 @@ class TestEvaluate:
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
-    def test_batch_longer_than_a_block_matches_pointwise(self):
+    def test_batch_longer_than_a_block_matches_pointwise(self, monkeypatch):
+        # blocks of 16 rows for the 7 neurons
+        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 7 * 16)
         rng = np.random.default_rng(1)
         net = random_network(rng, width=7)
-        pts = [SequencePoint(rng.standard_normal(6)) for _ in range(2 * EVAL_BLOCK_ROWS + 37)]
+        pts = [SequencePoint(rng.standard_normal(6)) for _ in range(2 * 16 + 37)]
         batch = net.evaluate_many(pts)
         single = np.stack([net.evaluate_many([p])[0] for p in pts])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
@@ -163,17 +170,20 @@ class TestEvaluate:
         rng = np.random.default_rng(11)
         ens = sample_ensemble(spec, 12)
         dim = ens.flats.shape[1]
-        net = ShallowVectorNetwork(rng.standard_normal((9, dim)), rng.uniform(-1.0, 1.0, 9),
-                                   rng.standard_normal((9, 4)), Tanh(), ens.signature)
+        net = dense(rng.standard_normal((9, dim)), rng.uniform(-1.0, 1.0, 9),
+                    rng.standard_normal((9, 4)), Tanh(), ens.signature)
         want = net.evaluate_many(ens)
         assert net.evaluate_many(list(ens)).tobytes() == want.tobytes()
 
 
 def stacked(a, b):
-    """The network over a's rows and then b's: it evaluates to a + b."""
+    """The network over a's neuron blocks and then b's (both without a
+    basis): it evaluates to a + b."""
     return ShallowVectorNetwork(np.vstack([a.weights, b.weights]),
                                 np.concatenate([a.thresholds, b.thresholds]),
-                                np.vstack([a.coefficients, b.coefficients]),
+                                np.concatenate([a.coefficients, b.coefficients]),
+                                np.vstack([a.centers, b.centers]),
+                                np.concatenate([a.widths, b.widths]),
                                 a.activation, a.input_signature, a.output_grid)
 
 
@@ -210,7 +220,8 @@ class TestNetworkSum:
 class TestInvariants:
     def scaled_coeffs(self, net, lam):
         return ShallowVectorNetwork(net.weights, net.thresholds, lam * net.coefficients,
-                                    net.activation, net.input_signature, net.output_grid)
+                                    net.centers, net.widths, net.activation,
+                                    net.input_signature, net.output_grid)
 
     def test_coefficient_scaling_power_of_two_exact(self):
         rng = np.random.default_rng(5)
@@ -236,10 +247,13 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         net = random_network(rng, width=8)
         perm = rng.permutation(8)
+        # every block holds one neuron, so blocks permute with their neurons
         shuffled = ShallowVectorNetwork(
             net.weights[perm],
             net.thresholds[perm],
             net.coefficients[perm],
+            net.centers[perm],
+            net.widths[perm],
             net.activation,
             net.input_signature,
         )
@@ -256,7 +270,7 @@ class TestInvariants:
         grid = GridMeta(0.0, 1.0, 21)
         phi = rng.standard_normal(21)
         L = np.tile(grid.trapezoid_weights() * phi, (4, 1))  # the pairing with phi
-        net = ShallowVectorNetwork(
+        net = dense(
             L, rng.uniform(-1.0, 1.0, 4), rng.standard_normal((4, 3)),
             Polynomial((0.5, -1.0, 2.0)), ("function", grid),
         )
@@ -273,12 +287,11 @@ def kind_network(kind, rng):
     if kind == "sequence":
         return random_network(rng, width=2)
     if kind == "matrix":
-        return ShallowVectorNetwork(rng.standard_normal((2, 6)), rng.uniform(-1, 1, 2),
-                                    rng.standard_normal((2, 1)), Tanh(), ("matrix", (2, 3)))
+        return dense(rng.standard_normal((2, 6)), rng.uniform(-1, 1, 2),
+                     rng.standard_normal((2, 1)), Tanh(), ("matrix", (2, 3)))
     in_grid, out_grid = GridMeta(0.0, 1.0, 13), GridMeta(-1.0, 2.0, 17)
-    return ShallowVectorNetwork(rng.standard_normal((2, 13)), rng.uniform(-1, 1, 2),
-                                rng.standard_normal((2, 17)), Tanh(), ("function", in_grid),
-                                out_grid)
+    return dense(rng.standard_normal((2, 13)), rng.uniform(-1, 1, 2),
+                 rng.standard_normal((2, 17)), Tanh(), ("function", in_grid), out_grid)
 
 
 class TestSerialization:
@@ -297,8 +310,11 @@ class TestSerialization:
         net = random_network(rng, width=3)
         doc = serialize_network(net)
         assert doc["weights"] == packed(net.weights)
+        assert doc["basis"] is None
         assert doc["thresholds"] == packed(net.thresholds)
         assert doc["coefficients"] == packed(net.coefficients)
+        assert doc["centers"] == packed(net.centers)
+        assert doc["widths"] == [1, 1, 1]
         assert doc["output_dim"] == 5
         assert "neurons" not in doc
 
@@ -306,7 +322,7 @@ class TestSerialization:
         rng = np.random.default_rng(14)
         net = random_network(rng, width=6)
         back = self.roundtrip(net)
-        for name in ("weights", "thresholds", "coefficients"):
+        for name in ("weights", "thresholds", "coefficients", "centers", "widths"):
             assert getattr(back, name).tobytes() == getattr(net, name).tobytes()
         s = SequencePoint(rng.standard_normal(6))
         np.testing.assert_array_equal(back.evaluate_many([s]), net.evaluate_many([s]))
@@ -320,9 +336,8 @@ class TestSerialization:
         phis = [rng.standard_normal(13) for _ in range(2)]
         L = np.vstack([in_grid.trapezoid_weights() * phi for phi in phis] + [np.zeros(13)])
         thetas = np.append(rng.uniform(-1.0, 1.0, 2), 0.25)
-        net = ShallowVectorNetwork(
-            L, thetas, rng.standard_normal((3, 17)), Sigmoid(), ("function", in_grid), grid
-        )
+        net = dense(L, thetas, rng.standard_normal((3, 17)), Sigmoid(), ("function", in_grid),
+                    grid)
         back = self.roundtrip(net)
         assert back.output_grid == grid
         for _ in range(10):
@@ -331,7 +346,7 @@ class TestSerialization:
 
     def test_matrix_and_polynomial_roundtrip(self):
         rng = np.random.default_rng(10)
-        net = ShallowVectorNetwork(
+        net = dense(
             rng.standard_normal((1, 6)), [0.0], rng.standard_normal((1, 4)),
             Polynomial((1.0, 0.5)), ("matrix", (2, 3)),
         )
@@ -399,8 +414,8 @@ class TestSerialization:
         rng = np.random.default_rng(12)
         net = random_network(rng, width=1)
         doc = serialize_network(net)
-        doc["coefficients"] = packed([[1.0, 2.0]])
-        with pytest.raises(DocumentError, match="'coefficients'.*'output_dim'"):
+        doc["centers"] = packed([[1.0, 2.0]])
+        with pytest.raises(DocumentError, match="'centers'.*'output_dim'"):
             deserialize_network(doc)
 
     @pytest.mark.parametrize("field", ("weights", "thresholds", "coefficients"))
@@ -456,3 +471,123 @@ class TestSerialization:
         node[key] = bad
         with pytest.raises(DocumentError, match=f"'{field}' must be a finite number, got"):
             deserialize_network(json.loads(json.dumps(doc)))
+
+
+def dense_formula(net, flats):
+    """eta(S L^T - theta) V for a factored network, with L = P B and row k of
+    V equal to c_k times the center of k's block, in one pass."""
+    L = net.weights if net.basis is None else net.weights @ net.basis
+    V = net.coefficients[:, None] * np.repeat(net.centers, net.widths, axis=0)
+    return net.activation(flats @ L.T - net.thresholds) @ V
+
+
+@pytest.fixture(scope="module")
+def pipeline_networks():
+    """One pipeline-built network per input kind, with its held-out inputs."""
+    import shallowop as so
+
+    networks = {}
+    for kind, preset in (("function", "integral_gaussian"), ("sequence", "sequence_decay"),
+                         ("matrix", "matrix_sin_trace")):
+        raw = so.preset_dict(preset)
+        raw["ensemble"]["count"] = 40
+        raw["epsilons"] = [0.2]
+        raw["save_networks"] = True
+        config = so.ExperimentConfig.from_dict(raw)
+        run = so.run_experiment(config).runs[0]
+        batch = sample_ensemble(config.ensemble, 99)
+        networks[kind] = (deserialize_network(run.network_doc), run, batch)
+    return networks
+
+
+class TestFactored:
+    KINDS = ("function", "sequence", "matrix")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pipeline_network_round_trips_bit_identically(self, kind, pipeline_networks):
+        net, run, batch = pipeline_networks[kind]
+        assert (net.basis is None) == (kind != "function")
+        assert net.widths.tolist() == list(run.coefficient_widths)
+        text = json.dumps(serialize_network(net))
+        assert text == json.dumps(run.network_doc)
+        back = deserialize_network(json.loads(text))
+        for name in ("weights", "thresholds", "coefficients", "centers", "widths"):
+            assert getattr(back, name).tobytes() == getattr(net, name).tobytes()
+        if net.basis is not None:
+            assert back.basis.tobytes() == net.basis.tobytes()
+        assert back.evaluate_many(batch).tobytes() == net.evaluate_many(batch).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pipeline_network_matches_the_dense_formula(self, kind, pipeline_networks):
+        net, _, batch = pipeline_networks[kind]
+        want = dense_formula(net, batch.flats)
+        got = net.evaluate_many(batch)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_blocks_of_several_neurons_match_the_dense_formula(self):
+        rng = np.random.default_rng(21)
+        in_grid, out_grid = GridMeta(0.0, 1.0, 13), GridMeta(0.0, 2.0, 9)
+        net = ShallowVectorNetwork(rng.standard_normal((10, 3)), rng.uniform(-1, 1, 10),
+                                   rng.standard_normal(10), rng.standard_normal((3, 9)),
+                                   [4, 1, 5], Sigmoid(), ("function", in_grid), out_grid,
+                                   basis=rng.standard_normal((3, 13)))
+        flats = rng.standard_normal((30, 13))
+        pts = [FunctionSample(row, in_grid) for row in flats]
+        want = dense_formula(net, flats)
+        assert np.max(np.abs(net.evaluate_many(pts) - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_zero_network_matches_the_dense_formula(self):
+        # no blocks: the segment sums are an (n, 0) matrix
+        net = ShallowVectorNetwork.zero(Tanh(), ("matrix", (2, 3)), 4)
+        assert net.centers.shape == (0, 4) and net.widths.shape == (0,)
+        flats = np.random.default_rng(22).standard_normal((5, 6))
+        got = net.evaluate_many([MatrixPoint(row.reshape(2, 3)) for row in flats])
+        np.testing.assert_array_equal(got, dense_formula(net, flats))
+        np.testing.assert_array_equal(got, np.zeros((5, 4)))
+
+    def test_basis_shape_checked(self):
+        args = (np.ones((2, 3)), np.zeros(2), np.ones(2), np.ones((1, 4)), [2], Tanh(),
+                ("sequence", 5))
+        with pytest.raises(ShapeError, match="basis has 2 rows"):
+            ShallowVectorNetwork(*args, basis=np.ones((2, 5)))
+        with pytest.raises(ShapeError, match="basis has 4 columns"):
+            ShallowVectorNetwork(*args, basis=np.ones((3, 4)))
+        assert ShallowVectorNetwork(*args, basis=np.ones((3, 5))).width == 2
+
+    @pytest.mark.parametrize("bad", [
+        [0, 4], [-1, 5], [2, 1], [2, 3], [4, 0],
+        [2.0, 2], [2, True], "4", [[2, 2]], [2, 10**400],
+    ], ids=["zero", "negative", "short", "long", "zero_last",
+            "float", "bool", "string", "nested", "beyond_int64"])
+    def test_bad_widths_rejected_by_name(self, bad):
+        net = stacked(random_network(np.random.default_rng(23), width=2),
+                      random_network(np.random.default_rng(24), width=2))
+        doc = serialize_network(net)
+        doc["widths"] = bad
+        with pytest.raises(DocumentError, match="widths"):
+            deserialize_network(json.loads(json.dumps(doc)))
+
+    def test_dense_document_of_0_11_rejected_by_name(self):
+        # 0.11.0 stored dense L and V and no basis, centers or widths
+        rng = np.random.default_rng(25)
+        doc = {
+            "activation": "tanh",
+            "input_shape": {"kind": "sequence", "length": 3},
+            "output_grid": None,
+            "output_dim": 2,
+            "weights": packed(rng.standard_normal((4, 3))),
+            "thresholds": packed(rng.standard_normal(4)),
+            "coefficients": packed(rng.standard_normal((4, 2))),
+        }
+        with pytest.raises(DocumentError, match="missing field 'basis'"):
+            deserialize_network(doc)
+
+    @pytest.mark.parametrize("coefficients", [["x"], 5, [10**400], [], [True], "1"],
+                             ids=["string_entry", "number", "beyond_float_range", "empty",
+                                  "bool", "string"])
+    def test_bad_polynomial_coefficients_rejected_by_name(self, coefficients):
+        doc = serialize_network(random_network(np.random.default_rng(26),
+                                               activation=Polynomial((0.0, 1.0))))
+        doc["activation"]["coefficients"] = coefficients
+        with pytest.raises(DocumentError, match="'activation'"):
+            deserialize_network(doc)
