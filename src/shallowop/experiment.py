@@ -323,7 +323,7 @@ def build_operator(config: ExperimentConfig) -> Operator:
         value = float(_get(kernel, "operator.kernel", param, default, ok, message))
         return integral_operator(make_kernel(name, **{param: value}), sig[1])
     if kind == "poisson":
-        return poisson_operator(sig[1])
+        return _named("grid.n", poisson_operator, sig[1])
     if kind == "superposition":
         return _named("operator.map", superposition_operator, doc.get("map"), sig)
     if kind == "matrix_map":

@@ -8,8 +8,14 @@ treats them as opaque maps even when they happen to be linear.
 
 Each operator is one batched map from an (n, dim) input matrix to an
 (n, d) value matrix, so an ensemble of thousands of samples is one array
-pass: one matrix product, one banded solve with n right-hand sides, or one
-elementwise map.
+pass: one matrix product, one pair of L D L^T sweeps over n right-hand
+sides, or one elementwise map.
+
+The Poisson matrix is factored once per operator in LAPACK's ?pttrf order,
+and each call runs ?pttrs's forward and backward sweeps in numpy.  That is
+the arithmetic LAPACK's ?ptsv does for scipy.linalg.solveh_banded on this
+matrix, operation for operation and without fused multiply-adds, so the
+values are bitwise those of that solve with numpy as the only dependency.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ConfigError, ShapeError
 from .inputs import stack_inputs
@@ -52,24 +57,43 @@ def make_kernel(name: str, **params) -> Kernel:
     raise ConfigError(f"unknown kernel {name!r}")
 
 
-def _poisson_rows(F: np.ndarray, grid: GridMeta) -> np.ndarray:
-    """-u'' = f with u = 0 at both endpoints, for every row f of F.
-
-    Standard second-order three-point scheme; the symmetric tridiagonal
-    system is solved by banded Cholesky, one solve with n right-hand sides.
-    Exact (to roundoff) whenever the true solution is a cubic, since the
-    truncation term carries u''''.
+def _poisson_factors(grid: GridMeta) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and unit-lower subdiagonal e of L D L^T = A, factored in
+    ?pttrf order, where A is the three-point -d^2/dx^2 on grid's n - 2
+    interior nodes (2/h^2 on the diagonal, -1/h^2 beside it).
     """
     n = grid.n
     if n < 3:
         raise ValueError(f"poisson solve needs at least 3 nodes, got {n}")
     h = grid.spacing
-    interior = n - 2
-    ab = np.zeros((2, interior))
-    ab[0, 1:] = -1.0 / h**2
-    ab[1, :] = 2.0 / h**2
+    d = np.full(n - 2, 2.0 / h**2)
+    e = np.full(n - 3, -1.0 / h**2)
+    for i in range(n - 3):
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    return d, e
+
+
+def _poisson_rows(F: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """-u'' = f with u = 0 at both endpoints, for every row f of F.
+
+    Standard second-order three-point scheme, solved with the factors of
+    _poisson_factors by ?pttrs's two sweeps: L y = f forward, then
+    D L^T u = y backward.  They run over a transposed (nodes, rows) copy, so
+    each step is one contiguous row operation on all right-hand sides; every
+    element still sees LAPACK's operations in LAPACK's order, which is why
+    the bits equal solveh_banded's.  Exact (to roundoff) whenever the true
+    solution is a cubic, since the truncation term carries u''''.
+    """
+    B = F[:, 1:-1].T.copy()
+    for i in range(1, len(d)):
+        B[i] -= B[i - 1] * e[i - 1]
+    B[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        B[i] = B[i] / d[i] - B[i + 1] * e[i]
     U = np.zeros(F.shape)
-    U[:, 1:-1] = solveh_banded(ab, F[:, 1:-1].T).T
+    U[:, 1:-1] = B.T
     return U
 
 
@@ -151,8 +175,11 @@ def integral_operator(kernel: Kernel, grid: GridMeta) -> Operator:
 
 
 def poisson_operator(grid: GridMeta) -> Operator:
-    """The 1-d Dirichlet Poisson solution operator f |-> u on grid."""
-    return Operator("poisson_1d", lambda F: _poisson_rows(F, grid), ("function", grid),
+    """The 1-d Dirichlet Poisson solution operator f |-> u on grid; its L D L^T
+    factors are computed once here.  A grid of fewer than 3 nodes, which has
+    no interior, raises ValueError."""
+    d, e = _poisson_factors(grid)
+    return Operator("poisson_1d", lambda F: _poisson_rows(F, d, e), ("function", grid),
                     grid.n, grid)
 
 

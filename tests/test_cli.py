@@ -238,6 +238,7 @@ class TestCliRun:
         ({"operator": {"kind": "integral", "kernel": {"width": 0.25}}}, "operator.kernel.name"),
         ({"operator": {"kind": "integral", "kernel": {"name": "gaussian", "value": 1.0}}},
          "operator.kernel.value"),
+        ({"grid": {"a": 0.0, "b": 1.0, "n": 2}}, "grid.n"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
             "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha",
@@ -251,7 +252,7 @@ class TestCliRun:
             "repeated_schwartz_label", "repeated_dual_name", "string_nan_kernel_width",
             "string_kernel_width", "bool_kernel_width", "nan_kernel_width",
             "string_kernel_value", "bool_kernel_value", "unnamed_kernel",
-            "kernel_param_of_another_kernel"])
+            "kernel_param_of_another_kernel", "poisson_grid_without_interior"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):
@@ -286,3 +287,15 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "integral_gaussian" in proc.stdout
+
+    def test_poisson_run_loads_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency; scipy is a test-only reference,
+        # so neither importing shallowop nor a Poisson solve may load it
+        args = ["run", "--config", str(quick_config(tmp_path)), "--out", str(tmp_path / "o")]
+        code = ("import sys\nfrom shallowop.cli import main\n"
+                f"status = main({args!r})\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+                "sys.exit(status)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -138,6 +138,27 @@ class TestPoisson:
         f = FunctionSample(np.abs(rng.standard_normal(51)), g)
         assert np.min(poisson_operator(g).apply_many([f]).values) >= -1e-12
 
+    @pytest.mark.parametrize("n, rows", [(4, 50), (5, 50), (11, 50), (101, 50), (201, 50),
+                                         (101, 4000)])
+    def test_sweeps_are_the_per_row_banded_solve(self, n, rows):
+        g = GridMeta(0.0, 1.0, n)
+        F = np.random.default_rng(n + rows).standard_normal((rows, n))
+        got = poisson_operator(g).apply_many([FunctionSample(f, g) for f in F]).values
+        h = g.spacing
+        ab = np.zeros((2, n - 2))
+        ab[0, 1:] = -1.0 / h**2
+        ab[1, :] = 2.0 / h**2
+        want = np.zeros((rows, n))
+        for u, f in zip(want, F):
+            u[1:-1] = solveh_banded(ab, f[1:-1])
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_interior_node(self):
+        g = GridMeta(0.0, 1.0, 3)
+        u = poisson_operator(g).apply_many([FunctionSample([0.7, -1.3, 2.9], g)]).values[0]
+        # bytes, so the boundary values are +0.0 exactly
+        assert u.tobytes() == np.array([0.0, -1.3 / (2.0 / g.spacing**2), 0.0]).tobytes()
+
     def test_too_few_nodes(self):
         g = GridMeta(0.0, 1.0, 2)
         with pytest.raises(ValueError):
