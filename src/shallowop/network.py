@@ -11,7 +11,10 @@ immutable after construction and evaluation is pure.
 from __future__ import annotations
 
 import base64
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,10 @@ from .targets import GridMeta
 
 
 class Activation:
-    """Scalar nonlinearity applied entrywise; finite for all finite inputs."""
+    """Scalar nonlinearity applied entrywise; finite for all finite inputs.
+
+    Batch evaluation calls it from several threads at once, one block of
+    pre-activations per call, so it must not keep state between calls."""
 
     #: set on variants that are polynomial on intervals and therefore cannot
     #: yield a dense class; kept for stall experiments
@@ -151,6 +157,10 @@ def make_activation(spec) -> Activation:
 #: bytes of float64 activations per block of input rows in
 #: ShallowVectorNetwork.evaluate_many: a block's temporaries stay in cache
 EVAL_BLOCK_BYTES = 1 << 18
+#: fewest row blocks in a share of ShallowVectorNetwork.evaluate_many that
+#: gets a thread of its own: with fewer, starting and joining the thread
+#: costs more than it saves, and evaluation runs on the calling thread
+EVAL_SHARE_BLOCKS = 16
 
 
 class ShallowVectorNetwork:
@@ -210,6 +220,9 @@ class ShallowVectorNetwork:
             )
         # first neuron of each block, as np.add.reduceat takes them
         self._starts = np.cumsum(self.widths) - self.widths
+        # P^T (r, width) in row order: a block's pre-activation product reads
+        # it contiguously, about twice as fast as against the view weights.T
+        self._weights_t = np.ascontiguousarray(self.weights.T)
 
     @classmethod
     def zero(cls, activation: Activation, input_signature: tuple, output_dim: int,
@@ -231,7 +244,14 @@ class ShallowVectorNetwork:
         once.  Then, per block of input rows, the scaled activations are
         summed per neuron block and multiplied by the centers.  A block
         holds as many rows as keep its (rows, width) activations within
-        EVAL_BLOCK_BYTES, and at least one.
+        EVAL_BLOCK_BYTES, and at least one.  The blocks are split into
+        contiguous shares, one per CPU this process may use, as long as
+        each keeps about EVAL_SHARE_BLOCKS blocks.  The calling thread
+        evaluates the first share and one started thread each of the
+        others, in a copy of the caller's context, so np.errstate holds in
+        them too.  Each block is computed alone, so the outputs do not
+        depend on the number of threads.  An exception raised in any share
+        is raised here once every thread has finished.
         """
         flats, signature = stack_inputs(samples)
         if signature != self.input_signature:
@@ -242,14 +262,46 @@ class ShallowVectorNetwork:
             flats = flats @ self.basis.T
         out = np.empty((flats.shape[0], self.output_dim))
         rows = max(1, EVAL_BLOCK_BYTES // (8 * max(1, self.width)))
-        for start in range(0, flats.shape[0], rows):
-            block = slice(start, start + rows)
-            pre = flats[block] @ self.weights.T
-            pre -= self.thresholds
-            act = self.activation(pre)
-            act *= self.coefficients
-            out[block] = np.add.reduceat(act, self._starts, axis=1) @ self.centers
+        starts = range(0, flats.shape[0], rows)
+        errors = []
+
+        def evaluate(share):
+            try:
+                for start in share:
+                    block = slice(start, start + rows)
+                    pre = flats[block] @ self._weights_t
+                    pre -= self.thresholds
+                    act = self.activation(pre)
+                    act *= self.coefficients
+                    out[block] = np.add.reduceat(act, self._starts, axis=1) @ self.centers
+            except BaseException as exc:  # raised once every thread has ended
+                errors.append(exc)
+
+        # shares of per consecutive blocks; the caller evaluates the first
+        shares = max(1, min(_cpu_count(), len(starts) // EVAL_SHARE_BLOCKS))
+        per = -(-len(starts) // shares)
+        started = []
+        try:
+            for first in range(per, len(starts), per):
+                thread = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(evaluate, starts[first:first + per]))
+                thread.start()
+                started.append(thread)
+            evaluate(starts[:per])
+        finally:
+            for thread in started:
+                thread.join()
+        if errors:
+            raise errors[0]
         return out
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _readonly_array(values, field: str, ndim: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import base64
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shallowop.inputs import (
     sample_ensemble,
 )
 from shallowop.network import (
+    Activation,
     Gaussian,
     Polynomial,
     Relu,
@@ -591,3 +593,115 @@ class TestFactored:
         doc["activation"]["coefficients"] = coefficients
         with pytest.raises(DocumentError, match="'activation'"):
             deserialize_network(doc)
+
+
+def many_block_network(kind, rng, count=300):
+    """A random factored network of 2048 neurons in 16-neuron blocks, with a
+    basis for functions, and count inputs from the ensemble of its kind: row
+    blocks of 16 inputs, so 19 of them for 300 inputs."""
+    width = 2048
+    spec = {
+        "function": EnsembleSpec("band_limited", count, radii=(1.0, 0.5),
+                                 grid=GridMeta(0.0, 1.0, 13)),
+        "sequence": EnsembleSpec("sequence_box", count, radii=(1.0, 0.5, 0.25)),
+        "matrix": EnsembleSpec("matrix_ball", count, shape=(2, 3), radius=1.5),
+    }[kind]
+    ens = sample_ensemble(spec, 31)
+    dim = ens.flats.shape[1]
+    basis = rng.standard_normal((5, dim)) if kind == "function" else None
+    r = dim if basis is None else 5
+    net = ShallowVectorNetwork(rng.standard_normal((width, r)), rng.uniform(-1, 1, width),
+                               rng.standard_normal(width), rng.standard_normal((width // 16, 4)),
+                               np.full(width // 16, 16), Tanh(), ens.signature, basis=basis)
+    return net, ens
+
+
+def use_cpus(monkeypatch, cpus, share_blocks=1):
+    """Evaluate as if on cpus CPUs, giving a thread to shares of share_blocks
+    row blocks or more."""
+    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(network, "EVAL_SHARE_BLOCKS", share_blocks)
+
+
+class Boom(Exception):
+    pass
+
+
+class RaisesOnLarge(Activation):
+    """tanh, except that an input beyond 1e100 raises Boom."""
+
+    name = "raises_on_large"
+
+    def __call__(self, x):
+        if np.any(x > 1e100):
+            raise Boom("large pre-activation")
+        return np.tanh(x)
+
+
+class TestThreads:
+    """evaluate_many splits its row blocks over the CPUs: the caller's thread
+    evaluates the first share, a started thread each of the others.  Each
+    test but the thread count gives a thread to shares of one block."""
+
+    @pytest.mark.parametrize("kind", ("function", "sequence", "matrix"))
+    def test_outputs_do_not_depend_on_the_worker_count(self, kind, monkeypatch):
+        net, ens = many_block_network(kind, np.random.default_rng(41))
+        outputs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            outputs.append(net.evaluate_many(ens).tobytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("cpus, share_blocks, blocks, threads", [
+        (1, 1, 19, 0), (2, 1, 19, 1), (3, 1, 19, 2), (4, 1, 3, 2), (3, 1, 1, 0),
+        (2, 16, 31, 0), (2, 16, 32, 1), (3, 16, 47, 1), (3, 16, 48, 2), (3, 16, 49, 2),
+    ])
+    def test_threads_started_are_one_fewer_than_the_shares(self, cpus, share_blocks, blocks,
+                                                           threads, monkeypatch):
+        net, ens = many_block_network("sequence", np.random.default_rng(42), count=800)
+        ens = ens[:16 * blocks - 8]
+        use_cpus(monkeypatch, cpus, share_blocks)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(network.threading, "Thread", Counted)
+        assert net.evaluate_many(ens).shape == (16 * blocks - 8, 4)
+        assert len(started) == threads
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_error_state_holds_in_every_worker(self, cpus, monkeypatch):
+        # 8 neurons: blocks of 4 rows; only the last of the 5 blocks overflows
+        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 8 * 4)
+        use_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(43)
+        net = dense(np.abs(rng.standard_normal((8, 3))) + 0.5, np.zeros(8),
+                    rng.standard_normal((8, 2)), Polynomial((0.0, 0.0, 1.0)), ("sequence", 3))
+        flats = rng.uniform(-1.0, 1.0, (20, 3))
+        flats[-1] = 1e200
+        pts = [SequencePoint(row) for row in flats]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                net.evaluate_many(pts)
+            assert np.all(np.isfinite(net.evaluate_many(pts[:16])))
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(net.evaluate_many(pts)))
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    @pytest.mark.parametrize("row", (0, 9, 19), ids=("first", "middle", "last"))
+    def test_a_worker_failure_is_raised_after_every_thread_ends(self, cpus, row,
+                                                                monkeypatch):
+        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 8 * 4)
+        use_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(44)
+        net = dense(np.abs(rng.standard_normal((8, 3))) + 0.5, np.zeros(8),
+                    rng.standard_normal((8, 2)), RaisesOnLarge(), ("sequence", 3))
+        flats = rng.uniform(-1.0, 1.0, (20, 3))
+        flats[row] = 1e200
+        before = threading.active_count()
+        with pytest.raises(Boom, match="large pre-activation"):
+            net.evaluate_many([SequencePoint(r) for r in flats])
+        assert threading.active_count() == before
