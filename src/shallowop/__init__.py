@@ -75,4 +75,4 @@ from .targets import (
     TargetElement,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -20,7 +20,6 @@ from .inputs import (
     CompactEnsemble,
     FunctionalSpec,
     draw_functional_params,
-    functional_weights,
     random_functional,  # noqa: F401  not called here; benchmarks/tracer.py hooks this name
     signature_dim,
 )
@@ -56,11 +55,16 @@ def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.n
 @dataclass(frozen=True, eq=False)
 class EpsilonNet:
     """Greedy net: centers, the read-only (m, d) batch of the source values at
-    center_indices, cover those values strictly within epsilon."""
+    center_indices, cover those values strictly within epsilon.
+
+    distances[i, j] is the seminorm distance from source value i to center
+    j, the read-only (n, m) matrix the scan computed.
+    """
 
     centers: TargetBatch
     epsilon: float
     center_indices: tuple[int, ...]
+    distances: np.ndarray
 
     def __len__(self):
         return len(self.centers)
@@ -72,33 +76,45 @@ def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> Eps
 
     Every value ends up strictly covered and centers stay pairwise >= epsilon
     apart, which is exactly the finite-cover step of the compactness argument.
-    The scan keeps each later value's distance to its nearest center so far:
-    one batched seminorm pass per accepted center, and the next center is the
-    first later value still at distance >= epsilon.  The centers are the
-    rows values[i] for the center indices.
+    Each accepted center gets one batched seminorm pass over all values,
+    which is its column of the net's distances; the next center is the first
+    value whose nearest center so far is at distance >= epsilon.  Earlier
+    values are covered or centers, so that is the first such later value.
+    The centers are the rows values[i] for the center indices.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     F, grid = values.values, values.grid
     nearest = np.full(F.shape[0], np.inf)
-    indices = [0]
+    # columns go into one buffer, doubled when full: keeping one array per
+    # center instead made every later pass about twice as slow at n=3200,
+    # through allocator churn on the passes' temporaries
+    distances = np.empty((F.shape[0], 16))
+    indices = []
+    i = 0
     while True:
-        i = indices[-1]
-        later = nearest[i + 1:]  # a view: updated in place
-        np.minimum(later, _seminorm_rows(rho, F[i + 1:], grid, F[i]), out=later)
-        uncovered = np.flatnonzero(later >= epsilon)
+        if len(indices) == distances.shape[1]:
+            distances = np.concatenate([distances, np.empty_like(distances)], axis=1)
+        column = _seminorm_rows(rho, F, grid, F[i])
+        distances[:, len(indices)] = column
+        indices.append(i)
+        np.minimum(nearest, column, out=nearest)
+        uncovered = np.flatnonzero(nearest >= epsilon)
         if not uncovered.size:
             break
-        indices.append(i + 1 + int(uncovered[0]))
-    return EpsilonNet(TargetBatch(F[indices], grid), float(epsilon), tuple(indices))
+        i = int(uncovered[0])
+    distances = distances[:, :len(indices)].copy()
+    distances.setflags(write=False)
+    return EpsilonNet(TargetBatch(F[indices], grid), float(epsilon), tuple(indices),
+                      distances)
 
 
 @dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
     """Normalized hat weights subordinate to the net's epsilon balls.
 
-    weights[i, j] is psi_j at sample i; distances[i, j] is the seminorm
-    distance from value i to center j, kept so the convexity bound can be
+    weights[i, j] is psi_j at sample i; distances is the net's (n, m)
+    matrix of seminorm distances, kept so the convexity bound can be
     re-checked without re-evaluating the operator.
     """
 
@@ -107,27 +123,23 @@ class PartitionOfUnity:
     epsilon: float
 
 
-def build_partition(f_values: TargetBatch, net: EpsilonNet, rho: Seminorm) -> PartitionOfUnity:
-    """Hats max(0, 1 - dist/epsilon), normalized per sample.
+def build_partition(net: EpsilonNet, rho: Seminorm) -> PartitionOfUnity:
+    """Hats max(0, 1 - dist/epsilon) on the net's distances, normalized per
+    sample.
 
     The cover property makes every normalizer strictly positive; a sample no
-    center reaches is reported by index.
+    center reaches is reported by index, naming rho, the seminorm of the
+    distances.
     """
-    F, grid = f_values.values, f_values.grid
-    if net.centers.grid != grid or net.centers.dim != F.shape[1]:
-        raise ShapeError("values and centers have mismatched grid metadata")
     eps = net.epsilon
-    dist = np.empty((F.shape[0], len(net)))
-    for j, c in enumerate(net.centers.values):
-        dist[:, j] = _seminorm_rows(rho, F, grid, c)
-    raw = np.maximum(0.0, 1.0 - dist / eps)
+    raw = np.maximum(0.0, 1.0 - net.distances / eps)
     norms = raw.sum(axis=1)
     dead = np.flatnonzero(norms <= 0.0)
     if dead.size:
         raise CoverageError(
             f"sample {dead[0]} is not within {eps} of any center under {rho.label()}"
         )
-    return PartitionOfUnity(raw / norms[:, None], dist, eps)
+    return PartitionOfUnity(raw / norms[:, None], net.distances, eps)
 
 
 def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -239,7 +251,7 @@ def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarra
 class FitConfig:
     """Knobs for one scalar random-feature fit.
 
-    `seed` roots the feature bank's two streams: functional weights come
+    `seed` roots the feature bank's two streams: functional parameters come
     from derive_seed(seed, 0) and thresholds from derive_seed(seed, 1).
     """
 
@@ -268,10 +280,9 @@ def draw_features(cfg: FitConfig, streams, start: int, stop: int):
     """Features [start, stop) of cfg's bank (P, theta): row 0 is the bias,
     the rest random.
 
-    P holds the functionals' parameters, so the bank's weight rows are
-    functional_weights(cfg.functional_spec, P), which is P @ basis for the
-    function kind and P itself otherwise.  streams are the bank's (weights,
-    thresholds) generators after features [0, start) were drawn from them:
+    P holds the functionals' parameters over cfg.functional_spec.basis, as a
+    network's weights do.  streams are the bank's (parameters, thresholds)
+    generators after features [0, start) were drawn from them:
     parameter rows 1.. come in order from the first, thresholds 0.. from the
     second, and the bias row P[0] is zero and draws nothing.  A bank drawn in
     several calls therefore equals one drawn at once, so banks nest across
@@ -285,7 +296,7 @@ def draw_features(cfg: FitConfig, streams, start: int, stop: int):
 
 
 def _feature_streams(seed):
-    """The (weights, thresholds) generators of one feature bank."""
+    """The (parameters, thresholds) generators of one feature bank."""
     return (np.random.default_rng(derive_seed(seed, 0)),
             np.random.default_rng(derive_seed(seed, 1)))
 
@@ -313,26 +324,26 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     A step draws each pending bank's new features with draw_features,
     continuing its streams, and solves the pending designs in stacks of at
     most SOLVE_STACK_BYTES; a column stops once its training sup error is
-    below delta or its width reaches cfg.max_width.  Each design is built
-    from the bank's weight rows, functional_weights of its parameters.
-    Returns one (P, theta, coeffs, sup_error) per column, P the bank's
-    parameters as draw_features returns them.
+    below delta or its width reaches cfg.max_width.  The inputs are
+    projected on the spec's basis once, S = flats B^T (S = flats with no
+    basis), and each design is eta(S P^T - theta), the pre-activation a
+    network evaluates.  Returns one (P, theta, coeffs, sup_error) per
+    column, P the bank's parameters as draw_features returns them.
     """
     spec = cfg.functional_spec
     dim = signature_dim(spec.signature)
     if flats.ndim != 2 or flats.shape[1] != dim:
         raise ShapeError(f"inputs {flats.shape} do not stack to {dim}-vectors")
     n = flats.shape[0]
+    S = flats if spec.basis is None else flats @ spec.basis.T
     streams = [_feature_streams(seed) for seed in seeds]
-    # each bank as (P, L, theta): parameters, weight rows and thresholds
     banks = [None] * len(seeds)
     fits = [None] * len(seeds)
     pending = list(range(len(seeds)))
     width, target = 0, cfg.width
     while pending:
         for j in pending:
-            P, thetas = draw_features(cfg, streams[j], width, target)
-            grown = (P, functional_weights(spec, P), thetas)
+            grown = draw_features(cfg, streams[j], width, target)
             banks[j] = grown if width == 0 else tuple(
                 np.concatenate(parts) for parts in zip(banks[j], grown))
         width = target
@@ -342,16 +353,15 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             # member i holds the transposed design A^T: one feature per row
             designs = np.empty((len(stack), width, n))
             for i, j in enumerate(stack):
-                _, L, thetas = banks[j]
-                block = np.matmul(L, flats.T, out=designs[i])
+                P, thetas = banks[j]
+                block = np.matmul(P, S.T, out=designs[i])
                 block -= thetas[:, None]
                 designs[i] = cfg.activation(block)
             coeffs, errors = fit_ridge_features(designs.transpose(0, 2, 1),
                                                 targets[:, stack].T, cfg.lam)
             for i, j in enumerate(stack):
                 if errors[i] < delta or width >= cfg.max_width:
-                    P, _, thetas = banks[j]
-                    fits[j] = (P, thetas, coeffs[i], float(errors[i]))
+                    fits[j] = (*banks[j], coeffs[i], float(errors[i]))
         pending = [j for j in pending if fits[j] is None]
         target = min(2 * width, cfg.max_width)
     return fits
@@ -427,7 +437,7 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     rho = family[rho_index]
 
     net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
-    pou = build_partition(f_values, net1, rho)
+    pou = build_partition(net1, rho)
     stage1_sup = float(np.max(np.sum(pou.weights * pou.distances, axis=1)))
     if not stage1_sup < (epsilon / 2.0) * (1.0 + 1e-9):
         raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")

@@ -176,30 +176,20 @@ class FunctionalSpec:
         return ("matrix", self.shape)
 
     @cached_property
-    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Function kind, built once: the read-only (1 + 2 order, n) modes 1,
-        sin(pi xhat), cos(pi xhat), ..., cos(order pi xhat) on the grid, and
-        the grid's trapezoid weights."""
+    def basis(self) -> np.ndarray | None:
+        """The read-only (1 + 2 order, n) rows that parameters combine into
+        weight rows, built once: the modes 1, sin(pi xhat), cos(pi xhat),
+        ..., cos(order pi xhat) on the grid, each times the trapezoid
+        weights.  None for sequences and matrices, whose parameters are
+        their weight rows."""
+        if self.kind != "function":
+            return None
         xhat = (self.grid.nodes() - self.grid.a) / (self.grid.b - self.grid.a)
         modes = np.ones((1 + 2 * self.order, self.grid.n))
         for k in range(1, self.order + 1):
             modes[2 * k - 1] = np.sin(k * np.pi * xhat)
             modes[2 * k] = np.cos(k * np.pi * xhat)
-        weights = self.grid.trapezoid_weights()
-        modes.setflags(write=False)
-        weights.setflags(write=False)
-        return modes, weights
-
-    @cached_property
-    def basis(self) -> np.ndarray | None:
-        """The read-only (1 + 2 order, n) rows that parameters combine into
-        weight rows: each trigonometric mode times the trapezoid weights.
-        None for sequences and matrices, whose parameters are their weight
-        rows."""
-        if self.kind != "function":
-            return None
-        modes, weights = self._trig
-        basis = modes * weights
+        basis = modes * self.grid.trapezoid_weights()
         basis.setflags(write=False)
         return basis
 
@@ -219,30 +209,15 @@ def draw_functional_params(spec: FunctionalSpec, rng: np.random.Generator,
     return rng.standard_normal((count, signature_dim(spec.signature))) * spec.scale
 
 
-def functional_weights(spec: FunctionalSpec, params: np.ndarray) -> np.ndarray:
-    """Weight rows of drawn functionals: row k pairs with inputs by a dot product.
-
-    For the function kind this is params @ spec.basis up to rounding, built
-    term by term (phi on the grid, then times the trapezoid weights) rather
-    than by one matrix product, so a row's bits do not depend on how many
-    rows share the call.
-    """
-    if spec.kind != "function":
-        return params
-    modes, weights = spec._trig
-    phi = np.repeat(params[:, :1], modes.shape[1], axis=1)
-    for i in range(1, modes.shape[0]):
-        phi += params[:, i, None] * modes[i]
-    return phi * weights
-
-
 def random_functional(spec: FunctionalSpec, seed) -> np.ndarray:
     """The weight row of one seeded random functional; a pure function of (spec, seed).
 
-    It pairs with a flattened input of spec.signature by a dot product.
+    It is the drawn parameters over spec.basis (the parameters themselves
+    with no basis), and pairs with a flattened input of spec.signature by a
+    dot product.
     """
-    params = draw_functional_params(spec, np.random.default_rng(seed), 1)
-    return functional_weights(spec, params)[0]
+    params = draw_functional_params(spec, np.random.default_rng(seed), 1)[0]
+    return params if spec.basis is None else params @ spec.basis
 
 
 @dataclass(frozen=True)
@@ -349,8 +324,8 @@ def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
         xhat = (grid.nodes() - grid.a) / (grid.b - grid.a)
         modes = np.stack([np.sin((k + 1) * np.pi * xhat) for k in range(len(radii))])
         coeffs = rng.uniform(-1.0, 1.0, (spec.count, len(radii))) * radii
-        # term by term rather than one matrix product, as in
-        # functional_weights, over blocks of rows that stay in cache
+        # term by term rather than one matrix product, so a row's bits do
+        # not depend on count, over blocks of rows that stay in cache
         flats = np.empty((spec.count, grid.n))
         for start in range(0, spec.count, DRAW_BLOCK_ROWS):
             rows = flats[start:start + DRAW_BLOCK_ROWS]

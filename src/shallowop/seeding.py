@@ -7,7 +7,7 @@ pure function of the root seed and its integer path.  A sweep uses:
     derive_seed(run, 0)             the run's ensemble draw
     derive_seed(run, 1)             the run's fit seed s
     derive_seed(s, j)               partition coefficient j's feature bank b
-    derive_seed(b, 0)               the bank's functional weights, rows 1, 2, ...
+    derive_seed(b, 0)               the bank's functional parameters, rows 1, 2, ...
     derive_seed(b, 1)               the bank's thresholds, rows 0, 1, ...
 
 A bank's rows are drawn in order from its two generators, so growing a bank

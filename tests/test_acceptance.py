@@ -92,7 +92,7 @@ def test_criterion_01_finite_rank_suite():
     for name, values in cases:
         for eps in EPSILONS:
             net = build_epsilon_net(values, rho, eps)
-            pou = build_partition(values, net, rho)
+            pou = build_partition(net, rho)
             # partition invariants: nonnegative, rows sum to one, support
             # strictly inside the epsilon balls, centers pairwise separated
             assert np.all(pou.weights >= 0.0)

@@ -4,9 +4,11 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import shallowop
 from shallowop import experiment
 from shallowop.cli import main
 from shallowop.errors import ConfigError
@@ -299,3 +301,9 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_package_version_matches_pyproject(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        versions = re.findall(r'^version = "([^"]+)"$', text, re.M)
+        assert versions == [shallowop.__version__]

@@ -26,7 +26,6 @@ from shallowop.errors import BudgetError, CoverageError, ShapeError
 from shallowop.inputs import (
     EnsembleSpec,
     FunctionalSpec,
-    functional_weights,
     sample_ensemble,
     signature_dim,
 )
@@ -156,6 +155,23 @@ class TestEpsilonNet:
         net = build_epsilon_net(values, ABS, 1.0)
         assert net.center_indices == reference_net_indices(values, ABS, 1.0)
 
+    @pytest.mark.parametrize("rho, eps", [(LqNorm(2.0), 1.0), (SupDerivative(1), 20.0)],
+                             ids=["lq", "sup_derivative"])
+    def test_distances_are_one_pass_per_center(self, rho, eps):
+        # the scan's passes over all rows are the net's distances, bit for bit,
+        # and the partition reads that same array
+        rng = np.random.default_rng(390)
+        grid = GridMeta(0.0, 1.0, 9)
+        values = TargetBatch(rng.standard_normal((2 * SEMINORM_BLOCK_ROWS + 41, 9)), grid)
+        net = build_epsilon_net(values, rho, eps)
+        assert len(net) > 32  # past two doublings of the net's distance buffer
+        want = np.stack([construct._seminorm_rows(rho, values.values, grid, c)
+                         for c in net.centers.values], axis=1)
+        assert net.distances.shape == want.shape
+        assert net.distances.tobytes() == want.tobytes()
+        assert not net.distances.flags.writeable
+        assert build_partition(net, rho).distances is net.distances
+
     @pytest.mark.parametrize("trial", range(5))
     def test_halving_epsilon_never_drops_centers(self, trial):
         rng = np.random.default_rng(320 + trial)
@@ -169,23 +185,25 @@ class TestPartition:
     def test_single_center_is_all_ones(self):
         values = scalar_batch(0.0, 0.3, -0.2)
         net = build_epsilon_net(values, ABS, 5.0)
-        pou = build_partition(values, net, ABS)
+        pou = build_partition(net, ABS)
         np.testing.assert_array_equal(pou.weights, np.ones((3, 1)))
 
+    # hand-built nets carry the distance rows of their samples: here sample
+    # 0.0, 1.0 or (0.5, 9.0) against centers 0.0 and 2.0, or 0.0 alone
     def test_support_condition_gives_unit_weight(self):
-        net = EpsilonNet(scalar_batch(0.0, 2.0), 1.5, (0, 1))
-        pou = build_partition(scalar_batch(0.0), net, ABS)
+        net = EpsilonNet(scalar_batch(0.0, 2.0), 1.5, (0, 1), np.array([[0.0, 2.0]]))
+        pou = build_partition(net, ABS)
         np.testing.assert_array_equal(pou.weights, [[1.0, 0.0]])
 
     def test_equidistant_sample_splits_evenly(self):
-        net = EpsilonNet(scalar_batch(0.0, 2.0), 2.0, (0, 1))
-        pou = build_partition(scalar_batch(1.0), net, ABS)
+        net = EpsilonNet(scalar_batch(0.0, 2.0), 2.0, (0, 1), np.array([[1.0, 1.0]]))
+        pou = build_partition(net, ABS)
         np.testing.assert_array_equal(pou.weights, [[0.5, 0.5]])
 
     def test_uncovered_sample_diagnosed_by_index(self):
-        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
+        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,), np.array([[0.5], [9.0]]))
         with pytest.raises(CoverageError, match="sample 1"):
-            build_partition(scalar_batch(0.5, 9.0), net, ABS)
+            build_partition(net, ABS)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_partition_invariants(self, trial):
@@ -193,7 +211,7 @@ class TestPartition:
         rho = LqNorm(2.0)
         values = batch_of([rng.standard_normal(5) for _ in range(30)])
         net = build_epsilon_net(values, rho, 1.2)
-        pou = build_partition(values, net, rho)
+        pou = build_partition(net, rho)
         assert np.all(pou.weights >= 0.0)
         np.testing.assert_allclose(pou.weights.sum(axis=1), 1.0, atol=1e-12)
         support = pou.weights > 0.0
@@ -204,14 +222,9 @@ class TestPartition:
         rho = LqNorm(2.0)
         values = batch_of([rng.standard_normal(3) for _ in range(2 * SEMINORM_BLOCK_ROWS + 41)])
         net = build_epsilon_net(values, rho, 2.0)
-        pou = build_partition(values, net, rho)
+        pou = build_partition(net, rho)
         want = [[gap(rho, t, c) for c in net.centers] for t in values]
         np.testing.assert_allclose(pou.distances, want, rtol=1e-12, atol=0)
-
-    def test_values_and_centers_must_share_metadata(self):
-        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,))
-        with pytest.raises(ShapeError):
-            build_partition(TargetBatch(np.zeros((1, 2))), net, ABS)
 
 
 def finite_rank(pou, net):
@@ -222,8 +235,8 @@ def finite_rank(pou, net):
 def overrun_partition(real):
     """build_partition, but with every distance at 1.5 times the net's
     epsilon, so the weighted distances reach the stage-1 budget."""
-    def build(values, net, rho):
-        pou = real(values, net, rho)
+    def build(net, rho):
+        pou = real(net, rho)
         return replace(pou, distances=np.full_like(pou.distances, 1.5 * net.epsilon))
     return build
 
@@ -232,7 +245,7 @@ class TestFiniteRank:
     def test_single_center_reproduced_exactly(self):
         values = scalar_batch(3.0, 3.2)
         net = build_epsilon_net(values, ABS, 1.0)
-        pou = build_partition(values, net, ABS)
+        pou = build_partition(net, ABS)
         out = finite_rank(pou, net)[1]
         np.testing.assert_array_equal(out.values, [3.0])
 
@@ -240,7 +253,7 @@ class TestFiniteRank:
         values = scalar_batch(*[5.0] * 4)
         net = build_epsilon_net(values, ABS, 0.7)
         assert len(net) == 1
-        pou = build_partition(values, net, ABS)
+        pou = build_partition(net, ABS)
         out = finite_rank(pou, net)
         for i in range(4):
             assert gap(ABS, out[i], values[i]) == 0.0
@@ -272,8 +285,8 @@ class TestFiniteRank:
             "values = TargetBatch(np.full((5, 101), 2.0), grid)\n"
             "cfg = FitConfig(functional_spec=FunctionalSpec(kind='function', grid=grid), width=4)\n"
             "real = construct.build_partition\n"
-            "def overrun(values, net, rho):\n"
-            "    pou = real(values, net, rho)\n"
+            "def overrun(net, rho):\n"
+            "    pou = real(net, rho)\n"
             "    return replace(pou, distances=np.full_like(pou.distances, 1.5 * net.epsilon))\n"
             "construct.build_partition = overrun\n"
             "try:\n"
@@ -298,7 +311,7 @@ class TestFiniteRank:
         rho = LqNorm(2.0)
         eps = 0.05
         net = build_epsilon_net(values, rho, eps)
-        pou = build_partition(values, net, rho)
+        pou = build_partition(net, rho)
         out = finite_rank(pou, net)
         for i, t in enumerate(values):
             err = gap(rho, t, out[i])
@@ -495,15 +508,16 @@ class TestScalarRidge:
         flats = rng.standard_normal((10, signature_dim(spec.signature)))
         y = rng.standard_normal(10)
         cfg = FitConfig(functional_spec=spec, width=8, max_width=8, seed=11)
-        # delta 0 is never met, so the grown fit doubles from 8 to 16
-        L8, t8, _, _ = fit_one(flats, y, cfg, 0.0)
-        grown_L, grown_t, _, _ = fit_one(flats, y, replace(cfg, max_width=16), 0.0)
-        L16, t16, _, _ = fit_one(flats, y, replace(cfg, width=16, max_width=16), 0.0)
+        # delta 0 is never met, so the grown fit doubles from 8 to 16; the
+        # banks are parameters, and weight rows P @ spec.basis nest with them
+        P8, t8, _, _ = fit_one(flats, y, cfg, 0.0)
+        grown_P, grown_t, _, _ = fit_one(flats, y, replace(cfg, max_width=16), 0.0)
+        P16, t16, _, _ = fit_one(flats, y, replace(cfg, width=16, max_width=16), 0.0)
         assert len(t8) == 8 and len(t16) == 16
         np.testing.assert_array_equal(t8, t16[:8])
-        assert np.all(L8[0] == 0.0) and np.all(L16[0] == 0.0)
-        np.testing.assert_array_equal(L8, L16[:8])
-        np.testing.assert_array_equal(grown_L, L16)
+        assert np.all(P8[0] == 0.0) and np.all(P16[0] == 0.0)
+        np.testing.assert_array_equal(P8, P16[:8])
+        np.testing.assert_array_equal(grown_P, P16)
         np.testing.assert_array_equal(grown_t, t16)
 
     def test_draw_rejects_mismatched_signature(self):
@@ -537,8 +551,7 @@ class TestScalarRidge:
                         seed=700 + trial)
         flats = ens.flats
         P, thetas, coeffs, _ = fit_one(flats, y, cfg, 0.0)
-        design = bank_design(flats, functional_weights(cfg.functional_spec, P), thetas,
-                             cfg.activation)
+        design = bank_design(flats, P @ cfg.functional_spec.basis, thetas, cfg.activation)
         best = np.sum((design @ coeffs - y) ** 2) + lam * np.sum(coeffs**2)
         for _ in range(200):
             xi = rng.standard_normal(len(coeffs))
@@ -696,7 +709,7 @@ class TestAssemble:
         # block j of the network is fit_columns on partition column j alone
         rho = LqNorm(2.0)
         net1 = build_epsilon_net(values, rho, 0.025)
-        psi = build_partition(values, net1, rho).weights
+        psi = build_partition(net1, rho).weights
         start = 0
         for j, center in enumerate(net1.centers):
             (P, thetas, coeffs, err), = fit_columns(ens.flats, psi[:, j:j + 1], cfg,
@@ -710,6 +723,36 @@ class TestAssemble:
             assert net.widths[j] == len(thetas)
             assert err == report.coefficient_errors[j]
         assert start == net.width
+
+    def test_designs_are_the_network_pre_activation(self, monkeypatch):
+        # every design stage 2 solves is eta((X B^T) P^T - theta) on a prefix
+        # of a block of the returned network, as evaluate_many computes it
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        solve = construct.fit_ridge_features
+        designs = []
+
+        def capturing(design, targets, lam):
+            designs.extend(np.array(member) for member in design)
+            return solve(design, targets, lam)
+
+        monkeypatch.setattr(construct, "fit_ridge_features", capturing)
+        net, _, _ = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        assert np.any(net.widths > cfg.width)
+        S = ens.flats @ net.basis.T
+        starts = np.cumsum(net.widths) - net.widths
+        # per width tried, the columns still pending, in order
+        want, k = [], cfg.width
+        while np.any(net.widths >= k):
+            for j in np.flatnonzero(net.widths >= k):
+                rows = slice(starts[j], starts[j] + k)
+                want.append(net.activation(S @ net.weights[rows].T - net.thresholds[rows]))
+            k *= 2
+        assert len(designs) == len(want)
+        for got, expected in zip(designs, want):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_small_stacks_change_no_bit(self, monkeypatch):
         ens = band_ensemble(40, self.GRID, seed=5)

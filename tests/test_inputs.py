@@ -12,7 +12,6 @@ from shallowop.inputs import (
     MatrixPoint,
     SequencePoint,
     draw_functional_params,
-    functional_weights,
     random_functional,
     sample_ensemble,
     signature_dim,
@@ -63,14 +62,16 @@ class TestInputPoints:
 
 
 def pairing(spec, params):
-    """The functional of one parameter row, as the one-neuron network s -> l(s).
+    """The functionals of parameter rows over spec.basis, as the network
+    s -> (l_1(s), ..., l_k(s)): one neuron and one output per row.
 
     Weight rows pair with inputs only inside a network, which checks the
     input signature; the identity activation x -> x leaves l(s) as it is.
     """
-    L = functional_weights(spec, np.atleast_2d(np.asarray(params, dtype=float)))
-    return ShallowVectorNetwork(L, np.zeros(1), np.ones(1), np.ones((1, 1)), [1],
-                                Polynomial((0.0, 1.0)), spec.signature)
+    P = np.atleast_2d(np.asarray(params, dtype=float))
+    k = P.shape[0]
+    return ShallowVectorNetwork(P, np.zeros(k), np.ones(k), np.eye(k), np.ones(k, dtype=int),
+                                Polynomial((0.0, 1.0)), spec.signature, basis=spec.basis)
 
 
 def pair(spec, params, s):
@@ -129,8 +130,7 @@ class TestFunctionals:
         assert pair(FN_SPEC, trig(0, 0.0), fn_sample(np.sin)) == 0.0
         assert pair(seq, [0.0], SequencePoint([1.0])) == 0.0
         # the zero functional is the zero weight row, whatever the spec
-        assert np.array_equal(functional_weights(FN_SPEC, trig(0, 0.0)[None])[0],
-                              np.zeros(GRID.n))
+        assert np.array_equal(trig(0, 0.0) @ FN_SPEC.basis, np.zeros(GRID.n))
 
     @pytest.mark.parametrize("trial", range(10))
     def test_linearity(self, trial):
@@ -143,8 +143,9 @@ class TestFunctionals:
         assert lhs == pytest.approx(a * ls + b * lt, abs=1e-9)
 
     def test_functional_weights_match_pairwise(self):
-        # weight rows pair with stacked inputs as the functionals they stand
-        # for (trapezoid quadrature, sequence dot, Frobenius trace); a zero row
+        # parameter rows over the basis pair with stacked inputs, in a
+        # network's factored form, as the functionals they stand for
+        # (trapezoid quadrature, sequence dot, Frobenius trace); a zero row
         # (a feature bank's bias) pairs as the zero functional
         rng = np.random.default_rng(3)
         points = {
@@ -162,7 +163,7 @@ class TestFunctionals:
             params = draw_functional_params(spec, rng, 5)
             params[2] = 0.0
             pts = [points[spec.kind]() for _ in range(4)]
-            got = functional_weights(spec, params) @ stack_inputs(pts)[0].T
+            got = pairing(spec, params).evaluate_many(pts).T
             want = np.array([[definitions[spec.kind](p, s) for s in pts] for p in params])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
             assert np.all(got[2] == 0.0)
@@ -194,23 +195,25 @@ class TestRandomFunctional:
     def test_one_row_draw_matches_batch_head(self, spec):
         l = random_functional(spec, derive_seed(42, 0))
         params = draw_functional_params(spec, np.random.default_rng(derive_seed(42, 0)), 5)
+        one = draw_functional_params(spec, np.random.default_rng(derive_seed(42, 0)), 1)
         assert l.shape == (signature_dim(spec.signature),)
-        np.testing.assert_array_equal(l, functional_weights(spec, params)[0])
-        np.testing.assert_array_equal(functional_weights(spec, params[:1])[0], l)
+        np.testing.assert_array_equal(one, params[:1])
+        head = params[0] if spec.basis is None else params[0] @ spec.basis
+        np.testing.assert_array_equal(l, head)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     def test_weight_rows_are_params_over_the_basis(self, spec):
         params = draw_functional_params(spec, np.random.default_rng(4), 6)
-        L = functional_weights(spec, params)
         if spec.kind != "function":
+            # no basis: the parameters are the weight rows
             assert spec.basis is None
-            np.testing.assert_array_equal(L, params)
             return
-        # one basis per spec, read-only, that the term-by-term rows agree with
+        # one basis per spec, read-only, whose combinations are phi on the
+        # grid times the trapezoid weights
         assert spec.basis is spec.basis and not spec.basis.flags.writeable
         assert params.shape == (6, 1 + 2 * spec.order)
         assert spec.basis.shape == (1 + 2 * spec.order, GRID.n)
-        np.testing.assert_allclose(L, params @ spec.basis, rtol=1e-12, atol=1e-15)
+        L = params @ spec.basis
         want = GRID.trapezoid_weights() * np.array([trig_phi(p, GRID.nodes()) for p in params])
         np.testing.assert_allclose(L, want, rtol=1e-12, atol=1e-15)
 
