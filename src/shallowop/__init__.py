@@ -9,7 +9,6 @@ seeded random-feature ridge fits of the partition coefficients.
 from .construct import (
     AssemblyReport,
     EpsilonNet,
-    ErrorBudget,
     FitConfig,
     PartitionOfUnity,
     assemble_vector_network,
@@ -75,4 +74,4 @@ from .targets import (
     TargetElement,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

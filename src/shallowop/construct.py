@@ -25,7 +25,7 @@ from .inputs import (
 )
 from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
-from .targets import Seminorm, SeminormFamily, TargetBatch
+from .targets import Seminorm, SeminormFamily, TargetBatch, _as_int
 
 
 #: rows per batched seminorm call: a block's temporaries stay in cache, which
@@ -166,8 +166,8 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
-    if lam < 0:
-        raise ValueError(f"regularization must be nonnegative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"regularization lam must be finite and nonnegative, got {lam}")
     b, n, k = design.shape
     coeffs = np.full((b, k), np.nan)
     if lam > 0 or n >= k:
@@ -264,12 +264,14 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("width", "max_width"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.width < 1:
             raise ValueError(f"width must be at least 1, got {self.width}")
         if self.max_width < self.width:
             raise ValueError("max_width must be at least width")
-        if self.lam < 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"regularization lam must be finite and nonnegative, got {self.lam}")
         lo, hi = self.theta_range
         if not hi > lo:
             raise ValueError(f"threshold range must be increasing, got {self.theta_range}")
@@ -375,15 +377,27 @@ def _stack_size(n: int, width: int, lam: float) -> int:
     return max(1, SOLVE_STACK_BYTES // (8 * rows * (width + 1)))
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Two-stage error split: epsilon/2 for the net, epsilon/(2mC) per fit."""
+@dataclass(frozen=True, eq=False)
+class AssemblyReport:
+    """What the pipeline budgeted and actually achieved, stage by stage.
+
+    The budget splits epsilon into epsilon/2 for the net and delta =
+    epsilon/(2 m C) per fit; a degenerate run (C = 0) carries no delta.
+    train_errors holds the training uniform error under every member of the
+    family, and train_sup_error is that of the targeted member.
+    """
 
     epsilon: float
     m: int
     C: float
     delta: float | None
     degenerate: bool
+    stage1_sup: float
+    coefficient_errors: np.ndarray
+    coefficient_widths: np.ndarray
+    converged: bool
+    train_sup_error: float
+    train_errors: np.ndarray
 
     @property
     def stage1(self) -> float:
@@ -400,28 +414,12 @@ class ErrorBudget:
                 raise ValueError("per-coefficient tolerance overruns the stage budget")
 
 
-@dataclass(frozen=True, eq=False)
-class AssemblyReport:
-    """What the pipeline actually achieved, stage by stage.
-
-    train_errors holds the training uniform error under every member of the
-    family, and train_sup_error is that of the targeted member.
-    """
-
-    stage1_sup: float
-    coefficient_errors: np.ndarray
-    coefficient_widths: np.ndarray
-    converged: bool
-    train_sup_error: float
-    train_errors: np.ndarray
-
-
 def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
                             family: SeminormFamily, rho_index: int, epsilon: float,
                             fit_cfg: FitConfig):
     """Run the full two-stage construction for one target seminorm.
 
-    Returns (network, budget, report).  A scalar stage that cannot reach its
+    Returns (network, report).  A scalar stage that cannot reach its
     tolerance at fit_cfg.max_width leaves report.converged False rather than
     raising; whenever it is True, the training uniform error is below epsilon
     by construction, and a BudgetError is raised if it is not.  f_values
@@ -449,12 +447,10 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
         # epsilon/2, which is then the bound its training error is held to
         network = ShallowVectorNetwork.zero(fit_cfg.activation, ensemble.signature,
                                             f_values.dim, f_values.grid)
-        budget = ErrorBudget(float(epsilon), m, 0.0, None, True)
-        errors, widths = np.zeros(m), np.zeros(m, dtype=int)
+        delta, errors, widths = None, np.zeros(m), np.zeros(m, dtype=int)
         converged, bound = True, epsilon / 2.0
     else:
-        delta = epsilon / (2.0 * m * c_max)
-        budget = ErrorBudget(float(epsilon), m, float(c_max), float(delta), False)
+        delta = float(epsilon / (2.0 * m * c_max))
         P, thetas, c, errors, widths = _fit_coefficients(ensemble, pou.weights, fit_cfg,
                                                          delta)
         network = ShallowVectorNetwork(P, thetas, c, net1.centers.values, widths,
@@ -467,8 +463,9 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     if converged and not train_sup < bound * (1.0 + 1e-9):
         raise BudgetError(f"budget violated: uniform error {train_sup} is not below {bound} "
                           f"with epsilon {epsilon}")
-    report = AssemblyReport(stage1_sup, errors, widths, converged, train_sup, train_errors)
-    return network, budget, report
+    report = AssemblyReport(float(epsilon), m, c_max, delta, c_max == 0.0, stage1_sup, errors,
+                            widths, converged, train_sup, train_errors)
+    return network, report
 
 
 def _fit_coefficients(ensemble, weights, fit_cfg: FitConfig, delta: float):

@@ -8,11 +8,12 @@ byte-identically (wall-clock fields aside).
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -147,12 +148,12 @@ def _is_mapping(value) -> bool:
 
 
 def _mappings(doc, key, nonempty) -> tuple[dict, ...]:
-    """doc[key] as a tuple of copied mappings, item i named key[i] when bad."""
+    """doc[key] as a tuple of mappings, item i named key[i] when bad."""
     items = _get(doc, "", key, [], lambda v: _is_list(v) and (v or not nonempty),
                  "must be a nonempty list" if nonempty else "must be a list")
     for i, item in enumerate(items):
         _require(_is_mapping(item), f"{key}[{i}]", "must be a mapping")
-    return tuple(dict(item) for item in items)
+    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,8 @@ class ExperimentConfig:
     from_dict checks a config by building its operator, seminorms, duals and
     fit config once, so a config that loads builds; a bad field raises
     ConfigError naming it.  What it built is kept as `parts`, which runs use.
+    The config holds a deep copy of the document it was read from, and
+    to_dict returns a new one, so neither aliases the caller's mappings.
     """
 
     name: str
@@ -181,6 +184,7 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
+        raw = copy.deepcopy(raw)
         _only(raw, "", ("name", "operator", "grid", "ensemble", "heldout_fraction",
                         "seminorms", "target_index", "epsilons", "fit", "duals", "seed",
                         "out", "save_networks"))
@@ -192,7 +196,7 @@ class ExperimentConfig:
         config = ExperimentConfig(
             name=_get(raw, "", "name", "experiment", lambda v: isinstance(v, str) and v,
                       "must be a nonempty string"),
-            operator=dict(_get(raw, "", "operator", None, _is_mapping, "must be a mapping")),
+            operator=_get(raw, "", "operator", None, _is_mapping, "must be a mapping"),
             ensemble=_build_ensemble(
                 _get(raw, "", "ensemble", None, _is_mapping, "must be a mapping"),
                 None if grid is None else _build_grid(grid)),
@@ -227,14 +231,14 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         doc = {
             "name": self.name,
-            "operator": dict(self.operator),
+            "operator": self.operator,
             "ensemble": _ensemble_to_dict(self.ensemble),
             "heldout_fraction": self.heldout_fraction,
-            "seminorms": [dict(s) for s in self.seminorms],
+            "seminorms": list(self.seminorms),
             "target_index": self.target_index,
             "epsilons": list(self.epsilons),
-            "fit": dict(self.fit),
-            "duals": [dict(d) for d in self.duals],
+            "fit": self.fit,
+            "duals": list(self.duals),
             "seed": self.seed,
             "save_networks": self.save_networks,
         }
@@ -243,7 +247,7 @@ class ExperimentConfig:
                            "n": self.ensemble.grid.n}
         if self.out is not None:
             doc["out"] = self.out
-        return doc
+        return copy.deepcopy(doc)
 
     @cached_property
     def parts(self) -> _Parts:
@@ -369,7 +373,7 @@ def _build_dual(spec: dict, field: str, op: Operator) -> DualPairing:
 
 def build_fit_config(config: ExperimentConfig) -> FitConfig:
     """The stage-2 fit config of config.fit; runs give it their own bank seed."""
-    fit, sig = config.fit, config.ensemble.input_signature
+    fit = config.fit
     width = _get(fit, "fit", "width", None, lambda w: _is_int(w) and w >= 1,
                  "must be a positive integer")
     max_width = _get(fit, "fit", "max_width", None, lambda w: _is_int(w) and w >= width,
@@ -383,14 +387,8 @@ def build_fit_config(config: ExperimentConfig) -> FitConfig:
                  "must be a nonnegative integer")
     scale = float(_get(fit, "fit", "functional_scale", None, lambda v: _is_number(v) and v > 0,
                        "must be a positive number"))
-    if sig[0] == "function":
-        fspec = FunctionalSpec(kind="function", grid=sig[1], order=order, scale=scale)
-    elif sig[0] == "sequence":
-        fspec = FunctionalSpec(kind="sequence", length=sig[1], scale=scale)
-    else:
-        fspec = FunctionalSpec(kind="matrix", shape=sig[1], scale=scale)
     return FitConfig(
-        functional_spec=fspec,
+        functional_spec=FunctionalSpec(config.ensemble.input_signature, order, scale),
         width=width,
         max_width=max_width,
         activation=_named("fit.activation", make_activation, fit["activation"]),
@@ -446,28 +444,11 @@ class RunResult:
     network_doc: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "m_centers": self.m_centers,
-            "C": self.C,
-            "delta": self.delta,
-            "degenerate": self.degenerate,
-            "stage1_sup": self.stage1_sup,
-            "converged": self.converged,
-            "network_width": self.network_width,
-            "coefficient_widths": list(self.coefficient_widths),
-            "coefficient_errors": list(self.coefficient_errors),
-            "n_train": self.n_train,
-            "interpolating": self.interpolating,
-            "train_errors": dict(self.train_errors),
-            "heldout_errors": None if self.heldout_errors is None else dict(self.heldout_errors),
-            "dual_train_errors": (None if self.dual_train_errors is None
-                                  else dict(self.dual_train_errors)),
-            "dual_heldout_errors": (None if self.dual_heldout_errors is None
-                                    else dict(self.dual_heldout_errors)),
-            "activation_flagged": self.activation_flagged,
-            "wall_ms": self.wall_ms,
-        }
+        """The run's report.json record: every field but network_doc, in
+        declaration order, with tuples as lists and dicts copied."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "network_doc"}
+        return {k: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+                for k, v in doc.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,7 +491,7 @@ def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
     # every error the report needs; errors are split by position rather than
     # label, since a dual may share a member's label
     everything = SeminormFamily(parts.members + parts.duals)
-    net, budget, report = assemble_vector_network(
+    net, report = assemble_vector_network(
         train_values, train, everything, config.target_index, epsilon, fit_cfg
     )
     n_members = len(parts.members)
@@ -531,10 +512,10 @@ def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunResult(
         epsilon=float(epsilon),
-        m_centers=budget.m,
-        C=budget.C,
-        delta=budget.delta,
-        degenerate=budget.degenerate,
+        m_centers=report.m,
+        C=report.C,
+        delta=report.delta,
+        degenerate=report.degenerate,
         stage1_sup=report.stage1_sup,
         converged=report.converged,
         network_width=net.width,

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .targets import GridMeta, _as_readonly_vector, _readonly_rows
+from .targets import GridMeta, _as_int, _as_readonly_vector, _readonly_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +87,7 @@ class MatrixPoint:
 def _checked_shape(shape) -> tuple[int, int]:
     if shape is None or len(shape) != 2:
         raise ConfigError(f"matrix shape must be a (rows, cols) pair, got {shape!r}")
-    r, c = int(shape[0]), int(shape[1])
+    r, c = (_as_int(d, "matrix shape entry", ConfigError) for d in shape)
     if r < 1 or c < 1:
         raise ConfigError(f"matrix shape must be positive, got {shape!r}")
     return (r, c)
@@ -135,7 +135,8 @@ def _point(signature: tuple, row: np.ndarray) -> FunctionSample | SequencePoint 
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """Recipe for drawing a random functional of a given input variant.
+    """Recipe for drawing random functionals that pair with inputs of one
+    signature.
 
     Function-variant draws build phi as a low-order trigonometric combination
     c_0 + sum_k (a_k sin(k pi x) + b_k cos(k pi x)) in the grid's normalized
@@ -144,36 +145,30 @@ class FunctionalSpec:
     Sequence and matrix draws are their own weight rows.
     """
 
-    kind: str
-    scale: float = 1.0
-    grid: GridMeta | None = None
+    signature: tuple
     order: int = 3
-    length: int | None = None
-    shape: tuple[int, int] | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("function", "sequence", "matrix"):
-            raise ConfigError(f"unknown functional kind {self.kind!r}")
+        sig = self.signature
+        kind = sig[0] if isinstance(sig, tuple) and len(sig) == 2 else None
+        if kind == "function":
+            if not isinstance(sig[1], GridMeta):
+                raise ConfigError(f"function signature needs a GridMeta, got {sig[1]!r}")
+        elif kind == "sequence":
+            sig = (kind, _as_int(sig[1], "sequence length", ConfigError))
+            if sig[1] < 1:
+                raise ConfigError(f"sequence length must be positive, got {sig[1]}")
+        elif kind == "matrix":
+            sig = (kind, _checked_shape(sig[1]))
+        else:
+            raise ConfigError(f"unknown input signature {sig!r}")
+        object.__setattr__(self, "signature", sig)
+        object.__setattr__(self, "order", _as_int(self.order, "trigonometric order", ConfigError))
+        if self.order < 0:
+            raise ConfigError("trigonometric order must be nonnegative")
         if self.scale < 0:
             raise ConfigError("functional scale must be nonnegative")
-        if self.kind == "function":
-            if self.grid is None:
-                raise ConfigError("function-kind functional spec needs a grid")
-            if self.order < 0:
-                raise ConfigError("trigonometric order must be nonnegative")
-        if self.kind == "sequence" and (self.length is None or self.length < 1):
-            raise ConfigError("sequence-kind functional spec needs a positive length")
-        if self.kind == "matrix":
-            object.__setattr__(self, "shape", _checked_shape(self.shape))
-
-    @property
-    def signature(self) -> tuple:
-        """Input signature the drawn functionals pair with."""
-        if self.kind == "function":
-            return ("function", self.grid)
-        if self.kind == "sequence":
-            return ("sequence", self.length)
-        return ("matrix", self.shape)
 
     @cached_property
     def basis(self) -> np.ndarray | None:
@@ -182,14 +177,15 @@ class FunctionalSpec:
         ..., cos(order pi xhat) on the grid, each times the trapezoid
         weights.  None for sequences and matrices, whose parameters are
         their weight rows."""
-        if self.kind != "function":
+        if self.signature[0] != "function":
             return None
-        xhat = (self.grid.nodes() - self.grid.a) / (self.grid.b - self.grid.a)
-        modes = np.ones((1 + 2 * self.order, self.grid.n))
+        grid = self.signature[1]
+        xhat = (grid.nodes() - grid.a) / (grid.b - grid.a)
+        modes = np.ones((1 + 2 * self.order, grid.n))
         for k in range(1, self.order + 1):
             modes[2 * k - 1] = np.sin(k * np.pi * xhat)
             modes[2 * k] = np.cos(k * np.pi * xhat)
-        basis = modes * self.grid.trapezoid_weights()
+        basis = modes * grid.trapezoid_weights()
         basis.setflags(write=False)
         return basis
 
@@ -204,7 +200,7 @@ def draw_functional_params(spec: FunctionalSpec, rng: np.random.Generator,
     and then b rows gives bitwise the same a + b rows as one call: banks
     grow by continuing a generator instead of redrawing.
     """
-    if spec.kind == "function":
+    if spec.signature[0] == "function":
         return rng.standard_normal((count, 1 + 2 * spec.order)) * spec.scale
     return rng.standard_normal((count, signature_dim(spec.signature))) * spec.scale
 
@@ -238,6 +234,7 @@ class EnsembleSpec:
     radius: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "count", _as_int(self.count, "sample count", ConfigError))
         if self.count < 1:
             raise ConfigError(f"sample count must be positive, got {self.count}")
         if self.family in ("band_limited", "sequence_box"):

@@ -35,6 +35,7 @@ class GridMeta:
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError(f"grid endpoints must satisfy b > a, got [{self.a}, {self.b}]")
+        object.__setattr__(self, "n", _as_int(self.n, "grid node count n"))
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 nodes, got n={self.n}")
 
@@ -51,6 +52,14 @@ class GridMeta:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
+
+
+def _as_int(value, name: str, error=ValueError) -> int:
+    """value as an int if it is a Python or numpy integer, not a boolean;
+    nothing is truncated, and anything else raises error naming name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_readonly_vector(values) -> np.ndarray:

@@ -45,7 +45,7 @@ from shallowop.presets import get_preset, preset_dict, preset_names
 
 GRID = GridMeta(0.0, 1.0, 101)
 BAND = EnsembleSpec("band_limited", 100, radii=(1.0, 0.5, 0.25), grid=GRID)
-FSPEC = FunctionalSpec(kind="function", grid=GRID, order=3, scale=1.0)
+FSPEC = FunctionalSpec(("function", GRID), order=3, scale=1.0)
 EPSILONS = (0.2, 0.1, 0.05)
 
 
@@ -252,7 +252,7 @@ def test_criterion_08_dual_errors_along_width_sweep():
     for width in (25, 50, 100, 200):
         cfg = FitConfig(functional_spec=FSPEC, width=width, max_width=width,
                         lam=1e-8, seed=0)
-        net, _, _ = assemble_vector_network(values, ens, family, 0, 0.1, cfg)
+        net, _ = assemble_vector_network(values, ens, family, 0, 0.1, cfg)
         sweeps.append(uniform_error(values, net, ens, duals))
     sweeps = np.asarray(sweeps)
     for k in range(sweeps.shape[1]):
@@ -262,7 +262,7 @@ def test_criterion_08_dual_errors_along_width_sweep():
     # a vanishing primary error forces every dual error to vanish too
     zero_vals = zero_operator(ens.signature, GRID.n, GRID).apply_many(ens)
     zcfg = FitConfig(functional_spec=FSPEC, width=8, max_width=8, lam=0.0, seed=0)
-    znet, _, zreport = assemble_vector_network(zero_vals, ens, family, 0, 0.1, zcfg)
+    znet, zreport = assemble_vector_network(zero_vals, ens, family, 0, 0.1, zcfg)
     assert zreport.train_sup_error == 0.0
     assert np.all(uniform_error(zero_vals, znet, ens, duals) == 0.0)
     report_line(8, "dual errs " + " ".join(f"{e:.2e}" for e in sweeps[:, 0])
@@ -285,7 +285,7 @@ def test_criterion_09_determinism_and_serialization():
     op = integral_operator(make_kernel("gaussian", width=0.25), GRID)
     fit_cfg = FitConfig(functional_spec=FSPEC, width=32, max_width=256,
                         lam=0.0, seed=5)
-    net, _, _ = assemble_vector_network(op.apply_many(ens), ens,
+    net, _ = assemble_vector_network(op.apply_many(ens), ens,
                                         SeminormFamily((LqNorm(2.0),)), 0, 0.2,
                                         fit_cfg)
     doc = json.loads(json.dumps(serialize_network(net)))

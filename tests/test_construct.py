@@ -10,8 +10,8 @@ import pytest
 from shallowop import construct
 from shallowop.construct import (
     SEMINORM_BLOCK_ROWS,
+    AssemblyReport,
     EpsilonNet,
-    ErrorBudget,
     FitConfig,
     assemble_vector_network,
     build_epsilon_net,
@@ -67,7 +67,7 @@ def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
 
 
 def fn_spec(grid):
-    return FunctionalSpec(kind="function", grid=grid, order=3)
+    return FunctionalSpec(("function", grid), order=3)
 
 
 def reference_net_indices(values, rho, epsilon):
@@ -283,7 +283,7 @@ class TestFiniteRank:
             "spec = EnsembleSpec('band_limited', 5, radii=(1.0,), grid=grid)\n"
             "ens = sample_ensemble(spec, 1)\n"
             "values = TargetBatch(np.full((5, 101), 2.0), grid)\n"
-            "cfg = FitConfig(functional_spec=FunctionalSpec(kind='function', grid=grid), width=4)\n"
+            "cfg = FitConfig(functional_spec=FunctionalSpec(('function', grid)), width=4)\n"
             "real = construct.build_partition\n"
             "def overrun(net, rho):\n"
             "    pou = real(net, rho)\n"
@@ -368,6 +368,9 @@ class TestLeastSquares:
             least_squares_solve(np.eye(3)[None], np.ones((1, 2)), 0.0)
         with pytest.raises(ValueError):
             least_squares_solve(np.eye(2)[None], np.ones((1, 2)), -1.0)
+        for lam in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam"):
+                least_squares_solve(np.eye(2)[None], np.ones((1, 2)), lam)
         with pytest.raises(ShapeError):
             least_squares_solve(np.ones((2, 3, 3)), np.ones((3, 3)), 0.0)
         with pytest.raises(ShapeError):  # one design is a stack of one
@@ -497,12 +500,12 @@ class TestScalarRidge:
         np.testing.assert_allclose(sup_error, resid, rtol=1e-9, atol=1e-15)
 
     SPECS = (
-        FunctionalSpec(kind="function", grid=GRID, order=3),
-        FunctionalSpec(kind="sequence", length=5),
-        FunctionalSpec(kind="matrix", shape=(2, 2)),
+        FunctionalSpec(("function", GRID), order=3),
+        FunctionalSpec(("sequence", 5)),
+        FunctionalSpec(("matrix", (2, 2))),
     )
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.signature[0])
     def test_feature_banks_nest_across_widths(self, spec):
         rng = np.random.default_rng(13)
         flats = rng.standard_normal((10, signature_dim(spec.signature)))
@@ -525,7 +528,7 @@ class TestScalarRidge:
         with pytest.raises(ShapeError):
             fit_columns(np.zeros((4, 100)), np.zeros((4, 1)), cfg, [cfg.seed], 0.1)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.signature[0])
     def test_grown_bank_equals_fresh_draw(self, spec):
         cfg = FitConfig(functional_spec=spec, width=64, max_width=256, seed=12)
         streams = bank_streams(cfg.seed)
@@ -565,6 +568,19 @@ class TestScalarRidge:
             FitConfig(functional_spec=fn_spec(self.GRID), width=0)
         with pytest.raises(ValueError):
             FitConfig(functional_spec=fn_spec(self.GRID), width=8, max_width=4)
+
+    def test_widths_must_be_integers(self):
+        # refused, never truncated; numpy integers are read as ints
+        for bad in ({"width": 2.5}, {"width": True}, {"width": 8, "max_width": 16.0}):
+            with pytest.raises(ValueError, match="width"):
+                FitConfig(functional_spec=fn_spec(self.GRID), **bad)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=np.int64(8))
+        assert cfg.width == 8 and type(cfg.width) is int
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_lam_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            FitConfig(functional_spec=fn_spec(self.GRID), lam=lam)
 
     def test_polynomial_activation_stalls(self):
         # degree-2 features span only quadratics of the pairings, so the sin
@@ -615,11 +631,11 @@ class TestAssemble:
         ens = band_ensemble(20, self.GRID, seed=1)
         values = TargetBatch(np.zeros((20, 101)), self.GRID)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
-        net, budget, report = assemble_vector_network(
+        net, report = assemble_vector_network(
             values, ens, self.family(), 0, 0.1, cfg
         )
-        assert budget.degenerate
-        assert budget.C == 0.0
+        assert report.degenerate
+        assert report.C == 0.0
         assert net.width == 0
         assert report.converged
         assert report.train_sup_error == 0.0
@@ -629,11 +645,11 @@ class TestAssemble:
         values = TargetBatch(np.full((20, 101), 2.0), self.GRID)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
         eps = 0.05
-        net, budget, report = assemble_vector_network(
+        net, report = assemble_vector_network(
             values, ens, self.family(), 0, eps, cfg
         )
-        assert budget.m == 1
-        assert budget.C == pytest.approx(2.0, rel=1e-12)
+        assert report.m == 1
+        assert report.C == pytest.approx(2.0, rel=1e-12)
         assert report.converged
         assert report.train_sup_error < eps
 
@@ -646,7 +662,7 @@ class TestAssemble:
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=64, max_width=512,
                         lam=0.0, seed=21)
         eps = 0.1
-        net, budget, report = assemble_vector_network(
+        net, report = assemble_vector_network(
             values, ens, self.family(), 0, eps, cfg
         )
         assert report.converged
@@ -654,7 +670,7 @@ class TestAssemble:
         assert measured < eps
         np.testing.assert_allclose(measured, report.train_sup_error, rtol=1e-12)
         assert report.train_errors[0] == report.train_sup_error
-        assert np.all(report.coefficient_errors < budget.delta)
+        assert np.all(report.coefficient_errors < report.delta)
 
     @pytest.mark.parametrize("zero", [False, True], ids=["fitted", "degenerate"])
     def test_train_errors_cover_the_whole_family(self, zero):
@@ -664,7 +680,7 @@ class TestAssemble:
             values = TargetBatch(np.zeros((30, 101)), self.GRID)
         family = SeminormFamily((LqNorm(2.0), SupDerivative(0)))
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, lam=0.0, seed=6)
-        net, _, report = assemble_vector_network(values, ens, family, 1, 0.2, cfg)
+        net, report = assemble_vector_network(values, ens, family, 1, 0.2, cfg)
         np.testing.assert_array_equal(report.train_errors,
                                       uniform_error(values, net, ens, family))
         assert report.train_errors[1] == report.train_sup_error
@@ -673,8 +689,8 @@ class TestAssemble:
         ens = band_ensemble(40, self.GRID, seed=5)
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
-        net, budget, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
-        assert budget.m >= 2
+        net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        assert report.m >= 2
         assert np.any(report.coefficient_widths > cfg.width)  # some banks were grown
         centers = build_epsilon_net(values, LqNorm(2.0), 0.025).centers
         start = 0
@@ -702,7 +718,7 @@ class TestAssemble:
             return solve(design, targets, lam)
 
         monkeypatch.setattr(construct, "fit_ridge_features", counting)
-        net, budget, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         # one stacked solve per width tried and stack: (stack size, width)
         assert solved_stacks == expected_stacks(report.coefficient_widths, len(ens), cfg)
         assert np.any(report.coefficient_widths > cfg.width)
@@ -713,7 +729,7 @@ class TestAssemble:
         start = 0
         for j, center in enumerate(net1.centers):
             (P, thetas, coeffs, err), = fit_columns(ens.flats, psi[:, j:j + 1], cfg,
-                                                    [derive_seed(cfg.seed, j)], budget.delta)
+                                                    [derive_seed(cfg.seed, j)], report.delta)
             rows = slice(start, start + len(thetas))
             start += len(thetas)
             np.testing.assert_array_equal(net.weights[rows], P)
@@ -738,7 +754,7 @@ class TestAssemble:
             return solve(design, targets, lam)
 
         monkeypatch.setattr(construct, "fit_ridge_features", capturing)
-        net, _, _ = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        net, _ = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         assert np.any(net.widths > cfg.width)
         S = ens.flats @ net.basis.T
         starts = np.cumsum(net.widths) - net.widths
@@ -758,7 +774,7 @@ class TestAssemble:
         ens = band_ensemble(40, self.GRID, seed=5)
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
-        net, _, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         solve = construct.fit_ridge_features
         solved_stacks = []
 
@@ -769,7 +785,7 @@ class TestAssemble:
         # two members of the first width per stack, then one
         monkeypatch.setattr(construct, "SOLVE_STACK_BYTES", 2 * 8 * (40 + 16) * 17)
         monkeypatch.setattr(construct, "fit_ridge_features", counting)
-        small, _, small_report = assemble_vector_network(values, ens, self.family(), 0, 0.05,
+        small, small_report = assemble_vector_network(values, ens, self.family(), 0, 0.05,
                                                          cfg)
         assert solved_stacks == expected_stacks(report.coefficient_widths, len(ens), cfg)
         assert solved_stacks[0] == (2, 16) and len(solved_stacks) > 4
@@ -788,13 +804,23 @@ class TestAssemble:
         with pytest.raises(BudgetError, match="budget violated"):
             assemble_vector_network(values, ens, self.family(), 0, eps, cfg)
 
+    @staticmethod
+    def budget(epsilon, m, C, delta, degenerate):
+        """An AssemblyReport with the given budget and placeholder stage figures."""
+        return AssemblyReport(epsilon, m, C, delta, degenerate, 0.0, np.zeros(m),
+                              np.zeros(m, dtype=int), True, 0.0, np.zeros(1))
+
     def test_budget_arithmetic(self):
-        b = ErrorBudget(0.1, 4, 0.5, 0.1 / (2 * 4 * 0.5), False)
+        b = self.budget(0.1, 4, 0.5, 0.1 / (2 * 4 * 0.5), False)
         assert b.stage1 == 0.05
         with pytest.raises(ValueError):
-            ErrorBudget(0.1, 4, 0.5, 0.5, False)  # delta overruns the stage budget
+            self.budget(0.1, 4, 0.5, 0.5, False)  # delta overruns the stage budget
         with pytest.raises(ValueError):
-            ErrorBudget(0.1, 1, 0.0, 0.1, True)  # degenerate carries no delta
+            self.budget(0.1, 1, 0.0, 0.1, True)  # degenerate carries no delta
+        with pytest.raises(ValueError):
+            self.budget(0.1, 4, 0.5, 0.0, False)  # delta must be positive
+        with pytest.raises(ValueError):
+            self.budget(0.1, 4, 0.5, None, False)  # a fitted run carries a delta
 
     def test_non_convergence_is_reported_not_raised(self):
         ens = band_ensemble(60, self.GRID, seed=4)
@@ -802,11 +828,11 @@ class TestAssemble:
         values = op.apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=2, max_width=4,
                         seed=0)
-        net, budget, report = assemble_vector_network(
+        net, report = assemble_vector_network(
             values, ens, self.family(), 0, 0.02, cfg
         )
         assert not report.converged
-        assert np.any(report.coefficient_errors >= budget.delta)
+        assert np.any(report.coefficient_errors >= report.delta)
         assert np.all(report.coefficient_widths <= 4)
 
     def test_deterministic_end_to_end(self):
@@ -814,8 +840,8 @@ class TestAssemble:
         op = poisson_operator(self.GRID)
         values = op.apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
-        a_net, _, a_rep = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
-        b_net, _, b_rep = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        a_net, a_rep = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        b_net, b_rep = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         assert a_rep.train_sup_error == b_rep.train_sup_error
         probe = list(ens)[:5]
         np.testing.assert_array_equal(a_net.evaluate_many(probe), b_net.evaluate_many(probe))
@@ -830,7 +856,7 @@ class TestAssemble:
     def test_mismatched_functional_spec_rejected(self):
         ens = band_ensemble(5, self.GRID, seed=6)
         values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
-        cfg = FitConfig(functional_spec=FunctionalSpec(kind="sequence", length=101), width=4)
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 101)), width=4)
         with pytest.raises(ShapeError, match="functional spec"):
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
 

@@ -159,6 +159,27 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_dict(small_dict(epsilons=[]))
         assert cfg.epsilons == ()
 
+    def test_config_does_not_alias_its_document(self):
+        # report.json records cfg.to_dict(), so neither the document a
+        # config was read from nor a dict it returned may change it
+        raw = small_dict(operator={"kind": "integral",
+                                   "kernel": {"name": "gaussian", "width": 0.25}},
+                         duals=[{"name": "mean", "values": [1.0] * 41}],
+                         fit={"lam": 0.0, "theta_range": [-2.0, 2.0]})
+        cfg = ExperimentConfig.from_dict(raw)
+        before = json.dumps(cfg.to_dict())
+        raw["operator"]["kernel"]["width"] = 9.0
+        raw["duals"][0]["values"][0] = 5.0
+        raw["seminorms"][0]["q"] = 3.0
+        raw["fit"]["theta_range"][0] = -9.0
+        doc = cfg.to_dict()
+        doc["operator"]["kernel"]["width"] = 7.0
+        doc["duals"][0]["values"][1] = 6.0
+        doc["seminorms"][0]["q"] = 4.0
+        doc["fit"]["theta_range"][1] = 8.0
+        assert json.dumps(cfg.to_dict()) == before
+        assert cfg.operator["kernel"]["width"] == 0.25
+
 
 class TestBuildOperator:
     def test_kinds_instantiate_with_matching_shapes(self):
@@ -358,6 +379,32 @@ class TestEmitReport:
         bad.write_text("epsilon,surprise\n0.1,1\n")
         with pytest.raises(ValueError, match="columns"):
             read_report_csv(bad)
+
+
+#: the keys of each run in report.json, in the order they are written
+RUN_KEYS = ("epsilon", "m_centers", "C", "delta", "degenerate", "stage1_sup", "converged",
+            "network_width", "coefficient_widths", "coefficient_errors", "n_train",
+            "interpolating", "train_errors", "heldout_errors", "dual_train_errors",
+            "dual_heldout_errors", "activation_flagged", "wall_ms")
+
+
+class TestReportSchema:
+    def test_run_keys_in_order_and_plain_types(self, tmp_path):
+        cfg = get_preset("integral_gaussian")
+        report = run_experiment(cfg)
+        emit_report(report, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert list(doc) == ["config", "created_at", "runs"]
+        for run, written in zip(report.runs, doc["runs"]):
+            assert tuple(written) == RUN_KEYS
+            record = run.to_dict()
+            assert tuple(record) == RUN_KEYS
+            for key in ("coefficient_widths", "coefficient_errors"):
+                assert type(record[key]) is list and record[key] == written[key]
+            for key in ("train_errors", "heldout_errors", "dual_train_errors",
+                        "dual_heldout_errors"):
+                assert type(record[key]) is dict and record[key] is not getattr(run, key)
+                assert record[key] == written[key]
 
 
 class TestRunDiagnostics:

@@ -78,7 +78,7 @@ def pair(spec, params, s):
     return float(pairing(spec, params).evaluate_many([s])[0, 0])
 
 
-FN_SPEC = FunctionalSpec(kind="function", grid=GRID)
+FN_SPEC = FunctionalSpec(("function", GRID))
 
 
 def trig(k, scale=1.0):
@@ -114,19 +114,19 @@ class TestFunctionals:
             l.evaluate_many([SequencePoint(np.ones(GRID.n))])
 
     def test_sequence_dot(self):
-        spec = FunctionalSpec(kind="sequence", length=2)
+        spec = FunctionalSpec(("sequence", 2))
         assert pair(spec, [1.0, 0.5], SequencePoint([2.0, 4.0])) == 4.0
 
     def test_matrix_trace_pairing(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((3, 2))
         z = rng.standard_normal((3, 2))
-        spec = FunctionalSpec(kind="matrix", shape=(3, 2))
+        spec = FunctionalSpec(("matrix", (3, 2)))
         assert pair(spec, w.reshape(-1), MatrixPoint(z)) == pytest.approx(
             np.trace(w.T @ z), rel=1e-12)
 
     def test_zero_functional(self):
-        seq = FunctionalSpec(kind="sequence", length=1)
+        seq = FunctionalSpec(("sequence", 1))
         assert pair(FN_SPEC, trig(0, 0.0), fn_sample(np.sin)) == 0.0
         assert pair(seq, [0.0], SequencePoint([1.0])) == 0.0
         # the zero functional is the zero weight row, whatever the spec
@@ -135,7 +135,7 @@ class TestFunctionals:
     @pytest.mark.parametrize("trial", range(10))
     def test_linearity(self, trial):
         rng = np.random.default_rng(200 + trial)
-        l = pairing(FunctionalSpec(kind="sequence", length=16), rng.standard_normal(16))
+        l = pairing(FunctionalSpec(("sequence", 16)), rng.standard_normal(16))
         s = SequencePoint(rng.standard_normal(16))
         t = SequencePoint(rng.standard_normal(16))
         a, b = rng.uniform(-2.0, 2.0, 2)
@@ -162,36 +162,36 @@ class TestFunctionals:
         for spec in SPECS:
             params = draw_functional_params(spec, rng, 5)
             params[2] = 0.0
-            pts = [points[spec.kind]() for _ in range(4)]
+            pts = [points[spec.signature[0]]() for _ in range(4)]
             got = pairing(spec, params).evaluate_many(pts).T
-            want = np.array([[definitions[spec.kind](p, s) for s in pts] for p in params])
+            want = np.array([[definitions[spec.signature[0]](p, s) for s in pts] for p in params])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
             assert np.all(got[2] == 0.0)
             assert all(pair(spec, np.zeros(params.shape[1]), s) == 0.0 for s in pts)
 
     def test_sequence_dot_signature_mismatch(self):
         with pytest.raises(ShapeError):
-            pairing(FunctionalSpec(kind="sequence", length=8), np.ones(8)).evaluate_many(
+            pairing(FunctionalSpec(("sequence", 8)), np.ones(8)).evaluate_many(
                 [SequencePoint(np.ones(9))])
 
 
 SPECS = (
-    FunctionalSpec(kind="function", grid=GRID, order=3, scale=0.7),
-    FunctionalSpec(kind="sequence", length=6),
-    FunctionalSpec(kind="matrix", shape=(2, 3)),
+    FunctionalSpec(("function", GRID), order=3, scale=0.7),
+    FunctionalSpec(("sequence", 6)),
+    FunctionalSpec(("matrix", (2, 3))),
 )
 
 
 class TestRandomFunctional:
     def test_deterministic_in_seed(self):
-        spec = FunctionalSpec(kind="function", grid=GRID, order=3)
+        spec = FunctionalSpec(("function", GRID), order=3)
         a = random_functional(spec, derive_seed(42, 0))
         b = random_functional(spec, derive_seed(42, 0))
         np.testing.assert_array_equal(a, b)
         c = random_functional(spec, derive_seed(42, 1))
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.signature[0])
     def test_one_row_draw_matches_batch_head(self, spec):
         l = random_functional(spec, derive_seed(42, 0))
         params = draw_functional_params(spec, np.random.default_rng(derive_seed(42, 0)), 5)
@@ -201,10 +201,10 @@ class TestRandomFunctional:
         head = params[0] if spec.basis is None else params[0] @ spec.basis
         np.testing.assert_array_equal(l, head)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.signature[0])
     def test_weight_rows_are_params_over_the_basis(self, spec):
         params = draw_functional_params(spec, np.random.default_rng(4), 6)
-        if spec.kind != "function":
+        if spec.signature[0] != "function":
             # no basis: the parameters are the weight rows
             assert spec.basis is None
             return
@@ -218,22 +218,37 @@ class TestRandomFunctional:
         np.testing.assert_allclose(L, want, rtol=1e-12, atol=1e-15)
 
     def test_variants(self):
-        l = random_functional(FunctionalSpec(kind="sequence", length=6), 1)
+        l = random_functional(FunctionalSpec(("sequence", 6)), 1)
         assert l.shape == (signature_dim(("sequence", 6)),)
-        l = random_functional(FunctionalSpec(kind="matrix", shape=(2, 3)), 1)
+        l = random_functional(FunctionalSpec(("matrix", (2, 3))), 1)
         assert l.shape == (signature_dim(("matrix", (2, 3))),)
 
     def test_spec_validation(self):
+        # a malformed signature: an unknown kind, a function signature
+        # without a grid, a sequence without a length or below length 1,
+        # a bad matrix shape, a signature that is not a (kind, size) pair
+        for signature in (("nope", 3), ("function", None), ("sequence", None),
+                          ("sequence", 0), ("matrix", (0, 2)), ("matrix", None),
+                          "sequence", ("sequence", 4, 1)):
+            with pytest.raises(ConfigError):
+                FunctionalSpec(signature)
         with pytest.raises(ConfigError):
-            FunctionalSpec(kind="nope")
+            FunctionalSpec(("sequence", 4), scale=-1.0)
         with pytest.raises(ConfigError):
-            FunctionalSpec(kind="function")
-        with pytest.raises(ConfigError):
-            FunctionalSpec(kind="sequence")
-        with pytest.raises(ConfigError):
-            FunctionalSpec(kind="matrix", shape=(0, 2))
-        with pytest.raises(ConfigError):
-            FunctionalSpec(kind="sequence", length=4, scale=-1.0)
+            FunctionalSpec(("function", GRID), order=-1)
+
+    def test_signature_is_the_inputs(self):
+        # the spec keeps the signature it pairs with, sizes as plain ints
+        assert FunctionalSpec(("function", GRID)).signature == ("function", GRID)
+        seq = FunctionalSpec(("sequence", np.int64(6)))
+        assert seq.signature == ("sequence", 6) and type(seq.signature[1]) is int
+        assert FunctionalSpec(("matrix", [2, 3])).signature == ("matrix", (2, 3))
+
+    def test_order_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="order"):
+            FunctionalSpec(("function", GRID), order=2.5)
+        with pytest.raises(ConfigError, match="order"):
+            FunctionalSpec(("function", GRID), order=True)
 
 
 class TestEnsembles:
@@ -288,6 +303,20 @@ class TestEnsembles:
             EnsembleSpec(family="sequence_box", count=3, radii=(-1.0,))
         with pytest.raises(ConfigError):
             EnsembleSpec(family="matrix_ball", count=3, shape=(2, 2))
+
+    def test_matrix_shape_must_be_integers(self):
+        # refused, never truncated to (2, 2); numpy integers are read as ints
+        with pytest.raises(ConfigError, match="matrix shape"):
+            EnsembleSpec("matrix_ball", 10, shape=(2.7, 2), radius=1.0)
+        spec = EnsembleSpec("matrix_ball", 10, shape=(np.int32(2), 3), radius=1.0)
+        assert spec.shape == (2, 3) and all(type(d) is int for d in spec.shape)
+
+    def test_count_must_be_an_integer(self):
+        for count in (2.5, True):
+            with pytest.raises(ConfigError, match="sample count"):
+                EnsembleSpec(family="sequence_box", count=count, radii=(1.0,))
+        spec = EnsembleSpec(family="sequence_box", count=np.int64(4), radii=(1.0,))
+        assert type(spec.count) is int and len(sample_ensemble(spec, 0)) == 4
 
     def test_ensemble_rejects_mixed_signatures(self):
         spec = EnsembleSpec(family="sequence_box", count=2, radii=(1.0,))

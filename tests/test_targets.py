@@ -44,6 +44,14 @@ class TestGridMeta:
         with pytest.raises(ValueError):
             GridMeta(0.0, 1.0, 1)
 
+    def test_node_count_must_be_an_integer(self):
+        # refused, never truncated; a numpy integer is read as an int
+        for n in (11.0, 11.5, True, "11"):
+            with pytest.raises(ValueError, match="node count n"):
+                GridMeta(0.0, 1.0, n)
+        g = GridMeta(0.0, 1.0, np.int64(11))
+        assert g == GridMeta(0.0, 1.0, 11) and type(g.n) is int
+
 
 class TestTargetElement:
     def test_values_are_read_only(self):
