@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, CoverageError, ShapeError
+from .errors import BudgetError, ConfigError, CoverageError, ShapeError
 from .inputs import (
     CompactEnsemble,
     FunctionalSpec,
@@ -25,7 +25,7 @@ from .inputs import (
 )
 from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
-from .targets import Seminorm, SeminormFamily, TargetBatch, _as_int
+from .targets import Seminorm, SeminormFamily, TargetBatch, _as_float, _as_int
 
 
 #: rows per batched seminorm call: a block's temporaries stay in cache, which
@@ -166,8 +166,7 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"regularization lam must be finite and nonnegative, got {lam}")
+    lam = _as_float(lam, "lam", 0, subject="regularization lam")
     b, n, k = design.shape
     coeffs = np.full((b, k), np.nan)
     if lam > 0 or n >= k:
@@ -264,17 +263,16 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("width", "max_width"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if self.width < 1:
-            raise ValueError(f"width must be at least 1, got {self.width}")
-        if self.max_width < self.width:
-            raise ValueError("max_width must be at least width")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"regularization lam must be finite and nonnegative, got {self.lam}")
-        lo, hi = self.theta_range
-        if not hi > lo:
-            raise ValueError(f"threshold range must be increasing, got {self.theta_range}")
+        object.__setattr__(self, "width", _as_int(self.width, "width", 1))
+        object.__setattr__(self, "max_width", _as_int(self.max_width, "max_width", self.width))
+        object.__setattr__(self, "lam", _as_float(self.lam, "lam", 0,
+                                                  subject="regularization lam"))
+        theta = self.theta_range
+        if not isinstance(theta, (list, tuple)) or len(theta) != 2:
+            raise ConfigError(f"must be a (low, high) pair, got {theta!r}", "theta_range")
+        lo = _as_float(theta[0], "theta_range", subject="threshold range low")
+        hi = _as_float(theta[1], "theta_range", subject="threshold range high", above=lo)
+        object.__setattr__(self, "theta_range", (lo, hi))
         object.__setattr__(self, "activation", make_activation(self.activation))
 
 

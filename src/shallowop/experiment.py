@@ -11,11 +11,10 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import math
 import time
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,7 +25,7 @@ from .construct import (
     assemble_vector_network,
     uniform_error,
 )
-from .errors import ConfigError
+from .errors import ConfigError, _named
 from .inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, sample_ensemble
 from .network import make_activation, serialize_network
 from .operators import (
@@ -48,6 +47,8 @@ from .targets import (
     SeminormFamily,
     SupDerivative,
     TargetBatch,
+    _as_float,
+    _as_int,
 )
 
 CSV_COLUMNS = (
@@ -72,19 +73,13 @@ _OPERATORS = {
     "zero": (("function", "sequence", "matrix"), ("kind", "out_dim")),
 }
 _DUAL_FIELDS = ("values", "name")
-#: the fields each seminorm kind reads
-_SEMINORM_FIELDS = {
-    "lq": ("kind", "q"),
-    "sup_derivative": ("kind", "order"),
-    "schwartz": ("kind", "alpha", "beta", "radius"),
-    "dual": ("kind",) + _DUAL_FIELDS,
+#: each seminorm kind's constructor (None for duals) and the fields it reads
+_SEMINORMS = {
+    "lq": (LqNorm, ("kind", "q")),
+    "sup_derivative": (SupDerivative, ("kind", "order")),
+    "schwartz": (SchwartzWeighted, ("kind", "alpha", "beta", "radius")),
+    "dual": (None, ("kind",) + _DUAL_FIELDS),
 }
-#: each kernel's one parameter: (field, default, check, message)
-_KERNEL_PARAMS = {
-    "gaussian": ("width", 1.0, lambda w: _is_number(w) and w > 0, "must be a positive number"),
-    "constant": ("value", 1.0, lambda v: _is_number(v), "must be a finite number"),
-}
-_ENSEMBLE_FAMILIES = ("band_limited", "sequence_box", "matrix_ball")
 _FIT_DEFAULTS = {
     "activation": "tanh",
     "width": 64,
@@ -116,27 +111,18 @@ def _get(doc, at, key, default, ok, message):
     return value
 
 
-def _named(field, make, *args, **kwargs):
-    """make(*args, **kwargs), with its TypeError or ValueError named as field's."""
-    try:
-        return make(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {field!r}: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite int or float, not a boolean; an integer beyond float range
-    is not finite."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+#: config fields named apart from the constructor argument they fill
+_FIELD_NAMES = {
+    "fit.order": "fit.functional_order",
+    "fit.scale": "fit.functional_scale",
+    "ensemble.grid": "grid",
+    "output_dim": "out_dim",
+    "map_id": "map",
+    "test": "values",
+}
+#: _from_field(at, make, *args, **kwargs) is make(*args, **kwargs) read from
+#: the field at; what it raises is a ConfigError naming the field written
+_from_field = partial(_named, ConfigError, _FIELD_NAMES)
 
 
 def _is_list(value) -> bool:
@@ -193,6 +179,15 @@ class ExperimentConfig:
         seminorms = _mappings(raw, "seminorms", nonempty=True)
         fit = _get(raw, "", "fit", {}, _is_mapping, "must be a mapping")
         _only(fit, "fit", _FIT_DEFAULTS)
+        heldout = _from_field("", _as_float, raw.get("heldout_fraction", 0.2),
+                              "heldout_fraction", 0)
+        _require(heldout < 1.0, "heldout_fraction", "must be below 1")
+        epsilons = tuple(_from_field("", _as_float, e, "epsilons", above=0)
+                         for e in _get(raw, "", "epsilons", [], _is_list, "must be a list"))
+        target_index = _from_field("", _as_int, raw.get("target_index", 0), "target_index", 0)
+        _require(target_index < len(seminorms), "target_index",
+                 f"must index the {len(seminorms)} configured seminorms")
+        seed = _from_field("", _as_int, raw.get("seed", 0), "seed", 0)
         config = ExperimentConfig(
             name=_get(raw, "", "name", "experiment", lambda v: isinstance(v, str) and v,
                       "must be a nonempty string"),
@@ -200,21 +195,13 @@ class ExperimentConfig:
             ensemble=_build_ensemble(
                 _get(raw, "", "ensemble", None, _is_mapping, "must be a mapping"),
                 None if grid is None else _build_grid(grid)),
-            heldout_fraction=float(_get(raw, "", "heldout_fraction", 0.2,
-                                        lambda v: _is_number(v) and 0.0 <= v < 1.0,
-                                        "must be a number in [0, 1)")),
+            heldout_fraction=heldout,
             seminorms=seminorms,
-            target_index=_get(raw, "", "target_index", 0,
-                              lambda v: _is_int(v) and 0 <= v < len(seminorms),
-                              f"must index the {len(seminorms)} configured seminorms"),
-            epsilons=tuple(float(e) for e in _get(
-                raw, "", "epsilons", [],
-                lambda v: _is_list(v) and all(_is_number(e) and e > 0 for e in v),
-                "must be a list of positive finite numbers")),
+            target_index=target_index,
+            epsilons=epsilons,
             fit={**_FIT_DEFAULTS, **fit},
             duals=_mappings(raw, "duals", nonempty=False),
-            seed=_get(raw, "", "seed", 0, lambda v: _is_int(v) and v >= 0,
-                      "must be a nonnegative integer"),
+            seed=seed,
             out=_get(raw, "", "out", None, lambda v: v is None or (isinstance(v, str) and v),
                      "must be a nonempty string when given"),
             save_networks=_get(raw, "", "save_networks", False, lambda v: isinstance(v, bool),
@@ -264,34 +251,16 @@ def _unique(labels, field):
 
 def _build_grid(doc) -> GridMeta:
     _only(doc, "grid", ("a", "b", "n"))
-    a, b = (float(_get(doc, "grid", end, None, _is_number, "must be a finite number"))
-            for end in ("a", "b"))
-    n = _get(doc, "grid", "n", None, _is_int, "must be an integer")
-    return _named("grid", GridMeta, a, b, n)
+    return _from_field("grid", GridMeta, doc.get("a"), doc.get("b"), doc.get("n"))
 
 
 def _build_ensemble(doc, grid) -> EnsembleSpec:
-    family = _get(doc, "ensemble", "family", None, lambda f: f in _ENSEMBLE_FAMILIES,
-                  f"unknown family {doc.get('family')!r}")
-    count = _get(doc, "ensemble", "count", None, lambda c: _is_int(c) and c >= 1,
-                 "must be a positive integer")
-    if family == "matrix_ball":
-        _only(doc, "ensemble", ("family", "count", "shape", "radius"))
-        shape = _get(doc, "ensemble", "shape", None,
-                     lambda s: _is_list(s) and len(s) == 2
-                     and all(_is_int(d) and d >= 1 for d in s),
-                     "must be a (rows, cols) pair of positive integers")
-        radius = _get(doc, "ensemble", "radius", None, lambda r: _is_number(r) and r >= 0,
-                      "must be a nonnegative number")
-        return EnsembleSpec(family=family, count=count, shape=tuple(shape), radius=radius)
-    _only(doc, "ensemble", ("family", "count", "radii"))
-    radii = tuple(_get(doc, "ensemble", "radii", None,
-                       lambda r: _is_list(r) and r and all(_is_number(x) and x >= 0 for x in r),
-                       "must be a nonempty list of nonnegative numbers"))
-    if family == "sequence_box":
-        return EnsembleSpec(family=family, count=count, radii=radii)
-    _require(grid is not None, "grid", "band_limited ensembles need a grid")
-    return EnsembleSpec(family=family, count=count, radii=radii, grid=grid)
+    _only(doc, "ensemble", ("family", "count", "radii", "shape", "radius"))
+    family = doc.get("family")
+    # the top-level grid is the domain of band-limited functions only
+    return _from_field("ensemble", EnsembleSpec, family, doc.get("count"),
+                       radii=doc.get("radii"), shape=doc.get("shape"), radius=doc.get("radius"),
+                       grid=grid if family == "band_limited" else None)
 
 
 def _ensemble_to_dict(spec: EnsembleSpec) -> dict:
@@ -315,85 +284,61 @@ def build_operator(config: ExperimentConfig) -> Operator:
     _require(sig[0] in inputs, "operator.kind",
              f"{kind} operators need a {' or '.join(inputs)} ensemble")
     _only(doc, "operator", fields)
-    out_dim = _get(doc, "operator", "out_dim", 3, lambda d: _is_int(d) and d >= 1,
-                   "must be a positive integer")
+    out_dim = doc.get("out_dim")
     if kind == "integral":
-        kernel = _get(doc, "operator", "kernel", {"name": "gaussian"}, _is_mapping,
-                      "must be a mapping")
-        name = _get(kernel, "operator.kernel", "name", None, lambda k: k in _KERNEL_PARAMS,
-                    f"must be one of {tuple(_KERNEL_PARAMS)}, got {kernel.get('name')!r}")
-        param, default, ok, message = _KERNEL_PARAMS[name]
-        _only(kernel, "operator.kernel", ("name", param))
-        value = float(_get(kernel, "operator.kernel", param, default, ok, message))
-        return integral_operator(make_kernel(name, **{param: value}), sig[1])
+        params = dict(_get(doc, "operator", "kernel", {"name": "gaussian"}, _is_mapping,
+                           "must be a mapping"))
+        kernel = _from_field("operator.kernel", make_kernel, params.pop("name", None), **params)
+        return integral_operator(kernel, sig[1])
     if kind == "poisson":
-        return _named("grid.n", poisson_operator, sig[1])
+        return _from_field("grid.n", poisson_operator, sig[1])
     if kind == "superposition":
-        return _named("operator.map", superposition_operator, doc.get("map"), sig)
+        return _from_field("operator", superposition_operator, doc.get("map"), sig)
     if kind == "matrix_map":
-        return _named("operator.map", matrix_map_operator, doc.get("map"), sig[1], out_dim)
+        return _from_field("operator", matrix_map_operator, doc.get("map"), sig[1], out_dim)
+    if sig[0] == "matrix":
+        return _from_field("operator", zero_operator, sig, 3 if out_dim is None else out_dim)
+    # on functions and sequences the zero operator's output is its input's shape
+    _require(out_dim is None, "operator.out_dim", f"does not apply to {sig[0]} inputs")
     if sig[0] == "function":
         return zero_operator(sig, sig[1].n, sig[1])
-    return zero_operator(sig, sig[1] if sig[0] == "sequence" else out_dim)
+    return zero_operator(sig, sig[1])
 
 
 def build_seminorm(spec: dict, field: str, op: Operator) -> Seminorm:
     """The seminorm spec describes on op's outputs; its bad fields are named under field."""
-    kind = _get(spec, field, "kind", None, lambda k: k in _SEMINORM_FIELDS,
+    kind = _get(spec, field, "kind", None, lambda k: isinstance(k, str) and k in _SEMINORMS,
                 f"unknown seminorm kind {spec.get('kind')!r}")
-    _only(spec, field, _SEMINORM_FIELDS[kind])
-    if kind == "lq":
-        return LqNorm(float(_get(spec, field, "q", 2.0, lambda q: _is_number(q) and q >= 1,
-                                 "lq needs a number q >= 1")))
-    if kind == "sup_derivative":
-        return SupDerivative(_get(spec, field, "order", 0, lambda o: _is_int(o) and o >= 0,
-                                  "derivative order must be a nonnegative integer"))
-    if kind == "schwartz":
-        alpha, beta = (_get(spec, field, index, 0, lambda v: _is_int(v) and v >= 0,
-                            "must be a nonnegative integer") for index in ("alpha", "beta"))
-        radius = _get(spec, field, "radius", 8.0, lambda r: _is_number(r) and r > 0,
-                      "must be a positive number")
-        return SchwartzWeighted(alpha, beta, float(radius))
-    return _build_dual(spec, field, op)
+    make, names = _SEMINORMS[kind]
+    _only(spec, field, names)
+    if make is None:
+        return _build_dual(spec, field, op)
+    return _from_field(field, make, **{k: v for k, v in spec.items() if k != "kind"})
 
 
 def _build_dual(spec: dict, field: str, op: Operator) -> DualPairing:
     n = op.output_dim
-    values = _get(spec, field, "values", "ones",
-                  lambda v: v == "ones" or (isinstance(v, list) and v
-                                            and all(_is_number(x) for x in v)),
-                  "dual values must be 'ones' or a nonempty list of numbers")
+    values = _get(spec, field, "values", "ones", lambda v: v == "ones" or _is_list(v),
+                  "dual values must be 'ones' or a list of numbers")
+    # the one rule a dual cannot check itself: its length is the operator's output's
     _require(values == "ones" or len(values) == n, f"{field}.values",
              f"dual test vector has {len(values)} entries, output has {n}")
-    name = _get(spec, field, "name", "dual", lambda v: isinstance(v, str) and v,
-                "must be a nonempty string")
-    test = np.ones(n) if values == "ones" else np.asarray(values, dtype=float)
-    return DualPairing(test, op.output_grid, name=name)
+    return _from_field(field, DualPairing, np.ones(n) if values == "ones" else values,
+                       op.output_grid, name=spec.get("name", "dual"))
 
 
 def build_fit_config(config: ExperimentConfig) -> FitConfig:
     """The stage-2 fit config of config.fit; runs give it their own bank seed."""
     fit = config.fit
-    width = _get(fit, "fit", "width", None, lambda w: _is_int(w) and w >= 1,
-                 "must be a positive integer")
-    max_width = _get(fit, "fit", "max_width", None, lambda w: _is_int(w) and w >= width,
-                     "must be an integer >= fit.width")
-    lam = _get(fit, "fit", "lam", None, lambda v: _is_number(v) and v >= 0,
-               "must be a nonnegative number")
-    lo, hi = _get(fit, "fit", "theta_range", None,
-                  lambda t: _is_list(t) and len(t) == 2 and all(map(_is_number, t))
-                  and t[1] > t[0], "must be an increasing (low, high) pair of numbers")
-    order = _get(fit, "fit", "functional_order", None, lambda v: _is_int(v) and v >= 0,
-                 "must be a nonnegative integer")
-    scale = float(_get(fit, "fit", "functional_scale", None, lambda v: _is_number(v) and v > 0,
-                       "must be a positive number"))
-    return FitConfig(
-        functional_spec=FunctionalSpec(config.ensemble.input_signature, order, scale),
-        width=width,
-        max_width=max_width,
-        activation=_named("fit.activation", make_activation, fit["activation"]),
-        theta_range=(float(lo), float(hi)),
-        lam=float(lam),
+    spec = _from_field("fit", FunctionalSpec, config.ensemble.input_signature,
+                       fit["functional_order"], fit["functional_scale"])
+    return _from_field(
+        "fit", FitConfig, spec,
+        width=fit["width"],
+        max_width=fit["max_width"],
+        activation=_from_field("fit.activation", make_activation, fit["activation"]),
+        theta_range=fit["theta_range"],
+        lam=fit["lam"],
     )
 
 

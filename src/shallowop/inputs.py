@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .targets import GridMeta, _as_int, _as_readonly_vector, _readonly_rows
+from .targets import GridMeta, _as_float, _as_floats, _as_int, _as_readonly_vector, _readonly_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +84,12 @@ class MatrixPoint:
         return self.values.reshape(-1)
 
 
-def _checked_shape(shape) -> tuple[int, int]:
-    if shape is None or len(shape) != 2:
-        raise ConfigError(f"matrix shape must be a (rows, cols) pair, got {shape!r}")
-    r, c = (_as_int(d, "matrix shape entry", ConfigError) for d in shape)
-    if r < 1 or c < 1:
-        raise ConfigError(f"matrix shape must be positive, got {shape!r}")
-    return (r, c)
+def _checked_shape(shape, arg: str) -> tuple[int, int]:
+    """shape as a (rows, cols) pair of positive ints; a ConfigError naming arg
+    otherwise."""
+    if not isinstance(shape, (list, tuple)) or len(shape) != 2:
+        raise ConfigError(f"must be a (rows, cols) pair, got {shape!r}", arg, "matrix shape")
+    return tuple(_as_int(d, arg, 1, subject="matrix shape entry") for d in shape)
 
 
 def signature_dim(signature: tuple) -> int:
@@ -154,21 +153,19 @@ class FunctionalSpec:
         kind = sig[0] if isinstance(sig, tuple) and len(sig) == 2 else None
         if kind == "function":
             if not isinstance(sig[1], GridMeta):
-                raise ConfigError(f"function signature needs a GridMeta, got {sig[1]!r}")
+                raise ConfigError(f"needs a GridMeta, got {sig[1]!r}", "signature",
+                                  "function signature")
         elif kind == "sequence":
-            sig = (kind, _as_int(sig[1], "sequence length", ConfigError))
-            if sig[1] < 1:
-                raise ConfigError(f"sequence length must be positive, got {sig[1]}")
+            sig = (kind, _as_int(sig[1], "signature", 1, subject="sequence length"))
         elif kind == "matrix":
-            sig = (kind, _checked_shape(sig[1]))
+            sig = (kind, _checked_shape(sig[1], "signature"))
         else:
-            raise ConfigError(f"unknown input signature {sig!r}")
+            raise ConfigError(f"is unknown, got {sig!r}", "signature", "input signature")
         object.__setattr__(self, "signature", sig)
-        object.__setattr__(self, "order", _as_int(self.order, "trigonometric order", ConfigError))
-        if self.order < 0:
-            raise ConfigError("trigonometric order must be nonnegative")
-        if self.scale < 0:
-            raise ConfigError("functional scale must be nonnegative")
+        object.__setattr__(self, "order", _as_int(self.order, "order", 0,
+                                                  subject="trigonometric order"))
+        object.__setattr__(self, "scale", _as_float(self.scale, "scale", above=0,
+                                                    subject="functional scale"))
 
     @cached_property
     def basis(self) -> np.ndarray | None:
@@ -234,25 +231,24 @@ class EnsembleSpec:
     radius: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "count", _as_int(self.count, "sample count", ConfigError))
-        if self.count < 1:
-            raise ConfigError(f"sample count must be positive, got {self.count}")
-        if self.family in ("band_limited", "sequence_box"):
-            if not self.radii:
-                raise ConfigError(f"{self.family} ensemble needs a nonempty radii tuple")
-            if any(r < 0 for r in self.radii):
-                raise ConfigError("ensemble radii must be nonnegative")
-            object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-            if self.family == "band_limited" and self.grid is None:
-                raise ConfigError("band_limited ensemble needs a grid")
-        elif self.family == "matrix_ball":
-            if self.radius is None:
-                raise ConfigError("matrix_ball ensemble needs shape and radius")
-            if self.radius < 0:
-                raise ConfigError("matrix_ball radius must be nonnegative")
-            object.__setattr__(self, "shape", _checked_shape(self.shape))
-        else:
-            raise ConfigError(f"unknown ensemble family {self.family!r}")
+        if self.family not in ("band_limited", "sequence_box", "matrix_ball"):
+            raise ConfigError(f"is unknown, got {self.family!r}", "family", "ensemble family")
+        object.__setattr__(self, "count", _as_int(self.count, "count", 1, subject="sample count"))
+        # each family takes its own arguments and refuses the others'
+        takes = ("shape", "radius") if self.family == "matrix_ball" else ("radii",)
+        for arg in ("radii", "shape", "radius"):
+            if (arg in takes) != (getattr(self, arg) is not None):
+                raise ConfigError(f"{'is needed by' if arg in takes else 'does not apply to'} "
+                                  f"{self.family} ensembles", arg)
+        if self.family == "matrix_ball":
+            object.__setattr__(self, "shape", _checked_shape(self.shape, "shape"))
+            object.__setattr__(self, "radius", _as_float(self.radius, "radius", 0))
+            return
+        object.__setattr__(self, "radii", _as_floats(self.radii, "radii", 0,
+                                                     subject="ensemble radii"))
+        if self.family == "band_limited" and not isinstance(self.grid, GridMeta):
+            raise ConfigError(f"must be a GridMeta for band_limited ensembles, got {self.grid!r}",
+                              "grid")
 
     @property
     def input_signature(self) -> tuple:

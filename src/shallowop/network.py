@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError, ShapeError
+from .errors import DocumentError, ShapeError, _named
 from .inputs import signature_dim, stack_inputs
-from .targets import GridMeta
+from .targets import GridMeta, _as_floats, _as_int
 
 
 class Activation:
@@ -100,12 +100,8 @@ class Polynomial(Activation):
     negative_control = True
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs:
-            raise ValueError("polynomial activation needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _as_floats(
+            self.coefficients, "coefficients", subject="polynomial coefficients"))
 
     @property
     def degree(self) -> int:
@@ -138,20 +134,13 @@ def make_activation(spec) -> Activation:
         name = options.pop("name", None)
     else:
         raise DocumentError(f"activation spec must be a name or mapping, got {type(spec).__name__}")
-    if name not in _ACTIVATIONS:
+    if not isinstance(name, str) or name not in _ACTIVATIONS:
         raise DocumentError(f"unknown activation {name!r} in field 'activation'")
-    if name == "polynomial" and "coefficients" in options:
-        coefficients = options.pop("coefficients")
-        if not (isinstance(coefficients, (list, tuple)) and coefficients
-                and all(map(_is_finite_number, coefficients))):
-            raise DocumentError("polynomial coefficients in field 'activation' must be a "
-                                f"nonempty list of finite numbers, got {coefficients!r}")
-        made = Polynomial(tuple(coefficients))
-    else:
-        made = _ACTIVATIONS[name]()
-    if options:
-        raise DocumentError(f"activation {name!r} got unexpected options {sorted(options)}")
-    return made
+    try:
+        return _ACTIVATIONS[name](**options)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"bad options for activation {name!r} in field 'activation': "
+                            f"{exc}") from exc
 
 
 #: bytes of float64 activations per block of input rows in
@@ -335,44 +324,20 @@ def _grid_to_doc(grid: GridMeta | None):
     return {"a": grid.a, "b": grid.b, "n": grid.n}
 
 
-def _size_from_doc(doc, key, field):
-    """doc[key] when it is an integer; a bool, float or string is a
-    DocumentError naming field, never truncated to an integer."""
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(f"field {field!r} must be an integer, got {value!r}")
-    return value
-
-
-def _endpoint_from_doc(doc, key, field):
-    """doc[key] as a float when it is a finite number; a bool, a string, a
-    non-finite value or an integer beyond float range is a DocumentError
-    naming field."""
-    value = doc[key]
-    if not _is_finite_number(value):
-        raise DocumentError(f"field {field!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _is_finite_number(value) -> bool:
-    """True for a number, not a boolean, that is finite as a float."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
+def _size_from_doc(doc, key, at=""):
+    """doc[key], read at field at, as an integer it is, never truncated; a
+    DocumentError naming the field otherwise."""
+    return _named(DocumentError, {}, at, _as_int, doc[key], key)
 
 
 def _grid_from_doc(doc, field):
     if doc is None:
         return None
     try:
-        return GridMeta(_endpoint_from_doc(doc, "a", f"{field}.a"),
-                        _endpoint_from_doc(doc, "b", f"{field}.b"),
-                        _size_from_doc(doc, "n", f"{field}.n"))
-    except DocumentError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        a, b, n = doc["a"], doc["b"], doc["n"]
+    except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed grid in field {field!r}: {exc}") from exc
+    return _named(DocumentError, {}, field, GridMeta, a, b, n)
 
 
 def _signature_to_doc(signature: tuple):
@@ -390,9 +355,9 @@ def _signature_from_doc(doc):
         if kind == "function":
             return ("function", _grid_from_doc(doc["grid"], "input_shape.grid"))
         if kind == "sequence":
-            return ("sequence", _size_from_doc(doc, "length", "input_shape.length"))
+            return ("sequence", _size_from_doc(doc, "length", "input_shape"))
         if kind == "matrix":
-            return ("matrix", tuple(_size_from_doc(doc, key, f"input_shape.{key}")
+            return ("matrix", tuple(_size_from_doc(doc, key, "input_shape")
                                     for key in ("rows", "cols")))
     except DocumentError:
         raise
@@ -467,7 +432,7 @@ def deserialize_network(doc: dict) -> ShallowVectorNetwork:
     activation = make_activation(doc["activation"])
     signature = _signature_from_doc(doc["input_shape"])
     output_grid = _grid_from_doc(doc.get("output_grid"), "output_grid")
-    output_dim = _size_from_doc(doc, "output_dim", "output_dim")
+    output_dim = _size_from_doc(doc, "output_dim")
     weights, thresholds, coefficients, centers = (
         _matrix_from_doc(doc[field], field)
         for field in ("weights", "thresholds", "coefficients", "centers"))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .inputs import stack_inputs
-from .targets import GridMeta, TargetBatch
+from .targets import GridMeta, TargetBatch, _as_float, _as_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,21 +40,24 @@ class Kernel:
         return self.fn(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
 
 
+#: each kernel's one parameter, its default, and the bound it must exceed
+_KERNEL_PARAMS = {"gaussian": ("width", 1.0, 0), "constant": ("value", 1.0, None)}
+
+
 def make_kernel(name: str, **params) -> Kernel:
     """Kernels by name: gaussian(width), constant(value)."""
-    if name == "gaussian":
-        width = float(params.pop("width", 1.0))
-        if width <= 0:
-            raise ConfigError(f"gaussian kernel width must be positive, got {width}")
-        if params:
-            raise ConfigError(f"unexpected gaussian kernel parameters {sorted(params)}")
-        return Kernel(lambda x, s: np.exp(-((x - s) / width) ** 2), "gaussian")
+    if not isinstance(name, str) or name not in _KERNEL_PARAMS:
+        raise ConfigError(f"must be one of {tuple(_KERNEL_PARAMS)}, got {name!r}", "name",
+                          "kernel name")
+    param, default, above = _KERNEL_PARAMS[name]
+    for key in params:
+        if key != param:
+            raise ConfigError(f"is not a parameter of the {name} kernel", key)
+    value = _as_float(params.get(param, default), param, subject=f"{name} kernel {param}",
+                      above=above)
     if name == "constant":
-        value = float(params.pop("value", 1.0))
-        if params:
-            raise ConfigError(f"unexpected constant kernel parameters {sorted(params)}")
         return Kernel(lambda x, s: np.full(np.broadcast(x, s).shape, value), "constant")
-    raise ConfigError(f"unknown kernel {name!r}")
+    return Kernel(lambda x, s: np.exp(-((x - s) / value) ** 2), "gaussian")
 
 
 def _poisson_factors(grid: GridMeta) -> tuple[np.ndarray, np.ndarray]:
@@ -105,12 +108,10 @@ _POINTWISE_MAPS = {
 
 
 def _pointwise_map(map_id: str):
-    try:
-        return _POINTWISE_MAPS[map_id]
-    except KeyError:
-        raise ConfigError(
-            f"unknown pointwise map {map_id!r}, expected one of {sorted(_POINTWISE_MAPS)}"
-        ) from None
+    if not isinstance(map_id, str) or map_id not in _POINTWISE_MAPS:
+        raise ConfigError(f"must be one of {sorted(_POINTWISE_MAPS)}, got {map_id!r}",
+                          "map_id", "pointwise map")
+    return _POINTWISE_MAPS[map_id]
 
 
 def _matrix_map_rows(map_id: str, Z: np.ndarray, out_dim: int) -> np.ndarray:
@@ -138,8 +139,9 @@ class Operator:
     output_grid: GridMeta | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "output_dim", _as_int(self.output_dim, "output_dim"))
         if self.output_dim < 1:
-            raise ShapeError(f"operator output dim must be positive, got {self.output_dim}")
+            raise ShapeError(f"must be positive, got {self.output_dim}", "output_dim")
         if self.output_grid is not None and self.output_dim != self.output_grid.n:
             raise ShapeError("operator output dim does not match its output grid")
 
@@ -194,11 +196,19 @@ def superposition_operator(map_id: str, signature: tuple) -> Operator:
     raise ShapeError("superposition operators accept function or sequence inputs")
 
 
-def matrix_map_operator(map_id: str, shape: tuple[int, int], out_dim: int = 3) -> Operator:
+def matrix_map_operator(map_id: str, shape: tuple[int, int],
+                        out_dim: int | None = None) -> Operator:
+    """Each matrix's row sums, one output per row, or sin(trace) times the
+    first of out_dim unit vectors (3 unless given); row sums take no out_dim."""
     if map_id == "row_sums":
+        if out_dim is not None:
+            raise ConfigError(f"does not apply to row_sums, got {out_dim!r}", "out_dim")
         out_dim = shape[0]
-    elif map_id != "sin_of_trace_times_basis":
-        raise ConfigError(f"unknown matrix map {map_id!r}")
+    elif map_id == "sin_of_trace_times_basis":
+        out_dim = 3 if out_dim is None else out_dim
+    else:
+        raise ConfigError(f"must be 'row_sums' or 'sin_of_trace_times_basis', got {map_id!r}",
+                          "map_id", "matrix map")
     return Operator(
         f"matrix_{map_id}",
         lambda F: _matrix_map_rows(map_id, F.reshape(-1, *shape), out_dim),

@@ -17,11 +17,12 @@ implements ``batch`` and ``label``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,11 @@ class GridMeta:
     n: int
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"grid endpoints must satisfy b > a, got [{self.a}, {self.b}]")
-        object.__setattr__(self, "n", _as_int(self.n, "grid node count n"))
-        if self.n < 2:
-            raise ValueError(f"grid needs at least 2 nodes, got n={self.n}")
+        object.__setattr__(self, "a", _as_float(self.a, "a"))
+        object.__setattr__(self, "b", _as_float(self.b, "b", above=self.a))
+        if not math.isfinite(self.b - self.a):
+            raise ConfigError(f"is {self.b}, too far from a={self.a} for a finite spacing", "b")
+        object.__setattr__(self, "n", _as_int(self.n, "n", 2, subject="grid node count n"))
 
     @property
     def spacing(self) -> float:
@@ -54,12 +55,42 @@ class GridMeta:
         return w
 
 
-def _as_int(value, name: str, error=ValueError) -> int:
-    """value as an int if it is a Python or numpy integer, not a boolean;
-    nothing is truncated, and anything else raises error naming name."""
+def _as_int(value, arg: str, least=None, *, subject: str | None = None) -> int:
+    """value as an int if it is a Python or numpy integer, not a boolean, and
+    at least least when that is given; nothing is truncated, and anything
+    else is a ConfigError naming the argument arg."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"must be an integer, got {value!r}", arg, subject)
+    if least is not None and value < least:
+        raise ConfigError(f"must be at least {least}, got {value}", arg, subject)
     return int(value)
+
+
+def _as_float(value, arg: str, least=None, *, above=None, subject: str | None = None) -> float:
+    """value as a float if it is a finite Python or numpy real number, not a
+    boolean, at least least and greater than above where those are given;
+    anything else, an integer beyond float range too, is a ConfigError
+    naming the argument arg."""
+    try:
+        finite = (isinstance(value, (int, float, np.integer, np.floating))
+                  and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"must be a finite number, got {value!r}", arg, subject)
+    if least is not None and value < least:
+        raise ConfigError(f"must be at least {least}, got {value}", arg, subject)
+    if above is not None and not value > above:
+        raise ConfigError(f"must be greater than {above}, got {value}", arg, subject)
+    return float(value)
+
+
+def _as_floats(values, arg: str, least=None, *, subject: str | None = None) -> tuple:
+    """values, a nonempty list, tuple or array, as a tuple of floats that
+    _as_float takes; anything else is a ConfigError naming the argument arg."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or not len(values):
+        raise ConfigError(f"must be a nonempty sequence, got {values!r}", arg, subject)
+    return tuple(_as_float(v, arg, least, subject=subject) for v in values)
 
 
 def _as_readonly_vector(values) -> np.ndarray:
@@ -217,8 +248,7 @@ class LqNorm(Seminorm):
     q: float = 2.0
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"Lq norm requires q >= 1, got q={self.q}")
+        object.__setattr__(self, "q", _as_float(self.q, "q", 1, subject="Lq norm q"))
 
     def __call__(self, t: TargetElement) -> float:
         return float(self.batch(t.values[None, :], t.grid)[0])
@@ -243,8 +273,8 @@ class SupDerivative(Seminorm):
     order: int = 0
 
     def __post_init__(self):
-        if self.order < 0 or self.order != int(self.order):
-            raise ValueError(f"derivative order must be a nonnegative integer, got {self.order}")
+        object.__setattr__(self, "order", _as_int(self.order, "order", 0,
+                                                  subject="derivative order"))
 
     def __call__(self, t: TargetElement) -> float:
         return float(self.batch(t.values[None, :], t.grid)[0])
@@ -270,10 +300,10 @@ class SchwartzWeighted(Seminorm):
     radius: float = 8.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("Schwartz indices alpha, beta must be nonnegative integers")
-        if self.radius <= 0:
-            raise ValueError(f"truncation radius must be positive, got {self.radius}")
+        for index in ("alpha", "beta"):
+            object.__setattr__(self, index, _as_int(getattr(self, index), index, 0))
+        object.__setattr__(self, "radius", _as_float(self.radius, "radius", above=0,
+                                                     subject="truncation radius"))
 
     def __call__(self, t: TargetElement) -> float:
         return float(self.batch(t.values[None, :], t.grid)[0])
@@ -306,9 +336,14 @@ class DualPairing(Seminorm):
     name: str = "dual"
 
     def __post_init__(self):
-        v = _as_readonly_vector(self.test)
+        test = self.test
+        if isinstance(test, (list, tuple)):
+            test = [_as_float(x, "test", subject="test vector entry") for x in test]
+        v = _as_readonly_vector(test)
         if self.grid is not None and v.shape[0] != self.grid.n:
             raise ShapeError("test vector length does not match its grid")
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"must be a nonempty string, got {self.name!r}", "name")
         object.__setattr__(self, "test", v)
 
     def __call__(self, t: TargetElement) -> float:

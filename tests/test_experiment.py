@@ -1,6 +1,7 @@
 """Config parsing, sweep running, and report emission."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,31 @@ class TestConfigParsing:
     def test_integer_beyond_float_range_named(self, field):
         with pytest.raises(ConfigError, match=f"'{field}'"):
             ExperimentConfig.from_dict(small_dict(**BEYOND_FLOAT_RANGE[field]))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"seminorms": [{"kind": ["lq"]}]}, "seminorms[0].kind"),
+        ({"fit": {"activation": {"name": ["tanh"]}}}, "fit.activation"),
+        ({"operator": {"kind": "integral", "kernel": {"name": ["gaussian"]}}},
+         "operator.kernel.name"),
+        ({"operator": {"kind": "superposition", "map": ["sin"]}}, "operator.map"),
+    ], ids=["seminorm_kind", "activation_name", "kernel_name", "pointwise_map"])
+    def test_unhashable_name_named(self, overrides, field):
+        # a list where a name belongs is refused by name, not a TypeError
+        with pytest.raises(ConfigError, match=re.escape(f"'{field}'")):
+            ExperimentConfig.from_dict(small_dict(**overrides))
+
+    @pytest.mark.parametrize("overrides", [
+        {"operator": {"kind": "zero", "out_dim": 3}},
+        {"operator": {"kind": "zero", "out_dim": "x"}},
+        {"operator": {"kind": "zero", "out_dim": 3},
+         "ensemble": {"family": "sequence_box", "count": 10, "radii": [1.0, 0.5]}},
+        {"operator": {"kind": "matrix_map", "map": "row_sums", "out_dim": 2},
+         "ensemble": {"family": "matrix_ball", "count": 10, "shape": [2, 2], "radius": 1.0}},
+    ], ids=["zero_function", "zero_function_string", "zero_sequence", "row_sums"])
+    def test_out_dim_refused_where_it_sets_nothing(self, overrides):
+        # the output is the input's shape, or one value per row
+        with pytest.raises(ConfigError, match=re.escape("'operator.out_dim'")):
+            ExperimentConfig.from_dict(small_dict(**overrides))
 
     def test_empty_epsilons_allowed(self):
         cfg = ExperimentConfig.from_dict(small_dict(epsilons=[]))

@@ -250,6 +250,13 @@ class TestRandomFunctional:
         with pytest.raises(ConfigError, match="order"):
             FunctionalSpec(("function", GRID), order=True)
 
+    @pytest.mark.parametrize("scale", [np.nan, 0.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        # a NaN scale used to draw NaN parameters; a zero one draws only zeros
+        with pytest.raises(ConfigError, match="scale") as info:
+            FunctionalSpec(("sequence", 3), scale=scale)
+        assert info.value.arg == "scale"
+
 
 class TestEnsembles:
     def test_band_limited_membership_and_determinism(self):
@@ -317,6 +324,27 @@ class TestEnsembles:
                 EnsembleSpec(family="sequence_box", count=count, radii=(1.0,))
         spec = EnsembleSpec(family="sequence_box", count=np.int64(4), radii=(1.0,))
         assert type(spec.count) is int and len(sample_ensemble(spec, 0)) == 4
+
+    @pytest.mark.parametrize("kwargs, arg", [
+        ({"family": "sequence_box", "radii": (np.nan,)}, "radii"),
+        ({"family": "band_limited", "radii": (1.0, np.inf), "grid": GRID}, "radii"),
+        ({"family": "matrix_ball", "shape": (2, 2), "radius": np.nan}, "radius"),
+    ], ids=["nan_radii", "infinite_radii", "nan_radius"])
+    def test_bounds_must_be_finite(self, kwargs, arg):
+        # refused when built, not when sampled as non-finite ensemble inputs
+        with pytest.raises(ConfigError) as info:
+            EnsembleSpec(count=3, **kwargs)
+        assert info.value.arg == arg
+
+    @pytest.mark.parametrize("kwargs, arg", [
+        ({"family": "sequence_box", "radii": (1.0,), "radius": 1.0}, "radius"),
+        ({"family": "band_limited", "radii": (1.0,), "grid": GRID, "shape": (2, 2)}, "shape"),
+        ({"family": "matrix_ball", "shape": (2, 2), "radius": 1.0, "radii": (1.0,)}, "radii"),
+    ], ids=["box_radius", "band_shape", "ball_radii"])
+    def test_family_refuses_the_others_arguments(self, kwargs, arg):
+        with pytest.raises(ConfigError, match="does not apply") as info:
+            EnsembleSpec(count=3, **kwargs)
+        assert info.value.arg == arg
 
     def test_ensemble_rejects_mixed_signatures(self):
         spec = EnsembleSpec(family="sequence_box", count=2, radii=(1.0,))

@@ -364,6 +364,13 @@ class TestSerialization:
         with pytest.raises(DocumentError, match="activation"):
             deserialize_network(doc)
 
+    def test_unhashable_activation_name_diagnosed(self):
+        # a list is no activation name: a DocumentError, not a TypeError
+        doc = serialize_network(ShallowVectorNetwork.zero(Tanh(), ("sequence", 2), 2))
+        doc["activation"] = {"name": ["tanh"]}
+        with pytest.raises(DocumentError, match="'activation'"):
+            deserialize_network(doc)
+
     def test_missing_field_diagnosed(self):
         net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 2), 2)
         doc = serialize_network(net)
