@@ -74,4 +74,4 @@ from .targets import (
     TargetElement,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

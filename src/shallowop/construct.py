@@ -25,7 +25,7 @@ from .inputs import (
 )
 from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
-from .targets import Seminorm, SeminormFamily, TargetBatch, _as_float, _as_int
+from .targets import Seminorm, SeminormFamily, TargetBatch, _as_array, _as_float, _as_int
 
 
 #: rows per batched seminorm call: a block's temporaries stay in cache, which
@@ -157,8 +157,10 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
     ratio min |r_ii| / max |r_ii| is at most eps * max(n, k)), or whose
     coefficients come out non-finite, is solved alone by SVD least squares
     instead.  With lam = 0 that is the minimum-norm minimizer, and a warning
-    says the design is rank-deficient.  A member's result depends only on
-    its own design, targets and lam, never on the rest of its stack.
+    says the design is rank-deficient.  A member whose design or targets hold
+    a non-finite entry is refused there, by a ConfigError naming design or
+    targets.  A member's result depends only on its own design, targets and
+    lam, never on the rest of its stack.
     """
     design = np.asarray(design, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -230,7 +232,10 @@ def _apply_reflectors(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) ->
 
 
 def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """One member by SVD least squares on the sqrt(lam)-augmented design."""
+    """One member by SVD least squares on the sqrt(lam)-augmented design; a
+    non-finite entry is refused before LAPACK reads it."""
+    design = _as_array(design, "design", 2, subject="design rows")
+    targets = _as_array(targets, "targets", 1)
     n, k = design.shape
     if lam > 0:
         aug = np.vstack([design, np.sqrt(lam) * np.eye(k)])
@@ -250,8 +255,8 @@ def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarra
 class FitConfig:
     """Knobs for one scalar random-feature fit.
 
-    `seed` roots the feature bank's two streams: functional parameters come
-    from derive_seed(seed, 0) and thresholds from derive_seed(seed, 1).
+    `seed` is the fit seed s: assembly seeds partition column j's feature
+    bank with derive_seed(s, j) (see seeding.py); fit_columns never reads it.
     """
 
     functional_spec: FunctionalSpec

@@ -27,7 +27,7 @@ from .construct import (
 )
 from .errors import ConfigError, _named
 from .inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, sample_ensemble
-from .network import make_activation, serialize_network
+from .network import _grid_to_doc, make_activation, serialize_network
 from .operators import (
     Operator,
     integral_operator,
@@ -230,8 +230,7 @@ class ExperimentConfig:
             "save_networks": self.save_networks,
         }
         if self.ensemble.grid is not None:
-            doc["grid"] = {"a": self.ensemble.grid.a, "b": self.ensemble.grid.b,
-                           "n": self.ensemble.grid.n}
+            doc["grid"] = _grid_to_doc(self.ensemble.grid)
         if self.out is not None:
             doc["out"] = self.out
         return copy.deepcopy(doc)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .targets import GridMeta, _as_float, _as_floats, _as_int, _as_readonly_vector, _readonly_rows
+from .targets import GridMeta, _as_array, _as_float, _as_floats, _as_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +28,7 @@ class FunctionSample:
     grid: GridMeta
 
     def __post_init__(self):
-        v = _as_readonly_vector(self.values)
+        v = _as_array(self.values, "values", 1)
         if v.shape[0] != self.grid.n:
             raise ShapeError(f"value count {v.shape[0]} != grid node count {self.grid.n}")
         object.__setattr__(self, "values", v)
@@ -49,7 +49,7 @@ class SequencePoint:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly_vector(self.values))
+        object.__setattr__(self, "values", _as_array(self.values, "values", 1))
 
     @property
     def signature(self):
@@ -67,13 +67,7 @@ class MatrixPoint:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 2 or v.size == 0:
-            raise ShapeError(f"expected a nonempty 2-d matrix, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("matrix contains non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _as_array(self.values, "values", 2))
 
     @property
     def signature(self):
@@ -275,7 +269,7 @@ class CompactEnsemble:
 
     def __post_init__(self):
         sig = self.spec.input_signature
-        flats = _readonly_rows(self.flats, "ensemble inputs")
+        flats = _as_array(self.flats, "flats", 2, subject="ensemble inputs")
         if flats.shape[1] != signature_dim(sig):
             raise ShapeError(f"ensemble rows have {flats.shape[1]} entries, {sig} needs "
                              f"{signature_dim(sig)}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DocumentError, ShapeError, _named
 from .inputs import signature_dim, stack_inputs
-from .targets import GridMeta, _as_floats, _as_int
+from .targets import GridMeta, _as_array, _as_floats, _as_int
 
 
 class Activation:
@@ -164,17 +164,17 @@ class ShallowVectorNetwork:
     evaluation projects the inputs once, S B^T, and then sums the scaled
     activations eta((S B^T) P^T - theta) * c over each block before one
     product with U.  A dense network (L, theta, V) is the case with no
-    basis, every width 1, c = 1 and U = V.  The arrays are read-only copies.
+    basis, every width 1, c = 1 and U = V.  The arrays are read-only.
     """
 
     def __init__(self, weights, thresholds, coefficients, centers, widths,
                  activation: Activation, input_signature: tuple,
                  output_grid: GridMeta | None = None, basis=None):
-        self.weights = _readonly_array(weights, "weights", 2)
-        self.basis = None if basis is None else _readonly_array(basis, "basis", 2)
-        self.thresholds = _readonly_array(thresholds, "thresholds", 1)
-        self.coefficients = _readonly_array(coefficients, "coefficients", 1)
-        self.centers = _readonly_array(centers, "centers", 2)
+        self.weights = _as_array(weights, "weights", 2, empty=True)
+        self.basis = None if basis is None else _as_array(basis, "basis", 2, empty=True)
+        self.thresholds = _as_array(thresholds, "thresholds", 1, empty=True)
+        self.coefficients = _as_array(coefficients, "coefficients", 1, empty=True)
+        self.centers = _as_array(centers, "centers", 2, empty=True)
         self.activation = activation
         self.input_signature = input_signature
         self.output_grid = output_grid
@@ -291,16 +291,6 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _readonly_array(values, field: str, ndim: int) -> np.ndarray:
-    a = np.array(values, dtype=np.float64, order="C")
-    if a.ndim != ndim:
-        raise ShapeError(f"{field} must be {ndim}-d, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{field} contain non-finite entries")
-    a.setflags(write=False)
-    return a
 
 
 def _readonly_widths(values, neurons: int) -> np.ndarray:

@@ -150,14 +150,14 @@ class Operator:
 
         Returns the read-only (n, output_dim) value matrix with the output
         grid, as a TargetBatch.  A signature or output shape mismatch raises
-        ShapeError, and a non-finite value raises ValueError.
+        ShapeError, and a value that is not a finite real raises ConfigError.
         """
         flats, signature = stack_inputs(samples)
         if signature != self.input_signature:
             raise ShapeError(
                 f"operator {self.name} expects {self.input_signature}, got {signature}"
             )
-        out = np.asarray(self.fn(flats), dtype=float)
+        out = np.asarray(self.fn(flats))
         if out.shape != (flats.shape[0], self.output_dim):
             raise ShapeError(
                 f"operator {self.name} produced values of shape {out.shape}, expected "

@@ -93,16 +93,45 @@ def _as_floats(values, arg: str, least=None, *, subject: str | None = None) -> t
     return tuple(_as_float(v, arg, least, subject=subject) for v in values)
 
 
-def _as_readonly_vector(values) -> np.ndarray:
-    v = np.array(values, dtype=float, copy=True)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-d value vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ShapeError("value vector must be nonempty")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("value vector contains non-finite entries")
-    v.setflags(write=False)
-    return v
+def _as_array(values, arg: str, ndim: int, *, empty=False, subject: str | None = None):
+    """values as a read-only float64 array of ndim dimensions, no axis empty
+    unless empty is set.
+
+    A list or tuple is read entry by entry, as _as_float reads a number, and
+    an array must hold integers or reals: no strings, booleans, complex
+    numbers or objects.  A refused entry is a ConfigError naming the
+    argument arg, a wrong shape a ShapeError.  An array is held as it is when
+    it is float64, C-contiguous and nothing it views can be written, such as
+    a row slice of a batch; anything else becomes a read-only copy.
+    """
+    if isinstance(values, (list, tuple)):
+        entries = np.array(values, dtype=object)
+        a = np.array([_as_float(x, arg, subject=subject) for x in entries.flat])
+        a.setflags(write=False)  # a new array, held below without a second copy
+        a = a.reshape(entries.shape)
+    else:
+        a = np.asarray(values)
+        if a.dtype.kind not in "iuf":
+            raise ConfigError(f"must hold real numbers, got {a.dtype} entries", arg, subject)
+    if a.ndim != ndim or (not empty and 0 in a.shape):
+        raise ShapeError(f"must be a {'' if empty else 'nonempty '}{ndim}-d array, "
+                         f"got shape {a.shape}", arg, subject)
+    if not np.all(np.isfinite(a)):
+        raise ConfigError("contain non-finite entries", arg, subject)
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and _unwritable(a)):
+        a = np.array(a, dtype=np.float64, order="C")
+        a.setflags(write=False)
+    return a
+
+
+def _unwritable(a) -> bool:
+    """Whether neither a nor any array it views can be written, where the
+    only buffer that counts as unwritable is bytes."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None or isinstance(a, bytes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +146,7 @@ class TargetElement:
     grid: GridMeta | None = None
 
     def __post_init__(self):
-        v = _as_readonly_vector(self.values)
+        v = _as_array(self.values, "values", 1)
         if self.grid is not None and v.shape[0] != self.grid.n:
             raise ShapeError(
                 f"value count {v.shape[0]} does not match grid node count {self.grid.n}"
@@ -127,23 +156,6 @@ class TargetElement:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-
-def _readonly_rows(values, field: str) -> np.ndarray:
-    """values as a validated read-only (n, dim) float matrix.
-
-    A read-only float64 matrix, such as a slice of another batch, is held
-    as it is, without a copy; anything else is copied first.
-    """
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
-        raise ShapeError(f"{field} must be a nonempty (n, dim) matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{field} contain non-finite entries")
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +170,7 @@ class TargetBatch:
     grid: GridMeta | None = None
 
     def __post_init__(self):
-        v = _readonly_rows(self.values, "batch values")
+        v = _as_array(self.values, "values", 2, subject="batch values")
         if self.grid is not None and v.shape[1] != self.grid.n:
             raise ShapeError(
                 f"batch rows have {v.shape[1]} values, grid has {self.grid.n} nodes"
@@ -336,10 +348,7 @@ class DualPairing(Seminorm):
     name: str = "dual"
 
     def __post_init__(self):
-        test = self.test
-        if isinstance(test, (list, tuple)):
-            test = [_as_float(x, "test", subject="test vector entry") for x in test]
-        v = _as_readonly_vector(test)
+        v = _as_array(self.test, "test", 1, subject="test vector entries")
         if self.grid is not None and v.shape[0] != self.grid.n:
             raise ShapeError("test vector length does not match its grid")
         if not isinstance(self.name, str) or not self.name:

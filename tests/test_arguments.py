@@ -2,7 +2,9 @@
 
 Every numeric argument takes a finite number (an integer where it is a
 size, an order or an index) and refuses NaN, infinities, booleans and
-strings with a ConfigError whose `arg` is the argument's name.
+strings with a ConfigError whose `arg` is the argument's name.  Every
+vector and matrix argument takes real entries only, by the same rule, and
+is held read-only.
 """
 
 import math
@@ -12,10 +14,25 @@ import pytest
 
 from shallowop.construct import FitConfig
 from shallowop.errors import ConfigError
-from shallowop.inputs import EnsembleSpec, FunctionalSpec
-from shallowop.network import Polynomial
+from shallowop.inputs import (
+    CompactEnsemble,
+    EnsembleSpec,
+    FunctionalSpec,
+    FunctionSample,
+    MatrixPoint,
+    SequencePoint,
+)
+from shallowop.network import Polynomial, ShallowVectorNetwork, Tanh
 from shallowop.operators import Operator, make_kernel, matrix_map_operator
-from shallowop.targets import DualPairing, GridMeta, LqNorm, SchwartzWeighted, SupDerivative
+from shallowop.targets import (
+    DualPairing,
+    GridMeta,
+    LqNorm,
+    SchwartzWeighted,
+    SupDerivative,
+    TargetBatch,
+    TargetElement,
+)
 
 SPEC = FunctionalSpec(("sequence", 3))
 
@@ -138,3 +155,106 @@ def test_accepted_numbers_are_normalized():
     assert FitConfig(SPEC, theta_range=[-1, 1]).theta_range == (-1.0, 1.0)
     assert EnsembleSpec("matrix_ball", 3, shape=(2, 2), radius=1).radius == 1.0
     assert Polynomial([0, 1]).coefficients == (0.0, 1.0)
+
+
+NETWORK = {"weights": [[1.0, 0.5]], "thresholds": [0.0], "coefficients": [1.0],
+           "centers": [[1.0, 2.0]], "widths": [1], "activation": Tanh(),
+           "input_signature": ("sequence", 3), "basis": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]}
+#: each constructor taking arrays, the keyword arguments of one it accepts,
+#: and its array arguments
+ARRAY_CONSTRUCTORS = {
+    "TargetElement": (TargetElement, {"values": [1.0, 2.0]}, ["values"]),
+    "TargetBatch": (TargetBatch, {"values": [[1.0, 2.0], [3.0, 4.0]]}, ["values"]),
+    "FunctionSample": (FunctionSample, {"values": [0.0, 1.0, 0.5], "grid": GridMeta(0, 1, 3)},
+                       ["values"]),
+    "SequencePoint": (SequencePoint, {"values": [1.0, 2.0]}, ["values"]),
+    "MatrixPoint": (MatrixPoint, {"values": [[1.0, 2.0], [3.0, 4.0]]}, ["values"]),
+    "CompactEnsemble": (
+        CompactEnsemble, {"flats": [[1.0, 2.0], [0.5, 0.0]], "seed": 0,
+                          "spec": EnsembleSpec("sequence_box", 2, radii=(1.0, 1.0))},
+        ["flats"]),
+    "DualPairing": (DualPairing, {"test": [1.0, 2.0]}, ["test"]),
+    "ShallowVectorNetwork": (ShallowVectorNetwork, NETWORK,
+                             ["weights", "thresholds", "coefficients", "centers", "basis"]),
+}
+
+
+def first_replaced(values, value):
+    """values, a nested list, with its first entry replaced by value."""
+    if isinstance(values[0], list):
+        return [first_replaced(values[0], value)] + values[1:]
+    return [value] + values[1:]
+
+
+def with_non_finite(values, bad):
+    """values as an array with its last entry replaced by bad."""
+    a = np.array(values)
+    a.flat[-1] = bad
+    return a
+
+
+#: each bad value, built from the accepted list of the argument's shape
+BAD_ARRAYS = {
+    "strings": lambda values: np.array(values).astype(str),
+    "booleans": lambda values: np.ones(np.shape(values), dtype=bool),
+    "complex": lambda values: np.array(values) + 1j,
+    "list_holding_True": lambda values: first_replaced(values, True),
+    "nan": lambda values: with_non_finite(values, np.nan),
+    "inf": lambda values: with_non_finite(values, np.inf),
+    "minus_inf": lambda values: with_non_finite(values, -np.inf),
+}
+
+ARRAY_CASES = [
+    pytest.param(key, arg, bad, id=f"{key}-{arg}-{bad}")
+    for key, (_, _, arrays) in ARRAY_CONSTRUCTORS.items()
+    for arg in arrays
+    for bad in BAD_ARRAYS
+]
+
+
+@pytest.mark.parametrize("key", ARRAY_CONSTRUCTORS)
+def test_array_table_builds_as_written(key):
+    make, kwargs, arrays = ARRAY_CONSTRUCTORS[key]
+    built = make(**kwargs)
+    for arg in arrays:
+        held = getattr(built, arg)
+        assert held.dtype == np.float64 and not held.flags.writeable
+        np.testing.assert_array_equal(held, kwargs[arg])
+
+
+@pytest.mark.parametrize("key, arg, bad", ARRAY_CASES)
+def test_array_argument_refuses_non_reals_by_name(key, arg, bad):
+    make, kwargs, _ = ARRAY_CONSTRUCTORS[key]
+    kwargs = {**kwargs, arg: BAD_ARRAYS[bad](kwargs[arg])}
+    with pytest.raises(ConfigError) as info:
+        make(**kwargs)
+    assert info.value.arg == arg
+    if bad in ("nan", "inf", "minus_inf"):
+        assert "contain non-finite" in str(info.value)
+
+
+def test_array_is_held_unless_something_can_write_it():
+    whole = np.arange(12.0).reshape(4, 3)
+    view = whole[1:]
+    view.setflags(write=False)
+    # a read-only view of a writeable array is copied: writing that array
+    # later does not change the batch
+    batch = TargetBatch(view)
+    assert not np.shares_memory(batch.values, whole)
+    whole[1, 0] = -1.0
+    assert batch.values[0, 0] == 3.0
+    # a row slice of a batch and a row of it view the batch's matrix
+    assert np.shares_memory(batch[1:].values, batch.values)
+    assert np.shares_memory(batch[1].values, batch.values)
+    # integers and Fortran order are copied to C-ordered float64
+    for values in (np.arange(6).reshape(2, 3), np.asfortranarray(whole)):
+        held = TargetBatch(values).values
+        assert held.dtype == np.float64 and held.flags.c_contiguous
+        assert not held.flags.writeable and not np.shares_memory(held, values)
+    # a buffer nothing can write, as a network document's arrays are, is held
+    frozen = np.frombuffer(np.arange(3.0).tobytes())
+    assert SequencePoint(frozen).values is frozen
+    # a read-only array over a writeable buffer is copied
+    thawed = np.frombuffer(bytearray(np.arange(3.0).tobytes()))
+    thawed.setflags(write=False)
+    assert not np.shares_memory(SequencePoint(thawed).values, thawed)

@@ -22,7 +22,7 @@ from shallowop.construct import (
     least_squares_solve,
     uniform_error,
 )
-from shallowop.errors import BudgetError, CoverageError, ShapeError
+from shallowop.errors import BudgetError, ConfigError, CoverageError, ShapeError
 from shallowop.inputs import (
     EnsembleSpec,
     FunctionalSpec,
@@ -375,6 +375,20 @@ class TestLeastSquares:
             least_squares_solve(np.ones((2, 3, 3)), np.ones((3, 3)), 0.0)
         with pytest.raises(ShapeError):  # one design is a stack of one
             least_squares_solve(np.eye(2), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("lam", (0.0, 1e-3))
+    @pytest.mark.parametrize("n, k", ((6, 3), (3, 6)), ids=("tall", "wide"))
+    @pytest.mark.parametrize("arg, bad", [("design", np.nan), ("design", np.inf),
+                                          ("targets", np.nan), ("targets", -np.inf)])
+    def test_non_finite_member_refused_by_name(self, capfd, lam, n, k, arg, bad):
+        rng = np.random.default_rng(402)
+        stack = {"design": rng.standard_normal((2, n, k)), "targets": rng.standard_normal((2, n))}
+        stack[arg][1].flat[1] = bad
+        with pytest.raises(ConfigError, match="contain non-finite") as info:
+            least_squares_solve(stack["design"], stack["targets"], lam)
+        assert info.value.arg == arg
+        # refused before LAPACK reads it, so LAPACK prints nothing
+        assert capfd.readouterr() == ("", "")
 
 
 def random_stack(rng, b, n, k):
