@@ -25,7 +25,15 @@ from .inputs import (
 )
 from .network import ShallowVectorNetwork, make_activation
 from .seeding import derive_seed
-from .targets import Seminorm, SeminormFamily, TargetBatch, _as_array, _as_float, _as_int
+from .targets import (
+    Seminorm,
+    SeminormFamily,
+    TargetBatch,
+    _as_array,
+    _as_float,
+    _as_int,
+    _as_real,
+)
 
 
 #: rows per batched seminorm call: a block's temporaries stay in cache, which
@@ -147,30 +155,32 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
 
     design is a (b, n, k) stack with targets (b, n), and the result is
     (b, k); one design is the stack design[None].  Every member is solved
-    from one Householder QR, all members by one np.linalg.qr call:
+    from a Householder QR, each factor taken for the whole stack:
     - a tall design (n >= k), or any design with lam > 0, factors [A | y]
       with A augmented by sqrt(lam) I, so the conditioning is that of A
       rather than of A^T A, and back-substitutes;
     - a wide design (n < k) with lam = 0 takes the minimum-norm solution
-      Q R^-T y from the QR of A^T = Q R.
+      Q R^-T y from a two-panel blocked QR of A^T = Q R, applying each
+      panel's reflectors in compact form (see _minimum_norm_solve).
     A member whose triangular factor is numerically singular (its diagonal
-    ratio min |r_ii| / max |r_ii| is at most eps * max(n, k)), or whose
-    coefficients come out non-finite, is solved alone by SVD least squares
-    instead.  With lam = 0 that is the minimum-norm minimizer, and a warning
-    says the design is rank-deficient.  A member whose design or targets hold
-    a non-finite entry is refused there, by a ConfigError naming design or
-    targets.  A member's result depends only on its own design, targets and
-    lam, never on the rest of its stack.
+    ratio min |r_ii| / max |r_ii| is at most eps * max(n, k)), whose wide
+    QR has a reflector with tau = 0, or whose coefficients come out
+    non-finite, is solved alone by SVD least squares instead.  With lam = 0
+    that is the minimum-norm minimizer, and a warning says the design is
+    rank-deficient.  A member whose design or targets hold a non-finite
+    entry is refused there, by a ConfigError naming design or targets; so is
+    a design or targets array of strings, booleans, complex numbers or
+    objects, before anything is solved.  A member's result depends only on
+    its own design, targets and lam, never on the rest of its stack.
     """
-    design = np.asarray(design, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    design = np.asarray(_as_real(design, "design"), dtype=float)
+    targets = np.asarray(_as_real(targets, "targets"), dtype=float)
     if design.ndim != 3 or targets.ndim != 2 or design.shape[:2] != targets.shape:
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
     lam = _as_float(lam, "lam", 0, subject="regularization lam")
     b, n, k = design.shape
-    coeffs = np.full((b, k), np.nan)
     if lam > 0 or n >= k:
         # [A | y], rows augmented by [sqrt(lam) I | 0], laid out column by
         # column as LAPACK reads it, so the QR copies no transposes
@@ -182,53 +192,102 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
             columns[:, k, n:] = 0.0
         R = np.linalg.qr(columns.transpose(0, 2, 1), mode="r")
         tri, rhs = R[:, :k, :k], R[:, :k, k]
-        solved = _solvable(tri, n, k)
-        coeffs[solved] = _back_substitute(tri[solved], rhs[solved])
+        coeffs = np.full((b, k), np.nan)
+        solved = _solvable(np.diagonal(tri, axis1=1, axis2=2), n, k)
+        coeffs[solved] = _back_substitute(tri[solved], rhs[solved][:, :, None])[:, :, 0]
     else:
-        # A^T = Q R with Q = H_0 ... H_{n-1} kept as Householder reflectors:
-        # row i of reflectors holds v_i[i + 1:] (v_i[i] = 1), and its first
-        # n columns hold R^T in their lower triangle
-        reflectors, tau = np.linalg.qr(design.transpose(0, 2, 1), mode="raw")
-        lower = np.tril(reflectors[:, :, :n])
-        solved = _solvable(lower, n, k)
-        # R^T reversed in both axes is upper triangular
-        w = _back_substitute(lower[solved][:, ::-1, ::-1],
-                             targets[solved][:, ::-1])[:, ::-1]
-        coeffs[solved] = _apply_reflectors(reflectors[solved], tau[solved], w)
+        # a member with a non-finite entry, or a reflector with tau = 0, meets
+        # inf and NaN here; it falls back below, refused by name or solved
+        with np.errstate(all="ignore"):
+            coeffs = _minimum_norm_solve(design, targets)
     for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1)):
         coeffs[i] = _svd_solve(design[i], targets[i], lam)
     return coeffs
 
 
-def _solvable(tri: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Members of a stack of triangular factors that are not numerically singular."""
-    diag = np.abs(np.diagonal(tri, axis1=1, axis2=2))
+def _minimum_norm_solve(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Q R^-T y for a stack of wide designs (n < k) from a blocked Householder
+    QR of A^T = Q R, NaN for a member left to the SVD fallback.
+
+    A^T is factored in two column panels, of n // 2 and n - n // 2 columns
+    (one panel when n = 1), each by one np.linalg.qr call over the stack.  A
+    panel's reflectors H_i = I - tau_i v_i v_i^T multiply to the compact form
+    I - V T V^T, T upper triangular with T^-1 = striu(V^T V) + diag(1 / tau)
+    (the UT transform), so the first panel's Q^T reaches the second panel's
+    columns, and Q reaches [w; 0], through a few batched matrix products and
+    small triangular solves instead of one step per reflector.  R^T w = y is
+    solved block by block.
+
+    A member falls back when a tau is 0 (1 / tau is then infinite), when T^-1
+    is otherwise non-finite, or when R is numerically singular (see
+    _solvable).  Its factors are replaced by identities, so no stacked solve
+    meets a singular matrix, and its row comes out NaN.
+    """
+    b, n, k = design.shape
+    edges = (0, n // 2, n) if n > 1 else (0, n)
+    ok = np.ones(b, dtype=bool)
+    # per panel: V, T^-1, the panel's diagonal block of R^T, and the rows of
+    # R right of that block; rest holds rows and columns j0: of Q^T A^T once
+    # the panels before j0 are factored
+    panels = []
+    rest = design.transpose(0, 2, 1)
+    for j0, j1 in zip(edges, edges[1:]):
+        width = j1 - j0
+        # raw^T holds R in its upper triangle and v_i[i + 1:] below (v_i[i] = 1)
+        raw, tau = np.linalg.qr(rest[:, :, :width], mode="raw")
+        diagonal = (slice(None), range(width), range(width))
+        V = np.tril(raw.transpose(0, 2, 1), -1)
+        V[diagonal] = 1.0
+        T_inv = np.triu(V.transpose(0, 2, 1) @ V, 1)
+        T_inv[diagonal] = 1.0 / tau
+        ok &= np.all(np.isfinite(T_inv), axis=(1, 2))
+        T_inv[~ok] = np.eye(width)
+        right = None
+        if j1 < n:
+            # Q^T C = C - V T^T V^T C on the columns not yet factored
+            C = rest[:, :, width:]
+            C = C - V @ _forward_substitute(T_inv.transpose(0, 2, 1),
+                                            V.transpose(0, 2, 1) @ C)
+            right, rest = C[:, :width], C[:, width:]
+        panels.append((V, T_inv, np.tril(raw[:, :, :width]), right))
+    ok &= _solvable(np.concatenate([np.diagonal(lower, axis1=1, axis2=2)
+                                    for _, _, lower, _ in panels], axis=1), n, k)
+    x = np.zeros((b, k))
+    rhs = targets
+    for (_, _, lower, right), j0, j1 in zip(panels, edges, edges[1:]):
+        lower[~ok] = np.eye(j1 - j0)
+        x[:, j0:j1] = _forward_substitute(lower, rhs[:, :j1 - j0, None])[:, :, 0]
+        if right is not None:
+            rhs = rhs[:, j1 - j0:] - (right.transpose(0, 2, 1) @ x[:, j0:j1, None])[:, :, 0]
+    # x = [w; 0] becomes Q x, the last panel's reflectors first
+    for (V, T_inv, _, _), j0 in reversed(list(zip(panels, edges))):
+        tail = x[:, j0:, None]
+        tail -= V @ _back_substitute(T_inv, V.transpose(0, 2, 1) @ tail)
+    x[~ok] = np.nan
+    return x
+
+
+def _solvable(diag: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Members of a stack whose triangular factor, with diagonals diag, is not
+    numerically singular."""
+    diag = np.abs(diag)
     return diag.min(axis=1) > np.finfo(float).eps * max(n, k) * diag.max(axis=1)
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """upper^-1 rhs for a stack of nonsingular upper-triangular matrices.
+    """upper^-1 rhs for a stack of nonsingular upper-triangular matrices and
+    a (b, n, r) stack of right-hand sides.
 
     Partial pivoting swaps no rows of an upper-triangular matrix, so the LU
     solve is back substitution and meets no zero pivot.
     """
-    return np.linalg.solve(upper, rhs[:, :, None])[:, :, 0]
+    return np.linalg.solve(upper, rhs)
 
 
-def _apply_reflectors(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Q [w; 0] for a stack of Q = H_0 ... H_{n-1}, H_i = I - tau_i v_i v_i^T,
-    stored as np.linalg.qr(..., mode="raw") returns them; applying the n
-    reflectors is cheaper than forming Q.  Overwrites the diagonal of
-    reflectors with the implicit v_i[i] = 1.
-    """
-    b, n, k = reflectors.shape
-    reflectors[:, range(n), range(n)] = 1.0
-    x = np.zeros((b, k))
-    x[:, :n] = w
-    for i in range(n - 1, -1, -1):
-        v, tail = reflectors[:, i, i:], x[:, i:]
-        tail -= (tau[:, i] * np.einsum("bj,bj->b", v, tail))[:, None] * v
-    return x
+def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lower^-1 rhs for lower-triangular matrices: reversed in both axes, a
+    lower-triangular matrix is upper triangular."""
+    return _back_substitute(lower[:, ::-1, ::-1], rhs[:, ::-1])[:, ::-1]
 
 
 def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:

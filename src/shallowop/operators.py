@@ -128,8 +128,9 @@ class Operator:
     """An opaque map from input points to target elements, with shape metadata.
 
     fn is the batched map: it takes the (n, dim) matrix whose rows are n
-    flattened inputs of input_signature and returns a new (n, output_dim)
-    matrix of their images.
+    flattened inputs of input_signature and returns the (n, output_dim)
+    matrix of their images.  The built-in operators return new read-only
+    matrices, which apply_many holds without a copy.
     """
 
     name: str
@@ -151,6 +152,8 @@ class Operator:
         Returns the read-only (n, output_dim) value matrix with the output
         grid, as a TargetBatch.  A signature or output shape mismatch raises
         ShapeError, and a value that is not a finite real raises ConfigError.
+        fn's matrix is never changed: the batch holds it as it is only when
+        nothing can write it (see TargetBatch), and a read-only copy otherwise.
         """
         flats, signature = stack_inputs(samples)
         if signature != self.input_signature:
@@ -163,8 +166,14 @@ class Operator:
                 f"operator {self.name} produced values of shape {out.shape}, expected "
                 f"{(flats.shape[0], self.output_dim)}"
             )
-        out.setflags(write=False)  # so the batch holds fn's new matrix without a copy
         return TargetBatch(out, self.output_grid)
+
+
+def _frozen(out: np.ndarray) -> np.ndarray:
+    """An operator function's new result, marked read-only so that the
+    TargetBatch apply_many builds holds it without a copy."""
+    out.setflags(write=False)
+    return out
 
 
 def integral_operator(kernel: Kernel, grid: GridMeta) -> Operator:
@@ -172,8 +181,8 @@ def integral_operator(kernel: Kernel, grid: GridMeta) -> Operator:
     grid; the matrix w_k K(x_i, s_k) is built once here."""
     x = grid.nodes()
     mat = kernel(x[:, None], x[None, :]) * grid.trapezoid_weights()
-    return Operator(f"integral_{kernel.name}", lambda F: F @ mat.T, ("function", grid),
-                    grid.n, grid)
+    return Operator(f"integral_{kernel.name}", lambda F: _frozen(F @ mat.T),
+                    ("function", grid), grid.n, grid)
 
 
 def poisson_operator(grid: GridMeta) -> Operator:
@@ -181,18 +190,22 @@ def poisson_operator(grid: GridMeta) -> Operator:
     factors are computed once here.  A grid of fewer than 3 nodes, which has
     no interior, raises ValueError."""
     d, e = _poisson_factors(grid)
-    return Operator("poisson_1d", lambda F: _poisson_rows(F, d, e), ("function", grid),
-                    grid.n, grid)
+    return Operator("poisson_1d", lambda F: _frozen(_poisson_rows(F, d, e)),
+                    ("function", grid), grid.n, grid)
 
 
 def superposition_operator(map_id: str, signature: tuple) -> Operator:
     g = _pointwise_map(map_id)
+
+    def fn(F):
+        return _frozen(g(F))
+
     kind = signature[0]
     if kind == "function":
         grid = signature[1]
-        return Operator(f"superpose_{map_id}", g, signature, grid.n, grid)
+        return Operator(f"superpose_{map_id}", fn, signature, grid.n, grid)
     if kind == "sequence":
-        return Operator(f"superpose_{map_id}", g, signature, signature[1])
+        return Operator(f"superpose_{map_id}", fn, signature, signature[1])
     raise ShapeError("superposition operators accept function or sequence inputs")
 
 
@@ -211,7 +224,7 @@ def matrix_map_operator(map_id: str, shape: tuple[int, int],
                           "map_id", "matrix map")
     return Operator(
         f"matrix_{map_id}",
-        lambda F: _matrix_map_rows(map_id, F.reshape(-1, *shape), out_dim),
+        lambda F: _frozen(_matrix_map_rows(map_id, F.reshape(-1, *shape), out_dim)),
         ("matrix", tuple(shape)),
         out_dim,
     )
@@ -222,7 +235,7 @@ def zero_operator(signature: tuple, output_dim: int,
     """The constant-zero operator; its best approximant is the empty network."""
     return Operator(
         "zero",
-        lambda F: np.zeros((F.shape[0], output_dim)),
+        lambda F: _frozen(np.zeros((F.shape[0], output_dim))),
         signature,
         output_dim,
         output_grid,

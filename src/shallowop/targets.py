@@ -110,9 +110,7 @@ def _as_array(values, arg: str, ndim: int, *, empty=False, subject: str | None =
         a.setflags(write=False)  # a new array, held below without a second copy
         a = a.reshape(entries.shape)
     else:
-        a = np.asarray(values)
-        if a.dtype.kind not in "iuf":
-            raise ConfigError(f"must hold real numbers, got {a.dtype} entries", arg, subject)
+        a = _as_real(values, arg, subject)
     if a.ndim != ndim or (not empty and 0 in a.shape):
         raise ShapeError(f"must be a {'' if empty else 'nonempty '}{ndim}-d array, "
                          f"got shape {a.shape}", arg, subject)
@@ -121,6 +119,15 @@ def _as_array(values, arg: str, ndim: int, *, empty=False, subject: str | None =
     if not (a.dtype == np.float64 and a.flags.c_contiguous and _unwritable(a)):
         a = np.array(a, dtype=np.float64, order="C")
         a.setflags(write=False)
+    return a
+
+
+def _as_real(values, arg: str, subject: str | None = None) -> np.ndarray:
+    """values as an array, which must hold integers or reals: strings,
+    booleans, complex numbers and objects are a ConfigError naming arg."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ConfigError(f"must hold real numbers, got {a.dtype} entries", arg, subject)
     return a
 
 

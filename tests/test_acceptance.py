@@ -352,3 +352,11 @@ def test_preset_runs_keep_their_centers_widths_and_convergence(preset_sweep):
                       for w, group in itertools.groupby(run.coefficient_widths)]
             built.append((name, run.epsilon, run.m_centers, tuple(widths), run.converged))
     assert built == list(PRESET_RUNS)
+
+
+def test_interpolating_fits_stay_at_rounding_level(preset_sweep):
+    # every integral_gaussian fit at eps=0.05 ends at width 128 >= 80
+    # samples, so its minimum-norm solve should leave only rounding error
+    reports, _ = preset_sweep
+    run = next(r for r in reports["integral_gaussian"].runs if r.epsilon == 0.05)
+    assert max(run.coefficient_errors) <= 1e-9

@@ -390,6 +390,21 @@ class TestLeastSquares:
         # refused before LAPACK reads it, so LAPACK prints nothing
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("n, k", ((6, 3), (3, 6)), ids=("tall", "wide"))
+    @pytest.mark.parametrize("arg", ("design", "targets"))
+    @pytest.mark.parametrize("kind", ("complex", "bool", "str", "object"))
+    def test_non_real_array_refused_by_name(self, n, k, arg, kind):
+        rng = np.random.default_rng(403)
+        stack = {"design": rng.standard_normal((2, n, k)), "targets": rng.standard_normal((2, n))}
+        stack[arg] = {"complex": stack[arg] + 1j,
+                      "bool": stack[arg] > 0,
+                      "str": stack[arg].astype(str),
+                      "object": stack[arg].astype(object)}[kind]
+        # refused before any cast, so numpy's ComplexWarning is never raised
+        with pytest.raises(ConfigError, match="must hold real numbers") as info:
+            least_squares_solve(stack["design"], stack["targets"], 0.0)
+        assert info.value.arg == arg
+
 
 def random_stack(rng, b, n, k):
     return rng.standard_normal((b, n, k)), rng.standard_normal((b, n))
@@ -403,10 +418,14 @@ def reference_solve(a, y, lam):
 
 
 class TestStackedSolve:
-    # the last two are large enough for blocked factorizations
+    # tall_large and wide_large are large enough for blocked factorizations;
+    # wide designs split A^T into panels of n // 2 and n - n // 2 columns,
+    # one panel when n = 1
     SHAPES = [(30, 8, 0.0), (12, 12, 0.0), (8, 20, 0.0), (30, 8, 1e-3), (8, 20, 1e-3),
-              (400, 96, 0.0), (80, 300, 0.0)]
-    IDS = ["tall", "square", "wide", "tall_lam", "wide_lam", "tall_large", "wide_large"]
+              (400, 96, 0.0), (80, 300, 0.0), (1, 6, 0.0), (2, 9, 0.0), (7, 20, 0.0),
+              (79, 128, 0.0)]
+    IDS = ["tall", "square", "wide", "tall_lam", "wide_lam", "tall_large", "wide_large",
+           "wide_n1", "wide_n2", "wide_odd", "wide_odd_preset"]
 
     @pytest.mark.parametrize("n, k, lam", SHAPES, ids=IDS)
     def test_agrees_with_per_matrix_lstsq(self, n, k, lam):
@@ -458,6 +477,24 @@ class TestStackedSolve:
             for i in (0, 2):
                 np.testing.assert_array_equal(coeffs[i],
                                               least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
+
+    @pytest.mark.parametrize("column", (0, 4), ids=("first_panel", "second_panel"))
+    def test_identity_reflector_member_falls_back_alone(self, column):
+        # column c of A^T is e_c and row c of A^T is zero left of it, so
+        # LAPACK's reflector for that column is the identity (tau = 0)
+        rng = np.random.default_rng(19)
+        a, y = random_stack(rng, 3, 8, 20)
+        a[1, :column, column] = 0.0
+        a[1, column] = 0.0
+        a[1, column, column] = 1.0
+        _, tau = np.linalg.qr(a[1].T, mode="raw")
+        assert tau[column] == 0.0
+        coeffs = least_squares_solve(a, y, 0.0)
+        # the minimum-norm solution, as SVD least squares gives it
+        np.testing.assert_array_equal(coeffs[1], np.linalg.lstsq(a[1], y[1], rcond=None)[0])
+        for i in (0, 2):
+            np.testing.assert_array_equal(coeffs[i],
+                                          least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
 
 
 def bank_design(flats, L, thetas, activation):

@@ -385,6 +385,23 @@ class TestBatchedOperators:
         assert bytes_equal(elements[-1].values, batch.values[-1])
         assert bytes_equal(batch[-1].values, batch.values[-1])
 
+    def test_built_in_results_are_held_without_a_copy(self):
+        for family, op in self.operators():
+            ens = batch_ensemble(family)
+            out = op.fn(ens.flats)
+            # what TargetBatch holds as it is: float64, C-contiguous, read-only
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert not out.flags.writeable and out.base is None
+
+    def test_fn_array_is_left_writable(self):
+        cache = np.array([[1.0, 2.0]])
+        op = Operator("cached", lambda F: cache, ("sequence", 2), 2)
+        batch = op.apply_many([SequencePoint([1.0, 2.0])])
+        assert cache.flags.writeable
+        assert not batch.values.flags.writeable
+        cache[0, 0] = 5.0
+        assert batch.values[0, 0] == 1.0
+
     def test_shape_and_finiteness_are_checked(self):
         ens = batch_ensemble("sequence")
         sig = ens.signature
