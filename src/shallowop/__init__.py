@@ -10,7 +10,6 @@ from .construct import (
     AssemblyReport,
     EpsilonNet,
     FitConfig,
-    PartitionOfUnity,
     assemble_vector_network,
     build_epsilon_net,
     build_partition,
@@ -71,7 +70,6 @@ from .targets import (
     SeminormFamily,
     SupDerivative,
     TargetBatch,
-    TargetElement,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

@@ -55,7 +55,7 @@ def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.n
     out = np.empty(values.shape[0])
     for start in range(0, values.shape[0], SEMINORM_BLOCK_ROWS):
         rows = values[start:start + SEMINORM_BLOCK_ROWS]
-        out[start:start + SEMINORM_BLOCK_ROWS] = rho.batch(
+        out[start:start + SEMINORM_BLOCK_ROWS] = rho(
             rows if center is None else rows - center, grid)
     return out
 
@@ -117,23 +117,9 @@ def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> Eps
                       distances)
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionOfUnity:
-    """Normalized hat weights subordinate to the net's epsilon balls.
-
-    weights[i, j] is psi_j at sample i; distances is the net's (n, m)
-    matrix of seminorm distances, kept so the convexity bound can be
-    re-checked without re-evaluating the operator.
-    """
-
-    weights: np.ndarray
-    distances: np.ndarray
-    epsilon: float
-
-
-def build_partition(net: EpsilonNet, rho: Seminorm) -> PartitionOfUnity:
-    """Hats max(0, 1 - dist/epsilon) on the net's distances, normalized per
-    sample.
+def build_partition(net: EpsilonNet, rho: Seminorm) -> np.ndarray:
+    """The (n, m) weights psi_j(s_i): hats max(0, 1 - dist/epsilon) on the
+    net's distances, normalized per sample.
 
     The cover property makes every normalizer strictly positive; a sample no
     center reaches is reported by index, naming rho, the seminorm of the
@@ -147,7 +133,7 @@ def build_partition(net: EpsilonNet, rho: Seminorm) -> PartitionOfUnity:
         raise CoverageError(
             f"sample {dead[0]} is not within {eps} of any center under {rho.label()}"
         )
-    return PartitionOfUnity(raw / norms[:, None], net.distances, eps)
+    return raw / norms[:, None]
 
 
 def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -327,6 +313,9 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.functional_spec, FunctionalSpec):
+            raise ConfigError(f"must be a FunctionalSpec, got {self.functional_spec!r}",
+                              "functional_spec")
         object.__setattr__(self, "width", _as_int(self.width, "width", 1))
         object.__setattr__(self, "max_width", _as_int(self.max_width, "max_width", self.width))
         object.__setattr__(self, "lam", _as_float(self.lam, "lam", 0,
@@ -497,13 +486,13 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     rho = family[rho_index]
 
     net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
-    pou = build_partition(net1, rho)
-    stage1_sup = float(np.max(np.sum(pou.weights * pou.distances, axis=1)))
+    weights = build_partition(net1, rho)
+    stage1_sup = float(np.max(np.sum(weights * net1.distances, axis=1)))
     if not stage1_sup < (epsilon / 2.0) * (1.0 + 1e-9):
         raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")
 
     m = len(net1)
-    c_max = float(np.max(rho.batch(net1.centers.values, net1.centers.grid)))
+    c_max = float(np.max(rho(net1.centers.values, net1.centers.grid)))
     if c_max == 0.0:
         # every center is rho-null, so the zero network is already within
         # epsilon/2, which is then the bound its training error is held to
@@ -513,8 +502,7 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
         converged, bound = True, epsilon / 2.0
     else:
         delta = float(epsilon / (2.0 * m * c_max))
-        P, thetas, c, errors, widths = _fit_coefficients(ensemble, pou.weights, fit_cfg,
-                                                         delta)
+        P, thetas, c, errors, widths = _fit_coefficients(ensemble, weights, fit_cfg, delta)
         network = ShallowVectorNetwork(P, thetas, c, net1.centers.values, widths,
                                        fit_cfg.activation, ensemble.signature, f_values.grid,
                                        fit_cfg.functional_spec.basis)

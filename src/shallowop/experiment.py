@@ -255,11 +255,9 @@ def _build_grid(doc) -> GridMeta:
 
 def _build_ensemble(doc, grid) -> EnsembleSpec:
     _only(doc, "ensemble", ("family", "count", "radii", "shape", "radius"))
-    family = doc.get("family")
-    # the top-level grid is the domain of band-limited functions only
-    return _from_field("ensemble", EnsembleSpec, family, doc.get("count"),
+    return _from_field("ensemble", EnsembleSpec, doc.get("family"), doc.get("count"),
                        radii=doc.get("radii"), shape=doc.get("shape"), radius=doc.get("radius"),
-                       grid=grid if family == "band_limited" else None)
+                       grid=grid)
 
 
 def _ensemble_to_dict(spec: EnsembleSpec) -> dict:

@@ -229,8 +229,9 @@ class EnsembleSpec:
             raise ConfigError(f"is unknown, got {self.family!r}", "family", "ensemble family")
         object.__setattr__(self, "count", _as_int(self.count, "count", 1, subject="sample count"))
         # each family takes its own arguments and refuses the others'
-        takes = ("shape", "radius") if self.family == "matrix_ball" else ("radii",)
-        for arg in ("radii", "shape", "radius"):
+        takes = {"band_limited": ("radii", "grid"), "sequence_box": ("radii",),
+                 "matrix_ball": ("shape", "radius")}[self.family]
+        for arg in ("radii", "grid", "shape", "radius"):
             if (arg in takes) != (getattr(self, arg) is not None):
                 raise ConfigError(f"{'is needed by' if arg in takes else 'does not apply to'} "
                                   f"{self.family} ensembles", arg)
@@ -241,8 +242,7 @@ class EnsembleSpec:
         object.__setattr__(self, "radii", _as_floats(self.radii, "radii", 0,
                                                      subject="ensemble radii"))
         if self.family == "band_limited" and not isinstance(self.grid, GridMeta):
-            raise ConfigError(f"must be a GridMeta for band_limited ensembles, got {self.grid!r}",
-                              "grid")
+            raise ConfigError(f"must be a GridMeta, got {self.grid!r}", "grid")
 
     @property
     def input_signature(self) -> tuple:

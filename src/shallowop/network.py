@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError, ShapeError, _named
+from .errors import ConfigError, DocumentError, ShapeError, _named
 from .inputs import signature_dim, stack_inputs
 from .targets import GridMeta, _as_array, _as_floats, _as_int
 
@@ -175,6 +175,8 @@ class ShallowVectorNetwork:
         self.thresholds = _as_array(thresholds, "thresholds", 1, empty=True)
         self.coefficients = _as_array(coefficients, "coefficients", 1, empty=True)
         self.centers = _as_array(centers, "centers", 2, empty=True)
+        if not isinstance(activation, Activation):
+            raise ConfigError(f"must be an Activation, got {activation!r}", "activation")
         self.activation = activation
         self.input_signature = input_signature
         self.output_grid = output_grid

@@ -1,18 +1,18 @@
-"""Discretized target-space elements and the seminorms that topologize them.
+"""Discretized target values and the seminorms that topologize them.
 
-A target element is a finite real vector: samples of a function on a uniform
+A target value is a finite real vector: samples of a function on a uniform
 grid, truncated sequence coefficients, or a flattened matrix.  A TargetBatch
-holds n elements sharing one grid as one (n, dim) matrix.  Seminorms come
-in four evaluable flavors (weighted Lq, sup of a finite-difference derivative,
+holds n values sharing one grid as one (n, dim) matrix.  Seminorms come in
+four evaluable flavors (weighted Lq, sup of a finite-difference derivative,
 polynomially weighted sup on a truncated grid, and pairing against a fixed
 test vector); each is nonnegative, absolutely homogeneous, and subadditive on
-compatible elements.
+compatible values.
 
-Every seminorm is evaluated row-wise: ``rho.batch(values, grid)`` maps an
-(n, dim) matrix of element values sharing one grid to the n seminorm values,
-so a sup over thousands of samples is one array pass.  ``rho(t)`` on a single
-element is the one-row batch.  A custom seminorm subclasses ``Seminorm`` and
-implements ``batch`` and ``label``.
+Every seminorm is evaluated row-wise: ``rho(values, grid)`` maps an (n, dim)
+matrix of values sharing one grid to the n seminorm values, so a sup over
+thousands of samples is one array pass, and one value v is the one-row
+matrix, ``rho(v[None], grid)[0]``.  A custom seminorm subclasses ``Seminorm``
+and implements ``__call__`` and ``label``.
 """
 
 from __future__ import annotations
@@ -142,35 +142,11 @@ def _unwritable(a) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class TargetElement:
-    """A point of the discretized target space: values plus optional grid.
-
-    Elements with a grid are samples of a function on that grid; elements
-    without one are plain coefficient vectors (sequence/matrix targets).
-    """
-
-    values: np.ndarray
-    grid: GridMeta | None = None
-
-    def __post_init__(self):
-        v = _as_array(self.values, "values", 1)
-        if self.grid is not None and v.shape[0] != self.grid.n:
-            raise ShapeError(
-                f"value count {v.shape[0]} does not match grid node count {self.grid.n}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class TargetBatch:
-    """n target elements sharing one grid, held as one read-only (n, dim) matrix.
+    """n target values sharing one grid, held as one read-only (n, dim) matrix.
 
-    Indexing with an integer gives that row as a TargetElement; slicing gives
-    a TargetBatch over a view of the same matrix.
+    A slice is a TargetBatch over a view of the same matrix; value i is the
+    row values[i].
     """
 
     values: np.ndarray
@@ -192,12 +168,10 @@ class TargetBatch:
         return self.values.shape[0]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TargetBatch(self.values[i], self.grid)
-        return TargetElement(self.values[i], self.grid)
-
-    def __iter__(self):
-        return (TargetElement(row, self.grid) for row in self.values)
+        if not isinstance(i, slice):
+            raise TypeError(f"a TargetBatch takes slices only; value {i!r} is the row "
+                            f"batch.values[{i!r}]")
+        return TargetBatch(self.values[i], self.grid)
 
 
 def _difference_at_nodes(values: np.ndarray, grid: GridMeta | None, order: int) -> np.ndarray:
@@ -224,29 +198,21 @@ def _difference_at_nodes(values: np.ndarray, grid: GridMeta | None, order: int) 
 
 def _require_rows(values: np.ndarray, grid: GridMeta | None):
     if values.ndim != 2:
-        raise ShapeError(f"batch values must be a 2-d (rows, dim) array, got shape {values.shape}")
+        raise ShapeError(f"values must be a 2-d (rows, dim) array, got shape {values.shape}")
     if grid is not None and values.shape[1] != grid.n:
-        raise ShapeError(
-            f"batch rows have {values.shape[1]} values, grid has {grid.n} nodes"
-        )
+        raise ShapeError(f"rows have {values.shape[1]} values, grid has {grid.n} nodes")
 
 
 class Seminorm:
-    """Base class for evaluable continuous seminorms on target elements.
+    """Base class for evaluable continuous seminorms on target values.
 
-    batch(values, grid) is the one implementation: it takes an (n, dim)
-    matrix whose rows are element values sharing the grid metadata and
-    returns the n seminorm values.  Calling a seminorm on one element
-    evaluates it as a one-row batch, so a custom seminorm implements batch
-    (and label) only.  The shipped seminorms restate that __call__ in their
-    own class bodies because benchmarks/tracer.py counts scalar calls by
-    wrapping only attributes a class defines itself.
+    rho(values, grid) takes an (n, dim) matrix whose rows are values sharing
+    the grid metadata and returns the n seminorm values; a subclass
+    implements it and label.  Each shipped seminorm defines __call__ in its
+    own class body, where benchmarks/tracer.py wraps it to count passes.
     """
 
-    def __call__(self, t: TargetElement) -> float:
-        return float(self.batch(t.values[None, :], t.grid)[0])
-
-    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def label(self) -> str:
@@ -262,19 +228,16 @@ def _number_label(x: float) -> str:
 
 @dataclass(frozen=True)
 class LqNorm(Seminorm):
-    """Discrete Lq norm: trapezoid-weighted on grid elements, plain lq else."""
+    """Discrete Lq norm: trapezoid-weighted on grid values, plain lq else."""
 
     q: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "q", _as_float(self.q, "q", 1, subject="Lq norm q"))
 
-    def __call__(self, t: TargetElement) -> float:
-        return float(self.batch(t.values[None, :], t.grid)[0])
-
-    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
         _require_rows(values, grid)
-        # in place: the batch may be thousands of rows
+        # in place: values may be thousands of rows
         a = np.abs(values)
         a **= self.q
         if grid is not None:
@@ -295,10 +258,7 @@ class SupDerivative(Seminorm):
         object.__setattr__(self, "order", _as_int(self.order, "order", 0,
                                                   subject="derivative order"))
 
-    def __call__(self, t: TargetElement) -> float:
-        return float(self.batch(t.values[None, :], t.grid)[0])
-
-    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
         _require_rows(values, grid)
         return np.max(np.abs(_difference_at_nodes(values, grid, self.order)), axis=1)
 
@@ -324,10 +284,7 @@ class SchwartzWeighted(Seminorm):
         object.__setattr__(self, "radius", _as_float(self.radius, "radius", above=0,
                                                      subject="truncation radius"))
 
-    def __call__(self, t: TargetElement) -> float:
-        return float(self.batch(t.values[None, :], t.grid)[0])
-
-    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
         if grid is None:
             raise ShapeError("Schwartz seminorm needs grid metadata")
         _require_rows(values, grid)
@@ -346,7 +303,7 @@ class SchwartzWeighted(Seminorm):
 class DualPairing(Seminorm):
     """Absolute pairing |<t', t>| against a fixed test vector t'.
 
-    On grid elements the pairing is trapezoid-weighted; on plain coefficient
+    On grid values the pairing is trapezoid-weighted; on plain coefficient
     vectors it is the ordinary dot product.
     """
 
@@ -362,17 +319,14 @@ class DualPairing(Seminorm):
             raise ConfigError(f"must be a nonempty string, got {self.name!r}", "name")
         object.__setattr__(self, "test", v)
 
-    def __call__(self, t: TargetElement) -> float:
-        return float(self.batch(t.values[None, :], t.grid)[0])
-
-    def batch(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
         _require_rows(values, grid)
         if grid != self.grid or values.shape[1] != self.test.shape[0]:
-            raise ShapeError("element is incompatible with the dual pairing's test vector")
+            raise ShapeError("values are incompatible with the dual pairing's test vector")
         if self.grid is not None:
             return np.abs(np.sum(self.grid.trapezoid_weights() * self.test * values, axis=1))
         # a row-wise sum, not a matrix product, so a row's value does not
-        # depend on the other rows of the batch
+        # depend on the other rows
         return np.abs(np.sum(self.test * values, axis=1))
 
     def label(self) -> str:

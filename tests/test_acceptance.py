@@ -25,7 +25,6 @@ from shallowop import (
     SchwartzWeighted,
     SeminormFamily,
     SupDerivative,
-    TargetElement,
     assemble_vector_network,
     build_epsilon_net,
     build_partition,
@@ -92,20 +91,20 @@ def test_criterion_01_finite_rank_suite():
     for name, values in cases:
         for eps in EPSILONS:
             net = build_epsilon_net(values, rho, eps)
-            pou = build_partition(net, rho)
+            weights = build_partition(net, rho)
             # partition invariants: nonnegative, rows sum to one, support
             # strictly inside the epsilon balls, centers pairwise separated
-            assert np.all(pou.weights >= 0.0)
-            np.testing.assert_allclose(pou.weights.sum(axis=1), 1.0, rtol=1e-12)
-            assert np.all(pou.distances[pou.weights > 0.0] < eps)
+            assert np.all(weights >= 0.0)
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-12)
+            assert np.all(net.distances[weights > 0.0] < eps)
             for a in range(len(net)):
                 for b in range(a + 1, len(net)):
                     gap = net.centers.values[a] - net.centers.values[b]
-                    assert rho(TargetElement(gap, net.centers.grid)) >= eps
+                    assert rho(gap[None], net.centers.grid)[0] >= eps
             # the finite-rank map: row i is sum_j psi_j(s_i) v_j
-            finite_rank = pou.weights @ net.centers.values
+            finite_rank = weights @ net.centers.values
             err = max(
-                rho(TargetElement(values.values[i] - finite_rank[i], values.grid))
+                rho((values.values[i] - finite_rank[i])[None], values.grid)[0]
                 for i in range(len(values))
             )
             assert err < eps * (1.0 + 1e-9), f"{name} at eps={eps}: {err}"
@@ -184,16 +183,19 @@ def test_criterion_06_seminorm_axiom_trials():
             rho = SchwartzWeighted(2, 1, radius=6.0)
         else:
             rho = DualPairing(rng.standard_normal(dim), grid)
-        t = TargetElement(rng.standard_normal(dim) * 3.0, grid)
-        u = TargetElement(rng.standard_normal(dim) * 3.0, grid)
+        t = rng.standard_normal(dim) * 3.0
+        u = rng.standard_normal(dim) * 3.0
         lam = float(rng.uniform(-3.0, 3.0))
 
-        rho_t, rho_u = rho(t), rho(u)
-        hom = rho(TargetElement(lam * t.values, grid))
+        def one(v):
+            return rho(v[None], grid)[0]
+
+        rho_t, rho_u = one(t), one(u)
+        hom = one(lam * t)
         assert abs(hom - abs(lam) * rho_t) <= 1e-9 * max(1.0, abs(lam) * rho_t)
-        tri = rho(TargetElement(t.values + u.values, grid))
+        tri = one(t + u)
         assert tri <= (rho_t + rho_u) * (1.0 + 1e-9)
-        assert rho_t >= 0.0 and rho(TargetElement(np.zeros(dim), grid)) == 0.0
+        assert rho_t >= 0.0 and one(np.zeros(dim)) == 0.0
         trials += 1
     assert trials == 1000
     report_line(6, "1000 homogeneity + triangle trials at 1e-9")
@@ -204,13 +206,13 @@ def test_criterion_07_operator_oracles():
 
     # -u'' = 1, u(0) = u(1) = 0 has u = x(1-x)/2; the second-difference
     # scheme reproduces quadratics exactly
-    u = poisson_operator(GRID).apply_many([FunctionSample(np.ones(GRID.n), GRID)])[0]
-    np.testing.assert_allclose(u.values, x * (1.0 - x) / 2.0, rtol=0, atol=1e-12)
+    u = poisson_operator(GRID).apply_many([FunctionSample(np.ones(GRID.n), GRID)])
+    np.testing.assert_allclose(u.values[0], x * (1.0 - x) / 2.0, rtol=0, atol=1e-12)
 
     def poisson_sin_err(grid):
         xs = grid.nodes()
-        u = poisson_operator(grid).apply_many([FunctionSample(np.sin(np.pi * xs), grid)])[0]
-        return float(np.max(np.abs(u.values - np.sin(np.pi * xs) / np.pi**2)))
+        u = poisson_operator(grid).apply_many([FunctionSample(np.sin(np.pi * xs), grid)])
+        return float(np.max(np.abs(u.values[0] - np.sin(np.pi * xs) / np.pi**2)))
 
     e_p1 = poisson_sin_err(GRID)
     e_p2 = poisson_sin_err(GridMeta(0.0, 1.0, 201))

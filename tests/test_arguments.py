@@ -31,10 +31,12 @@ from shallowop.targets import (
     SchwartzWeighted,
     SupDerivative,
     TargetBatch,
-    TargetElement,
 )
 
 SPEC = FunctionalSpec(("sequence", 3))
+NETWORK = {"weights": [[1.0, 0.5]], "thresholds": [0.0], "coefficients": [1.0],
+           "centers": [[1.0, 2.0]], "widths": [1], "activation": Tanh(),
+           "input_signature": ("sequence", 3), "basis": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]}
 
 #: each constructor, the keyword arguments of one it accepts, and its numeric
 #: arguments: (argument, index of the entry within it or None, integer?)
@@ -135,11 +137,20 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
     (DualPairing, {"test": [1.0], "name": ""}, "name"),
     (matrix_map_operator, {"map_id": "row_sums", "shape": (2, 2), "out_dim": 2}, "out_dim"),
     (matrix_map_operator, {"map_id": "det", "shape": (2, 2)}, "map_id"),
+    (EnsembleSpec, {"family": "sequence_box", "count": 3, "radii": (1.0,),
+                    "grid": GridMeta(0, 1, 5)}, "grid"),
+    (EnsembleSpec, {"family": "matrix_ball", "count": 3, "shape": (2, 2), "radius": 1.0,
+                    "grid": GridMeta(0, 1, 5)}, "grid"),
+    (EnsembleSpec, {"family": "band_limited", "count": 3, "radii": (1.0,)}, "grid"),
+    (FitConfig, {"functional_spec": None}, "functional_spec"),
+    (ShallowVectorNetwork, {**NETWORK, "activation": "tanh"}, "activation"),
 ], ids=["theta_triple", "theta_string", "theta_not_increasing", "max_width_below_width",
         "negative_lam", "string_radii", "scalar_radii", "shape_triple", "unknown_family",
         "no_coefficients", "scalar_coefficients", "empty_grid", "one_node", "infinite_spacing",
         "zero_truncation_radius", "zero_kernel_width", "parameter_of_another_kernel",
-        "unknown_kernel", "empty_dual_name", "row_sums_out_dim", "unknown_matrix_map"])
+        "unknown_kernel", "empty_dual_name", "row_sums_out_dim", "unknown_matrix_map",
+        "grid_on_sequence_box", "grid_on_matrix_ball", "band_limited_without_grid",
+        "no_functional_spec", "activation_name"])
 def test_shape_and_range_refused_by_name(make, kwargs, arg):
     with pytest.raises(ConfigError) as info:
         make(**kwargs)
@@ -157,14 +168,11 @@ def test_accepted_numbers_are_normalized():
     assert Polynomial([0, 1]).coefficients == (0.0, 1.0)
 
 
-NETWORK = {"weights": [[1.0, 0.5]], "thresholds": [0.0], "coefficients": [1.0],
-           "centers": [[1.0, 2.0]], "widths": [1], "activation": Tanh(),
-           "input_signature": ("sequence", 3), "basis": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]}
 #: each constructor taking arrays, the keyword arguments of one it accepts,
 #: and its array arguments
 ARRAY_CONSTRUCTORS = {
-    "TargetElement": (TargetElement, {"values": [1.0, 2.0]}, ["values"]),
     "TargetBatch": (TargetBatch, {"values": [[1.0, 2.0], [3.0, 4.0]]}, ["values"]),
+    "TargetBatch-one_row": (TargetBatch, {"values": [[1.0, 2.0]]}, ["values"]),
     "FunctionSample": (FunctionSample, {"values": [0.0, 1.0, 0.5], "grid": GridMeta(0, 1, 3)},
                        ["values"]),
     "SequencePoint": (SequencePoint, {"values": [1.0, 2.0]}, ["values"]),
@@ -245,7 +253,7 @@ def test_array_is_held_unless_something_can_write_it():
     assert batch.values[0, 0] == 3.0
     # a row slice of a batch and a row of it view the batch's matrix
     assert np.shares_memory(batch[1:].values, batch.values)
-    assert np.shares_memory(batch[1].values, batch.values)
+    assert np.shares_memory(batch.values[1], batch.values)
     # integers and Fortran order are copied to C-ordered float64
     for values in (np.arange(6).reshape(2, 3), np.asfortranarray(whole)):
         held = TargetBatch(values).values

@@ -54,6 +54,8 @@ class TestPresets:
 
 
 MATRIX_ENSEMBLE = {"family": "matrix_ball", "count": 30, "shape": [2, 2], "radius": 1.0}
+#: overrides that make quick_config a matrix config, which takes no grid
+MATRIX_CONFIG = {"grid": None, "ensemble": MATRIX_ENSEMBLE}
 BAND_ENSEMBLE = {"family": "band_limited", "count": 30, "radii": [1.0, 0.5]}
 TWO_SEMINORMS = [{"kind": "lq", "q": 2.0}, {"kind": "sup_derivative", "order": 0}]
 
@@ -181,10 +183,10 @@ class TestCliRun:
         ({"fit": {"functional_scale": "1.0"}}, "fit.functional_scale"),
         ({"seminorms": [{"kind": "lq", "q": "2"}]}, "seminorms[0].q"),
         ({"seminorms": [{"kind": "schwartz", "radius": "8"}]}, "seminorms[0].radius"),
-        ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace(0)}, "operator.out_dim"),
-        ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace("two")}, "operator.out_dim"),
-        ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace(2.5)}, "operator.out_dim"),
-        ({"ensemble": MATRIX_ENSEMBLE, "operator": {"kind": "zero", "out_dim": -1}},
+        ({**MATRIX_CONFIG, "operator": sin_trace(0)}, "operator.out_dim"),
+        ({**MATRIX_CONFIG, "operator": sin_trace("two")}, "operator.out_dim"),
+        ({**MATRIX_CONFIG, "operator": sin_trace(2.5)}, "operator.out_dim"),
+        ({**MATRIX_CONFIG, "operator": {"kind": "zero", "out_dim": -1}},
          "operator.out_dim"),
         ({"seminorms": [{"kind": "schwartz", "alpha": -1}]}, "seminorms[0].alpha"),
         ({"seminorms": [{"kind": "schwartz", "alpha": "x"}]}, "seminorms[0].alpha"),
@@ -196,10 +198,10 @@ class TestCliRun:
         ({"ensemble": {**BAND_ENSEMBLE, "radii": "abc"}}, "ensemble.radii"),
         ({"ensemble": {**BAND_ENSEMBLE, "radii": [1, "x"]}}, "ensemble.radii"),
         ({"ensemble": {**BAND_ENSEMBLE, "radii": 5}}, "ensemble.radii"),
-        ({"ensemble": {**MATRIX_ENSEMBLE, "shape": "ab"}, "operator": sin_trace(3)},
-         "ensemble.shape"),
-        ({"ensemble": {**MATRIX_ENSEMBLE, "radius": "1"}, "operator": sin_trace(3)},
-         "ensemble.radius"),
+        ({**MATRIX_CONFIG, "ensemble": {**MATRIX_ENSEMBLE, "shape": "ab"},
+          "operator": sin_trace(3)}, "ensemble.shape"),
+        ({**MATRIX_CONFIG, "ensemble": {**MATRIX_ENSEMBLE, "radius": "1"},
+          "operator": sin_trace(3)}, "ensemble.radius"),
         ({"fit": {"theta_range": ["a", "b"]}}, "fit.theta_range"),
         ({"duals": [{"values": ["a"]}]}, "duals[0].values"),
         ({"ensemble": {**BAND_ENSEMBLE, "count": 2.5}}, "ensemble.count"),
@@ -241,6 +243,9 @@ class TestCliRun:
         ({"operator": {"kind": "integral", "kernel": {"name": "gaussian", "value": 1.0}}},
          "operator.kernel.value"),
         ({"grid": {"a": 0.0, "b": 1.0, "n": 2}}, "grid.n"),
+        ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace(3)}, "'grid'"),
+        ({"ensemble": {"family": "sequence_box", "count": 30, "radii": [1.0, 0.5]},
+          "operator": {"kind": "superposition", "map": "sin"}}, "'grid'"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
             "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha",
@@ -254,7 +259,8 @@ class TestCliRun:
             "repeated_schwartz_label", "repeated_dual_name", "string_nan_kernel_width",
             "string_kernel_width", "bool_kernel_width", "nan_kernel_width",
             "string_kernel_value", "bool_kernel_value", "unnamed_kernel",
-            "kernel_param_of_another_kernel", "poisson_grid_without_interior"])
+            "kernel_param_of_another_kernel", "poisson_grid_without_interior",
+            "grid_on_matrix_ball", "grid_on_sequence_box"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):

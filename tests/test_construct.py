@@ -39,25 +39,24 @@ from shallowop.targets import (
     SeminormFamily,
     SupDerivative,
     TargetBatch,
-    TargetElement,
 )
 
-ABS = LqNorm(1.0)  # on 1-entry elements this is plain absolute value
+ABS = LqNorm(1.0)  # on 1-entry values this is plain absolute value
 
 
 def scalar_batch(*xs):
-    """The 1-entry elements xs as one (len(xs), 1) batch."""
+    """The 1-entry values xs as one (len(xs), 1) batch."""
     return TargetBatch(np.array(xs, dtype=float)[:, None])
 
 
 def batch_of(rows, grid=None):
-    """The value rows, one element each, as one batch."""
+    """The value rows as one batch."""
     return TargetBatch(np.array(rows, dtype=float), grid)
 
 
-def gap(rho, t, c):
-    """rho(t - c) for two elements on t's grid."""
-    return rho(TargetElement(t.values - c.values, t.grid))
+def gap(rho, t, c, grid=None):
+    """rho(t - c) for two value rows on grid, as a one-row matrix."""
+    return rho((t - c)[None], grid)[0]
 
 
 def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
@@ -71,10 +70,10 @@ def fn_spec(grid):
 
 
 def reference_net_indices(values, rho, epsilon):
-    """The greedy net, one scalar seminorm call per (value, center) pair."""
+    """The greedy net, one one-row seminorm call per (value, center) pair."""
     centers, indices = [], []
-    for i, t in enumerate(values):
-        if all(gap(rho, t, c) >= epsilon for c in centers):
+    for i, t in enumerate(values.values):
+        if all(gap(rho, t, c, values.grid) >= epsilon for c in centers):
             centers.append(t)
             indices.append(i)
     return tuple(indices)
@@ -84,15 +83,15 @@ class TestEpsilonNet:
     def test_single_value(self):
         net = build_epsilon_net(scalar_batch(7.0), ABS, 0.5)
         assert len(net) == 1
-        np.testing.assert_array_equal(net.centers[0].values, [7.0])
+        np.testing.assert_array_equal(net.centers.values[0], [7.0])
 
     def test_three_point_line(self):
         values = scalar_batch(0.0, 1.0, 2.0)
         net = build_epsilon_net(values, ABS, 1.5)
-        assert [c.values[0] for c in net.centers] == [0.0, 2.0]
+        assert [c[0] for c in net.centers.values] == [0.0, 2.0]
         # brute-force cover check: every value strictly within epsilon
-        for t in values:
-            assert min(gap(ABS, t, c) for c in net.centers) < 1.5
+        for t in values.values:
+            assert min(gap(ABS, t, c) for c in net.centers.values) < 1.5
 
     def test_epsilon_above_diameter(self):
         values = scalar_batch(0.0, 1.0, 2.0)
@@ -111,11 +110,12 @@ class TestEpsilonNet:
         rho = LqNorm(2.0)
         values = batch_of([rng.standard_normal(6) for _ in range(40)])
         net = build_epsilon_net(values, rho, 1.0)
-        for t in values:
-            assert min(gap(rho, t, c) for c in net.centers) < 1.0
+        centers = net.centers.values
+        for t in values.values:
+            assert min(gap(rho, t, c) for c in centers) < 1.0
         for a in range(len(net)):
             for b in range(a + 1, len(net)):
-                assert gap(rho, net.centers[a], net.centers[b]) >= 1.0
+                assert gap(rho, centers[a], centers[b]) >= 1.0
 
     def test_value_at_exactly_epsilon_becomes_a_center(self):
         # |1.0 - 0.0| is exactly epsilon: not strictly covered
@@ -132,7 +132,7 @@ class TestEpsilonNet:
         for rho, eps in ((LqNorm(2.0), 1.0), (SupDerivative(1), 12.0), (LqNorm(1.0), 0.6)):
             net = build_epsilon_net(values, rho, eps)
             assert net.center_indices == reference_net_indices(values, rho, eps)
-            want = np.array([values[i].values for i in net.center_indices])
+            want = np.array([values.values[i] for i in net.center_indices])
             assert net.centers.values.shape == want.shape
             assert net.centers.values.tobytes() == want.tobytes()
 
@@ -159,7 +159,7 @@ class TestEpsilonNet:
                              ids=["lq", "sup_derivative"])
     def test_distances_are_one_pass_per_center(self, rho, eps):
         # the scan's passes over all rows are the net's distances, bit for bit,
-        # and the partition reads that same array
+        # and the partition's weights are the hats of that same array
         rng = np.random.default_rng(390)
         grid = GridMeta(0.0, 1.0, 9)
         values = TargetBatch(rng.standard_normal((2 * SEMINORM_BLOCK_ROWS + 41, 9)), grid)
@@ -170,7 +170,9 @@ class TestEpsilonNet:
         assert net.distances.shape == want.shape
         assert net.distances.tobytes() == want.tobytes()
         assert not net.distances.flags.writeable
-        assert build_partition(net, rho).distances is net.distances
+        hats = np.maximum(0.0, 1.0 - net.distances / eps)
+        weights = build_partition(net, rho)
+        assert weights.tobytes() == (hats / hats.sum(axis=1)[:, None]).tobytes()
 
     @pytest.mark.parametrize("trial", range(5))
     def test_halving_epsilon_never_drops_centers(self, trial):
@@ -185,20 +187,17 @@ class TestPartition:
     def test_single_center_is_all_ones(self):
         values = scalar_batch(0.0, 0.3, -0.2)
         net = build_epsilon_net(values, ABS, 5.0)
-        pou = build_partition(net, ABS)
-        np.testing.assert_array_equal(pou.weights, np.ones((3, 1)))
+        np.testing.assert_array_equal(build_partition(net, ABS), np.ones((3, 1)))
 
     # hand-built nets carry the distance rows of their samples: here sample
     # 0.0, 1.0 or (0.5, 9.0) against centers 0.0 and 2.0, or 0.0 alone
     def test_support_condition_gives_unit_weight(self):
         net = EpsilonNet(scalar_batch(0.0, 2.0), 1.5, (0, 1), np.array([[0.0, 2.0]]))
-        pou = build_partition(net, ABS)
-        np.testing.assert_array_equal(pou.weights, [[1.0, 0.0]])
+        np.testing.assert_array_equal(build_partition(net, ABS), [[1.0, 0.0]])
 
     def test_equidistant_sample_splits_evenly(self):
         net = EpsilonNet(scalar_batch(0.0, 2.0), 2.0, (0, 1), np.array([[1.0, 1.0]]))
-        pou = build_partition(net, ABS)
-        np.testing.assert_array_equal(pou.weights, [[0.5, 0.5]])
+        np.testing.assert_array_equal(build_partition(net, ABS), [[0.5, 0.5]])
 
     def test_uncovered_sample_diagnosed_by_index(self):
         net = EpsilonNet(scalar_batch(0.0), 1.0, (0,), np.array([[0.5], [9.0]]))
@@ -211,68 +210,64 @@ class TestPartition:
         rho = LqNorm(2.0)
         values = batch_of([rng.standard_normal(5) for _ in range(30)])
         net = build_epsilon_net(values, rho, 1.2)
-        pou = build_partition(net, rho)
-        assert np.all(pou.weights >= 0.0)
-        np.testing.assert_allclose(pou.weights.sum(axis=1), 1.0, atol=1e-12)
-        support = pou.weights > 0.0
-        assert np.all(pou.distances[support] < 1.2)
+        weights = build_partition(net, rho)
+        assert weights.shape == (30, len(net))
+        assert np.all(weights >= 0.0)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+        support = weights > 0.0
+        assert np.all(net.distances[support] < 1.2)
 
     def test_distances_match_scalar_calls(self):
         rng = np.random.default_rng(350)
         rho = LqNorm(2.0)
         values = batch_of([rng.standard_normal(3) for _ in range(2 * SEMINORM_BLOCK_ROWS + 41)])
         net = build_epsilon_net(values, rho, 2.0)
-        pou = build_partition(net, rho)
-        want = [[gap(rho, t, c) for c in net.centers] for t in values]
-        np.testing.assert_allclose(pou.distances, want, rtol=1e-12, atol=0)
+        want = [[gap(rho, t, c) for c in net.centers.values] for t in values.values]
+        np.testing.assert_allclose(net.distances, want, rtol=1e-12, atol=0)
 
 
-def finite_rank(pou, net):
+def finite_rank(weights, net):
     """The finite-rank map on every sample: row i is sum_j psi_j(s_i) v_j."""
-    return TargetBatch(pou.weights @ net.centers.values, net.centers.grid)
+    return weights @ net.centers.values
 
 
-def overrun_partition(real):
-    """build_partition, but with every distance at 1.5 times the net's
-    epsilon, so the weighted distances reach the stage-1 budget."""
-    def build(net, rho):
-        pou = real(net, rho)
-        return replace(pou, distances=np.full_like(pou.distances, 1.5 * net.epsilon))
-    return build
+def overrun_partition(net, rho):
+    """Weights that put each sample's whole mass on its farthest center.
+
+    With two or more centers, a center's farthest center is at least the
+    net's epsilon away, so the weighted distances reach the stage-1 budget.
+    """
+    return np.eye(len(net))[np.argmax(net.distances, axis=1)]
 
 
 class TestFiniteRank:
     def test_single_center_reproduced_exactly(self):
         values = scalar_batch(3.0, 3.2)
         net = build_epsilon_net(values, ABS, 1.0)
-        pou = build_partition(net, ABS)
-        out = finite_rank(pou, net)[1]
-        np.testing.assert_array_equal(out.values, [3.0])
+        out = finite_rank(build_partition(net, ABS), net)[1]
+        np.testing.assert_array_equal(out, [3.0])
 
     def test_constant_operator_exact(self):
         values = scalar_batch(*[5.0] * 4)
         net = build_epsilon_net(values, ABS, 0.7)
         assert len(net) == 1
-        pou = build_partition(net, ABS)
-        out = finite_rank(pou, net)
+        out = finite_rank(build_partition(net, ABS), net)
         for i in range(4):
-            assert gap(ABS, out[i], values[i]) == 0.0
+            assert gap(ABS, out[i], values.values[i]) == 0.0
 
     def test_convexity_bound_survives_stripped_asserts(self, monkeypatch):
         # assembly's stage-1 check: the largest sum_j psi_j d_ij must stay
-        # below epsilon/2
+        # below epsilon/2; the constant values 0..4 are five centers
         grid = GridMeta(0.0, 1.0, 101)
         ens = band_ensemble(5, grid, seed=1)
-        values = TargetBatch(np.full((5, 101), 2.0), grid)
+        values = TargetBatch(np.repeat(np.arange(5.0)[:, None], 101, axis=1), grid)
         cfg = FitConfig(functional_spec=fn_spec(grid), width=4, seed=0)
-        monkeypatch.setattr(construct, "build_partition",
-                            overrun_partition(construct.build_partition))
+        monkeypatch.setattr(construct, "build_partition", overrun_partition)
         with pytest.raises(BudgetError, match="stage-1 error .* reached its budget 0.05"):
             assemble_vector_network(values, ens, SeminormFamily((LqNorm(2.0),)), 0, 0.1, cfg)
 
     def test_convexity_bound_raises_under_python_O(self):
         code = (
-            "from dataclasses import replace\n"
             "import numpy as np\n"
             "from shallowop import construct\n"
             "from shallowop.construct import FitConfig, assemble_vector_network\n"
@@ -282,12 +277,10 @@ class TestFiniteRank:
             "grid = GridMeta(0.0, 1.0, 101)\n"
             "spec = EnsembleSpec('band_limited', 5, radii=(1.0,), grid=grid)\n"
             "ens = sample_ensemble(spec, 1)\n"
-            "values = TargetBatch(np.full((5, 101), 2.0), grid)\n"
+            "values = TargetBatch(np.repeat(np.arange(5.0)[:, None], 101, axis=1), grid)\n"
             "cfg = FitConfig(functional_spec=FunctionalSpec(('function', grid)), width=4)\n"
-            "real = construct.build_partition\n"
             "def overrun(net, rho):\n"
-            "    pou = real(net, rho)\n"
-            "    return replace(pou, distances=np.full_like(pou.distances, 1.5 * net.epsilon))\n"
+            "    return np.eye(len(net))[np.argmax(net.distances, axis=1)]\n"
             "construct.build_partition = overrun\n"
             "try:\n"
             "    family = SeminormFamily((LqNorm(2.0),))\n"
@@ -311,11 +304,11 @@ class TestFiniteRank:
         rho = LqNorm(2.0)
         eps = 0.05
         net = build_epsilon_net(values, rho, eps)
-        pou = build_partition(net, rho)
-        out = finite_rank(pou, net)
-        for i, t in enumerate(values):
-            err = gap(rho, t, out[i])
-            bound = float(np.dot(pou.weights[i], pou.distances[i]))
+        weights = build_partition(net, rho)
+        out = finite_rank(weights, net)
+        for i, t in enumerate(values.values):
+            err = gap(rho, t, out[i], grid)
+            bound = float(np.dot(weights[i], net.distances[i]))
             assert err <= bound + 1e-9 * eps
             assert bound < eps * (1.0 + 1e-9)
             assert err < eps
@@ -776,9 +769,9 @@ class TestAssemble:
         # block j of the network is fit_columns on partition column j alone
         rho = LqNorm(2.0)
         net1 = build_epsilon_net(values, rho, 0.025)
-        psi = build_partition(net1, rho).weights
+        psi = build_partition(net1, rho)
         start = 0
-        for j, center in enumerate(net1.centers):
+        for j, center in enumerate(net1.centers.values):
             (P, thetas, coeffs, err), = fit_columns(ens.flats, psi[:, j:j + 1], cfg,
                                                     [derive_seed(cfg.seed, j)], report.delta)
             rows = slice(start, start + len(thetas))
@@ -786,7 +779,7 @@ class TestAssemble:
             np.testing.assert_array_equal(net.weights[rows], P)
             np.testing.assert_array_equal(net.thresholds[rows], thetas)
             np.testing.assert_array_equal(net.coefficients[rows], coeffs)
-            np.testing.assert_array_equal(net.centers[j], center.values)
+            np.testing.assert_array_equal(net.centers[j], center)
             assert net.widths[j] == len(thetas)
             assert err == report.coefficient_errors[j]
         assert start == net.width
@@ -924,12 +917,13 @@ class TestUniformError:
 
     def test_empty_net_against_constant(self):
         ens = band_ensemble(10, self.GRID, seed=8)
-        v = TargetElement(np.full(31, 3.0), self.GRID)
+        v = np.full((1, 31), 3.0)
         values = TargetBatch(np.full((10, 31), 3.0), self.GRID)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         fam = SeminormFamily((LqNorm(2.0), LqNorm(1.0)))
         got = uniform_error(values, net, ens, fam)
-        np.testing.assert_allclose(got, [LqNorm(2.0)(v), LqNorm(1.0)(v)], rtol=1e-12)
+        want = [LqNorm(2.0)(v, self.GRID)[0], LqNorm(1.0)(v, self.GRID)[0]]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_dual_errors(self):
         ens = band_ensemble(10, self.GRID, seed=9)
@@ -953,8 +947,8 @@ class TestUniformError:
                                    Tanh(), ens.signature, self.GRID)
         fam = SeminormFamily((LqNorm(2.0), SupDerivative(1),
                               DualPairing(rng.standard_normal(31), self.GRID)))
-        want = [max(rho(TargetElement(t.values - net.evaluate_many([s])[0], t.grid))
-                    for t, s in zip(values, ens)) for rho in fam]
+        want = [max(gap(rho, t, net.evaluate_many([s])[0], self.GRID)
+                    for t, s in zip(values.values, ens)) for rho in fam]
         np.testing.assert_allclose(uniform_error(values, net, ens, fam), want,
                                    rtol=1e-12, atol=0)
 

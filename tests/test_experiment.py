@@ -124,7 +124,7 @@ class TestConfigParsing:
 
     def test_operator_ensemble_mismatch(self):
         bad = small_dict(
-            ensemble={"family": "sequence_box", "count": 10, "radii": [1.0, 0.5]}
+            grid=None, ensemble={"family": "sequence_box", "count": 10, "radii": [1.0, 0.5]}
         )
         with pytest.raises(ConfigError, match="function ensemble"):
             ExperimentConfig.from_dict(bad)
@@ -171,9 +171,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides", [
         {"operator": {"kind": "zero", "out_dim": 3}},
         {"operator": {"kind": "zero", "out_dim": "x"}},
-        {"operator": {"kind": "zero", "out_dim": 3},
+        {"operator": {"kind": "zero", "out_dim": 3}, "grid": None,
          "ensemble": {"family": "sequence_box", "count": 10, "radii": [1.0, 0.5]}},
-        {"operator": {"kind": "matrix_map", "map": "row_sums", "out_dim": 2},
+        {"operator": {"kind": "matrix_map", "map": "row_sums", "out_dim": 2}, "grid": None,
          "ensemble": {"family": "matrix_ball", "count": 10, "shape": [2, 2], "radius": 1.0}},
     ], ids=["zero_function", "zero_function_string", "zero_sequence", "row_sums"])
     def test_out_dim_refused_where_it_sets_nothing(self, overrides):

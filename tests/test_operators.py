@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
@@ -20,7 +22,7 @@ from shallowop.operators import (
     zero_operator,
 )
 from shallowop.seeding import derive_seed
-from shallowop.targets import GridMeta, TargetBatch, TargetElement
+from shallowop.targets import GridMeta, TargetBatch
 
 EXP_NEG_1 = 0.36787944117144233
 
@@ -41,14 +43,14 @@ class TestIntegralOperator:
     def test_zero_kernel(self):
         g = GridMeta(0.0, 1.0, 31)
         out = integral_operator(make_kernel("constant", value=0.0), g).apply_many(
-            [fn_sample(np.sin, g)])[0]
-        np.testing.assert_array_equal(out.values, np.zeros(31))
+            [fn_sample(np.sin, g)])
+        np.testing.assert_array_equal(out.values[0], np.zeros(31))
 
     def test_unit_kernel_integrates_constants(self):
         g = GridMeta(0.0, 1.0, 31)
         out = integral_operator(make_kernel("constant"), g).apply_many(
-            [fn_sample(np.ones_like, g)])[0]
-        np.testing.assert_allclose(out.values, 1.0, rtol=1e-12)
+            [fn_sample(np.ones_like, g)])
+        np.testing.assert_allclose(out.values[0], 1.0, rtol=1e-12)
 
     def test_gaussian_kernel_against_fine_quadrature(self):
         g = GridMeta(0.0, 1.0, 101)
@@ -92,32 +94,32 @@ class TestIntegralOperator:
 class TestPoisson:
     def test_unit_load_gives_parabola(self):
         g = GridMeta(0.0, 1.0, 101)
-        u = poisson_operator(g).apply_many([fn_sample(np.ones_like, g)])[0]
+        u = poisson_operator(g).apply_many([fn_sample(np.ones_like, g)])
         x = g.nodes()
-        np.testing.assert_allclose(u.values, x * (1.0 - x) / 2.0, atol=1e-13)
-        assert u.values[50] == pytest.approx(0.125, abs=1e-13)
+        np.testing.assert_allclose(u.values[0], x * (1.0 - x) / 2.0, atol=1e-13)
+        assert u.values[0, 50] == pytest.approx(0.125, abs=1e-13)
 
     def test_boundary_values_exactly_zero(self):
         g = GridMeta(0.0, 1.0, 41)
         f = FunctionSample(np.random.default_rng(0).standard_normal(41), g)
-        u = poisson_operator(g).apply_many([f])[0]
-        assert u.values[0] == 0.0
-        assert u.values[-1] == 0.0
+        u = poisson_operator(g).apply_many([f])
+        assert u.values[0, 0] == 0.0
+        assert u.values[0, -1] == 0.0
 
     def test_sine_load_second_order_accurate(self):
         errs = []
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
-            u = poisson_operator(g).apply_many([fn_sample(lambda x: np.sin(np.pi * x), g)])[0]
+            u = poisson_operator(g).apply_many([fn_sample(lambda x: np.sin(np.pi * x), g)])
             exact = np.sin(np.pi * g.nodes()) / np.pi**2
-            errs.append(np.max(np.abs(u.values - exact)))
+            errs.append(np.max(np.abs(u.values[0] - exact)))
         assert errs[0] < 1e-3
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_zero_load(self):
         g = GridMeta(0.0, 1.0, 11)
-        u = poisson_operator(g).apply_many([fn_sample(np.zeros_like, g)])[0]
-        np.testing.assert_array_equal(u.values, np.zeros(11))
+        u = poisson_operator(g).apply_many([fn_sample(np.zeros_like, g)])
+        np.testing.assert_array_equal(u.values[0], np.zeros(11))
 
     @pytest.mark.parametrize("trial", range(5))
     def test_linearity(self, trial):
@@ -169,25 +171,25 @@ class TestSuperposition:
     def test_sin_of_zero(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("sin", ("function", g)).apply_many(
-            [fn_sample(np.zeros_like, g)])[0]
-        np.testing.assert_array_equal(out.values, np.zeros(11))
+            [fn_sample(np.zeros_like, g)])
+        np.testing.assert_array_equal(out.values[0], np.zeros(11))
 
     def test_square_is_exact_nodewise(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("square", ("function", g)).apply_many(
-            [fn_sample(lambda x: x, g)])[0]
-        np.testing.assert_array_equal(out.values, g.nodes() ** 2)
+            [fn_sample(lambda x: x, g)])
+        np.testing.assert_array_equal(out.values[0], g.nodes() ** 2)
 
     def test_exp_minus_constant(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("exp-", ("function", g)).apply_many(
-            [fn_sample(np.ones_like, g)])[0]
-        np.testing.assert_allclose(out.values, EXP_NEG_1, rtol=1e-15)
+            [fn_sample(np.ones_like, g)])
+        np.testing.assert_allclose(out.values[0], EXP_NEG_1, rtol=1e-15)
 
     def test_sequence_input(self):
         out = superposition_operator("sin", ("sequence", 2)).apply_many(
-            [SequencePoint([0.0, np.pi / 2])])[0]
-        np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-15)
+            [SequencePoint([0.0, np.pi / 2])])
+        np.testing.assert_allclose(out.values[0], [0.0, 1.0], atol=1e-15)
         assert out.grid is None
 
     def test_unknown_map(self):
@@ -199,8 +201,8 @@ class TestSuperposition:
 class TestMatrixMaps:
     def test_row_sums(self):
         out = matrix_map_operator("row_sums", (2, 2)).apply_many(
-            [MatrixPoint([[1.0, 2.0], [3.0, 4.0]])])[0]
-        np.testing.assert_array_equal(out.values, [3.0, 7.0])
+            [MatrixPoint([[1.0, 2.0], [3.0, 4.0]])])
+        np.testing.assert_array_equal(out.values[0], [3.0, 7.0])
 
     def test_zero_matrix(self):
         z = MatrixPoint(np.zeros((2, 2)))
@@ -213,8 +215,8 @@ class TestMatrixMaps:
 
     def test_sin_of_trace_at_half_pi(self):
         z = MatrixPoint(np.diag([np.pi / 4, np.pi / 4]))
-        out = matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z])[0]
-        np.testing.assert_allclose(out.values, [1.0, 0.0, 0.0], atol=1e-12)
+        out = matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z])
+        np.testing.assert_allclose(out.values[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_unknown_map(self):
         with pytest.raises(ConfigError):
@@ -235,26 +237,26 @@ class TestOperatorWrappers:
         op = integral_operator(make_kernel("gaussian"), g)
         outs = op.apply_many([fn_sample(np.sin, g), fn_sample(np.cos, g)])
         assert len(outs) == 2
-        assert all(o.grid == g for o in outs)
+        assert outs.grid == g and outs.values.shape == (2, 21)
 
     def test_superposition_operator_variants(self):
         g = GridMeta(0.0, 1.0, 21)
         op = superposition_operator("sin", ("function", g))
         assert op.output_grid == g
         seq_op = superposition_operator("square", ("sequence", 4))
-        out = seq_op.apply_many([SequencePoint([1.0, 2.0, 3.0, 4.0])])[0]
-        np.testing.assert_array_equal(out.values, [1.0, 4.0, 9.0, 16.0])
+        out = seq_op.apply_many([SequencePoint([1.0, 2.0, 3.0, 4.0])])
+        np.testing.assert_array_equal(out.values[0], [1.0, 4.0, 9.0, 16.0])
 
     def test_matrix_operator_row_sums_dim(self):
         op = matrix_map_operator("row_sums", (3, 2))
         assert op.output_dim == 3
-        out = op.apply_many([MatrixPoint(np.ones((3, 2)))])[0]
-        np.testing.assert_array_equal(out.values, [2.0, 2.0, 2.0])
+        out = op.apply_many([MatrixPoint(np.ones((3, 2)))])
+        np.testing.assert_array_equal(out.values[0], [2.0, 2.0, 2.0])
 
     def test_zero_operator(self):
         op = zero_operator(("sequence", 3), 5)
-        out = op.apply_many([SequencePoint([1.0, 2.0, 3.0])])[0]
-        np.testing.assert_array_equal(out.values, np.zeros(5))
+        out = op.apply_many([SequencePoint([1.0, 2.0, 3.0])])
+        np.testing.assert_array_equal(out.values[0], np.zeros(5))
 
 
 BATCH_GRID = GridMeta(0.0, 1.0, 101)
@@ -364,11 +366,12 @@ class TestBatchedOperators:
     def test_one_sample_is_the_one_row_batch(self):
         for family, op in self.operators():
             ens = batch_ensemble(family)
-            got = op.apply_many([ens[5]])[0]
-            assert isinstance(got, TargetElement) and got.grid == op.output_grid
-            np.testing.assert_allclose(got.values, op.apply_many(ens).values[5],
+            one = op.apply_many([ens[5]])
+            assert isinstance(one, TargetBatch) and len(one) == 1
+            assert one.grid == op.output_grid
+            np.testing.assert_allclose(one.values[0], op.apply_many(ens).values[5],
                                        rtol=1e-13, atol=1e-15)
-            assert bytes_equal(got.values, op.apply_many([ens[5]]).values[0])
+            assert bytes_equal(one.values[0], op.apply_many([ens[5]]).values[0])
 
     def test_batch_is_read_only_and_slices_are_views(self):
         ens = batch_ensemble("function")
@@ -380,10 +383,13 @@ class TestBatchedOperators:
         assert isinstance(head, TargetBatch) and len(tail) == 60
         assert np.shares_memory(head.values, batch.values)
         assert np.shares_memory(tail.values, batch.values)
-        elements = list(batch)
-        assert all(type(t) is TargetElement and t.grid == BATCH_GRID for t in elements)
-        assert bytes_equal(elements[-1].values, batch.values[-1])
-        assert bytes_equal(batch[-1].values, batch.values[-1])
+        # value i is the row batch.values[i]; the batch holds no elements
+        with pytest.raises(TypeError, match=re.escape("batch.values[-1]")):
+            batch[-1]
+        with pytest.raises(TypeError):
+            list(batch)
+        assert batch.grid == BATCH_GRID
+        assert np.shares_memory(batch.values[-1], batch.values)
 
     def test_built_in_results_are_held_without_a_copy(self):
         for family, op in self.operators():

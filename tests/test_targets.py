@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,19 @@ from shallowop.targets import (
     SeminormFamily,
     SupDerivative,
     TargetBatch,
-    TargetElement,
 )
 
 GRID = GridMeta(0.0, 1.0, 101)
 
 
-def on_grid(f, grid=GRID):
-    return TargetElement(f(grid.nodes()), grid)
+def seminorm_of(rho, v, grid=None):
+    """rho of the one value v, evaluated as the one-row matrix v[None]."""
+    return rho(np.asarray(v, dtype=float)[None], grid)[0]
+
+
+def on_grid(rho, f, grid=GRID):
+    """rho of f sampled on grid."""
+    return seminorm_of(rho, f(grid.nodes()), grid)
 
 
 class TestGridMeta:
@@ -53,39 +60,48 @@ class TestGridMeta:
         assert g == GridMeta(0.0, 1.0, 11) and type(g.n) is int
 
 
-class TestTargetElement:
+class TestTargetBatch:
     def test_values_are_read_only(self):
-        t = TargetElement(np.ones(4))
+        t = TargetBatch(np.ones((1, 4)))
         with pytest.raises(ValueError):
-            t.values[0] = 2.0
+            t.values[0, 0] = 2.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            TargetElement(np.array([1.0, np.nan]))
+            TargetBatch(np.array([[1.0, np.nan]]))
+
+    def test_takes_slices_only(self):
+        batch = TargetBatch(np.arange(6.0).reshape(3, 2))
+        for i in (1, np.int64(1), -1):
+            with pytest.raises(TypeError, match=re.escape(f"batch.values[{i!r}]")):
+                batch[i]
+        with pytest.raises(TypeError):
+            list(batch)
+        np.testing.assert_array_equal(batch[1:].values, [[2.0, 3.0], [4.0, 5.0]])
 
 
 class TestLqNorm:
     def test_constant_one_has_unit_l2_norm(self):
-        assert LqNorm(2.0)(on_grid(np.ones_like)) == pytest.approx(1.0, rel=1e-12)
+        assert on_grid(LqNorm(2.0), np.ones_like) == pytest.approx(1.0, rel=1e-12)
 
     def test_identity_l2_norm(self):
         # exact value is 1/sqrt(3); trapezoid error at n=101 is ~1e-5
-        got = LqNorm(2.0)(on_grid(lambda x: x))
+        got = on_grid(LqNorm(2.0), lambda x: x)
         assert got == pytest.approx(0.5773502691896258, abs=1e-3)
 
     def test_identity_l1_norm_exact(self):
         # trapezoid integrates piecewise-linear data exactly
-        assert LqNorm(1.0)(on_grid(lambda x: x)) == pytest.approx(0.5, rel=1e-12)
+        assert on_grid(LqNorm(1.0), lambda x: x) == pytest.approx(0.5, rel=1e-12)
 
     def test_plain_vector_is_euclidean(self):
-        assert LqNorm(2.0)(TargetElement(np.array([3.0, 4.0]))) == 5.0
+        assert seminorm_of(LqNorm(2.0), [3.0, 4.0]) == 5.0
 
     def test_grid_refinement_shrinks_error_quadratically(self):
         exact = 1.0 / np.sqrt(7.0)
         errs = []
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
-            errs.append(abs(LqNorm(2.0)(on_grid(lambda x: x**3, g)) - exact))
+            errs.append(abs(on_grid(LqNorm(2.0), lambda x: x**3, g) - exact))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_rejects_q_below_one(self):
@@ -98,26 +114,25 @@ class TestLqNorm:
 
 class TestSupDerivative:
     def test_order_zero_is_sup(self):
-        assert SupDerivative(0)(on_grid(lambda x: x)) == pytest.approx(1.0, rel=1e-12)
+        assert on_grid(SupDerivative(0), lambda x: x) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha,factorial", [(1, 1.0), (2, 2.0), (3, 6.0)])
     def test_monomial_gives_factorial(self, alpha, factorial):
         g = GridMeta(0.0, 1.0, 201)
-        got = SupDerivative(alpha)(on_grid(lambda x: x**alpha, g))
+        got = on_grid(SupDerivative(alpha), lambda x: x**alpha, g)
         assert got == pytest.approx(factorial, abs=1e-6)
 
     def test_annihilates_lower_degree(self):
         g = GridMeta(0.0, 1.0, 201)
-        assert SupDerivative(3)(on_grid(lambda x: x**2, g)) == pytest.approx(0.0, abs=1e-6)
+        assert on_grid(SupDerivative(3), lambda x: x**2, g) == pytest.approx(0.0, abs=1e-6)
 
     def test_needs_grid_metadata(self):
         with pytest.raises(ShapeError):
-            SupDerivative(1)(TargetElement(np.ones(8)))
+            seminorm_of(SupDerivative(1), np.ones(8))
 
     def test_order_exceeding_resolution(self):
-        t = TargetElement(np.ones(3), GridMeta(0.0, 1.0, 3))
         with pytest.raises(ValueError):
-            SupDerivative(4)(t)
+            seminorm_of(SupDerivative(4), np.ones(3), GridMeta(0.0, 1.0, 3))
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -127,22 +142,20 @@ class TestSupDerivative:
 class TestSchwartzWeighted:
     def test_weighted_sup_on_integer_grid(self):
         g = GridMeta(-10.0, 10.0, 21)
-        t = TargetElement(np.ones(21), g)
-        assert SchwartzWeighted(alpha=1, beta=0)(t) == 8.0
+        assert seminorm_of(SchwartzWeighted(alpha=1, beta=0), np.ones(21), g) == 8.0
 
     def test_truncation_radius_masks_tail(self):
         g = GridMeta(-10.0, 10.0, 21)
-        t = on_grid(lambda x: x**2, g)
-        assert SchwartzWeighted(alpha=0, beta=0, radius=8.0)(t) == 64.0
-        assert SchwartzWeighted(alpha=0, beta=0, radius=3.0)(t) == 9.0
+        assert on_grid(SchwartzWeighted(alpha=0, beta=0, radius=8.0), lambda x: x**2, g) == 64.0
+        assert on_grid(SchwartzWeighted(alpha=0, beta=0, radius=3.0), lambda x: x**2, g) == 9.0
 
     def test_empty_truncation_window_is_zero(self):
-        t = TargetElement(np.ones(11), GridMeta(5.0, 6.0, 11))
-        assert SchwartzWeighted(alpha=2, beta=0, radius=2.0)(t) == 0.0
+        rho = SchwartzWeighted(alpha=2, beta=0, radius=2.0)
+        assert seminorm_of(rho, np.ones(11), GridMeta(5.0, 6.0, 11)) == 0.0
 
     def test_needs_grid_metadata(self):
         with pytest.raises(ShapeError):
-            SchwartzWeighted()(TargetElement(np.ones(8)))
+            seminorm_of(SchwartzWeighted(), np.ones(8))
 
     def test_label_names_the_radius(self):
         assert SchwartzWeighted(1, 2, 8.0).label() == "schwartz(a1,b2,r=8)"
@@ -159,26 +172,26 @@ class TestSchwartzWeighted:
 class TestDualPairing:
     def test_pairing_against_constant_integrates(self):
         rho = DualPairing(np.ones(101), GRID)
-        assert rho(on_grid(np.ones_like)) == pytest.approx(1.0, rel=1e-12)
-        assert rho(on_grid(lambda x: x)) == pytest.approx(0.5, rel=1e-12)
+        assert on_grid(rho, np.ones_like) == pytest.approx(1.0, rel=1e-12)
+        assert on_grid(rho, lambda x: x) == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_element_pairs_to_zero(self):
         rho = DualPairing(np.ones(101), GRID)
-        assert rho(TargetElement(np.zeros(101), GRID)) == 0.0
+        assert seminorm_of(rho, np.zeros(101), GRID) == 0.0
 
     def test_absolute_value(self):
         rho = DualPairing(np.ones(101), GRID)
-        t = on_grid(np.ones_like)
-        assert rho(TargetElement(-t.values, t.grid)) == rho(t)
+        t = np.ones(101)
+        assert seminorm_of(rho, -t, GRID) == seminorm_of(rho, t, GRID)
 
     def test_plain_dot_without_grid(self):
         rho = DualPairing(np.array([1.0, 2.0]))
-        assert rho(TargetElement(np.array([3.0, 4.0]))) == 11.0
+        assert seminorm_of(rho, [3.0, 4.0]) == 11.0
 
-    def test_incompatible_element_rejected(self):
+    def test_incompatible_value_rejected(self):
         rho = DualPairing(np.ones(101), GRID)
         with pytest.raises(ShapeError):
-            rho(TargetElement(np.ones(101)))
+            seminorm_of(rho, np.ones(101))
 
 
 class TestSeminormAxioms:
@@ -192,40 +205,45 @@ class TestSeminormAxioms:
         SchwartzWeighted(alpha=1, beta=1, radius=0.9),
     ]
 
-    def random_elements(self, trial):
+    GRID = GridMeta(0.0, 1.0, 64)
+
+    def random_values(self, trial):
         rng = np.random.default_rng(1000 + trial)
-        g = GridMeta(0.0, 1.0, 64)
-        s = TargetElement(rng.standard_normal(64), g)
-        t = TargetElement(rng.standard_normal(64), g)
+        s = rng.standard_normal(64)
+        t = rng.standard_normal(64)
         return s, t, rng
+
+    def rho_of(self, rho, v):
+        return seminorm_of(rho, v, self.GRID)
 
     @pytest.mark.parametrize("trial", range(25))
     def test_triangle_inequality(self, trial):
-        s, t, _ = self.random_elements(trial)
+        s, t, _ = self.random_values(trial)
         for rho in self.FAMILY:
-            assert rho(TargetElement(s.values + t.values, s.grid)) <= rho(s) + rho(t) + 1e-9
+            assert (self.rho_of(rho, s + t)
+                    <= self.rho_of(rho, s) + self.rho_of(rho, t) + 1e-9)
 
     @pytest.mark.parametrize("trial", range(25))
     def test_absolute_homogeneity(self, trial):
-        _, t, rng = self.random_elements(trial)
+        _, t, rng = self.random_values(trial)
         lam = rng.uniform(-3.0, 3.0)
         for rho in self.FAMILY:
-            np.testing.assert_allclose(rho(TargetElement(lam * t.values, t.grid)),
-                                       abs(lam) * rho(t), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(self.rho_of(rho, lam * t),
+                                       abs(lam) * self.rho_of(rho, t), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_power_of_two_scaling_is_exact(self, trial):
-        _, t, rng = self.random_elements(trial)
-        dual = DualPairing(rng.standard_normal(64), t.grid)
+        _, t, rng = self.random_values(trial)
+        dual = DualPairing(rng.standard_normal(64), self.GRID)
         for rho in (SupDerivative(0), SupDerivative(1), dual):
-            assert rho(TargetElement(2.0 * t.values, t.grid)) == 2.0 * rho(t)
+            assert self.rho_of(rho, 2.0 * t) == 2.0 * self.rho_of(rho, t)
 
     @pytest.mark.parametrize("trial", range(25))
     def test_nonnegative_and_zero_at_origin(self, trial):
-        s, _, _ = self.random_elements(trial)
+        s, _, _ = self.random_values(trial)
         for rho in self.FAMILY:
-            assert rho(s) >= 0.0
-            assert rho(TargetElement(np.zeros(s.dim), s.grid)) == 0.0
+            assert self.rho_of(rho, s) >= 0.0
+            assert self.rho_of(rho, np.zeros(s.size)) == 0.0
 
 
 class TestSeminormFamily:
@@ -241,7 +259,7 @@ class TestSeminormFamily:
 
 
 def scalar_reference(rho, v, grid):
-    """The seminorm of one value vector, written out per kind without batch."""
+    """The seminorm of one value vector, written out per kind."""
     if isinstance(rho, LqNorm):
         w = np.ones_like(v) if grid is None else grid.trapezoid_weights()
         return float(np.sum(w * np.abs(v) ** rho.q) ** (1.0 / rho.q))
@@ -260,9 +278,9 @@ def scalar_reference(rho, v, grid):
     return float(np.max(np.abs(x[mask] ** rho.alpha * d[mask]))) if mask.any() else 0.0
 
 
-class TestBatch:
-    """rho.batch on an (n, dim) matrix agrees, row by row, with rho on that
-    row's element and with a per-kind scalar reference."""
+class TestRowwise:
+    """rho on an (n, dim) matrix agrees, row by row, with rho on that row
+    alone and with a per-kind scalar reference."""
 
     GRIDDED = [
         LqNorm(1.0),
@@ -279,9 +297,9 @@ class TestBatch:
 
     @staticmethod
     def check_rows(rho, values, grid):
-        got = rho.batch(values, grid)
+        got = rho(values, grid)
         assert got.shape == (values.shape[0],)
-        called = [rho(TargetElement(row, grid)) for row in values]
+        called = [seminorm_of(rho, row, grid) for row in values]
         np.testing.assert_allclose(got, called, rtol=1e-12, atol=0)
         reference = [scalar_reference(rho, row, grid) for row in values]
         np.testing.assert_allclose(got, reference, rtol=1e-12, atol=0)
@@ -307,7 +325,7 @@ class TestBatch:
         g = GridMeta(1.0, 2.0, 9)
         rho = SchwartzWeighted(alpha=1, beta=1, radius=0.5)
         values = np.random.default_rng(0).standard_normal((4, 9))
-        np.testing.assert_array_equal(rho.batch(values, g), np.zeros(4))
+        np.testing.assert_array_equal(rho(values, g), np.zeros(4))
 
     def test_a_row_does_not_depend_on_the_other_rows(self):
         rng = np.random.default_rng(1)
@@ -316,37 +334,37 @@ class TestBatch:
         test = rng.standard_normal(50)
         for rho, grid in [(LqNorm(2.0), g), (SupDerivative(1), g), (DualPairing(test, g), g),
                           (LqNorm(3.5), None), (DualPairing(test), None)]:
-            whole = rho.batch(values, grid)
-            np.testing.assert_array_equal(whole[120:127], rho.batch(values[120:127], grid))
+            whole = rho(values, grid)
+            np.testing.assert_array_equal(whole[120:127], rho(values[120:127], grid))
 
-    def test_dual_batch_rejects_mismatched_grid_or_length(self):
+    def test_dual_rejects_mismatched_grid_or_length(self):
         dual = DualPairing(np.ones(11), GridMeta(0.0, 1.0, 11))
         with pytest.raises(ShapeError):
-            dual.batch(np.ones((3, 11)), None)
+            dual(np.ones((3, 11)), None)
         with pytest.raises(ShapeError):
-            dual.batch(np.ones((3, 11)), GridMeta(0.0, 2.0, 11))
+            dual(np.ones((3, 11)), GridMeta(0.0, 2.0, 11))
         with pytest.raises(ShapeError):
-            DualPairing(np.ones(11)).batch(np.ones((3, 12)))
+            DualPairing(np.ones(11))(np.ones((3, 12)))
 
-    def test_batch_shape_checked(self):
+    def test_shape_checked(self):
         g = GridMeta(0.0, 1.0, 11)
         for rho in (LqNorm(2.0), SupDerivative(1), SchwartzWeighted()):
             with pytest.raises(ShapeError):
-                rho.batch(np.ones(11), g)
+                rho(np.ones(11), g)
             with pytest.raises(ShapeError):
-                rho.batch(np.ones((2, 10)), g)
+                rho(np.ones((2, 10)), g)
         with pytest.raises(ShapeError):
-            SupDerivative(1).batch(np.ones((2, 11)), None)
+            SupDerivative(1)(np.ones((2, 11)), None)
 
-    def test_custom_seminorm_needs_only_batch(self):
+    def test_custom_seminorm_needs_only_call_and_label(self):
         class MaxAbs(Seminorm):
-            def batch(self, values, grid=None):
+            def __call__(self, values, grid=None):
                 return np.max(np.abs(values), axis=1)
 
             def label(self):
                 return "max_abs"
 
-        assert MaxAbs()(TargetElement(np.array([1.0, -3.0]))) == 3.0
+        assert seminorm_of(MaxAbs(), [1.0, -3.0]) == 3.0
         # a family of it measures the pipeline's uniform error; against the
         # zero network the residuals are the values themselves
         fam = SeminormFamily((MaxAbs(),))
