@@ -72,4 +72,4 @@ from .targets import (
     TargetBatch,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

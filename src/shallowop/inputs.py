@@ -86,6 +86,24 @@ def _checked_shape(shape, arg: str) -> tuple[int, int]:
     return tuple(_as_int(d, arg, 1, subject="matrix shape entry") for d in shape)
 
 
+def _checked_signature(signature, arg: str) -> tuple:
+    """signature as an input signature: ("function", grid) with a GridMeta,
+    ("sequence", length) with an integer length of at least 1, or
+    ("matrix", (rows, cols)) with positive integer sizes, held as a tuple;
+    a ConfigError naming arg otherwise."""
+    kind = signature[0] if isinstance(signature, tuple) and len(signature) == 2 else None
+    if kind == "function":
+        if not isinstance(signature[1], GridMeta):
+            raise ConfigError(f"needs a GridMeta, got {signature[1]!r}", arg,
+                              "function signature")
+        return signature
+    if kind == "sequence":
+        return (kind, _as_int(signature[1], arg, 1, subject="sequence length"))
+    if kind == "matrix":
+        return (kind, _checked_shape(signature[1], arg))
+    raise ConfigError(f"is unknown, got {signature!r}", arg, "input signature")
+
+
 def signature_dim(signature: tuple) -> int:
     kind = signature[0]
     if kind == "function":
@@ -113,7 +131,7 @@ def stack_inputs(samples) -> tuple[np.ndarray, tuple]:
     for s in samples[1:]:
         if s.signature != sig:
             raise ShapeError("samples have mixed signatures")
-    return np.stack([s.flat for s in samples]), sig
+    return np.array([s.flat for s in samples]), sig
 
 
 def _point(signature: tuple, row: np.ndarray) -> FunctionSample | SequencePoint | MatrixPoint:
@@ -143,19 +161,7 @@ class FunctionalSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        sig = self.signature
-        kind = sig[0] if isinstance(sig, tuple) and len(sig) == 2 else None
-        if kind == "function":
-            if not isinstance(sig[1], GridMeta):
-                raise ConfigError(f"needs a GridMeta, got {sig[1]!r}", "signature",
-                                  "function signature")
-        elif kind == "sequence":
-            sig = (kind, _as_int(sig[1], "signature", 1, subject="sequence length"))
-        elif kind == "matrix":
-            sig = (kind, _checked_shape(sig[1], "signature"))
-        else:
-            raise ConfigError(f"is unknown, got {sig!r}", "signature", "input signature")
-        object.__setattr__(self, "signature", sig)
+        object.__setattr__(self, "signature", _checked_signature(self.signature, "signature"))
         object.__setattr__(self, "order", _as_int(self.order, "order", 0,
                                                   subject="trigonometric order"))
         object.__setattr__(self, "scale", _as_float(self.scale, "scale", above=0,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DocumentError, ShapeError, _named
-from .inputs import signature_dim, stack_inputs
+from .inputs import _checked_signature, signature_dim, stack_inputs
 from .targets import GridMeta, _as_array, _as_floats, _as_int
 
 
@@ -143,13 +143,26 @@ def make_activation(spec) -> Activation:
                             f"{exc}") from exc
 
 
-#: bytes of float64 activations per block of input rows in
-#: ShallowVectorNetwork.evaluate_many: a block's temporaries stay in cache
+#: bytes of float64 activations per block of input rows and panel, and of
+#: the block's per-center sums, in ShallowVectorNetwork.evaluate_many: a
+#: product's temporaries stay in cache
 EVAL_BLOCK_BYTES = 1 << 18
-#: fewest row blocks in a share of ShallowVectorNetwork.evaluate_many that
-#: gets a thread of its own: with fewer, starting and joining the thread
-#: costs more than it saves, and evaluation runs on the calling thread
+#: fewest panel products (one row block through one panel) in a share of
+#: ShallowVectorNetwork.evaluate_many that gets a thread of its own: with
+#: fewer, starting and joining the thread costs more than it saves, and
+#: evaluation runs on the calling thread
 EVAL_SHARE_BLOCKS = 16
+#: most neurons in a panel of several neuron blocks in
+#: ShallowVectorNetwork.evaluate_many, unless they are all one neuron wide;
+#: a wider block is a panel of its own
+_PANEL_NEURONS = 128
+#: most multiply-adds in a row block's projection or panel product in
+#: ShallowVectorNetwork.evaluate_many, and in a slice of its product with
+#: the centers where one row is within it.  BLAS libraries run a product
+#: this small on the calling thread (OpenBLAS up to 2^18).  A larger one
+#: wakes BLAS workers, which then spin for a while on the CPUs the
+#: evaluation threads need
+_PRODUCT_MACS = 1 << 18
 
 
 class ShallowVectorNetwork:
@@ -160,11 +173,11 @@ class ShallowVectorNetwork:
     basis (None) means the identity, so that P is L.  The neurons fall into
     len(widths) consecutive blocks, block j holding widths[j] neurons, and
     neuron k of block j has coefficient row v_k = c_k U_j: a scalar
-    coefficient c_k times center row j of U (m, output dim).  Batch
-    evaluation projects the inputs once, S B^T, and then sums the scaled
-    activations eta((S B^T) P^T - theta) * c over each block before one
-    product with U.  A dense network (L, theta, V) is the case with no
-    basis, every width 1, c = 1 and U = V.  The arrays are read-only.
+    coefficient c_k times center row j of U (m, output dim), so that the
+    network is the (n, m) matrix of per-center sums
+    sum_{k in block j} c_k eta(l_k(s) - theta_k) times U.  A dense network
+    (L, theta, V) is the case with no basis, every width 1, c = 1 and
+    U = V.  The arrays are read-only.
     """
 
     def __init__(self, weights, thresholds, coefficients, centers, widths,
@@ -178,7 +191,7 @@ class ShallowVectorNetwork:
         if not isinstance(activation, Activation):
             raise ConfigError(f"must be an Activation, got {activation!r}", "activation")
         self.activation = activation
-        self.input_signature = input_signature
+        self.input_signature = _checked_signature(input_signature, "input_signature")
         self.output_grid = output_grid
         self.output_dim = self.centers.shape[1]
         width = self.thresholds.shape[0]
@@ -191,7 +204,7 @@ class ShallowVectorNetwork:
         if self.widths.shape[0] != self.centers.shape[0]:
             raise ShapeError(f"widths has {self.widths.shape[0]} blocks, centers have "
                              f"{self.centers.shape[0]} rows")
-        dim = signature_dim(input_signature)
+        dim = signature_dim(self.input_signature)
         if self.basis is None:
             if self.weights.shape[1] != dim:
                 raise ShapeError(f"weights have {self.weights.shape[1]} columns, input "
@@ -209,11 +222,11 @@ class ShallowVectorNetwork:
                 f"centers have {self.output_dim} columns, output grid has "
                 f"{output_grid.n} nodes"
             )
-        # first neuron of each block, as np.add.reduceat takes them
-        self._starts = np.cumsum(self.widths) - self.widths
-        # P^T (r, width) in row order: a block's pre-activation product reads
-        # it contiguously, about twice as fast as against the view weights.T
-        self._weights_t = np.ascontiguousarray(self.weights.T)
+        self._panels = _panels(self.weights, self.thresholds, self.coefficients, self.widths)
+        # multiply-adds per input row of the largest product a row block makes
+        # before the centers: the basis projection, or a panel's A or C
+        self._row_macs = max([0 if self.basis is None else self.basis.size]
+                             + [a.size for panel in self._panels for a in panel[:2]])
 
     @classmethod
     def zero(cls, activation: Activation, input_signature: tuple, output_dim: int,
@@ -231,45 +244,68 @@ class ShallowVectorNetwork:
         """(n_samples, output_dim) evaluations.
 
         samples is a CompactEnsemble, whose input matrix is used as it is,
-        or a list of input points.  The inputs are projected on the basis
-        once.  Then, per block of input rows, the scaled activations are
-        summed per neuron block and multiplied by the centers.  A block
-        holds as many rows as keep its (rows, width) activations within
-        EVAL_BLOCK_BYTES, and at least one.  The blocks are split into
-        contiguous shares, one per CPU this process may use, as long as
-        each keeps about EVAL_SHARE_BLOCKS blocks.  The calling thread
-        evaluates the first share and one started thread each of the
-        others, in a copy of the caller's context, so np.errstate holds in
-        them too.  Each block is computed alone, so the outputs do not
-        depend on the number of threads.  An exception raised in any share
-        is raised here once every thread has finished.
+        or a list of input points.  The neuron blocks are grouped into
+        panels (see _panels), each holding its augmented weights
+        A = [P^T; -theta] and block-diagonal coefficients C.  The inputs
+        go in blocks of rows: a row block is projected on the basis with a
+        column of ones appended, X = [S B^T, 1]; each panel's
+        eta(X A) C fills its columns of the block's (rows, m) per-center
+        sums (eta(X A) * c for a panel of one-neuron blocks, whose C is
+        the diagonal of c); and the block's outputs are those sums times
+        U.  A row block holds as many rows as keep the widest panel's
+        activations and the per-center sums within EVAL_BLOCK_BYTES, and
+        its projection and panel products within _PRODUCT_MACS
+        multiply-adds, and at least one.  The product with U is taken in
+        slices of at most _PRODUCT_MACS multiply-adds where one row is
+        within it, else whole.
+
+        The row blocks are split into contiguous shares, one per CPU this
+        process may use, as long as each keeps about EVAL_SHARE_BLOCKS
+        panel products.  The calling thread evaluates the first share and
+        one started thread each of the others, in a copy of the caller's
+        context, so np.errstate holds in them too.  Each block is computed
+        alone, so the outputs do not depend on the number of threads.  An
+        exception raised in any share is raised here once every thread
+        has finished.
         """
         flats, signature = stack_inputs(samples)
         if signature != self.input_signature:
             raise ShapeError(
                 f"network expects input signature {self.input_signature}, got {signature}"
             )
-        if self.basis is not None:
-            flats = flats @ self.basis.T
-        out = np.empty((flats.shape[0], self.output_dim))
-        rows = max(1, EVAL_BLOCK_BYTES // (8 * max(1, self.width)))
-        starts = range(0, flats.shape[0], rows)
+        n, r, m = flats.shape[0], self.weights.shape[1], self.centers.shape[0]
+        out = np.empty((n, self.output_dim))
+        widest = max([m] + [weights.shape[1] for weights, _, _ in self._panels])
+        rows = max(1, min(EVAL_BLOCK_BYTES // (8 * max(1, widest)),
+                          _PRODUCT_MACS // max(1, self._row_macs)))
+        # whole when one row of the product with U is already larger
+        product_rows = _PRODUCT_MACS // max(1, m * self.output_dim) or rows
+        starts = range(0, n, rows)
         errors = []
 
         def evaluate(share):
             try:
                 for start in share:
-                    block = slice(start, start + rows)
-                    pre = flats[block] @ self._weights_t
-                    pre -= self.thresholds
-                    act = self.activation(pre)
-                    act *= self.coefficients
-                    out[block] = np.add.reduceat(act, self._starts, axis=1) @ self.centers
+                    block = flats[start:start + rows]
+                    inputs = np.empty((block.shape[0], r + 1))
+                    inputs[:, :r] = block if self.basis is None else block @ self.basis.T
+                    inputs[:, r] = 1.0
+                    sums = np.empty((block.shape[0], m))
+                    for weights, coefficients, centers in self._panels:
+                        act = self.activation(inputs @ weights)
+                        if coefficients.ndim == 1:  # one-neuron blocks: C is diagonal
+                            np.multiply(act, coefficients, out=sums[:, centers])
+                        else:
+                            sums[:, centers] = act @ coefficients
+                    for first in range(0, block.shape[0], product_rows):
+                        part = slice(first, first + product_rows)
+                        out[start:start + rows][part] = sums[part] @ self.centers
             except BaseException as exc:  # raised once every thread has ended
                 errors.append(exc)
 
-        # shares of per consecutive blocks; the caller evaluates the first
-        shares = max(1, min(_cpu_count(), len(starts) // EVAL_SHARE_BLOCKS))
+        # shares of consecutive row blocks; the caller evaluates the first
+        products = len(starts) * len(self._panels)
+        shares = max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS))
         per = -(-len(starts) // shares)
         started = []
         try:
@@ -285,6 +321,39 @@ class ShallowVectorNetwork:
         if errors:
             raise errors[0]
         return out
+
+
+def _panels(weights, thresholds, coefficients, widths) -> list:
+    """The neurons as panels of consecutive blocks, for evaluate_many.
+
+    A panel is one block, a run of blocks of at most _PANEL_NEURONS neurons
+    together, or a run of one-neuron blocks of any length.  Each is the
+    triple (A, C, centers): the augmented weights A = [P^T; -theta]
+    (r + 1, p) of its p neurons, contiguous, so that [S, 1] A is their
+    pre-activations; the coefficients C, so that eta([S, 1] A) C is the
+    blocks' sums; and the slice of their center rows.  C is block-diagonal
+    (p, blocks), column i holding the coefficients c of the panel's block
+    i, except in a panel of one-neuron blocks, where it is diagonal and
+    held as its diagonal c (p,), which scales the activations elementwise.
+    """
+    bounds = np.concatenate([[0], np.cumsum(widths)]).tolist()
+    panels, first = [], 0
+    for last in range(1, len(widths) + 1):
+        if last < len(widths) and (bounds[last + 1] - bounds[first] <= _PANEL_NEURONS
+                                   or bounds[last + 1] - bounds[first] == last + 1 - first):
+            continue  # the next block still fits, or all are one neuron wide
+        neurons = slice(bounds[first], bounds[last])
+        width = bounds[last] - bounds[first]
+        if width == last - first:
+            diagonal = coefficients[neurons]
+        else:
+            diagonal = np.zeros((width, last - first))
+            diagonal[np.arange(width), np.repeat(np.arange(last - first), widths[first:last])] = (
+                coefficients[neurons])
+        panels.append((np.vstack([weights[neurons].T, -thresholds[neurons]]), diagonal,
+                       slice(first, last)))
+        first = last
+    return panels
 
 
 def _cpu_count() -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shallowop import network
-from shallowop.errors import DocumentError, ShapeError
+from shallowop.errors import ConfigError, DocumentError, ShapeError
 from shallowop.inputs import (
     EnsembleSpec,
     FunctionSample,
@@ -554,6 +554,66 @@ class TestFactored:
         np.testing.assert_array_equal(got, dense_formula(net, flats))
         np.testing.assert_array_equal(got, np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("with_basis", (False, True), ids=("no_basis", "basis"))
+    def test_mixed_widths_match_the_dense_formula(self, with_basis):
+        # blocks of 1, 3, 128 and 300 neurons: several-block panels, a block
+        # that fills a panel alone, and one wider than any several-block panel
+        net, flats = mixed_width_network(np.random.default_rng(27), with_basis)
+        got = net.evaluate_many([SequencePoint(row) for row in flats])
+        want = dense_formula(net, flats)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_spy_activation_gets_at_most_eval_block_bytes(self):
+        # 700 inputs: row blocks of 87 rows, for the 300-neuron panel product
+        net, flats = mixed_width_network(np.random.default_rng(28), False, count=700)
+        sizes = []
+
+        class Spy(Activation):
+            name = "spy"
+
+            def __call__(self, x):
+                sizes.append(x.nbytes)
+                return np.tanh(x)
+
+        spied = ShallowVectorNetwork(net.weights, net.thresholds, net.coefficients,
+                                     net.centers, net.widths, Spy(), net.input_signature)
+        spied.evaluate_many([SequencePoint(row) for row in flats])
+        assert sizes and max(sizes) <= network.EVAL_BLOCK_BYTES
+        assert sum(sizes) == 8 * 700 * net.width
+
+    @pytest.mark.parametrize("bad, match", [
+        (("sequence", 3.0), "sequence length must be an integer"),
+        (("sequence", 0), "sequence length must be at least 1"),
+        (("matrix", [1.0, 3]), "matrix shape entry must be an integer"),
+        (("matrix", (1, 2, 3)), r"must be a \(rows, cols\) pair"),
+        (("vector", 3), "input signature is unknown"),
+        (["sequence", 3], "input signature is unknown"),
+        (("function", 13), "function signature needs a GridMeta"),
+    ])
+    def test_bad_input_signature_refused_by_name(self, bad, match):
+        with pytest.raises(ConfigError, match=match) as info:
+            ShallowVectorNetwork(np.ones((1, 3)), [0.0], [1.0], np.ones((1, 2)), [1], Tanh(),
+                                 bad)
+        assert info.value.arg == "input_signature"
+
+    @pytest.mark.parametrize("given, held", [
+        (("sequence", np.int64(3)), ("sequence", 3)),
+        (("matrix", [1, 3]), ("matrix", (1, 3))),
+    ])
+    def test_input_signature_held_as_ints_and_a_tuple(self, given, held):
+        # the network evaluates a batch of its inputs and round-trips its document
+        rng = np.random.default_rng(29)
+        net = ShallowVectorNetwork(rng.standard_normal((2, 3)), [0.1, -0.2], [1.0, 2.0],
+                                   rng.standard_normal((1, 2)), [2], Tanh(), given)
+        assert net.input_signature == held
+        size = net.input_signature[1]
+        assert all(type(n) is int for n in (size if isinstance(size, tuple) else (size,)))
+        pts = ([SequencePoint(row) for row in rng.standard_normal((4, 3))] if held[0] == "sequence"
+               else [MatrixPoint(row.reshape(1, 3)) for row in rng.standard_normal((4, 3))])
+        back = deserialize_network(json.loads(json.dumps(serialize_network(net))))
+        assert back.input_signature == held
+        assert back.evaluate_many(pts).tobytes() == net.evaluate_many(pts).tobytes()
+
     def test_basis_shape_checked(self):
         args = (np.ones((2, 3)), np.zeros(2), np.ones(2), np.ones((1, 4)), [2], Tanh(),
                 ("sequence", 5))
@@ -602,11 +662,25 @@ class TestFactored:
             deserialize_network(doc)
 
 
-def many_block_network(kind, rng, count=300):
-    """A random factored network of 2048 neurons in 16-neuron blocks, with a
-    basis for functions, and count inputs from the ensemble of its kind: row
-    blocks of 16 inputs, so 19 of them for 300 inputs."""
-    width = 2048
+def mixed_width_network(rng, with_basis, count=40):
+    """A network on sequences of length 9 whose blocks hold 1, 3, 128, 1,
+    300, 3 and 1 neurons (with a 4-row basis or none), and count inputs."""
+    widths = [1, 3, 128, 1, 300, 3, 1]
+    width, r = sum(widths), 4 if with_basis else 9
+    net = ShallowVectorNetwork(rng.standard_normal((width, r)), rng.uniform(-1, 1, width),
+                               rng.standard_normal(width), rng.standard_normal((len(widths), 5)),
+                               widths, Tanh(), ("sequence", 9),
+                               basis=rng.standard_normal((4, 9)) if with_basis else None)
+    return net, rng.standard_normal((count, 9))
+
+
+def many_block_network(kind, rng, monkeypatch, count=300, width=2048):
+    """A random factored network of width neurons in 16-neuron blocks, with a
+    basis for functions, and count inputs from the ensemble of its kind.
+    The blocks form panels of 128 neurons, 16 of them at width 2048, and
+    EVAL_BLOCK_BYTES is sized for row blocks of 16 inputs, so 19 of them
+    for 300 inputs."""
+    monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 128 * 16)
     spec = {
         "function": EnsembleSpec("band_limited", count, radii=(1.0, 0.5),
                                  grid=GridMeta(0.0, 1.0, 13)),
@@ -625,7 +699,7 @@ def many_block_network(kind, rng, count=300):
 
 def use_cpus(monkeypatch, cpus, share_blocks=1):
     """Evaluate as if on cpus CPUs, giving a thread to shares of share_blocks
-    row blocks or more."""
+    panel products or more."""
     monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(network, "EVAL_SHARE_BLOCKS", share_blocks)
 
@@ -645,14 +719,41 @@ class RaisesOnLarge(Activation):
         return np.tanh(x)
 
 
+def count_threads(monkeypatch):
+    """The list that each thread network starts from now on is appended to."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(network.threading, "Thread", Counted)
+    return started
+
+
 class TestThreads:
     """evaluate_many splits its row blocks over the CPUs: the caller's thread
     evaluates the first share, a started thread each of the others.  Each
-    test but the thread count gives a thread to shares of one block."""
+    test but the thread counts gives a thread to shares of one panel
+    product."""
+
+    @pytest.mark.parametrize("with_basis", (False, True), ids=("no_basis", "basis"))
+    def test_mixed_width_outputs_do_not_depend_on_the_worker_count(self, with_basis,
+                                                                   monkeypatch):
+        # the widest panel holds 300 neurons: row blocks of 8 inputs, 38 of them
+        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 300 * 8)
+        net, flats = mixed_width_network(np.random.default_rng(45), with_basis, count=300)
+        pts = [SequencePoint(row) for row in flats]
+        outputs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            outputs.append(net.evaluate_many(pts).tobytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("kind", ("function", "sequence", "matrix"))
     def test_outputs_do_not_depend_on_the_worker_count(self, kind, monkeypatch):
-        net, ens = many_block_network(kind, np.random.default_rng(41))
+        net, ens = many_block_network(kind, np.random.default_rng(41), monkeypatch)
         outputs = []
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
@@ -665,19 +766,81 @@ class TestThreads:
     ])
     def test_threads_started_are_one_fewer_than_the_shares(self, cpus, share_blocks, blocks,
                                                            threads, monkeypatch):
-        net, ens = many_block_network("sequence", np.random.default_rng(42), count=800)
+        # one panel of 128 neurons: a panel product per row block
+        net, ens = many_block_network("sequence", np.random.default_rng(42), monkeypatch,
+                                      count=800, width=128)
         ens = ens[:16 * blocks - 8]
         use_cpus(monkeypatch, cpus, share_blocks)
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(network.threading, "Thread", Counted)
+        started = count_threads(monkeypatch)
         assert net.evaluate_many(ens).shape == (16 * blocks - 8, 4)
         assert len(started) == threads
+
+    @pytest.mark.parametrize("count, threads", [(16, 0), (17, 1), (48, 2)])
+    def test_shares_count_panel_products(self, count, threads, monkeypatch):
+        # 16 panels: one row block of 16 inputs makes 16 panel products, too
+        # few for two shares of 16; two row blocks make 32, three make 48
+        net, ens = many_block_network("sequence", np.random.default_rng(47), monkeypatch,
+                                      count=count)
+        use_cpus(monkeypatch, 3, 16)
+        started = count_threads(monkeypatch)
+        assert net.evaluate_many(ens).shape == (count, 4)
+        assert len(started) == threads
+
+    @pytest.mark.parametrize("cpus", (2, 3))
+    @pytest.mark.parametrize("block", (1, 16))
+    @pytest.mark.parametrize("length", (3, 40))
+    def test_every_network_threads_with_small_products(self, cpus, block, length,
+                                                       monkeypatch):
+        # one panel of 128 neurons in blocks of block neurons on 5120 inputs:
+        # at length 40 a 256-row block's panel product would be 41 * 2^15
+        # multiply-adds, so its row blocks are shorter instead
+        use_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(46)
+        shapes = []
+
+        class Spy(Activation):
+            name = "spy"
+
+            def __call__(self, x):
+                shapes.append(x.shape)
+                return np.tanh(x)
+
+        net = ShallowVectorNetwork(rng.standard_normal((128, length)), rng.uniform(-1, 1, 128),
+                                   rng.standard_normal(128),
+                                   rng.standard_normal((128 // block, 2)),
+                                   np.full(128 // block, block), Spy(), ("sequence", length))
+        flats = rng.standard_normal((20 * 256, length)) / np.sqrt(length)
+        started = count_threads(monkeypatch)
+        got = net.evaluate_many([SequencePoint(row) for row in flats])
+        assert len(started) == cpus - 1
+        assert max(rows * (length + 1) * width for rows, width in shapes) <= network._PRODUCT_MACS
+        assert sum(rows for rows, _ in shapes) == 20 * 256
+        want = dense_formula(net, flats)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_neuron_blocks_are_one_panel_scaled_elementwise(self):
+        # 600 one-neuron blocks, a dense network: one panel of 600 neurons,
+        # and row blocks of 54 inputs keep the (rows, 600) sums within
+        # EVAL_BLOCK_BYTES
+        rng = np.random.default_rng(48)
+        shapes = []
+
+        class Spy(Activation):
+            name = "spy"
+
+            def __call__(self, x):
+                shapes.append(x.shape)
+                return np.tanh(x)
+
+        net = ShallowVectorNetwork(rng.standard_normal((600, 3)), rng.uniform(-1, 1, 600),
+                                   rng.standard_normal(600), rng.standard_normal((600, 2)),
+                                   np.ones(600, dtype=int), Spy(), ("sequence", 3))
+        flats = rng.standard_normal((200, 3))
+        got = net.evaluate_many([SequencePoint(row) for row in flats])
+        assert shapes == [(54, 600)] * 3 + [(38, 600)]
+        assert 8 * 54 * 600 <= network.EVAL_BLOCK_BYTES
+        want = dense_formula(net, flats)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("cpus", (1, 2, 3))
     def test_error_state_holds_in_every_worker(self, cpus, monkeypatch):
