@@ -31,10 +31,7 @@ from .experiment import (
 from .inputs import (
     CompactEnsemble,
     EnsembleSpec,
-    FunctionSample,
     FunctionalSpec,
-    MatrixPoint,
-    SequencePoint,
     random_functional,
     sample_ensemble,
 )
@@ -72,4 +69,4 @@ from .targets import (
     TargetBatch,
 )
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"

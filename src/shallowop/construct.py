@@ -540,6 +540,8 @@ def _fit_coefficients(ensemble, weights, fit_cfg: FitConfig, delta: float):
     c = np.concatenate([fit[2] for fit in fits])
     errors = np.array([fit[3] for fit in fits])
     widths = np.array([len(fit[1]) for fit in fits], dtype=int)
+    for factor in (P, thetas, c):
+        factor.setflags(write=False)  # new arrays, held by the network without a copy
     return P, thetas, c, errors, widths
 
 
@@ -548,8 +550,8 @@ def uniform_error(f_values: TargetBatch, net: ShallowVectorNetwork, ensemble,
     """Per-seminorm max over samples of rho(F(s) - net(s)).
 
     f_values holds the value of each sample of ensemble, a CompactEnsemble
-    or a list of input points.  One batched pass per seminorm over the
-    residual matrix, which overwrites the network outputs.
+    or an (n, dim) matrix of input rows.  One batched pass per seminorm
+    over the residual matrix, which overwrites the network outputs.
     """
     if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per sample required")

@@ -1,12 +1,13 @@
-"""Discretized input points, random functional weights, and sampled ensembles.
+"""Discretized inputs, random functional weights, and sampled ensembles.
 
-Every input variant flattens to a real vector, and every continuous linear
-functional is a weight row paired with it by a dot product, so pairings over
-whole ensembles are single matrix products.  An input point carries its
-hashable shape `signature` and its 1-d `flat` view; functionals, operators
-and networks pair only with inputs of their own signature.  Compact sets
-are surrogated by parametric families with bounded parameters, sampled
-finitely with a seeded generator into one (n_samples, dim) matrix.
+Every input variant flattens to a real vector, an input row, and every
+continuous linear functional is a weight row paired with it by a dot
+product, so pairings over whole ensembles are single matrix products.  The
+hashable shape `signature` of the inputs belongs to their ensemble or their
+consumer: functionals, operators and networks pair only with inputs of their
+own signature.  Compact sets are surrogated by parametric families with
+bounded parameters, sampled finitely with a seeded generator into one
+(n_samples, dim) matrix.
 """
 
 from __future__ import annotations
@@ -18,64 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .targets import GridMeta, _as_array, _as_float, _as_floats, _as_int
-
-
-@dataclass(frozen=True, eq=False)
-class FunctionSample:
-    """A function sampled on a uniform grid."""
-
-    values: np.ndarray
-    grid: GridMeta
-
-    def __post_init__(self):
-        v = _as_array(self.values, "values", 1)
-        if v.shape[0] != self.grid.n:
-            raise ShapeError(f"value count {v.shape[0]} != grid node count {self.grid.n}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def signature(self):
-        return ("function", self.grid)
-
-    @property
-    def flat(self):
-        return self.values
-
-
-@dataclass(frozen=True, eq=False)
-class SequencePoint:
-    """A truncated sequence-space point; the tail beyond the stored length is zero."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_array(self.values, "values", 1))
-
-    @property
-    def signature(self):
-        return ("sequence", self.values.shape[0])
-
-    @property
-    def flat(self):
-        return self.values
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixPoint:
-    """A real matrix input."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_array(self.values, "values", 2))
-
-    @property
-    def signature(self):
-        return ("matrix", self.values.shape)
-
-    @property
-    def flat(self):
-        return self.values.reshape(-1)
 
 
 def _checked_shape(shape, arg: str) -> tuple[int, int]:
@@ -116,32 +59,34 @@ def signature_dim(signature: tuple) -> int:
     raise ShapeError(f"unknown input signature kind {kind!r}")
 
 
-def stack_inputs(samples) -> tuple[np.ndarray, tuple]:
-    """The (n_samples, dim) input matrix and the samples' common signature.
+def stack_inputs(samples, signature: tuple) -> np.ndarray:
+    """The (n_samples, dim) input matrix of samples, for a consumer of inputs
+    of signature.
 
-    A CompactEnsemble gives its own read-only matrix; a list of input points
-    is stacked into a new one.
+    A CompactEnsemble gives its own read-only matrix, and its signature must
+    be signature.  Anything else is an (n, dim) matrix, a 2-d array or a
+    list of rows, read once by the array rule (_as_array): a list of array
+    rows is stacked by one numpy call, a list of Python numbers is read
+    entry by entry.  Its rows carry no grid, so only their length is
+    checked against signature_dim(signature).
     """
     if isinstance(samples, CompactEnsemble):
-        return samples.flats, samples.signature
-    samples = list(samples)
-    if not samples:
-        raise ShapeError("cannot stack an empty sample list")
-    sig = samples[0].signature
-    for s in samples[1:]:
-        if s.signature != sig:
-            raise ShapeError("samples have mixed signatures")
-    return np.array([s.flat for s in samples]), sig
-
-
-def _point(signature: tuple, row: np.ndarray) -> FunctionSample | SequencePoint | MatrixPoint:
-    """The input point of signature whose flattened values are row."""
-    kind = signature[0]
-    if kind == "function":
-        return FunctionSample(row, signature[1])
-    if kind == "sequence":
-        return SequencePoint(row)
-    return MatrixPoint(row.reshape(signature[1]))
+        if samples.signature != signature:
+            raise ShapeError(f"inputs of signature {signature} needed, got an ensemble of "
+                             f"{samples.signature}")
+        return samples.flats
+    if isinstance(samples, (list, tuple)) and samples and all(
+            isinstance(row, np.ndarray) for row in samples):
+        try:
+            samples = np.stack(samples)
+        except ValueError as exc:  # rows of different shapes
+            raise ShapeError(f"have rows of different shapes: {exc}", "samples", "inputs") from exc
+        samples.setflags(write=False)  # a new array, held without a second copy
+    flats = _as_array(samples, "samples", 2, subject="inputs")
+    if flats.shape[1] != signature_dim(signature):
+        raise ShapeError(f"have rows of {flats.shape[1]} entries, {signature} needs "
+                         f"{signature_dim(signature)}", "samples", "inputs")
+    return flats
 
 
 @dataclass(frozen=True)
@@ -265,8 +210,8 @@ class CompactEnsemble:
 
     Held as one validated, read-only (n_samples, dim) matrix `flats`: row i
     is sample i flattened for spec.input_signature.  Indexing and iteration
-    build input points on demand, and a slice is an ensemble over a view of
-    the same matrix, not a copy.
+    give the rows, read-only views of flats, and a slice is an ensemble over
+    a view of the same matrix, not a copy.
     """
 
     flats: np.ndarray
@@ -287,11 +232,10 @@ class CompactEnsemble:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return CompactEnsemble(self.flats[i], self.spec, self.seed)
-        return _point(self.signature, self.flats[i])
+        return self.flats[i]
 
     def __iter__(self):
-        sig = self.signature
-        return (_point(sig, row) for row in self.flats)
+        return iter(self.flats)
 
     @property
     def signature(self):

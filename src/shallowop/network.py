@@ -243,21 +243,21 @@ class ShallowVectorNetwork:
     def evaluate_many(self, samples) -> np.ndarray:
         """(n_samples, output_dim) evaluations.
 
-        samples is a CompactEnsemble, whose input matrix is used as it is,
-        or a list of input points.  The neuron blocks are grouped into
-        panels (see _panels), each holding its augmented weights
-        A = [P^T; -theta] and block-diagonal coefficients C.  The inputs
+        samples is a CompactEnsemble of the network's input signature,
+        whose input matrix is used as it is, or an (n, dim) matrix of input
+        rows, a 2-d array or a list of rows (see stack_inputs).  The neuron
+        blocks are grouped into panels (see _panels), each holding its
+        augmented weights A = [P^T; -theta] and coefficients C.  The inputs
         go in blocks of rows: a row block is projected on the basis with a
-        column of ones appended, X = [S B^T, 1]; each panel's
-        eta(X A) C fills its columns of the block's (rows, m) per-center
-        sums (eta(X A) * c for a panel of one-neuron blocks, whose C is
-        the diagonal of c); and the block's outputs are those sums times
-        U.  A row block holds as many rows as keep the widest panel's
-        activations and the per-center sums within EVAL_BLOCK_BYTES, and
-        its projection and panel products within _PRODUCT_MACS
-        multiply-adds, and at least one.  The product with U is taken in
-        slices of at most _PRODUCT_MACS multiply-adds where one row is
-        within it, else whole.
+        column of ones appended, X = [S B^T, 1]; each panel's eta(X A) C
+        fills its columns of the block's (rows, m) per-center sums
+        (eta(X A) * c for a panel of one-neuron blocks, whose C is the
+        diagonal of c); and the block's outputs are those sums times U.  A
+        row block holds as many rows as keep the widest panel's activations
+        and the per-center sums within EVAL_BLOCK_BYTES, and its projection
+        and panel products within _PRODUCT_MACS multiply-adds, and at least
+        one.  The product with U is taken in slices of at most
+        _PRODUCT_MACS multiply-adds where one row is within it, else whole.
 
         The row blocks are split into contiguous shares, one per CPU this
         process may use, as long as each keeps about EVAL_SHARE_BLOCKS
@@ -268,11 +268,7 @@ class ShallowVectorNetwork:
         exception raised in any share is raised here once every thread
         has finished.
         """
-        flats, signature = stack_inputs(samples)
-        if signature != self.input_signature:
-            raise ShapeError(
-                f"network expects input signature {self.input_signature}, got {signature}"
-            )
+        flats = stack_inputs(samples, self.input_signature)
         n, r, m = flats.shape[0], self.weights.shape[1], self.centers.shape[0]
         out = np.empty((n, self.output_dim))
         widest = max([m] + [weights.shape[1] for weights, _, _ in self._panels])
@@ -329,13 +325,23 @@ def _panels(weights, thresholds, coefficients, widths) -> list:
     A panel is one block, a run of blocks of at most _PANEL_NEURONS neurons
     together, or a run of one-neuron blocks of any length.  Each is the
     triple (A, C, centers): the augmented weights A = [P^T; -theta]
-    (r + 1, p) of its p neurons, contiguous, so that [S, 1] A is their
-    pre-activations; the coefficients C, so that eta([S, 1] A) C is the
-    blocks' sums; and the slice of their center rows.  C is block-diagonal
-    (p, blocks), column i holding the coefficients c of the panel's block
-    i, except in a panel of one-neuron blocks, where it is diagonal and
-    held as its diagonal c (p,), which scales the activations elementwise.
+    (r + 1, p) of its p neurons, so that [S, 1] A is their pre-activations;
+    the coefficients C, so that eta([S, 1] A) C is the blocks' sums; and the
+    slice of their center rows.  The augmented weights of all neurons are
+    built once, and each panel's A is a view of its columns.  C is the
+    panel's coefficients c as one column where the panel is one block, a
+    view too; in a panel of one-neuron blocks it is diagonal and held as its
+    diagonal c (p,), which scales the activations elementwise; only a panel
+    of several wider blocks builds its block-diagonal (p, blocks) C, column
+    i holding the coefficients of block i.
     """
+    # [P, -theta] row by row, so that A, its transpose, is column-major:
+    # BLAS rounds the panel products of a row-major A differently
+    augmented = np.empty((weights.shape[0], weights.shape[1] + 1))
+    augmented[:, :-1] = weights
+    np.negative(thresholds, out=augmented[:, -1])
+    augmented = augmented.T
+    column = coefficients.reshape(-1, 1)
     bounds = np.concatenate([[0], np.cumsum(widths)]).tolist()
     panels, first = [], 0
     for last in range(1, len(widths) + 1):
@@ -346,12 +352,13 @@ def _panels(weights, thresholds, coefficients, widths) -> list:
         width = bounds[last] - bounds[first]
         if width == last - first:
             diagonal = coefficients[neurons]
+        elif last - first == 1:
+            diagonal = column[neurons]
         else:
             diagonal = np.zeros((width, last - first))
             diagonal[np.arange(width), np.repeat(np.arange(last - first), widths[first:last])] = (
                 coefficients[neurons])
-        panels.append((np.vstack([weights[neurons].T, -thresholds[neurons]]), diagonal,
-                       slice(first, last)))
+        panels.append((augmented[:, neurons], diagonal, slice(first, last)))
         first = last
     return panels
 

@@ -125,7 +125,7 @@ def _matrix_map_rows(map_id: str, Z: np.ndarray, out_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """An opaque map from input points to target elements, with shape metadata.
+    """An opaque map from input rows to target values, with shape metadata.
 
     fn is the batched map: it takes the (n, dim) matrix whose rows are n
     flattened inputs of input_signature and returns the (n, output_dim)
@@ -147,7 +147,8 @@ class Operator:
             raise ShapeError("operator output dim does not match its output grid")
 
     def apply_many(self, samples) -> TargetBatch:
-        """Images of an ensemble or a list of input points, in one batched map.
+        """Images of an ensemble or an (n, dim) matrix of input rows (see
+        stack_inputs), in one batched map.
 
         Returns the read-only (n, output_dim) value matrix with the output
         grid, as a TargetBatch.  A signature or output shape mismatch raises
@@ -155,11 +156,7 @@ class Operator:
         fn's matrix is never changed: the batch holds it as it is only when
         nothing can write it (see TargetBatch), and a read-only copy otherwise.
         """
-        flats, signature = stack_inputs(samples)
-        if signature != self.input_signature:
-            raise ShapeError(
-                f"operator {self.name} expects {self.input_signature}, got {signature}"
-            )
+        flats = stack_inputs(samples, self.input_signature)
         out = np.asarray(self.fn(flats))
         if out.shape != (flats.shape[0], self.output_dim):
             raise ShapeError(

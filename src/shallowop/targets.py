@@ -104,16 +104,17 @@ def _as_array(values, arg: str, ndim: int, *, empty=False, subject: str | None =
     it is float64, C-contiguous and nothing it views can be written, such as
     a row slice of a batch; anything else becomes a read-only copy.
     """
-    if isinstance(values, (list, tuple)):
-        entries = np.array(values, dtype=object)
-        a = np.array([_as_float(x, arg, subject=subject) for x in entries.flat])
-        a.setflags(write=False)  # a new array, held below without a second copy
-        a = a.reshape(entries.shape)
-    else:
-        a = _as_real(values, arg, subject)
+    # a list's shape is read before its entries, so rows of different
+    # lengths are a ShapeError
+    a = np.array(values, dtype=object) if isinstance(values, (list, tuple)) else (
+        _as_real(values, arg, subject))
     if a.ndim != ndim or (not empty and 0 in a.shape):
         raise ShapeError(f"must be a {'' if empty else 'nonempty '}{ndim}-d array, "
                          f"got shape {a.shape}", arg, subject)
+    if a.dtype == object:
+        floats = np.array([_as_float(x, arg, subject=subject) for x in a.flat])
+        floats.setflags(write=False)  # a new array, held below without a second copy
+        a = floats.reshape(a.shape)
     if not np.all(np.isfinite(a)):
         raise ConfigError("contain non-finite entries", arg, subject)
     if not (a.dtype == np.float64 and a.flags.c_contiguous and _unwritable(a)):

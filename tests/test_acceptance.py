@@ -18,7 +18,6 @@ from shallowop import (
     DualPairing,
     EnsembleSpec,
     FitConfig,
-    FunctionSample,
     FunctionalSpec,
     GridMeta,
     LqNorm,
@@ -206,12 +205,12 @@ def test_criterion_07_operator_oracles():
 
     # -u'' = 1, u(0) = u(1) = 0 has u = x(1-x)/2; the second-difference
     # scheme reproduces quadratics exactly
-    u = poisson_operator(GRID).apply_many([FunctionSample(np.ones(GRID.n), GRID)])
+    u = poisson_operator(GRID).apply_many([np.ones(GRID.n)])
     np.testing.assert_allclose(u.values[0], x * (1.0 - x) / 2.0, rtol=0, atol=1e-12)
 
     def poisson_sin_err(grid):
         xs = grid.nodes()
-        u = poisson_operator(grid).apply_many([FunctionSample(np.sin(np.pi * xs), grid)])
+        u = poisson_operator(grid).apply_many([np.sin(np.pi * xs)])
         return float(np.max(np.abs(u.values[0] - np.sin(np.pi * xs) / np.pi**2)))
 
     e_p1 = poisson_sin_err(GRID)
@@ -223,7 +222,7 @@ def test_criterion_07_operator_oracles():
 
     def integral_err(grid, n_fine):
         xs = grid.nodes()
-        f = FunctionSample(np.sin(np.pi * xs), grid)
+        f = np.sin(np.pi * xs)
         out = integral_operator(kernel, grid).apply_many([f]).values[0]
         fine = np.linspace(0.0, 1.0, n_fine)
         w = np.full(n_fine, fine[1] - fine[0])

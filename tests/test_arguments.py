@@ -8,20 +8,14 @@ is held read-only.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from shallowop.construct import FitConfig
 from shallowop.errors import ConfigError
-from shallowop.inputs import (
-    CompactEnsemble,
-    EnsembleSpec,
-    FunctionalSpec,
-    FunctionSample,
-    MatrixPoint,
-    SequencePoint,
-)
+from shallowop.inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, stack_inputs
 from shallowop.network import Polynomial, ShallowVectorNetwork, Tanh
 from shallowop.operators import Operator, make_kernel, matrix_map_operator
 from shallowop.targets import (
@@ -168,15 +162,25 @@ def test_accepted_numbers_are_normalized():
     assert Polynomial([0, 1]).coefficients == (0.0, 1.0)
 
 
+def input_rows(samples, signature):
+    """The input matrix stack_inputs reads, as the attribute named after its
+    argument, as the evaluate_many and apply_many of a consumer of signature
+    read their inputs."""
+    return SimpleNamespace(samples=stack_inputs(samples, signature))
+
+
 #: each constructor taking arrays, the keyword arguments of one it accepts,
-#: and its array arguments
+#: and its array arguments (input rows as their reader takes them)
 ARRAY_CONSTRUCTORS = {
     "TargetBatch": (TargetBatch, {"values": [[1.0, 2.0], [3.0, 4.0]]}, ["values"]),
     "TargetBatch-one_row": (TargetBatch, {"values": [[1.0, 2.0]]}, ["values"]),
-    "FunctionSample": (FunctionSample, {"values": [0.0, 1.0, 0.5], "grid": GridMeta(0, 1, 3)},
-                       ["values"]),
-    "SequencePoint": (SequencePoint, {"values": [1.0, 2.0]}, ["values"]),
-    "MatrixPoint": (MatrixPoint, {"values": [[1.0, 2.0], [3.0, 4.0]]}, ["values"]),
+    "input_rows-function": (input_rows, {"samples": [[0.0, 1.0, 0.5]],
+                                         "signature": ("function", GridMeta(0, 1, 3))},
+                            ["samples"]),
+    "input_rows-sequence": (input_rows, {"samples": [[1.0, 2.0]], "signature": ("sequence", 2)},
+                            ["samples"]),
+    "input_rows-matrix": (input_rows, {"samples": [[1.0, 2.0, 3.0, 4.0]],
+                                       "signature": ("matrix", (2, 2))}, ["samples"]),
     "CompactEnsemble": (
         CompactEnsemble, {"flats": [[1.0, 2.0], [0.5, 0.0]], "seed": 0,
                           "spec": EnsembleSpec("sequence_box", 2, radii=(1.0, 1.0))},
@@ -260,9 +264,9 @@ def test_array_is_held_unless_something_can_write_it():
         assert held.dtype == np.float64 and held.flags.c_contiguous
         assert not held.flags.writeable and not np.shares_memory(held, values)
     # a buffer nothing can write, as a network document's arrays are, is held
-    frozen = np.frombuffer(np.arange(3.0).tobytes())
-    assert SequencePoint(frozen).values is frozen
+    frozen = np.frombuffer(np.arange(6.0).tobytes()).reshape(2, 3)
+    assert stack_inputs(frozen, ("sequence", 3)) is frozen
     # a read-only array over a writeable buffer is copied
-    thawed = np.frombuffer(bytearray(np.arange(3.0).tobytes()))
+    thawed = np.frombuffer(bytearray(np.arange(6.0).tobytes())).reshape(2, 3)
     thawed.setflags(write=False)
-    assert not np.shares_memory(SequencePoint(thawed).values, thawed)
+    assert not np.shares_memory(stack_inputs(thawed, ("sequence", 3)), thawed)

@@ -7,10 +7,7 @@ from shallowop.errors import ConfigError, ShapeError
 from shallowop.inputs import (
     CompactEnsemble,
     EnsembleSpec,
-    FunctionSample,
     FunctionalSpec,
-    MatrixPoint,
-    SequencePoint,
     draw_functional_params,
     random_functional,
     sample_ensemble,
@@ -18,47 +15,79 @@ from shallowop.inputs import (
     stack_inputs,
 )
 from shallowop.network import Polynomial, ShallowVectorNetwork
+from shallowop.operators import zero_operator
 from shallowop.seeding import derive_seed
 from shallowop.targets import GridMeta
 
 GRID = GridMeta(0.0, 1.0, 101)
 
 
-def fn_sample(f, grid=GRID):
-    return FunctionSample(f(grid.nodes()), grid)
+def fn_row(f, grid=GRID):
+    """f sampled on the nodes of grid: one input row of ("function", grid)."""
+    return f(grid.nodes())
 
 
-class TestInputPoints:
-    def test_function_sample_checks_grid(self):
-        with pytest.raises(ShapeError):
-            FunctionSample(np.ones(5), GRID)
-
-    def test_sequence_point_flat(self):
-        s = SequencePoint([1.0, 2.0, 3.0])
-        assert s.signature == ("sequence", 3)
-        np.testing.assert_array_equal(s.flat, [1.0, 2.0, 3.0])
-
-    def test_matrix_point_flattens_row_major(self):
-        z = MatrixPoint([[1.0, 2.0], [3.0, 4.0]])
-        assert z.signature == ("matrix", (2, 2))
-        np.testing.assert_array_equal(z.flat, [1.0, 2.0, 3.0, 4.0])
-
-    def test_matrix_point_rejects_vector(self):
-        with pytest.raises(ShapeError):
-            MatrixPoint(np.ones(4))
-
-    def test_values_read_only(self):
-        s = SequencePoint([1.0, 2.0])
+class TestInputRows:
+    def test_rows_are_read_as_a_matrix(self):
+        # a list of Python rows, a list of array rows and a 2-d array give
+        # one read-only (n, dim) matrix
+        want = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        for rows in (want, [np.array(r) for r in want], np.array(want), tuple(want)):
+            got = stack_inputs(rows, ("sequence", 3))
+            assert got.dtype == np.float64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
         with pytest.raises(ValueError):
-            s.values[0] = 9.0
+            got[0, 0] = 9.0
 
-    def test_stack_flat(self):
-        pts = [SequencePoint([1.0, 2.0]), SequencePoint([3.0, 4.0])]
-        np.testing.assert_array_equal(stack_inputs(pts)[0], [[1.0, 2.0], [3.0, 4.0]])
+    def test_a_matrix_input_is_its_row_major_row(self):
+        z = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(stack_inputs([z.reshape(-1)], ("matrix", (2, 2))),
+                                      [[1.0, 2.0, 3.0, 4.0]])
+        # a matrix itself is read as rows of its own, and the rows are too short
         with pytest.raises(ShapeError):
-            stack_inputs([])
+            stack_inputs(z, ("matrix", (2, 2)))
         with pytest.raises(ShapeError):
-            stack_inputs([SequencePoint([1.0]), SequencePoint([1.0, 2.0])])
+            stack_inputs([z], ("matrix", (2, 2)))
+
+    @pytest.mark.parametrize("rows, signature, error", [
+        ([np.ones(5)], ("function", GRID), ShapeError),
+        ([[1.0, 2.0]], ("sequence", 3), ShapeError),
+        ([], ("sequence", 3), ShapeError),
+        ((), ("sequence", 3), ShapeError),
+        (np.ones(3), ("sequence", 3), ShapeError),
+        ([[1.0], [1.0, 2.0]], ("sequence", 2), ShapeError),
+        ([np.ones(1), np.ones(2)], ("sequence", 2), ShapeError),
+        ([[1.0, np.nan]], ("sequence", 2), ConfigError),
+        ([np.array([1.0, np.inf])], ("sequence", 2), ConfigError),
+        ([[1.5, True]], ("sequence", 2), ConfigError),
+        ([[1.5, "2"]], ("sequence", 2), ConfigError),
+        ([np.array(["1.5", "2"])], ("sequence", 2), ConfigError),
+        ([np.array([True, False])], ("sequence", 2), ConfigError),
+    ], ids=["function_row_length", "row_length", "empty_list", "empty_tuple", "one_vector",
+            "ragged_lists", "ragged_arrays", "nan", "inf_array_row", "True", "string",
+            "string_array_row", "boolean_array_row"])
+    @pytest.mark.parametrize("reader", ["stack_inputs", "evaluate_many", "apply_many"])
+    def test_bad_rows_are_refused_by_name(self, rows, signature, error, reader):
+        read = {
+            "stack_inputs": lambda: lambda samples: stack_inputs(samples, signature),
+            "evaluate_many": lambda: ShallowVectorNetwork.zero(Polynomial(), signature,
+                                                               1).evaluate_many,
+            "apply_many": lambda: zero_operator(signature, 1).apply_many,
+        }[reader]()
+        with pytest.raises(error) as info:
+            read(rows)
+        assert info.value.arg == "samples" and str(info.value).startswith("inputs ")
+
+    def test_ensemble_of_another_signature(self):
+        ens = sample_ensemble(EnsembleSpec("band_limited", 4, radii=(1.0,), grid=GRID), 0)
+        assert stack_inputs(ens, ("function", GRID)) is ens.flats
+        for signature in (("function", GridMeta(0.0, 2.0, GRID.n)), ("sequence", GRID.n)):
+            with pytest.raises(ShapeError):
+                stack_inputs(ens, signature)
+        # rows carry no grid: the same rows are read for any grid of their length
+        rows = list(ens)
+        np.testing.assert_array_equal(
+            stack_inputs(rows, ("function", GridMeta(0.0, 2.0, GRID.n))), ens.flats)
 
 
 def pairing(spec, params):
@@ -97,38 +126,39 @@ def trig_phi(p, x):
 
 class TestFunctionals:
     def test_quadrature_pairing_integrates_constants(self):
-        assert pair(FN_SPEC, trig(0), fn_sample(np.ones_like)) == pytest.approx(
+        assert pair(FN_SPEC, trig(0), fn_row(np.ones_like)) == pytest.approx(
             1.0, rel=1e-12)
 
     def test_quadrature_pairing_sine_mass(self):
         # trapezoid integrates sin(pi x) * sin(pi x) exactly on a uniform
         # [0, 1] grid, so the pairing returns 4 * 1/2 = 2
-        s = fn_sample(lambda x: np.sin(np.pi * x))
+        s = fn_row(lambda x: np.sin(np.pi * x))
         assert pair(FN_SPEC, trig(1, 4.0), s) == pytest.approx(2.0, rel=1e-12)
 
     def test_quadrature_pairing_grid_mismatch(self):
         l = pairing(FN_SPEC, trig(0))
         with pytest.raises(ShapeError):
-            l.evaluate_many([fn_sample(np.sin, GridMeta(0.0, 1.0, 51))])
+            l.evaluate_many([fn_row(np.sin, GridMeta(0.0, 1.0, 51))])
         with pytest.raises(ShapeError):
-            l.evaluate_many([SequencePoint(np.ones(GRID.n))])
+            l.evaluate_many(sample_ensemble(EnsembleSpec("sequence_box", 2, radii=(1.0,) * GRID.n),
+                                            0))
 
     def test_sequence_dot(self):
         spec = FunctionalSpec(("sequence", 2))
-        assert pair(spec, [1.0, 0.5], SequencePoint([2.0, 4.0])) == 4.0
+        assert pair(spec, [1.0, 0.5], [2.0, 4.0]) == 4.0
 
     def test_matrix_trace_pairing(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((3, 2))
         z = rng.standard_normal((3, 2))
         spec = FunctionalSpec(("matrix", (3, 2)))
-        assert pair(spec, w.reshape(-1), MatrixPoint(z)) == pytest.approx(
+        assert pair(spec, w.reshape(-1), z.reshape(-1)) == pytest.approx(
             np.trace(w.T @ z), rel=1e-12)
 
     def test_zero_functional(self):
         seq = FunctionalSpec(("sequence", 1))
-        assert pair(FN_SPEC, trig(0, 0.0), fn_sample(np.sin)) == 0.0
-        assert pair(seq, [0.0], SequencePoint([1.0])) == 0.0
+        assert pair(FN_SPEC, trig(0, 0.0), fn_row(np.sin)) == 0.0
+        assert pair(seq, [0.0], [1.0]) == 0.0
         # the zero functional is the zero weight row, whatever the spec
         assert np.array_equal(trig(0, 0.0) @ FN_SPEC.basis, np.zeros(GRID.n))
 
@@ -136,10 +166,10 @@ class TestFunctionals:
     def test_linearity(self, trial):
         rng = np.random.default_rng(200 + trial)
         l = pairing(FunctionalSpec(("sequence", 16)), rng.standard_normal(16))
-        s = SequencePoint(rng.standard_normal(16))
-        t = SequencePoint(rng.standard_normal(16))
+        s = rng.standard_normal(16)
+        t = rng.standard_normal(16)
         a, b = rng.uniform(-2.0, 2.0, 2)
-        lhs, ls, lt = l.evaluate_many([SequencePoint(a * s.values + b * t.values), s, t])[:, 0]
+        lhs, ls, lt = l.evaluate_many([a * s + b * t, s, t])[:, 0]
         assert lhs == pytest.approx(a * ls + b * lt, abs=1e-9)
 
     def test_functional_weights_match_pairwise(self):
@@ -149,15 +179,15 @@ class TestFunctionals:
         # (a feature bank's bias) pairs as the zero functional
         rng = np.random.default_rng(3)
         points = {
-            "function": lambda: FunctionSample(rng.standard_normal(GRID.n), GRID),
-            "sequence": lambda: SequencePoint(rng.standard_normal(6)),
-            "matrix": lambda: MatrixPoint(rng.standard_normal((2, 3))),
+            "function": lambda: rng.standard_normal(GRID.n),
+            "sequence": lambda: rng.standard_normal(6),
+            "matrix": lambda: rng.standard_normal(6),
         }
         definitions = {
             "function": lambda p, s: np.sum(GRID.trapezoid_weights() * trig_phi(p, GRID.nodes())
-                                            * s.values),
-            "sequence": lambda p, s: np.dot(p, s.values),
-            "matrix": lambda p, s: np.trace(p.reshape(2, 3).T @ s.values),
+                                            * s),
+            "sequence": lambda p, s: np.dot(p, s),
+            "matrix": lambda p, s: np.trace(p.reshape(2, 3).T @ s.reshape(2, 3)),
         }
         for spec in SPECS:
             params = draw_functional_params(spec, rng, 5)
@@ -172,7 +202,7 @@ class TestFunctionals:
     def test_sequence_dot_signature_mismatch(self):
         with pytest.raises(ShapeError):
             pairing(FunctionalSpec(("sequence", 8)), np.ones(8)).evaluate_many(
-                [SequencePoint(np.ones(9))])
+                [np.ones(9)])
 
 
 SPECS = (
@@ -268,33 +298,33 @@ class TestEnsembles:
         assert ens.signature == ("function", GRID)
         bound = sum(spec.radii)
         for s in ens:
-            assert np.max(np.abs(s.values)) <= bound + 1e-12
+            assert np.max(np.abs(s)) <= bound + 1e-12
         again = sample_ensemble(spec, 11)
         for s, t in zip(ens, again):
-            np.testing.assert_array_equal(s.values, t.values)
+            np.testing.assert_array_equal(s, t)
 
     def test_band_limited_vanishes_at_endpoints(self):
         spec = EnsembleSpec(family="band_limited", count=5, radii=(1.0, 1.0), grid=GRID)
         for s in sample_ensemble(spec, 0):
-            assert abs(s.values[0]) < 1e-12
-            assert abs(s.values[-1]) < 1e-12
+            assert abs(s[0]) < 1e-12
+            assert abs(s[-1]) < 1e-12
 
     def test_sequence_box_membership(self):
         radii = (1.0, 0.5, 0.25, 0.125)
         spec = EnsembleSpec(family="sequence_box", count=50, radii=radii)
         for s in sample_ensemble(spec, 5):
-            assert np.all(np.abs(s.values) <= np.asarray(radii))
+            assert np.all(np.abs(s) <= np.asarray(radii))
 
     def test_matrix_ball_membership(self):
         spec = EnsembleSpec(family="matrix_ball", count=50, shape=(2, 2), radius=1.5)
         for z in sample_ensemble(spec, 9):
-            assert np.linalg.norm(z.values) <= 1.5 + 1e-12
+            assert np.linalg.norm(z) <= 1.5 + 1e-12
 
     def test_matrix_ball_radial_profile(self):
         # uniform draws in a d-dim ball have mean radius d/(d+1) of the bound
         spec = EnsembleSpec(family="matrix_ball", count=2000, shape=(2, 2), radius=1.0)
         ens = sample_ensemble(spec, 123)
-        mean_r = np.mean([np.linalg.norm(z.values) for z in ens])
+        mean_r = np.mean([np.linalg.norm(z) for z in ens])
         assert mean_r == pytest.approx(4.0 / 5.0, abs=0.02)
 
     def test_spec_validation(self):
@@ -346,12 +376,12 @@ class TestEnsembles:
             EnsembleSpec(count=3, **kwargs)
         assert info.value.arg == arg
 
-    def test_ensemble_rejects_mixed_signatures(self):
+    def test_ensemble_rejects_rows_of_different_lengths(self):
         spec = EnsembleSpec(family="sequence_box", count=2, radii=(1.0,))
         with pytest.raises(ShapeError):
-            CompactEnsemble(
-                stack_inputs((SequencePoint([1.0]), SequencePoint([1.0, 2.0])))[0], spec, 0
-            )
+            CompactEnsemble([[1.0], [1.0, 2.0]], spec, 0)
+        with pytest.raises(ShapeError):
+            CompactEnsemble([np.ones(1), np.ones(2)], spec, 0)
 
 
 ENSEMBLE_SPECS = (
@@ -359,8 +389,6 @@ ENSEMBLE_SPECS = (
     EnsembleSpec(family="sequence_box", count=300, radii=(1.0, 0.5, 0.25, 0.125)),
     EnsembleSpec(family="matrix_ball", count=300, shape=(2, 3), radius=1.5),
 )
-POINT_TYPES = {"band_limited": FunctionSample, "sequence_box": SequencePoint,
-               "matrix_ball": MatrixPoint}
 
 
 class TestEnsembleMatrix:
@@ -371,20 +399,23 @@ class TestEnsembleMatrix:
         assert not ens.flats.flags.writeable
         with pytest.raises(ValueError):
             ens.flats[0, 0] = 1.0
-        assert stack_inputs(ens)[0] is ens.flats
+        assert stack_inputs(ens, spec.input_signature) is ens.flats
 
     @pytest.mark.parametrize("spec", ENSEMBLE_SPECS, ids=lambda s: s.family)
-    def test_indexing_and_iteration_give_points(self, spec):
+    def test_indexing_and_iteration_give_read_only_rows(self, spec):
         ens = sample_ensemble(spec, 22)
-        points = list(ens)
-        assert len(points) == len(ens) == 300
+        rows = list(ens)
+        assert len(rows) == len(ens) == 300
         for i in (0, 17, 299, -1):
-            p = ens[i]
-            assert type(p) is POINT_TYPES[spec.family]
-            assert p.signature == ens.signature == spec.input_signature
-            np.testing.assert_array_equal(p.flat, ens.flats[i])
-            np.testing.assert_array_equal(points[i].flat, ens.flats[i])
-        np.testing.assert_array_equal(stack_inputs(points)[0], ens.flats)
+            for row in (ens[i], rows[i]):
+                assert row.shape == (ens.flats.shape[1],)
+                assert np.shares_memory(row, ens.flats) and not row.flags.writeable
+                assert row.tobytes() == ens.flats[i].tobytes()
+                with pytest.raises(ValueError):
+                    row[0] = 1.0
+        assert stack_inputs(rows, ens.signature).tobytes() == ens.flats.tobytes()
+        # as the benchmark's fingerprint reads them: each row's flat iterator
+        assert np.stack([s.flat for s in rows]).tobytes() == ens.flats.tobytes()
 
     @pytest.mark.parametrize("spec", ENSEMBLE_SPECS, ids=lambda s: s.family)
     def test_slices_are_views(self, spec):
@@ -397,13 +428,13 @@ class TestEnsembleMatrix:
             assert part.spec is ens.spec and part.signature == ens.signature
         np.testing.assert_array_equal(tail.flats, ens.flats[240:])
 
-    def test_built_from_points_or_matrix(self):
+    def test_built_from_rows_or_matrix(self):
         spec = ENSEMBLE_SPECS[1]
-        pts = [SequencePoint([1.0, 2.0, 3.0, 4.0]), SequencePoint([0.5, 0.0, 0.0, -1.0])]
-        from_points = CompactEnsemble(stack_inputs(pts)[0], spec, 0)
-        mine = np.array([p.flat for p in pts])
+        rows = [[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 0.0, -1.0]]
+        from_rows = CompactEnsemble(rows, spec, 0)
+        mine = np.array(rows)
         from_matrix = CompactEnsemble(mine, spec, 0)
-        np.testing.assert_array_equal(from_points.flats, from_matrix.flats)
+        np.testing.assert_array_equal(from_rows.flats, from_matrix.flats)
         # a writable matrix is copied, so the caller's later writes do not leak in
         mine[0, 0] = 9.0
         assert from_matrix.flats[0, 0] == 1.0
@@ -417,10 +448,9 @@ class TestEnsembleMatrix:
         with pytest.raises(ShapeError):
             CompactEnsemble(np.zeros((3, 5)), spec, 0)
         with pytest.raises(ShapeError):
-            CompactEnsemble(stack_inputs([SequencePoint(np.ones(4)), SequencePoint(np.ones(5))])[0],
-                            spec, 0)
+            CompactEnsemble(stack_inputs([np.ones(4), np.ones(5)], spec.input_signature), spec, 0)
         with pytest.raises(ShapeError):
-            CompactEnsemble(stack_inputs([FunctionSample(np.ones(GRID.n), GRID)])[0], spec, 0)
+            CompactEnsemble(stack_inputs([np.ones(GRID.n)], ("function", GRID)), spec, 0)
         bad = np.ones((3, 4))
         bad[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):

@@ -5,15 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from shallowop import network
+from shallowop import network, targets
 from shallowop.errors import ConfigError, DocumentError, ShapeError
-from shallowop.inputs import (
-    EnsembleSpec,
-    FunctionSample,
-    MatrixPoint,
-    SequencePoint,
-    sample_ensemble,
-)
+from shallowop.inputs import EnsembleSpec, sample_ensemble
 from shallowop.network import (
     Activation,
     Gaussian,
@@ -98,28 +92,28 @@ class TestEvaluate:
     def test_empty_network_is_zero(self):
         net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
         assert net.width == 0
-        out = net.evaluate_many([SequencePoint([1.0, -2.0, 5.0])])[0]
+        out = net.evaluate_many([[1.0, -2.0, 5.0]])[0]
         np.testing.assert_array_equal(out, np.zeros(4))
-        batch = net.evaluate_many([SequencePoint([1.0, -2.0, 5.0])] * 2)
+        batch = net.evaluate_many([[1.0, -2.0, 5.0]] * 2)
         np.testing.assert_array_equal(batch, np.zeros((2, 4)))
 
     def test_single_relu_trace_neuron(self):
         # the one weight row is the Frobenius pairing with the identity
         net = dense(np.eye(2).reshape(1, 4), [0.0], [[1.0, 0.0]], Relu(), ("matrix", (2, 2)))
-        out = net.evaluate_many([MatrixPoint(np.eye(2))])[0]
+        out = net.evaluate_many([np.eye(2).reshape(-1)])[0]
         np.testing.assert_array_equal(out, [2.0, 0.0])
 
     def test_constant_via_zero_functional(self):
         grid = GridMeta(0.0, 1.0, 11)
         net = dense(np.zeros((1, 2)), [-1.0], np.ones((1, 11)), Tanh(), ("sequence", 2), grid)
-        out = net.evaluate_many([SequencePoint([3.0, -7.0])])[0]
+        out = net.evaluate_many([[3.0, -7.0]])[0]
         np.testing.assert_allclose(out, TANH_1, rtol=1e-15)
         assert net.output_grid == grid
 
     def test_input_signature_checked(self):
         net = ShallowVectorNetwork.zero(Tanh(), ("sequence", 3), 4)
         with pytest.raises(ShapeError):
-            net.evaluate_many([SequencePoint([1.0, 2.0])])
+            net.evaluate_many([[1.0, 2.0]])
 
     def test_neuron_shape_mismatches_rejected(self):
         L, theta, V = np.ones((1, 3)), np.zeros(1), np.ones((1, 4))
@@ -145,7 +139,7 @@ class TestEvaluate:
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(0)
         net = random_network(rng)
-        pts = [SequencePoint(rng.standard_normal(6)) for _ in range(9)]
+        pts = [rng.standard_normal(6) for _ in range(9)]
         batch = net.evaluate_many(pts)
         single = np.stack([net.evaluate_many([p])[0] for p in pts])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
@@ -156,7 +150,7 @@ class TestEvaluate:
         monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 7 * 16)
         rng = np.random.default_rng(1)
         net = random_network(rng, width=7)
-        pts = [SequencePoint(rng.standard_normal(6)) for _ in range(2 * 16 + 37)]
+        pts = [rng.standard_normal(6) for _ in range(2 * 16 + 37)]
         batch = net.evaluate_many(pts)
         single = np.stack([net.evaluate_many([p])[0] for p in pts])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
@@ -166,8 +160,8 @@ class TestEvaluate:
         EnsembleSpec("sequence_box", 300, radii=(1.0, 0.5, 0.25)),
         EnsembleSpec("matrix_ball", 300, shape=(2, 3), radius=1.5),
     ], ids=lambda spec: spec.family)
-    def test_point_list_and_ensemble_evaluate_bitwise_equal(self, spec):
-        # a list of the ensemble's points, as saved-network users hold them,
+    def test_row_list_and_ensemble_evaluate_bitwise_equal(self, spec):
+        # a list of the ensemble's rows, as saved-network users hold them,
         # evaluates exactly as the ensemble's own matrix, across row blocks
         rng = np.random.default_rng(11)
         ens = sample_ensemble(spec, 12)
@@ -176,6 +170,33 @@ class TestEvaluate:
                     rng.standard_normal((9, 4)), Tanh(), ens.signature)
         want = net.evaluate_many(ens)
         assert net.evaluate_many(list(ens)).tobytes() == want.tobytes()
+
+    def test_4096_array_rows_evaluate_as_the_ensemble_without_reading_entries(
+            self, monkeypatch):
+        # one numpy stack of the rows, never _as_float per entry
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return as_float(*args, **kwargs)
+
+        as_float = targets._as_float
+        grid = GridMeta(0.0, 1.0, 101)
+        ens = sample_ensemble(EnsembleSpec("band_limited", 4096, radii=(1.0, 0.5, 0.25),
+                                           grid=grid), 13)
+        rng = np.random.default_rng(14)
+        net = ShallowVectorNetwork(rng.standard_normal((256, 7)), rng.uniform(-1, 1, 256),
+                                   rng.standard_normal(256), rng.standard_normal((2, 101)),
+                                   [128, 128], Tanh(), ens.signature, grid,
+                                   basis=rng.standard_normal((7, 101)) / 101)
+        want = net.evaluate_many(ens)
+        rows = list(ens)
+        monkeypatch.setattr(targets, "_as_float", counted)
+        assert net.evaluate_many(rows).tobytes() == want.tobytes()
+        assert calls == []
+        # a list of Python numbers is still read entry by entry
+        net.evaluate_many([rows[0].tolist()])
+        assert len(calls) == 101
 
 
 def stacked(a, b):
@@ -194,14 +215,14 @@ class TestNetworkSum:
         rng = np.random.default_rng(1)
         a = random_network(rng)
         empty = ShallowVectorNetwork.zero(Tanh(), a.input_signature, a.output_dim)
-        s = SequencePoint(rng.standard_normal(6))
+        s = rng.standard_normal(6)
         np.testing.assert_array_equal(stacked(a, empty).evaluate_many([s]),
                                       a.evaluate_many([s]))
 
     def test_self_sum_doubles(self):
         rng = np.random.default_rng(2)
         a = random_network(rng)
-        s = SequencePoint(rng.standard_normal(6))
+        s = rng.standard_normal(6)
         np.testing.assert_allclose(
             stacked(a, a).evaluate_many([s]), 2.0 * a.evaluate_many([s]), rtol=1e-12, atol=1e-12
         )
@@ -212,7 +233,7 @@ class TestNetworkSum:
         b = random_network(rng, width=3)
         c = stacked(a, b)
         for _ in range(20):
-            s = [SequencePoint(rng.standard_normal(6))]
+            s = [rng.standard_normal(6)]
             np.testing.assert_allclose(
                 c.evaluate_many(s), a.evaluate_many(s) + b.evaluate_many(s),
                 rtol=1e-12, atol=1e-12
@@ -230,7 +251,7 @@ class TestInvariants:
         net = random_network(rng)
         doubled = self.scaled_coeffs(net, 2.0)
         for _ in range(10):
-            s = SequencePoint(rng.standard_normal(6))
+            s = rng.standard_normal(6)
             np.testing.assert_array_equal(doubled.evaluate_many([s]),
                                           2.0 * net.evaluate_many([s]))
 
@@ -240,7 +261,7 @@ class TestInvariants:
         lam = 0.3
         scaled = self.scaled_coeffs(net, lam)
         for _ in range(10):
-            s = SequencePoint(rng.standard_normal(6))
+            s = rng.standard_normal(6)
             np.testing.assert_allclose(
                 scaled.evaluate_many([s]), lam * net.evaluate_many([s]), rtol=1e-12, atol=1e-14
             )
@@ -260,7 +281,7 @@ class TestInvariants:
             net.input_signature,
         )
         for _ in range(10):
-            s = SequencePoint(rng.standard_normal(6))
+            s = rng.standard_normal(6)
             np.testing.assert_allclose(
                 shuffled.evaluate_many([s]), net.evaluate_many([s]), rtol=1e-12, atol=1e-12
             )
@@ -278,7 +299,7 @@ class TestInvariants:
         )
         s0 = rng.standard_normal(21)
         xs = np.linspace(-2.0, 2.0, 9)
-        ys = net.evaluate_many([FunctionSample(x * s0, grid) for x in xs])[:, 0]
+        ys = net.evaluate_many([x * s0 for x in xs])[:, 0]
         fit = np.polynomial.Polynomial.fit(xs, ys, deg=2)
         assert np.max(np.abs(fit(xs) - ys)) < 1e-8
 
@@ -326,7 +347,7 @@ class TestSerialization:
         back = self.roundtrip(net)
         for name in ("weights", "thresholds", "coefficients", "centers", "widths"):
             assert getattr(back, name).tobytes() == getattr(net, name).tobytes()
-        s = SequencePoint(rng.standard_normal(6))
+        s = rng.standard_normal(6)
         np.testing.assert_array_equal(back.evaluate_many([s]), net.evaluate_many([s]))
         assert json.dumps(serialize_network(back)) == json.dumps(serialize_network(net))
 
@@ -343,7 +364,7 @@ class TestSerialization:
         back = self.roundtrip(net)
         assert back.output_grid == grid
         for _ in range(10):
-            s = FunctionSample(rng.standard_normal(13), in_grid)
+            s = rng.standard_normal(13)
             np.testing.assert_array_equal(back.evaluate_many([s]), net.evaluate_many([s]))
 
     def test_matrix_and_polynomial_roundtrip(self):
@@ -353,7 +374,7 @@ class TestSerialization:
             Polynomial((1.0, 0.5)), ("matrix", (2, 3)),
         )
         back = self.roundtrip(net)
-        z = MatrixPoint(rng.standard_normal((2, 3)))
+        z = rng.standard_normal(6)
         np.testing.assert_array_equal(back.evaluate_many([z]), net.evaluate_many([z]))
         assert back.activation == net.activation
 
@@ -541,7 +562,7 @@ class TestFactored:
                                    [4, 1, 5], Sigmoid(), ("function", in_grid), out_grid,
                                    basis=rng.standard_normal((3, 13)))
         flats = rng.standard_normal((30, 13))
-        pts = [FunctionSample(row, in_grid) for row in flats]
+        pts = list(flats)
         want = dense_formula(net, flats)
         assert np.max(np.abs(net.evaluate_many(pts) - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -550,7 +571,7 @@ class TestFactored:
         net = ShallowVectorNetwork.zero(Tanh(), ("matrix", (2, 3)), 4)
         assert net.centers.shape == (0, 4) and net.widths.shape == (0,)
         flats = np.random.default_rng(22).standard_normal((5, 6))
-        got = net.evaluate_many([MatrixPoint(row.reshape(2, 3)) for row in flats])
+        got = net.evaluate_many(list(flats))
         np.testing.assert_array_equal(got, dense_formula(net, flats))
         np.testing.assert_array_equal(got, np.zeros((5, 4)))
 
@@ -559,9 +580,25 @@ class TestFactored:
         # blocks of 1, 3, 128 and 300 neurons: several-block panels, a block
         # that fills a panel alone, and one wider than any several-block panel
         net, flats = mixed_width_network(np.random.default_rng(27), with_basis)
-        got = net.evaluate_many([SequencePoint(row) for row in flats])
+        got = net.evaluate_many(list(flats))
         want = dense_formula(net, flats)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_panels_are_views_of_the_weights_and_coefficients(self):
+        # [P^T; -theta] is built once, column-major as each panel's A was
+        # when built alone; each A is a view of its columns, and a one-block
+        # panel's C a view of c
+        net, _ = mixed_width_network(np.random.default_rng(30), False)
+        bounds = np.concatenate([[0], np.cumsum(net.widths)])
+        assert [C.shape for _, C, _ in net._panels] == [(4, 2), (128, 1), (1,), (300, 1), (4, 2)]
+        for A, C, centers in net._panels:
+            neurons = slice(bounds[centers.start], bounds[centers.stop])
+            assert A.base is net._panels[0][0].base and A.flags.f_contiguous
+            alone = np.vstack([net.weights[neurons].T, -net.thresholds[neurons]])
+            assert A.tobytes(order="A") == alone.tobytes(order="A")
+            if C.shape[-1] == 1:
+                assert np.shares_memory(C, net.coefficients)
+                assert C.tobytes() == net.coefficients[neurons].tobytes()
 
     def test_spy_activation_gets_at_most_eval_block_bytes(self):
         # 700 inputs: row blocks of 87 rows, for the 300-neuron panel product
@@ -577,7 +614,7 @@ class TestFactored:
 
         spied = ShallowVectorNetwork(net.weights, net.thresholds, net.coefficients,
                                      net.centers, net.widths, Spy(), net.input_signature)
-        spied.evaluate_many([SequencePoint(row) for row in flats])
+        spied.evaluate_many(list(flats))
         assert sizes and max(sizes) <= network.EVAL_BLOCK_BYTES
         assert sum(sizes) == 8 * 700 * net.width
 
@@ -608,8 +645,7 @@ class TestFactored:
         assert net.input_signature == held
         size = net.input_signature[1]
         assert all(type(n) is int for n in (size if isinstance(size, tuple) else (size,)))
-        pts = ([SequencePoint(row) for row in rng.standard_normal((4, 3))] if held[0] == "sequence"
-               else [MatrixPoint(row.reshape(1, 3)) for row in rng.standard_normal((4, 3))])
+        pts = list(rng.standard_normal((4, 3)))
         back = deserialize_network(json.loads(json.dumps(serialize_network(net))))
         assert back.input_signature == held
         assert back.evaluate_many(pts).tobytes() == net.evaluate_many(pts).tobytes()
@@ -744,7 +780,7 @@ class TestThreads:
         # the widest panel holds 300 neurons: row blocks of 8 inputs, 38 of them
         monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 300 * 8)
         net, flats = mixed_width_network(np.random.default_rng(45), with_basis, count=300)
-        pts = [SequencePoint(row) for row in flats]
+        pts = list(flats)
         outputs = []
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
@@ -811,7 +847,7 @@ class TestThreads:
                                    np.full(128 // block, block), Spy(), ("sequence", length))
         flats = rng.standard_normal((20 * 256, length)) / np.sqrt(length)
         started = count_threads(monkeypatch)
-        got = net.evaluate_many([SequencePoint(row) for row in flats])
+        got = net.evaluate_many(list(flats))
         assert len(started) == cpus - 1
         assert max(rows * (length + 1) * width for rows, width in shapes) <= network._PRODUCT_MACS
         assert sum(rows for rows, _ in shapes) == 20 * 256
@@ -836,7 +872,7 @@ class TestThreads:
                                    rng.standard_normal(600), rng.standard_normal((600, 2)),
                                    np.ones(600, dtype=int), Spy(), ("sequence", 3))
         flats = rng.standard_normal((200, 3))
-        got = net.evaluate_many([SequencePoint(row) for row in flats])
+        got = net.evaluate_many(list(flats))
         assert shapes == [(54, 600)] * 3 + [(38, 600)]
         assert 8 * 54 * 600 <= network.EVAL_BLOCK_BYTES
         want = dense_formula(net, flats)
@@ -852,7 +888,7 @@ class TestThreads:
                     rng.standard_normal((8, 2)), Polynomial((0.0, 0.0, 1.0)), ("sequence", 3))
         flats = rng.uniform(-1.0, 1.0, (20, 3))
         flats[-1] = 1e200
-        pts = [SequencePoint(row) for row in flats]
+        pts = list(flats)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
                 net.evaluate_many(pts)
@@ -873,5 +909,5 @@ class TestThreads:
         flats[row] = 1e200
         before = threading.active_count()
         with pytest.raises(Boom, match="large pre-activation"):
-            net.evaluate_many([SequencePoint(r) for r in flats])
+            net.evaluate_many(list(flats))
         assert threading.active_count() == before

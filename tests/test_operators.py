@@ -5,13 +5,7 @@ import pytest
 from scipy.linalg import solveh_banded
 
 from shallowop.errors import ConfigError, ShapeError
-from shallowop.inputs import (
-    EnsembleSpec,
-    FunctionSample,
-    MatrixPoint,
-    SequencePoint,
-    sample_ensemble,
-)
+from shallowop.inputs import EnsembleSpec, sample_ensemble
 from shallowop.operators import (
     Operator,
     integral_operator,
@@ -27,8 +21,9 @@ from shallowop.targets import GridMeta, TargetBatch
 EXP_NEG_1 = 0.36787944117144233
 
 
-def fn_sample(f, grid):
-    return FunctionSample(f(grid.nodes()), grid)
+def fn_row(f, grid):
+    """f sampled on the nodes of grid: one input row of ("function", grid)."""
+    return f(grid.nodes())
 
 
 def fine_quadrature_oracle(kernel, f_analytic, xs, n_fine=2001):
@@ -43,19 +38,19 @@ class TestIntegralOperator:
     def test_zero_kernel(self):
         g = GridMeta(0.0, 1.0, 31)
         out = integral_operator(make_kernel("constant", value=0.0), g).apply_many(
-            [fn_sample(np.sin, g)])
+            [fn_row(np.sin, g)])
         np.testing.assert_array_equal(out.values[0], np.zeros(31))
 
     def test_unit_kernel_integrates_constants(self):
         g = GridMeta(0.0, 1.0, 31)
         out = integral_operator(make_kernel("constant"), g).apply_many(
-            [fn_sample(np.ones_like, g)])
+            [fn_row(np.ones_like, g)])
         np.testing.assert_allclose(out.values[0], 1.0, rtol=1e-12)
 
     def test_gaussian_kernel_against_fine_quadrature(self):
         g = GridMeta(0.0, 1.0, 101)
         kernel = make_kernel("gaussian", width=1.0)
-        f = fn_sample(lambda x: np.sin(np.pi * x), g)
+        f = fn_row(lambda x: np.sin(np.pi * x), g)
         got = integral_operator(kernel, g).apply_many([f]).values[0]
         want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
         assert np.max(np.abs(got - want)) < 1e-3
@@ -65,7 +60,7 @@ class TestIntegralOperator:
         errs = []
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
-            f = fn_sample(lambda x: np.sin(np.pi * x), g)
+            f = fn_row(lambda x: np.sin(np.pi * x), g)
             got = integral_operator(kernel, g).apply_many([f]).values[0]
             want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
             errs.append(np.max(np.abs(got - want)))
@@ -76,11 +71,11 @@ class TestIntegralOperator:
         rng = np.random.default_rng(40 + trial)
         g = GridMeta(0.0, 1.0, 41)
         kernel = make_kernel("gaussian", width=0.7)
-        f = FunctionSample(rng.standard_normal(41), g)
-        h = FunctionSample(rng.standard_normal(41), g)
+        f = rng.standard_normal(41)
+        h = rng.standard_normal(41)
         a, b = rng.uniform(-2.0, 2.0, 2)
         op = integral_operator(kernel, g)
-        lhs = op.apply_many([FunctionSample(a * f.values + b * h.values, g)]).values[0]
+        lhs = op.apply_many([a * f + b * h]).values[0]
         rhs = a * op.apply_many([f]).values[0] + b * op.apply_many([h]).values[0]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -94,14 +89,14 @@ class TestIntegralOperator:
 class TestPoisson:
     def test_unit_load_gives_parabola(self):
         g = GridMeta(0.0, 1.0, 101)
-        u = poisson_operator(g).apply_many([fn_sample(np.ones_like, g)])
+        u = poisson_operator(g).apply_many([fn_row(np.ones_like, g)])
         x = g.nodes()
         np.testing.assert_allclose(u.values[0], x * (1.0 - x) / 2.0, atol=1e-13)
         assert u.values[0, 50] == pytest.approx(0.125, abs=1e-13)
 
     def test_boundary_values_exactly_zero(self):
         g = GridMeta(0.0, 1.0, 41)
-        f = FunctionSample(np.random.default_rng(0).standard_normal(41), g)
+        f = np.random.default_rng(0).standard_normal(41)
         u = poisson_operator(g).apply_many([f])
         assert u.values[0, 0] == 0.0
         assert u.values[0, -1] == 0.0
@@ -110,7 +105,7 @@ class TestPoisson:
         errs = []
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
-            u = poisson_operator(g).apply_many([fn_sample(lambda x: np.sin(np.pi * x), g)])
+            u = poisson_operator(g).apply_many([fn_row(lambda x: np.sin(np.pi * x), g)])
             exact = np.sin(np.pi * g.nodes()) / np.pi**2
             errs.append(np.max(np.abs(u.values[0] - exact)))
         assert errs[0] < 1e-3
@@ -118,18 +113,18 @@ class TestPoisson:
 
     def test_zero_load(self):
         g = GridMeta(0.0, 1.0, 11)
-        u = poisson_operator(g).apply_many([fn_sample(np.zeros_like, g)])
+        u = poisson_operator(g).apply_many([fn_row(np.zeros_like, g)])
         np.testing.assert_array_equal(u.values[0], np.zeros(11))
 
     @pytest.mark.parametrize("trial", range(5))
     def test_linearity(self, trial):
         rng = np.random.default_rng(50 + trial)
         g = GridMeta(0.0, 1.0, 33)
-        f = FunctionSample(rng.standard_normal(33), g)
-        h = FunctionSample(rng.standard_normal(33), g)
+        f = rng.standard_normal(33)
+        h = rng.standard_normal(33)
         a, b = rng.uniform(-2.0, 2.0, 2)
         op = poisson_operator(g)
-        lhs = op.apply_many([FunctionSample(a * f.values + b * h.values, g)]).values[0]
+        lhs = op.apply_many([a * f + b * h]).values[0]
         rhs = a * op.apply_many([f]).values[0] + b * op.apply_many([h]).values[0]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -137,7 +132,7 @@ class TestPoisson:
     def test_discrete_maximum_principle(self, trial):
         rng = np.random.default_rng(60 + trial)
         g = GridMeta(0.0, 1.0, 51)
-        f = FunctionSample(np.abs(rng.standard_normal(51)), g)
+        f = np.abs(rng.standard_normal(51))
         assert np.min(poisson_operator(g).apply_many([f]).values) >= -1e-12
 
     @pytest.mark.parametrize("n, rows", [(4, 50), (5, 50), (11, 50), (101, 50), (201, 50),
@@ -145,7 +140,7 @@ class TestPoisson:
     def test_sweeps_are_the_per_row_banded_solve(self, n, rows):
         g = GridMeta(0.0, 1.0, n)
         F = np.random.default_rng(n + rows).standard_normal((rows, n))
-        got = poisson_operator(g).apply_many([FunctionSample(f, g) for f in F]).values
+        got = poisson_operator(g).apply_many(list(F)).values
         h = g.spacing
         ab = np.zeros((2, n - 2))
         ab[0, 1:] = -1.0 / h**2
@@ -157,55 +152,55 @@ class TestPoisson:
 
     def test_one_interior_node(self):
         g = GridMeta(0.0, 1.0, 3)
-        u = poisson_operator(g).apply_many([FunctionSample([0.7, -1.3, 2.9], g)]).values[0]
+        u = poisson_operator(g).apply_many([[0.7, -1.3, 2.9]]).values[0]
         # bytes, so the boundary values are +0.0 exactly
         assert u.tobytes() == np.array([0.0, -1.3 / (2.0 / g.spacing**2), 0.0]).tobytes()
 
     def test_too_few_nodes(self):
         g = GridMeta(0.0, 1.0, 2)
         with pytest.raises(ValueError):
-            poisson_operator(g).apply_many([fn_sample(np.ones_like, g)])
+            poisson_operator(g).apply_many([fn_row(np.ones_like, g)])
 
 
 class TestSuperposition:
     def test_sin_of_zero(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("sin", ("function", g)).apply_many(
-            [fn_sample(np.zeros_like, g)])
+            [fn_row(np.zeros_like, g)])
         np.testing.assert_array_equal(out.values[0], np.zeros(11))
 
     def test_square_is_exact_nodewise(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("square", ("function", g)).apply_many(
-            [fn_sample(lambda x: x, g)])
+            [fn_row(lambda x: x, g)])
         np.testing.assert_array_equal(out.values[0], g.nodes() ** 2)
 
     def test_exp_minus_constant(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("exp-", ("function", g)).apply_many(
-            [fn_sample(np.ones_like, g)])
+            [fn_row(np.ones_like, g)])
         np.testing.assert_allclose(out.values[0], EXP_NEG_1, rtol=1e-15)
 
     def test_sequence_input(self):
         out = superposition_operator("sin", ("sequence", 2)).apply_many(
-            [SequencePoint([0.0, np.pi / 2])])
+            [[0.0, np.pi / 2]])
         np.testing.assert_allclose(out.values[0], [0.0, 1.0], atol=1e-15)
         assert out.grid is None
 
     def test_unknown_map(self):
         g = GridMeta(0.0, 1.0, 11)
         with pytest.raises(ConfigError):
-            superposition_operator("cube", ("function", g)).apply_many([fn_sample(np.ones_like, g)])
+            superposition_operator("cube", ("function", g)).apply_many([fn_row(np.ones_like, g)])
 
 
 class TestMatrixMaps:
     def test_row_sums(self):
         out = matrix_map_operator("row_sums", (2, 2)).apply_many(
-            [MatrixPoint([[1.0, 2.0], [3.0, 4.0]])])
+            [[1.0, 2.0, 3.0, 4.0]])
         np.testing.assert_array_equal(out.values[0], [3.0, 7.0])
 
     def test_zero_matrix(self):
-        z = MatrixPoint(np.zeros((2, 2)))
+        z = np.zeros(4)
         np.testing.assert_array_equal(
             matrix_map_operator("row_sums", (2, 2)).apply_many([z]).values[0], [0.0, 0.0])
         np.testing.assert_array_equal(
@@ -214,13 +209,13 @@ class TestMatrixMaps:
         )
 
     def test_sin_of_trace_at_half_pi(self):
-        z = MatrixPoint(np.diag([np.pi / 4, np.pi / 4]))
+        z = np.diag([np.pi / 4, np.pi / 4]).reshape(-1)
         out = matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z])
         np.testing.assert_allclose(out.values[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_unknown_map(self):
         with pytest.raises(ConfigError):
-            matrix_map_operator("det", (2, 2)).apply_many([MatrixPoint(np.eye(2))])
+            matrix_map_operator("det", (2, 2)).apply_many([np.eye(2).reshape(-1)])
 
 
 class TestOperatorWrappers:
@@ -228,14 +223,14 @@ class TestOperatorWrappers:
         g = GridMeta(0.0, 1.0, 21)
         op = poisson_operator(g)
         with pytest.raises(ShapeError):
-            op.apply_many([SequencePoint(np.ones(21))])
+            op.apply_many(sample_ensemble(EnsembleSpec("sequence_box", 2, radii=(1.0,) * 21), 0))
         with pytest.raises(ShapeError):
-            op.apply_many([fn_sample(np.sin, GridMeta(0.0, 1.0, 31))])
+            op.apply_many([fn_row(np.sin, GridMeta(0.0, 1.0, 31))])
 
     def test_apply_many(self):
         g = GridMeta(0.0, 1.0, 21)
         op = integral_operator(make_kernel("gaussian"), g)
-        outs = op.apply_many([fn_sample(np.sin, g), fn_sample(np.cos, g)])
+        outs = op.apply_many([fn_row(np.sin, g), fn_row(np.cos, g)])
         assert len(outs) == 2
         assert outs.grid == g and outs.values.shape == (2, 21)
 
@@ -244,18 +239,18 @@ class TestOperatorWrappers:
         op = superposition_operator("sin", ("function", g))
         assert op.output_grid == g
         seq_op = superposition_operator("square", ("sequence", 4))
-        out = seq_op.apply_many([SequencePoint([1.0, 2.0, 3.0, 4.0])])
+        out = seq_op.apply_many([[1.0, 2.0, 3.0, 4.0]])
         np.testing.assert_array_equal(out.values[0], [1.0, 4.0, 9.0, 16.0])
 
     def test_matrix_operator_row_sums_dim(self):
         op = matrix_map_operator("row_sums", (3, 2))
         assert op.output_dim == 3
-        out = op.apply_many([MatrixPoint(np.ones((3, 2)))])
+        out = op.apply_many([np.ones(6)])
         np.testing.assert_array_equal(out.values[0], [2.0, 2.0, 2.0])
 
     def test_zero_operator(self):
         op = zero_operator(("sequence", 3), 5)
-        out = op.apply_many([SequencePoint([1.0, 2.0, 3.0])])
+        out = op.apply_many([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(out.values[0], np.zeros(5))
 
 
@@ -274,8 +269,10 @@ def batch_ensemble(family):
 
 
 def per_row(fn, ens):
-    """The reference: fn applied to one sample's values at a time."""
-    return np.array([fn(s.values) for s in ens])
+    """The reference: fn applied to one sample's values at a time, a matrix
+    sample's as its matrix."""
+    shape = ens.signature[1] if ens.signature[0] == "matrix" else -1
+    return np.array([fn(s.reshape(shape)) for s in ens])
 
 
 def bytes_equal(a, b):
@@ -402,7 +399,7 @@ class TestBatchedOperators:
     def test_fn_array_is_left_writable(self):
         cache = np.array([[1.0, 2.0]])
         op = Operator("cached", lambda F: cache, ("sequence", 2), 2)
-        batch = op.apply_many([SequencePoint([1.0, 2.0])])
+        batch = op.apply_many([[1.0, 2.0]])
         assert cache.flags.writeable
         assert not batch.values.flags.writeable
         cache[0, 0] = 5.0

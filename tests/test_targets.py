@@ -5,7 +5,6 @@ import pytest
 
 from shallowop.construct import uniform_error
 from shallowop.errors import ShapeError
-from shallowop.inputs import SequencePoint
 from shallowop.network import ShallowVectorNetwork, Tanh
 from shallowop.targets import (
     DualPairing,
@@ -369,6 +368,6 @@ class TestRowwise:
         # zero network the residuals are the values themselves
         fam = SeminormFamily((MaxAbs(),))
         diffs = TargetBatch(np.array([[1.0, -3.0], [4.0, 0.0]]))
-        inputs = [SequencePoint([0.0]), SequencePoint([1.0])]
+        inputs = [[0.0], [1.0]]
         zero = ShallowVectorNetwork.zero(Tanh(), ("sequence", 1), 2)
         np.testing.assert_array_equal(uniform_error(diffs, zero, inputs, fam), [4.0])
