@@ -348,12 +348,6 @@ def draw_features(cfg: FitConfig, streams, start: int, stop: int):
     return params, thresholds_rng.uniform(*cfg.theta_range, stop - start)
 
 
-def _feature_streams(seed):
-    """The (parameters, thresholds) generators of one feature bank."""
-    return (np.random.default_rng(derive_seed(seed, 0)),
-            np.random.default_rng(derive_seed(seed, 1)))
-
-
 def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
     """Ridge-solve the coefficients of a (b, n, k) stack of designs with
     targets (b, n).
@@ -369,29 +363,43 @@ def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
 def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
                 delta: float):
     """Fit column j of targets with the feature bank seeded by seeds[j], every
-    column stepping through the width schedule in lockstep.
+    column stepping through the width schedule in lockstep, and return the
+    factors (P, theta, c, widths, sup_errors) of the network whose block j
+    fits column j.
 
-    flats is the (n_samples, dim) input matrix and targets is (n_samples,
-    len(seeds)).  All pending columns share one width: cfg.width, doubled
-    per step up to cfg.max_width (a fixed-width fit sets max_width = width).
-    A step draws each pending bank's new features with draw_features,
+    flats is the (n_samples, dim) input matrix and targets a real
+    (n_samples, len(seeds)) matrix of at least one column, else a ShapeError
+    names targets; delta must be a finite number >= 0, else a ConfigError
+    names it.  All pending columns share one width: cfg.width, doubled per
+    step up to cfg.max_width (a fixed-width fit sets max_width = width).  A
+    step draws each pending bank's new features with draw_features,
     continuing its streams, and solves the pending designs in stacks of at
     most SOLVE_STACK_BYTES; a column stops once its training sup error is
     below delta or its width reaches cfg.max_width.  The inputs are
     projected on the spec's basis once, S = flats B^T (S = flats with no
     basis), and each design is eta(S P^T - theta), the pre-activation a
-    network evaluates.  Returns one (P, theta, coeffs, sup_error) per
-    column, P the bank's parameters as draw_features returns them.
+    network evaluates.  Block j is widths[j] neurons: its bank's parameters
+    P, as draw_features returns them, thresholds theta and coefficients c,
+    each factor concatenated in column order and read-only, so a network
+    holds it without a copy; sup_errors[j] is column j's training error.
     """
     spec = cfg.functional_spec
     dim = signature_dim(spec.signature)
     if flats.ndim != 2 or flats.shape[1] != dim:
         raise ShapeError(f"inputs {flats.shape} do not stack to {dim}-vectors")
     n = flats.shape[0]
+    targets = _as_real(targets, "targets")
+    if not len(seeds) or targets.shape != (n, len(seeds)):
+        raise ShapeError(f"must be ({n}, {len(seeds)}), one column per seed and at least "
+                         f"one, got shape {targets.shape}", "targets")
+    delta = _as_float(delta, "delta", 0)
     S = flats if spec.basis is None else flats @ spec.basis.T
-    streams = [_feature_streams(seed) for seed in seeds]
+    # bank j's (parameters, thresholds) generators, rooted at seeds[j]
+    streams = [tuple(np.random.default_rng(derive_seed(seed, k)) for k in (0, 1))
+               for seed in seeds]
     banks = [None] * len(seeds)
-    fits = [None] * len(seeds)
+    coeffs = [None] * len(seeds)
+    sup_errors = np.empty(len(seeds))
     pending = list(range(len(seeds)))
     width, target = 0, cfg.width
     while pending:
@@ -400,7 +408,10 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             banks[j] = grown if width == 0 else tuple(
                 np.concatenate(parts) for parts in zip(banks[j], grown))
         width = target
-        size = _stack_size(n, width, cfg.lam)
+        # members per stack: as many as keep each column-major [A | y] that
+        # least_squares_solve factors within SOLVE_STACK_BYTES, and at least one
+        rows = n + width if cfg.lam > 0 else n
+        size = max(1, SOLVE_STACK_BYTES // (8 * rows * (width + 1)))
         for first in range(0, len(pending), size):
             stack = pending[first:first + size]
             # member i holds the transposed design A^T: one feature per row
@@ -410,22 +421,19 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
                 block = np.matmul(P, S.T, out=designs[i])
                 block -= thetas[:, None]
                 designs[i] = cfg.activation(block)
-            coeffs, errors = fit_ridge_features(designs.transpose(0, 2, 1),
+            fitted, errors = fit_ridge_features(designs.transpose(0, 2, 1),
                                                 targets[:, stack].T, cfg.lam)
             for i, j in enumerate(stack):
                 if errors[i] < delta or width >= cfg.max_width:
-                    fits[j] = (*banks[j], coeffs[i], float(errors[i]))
-        pending = [j for j in pending if fits[j] is None]
+                    coeffs[j], sup_errors[j] = fitted[i], errors[i]
+        pending = [j for j in pending if coeffs[j] is None]
         target = min(2 * width, cfg.max_width)
-    return fits
-
-
-def _stack_size(n: int, width: int, lam: float) -> int:
-    """Members per solve stack: as many (n, width) designs as keep the
-    column-major [A | y] that least_squares_solve factors within
-    SOLVE_STACK_BYTES, and at least one."""
-    rows = n + width if lam > 0 else n
-    return max(1, SOLVE_STACK_BYTES // (8 * rows * (width + 1)))
+    P, theta = (np.concatenate(parts) for parts in zip(*banks))
+    c = np.concatenate(coeffs)
+    widths = np.array([len(thetas) for _, thetas in banks], dtype=int)
+    for factor in (P, theta, c, widths, sup_errors):
+        factor.setflags(write=False)  # new arrays, held by the network without a copy
+    return P, theta, c, widths, sup_errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,31 +476,46 @@ class AssemblyReport:
 def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
                             family: SeminormFamily, rho_index: int, epsilon: float,
                             fit_cfg: FitConfig):
-    """Run the full two-stage construction for one target seminorm.
+    """Run the full two-stage construction for the target seminorm
+    rho = family[rho_index], and return (network, report).
 
-    Returns (network, report).  A scalar stage that cannot reach its
-    tolerance at fit_cfg.max_width leaves report.converged False rather than
-    raising; whenever it is True, the training uniform error is below epsilon
-    by construction, and a BudgetError is raised if it is not.  f_values
-    holds the operator value of each ensemble sample.  The training errors
-    come from one uniform_error pass over the whole family, so a caller that
-    wants them under more seminorms than the target passes those in the
-    family too.
+    f_values holds the operator value of each ensemble sample.  epsilon must
+    be a finite number > 0 and rho_index an integer in [0, len(family)),
+    else a ConfigError names the argument, and fit_cfg's spec must draw
+    functionals of the ensemble's signature, else a ShapeError; all are
+    checked before stage 1 runs.  Stage 1 gives the
+    (n, m) partition weights T and the (m, d) centers U, with T U within
+    epsilon/2 of f_values; its bound and C are checked between the stages.
+    Stage 2 is one fit_columns call on T, column j seeded by
+    derive_seed(fit_cfg.seed, j), to delta = epsilon/(2 m C), and the
+    network is ShallowVectorNetwork(P, theta, c, U, widths) on its factors.
+    A fit that cannot reach delta at fit_cfg.max_width leaves
+    report.converged False rather than raising; whenever it is True, the
+    training uniform error is below epsilon by construction, and a
+    BudgetError is raised if it is not.  The training errors come from one
+    uniform_error pass over the whole family, so a caller that wants them
+    under more seminorms than the target passes those in the family too.
     """
     if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per ensemble sample required")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _as_float(epsilon, "epsilon", above=0)
+    rho_index = _as_int(rho_index, "rho_index", 0)
+    if rho_index >= len(family):
+        raise ConfigError(f"must be below {len(family)}, got {rho_index}", "rho_index")
+    spec = fit_cfg.functional_spec
+    if spec.signature != ensemble.signature:
+        raise ShapeError(f"functional spec draws {spec.signature} functionals, ensemble is "
+                         f"{ensemble.signature}")
     rho = family[rho_index]
 
     net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
-    weights = build_partition(net1, rho)
-    stage1_sup = float(np.max(np.sum(weights * net1.distances, axis=1)))
+    T, U = build_partition(net1, rho), net1.centers.values
+    stage1_sup = float(np.max(np.sum(T * net1.distances, axis=1)))
     if not stage1_sup < (epsilon / 2.0) * (1.0 + 1e-9):
         raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")
 
     m = len(net1)
-    c_max = float(np.max(rho(net1.centers.values, net1.centers.grid)))
+    c_max = float(np.max(rho(U, net1.centers.grid)))
     if c_max == 0.0:
         # every center is rho-null, so the zero network is already within
         # epsilon/2, which is then the bound its training error is held to
@@ -502,10 +525,10 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
         converged, bound = True, epsilon / 2.0
     else:
         delta = float(epsilon / (2.0 * m * c_max))
-        P, thetas, c, errors, widths = _fit_coefficients(ensemble, weights, fit_cfg, delta)
-        network = ShallowVectorNetwork(P, thetas, c, net1.centers.values, widths,
-                                       fit_cfg.activation, ensemble.signature, f_values.grid,
-                                       fit_cfg.functional_spec.basis)
+        seeds = [derive_seed(fit_cfg.seed, j) for j in range(m)]
+        P, theta, c, widths, errors = fit_columns(ensemble.flats, T, fit_cfg, seeds, delta)
+        network = ShallowVectorNetwork(P, theta, c, U, widths, fit_cfg.activation,
+                                       ensemble.signature, f_values.grid, spec.basis)
         converged, bound = bool(np.all(errors < delta)), epsilon
 
     train_errors = uniform_error(f_values, network, ensemble, family)
@@ -516,33 +539,6 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     report = AssemblyReport(float(epsilon), m, c_max, delta, c_max == 0.0, stage1_sup, errors,
                             widths, converged, train_sup, train_errors)
     return network, report
-
-
-def _fit_coefficients(ensemble, weights, fit_cfg: FitConfig, delta: float):
-    """Fit every partition column j with fit_columns under the bank seed
-    derive_seed(fit_cfg.seed, j), and return the network factors (P, theta,
-    c), sup errors and widths.
-
-    The columns are fitted together on the ensemble's input matrix.  Column j
-    contributes one block of neurons: its bank's parameters, thresholds and
-    ridge coefficients, whose output rows are multiples of center j.
-    """
-    spec = fit_cfg.functional_spec
-    if spec.signature != ensemble.signature:
-        raise ShapeError(
-            f"functional spec draws {spec.signature} functionals, ensemble is "
-            f"{ensemble.signature}"
-        )
-    seeds = [derive_seed(fit_cfg.seed, j) for j in range(weights.shape[1])]
-    fits = fit_columns(ensemble.flats, weights, fit_cfg, seeds, delta)
-    P = np.concatenate([fit[0] for fit in fits])
-    thetas = np.concatenate([fit[1] for fit in fits])
-    c = np.concatenate([fit[2] for fit in fits])
-    errors = np.array([fit[3] for fit in fits])
-    widths = np.array([len(fit[1]) for fit in fits], dtype=int)
-    for factor in (P, thetas, c):
-        factor.setflags(write=False)  # new arrays, held by the network without a copy
-    return P, thetas, c, errors, widths
 
 
 def uniform_error(f_values: TargetBatch, net: ShallowVectorNetwork, ensemble,

@@ -252,12 +252,15 @@ class ShallowVectorNetwork:
         column of ones appended, X = [S B^T, 1]; each panel's eta(X A) C
         fills its columns of the block's (rows, m) per-center sums
         (eta(X A) * c for a panel of one-neuron blocks, whose C is the
-        diagonal of c); and the block's outputs are those sums times U.  A
-        row block holds as many rows as keep the widest panel's activations
-        and the per-center sums within EVAL_BLOCK_BYTES, and its projection
-        and panel products within _PRODUCT_MACS multiply-adds, and at least
-        one.  The product with U is taken in slices of at most
-        _PRODUCT_MACS multiply-adds where one row is within it, else whole.
+        diagonal of c); and the block's outputs are those sums times U.  An
+        activation that overflows to inf in a panel of several blocks meets
+        the zeros of its block-diagonal C, so that row's sums are NaN for
+        every block of the panel, not only its own.  A row block holds as
+        many rows as keep the widest panel's activations and the per-center
+        sums within EVAL_BLOCK_BYTES, and its projection and panel products
+        within _PRODUCT_MACS multiply-adds, and at least one.  The product
+        with U is taken in slices of at most _PRODUCT_MACS multiply-adds
+        where one row is within it, else whole.
 
         The row blocks are split into contiguous shares, one per CPU this
         process may use, as long as each keeps about EVAL_SHARE_BLOCKS

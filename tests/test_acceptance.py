@@ -72,7 +72,7 @@ def sup_error_at_width(ens, y, width, activation, lam, seed):
     """Training sup error of one fixed-width scalar fit."""
     cfg = FitConfig(functional_spec=FSPEC, width=width, max_width=width,
                     activation=activation, lam=lam, seed=seed)
-    return fit_columns(ens.flats, y[:, None], cfg, [seed], 0.0)[0][3]
+    return fit_columns(ens.flats, y[:, None], cfg, [seed], 0.0)[4][0]
 
 
 def test_criterion_01_finite_rank_suite():

@@ -495,8 +495,19 @@ def bank_design(flats, L, thetas, activation):
 
 
 def fit_one(flats, y, cfg, delta):
-    """fit_columns on the one column y, with the bank seeded by cfg.seed."""
-    return fit_columns(flats, np.asarray(y, dtype=float)[:, None], cfg, [cfg.seed], delta)[0]
+    """fit_columns on the one column y, with the bank seeded by cfg.seed: its
+    one block's (P, theta, c) and sup error."""
+    P, thetas, coeffs, widths, sup_errors = fit_columns(
+        flats, np.asarray(y, dtype=float)[:, None], cfg, [cfg.seed], delta)
+    assert widths.tolist() == [len(thetas)]
+    return P, thetas, coeffs, sup_errors[0]
+
+
+def no_call(name):
+    """A stand-in for name that fails the test if anything calls it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the arguments were checked")
+    return refuse
 
 
 def bank_streams(seed):
@@ -571,6 +582,52 @@ class TestScalarRidge:
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=11)
         with pytest.raises(ShapeError):
             fit_columns(np.zeros((4, 100)), np.zeros((4, 1)), cfg, [cfg.seed], 0.1)
+
+    @pytest.mark.parametrize("targets, seeds", [
+        (np.zeros((4, 3)), [11]), (np.zeros(4), [11]), (np.zeros((3, 1)), [11]),
+        (np.zeros((4, 1, 1)), [11]), (np.zeros((4, 0)), []),
+    ], ids=["three-columns-one-seed", "1-d", "wrong-rows", "3-d", "no-column"])
+    def test_targets_must_have_one_column_per_seed(self, targets, seeds, monkeypatch):
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
+        monkeypatch.setattr(construct, "draw_features", no_call("draw_features"))
+        with pytest.raises(ShapeError, match="targets") as info:
+            fit_columns(np.zeros((4, 3)), targets, cfg, seeds, 0.1)
+        assert info.value.arg == "targets"
+
+    def test_targets_must_be_real(self, monkeypatch):
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
+        monkeypatch.setattr(construct, "draw_features", no_call("draw_features"))
+        for bad in (np.full((4, 1), "0.5"), np.ones((4, 1), dtype=bool)):
+            with pytest.raises(ConfigError, match="targets"):
+                fit_columns(np.zeros((4, 3)), bad, cfg, [cfg.seed], 0.1)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5, True, "0.1"])
+    def test_delta_must_be_finite_and_nonnegative(self, delta, monkeypatch):
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
+        monkeypatch.setattr(construct, "draw_features", no_call("draw_features"))
+        with pytest.raises(ConfigError, match="delta") as info:
+            fit_columns(np.zeros((4, 3)), np.zeros((4, 1)), cfg, [cfg.seed], delta)
+        assert info.value.arg == "delta"
+
+    def test_returns_read_only_factors_in_column_order(self):
+        rng = np.random.default_rng(19)
+        flats = rng.standard_normal((12, 3))
+        targets = rng.standard_normal((12, 3))
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4,
+                        max_width=16, seed=11)
+        seeds = [7, 8, 9]
+        P, thetas, coeffs, widths, sup_errors = fit_columns(flats, targets, cfg, seeds, 1e-3)
+        assert widths.shape == sup_errors.shape == (3,) and widths.dtype == np.int64
+        assert P.shape == (widths.sum(), 3) and thetas.shape == coeffs.shape == (widths.sum(),)
+        for factor in (P, thetas, coeffs, widths, sup_errors):
+            assert not factor.flags.writeable and factor.base is None
+        starts = np.cumsum(widths) - widths
+        for j, seed in enumerate(seeds):
+            one = fit_columns(flats, targets[:, j:j + 1], cfg, [seed], 1e-3)
+            block = slice(starts[j], starts[j] + widths[j])
+            for whole, alone in zip((P[block], thetas[block], coeffs[block]), one[:3]):
+                np.testing.assert_array_equal(whole, alone)
+            assert one[3].tolist() == [widths[j]] and one[4][0] == sup_errors[j]
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.signature[0])
     def test_grown_bank_equals_fresh_draw(self, spec):
@@ -772,8 +829,9 @@ class TestAssemble:
         psi = build_partition(net1, rho)
         start = 0
         for j, center in enumerate(net1.centers.values):
-            (P, thetas, coeffs, err), = fit_columns(ens.flats, psi[:, j:j + 1], cfg,
-                                                    [derive_seed(cfg.seed, j)], report.delta)
+            P, thetas, coeffs, width, (err,) = fit_columns(
+                ens.flats, psi[:, j:j + 1], cfg, [derive_seed(cfg.seed, j)], report.delta)
+            assert width.tolist() == [len(thetas)]
             rows = slice(start, start + len(thetas))
             start += len(thetas)
             np.testing.assert_array_equal(net.weights[rows], P)
@@ -783,6 +841,62 @@ class TestAssemble:
             assert net.widths[j] == len(thetas)
             assert err == report.coefficient_errors[j]
         assert start == net.width
+
+    def test_stage_two_is_one_fit_columns_call(self, monkeypatch):
+        # the handover: one fit_columns call on the stage-1 coordinates T, and
+        # a network holding its factors and the centers U without a copy
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        fit, net_of = construct.fit_columns, construct.build_epsilon_net
+        calls, nets = [], []
+
+        def recording(flats, targets, fit_cfg, seeds, delta):
+            result = fit(flats, targets, fit_cfg, seeds, delta)
+            calls.append((flats, np.array(targets), fit_cfg, list(seeds), delta, result))
+            return result
+
+        def keeping(*args):
+            nets.append(net_of(*args))
+            return nets[-1]
+
+        monkeypatch.setattr(construct, "fit_columns", recording)
+        monkeypatch.setattr(construct, "build_epsilon_net", keeping)
+        net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        assert len(calls) == 1 and len(nets) == 1
+        flats, targets, fit_cfg, seeds, delta, (P, thetas, c, widths, errors) = calls[0]
+        assert flats is ens.flats and fit_cfg is cfg and delta == report.delta
+        assert targets.tobytes() == build_partition(nets[0], LqNorm(2.0)).tobytes()
+        assert targets.shape == (len(ens), report.m)
+        want = [derive_seed(cfg.seed, j) for j in range(report.m)]
+        assert [(s.entropy, s.spawn_key) for s in seeds] == [(s.entropy, s.spawn_key)
+                                                             for s in want]
+        assert net.weights is P and net.thresholds is thetas and net.coefficients is c
+        assert net.centers is nets[0].centers.values
+        np.testing.assert_array_equal(net.widths, widths)
+        assert report.coefficient_widths is widths and report.coefficient_errors is errors
+
+    @pytest.mark.parametrize("rho_index", [True, False, -1, 1, 0.0, np.float64(0), "0", None],
+                             ids=["True", "False", "-1", "len", "float", "numpy-float", "str",
+                                  "None"])
+    def test_rho_index_refused_before_stage_one(self, rho_index, monkeypatch):
+        ens = band_ensemble(5, self.GRID, seed=6)
+        values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4)
+        monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
+        with pytest.raises(ConfigError, match="rho_index") as info:
+            assemble_vector_network(values, ens, self.family(), rho_index, 0.1, cfg)
+        assert info.value.arg == "rho_index"
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -0.1, True, "0.1"])
+    def test_epsilon_refused_before_stage_one(self, epsilon, monkeypatch):
+        ens = band_ensemble(5, self.GRID, seed=6)
+        values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4)
+        monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
+        with pytest.raises(ConfigError, match="epsilon") as info:
+            assemble_vector_network(values, ens, self.family(), 0, epsilon, cfg)
+        assert info.value.arg == "epsilon"
 
     def test_designs_are_the_network_pre_activation(self, monkeypatch):
         # every design stage 2 solves is eta((X B^T) P^T - theta) on a prefix
@@ -901,6 +1015,16 @@ class TestAssemble:
         ens = band_ensemble(5, self.GRID, seed=6)
         values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
         cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 101)), width=4)
+        with pytest.raises(ShapeError, match="functional spec"):
+            assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
+
+    @pytest.mark.parametrize("fill", [1.0, 0.0], ids=["fitted", "degenerate"])
+    def test_mismatched_functional_spec_rejected_before_stage_one(self, fill, monkeypatch):
+        # also when every center is rho-null (C = 0) and stage 2 would not run
+        ens = band_ensemble(5, self.GRID, seed=6)
+        values = TargetBatch(np.full((5, 101), fill), self.GRID)
+        cfg = FitConfig(functional_spec=fn_spec(GridMeta(0.0, 2.0, 101)), width=4)
+        monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
         with pytest.raises(ShapeError, match="functional spec"):
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
 
