@@ -69,4 +69,4 @@ from .targets import (
     TargetBatch,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"

@@ -10,8 +10,12 @@ uniform error by epsilon whenever every scalar fit met delta.
 
 from __future__ import annotations
 
+import functools
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from .inputs import (
     random_functional,  # noqa: F401  not called here; benchmarks/tracer.py hooks this name
     signature_dim,
 )
-from .network import ShallowVectorNetwork, make_activation
+from .network import ShallowVectorNetwork, _cpu_count, _in_shares, make_activation
 from .seeding import derive_seed
 from .targets import (
     Seminorm,
@@ -40,10 +44,65 @@ from .targets import (
 #: makes a pass over thousands of rows about three times faster than one call
 SEMINORM_BLOCK_ROWS = 256
 
-#: bytes of float64 factor input per np.linalg.qr call in stage 2: the fits
-#: solve their designs in stacks of this size, so their working set stays
-#: bounded however many partition columns a run has
+#: bytes of float64 factor input per stacked solve in stage 2, shared out among
+#: fit_columns' workers, so stage 2's working set is bounded however many columns
 SOLVE_STACK_BYTES = 1 << 20
+
+#: holds on OpenBLAS's thread count, one per process: those open, the count found
+_hold_lock = threading.Lock()
+_holds = [0, None]
+
+
+@functools.cache
+def _openblas():
+    """(dgels, get_threads, set_threads), bound on the first call in the
+    scipy-openblas64 library numpy's wheel ships and loads (numpy.libs on
+    Linux and Windows, numpy/.dylibs on macOS); None where there is none."""
+    import ctypes
+
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*scipy_openblas64*"),
+                        *package.glob(".dylibs/*scipy_openblas64*")]):
+        try:
+            library = ctypes.CDLL(str(path))
+            functions = (library.scipy_LAPACKE_dgels_work64_,
+                         library.scipy_openblas_get_num_threads64_,
+                         library.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        dgels, get_threads, set_threads = functions
+        # (layout, trans, m, n, nrhs, A, lda, B, ldb, work, lwork), 64-bit sizes
+        index = ctypes.c_int64
+        dgels.argtypes = [ctypes.c_int, ctypes.c_char] + [index] * 3 + [ctypes.c_void_p, index] * 3
+        dgels.restype = index
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return functions
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread until every open hold has ended, then
+    restore the count the first found; a hold opened under another, also on
+    a thread started under it, sets nothing.  A no-op without the library."""
+    library = _openblas()
+    if library is None:
+        yield
+        return
+    _, get_threads, set_threads = library
+    with _hold_lock:
+        if not _holds[0]:
+            _holds[1] = get_threads()
+            set_threads(1)
+        _holds[0] += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _holds[0] -= 1
+            if not _holds[0]:
+                set_threads(_holds[1])
 
 
 def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.ndarray:
@@ -88,10 +147,10 @@ def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> Eps
     which is its column of the net's distances; the next center is the first
     value whose nearest center so far is at distance >= epsilon.  Earlier
     values are covered or centers, so that is the first such later value.
-    The centers are the rows values[i] for the center indices.
+    The centers are the rows values[i] for the center indices.  epsilon must
+    be a finite number > 0, else a ConfigError names it.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _as_float(epsilon, "epsilon", above=0)
     F, grid = values.values, values.grid
     nearest = np.full(F.shape[0], np.inf)
     # columns go into one buffer, doubled when full: keeping one array per
@@ -113,8 +172,7 @@ def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> Eps
         i = int(uncovered[0])
     distances = distances[:, :len(indices)].copy()
     distances.setflags(write=False)
-    return EpsilonNet(TargetBatch(F[indices], grid), float(epsilon), tuple(indices),
-                      distances)
+    return EpsilonNet(TargetBatch(F[indices], grid), epsilon, tuple(indices), distances)
 
 
 def build_partition(net: EpsilonNet, rho: Seminorm) -> np.ndarray:
@@ -140,24 +198,14 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
     """Minimize ||A c - y||^2 + lam ||c||^2 for each member of a stack.
 
     design is a (b, n, k) stack with targets (b, n), and the result is
-    (b, k); one design is the stack design[None].  Every member is solved
-    from a Householder QR, each factor taken for the whole stack:
-    - a tall design (n >= k), or any design with lam > 0, factors [A | y]
-      with A augmented by sqrt(lam) I, so the conditioning is that of A
-      rather than of A^T A, and back-substitutes;
-    - a wide design (n < k) with lam = 0 takes the minimum-norm solution
-      Q R^-T y from a two-panel blocked QR of A^T = Q R, applying each
-      panel's reflectors in compact form (see _minimum_norm_solve).
-    A member whose triangular factor is numerically singular (its diagonal
-    ratio min |r_ii| / max |r_ii| is at most eps * max(n, k)), whose wide
-    QR has a reflector with tau = 0, or whose coefficients come out
-    non-finite, is solved alone by SVD least squares instead.  With lam = 0
-    that is the minimum-norm minimizer, and a warning says the design is
-    rank-deficient.  A member whose design or targets hold a non-finite
-    entry is refused there, by a ConfigError naming design or targets; so is
-    a design or targets array of strings, booleans, complex numbers or
-    objects, before anything is solved.  A member's result depends only on
-    its own design, targets and lam, never on the rest of its stack.
+    (b, k); one design is the stack design[None].  Each member is one LAPACK
+    dgels call (see _dgels_members); a member it leaves is solved alone by
+    SVD least squares, which with lam = 0 gives the minimum-norm minimizer
+    and warns that the design is rank-deficient, and refuses a non-finite
+    entry by a ConfigError naming design or targets.  A design or targets
+    array of strings, booleans, complex numbers or objects is refused so
+    before anything is solved.  A member's result depends only on its own design,
+    targets and lam.  OpenBLAS is held at one thread (_one_blas_thread).
     """
     design = np.asarray(_as_real(design, "design"), dtype=float)
     targets = np.asarray(_as_real(targets, "targets"), dtype=float)
@@ -166,114 +214,52 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
     lam = _as_float(lam, "lam", 0, subject="regularization lam")
-    b, n, k = design.shape
-    if lam > 0 or n >= k:
-        # [A | y], rows augmented by [sqrt(lam) I | 0], laid out column by
-        # column as LAPACK reads it, so the QR copies no transposes
-        columns = np.empty((b, k + 1, n + k if lam > 0 else n))
-        columns[:, :k, :n] = design.transpose(0, 2, 1)
-        columns[:, k, :n] = targets
-        if lam > 0:
-            columns[:, :k, n:] = np.sqrt(lam) * np.eye(k)
-            columns[:, k, n:] = 0.0
-        R = np.linalg.qr(columns.transpose(0, 2, 1), mode="r")
-        tri, rhs = R[:, :k, :k], R[:, :k, k]
-        coeffs = np.full((b, k), np.nan)
-        solved = _solvable(np.diagonal(tri, axis1=1, axis2=2), n, k)
-        coeffs[solved] = _back_substitute(tri[solved], rhs[solved][:, :, None])[:, :, 0]
-    else:
-        # a member with a non-finite entry, or a reflector with tau = 0, meets
-        # inf and NaN here; it falls back below, refused by name or solved
-        with np.errstate(all="ignore"):
-            coeffs = _minimum_norm_solve(design, targets)
-    for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1)):
-        coeffs[i] = _svd_solve(design[i], targets[i], lam)
+    with _one_blas_thread():
+        coeffs = _dgels_members(design, targets, lam)
+        for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1)):
+            coeffs[i] = _svd_solve(design[i], targets[i], lam)
     return coeffs
 
 
-def _minimum_norm_solve(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Q R^-T y for a stack of wide designs (n < k) from a blocked Householder
-    QR of A^T = Q R, NaN for a member left to the SVD fallback.
-
-    A^T is factored in two column panels, of n // 2 and n - n // 2 columns
-    (one panel when n = 1), each by one np.linalg.qr call over the stack.  A
-    panel's reflectors H_i = I - tau_i v_i v_i^T multiply to the compact form
-    I - V T V^T, T upper triangular with T^-1 = striu(V^T V) + diag(1 / tau)
-    (the UT transform), so the first panel's Q^T reaches the second panel's
-    columns, and Q reaches [w; 0], through a few batched matrix products and
-    small triangular solves instead of one step per reflector.  R^T w = y is
-    solved block by block.
-
-    A member falls back when a tau is 0 (1 / tau is then infinite), when T^-1
-    is otherwise non-finite, or when R is numerically singular (see
-    _solvable).  Its factors are replaced by identities, so no stacked solve
-    meets a singular matrix, and its row comes out NaN.
+def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+    """Each member's coefficients by one LAPACK dgels call (a Householder
+    QR), NaN for one left to the SVD fallback: every member without the
+    library, one with a non-finite entry (never passed to LAPACK), and one
+    whose triangular factor R has a zero diagonal entry (INFO > 0), is
+    numerically singular (min |r_ii| / max |r_ii| <= eps * max(n, k)) or
+    gives non-finite coefficients.  A tall design (n >= k) or lam > 0 is
+    solved as [A; sqrt(lam) I] c = [y; 0] ('N'), so the conditioning is that
+    of A, not A^T A; a wide one with lam = 0 through A^T ('T'), which gives
+    the minimum-norm c.  Members are copied column-major into one buffer,
+    which R overwrites, and one workspace query serves the stack.
     """
     b, n, k = design.shape
-    edges = (0, n // 2, n) if n > 1 else (0, n)
-    ok = np.ones(b, dtype=bool)
-    # per panel: V, T^-1, the panel's diagonal block of R^T, and the rows of
-    # R right of that block; rest holds rows and columns j0: of Q^T A^T once
-    # the panels before j0 are factored
-    panels = []
-    rest = design.transpose(0, 2, 1)
-    for j0, j1 in zip(edges, edges[1:]):
-        width = j1 - j0
-        # raw^T holds R in its upper triangle and v_i[i + 1:] below (v_i[i] = 1)
-        raw, tau = np.linalg.qr(rest[:, :, :width], mode="raw")
-        diagonal = (slice(None), range(width), range(width))
-        V = np.tril(raw.transpose(0, 2, 1), -1)
-        V[diagonal] = 1.0
-        T_inv = np.triu(V.transpose(0, 2, 1) @ V, 1)
-        T_inv[diagonal] = 1.0 / tau
-        ok &= np.all(np.isfinite(T_inv), axis=(1, 2))
-        T_inv[~ok] = np.eye(width)
-        right = None
-        if j1 < n:
-            # Q^T C = C - V T^T V^T C on the columns not yet factored
-            C = rest[:, :, width:]
-            C = C - V @ _forward_substitute(T_inv.transpose(0, 2, 1),
-                                            V.transpose(0, 2, 1) @ C)
-            right, rest = C[:, :width], C[:, width:]
-        panels.append((V, T_inv, np.tril(raw[:, :, :width]), right))
-    ok &= _solvable(np.concatenate([np.diagonal(lower, axis1=1, axis2=2)
-                                    for _, _, lower, _ in panels], axis=1), n, k)
-    x = np.zeros((b, k))
-    rhs = targets
-    for (_, _, lower, right), j0, j1 in zip(panels, edges, edges[1:]):
-        lower[~ok] = np.eye(j1 - j0)
-        x[:, j0:j1] = _forward_substitute(lower, rhs[:, :j1 - j0, None])[:, :, 0]
-        if right is not None:
-            rhs = rhs[:, j1 - j0:] - (right.transpose(0, 2, 1) @ x[:, j0:j1, None])[:, :, 0]
-    # x = [w; 0] becomes Q x, the last panel's reflectors first
-    for (V, T_inv, _, _), j0 in reversed(list(zip(panels, edges))):
-        tail = x[:, j0:, None]
-        tail -= V @ _back_substitute(T_inv, V.transpose(0, 2, 1) @ tail)
-    x[~ok] = np.nan
-    return x
-
-
-def _solvable(diag: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Members of a stack whose triangular factor, with diagonals diag, is not
-    numerically singular."""
-    diag = np.abs(diag)
-    return diag.min(axis=1) > np.finfo(float).eps * max(n, k) * diag.max(axis=1)
-
-
-def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """upper^-1 rhs for a stack of nonsingular upper-triangular matrices and
-    a (b, n, r) stack of right-hand sides.
-
-    Partial pivoting swaps no rows of an upper-triangular matrix, so the LU
-    solve is back substitution and meets no zero pivot.
-    """
-    return np.linalg.solve(upper, rhs)
-
-
-def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lower^-1 rhs for lower-triangular matrices: reversed in both axes, a
-    lower-triangular matrix is upper triangular."""
-    return _back_substitute(lower[:, ::-1, ::-1], rhs[:, ::-1])[:, ::-1]
+    coeffs = np.full((b, k), np.nan)
+    library = _openblas()
+    if library is None:
+        return coeffs
+    tall = lam > 0 or n >= k
+    rows, cols = (n + k if lam > 0 else n, k) if tall else (k, n)
+    # buffer row j is column j of the matrix LAPACK factors (102: column-major)
+    buffer, rhs, query = np.empty((cols, rows)), np.empty(rows), np.empty(1)
+    dgels = functools.partial(library[0], 102, b"N" if tall else b"T", rows, cols, 1,
+                              buffer.ctypes.data, rows, rhs.ctypes.data, rows)
+    dgels(query.ctypes.data, -1)
+    work, ridge = np.empty(max(1, int(query[0]))), np.sqrt(lam) * np.eye(k, rows - n)
+    finite = np.all(np.isfinite(design), axis=(1, 2)) & np.all(np.isfinite(targets), axis=1)
+    for i in np.flatnonzero(finite):
+        if tall:
+            buffer[:, :n], buffer[:, n:] = design[i].T, ridge
+        else:
+            buffer[:] = design[i]
+        rhs[:n], rhs[n:] = targets[i], 0.0
+        info = dgels(work.ctypes.data, work.size)
+        if info < 0:
+            raise RuntimeError(f"dgels refused its argument {-info}")
+        diag = np.abs(np.diagonal(buffer))
+        if not info and diag.min() > np.finfo(float).eps * max(n, k) * diag.max():
+            coeffs[i] = rhs[:k]
+    return coeffs
 
 
 def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -367,55 +353,57 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     factors (P, theta, c, widths, sup_errors) of the network whose block j
     fits column j.
 
-    flats is the (n_samples, dim) input matrix and targets a real
-    (n_samples, len(seeds)) matrix of at least one column, else a ShapeError
-    names targets; delta must be a finite number >= 0, else a ConfigError
-    names it.  All pending columns share one width: cfg.width, doubled per
-    step up to cfg.max_width (a fixed-width fit sets max_width = width).  A
-    step draws each pending bank's new features with draw_features,
-    continuing its streams, and solves the pending designs in stacks of at
-    most SOLVE_STACK_BYTES; a column stops once its training sup error is
-    below delta or its width reaches cfg.max_width.  The inputs are
-    projected on the spec's basis once, S = flats B^T (S = flats with no
-    basis), and each design is eta(S P^T - theta), the pre-activation a
-    network evaluates.  Block j is widths[j] neurons: its bank's parameters
-    P, as draw_features returns them, thresholds theta and coefficients c,
-    each factor concatenated in column order and read-only, so a network
-    holds it without a copy; sup_errors[j] is column j's training error.
+    flats is the (n_samples, dim) input matrix, read by the array rule
+    (arg flats), and targets a real (n_samples, len(seeds)) matrix of at
+    least one column, else a ShapeError names targets; delta must be a
+    finite number >= 0, else a ConfigError names it.  All pending columns
+    share one width: cfg.width, doubled per step up to cfg.max_width (a
+    fixed-width fit sets max_width = width).  A step splits the pending
+    columns into one contiguous share per CPU this process may use, run by
+    _in_shares; a share draws its banks' new features with draw_features,
+    continuing their streams, and solves its designs in stacks of at most
+    SOLVE_STACK_BYTES / shares.  A column stops once its training sup error
+    is below delta or its width reaches cfg.max_width.  Each design is
+    eta(S P^T - theta), the pre-activation a network evaluates, with the
+    inputs projected once, S = flats B^T (S = flats with no basis).  Block
+    j is widths[j] neurons: its bank's parameters P, as draw_features
+    returns them, thresholds theta and coefficients c, each factor
+    concatenated in column order and read-only, so a network holds it
+    without a copy; sup_errors[j] is column j's training error.  No block
+    depends on the shares.  OpenBLAS is held at one thread throughout.
     """
     spec = cfg.functional_spec
     dim = signature_dim(spec.signature)
-    if flats.ndim != 2 or flats.shape[1] != dim:
-        raise ShapeError(f"inputs {flats.shape} do not stack to {dim}-vectors")
+    flats = _as_array(flats, "flats", 2, subject="inputs")
+    if flats.shape[1] != dim:
+        raise ShapeError(f"must have rows of {dim} entries, got {flats.shape}", "flats", "inputs")
     n = flats.shape[0]
     targets = _as_real(targets, "targets")
     if not len(seeds) or targets.shape != (n, len(seeds)):
         raise ShapeError(f"must be ({n}, {len(seeds)}), one column per seed and at least "
                          f"one, got shape {targets.shape}", "targets")
     delta = _as_float(delta, "delta", 0)
-    S = flats if spec.basis is None else flats @ spec.basis.T
     # bank j's (parameters, thresholds) generators, rooted at seeds[j]
     streams = [tuple(np.random.default_rng(derive_seed(seed, k)) for k in (0, 1))
                for seed in seeds]
-    banks = [None] * len(seeds)
-    coeffs = [None] * len(seeds)
+    banks, coeffs = [None] * len(seeds), [None] * len(seeds)
     sup_errors = np.empty(len(seeds))
     pending = list(range(len(seeds)))
     width, target = 0, cfg.width
-    while pending:
-        for j in pending:
+
+    def fit_share(share):
+        for j in share:
             grown = draw_features(cfg, streams[j], width, target)
             banks[j] = grown if width == 0 else tuple(
                 np.concatenate(parts) for parts in zip(banks[j], grown))
-        width = target
-        # members per stack: as many as keep each column-major [A | y] that
-        # least_squares_solve factors within SOLVE_STACK_BYTES, and at least one
-        rows = n + width if cfg.lam > 0 else n
-        size = max(1, SOLVE_STACK_BYTES // (8 * rows * (width + 1)))
-        for first in range(0, len(pending), size):
-            stack = pending[first:first + size]
+        # members per stack: as many as keep each column-major [A | y] within
+        # the share's part of SOLVE_STACK_BYTES, and at least one
+        rows = n + target if cfg.lam > 0 else n
+        size = max(1, SOLVE_STACK_BYTES // shares // (8 * rows * (target + 1)))
+        for first in range(0, len(share), size):
+            stack = share[first:first + size]
             # member i holds the transposed design A^T: one feature per row
-            designs = np.empty((len(stack), width, n))
+            designs = np.empty((len(stack), target, n))
             for i, j in enumerate(stack):
                 P, thetas = banks[j]
                 block = np.matmul(P, S.T, out=designs[i])
@@ -424,10 +412,16 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             fitted, errors = fit_ridge_features(designs.transpose(0, 2, 1),
                                                 targets[:, stack].T, cfg.lam)
             for i, j in enumerate(stack):
-                if errors[i] < delta or width >= cfg.max_width:
+                if errors[i] < delta or target >= cfg.max_width:
                     coeffs[j], sup_errors[j] = fitted[i], errors[i]
-        pending = [j for j in pending if coeffs[j] is None]
-        target = min(2 * width, cfg.max_width)
+
+    with _one_blas_thread():
+        S = flats if spec.basis is None else flats @ spec.basis.T
+        while pending:
+            shares = min(_cpu_count(), len(pending))
+            _in_shares(fit_share, pending, shares)
+            pending = [j for j in pending if coeffs[j] is None]
+            width, target = target, min(2 * target, cfg.max_width)
     P, theta = (np.concatenate(parts) for parts in zip(*banks))
     c = np.concatenate(coeffs)
     widths = np.array([len(thetas) for _, thetas in banks], dtype=int)

@@ -20,11 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construct import (
-    FitConfig,
-    assemble_vector_network,
-    uniform_error,
-)
+from .construct import FitConfig, _one_blas_thread, assemble_vector_network, uniform_error
 from .errors import ConfigError, _named
 from .inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, sample_ensemble
 from .network import _grid_to_doc, make_activation, serialize_network
@@ -477,8 +473,9 @@ def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the epsilon sweep; results come back ordered by sweep position."""
-    runs = [_run_one(config, config.parts, i, e) for i, e in enumerate(config.epsilons)]
+    """Run the epsilon sweep at one OpenBLAS thread; results come in sweep order."""
+    with _one_blas_thread():
+        runs = [_run_one(config, config.parts, i, e) for i, e in enumerate(config.epsilons)]
     created = datetime.now(timezone.utc).isoformat()
     return ExperimentReport(config, tuple(runs), created)
 

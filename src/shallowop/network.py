@@ -264,12 +264,9 @@ class ShallowVectorNetwork:
 
         The row blocks are split into contiguous shares, one per CPU this
         process may use, as long as each keeps about EVAL_SHARE_BLOCKS
-        panel products.  The calling thread evaluates the first share and
-        one started thread each of the others, in a copy of the caller's
-        context, so np.errstate holds in them too.  Each block is computed
-        alone, so the outputs do not depend on the number of threads.  An
-        exception raised in any share is raised here once every thread
-        has finished.
+        panel products, and evaluated by _in_shares.  Each block is
+        computed alone, so the outputs do not depend on the number of
+        threads.
         """
         flats = stack_inputs(samples, self.input_signature)
         n, r, m = flats.shape[0], self.weights.shape[1], self.centers.shape[0]
@@ -280,45 +277,26 @@ class ShallowVectorNetwork:
         # whole when one row of the product with U is already larger
         product_rows = _PRODUCT_MACS // max(1, m * self.output_dim) or rows
         starts = range(0, n, rows)
-        errors = []
 
         def evaluate(share):
-            try:
-                for start in share:
-                    block = flats[start:start + rows]
-                    inputs = np.empty((block.shape[0], r + 1))
-                    inputs[:, :r] = block if self.basis is None else block @ self.basis.T
-                    inputs[:, r] = 1.0
-                    sums = np.empty((block.shape[0], m))
-                    for weights, coefficients, centers in self._panels:
-                        act = self.activation(inputs @ weights)
-                        if coefficients.ndim == 1:  # one-neuron blocks: C is diagonal
-                            np.multiply(act, coefficients, out=sums[:, centers])
-                        else:
-                            sums[:, centers] = act @ coefficients
-                    for first in range(0, block.shape[0], product_rows):
-                        part = slice(first, first + product_rows)
-                        out[start:start + rows][part] = sums[part] @ self.centers
-            except BaseException as exc:  # raised once every thread has ended
-                errors.append(exc)
+            for start in share:
+                block = flats[start:start + rows]
+                inputs = np.empty((block.shape[0], r + 1))
+                inputs[:, :r] = block if self.basis is None else block @ self.basis.T
+                inputs[:, r] = 1.0
+                sums = np.empty((block.shape[0], m))
+                for weights, coefficients, centers in self._panels:
+                    act = self.activation(inputs @ weights)
+                    if coefficients.ndim == 1:  # one-neuron blocks: C is diagonal
+                        np.multiply(act, coefficients, out=sums[:, centers])
+                    else:
+                        sums[:, centers] = act @ coefficients
+                for first in range(0, block.shape[0], product_rows):
+                    part = slice(first, first + product_rows)
+                    out[start:start + rows][part] = sums[part] @ self.centers
 
-        # shares of consecutive row blocks; the caller evaluates the first
         products = len(starts) * len(self._panels)
-        shares = max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS))
-        per = -(-len(starts) // shares)
-        started = []
-        try:
-            for first in range(per, len(starts), per):
-                thread = threading.Thread(target=contextvars.copy_context().run,
-                                          args=(evaluate, starts[first:first + per]))
-                thread.start()
-                started.append(thread)
-            evaluate(starts[:per])
-        finally:
-            for thread in started:
-                thread.join()
-        if errors:
-            raise errors[0]
+        _in_shares(evaluate, starts, max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS)))
         return out
 
 
@@ -364,6 +342,35 @@ def _panels(weights, thresholds, coefficients, widths) -> list:
         panels.append((augmented[:, neurons], diagonal, slice(first, last)))
         first = last
     return panels
+
+
+def _in_shares(work, items, shares: int) -> None:
+    """work(run) for up to shares contiguous runs of items: the calling
+    thread takes the first, and one started thread each of the others, in a
+    copy of the caller's context, so np.errstate holds there too.  An
+    exception raised in any run is raised here once every thread has ended."""
+    errors = []
+
+    def run(share):
+        try:
+            work(share)
+        except BaseException as exc:  # raised once every thread has ended
+            errors.append(exc)
+
+    per = -(-len(items) // shares)
+    started = []
+    try:
+        for first in range(per, len(items), per):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, items[first:first + per]))
+            thread.start()
+            started.append(thread)
+        run(items[:per])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _cpu_count() -> int:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,6 +104,14 @@ class TestEpsilonNet:
             build_epsilon_net(TargetBatch(np.zeros((0, 1))), ABS, 1.0)
         with pytest.raises(ValueError):
             build_epsilon_net(scalar_batch(0.0), ABS, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [True, float("inf"), float("nan"), 0, 0.0, -1.0, "1"],
+                             ids=["True", "inf", "nan", "0", "0.0", "negative", "str"])
+    def test_epsilon_refused_by_name(self, epsilon):
+        values = batch_of(np.random.default_rng(5).standard_normal((10, 2)))
+        with pytest.raises(ConfigError, match="epsilon") as info:
+            build_epsilon_net(values, LqNorm(2.0), epsilon)
+        assert info.value.arg == "epsilon"
 
     @pytest.mark.parametrize("trial", range(10))
     def test_cover_and_separation(self, trial):
@@ -471,10 +480,11 @@ class TestStackedSolve:
                 np.testing.assert_array_equal(coeffs[i],
                                               least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
 
-    @pytest.mark.parametrize("column", (0, 4), ids=("first_panel", "second_panel"))
-    def test_identity_reflector_member_falls_back_alone(self, column):
+    @pytest.mark.parametrize("column", (0, 4), ids=("first_column", "fifth_column"))
+    def test_identity_reflector_member_solved_alone(self, column):
         # column c of A^T is e_c and row c of A^T is zero left of it, so
-        # LAPACK's reflector for that column is the identity (tau = 0)
+        # LAPACK's reflector for that column is the identity (tau = 0); the
+        # QR handles it like any other member
         rng = np.random.default_rng(19)
         a, y = random_stack(rng, 3, 8, 20)
         a[1, :column, column] = 0.0
@@ -482,12 +492,155 @@ class TestStackedSolve:
         a[1, column, column] = 1.0
         _, tau = np.linalg.qr(a[1].T, mode="raw")
         assert tau[column] == 0.0
-        coeffs = least_squares_solve(a, y, 0.0)
-        # the minimum-norm solution, as SVD least squares gives it
-        np.testing.assert_array_equal(coeffs[1], np.linalg.lstsq(a[1], y[1], rcond=None)[0])
-        for i in (0, 2):
-            np.testing.assert_array_equal(coeffs[i],
-                                          least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
+        import warnings as _w
+
+        with _w.catch_warnings():
+            _w.simplefilter("error")
+            coeffs = least_squares_solve(a, y, 0.0)
+            # the minimum-norm solution, as SVD least squares gives it
+            assert_matches_lstsq(coeffs[1], a[1], y[1], 0.0)
+            for i in (0, 2):
+                np.testing.assert_array_equal(
+                    coeffs[i], least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
+
+
+def assert_matches_lstsq(coeffs, a, y, lam):
+    """coeffs are SVD least squares on the sqrt(lam)-augmented a, to within
+    16 max(n, k) times the first-order bound for a backward-stable solve:
+    eps (cond + cond^2 |r| / (|A| |x|)) |x|, cond the augmented a's
+    condition number over its min(n, k) singular values and r the residual."""
+    n, k = a.shape
+    aug = np.vstack([a, np.sqrt(lam) * np.eye(k)])
+    rhs = np.concatenate([y, np.zeros(k)])
+    sigma = np.linalg.svd(aug if lam > 0 else a, compute_uv=False)
+    cond = sigma[0] / sigma[-1]
+    want = reference_solve(a, y, lam)
+    size = np.linalg.norm(want)
+    residual = np.linalg.norm(aug @ want - rhs)
+    bound = np.finfo(float).eps * (cond + cond ** 2 * residual / (sigma[0] * size)) * size
+    assert np.linalg.norm(coeffs - want) <= 16 * max(n, k) * bound
+
+
+class TestDgels:
+    """Each member is one LAPACK dgels call (see least_squares_solve)."""
+
+    @pytest.mark.parametrize("n, k, lam, deficient", [
+        (40, 12, 0.0, False), (12, 40, 0.0, False), (40, 12, 1e-3, False),
+        (12, 40, 1e-3, False), (40, 12, 0.0, True), (12, 40, 0.0, True)],
+        ids=["tall", "wide", "tall_lam", "wide_lam", "tall_deficient", "wide_deficient"])
+    def test_members_match_lstsq(self, n, k, lam, deficient):
+        rng = np.random.default_rng(n + 3 * k)
+        a, y = random_stack(rng, 4, n, k)
+        # scaled columns give each member a different condition number
+        a *= np.logspace(0, -4, k) * rng.uniform(0.5, 2.0, (4, 1, 1))
+        if deficient:  # member 2 repeats a column (tall) or a row (wide)
+            if n >= k:
+                a[2, :, 3] = a[2, :, 1]
+            else:
+                a[2, 3] = a[2, 1]
+        import warnings as _w
+
+        with _w.catch_warnings(record=True) as caught:
+            _w.simplefilter("always")
+            coeffs = least_squares_solve(a, y, lam)
+        assert len(caught) == deficient
+        if deficient:
+            assert "rank-deficient" in str(caught[0].message)
+            np.testing.assert_array_equal(coeffs[2], np.linalg.lstsq(a[2], y[2], rcond=None)[0])
+        for i in range(4):
+            if not (deficient and i == 2):
+                assert_matches_lstsq(coeffs[i], a[i], y[i], lam)
+
+    def test_binding_found_where_numpy_ships_scipy_openblas(self):
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        except (KeyError, TypeError):
+            pytest.skip("numpy reports no build configuration")
+        if lapack.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy was built with {lapack.get('name')}")
+        assert construct._openblas() is not None
+
+    def test_import_binds_nothing(self):
+        code = ("import shallowop\n"
+                "from shallowop import construct\n"
+                "assert construct._openblas.cache_info().currsize == 0\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(construct.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_without_binding_assembly_solves_by_svd(self, monkeypatch):
+        monkeypatch.setattr(construct, "_openblas", lambda: None)
+        svd, solved = construct._svd_solve, []
+
+        def counting(design, targets, lam):
+            solved.append(design.shape)
+            return svd(design, targets, lam)
+
+        monkeypatch.setattr(construct, "_svd_solve", counting)
+        grid = GridMeta(0.0, 1.0, 101)
+        ens = band_ensemble(40, grid, seed=5)
+        values = poisson_operator(grid).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(grid), width=16, seed=8)
+        net, report = assemble_vector_network(values, ens, SeminormFamily((LqNorm(2.0),)), 0,
+                                              0.05, cfg)
+        assert report.converged and report.train_sup_error < 0.05
+        # every member of every width tried, each solved alone
+        tried = sum(int(np.sum(report.coefficient_widths >= k)) for k in (16, 32, 64, 128, 256,
+                                                                          512))
+        assert len(solved) == tried and report.m >= 2
+
+    def test_thread_count_held_and_restored(self, monkeypatch):
+        library = construct._openblas()
+        if library is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        _, get_threads, set_threads = library
+        solve, seen = construct._dgels_members, []
+
+        def watching(*args):
+            seen.append(get_threads())
+            return solve(*args)
+
+        monkeypatch.setattr(construct, "_dgels_members", watching)
+        rng = np.random.default_rng(23)
+        a, y = random_stack(rng, 2, 30, 8)
+        before = get_threads()
+        try:
+            set_threads(2)
+            least_squares_solve(a, y, 0.0)
+            assert seen == [1] and get_threads() == 2
+        finally:
+            set_threads(before)
+
+    def test_concurrent_holds_restore_the_count(self):
+        # more threads than CPUs opening and closing holds, switching often:
+        # a lost update of the hold count would leave OpenBLAS at one thread
+        library = construct._openblas()
+        if library is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        _, get_threads, set_threads = library
+        before, interval = get_threads(), sys.getswitchinterval()
+        rng = np.random.default_rng(29)
+        a, y = random_stack(rng, 3, 20, 6)
+        want = least_squares_solve(a, y, 0.0)
+        results = []
+
+        def solve():
+            for _ in range(50):
+                results.append(least_squares_solve(a, y, 0.0).tobytes())
+
+        try:
+            set_threads(2)
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=solve) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert get_threads() == 2 and construct._holds[0] == 0
+            assert results == [want.tobytes()] * 400
+        finally:
+            sys.setswitchinterval(interval)
+            set_threads(before)
 
 
 def bank_design(flats, L, thetas, activation):
@@ -601,6 +754,31 @@ class TestScalarRidge:
             with pytest.raises(ConfigError, match="targets"):
                 fit_columns(np.zeros((4, 3)), bad, cfg, [cfg.seed], 0.1)
 
+    def test_flats_list_of_rows_is_read_as_its_array(self):
+        rng = np.random.default_rng(20)
+        flats, targets = rng.standard_normal((12, 3)), rng.standard_normal((12, 2))
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
+        want = fit_columns(flats, targets, cfg, [7, 8], 1e-3)
+        for rows in (list(flats), flats.tolist()):
+            got = fit_columns(rows, targets, cfg, [7, 8], 1e-3)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("flats, error", [
+        ([[0.0, 1.0, 2.0], [1.0, 2.0]], ShapeError), (np.zeros((4, 2)), ShapeError),
+        (np.zeros(12), ShapeError), (np.full((4, 3), "0.5"), ConfigError),
+        (np.ones((4, 3), dtype=bool), ConfigError), (np.zeros((4, 3)) + 1j, ConfigError),
+        ([[0.0, 1.0, True]] * 4, ConfigError), (np.full((4, 3), np.nan), ConfigError),
+        (np.full((4, 3), -np.inf), ConfigError),
+    ], ids=["ragged-rows", "wrong-width", "1-d", "str", "bool", "complex", "bool-entry",
+            "nan", "inf"])
+    def test_flats_refused_by_name(self, flats, error, monkeypatch):
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
+        monkeypatch.setattr(construct, "draw_features", no_call("draw_features"))
+        with pytest.raises(error, match="inputs") as info:
+            fit_columns(flats, np.zeros((4, 1)), cfg, [cfg.seed], 0.1)
+        assert info.value.arg == "flats"
+
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5, True, "0.1"])
     def test_delta_must_be_finite_and_nonnegative(self, delta, monkeypatch):
         cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
@@ -705,21 +883,62 @@ class TestScalarRidge:
         assert min(poly_errs) >= 5.0 * tanh_err
 
 
-def expected_stacks(final_widths, n, cfg):
-    """(stack size, width) of every stacked solve that fits columns with these
-    final widths: per width tried, the columns not yet done, in stacks that
-    keep [A | y] (augmented by sqrt(lam) I) within SOLVE_STACK_BYTES."""
-    stacks, k = [], cfg.width
+def expected_stacks(final_widths, n, cfg, cpus):
+    """The stacked solves that fit columns with these final widths on cpus
+    CPUs, share by share: per width tried, the columns not yet done split
+    into min(cpus, pending) contiguous shares, and each share solves its
+    columns in order, in stacks that keep [A | y] (augmented by sqrt(lam) I)
+    within SOLVE_STACK_BYTES / shares.  A share is the list of its stacks,
+    each (width, columns)."""
+    shares, k = [], cfg.width
     while True:
-        pending = int(np.sum(np.asarray(final_widths) >= k))
+        pending = np.flatnonzero(np.asarray(final_widths) >= k).tolist()
         if not pending:
-            return stacks
+            return shares
+        count = min(cpus, len(pending))
+        per = -(-len(pending) // count)
         rows = n + k if cfg.lam > 0 else n
-        size = max(1, construct.SOLVE_STACK_BYTES // (8 * rows * (k + 1)))
-        stacks += [(min(size, pending - first), k) for first in range(0, pending, size)]
+        size = max(1, construct.SOLVE_STACK_BYTES // count // (8 * rows * (k + 1)))
+        for first in range(0, len(pending), per):
+            share = pending[first:first + per]
+            shares.append([(k, tuple(share[i:i + size])) for i in range(0, len(share), size)])
         if k >= cfg.max_width:
-            return stacks
+            return shares
         k = min(2 * k, cfg.max_width)
+
+
+def assert_share_order(stacks, shares):
+    """stacks, recorded from every thread, are the stacks of shares, and each
+    share's come in its own order."""
+    assert sorted(stacks) == sorted(stack for share in shares for stack in share)
+    for share in shares:
+        assert [stack for stack in stacks if stack in share] == share
+
+
+def recording_stacks(monkeypatch, psi, designs=None):
+    """The list that every stacked solve from now on appends its (width,
+    columns) to, its partition columns found by their targets in psi; with
+    designs, each member's (width, column, design) is appended there too."""
+    columns = {psi[:, j].tobytes(): j for j in range(psi.shape[1])}
+    assert len(columns) == psi.shape[1]
+    solve, stacks = construct.fit_ridge_features, []
+
+    def recording(design, targets, lam):
+        stack = tuple(columns[column.tobytes()] for column in targets)
+        stacks.append((design.shape[2], stack))
+        if designs is not None:
+            designs.extend((design.shape[2], j, np.array(member))
+                           for j, member in zip(stack, design))
+        return solve(design, targets, lam)
+
+    monkeypatch.setattr(construct, "fit_ridge_features", recording)
+    return stacks
+
+
+def stage_one_weights(values, eps):
+    """The partition weights assembly fits at eps under the L2 norm."""
+    rho = LqNorm(2.0)
+    return build_partition(build_epsilon_net(values, rho, eps / 2.0), rho)
 
 
 class TestAssemble:
@@ -811,17 +1030,11 @@ class TestAssemble:
         ens = band_ensemble(40, self.GRID, seed=5)
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
-        solve = construct.fit_ridge_features
-        solved_stacks = []
-
-        def counting(design, targets, lam):
-            solved_stacks.append((design.shape[0], design.shape[2]))
-            return solve(design, targets, lam)
-
-        monkeypatch.setattr(construct, "fit_ridge_features", counting)
+        monkeypatch.setattr(construct, "_cpu_count", lambda: 2)
+        stacks = recording_stacks(monkeypatch, stage_one_weights(values, 0.05))
         net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
-        # one stacked solve per width tried and stack: (stack size, width)
-        assert solved_stacks == expected_stacks(report.coefficient_widths, len(ens), cfg)
+        # one stacked solve per width tried and stack, each share's in order
+        assert_share_order(stacks, expected_stacks(report.coefficient_widths, len(ens), cfg, 2))
         assert np.any(report.coefficient_widths > cfg.width)
         # block j of the network is fit_columns on partition column j alone
         rho = LqNorm(2.0)
@@ -904,53 +1117,59 @@ class TestAssemble:
         ens = band_ensemble(40, self.GRID, seed=5)
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
-        solve = construct.fit_ridge_features
+        monkeypatch.setattr(construct, "_cpu_count", lambda: 3)
         designs = []
-
-        def capturing(design, targets, lam):
-            designs.extend(np.array(member) for member in design)
-            return solve(design, targets, lam)
-
-        monkeypatch.setattr(construct, "fit_ridge_features", capturing)
+        stacks = recording_stacks(monkeypatch, stage_one_weights(values, 0.05), designs)
         net, _ = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         assert np.any(net.widths > cfg.width)
+        # per width tried, the columns still pending, each share's in order
+        assert_share_order(stacks, expected_stacks(net.widths, len(ens), cfg, 3))
         S = ens.flats @ net.basis.T
         starts = np.cumsum(net.widths) - net.widths
-        # per width tried, the columns still pending, in order
-        want, k = [], cfg.width
-        while np.any(net.widths >= k):
-            for j in np.flatnonzero(net.widths >= k):
-                rows = slice(starts[j], starts[j] + k)
-                want.append(net.activation(S @ net.weights[rows].T - net.thresholds[rows]))
-            k *= 2
-        assert len(designs) == len(want)
-        for got, expected in zip(designs, want):
+        assert len(designs) == sum(len(columns) for _, columns in stacks)
+        for k, j, got in designs:
+            rows = slice(starts[j], starts[j] + k)
+            expected = net.activation(S @ net.weights[rows].T - net.thresholds[rows])
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
-    def test_small_stacks_change_no_bit(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_small_stacks_change_no_bit(self, cpus, monkeypatch):
         ens = band_ensemble(40, self.GRID, seed=5)
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
         net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
-        solve = construct.fit_ridge_features
-        solved_stacks = []
-
-        def counting(design, targets, lam):
-            solved_stacks.append((design.shape[0], design.shape[2]))
-            return solve(design, targets, lam)
-
-        # two members of the first width per stack, then one
-        monkeypatch.setattr(construct, "SOLVE_STACK_BYTES", 2 * 8 * (40 + 16) * 17)
-        monkeypatch.setattr(construct, "fit_ridge_features", counting)
+        monkeypatch.setattr(construct, "_cpu_count", lambda: cpus)
+        stacks = recording_stacks(monkeypatch, stage_one_weights(values, 0.05))
+        # two members of the first width per stack in each share, then one
+        monkeypatch.setattr(construct, "SOLVE_STACK_BYTES",
+                            min(cpus, report.m) * 2 * 8 * (40 + 16) * 17)
         small, small_report = assemble_vector_network(values, ens, self.family(), 0, 0.05,
                                                          cfg)
-        assert solved_stacks == expected_stacks(report.coefficient_widths, len(ens), cfg)
-        assert solved_stacks[0] == (2, 16) and len(solved_stacks) > 4
+        shares = expected_stacks(report.coefficient_widths, len(ens), cfg, cpus)
+        assert_share_order(stacks, shares)
+        assert shares[0][0] == (16, (0, 1)) and len(stacks) > 4
         for name in ("weights", "thresholds", "coefficients"):
             np.testing.assert_array_equal(getattr(small, name), getattr(net, name))
         np.testing.assert_array_equal(small_report.coefficient_errors,
                                       report.coefficient_errors)
+
+    def test_factors_do_not_depend_on_the_worker_count(self, monkeypatch):
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        psi = stage_one_weights(values, 0.05)
+        seeds = [derive_seed(3, j) for j in range(psi.shape[1])]
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(construct, "_cpu_count", lambda: cpus)
+            net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+            fitted = fit_columns(ens.flats, psi, cfg, seeds, report.delta)
+            results.append([a.tobytes() for a in (
+                net.weights, net.thresholds, net.coefficients, net.widths,
+                report.coefficient_errors, report.train_errors, *fitted)])
+        assert np.any(report.coefficient_widths > cfg.width) and report.m >= 3
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_violated_budget_raises_not_asserts(self, monkeypatch):
         ens = band_ensemble(20, self.GRID, seed=2)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from shallowop import construct, experiment
 from shallowop.errors import ConfigError
 from shallowop.experiment import (
     CSV_COLUMNS,
@@ -324,6 +325,36 @@ class TestRunExperiment:
     def test_wall_clock_recorded(self):
         (run,) = run_experiment(ExperimentConfig.from_dict(small_dict())).runs
         assert run.wall_ms > 0.0
+
+    @pytest.mark.parametrize("raises", (False, True), ids=("returns", "raises"))
+    def test_blas_thread_count_held_and_restored(self, raises, monkeypatch):
+        library = construct._openblas()
+        if library is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        _, get_threads, set_threads = library
+        assemble, seen = experiment.assemble_vector_network, []
+
+        def watching(*args):
+            seen.append(get_threads())
+            if raises:
+                raise RuntimeError("stage failed")
+            return assemble(*args)
+
+        monkeypatch.setattr(experiment, "assemble_vector_network", watching)
+        cfg = ExperimentConfig.from_dict(small_dict(epsilons=[0.2, 0.1]))
+        before = get_threads()
+        try:
+            set_threads(2)
+            if raises:
+                with pytest.raises(RuntimeError, match="stage failed"):
+                    run_experiment(cfg)
+            else:
+                assert len(run_experiment(cfg).runs) == 2
+            # held at one thread through every run, restored after
+            assert seen == [1] * (1 if raises else 2)
+            assert get_threads() == 2 and construct._holds[0] == 0
+        finally:
+            set_threads(before)
 
 
 class TestEmitReport:
