@@ -69,4 +69,4 @@ from .targets import (
     TargetBatch,
 )
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"

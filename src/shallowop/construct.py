@@ -11,11 +11,8 @@ uniform error by epsilon whenever every scalar fit met delta.
 from __future__ import annotations
 
 import functools
-import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +24,14 @@ from .inputs import (
     random_functional,  # noqa: F401  not called here; benchmarks/tracer.py hooks this name
     signature_dim,
 )
-from .network import ShallowVectorNetwork, _cpu_count, _in_shares, make_activation
+from .network import (
+    ShallowVectorNetwork,
+    _cpu_count,
+    _in_shares,
+    _one_blas_thread,
+    _openblas,
+    make_activation,
+)
 from .seeding import derive_seed
 from .targets import (
     Seminorm,
@@ -47,62 +51,6 @@ SEMINORM_BLOCK_ROWS = 256
 #: bytes of float64 factor input per stacked solve in stage 2, shared out among
 #: fit_columns' workers, so stage 2's working set is bounded however many columns
 SOLVE_STACK_BYTES = 1 << 20
-
-#: holds on OpenBLAS's thread count, one per process: those open, the count found
-_hold_lock = threading.Lock()
-_holds = [0, None]
-
-
-@functools.cache
-def _openblas():
-    """(dgels, get_threads, set_threads), bound on the first call in the
-    scipy-openblas64 library numpy's wheel ships and loads (numpy.libs on
-    Linux and Windows, numpy/.dylibs on macOS); None where there is none."""
-    import ctypes
-
-    package = Path(np.__file__).parent
-    for path in sorted([*package.parent.glob("numpy.libs/*scipy_openblas64*"),
-                        *package.glob(".dylibs/*scipy_openblas64*")]):
-        try:
-            library = ctypes.CDLL(str(path))
-            functions = (library.scipy_LAPACKE_dgels_work64_,
-                         library.scipy_openblas_get_num_threads64_,
-                         library.scipy_openblas_set_num_threads64_)
-        except (OSError, AttributeError):
-            continue
-        dgels, get_threads, set_threads = functions
-        # (layout, trans, m, n, nrhs, A, lda, B, ldb, work, lwork), 64-bit sizes
-        index = ctypes.c_int64
-        dgels.argtypes = [ctypes.c_int, ctypes.c_char] + [index] * 3 + [ctypes.c_void_p, index] * 3
-        dgels.restype = index
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return functions
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread until every open hold has ended, then
-    restore the count the first found; a hold opened under another, also on
-    a thread started under it, sets nothing.  A no-op without the library."""
-    library = _openblas()
-    if library is None:
-        yield
-        return
-    _, get_threads, set_threads = library
-    with _hold_lock:
-        if not _holds[0]:
-            _holds[1] = get_threads()
-            set_threads(1)
-        _holds[0] += 1
-    try:
-        yield
-    finally:
-        with _hold_lock:
-            _holds[0] -= 1
-            if not _holds[0]:
-                set_threads(_holds[1])
 
 
 def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.ndarray:
@@ -201,11 +149,11 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
     (b, k); one design is the stack design[None].  Each member is one LAPACK
     dgels call (see _dgels_members); a member it leaves is solved alone by
     SVD least squares, which with lam = 0 gives the minimum-norm minimizer
-    and warns that the design is rank-deficient, and refuses a non-finite
-    entry by a ConfigError naming design or targets.  A design or targets
-    array of strings, booleans, complex numbers or objects is refused so
-    before anything is solved.  A member's result depends only on its own design,
-    targets and lam.  OpenBLAS is held at one thread (_one_blas_thread).
+    and warns that the design is rank-deficient.  A design or targets array
+    of strings, booleans, complex numbers or objects, or with a non-finite
+    entry, is refused by a ConfigError naming it before any member is
+    solved.  A member's result depends only on its own design, targets and
+    lam.  OpenBLAS is held at one thread (_one_blas_thread).
     """
     design = np.asarray(_as_real(design, "design"), dtype=float)
     targets = np.asarray(_as_real(targets, "targets"), dtype=float)
@@ -213,6 +161,9 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
+    for arg, values, subject in (("design", design, "design rows"), ("targets", targets, None)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("contain non-finite entries", arg, subject)
     lam = _as_float(lam, "lam", 0, subject="regularization lam")
     with _one_blas_thread():
         coeffs = _dgels_members(design, targets, lam)
@@ -224,14 +175,15 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
 def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
     """Each member's coefficients by one LAPACK dgels call (a Householder
     QR), NaN for one left to the SVD fallback: every member without the
-    library, one with a non-finite entry (never passed to LAPACK), and one
-    whose triangular factor R has a zero diagonal entry (INFO > 0), is
-    numerically singular (min |r_ii| / max |r_ii| <= eps * max(n, k)) or
-    gives non-finite coefficients.  A tall design (n >= k) or lam > 0 is
-    solved as [A; sqrt(lam) I] c = [y; 0] ('N'), so the conditioning is that
-    of A, not A^T A; a wide one with lam = 0 through A^T ('T'), which gives
-    the minimum-norm c.  Members are copied column-major into one buffer,
-    which R overwrites, and one workspace query serves the stack.
+    library, and one whose triangular factor R has a zero diagonal entry
+    (INFO > 0), is numerically singular (min |r_ii| / max |r_ii| <=
+    eps * max(n, k)) or gives non-finite coefficients.  The stack must be
+    finite, as least_squares_solve checks.  A tall design (n >= k) or
+    lam > 0 is solved as [A; sqrt(lam) I] c = [y; 0] ('N'), so the
+    conditioning is that of A, not A^T A; a wide one with lam = 0 through
+    A^T ('T'), which gives the minimum-norm c.  Members are copied
+    column-major into one buffer, which R overwrites, and one workspace
+    query serves the stack.
     """
     b, n, k = design.shape
     coeffs = np.full((b, k), np.nan)
@@ -246,8 +198,7 @@ def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.nd
                               buffer.ctypes.data, rows, rhs.ctypes.data, rows)
     dgels(query.ctypes.data, -1)
     work, ridge = np.empty(max(1, int(query[0]))), np.sqrt(lam) * np.eye(k, rows - n)
-    finite = np.all(np.isfinite(design), axis=(1, 2)) & np.all(np.isfinite(targets), axis=1)
-    for i in np.flatnonzero(finite):
+    for i in range(b):
         if tall:
             buffer[:, :n], buffer[:, n:] = design[i].T, ridge
         else:
@@ -263,10 +214,7 @@ def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.nd
 
 
 def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """One member by SVD least squares on the sqrt(lam)-augmented design; a
-    non-finite entry is refused before LAPACK reads it."""
-    design = _as_array(design, "design", 2, subject="design rows")
-    targets = _as_array(targets, "targets", 1)
+    """One member by SVD least squares on the sqrt(lam)-augmented design."""
     n, k = design.shape
     if lam > 0:
         aug = np.vstack([design, np.sqrt(lam) * np.eye(k)])

@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construct import FitConfig, _one_blas_thread, assemble_vector_network, uniform_error
+from .construct import FitConfig, assemble_vector_network, uniform_error
 from .errors import ConfigError, _named
 from .inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, sample_ensemble
-from .network import _grid_to_doc, make_activation, serialize_network
+from .network import _grid_to_doc, _one_blas_thread, make_activation, serialize_network
 from .operators import (
     Operator,
     integral_operator,

@@ -65,23 +65,15 @@ def stack_inputs(samples, signature: tuple) -> np.ndarray:
 
     A CompactEnsemble gives its own read-only matrix, and its signature must
     be signature.  Anything else is an (n, dim) matrix, a 2-d array or a
-    list of rows, read once by the array rule (_as_array): a list of array
-    rows is stacked by one numpy call, a list of Python numbers is read
-    entry by entry.  Its rows carry no grid, so only their length is
-    checked against signature_dim(signature).
+    list of rows, read once by the array rule (_as_array).  Its rows carry
+    no grid, so only their length is checked against
+    signature_dim(signature).
     """
     if isinstance(samples, CompactEnsemble):
         if samples.signature != signature:
             raise ShapeError(f"inputs of signature {signature} needed, got an ensemble of "
                              f"{samples.signature}")
         return samples.flats
-    if isinstance(samples, (list, tuple)) and samples and all(
-            isinstance(row, np.ndarray) for row in samples):
-        try:
-            samples = np.stack(samples)
-        except ValueError as exc:  # rows of different shapes
-            raise ShapeError(f"have rows of different shapes: {exc}", "samples", "inputs") from exc
-        samples.setflags(write=False)  # a new array, held without a second copy
     flats = _as_array(samples, "samples", 2, subject="inputs")
     if flats.shape[1] != signature_dim(signature):
         raise ShapeError(f"have rows of {flats.shape[1]} entries, {signature} needs "

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import base64
 import contextvars
+import functools
 import math
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -143,26 +146,15 @@ def make_activation(spec) -> Activation:
                             f"{exc}") from exc
 
 
-#: bytes of float64 activations per block of input rows and panel, and of
-#: the block's per-center sums, in ShallowVectorNetwork.evaluate_many: a
-#: product's temporaries stay in cache
+#: bytes of float64 per array of a block of input rows in
+#: ShallowVectorNetwork.evaluate_many (its augmented inputs, a panel's
+#: activations, its per-center sums): a product's temporaries stay in cache
 EVAL_BLOCK_BYTES = 1 << 18
 #: fewest panel products (one row block through one panel) in a share of
 #: ShallowVectorNetwork.evaluate_many that gets a thread of its own: with
 #: fewer, starting and joining the thread costs more than it saves, and
 #: evaluation runs on the calling thread
 EVAL_SHARE_BLOCKS = 16
-#: most neurons in a panel of several neuron blocks in
-#: ShallowVectorNetwork.evaluate_many, unless they are all one neuron wide;
-#: a wider block is a panel of its own
-_PANEL_NEURONS = 128
-#: most multiply-adds in a row block's projection or panel product in
-#: ShallowVectorNetwork.evaluate_many, and in a slice of its product with
-#: the centers where one row is within it.  BLAS libraries run a product
-#: this small on the calling thread (OpenBLAS up to 2^18).  A larger one
-#: wakes BLAS workers, which then spin for a while on the CPUs the
-#: evaluation threads need
-_PRODUCT_MACS = 1 << 18
 
 
 class ShallowVectorNetwork:
@@ -223,10 +215,6 @@ class ShallowVectorNetwork:
                 f"{output_grid.n} nodes"
             )
         self._panels = _panels(self.weights, self.thresholds, self.coefficients, self.widths)
-        # multiply-adds per input row of the largest product a row block makes
-        # before the centers: the basis projection, or a panel's A or C
-        self._row_macs = max([0 if self.basis is None else self.basis.size]
-                             + [a.size for panel in self._panels for a in panel[:2]])
 
     @classmethod
     def zero(cls, activation: Activation, input_signature: tuple, output_dim: int,
@@ -245,37 +233,29 @@ class ShallowVectorNetwork:
 
         samples is a CompactEnsemble of the network's input signature,
         whose input matrix is used as it is, or an (n, dim) matrix of input
-        rows, a 2-d array or a list of rows (see stack_inputs).  The neuron
-        blocks are grouped into panels (see _panels), each holding its
-        augmented weights A = [P^T; -theta] and coefficients C.  The inputs
-        go in blocks of rows: a row block is projected on the basis with a
-        column of ones appended, X = [S B^T, 1]; each panel's eta(X A) C
-        fills its columns of the block's (rows, m) per-center sums
-        (eta(X A) * c for a panel of one-neuron blocks, whose C is the
-        diagonal of c); and the block's outputs are those sums times U.  An
-        activation that overflows to inf in a panel of several blocks meets
-        the zeros of its block-diagonal C, so that row's sums are NaN for
-        every block of the panel, not only its own.  A row block holds as
-        many rows as keep the widest panel's activations and the per-center
-        sums within EVAL_BLOCK_BYTES, and its projection and panel products
-        within _PRODUCT_MACS multiply-adds, and at least one.  The product
-        with U is taken in slices of at most _PRODUCT_MACS multiply-adds
-        where one row is within it, else whole.
+        rows, a 2-d array or a list of rows (see stack_inputs).  The neurons
+        form panels (see _panels), each holding its augmented weights
+        A = [P^T; -theta] and coefficients C.  The inputs go in blocks of
+        rows: a row block is projected on the basis with a column of ones
+        appended, X = [S B^T, 1]; each panel's eta(X A) C fills its columns
+        of the block's (rows, m) per-center sums (eta(X A) * c for a panel
+        of one-neuron blocks); and the block's outputs are those sums times
+        U.  A row block holds as many rows as keep its augmented inputs, the
+        widest panel's activations and the per-center sums each within
+        EVAL_BLOCK_BYTES, and at least one.
 
         The row blocks are split into contiguous shares, one per CPU this
         process may use, as long as each keeps about EVAL_SHARE_BLOCKS
-        panel products, and evaluated by _in_shares.  Each block is
-        computed alone, so the outputs do not depend on the number of
-        threads.
+        panel products, and evaluated by _in_shares with OpenBLAS held at
+        one thread (_one_blas_thread), so its workers never compete with
+        the shares for the CPUs.  Each block is computed alone, so the
+        outputs do not depend on the number of threads.
         """
         flats = stack_inputs(samples, self.input_signature)
         n, r, m = flats.shape[0], self.weights.shape[1], self.centers.shape[0]
         out = np.empty((n, self.output_dim))
-        widest = max([m] + [weights.shape[1] for weights, _, _ in self._panels])
-        rows = max(1, min(EVAL_BLOCK_BYTES // (8 * max(1, widest)),
-                          _PRODUCT_MACS // max(1, self._row_macs)))
-        # whole when one row of the product with U is already larger
-        product_rows = _PRODUCT_MACS // max(1, m * self.output_dim) or rows
+        widest = max([r + 1, m] + [weights.shape[1] for weights, _, _ in self._panels])
+        rows = max(1, EVAL_BLOCK_BYTES // (8 * widest))
         starts = range(0, n, rows)
 
         def evaluate(share):
@@ -291,30 +271,26 @@ class ShallowVectorNetwork:
                         np.multiply(act, coefficients, out=sums[:, centers])
                     else:
                         sums[:, centers] = act @ coefficients
-                for first in range(0, block.shape[0], product_rows):
-                    part = slice(first, first + product_rows)
-                    out[start:start + rows][part] = sums[part] @ self.centers
+                out[start:start + rows] = sums @ self.centers
 
         products = len(starts) * len(self._panels)
-        _in_shares(evaluate, starts, max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS)))
+        with _one_blas_thread():
+            _in_shares(evaluate, starts, max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS)))
         return out
 
 
 def _panels(weights, thresholds, coefficients, widths) -> list:
     """The neurons as panels of consecutive blocks, for evaluate_many.
 
-    A panel is one block, a run of blocks of at most _PANEL_NEURONS neurons
-    together, or a run of one-neuron blocks of any length.  Each is the
-    triple (A, C, centers): the augmented weights A = [P^T; -theta]
-    (r + 1, p) of its p neurons, so that [S, 1] A is their pre-activations;
-    the coefficients C, so that eta([S, 1] A) C is the blocks' sums; and the
-    slice of their center rows.  The augmented weights of all neurons are
-    built once, and each panel's A is a view of its columns.  C is the
-    panel's coefficients c as one column where the panel is one block, a
-    view too; in a panel of one-neuron blocks it is diagonal and held as its
-    diagonal c (p,), which scales the activations elementwise; only a panel
-    of several wider blocks builds its block-diagonal (p, blocks) C, column
-    i holding the coefficients of block i.
+    A panel is one block of several neurons, or a run of one-neuron blocks
+    of any length.  Each is the triple (A, C, centers): the augmented
+    weights A = [P^T; -theta] (r + 1, p) of its p neurons, so that [S, 1] A
+    is their pre-activations; the coefficients C, so that eta([S, 1] A) C is
+    the blocks' sums; and the slice of their center rows.  The augmented
+    weights of all neurons are built once, and each panel's A is a view of
+    its columns.  C is a view of c too: the block's coefficients as one
+    column, or, in a run of one-neuron blocks, where C is diagonal, its
+    diagonal c (p,), which scales the activations elementwise.
     """
     # [P, -theta] row by row, so that A, its transpose, is column-major:
     # BLAS rounds the panel products of a row-major A differently
@@ -323,23 +299,15 @@ def _panels(weights, thresholds, coefficients, widths) -> list:
     np.negative(thresholds, out=augmented[:, -1])
     augmented = augmented.T
     column = coefficients.reshape(-1, 1)
+    sizes = widths.tolist()
     bounds = np.concatenate([[0], np.cumsum(widths)]).tolist()
     panels, first = [], 0
-    for last in range(1, len(widths) + 1):
-        if last < len(widths) and (bounds[last + 1] - bounds[first] <= _PANEL_NEURONS
-                                   or bounds[last + 1] - bounds[first] == last + 1 - first):
-            continue  # the next block still fits, or all are one neuron wide
+    for last in range(1, len(sizes) + 1):
+        if last < len(sizes) and sizes[first] == sizes[last] == 1:
+            continue  # the run of one-neuron blocks goes on
         neurons = slice(bounds[first], bounds[last])
-        width = bounds[last] - bounds[first]
-        if width == last - first:
-            diagonal = coefficients[neurons]
-        elif last - first == 1:
-            diagonal = column[neurons]
-        else:
-            diagonal = np.zeros((width, last - first))
-            diagonal[np.arange(width), np.repeat(np.arange(last - first), widths[first:last])] = (
-                coefficients[neurons])
-        panels.append((augmented[:, neurons], diagonal, slice(first, last)))
+        C = coefficients[neurons] if sizes[first] == 1 else column[neurons]
+        panels.append((augmented[:, neurons], C, slice(first, last)))
         first = last
     return panels
 
@@ -379,6 +347,63 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+#: holds on OpenBLAS's thread count, one per process: those open, the count found
+_hold_lock = threading.Lock()
+_holds = [0, None]
+
+
+@functools.cache
+def _openblas():
+    """(dgels, get_threads, set_threads), bound on the first call in the
+    scipy-openblas64 library numpy's wheel ships and loads (numpy.libs on
+    Linux and Windows, numpy/.dylibs on macOS); None where there is none."""
+    import ctypes
+
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*scipy_openblas64*"),
+                        *package.glob(".dylibs/*scipy_openblas64*")]):
+        try:
+            library = ctypes.CDLL(str(path))
+            functions = (library.scipy_LAPACKE_dgels_work64_,
+                         library.scipy_openblas_get_num_threads64_,
+                         library.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        dgels, get_threads, set_threads = functions
+        # (layout, trans, m, n, nrhs, A, lda, B, ldb, work, lwork), 64-bit sizes
+        index = ctypes.c_int64
+        dgels.argtypes = [ctypes.c_int, ctypes.c_char] + [index] * 3 + [ctypes.c_void_p, index] * 3
+        dgels.restype = index
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return functions
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread until every open hold has ended, then
+    restore the count the first found; a hold opened under another, also on
+    a thread started under it, sets nothing.  A no-op without the library."""
+    library = _openblas()
+    if library is None:
+        yield
+        return
+    _, get_threads, set_threads = library
+    with _hold_lock:
+        if not _holds[0]:
+            _holds[1] = get_threads()
+            set_threads(1)
+        _holds[0] += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _holds[0] -= 1
+            if not _holds[0]:
+                set_threads(_holds[1])
 
 
 def _readonly_widths(values, neurons: int) -> np.ndarray:

@@ -97,13 +97,22 @@ def _as_array(values, arg: str, ndim: int, *, empty=False, subject: str | None =
     """values as a read-only float64 array of ndim dimensions, no axis empty
     unless empty is set.
 
-    A list or tuple is read entry by entry, as _as_float reads a number, and
-    an array must hold integers or reals: no strings, booleans, complex
-    numbers or objects.  A refused entry is a ConfigError naming the
-    argument arg, a wrong shape a ShapeError.  An array is held as it is when
-    it is float64, C-contiguous and nothing it views can be written, such as
-    a row slice of a batch; anything else becomes a read-only copy.
+    A nonempty list or tuple of arrays, such as the rows of a matrix, is
+    stacked by one numpy call into the array it reads; any other list or
+    tuple is read entry by entry, as _as_float reads a number.  An array
+    must hold integers or reals: no strings, booleans, complex numbers or
+    objects.  A refused entry is a ConfigError naming the argument arg, a
+    wrong shape a ShapeError.  An array is held as it is when it is float64,
+    C-contiguous and nothing it views can be written, such as a row slice
+    of a batch; anything else becomes a read-only copy.
     """
+    if isinstance(values, (list, tuple)) and values and all(
+            isinstance(row, np.ndarray) for row in values):
+        try:
+            values = np.stack(values)
+        except ValueError as exc:  # rows of different shapes
+            raise ShapeError(f"have rows of different shapes: {exc}", arg, subject) from exc
+        values.setflags(write=False)  # a new array, held without a second copy
     # a list's shape is read before its entries, so rows of different
     # lengths are a ShapeError
     a = np.array(values, dtype=object) if isinstance(values, (list, tuple)) else (

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shallowop import construct
+from shallowop import construct, network, targets as targets_module
 from shallowop.construct import (
     SEMINORM_BLOCK_ROWS,
     AssemblyReport,
@@ -382,13 +382,22 @@ class TestLeastSquares:
     @pytest.mark.parametrize("n, k", ((6, 3), (3, 6)), ids=("tall", "wide"))
     @pytest.mark.parametrize("arg, bad", [("design", np.nan), ("design", np.inf),
                                           ("targets", np.nan), ("targets", -np.inf)])
-    def test_non_finite_member_refused_by_name(self, capfd, lam, n, k, arg, bad):
+    def test_non_finite_member_refused_by_name(self, capfd, monkeypatch, lam, n, k, arg, bad):
+        # member 0 is rank-deficient (rank 1), member 1 holds the bad entry:
+        # no member is solved, so nothing warns of the rank
         rng = np.random.default_rng(402)
         stack = {"design": rng.standard_normal((2, n, k)), "targets": rng.standard_normal((2, n))}
+        stack["design"][0] = np.outer(rng.standard_normal(n), rng.standard_normal(k))
         stack[arg][1].flat[1] = bad
-        with pytest.raises(ConfigError, match="contain non-finite") as info:
-            least_squares_solve(stack["design"], stack["targets"], lam)
-        assert info.value.arg == arg
+        monkeypatch.setattr(construct, "_dgels_members", no_call("_dgels_members"))
+        monkeypatch.setattr(construct, "_svd_solve", no_call("_svd_solve"))
+        import warnings as _w
+
+        with _w.catch_warnings(record=True) as caught:
+            _w.simplefilter("always")
+            with pytest.raises(ConfigError, match="contain non-finite") as info:
+                least_squares_solve(stack["design"], stack["targets"], lam)
+        assert info.value.arg == arg and caught == []
         # refused before LAPACK reads it, so LAPACK prints nothing
         assert capfd.readouterr() == ("", "")
 
@@ -558,12 +567,12 @@ class TestDgels:
             pytest.skip("numpy reports no build configuration")
         if lapack.get("name") != "scipy-openblas":
             pytest.skip(f"numpy was built with {lapack.get('name')}")
-        assert construct._openblas() is not None
+        assert network._openblas() is not None
 
     def test_import_binds_nothing(self):
         code = ("import shallowop\n"
-                "from shallowop import construct\n"
-                "assert construct._openblas.cache_info().currsize == 0\n")
+                "from shallowop import network\n"
+                "assert network._openblas.cache_info().currsize == 0\n")
         env = dict(os.environ, PYTHONPATH=str(Path(construct.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -589,7 +598,7 @@ class TestDgels:
         assert len(solved) == tried and report.m >= 2
 
     def test_thread_count_held_and_restored(self, monkeypatch):
-        library = construct._openblas()
+        library = network._openblas()
         if library is None:
             pytest.skip("numpy ships no scipy-openblas library")
         _, get_threads, set_threads = library
@@ -613,7 +622,7 @@ class TestDgels:
     def test_concurrent_holds_restore_the_count(self):
         # more threads than CPUs opening and closing holds, switching often:
         # a lost update of the hold count would leave OpenBLAS at one thread
-        library = construct._openblas()
+        library = network._openblas()
         if library is None:
             pytest.skip("numpy ships no scipy-openblas library")
         _, get_threads, set_threads = library
@@ -636,7 +645,7 @@ class TestDgels:
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            assert get_threads() == 2 and construct._holds[0] == 0
+            assert get_threads() == 2 and network._holds[0] == 0
             assert results == [want.tobytes()] * 400
         finally:
             sys.setswitchinterval(interval)
@@ -754,23 +763,35 @@ class TestScalarRidge:
             with pytest.raises(ConfigError, match="targets"):
                 fit_columns(np.zeros((4, 3)), bad, cfg, [cfg.seed], 0.1)
 
-    def test_flats_list_of_rows_is_read_as_its_array(self):
-        rng = np.random.default_rng(20)
-        flats, targets = rng.standard_normal((12, 3)), rng.standard_normal((12, 2))
+    def test_flats_list_of_rows_is_read_as_its_array(self, monkeypatch):
+        # array rows are stacked by one numpy call, Python numbers read
+        # entry by entry
+        ens = sample_ensemble(EnsembleSpec("sequence_box", 12, radii=(1.0, 0.5, 0.25)), 20)
+        flats, targets = ens.flats, np.random.default_rng(20).standard_normal((12, 2))
         cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
         want = fit_columns(flats, targets, cfg, [7, 8], 1e-3)
-        for rows in (list(flats), flats.tolist()):
+        as_float, read = targets_module._as_float, []
+
+        def counting(value, *args, **kwargs):
+            read.append(value)
+            return as_float(value, *args, **kwargs)
+
+        monkeypatch.setattr(targets_module, "_as_float", counting)
+        for rows, entries in ((list(ens.flats), 0), (flats.tolist(), flats.size)):
+            read.clear()
             got = fit_columns(rows, targets, cfg, [7, 8], 1e-3)
+            assert len(read) == entries
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("flats, error", [
-        ([[0.0, 1.0, 2.0], [1.0, 2.0]], ShapeError), (np.zeros((4, 2)), ShapeError),
+        ([[0.0, 1.0, 2.0], [1.0, 2.0]], ShapeError), ([np.zeros(3), np.zeros(2)], ShapeError),
+        (np.zeros((4, 2)), ShapeError),
         (np.zeros(12), ShapeError), (np.full((4, 3), "0.5"), ConfigError),
         (np.ones((4, 3), dtype=bool), ConfigError), (np.zeros((4, 3)) + 1j, ConfigError),
         ([[0.0, 1.0, True]] * 4, ConfigError), (np.full((4, 3), np.nan), ConfigError),
         (np.full((4, 3), -np.inf), ConfigError),
-    ], ids=["ragged-rows", "wrong-width", "1-d", "str", "bool", "complex", "bool-entry",
+    ], ids=["ragged-rows", "ragged-array-rows", "wrong-width", "1-d", "str", "bool", "complex", "bool-entry",
             "nan", "inf"])
     def test_flats_refused_by_name(self, flats, error, monkeypatch):
         cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from shallowop import construct, experiment
+from shallowop import experiment, network
 from shallowop.errors import ConfigError
 from shallowop.experiment import (
     CSV_COLUMNS,
@@ -328,7 +328,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("raises", (False, True), ids=("returns", "raises"))
     def test_blas_thread_count_held_and_restored(self, raises, monkeypatch):
-        library = construct._openblas()
+        library = network._openblas()
         if library is None:
             pytest.skip("numpy ships no scipy-openblas library")
         _, get_threads, set_threads = library
@@ -352,7 +352,7 @@ class TestRunExperiment:
                 assert len(run_experiment(cfg).runs) == 2
             # held at one thread through every run, restored after
             assert seen == [1] * (1 if raises else 2)
-            assert get_threads() == 2 and construct._holds[0] == 0
+            assert get_threads() == 2 and network._holds[0] == 0
         finally:
             set_threads(before)
 

@@ -577,8 +577,8 @@ class TestFactored:
 
     @pytest.mark.parametrize("with_basis", (False, True), ids=("no_basis", "basis"))
     def test_mixed_widths_match_the_dense_formula(self, with_basis):
-        # blocks of 1, 3, 128 and 300 neurons: several-block panels, a block
-        # that fills a panel alone, and one wider than any several-block panel
+        # blocks of 1, 3, 128 and 300 neurons: one-neuron panels scaled
+        # elementwise, and panels of one block each
         net, flats = mixed_width_network(np.random.default_rng(27), with_basis)
         got = net.evaluate_many(list(flats))
         want = dense_formula(net, flats)
@@ -586,22 +586,43 @@ class TestFactored:
 
     def test_panels_are_views_of_the_weights_and_coefficients(self):
         # [P^T; -theta] is built once, column-major as each panel's A was
-        # when built alone; each A is a view of its columns, and a one-block
-        # panel's C a view of c
+        # when built alone; each A is a view of its columns, and each C a
+        # view of c: one column per block of several neurons, the diagonal
+        # of a run of one-neuron blocks
         net, _ = mixed_width_network(np.random.default_rng(30), False)
         bounds = np.concatenate([[0], np.cumsum(net.widths)])
-        assert [C.shape for _, C, _ in net._panels] == [(4, 2), (128, 1), (1,), (300, 1), (4, 2)]
+        assert [C.shape for _, C, _ in net._panels] == [
+            (1,), (3, 1), (128, 1), (1,), (300, 1), (3, 1), (1,)]
         for A, C, centers in net._panels:
             neurons = slice(bounds[centers.start], bounds[centers.stop])
             assert A.base is net._panels[0][0].base and A.flags.f_contiguous
             alone = np.vstack([net.weights[neurons].T, -net.thresholds[neurons]])
             assert A.tobytes(order="A") == alone.tobytes(order="A")
-            if C.shape[-1] == 1:
-                assert np.shares_memory(C, net.coefficients)
-                assert C.tobytes() == net.coefficients[neurons].tobytes()
+            assert np.shares_memory(C, net.coefficients)
+            assert C.tobytes() == net.coefficients[neurons].tobytes()
+
+    def test_runs_of_one_neuron_blocks_are_one_panel(self):
+        rng = np.random.default_rng(32)
+        widths = [1, 1, 2, 1, 1, 1, 5]
+        net = ShallowVectorNetwork(rng.standard_normal((12, 3)), rng.uniform(-1, 1, 12),
+                                   rng.standard_normal(12), rng.standard_normal((7, 2)),
+                                   widths, Tanh(), ("sequence", 3))
+        assert [(centers.start, centers.stop, C.shape) for _, C, centers in net._panels] == [
+            (0, 2, (2,)), (2, 3, (2, 1)), (3, 6, (3,)), (6, 7, (5, 1))]
+
+    def test_overflow_stays_in_its_own_block(self):
+        # Relu on two 2-neuron blocks: the first neuron's weight 1e308 sends
+        # its activation to inf; each block is its own panel, so no inf meets
+        # a zero coefficient and, with U positive, every output is inf
+        net = ShallowVectorNetwork([[1e308, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                   np.zeros(4), np.ones(4), [[1.0, 2.0], [3.0, 4.0]], [2, 2],
+                                   Relu(), ("sequence", 2))
+        with np.errstate(all="ignore"):
+            got = net.evaluate_many(np.array([[2.0, 1.0]]))
+        np.testing.assert_array_equal(got, [[np.inf, np.inf]])
 
     def test_spy_activation_gets_at_most_eval_block_bytes(self):
-        # 700 inputs: row blocks of 87 rows, for the 300-neuron panel product
+        # 700 inputs: row blocks of 109 rows, for the 300-neuron panel product
         net, flats = mixed_width_network(np.random.default_rng(28), False, count=700)
         sizes = []
 
@@ -710,12 +731,12 @@ def mixed_width_network(rng, with_basis, count=40):
     return net, rng.standard_normal((count, 9))
 
 
-def many_block_network(kind, rng, monkeypatch, count=300, width=2048):
-    """A random factored network of width neurons in 16-neuron blocks, with a
-    basis for functions, and count inputs from the ensemble of its kind.
-    The blocks form panels of 128 neurons, 16 of them at width 2048, and
-    EVAL_BLOCK_BYTES is sized for row blocks of 16 inputs, so 19 of them
-    for 300 inputs."""
+def many_block_network(kind, rng, monkeypatch, count=300, width=2048, block=16):
+    """A random factored network of width neurons in blocks of block
+    neurons, each a panel, with a basis for functions, and count inputs
+    from the ensemble of its kind.  EVAL_BLOCK_BYTES is sized for row
+    blocks of 16 inputs, 19 of them for 300 inputs, as long as there are
+    at most 128 blocks and none is wider than 128 neurons."""
     monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 128 * 16)
     spec = {
         "function": EnsembleSpec("band_limited", count, radii=(1.0, 0.5),
@@ -728,8 +749,10 @@ def many_block_network(kind, rng, monkeypatch, count=300, width=2048):
     basis = rng.standard_normal((5, dim)) if kind == "function" else None
     r = dim if basis is None else 5
     net = ShallowVectorNetwork(rng.standard_normal((width, r)), rng.uniform(-1, 1, width),
-                               rng.standard_normal(width), rng.standard_normal((width // 16, 4)),
-                               np.full(width // 16, 16), Tanh(), ens.signature, basis=basis)
+                               rng.standard_normal(width),
+                               rng.standard_normal((width // block, 4)),
+                               np.full(width // block, block), Tanh(), ens.signature,
+                               basis=basis)
     return net, ens
 
 
@@ -753,6 +776,21 @@ class RaisesOnLarge(Activation):
         if np.any(x > 1e100):
             raise Boom("large pre-activation")
         return np.tanh(x)
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS's thread count getter, with the count set to 2 for the test
+    and restored after it; None without the library."""
+    library = network._openblas()
+    if library is None:
+        yield None
+        return
+    _, get_threads, set_threads = library
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
 
 
 def count_threads(monkeypatch):
@@ -802,9 +840,9 @@ class TestThreads:
     ])
     def test_threads_started_are_one_fewer_than_the_shares(self, cpus, share_blocks, blocks,
                                                            threads, monkeypatch):
-        # one panel of 128 neurons: a panel product per row block
+        # one block of 128 neurons: a panel product per row block
         net, ens = many_block_network("sequence", np.random.default_rng(42), monkeypatch,
-                                      count=800, width=128)
+                                      count=800, width=128, block=128)
         ens = ens[:16 * blocks - 8]
         use_cpus(monkeypatch, cpus, share_blocks)
         started = count_threads(monkeypatch)
@@ -813,10 +851,11 @@ class TestThreads:
 
     @pytest.mark.parametrize("count, threads", [(16, 0), (17, 1), (48, 2)])
     def test_shares_count_panel_products(self, count, threads, monkeypatch):
-        # 16 panels: one row block of 16 inputs makes 16 panel products, too
-        # few for two shares of 16; two row blocks make 32, three make 48
+        # 16 blocks of 128 neurons, 16 panels: one row block of 16 inputs
+        # makes 16 panel products, too few for two shares of 16; two row
+        # blocks make 32, three make 48
         net, ens = many_block_network("sequence", np.random.default_rng(47), monkeypatch,
-                                      count=count)
+                                      count=count, block=128)
         use_cpus(monkeypatch, 3, 16)
         started = count_threads(monkeypatch)
         assert net.evaluate_many(ens).shape == (count, 4)
@@ -825,20 +864,23 @@ class TestThreads:
     @pytest.mark.parametrize("cpus", (2, 3))
     @pytest.mark.parametrize("block", (1, 16))
     @pytest.mark.parametrize("length", (3, 40))
-    def test_every_network_threads_with_small_products(self, cpus, block, length,
-                                                       monkeypatch):
-        # one panel of 128 neurons in blocks of block neurons on 5120 inputs:
-        # at length 40 a 256-row block's panel product would be 41 * 2^15
-        # multiply-adds, so its row blocks are shorter instead
+    def test_every_network_threads_at_one_blas_thread(self, cpus, block, length,
+                                                      monkeypatch, blas_at_two):
+        # 128 neurons in blocks of block neurons on 5120 inputs: one panel of
+        # one-neuron blocks on row blocks of 256 inputs, or 8 panels of 16 on
+        # row blocks of 2048; at length 40 a 256-row block's panel product
+        # is 41 * 2^15 multiply-adds, beyond OpenBLAS's threading size; the
+        # thread count is checked where numpy ships the library
         use_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(46)
-        shapes = []
+        shapes, threads, get_threads = [], [], blas_at_two or (lambda: 1)
 
         class Spy(Activation):
             name = "spy"
 
             def __call__(self, x):
                 shapes.append(x.shape)
+                threads.append(get_threads())
                 return np.tanh(x)
 
         net = ShallowVectorNetwork(rng.standard_normal((128, length)), rng.uniform(-1, 1, 128),
@@ -849,10 +891,42 @@ class TestThreads:
         started = count_threads(monkeypatch)
         got = net.evaluate_many(list(flats))
         assert len(started) == cpus - 1
-        assert max(rows * (length + 1) * width for rows, width in shapes) <= network._PRODUCT_MACS
-        assert sum(rows for rows, _ in shapes) == 20 * 256
+        assert threads == [1] * len(shapes)
+        assert blas_at_two is None or get_threads() == 2
+        assert sum(rows * width for rows, width in shapes) == 20 * 256 * 128
         want = dense_formula(net, flats)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    @pytest.mark.parametrize("raises", (False, True), ids=("returns", "raises"))
+    def test_blas_thread_count_held_and_restored(self, cpus, raises, monkeypatch, blas_at_two):
+        # 8 neurons: blocks of 4 rows, 5 of them; with raises, the last
+        # block's activation raises Boom
+        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 8 * 4)
+        if blas_at_two is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        use_cpus(monkeypatch, cpus)
+        get_threads, seen = blas_at_two, []
+
+        class Watching(RaisesOnLarge):
+            def __call__(self, x):
+                seen.append((threading.current_thread(), get_threads()))
+                return super().__call__(x)
+
+        rng = np.random.default_rng(49)
+        net = dense(np.abs(rng.standard_normal((8, 3))) + 0.5, np.zeros(8),
+                    rng.standard_normal((8, 2)), Watching(), ("sequence", 3))
+        flats = rng.uniform(-1.0, 1.0, (20, 3))
+        if raises:
+            flats[-1] = 1e200
+            with pytest.raises(Boom):
+                net.evaluate_many(flats)
+        else:
+            assert net.evaluate_many(flats).shape == (20, 2)
+        # every call of every share at one thread, restored after
+        assert len(seen) == 5 and len({thread for thread, _ in seen}) == cpus
+        assert [threads for _, threads in seen] == [1] * 5
+        assert get_threads() == 2 and network._holds[0] == 0
 
     def test_one_neuron_blocks_are_one_panel_scaled_elementwise(self):
         # 600 one-neuron blocks, a dense network: one panel of 600 neurons,
@@ -875,6 +949,28 @@ class TestThreads:
         got = net.evaluate_many(list(flats))
         assert shapes == [(54, 600)] * 3 + [(38, 600)]
         assert 8 * 54 * 600 <= network.EVAL_BLOCK_BYTES
+        want = dense_formula(net, flats)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_wide_inputs_bound_the_row_blocks(self):
+        # 8 neurons on 4096-entry inputs with no basis: the (rows, 4097)
+        # augmented inputs, not the 8 activations, set row blocks of 7 inputs
+        rng = np.random.default_rng(50)
+        shapes = []
+
+        class Spy(Activation):
+            name = "spy"
+
+            def __call__(self, x):
+                shapes.append(x.shape)
+                return np.tanh(x)
+
+        net = dense(rng.standard_normal((8, 4096)) / 64, rng.uniform(-1, 1, 8),
+                    rng.standard_normal((8, 2)), Spy(), ("sequence", 4096))
+        flats = rng.standard_normal((20, 4096))
+        got = net.evaluate_many(flats)
+        assert shapes == [(7, 8)] * 2 + [(6, 8)]
+        assert 8 * 7 * 4097 <= network.EVAL_BLOCK_BYTES
         want = dense_formula(net, flats)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
