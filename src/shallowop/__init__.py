@@ -25,7 +25,6 @@ from .experiment import (
     ExperimentReport,
     RunResult,
     emit_report,
-    read_report_csv,
     run_experiment,
 )
 from .inputs import (
@@ -56,7 +55,7 @@ from .operators import (
     superposition_operator,
     zero_operator,
 )
-from .presets import get_preset, preset_description, preset_dict, preset_names
+from .presets import preset_description, preset_dict, preset_names
 from .seeding import derive_seed
 from .targets import (
     DualPairing,
@@ -69,4 +68,4 @@ from .targets import (
     TargetBatch,
 )
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"

@@ -41,29 +41,24 @@ from .targets import (
     _as_float,
     _as_int,
     _as_real,
+    _row_blocks,
 )
 
-
-#: rows per batched seminorm call: a block's temporaries stay in cache, which
-#: makes a pass over thousands of rows about three times faster than one call
-SEMINORM_BLOCK_ROWS = 256
-
-#: bytes of float64 factor input per stacked solve in stage 2, shared out among
+#: bytes of float64 designs per stacked solve in stage 2, shared out among
 #: fit_columns' workers, so stage 2's working set is bounded however many columns
 SOLVE_STACK_BYTES = 1 << 20
 
 
 def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.ndarray:
-    """rho(values[i] - center) for every row i, one block of rows at a time.
+    """rho(values[i] - center) for every row i, one row block (_row_blocks)
+    at a time.
 
     center is one row (or None for zero); a row's value does not depend on
     the block it falls in.
     """
     out = np.empty(values.shape[0])
-    for start in range(0, values.shape[0], SEMINORM_BLOCK_ROWS):
-        rows = values[start:start + SEMINORM_BLOCK_ROWS]
-        out[start:start + SEMINORM_BLOCK_ROWS] = rho(
-            rows if center is None else rows - center, grid)
+    for rows in _row_blocks(*values.shape):
+        out[rows] = rho(values[rows] if center is None else values[rows] - center, grid)
     return out
 
 
@@ -151,9 +146,10 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
     SVD least squares, which with lam = 0 gives the minimum-norm minimizer
     and warns that the design is rank-deficient.  A design or targets array
     of strings, booleans, complex numbers or objects, or with a non-finite
-    entry, is refused by a ConfigError naming it before any member is
-    solved.  A member's result depends only on its own design, targets and
-    lam.  OpenBLAS is held at one thread (_one_blas_thread).
+    entry, is refused by a ConfigError naming it, and a design with an
+    empty axis by a ShapeError naming it, before any member is solved.  A
+    member's result depends only on its own design, targets and lam.
+    OpenBLAS is held at one thread (_one_blas_thread).
     """
     design = np.asarray(_as_real(design, "design"), dtype=float)
     targets = np.asarray(_as_real(targets, "targets"), dtype=float)
@@ -161,6 +157,8 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
+    if 0 in design.shape:
+        raise ShapeError(f"must be a nonempty 3-d array, got shape {design.shape}", "design")
     for arg, values, subject in (("design", design, "design rows"), ("targets", targets, None)):
         if not np.all(np.isfinite(values)):
             raise ConfigError("contain non-finite entries", arg, subject)
@@ -309,12 +307,12 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     fixed-width fit sets max_width = width).  A step splits the pending
     columns into one contiguous share per CPU this process may use, run by
     _in_shares; a share draws its banks' new features with draw_features,
-    continuing their streams, and solves its designs in stacks of at most
-    SOLVE_STACK_BYTES / shares.  A column stops once its training sup error
-    is below delta or its width reaches cfg.max_width.  Each design is
-    eta(S P^T - theta), the pre-activation a network evaluates, with the
-    inputs projected once, S = flats B^T (S = flats with no basis).  Block
-    j is widths[j] neurons: its bank's parameters P, as draw_features
+    continuing their streams, and builds and solves its designs in stacks
+    of at most SOLVE_STACK_BYTES / shares.  A column stops once its
+    training sup error is below delta or its width reaches cfg.max_width.
+    Each design is eta(S P^T - theta), the pre-activation a network
+    evaluates, with the inputs projected once, S = flats B^T (S = flats
+    with no basis).  Block j is widths[j] neurons: its bank's parameters P, as draw_features
     returns them, thresholds theta and coefficients c, each factor
     concatenated in column order and read-only, so a network holds it
     without a copy; sup_errors[j] is column j's training error.  No block
@@ -344,10 +342,9 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             grown = draw_features(cfg, streams[j], width, target)
             banks[j] = grown if width == 0 else tuple(
                 np.concatenate(parts) for parts in zip(banks[j], grown))
-        # members per stack: as many as keep each column-major [A | y] within
-        # the share's part of SOLVE_STACK_BYTES, and at least one
-        rows = n + target if cfg.lam > 0 else n
-        size = max(1, SOLVE_STACK_BYTES // shares // (8 * rows * (target + 1)))
+        # members per stack: as many as keep the designs within the share's
+        # part of SOLVE_STACK_BYTES, and at least one
+        size = max(1, SOLVE_STACK_BYTES // shares // (8 * n * target))
         for first in range(0, len(share), size):
             stack = share[first:first + size]
             # member i holds the transposed design A^T: one feature per row

@@ -299,14 +299,27 @@ def build_operator(config: ExperimentConfig) -> Operator:
 
 
 def build_seminorm(spec: dict, field: str, op: Operator) -> Seminorm:
-    """The seminorm spec describes on op's outputs; its bad fields are named under field."""
+    """The seminorm spec describes on op's outputs; its bad fields are named under field.
+
+    The seminorm is evaluated once on a zero row of op's outputs, so one
+    that cannot apply to them, such as a derivative of sequence entries, is
+    refused here rather than in a run.  Outputs too wide for numpy to hold
+    one row are left to fail in the run, as before.
+    """
     kind = _get(spec, field, "kind", None, lambda k: isinstance(k, str) and k in _SEMINORMS,
                 f"unknown seminorm kind {spec.get('kind')!r}")
     make, names = _SEMINORMS[kind]
     _only(spec, field, names)
     if make is None:
         return _build_dual(spec, field, op)
-    return _from_field(field, make, **{k: v for k, v in spec.items() if k != "kind"})
+    rho = _from_field(field, make, **{k: v for k, v in spec.items() if k != "kind"})
+    try:
+        row = np.zeros((1, op.output_dim))
+    except (ValueError, MemoryError):
+        return rho
+    with np.errstate(all="ignore"):  # only whether it applies matters, not its value
+        _from_field(field, rho, row, op.output_grid)
+    return rho
 
 
 def _build_dual(spec: dict, field: str, op: Operator) -> DualPairing:
@@ -538,26 +551,3 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
         raise OSError(f"cannot write report under {out}: {exc}") from exc
     return written
 
-
-def read_report_csv(path) -> list[dict]:
-    """Parse an emitted CSV back into typed row dicts."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV columns in {path}: {reader.fieldnames}")
-        for rec in reader:
-            rows.append({
-                "epsilon": float(rec["epsilon"]),
-                "seminorm": rec["seminorm"],
-                "m_centers": int(rec["m_centers"]),
-                "C": float(rec["C"]),
-                "delta": None if rec["delta"] == "" else float(rec["delta"]),
-                "width": int(rec["width"]),
-                "converged": rec["converged"] == "true",
-                "train_sup_error": float(rec["train_sup_error"]),
-                "heldout_sup_error": (None if rec["heldout_sup_error"] == ""
-                                      else float(rec["heldout_sup_error"])),
-                "wall_ms": float(rec["wall_ms"]),
-            })
-    return rows

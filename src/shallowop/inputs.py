@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .targets import GridMeta, _as_array, _as_float, _as_floats, _as_int
+from .targets import GridMeta, _as_array, _as_float, _as_floats, _as_int, _row_blocks
 
 
 def _checked_shape(shape, arg: str) -> tuple[int, int]:
@@ -198,7 +198,7 @@ class EnsembleSpec:
 
 @dataclass(frozen=True, eq=False)
 class CompactEnsemble:
-    """Finite sample of a parametric compact set, with its generator and seed.
+    """Finite sample of a parametric compact set, with its generator.
 
     Held as one validated, read-only (n_samples, dim) matrix `flats`: row i
     is sample i flattened for spec.input_signature.  Indexing and iteration
@@ -208,7 +208,6 @@ class CompactEnsemble:
 
     flats: np.ndarray
     spec: EnsembleSpec
-    seed: object
 
     def __post_init__(self):
         sig = self.spec.input_signature
@@ -223,7 +222,7 @@ class CompactEnsemble:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return CompactEnsemble(self.flats[i], self.spec, self.seed)
+            return CompactEnsemble(self.flats[i], self.spec)
         return self.flats[i]
 
     def __iter__(self):
@@ -232,10 +231,6 @@ class CompactEnsemble:
     @property
     def signature(self):
         return self.spec.input_signature
-
-
-#: rows per block of a band-limited draw: a block's temporaries stay in cache
-DRAW_BLOCK_ROWS = 256
 
 
 def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
@@ -254,14 +249,13 @@ def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
         modes = np.stack([np.sin((k + 1) * np.pi * xhat) for k in range(len(radii))])
         coeffs = rng.uniform(-1.0, 1.0, (spec.count, len(radii))) * radii
         # term by term rather than one matrix product, so a row's bits do
-        # not depend on count, over blocks of rows that stay in cache
+        # not depend on count, over row blocks that stay in cache
         flats = np.empty((spec.count, grid.n))
-        for start in range(0, spec.count, DRAW_BLOCK_ROWS):
-            rows = flats[start:start + DRAW_BLOCK_ROWS]
-            block = coeffs[start:start + DRAW_BLOCK_ROWS]
-            np.multiply(block[:, :1], modes[0], out=rows)
+        for rows in _row_blocks(*flats.shape):
+            part, block = flats[rows], coeffs[rows]
+            np.multiply(block[:, :1], modes[0], out=part)
             for k in range(1, len(radii)):
-                rows += block[:, k, None] * modes[k]
+                part += block[:, k, None] * modes[k]
     elif spec.family == "sequence_box":
         radii = np.asarray(spec.radii)
         flats = rng.uniform(-1.0, 1.0, (spec.count, len(radii))) * radii
@@ -273,4 +267,4 @@ def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
         radial = spec.radius * rng.uniform(0.0, 1.0, spec.count) ** (1.0 / d)
         flats = dirs / norms[:, None] * radial[:, None]
     flats.setflags(write=False)
-    return CompactEnsemble(flats, spec, seed)
+    return CompactEnsemble(flats, spec)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DocumentError, ShapeError, _named
 from .inputs import _checked_signature, signature_dim, stack_inputs
-from .targets import GridMeta, _as_array, _as_floats, _as_int
+from .targets import GridMeta, _as_array, _as_floats, _as_int, _row_blocks
 
 
 class Activation:
@@ -106,10 +106,6 @@ class Polynomial(Activation):
         object.__setattr__(self, "coefficients", _as_floats(
             self.coefficients, "coefficients", subject="polynomial coefficients"))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(x, self.coefficients)
 
@@ -146,10 +142,6 @@ def make_activation(spec) -> Activation:
                             f"{exc}") from exc
 
 
-#: bytes of float64 per array of a block of input rows in
-#: ShallowVectorNetwork.evaluate_many (its augmented inputs, a panel's
-#: activations, its per-center sums): a product's temporaries stay in cache
-EVAL_BLOCK_BYTES = 1 << 18
 #: fewest panel products (one row block through one panel) in a share of
 #: ShallowVectorNetwork.evaluate_many that gets a thread of its own: with
 #: fewer, starting and joining the thread costs more than it saves, and
@@ -240,9 +232,9 @@ class ShallowVectorNetwork:
         appended, X = [S B^T, 1]; each panel's eta(X A) C fills its columns
         of the block's (rows, m) per-center sums (eta(X A) * c for a panel
         of one-neuron blocks); and the block's outputs are those sums times
-        U.  A row block holds as many rows as keep its augmented inputs, the
-        widest panel's activations and the per-center sums each within
-        EVAL_BLOCK_BYTES, and at least one.
+        U.  The row blocks are those _row_blocks cuts for the widest of the
+        augmented inputs, a panel's activations and the per-center sums, so
+        each array of a block stays within targets.BLOCK_BYTES.
 
         The row blocks are split into contiguous shares, one per CPU this
         process may use, as long as each keeps about EVAL_SHARE_BLOCKS
@@ -255,12 +247,11 @@ class ShallowVectorNetwork:
         n, r, m = flats.shape[0], self.weights.shape[1], self.centers.shape[0]
         out = np.empty((n, self.output_dim))
         widest = max([r + 1, m] + [weights.shape[1] for weights, _, _ in self._panels])
-        rows = max(1, EVAL_BLOCK_BYTES // (8 * widest))
-        starts = range(0, n, rows)
+        blocks = _row_blocks(n, widest)
 
         def evaluate(share):
-            for start in share:
-                block = flats[start:start + rows]
+            for rows in share:
+                block = flats[rows]
                 inputs = np.empty((block.shape[0], r + 1))
                 inputs[:, :r] = block if self.basis is None else block @ self.basis.T
                 inputs[:, r] = 1.0
@@ -271,11 +262,11 @@ class ShallowVectorNetwork:
                         np.multiply(act, coefficients, out=sums[:, centers])
                     else:
                         sums[:, centers] = act @ coefficients
-                out[start:start + rows] = sums @ self.centers
+                out[rows] = sums @ self.centers
 
-        products = len(starts) * len(self._panels)
+        products = len(blocks) * len(self._panels)
         with _one_blas_thread():
-            _in_shares(evaluate, starts, max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS)))
+            _in_shares(evaluate, blocks, max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS)))
         return out
 
 

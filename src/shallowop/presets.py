@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 
 from .errors import ConfigError
-from .experiment import ExperimentConfig
 
 _GRID = {"a": 0.0, "b": 1.0, "n": 101}
 _BAND = {"family": "band_limited", "count": 100, "radii": [1.0, 0.5, 0.25]}
@@ -141,10 +140,6 @@ def preset_dict(name: str) -> dict:
     """Deep copy of the raw config dict for a preset."""
     _check(name)
     return copy.deepcopy(_PRESETS[name][1])
-
-
-def get_preset(name: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(preset_dict(name))
 
 
 def _check(name):

@@ -39,7 +39,7 @@ from shallowop import (
     zero_operator,
 )
 from shallowop.experiment import ExperimentConfig, build_operator, run_experiment
-from shallowop.presets import get_preset, preset_dict, preset_names
+from shallowop.presets import preset_dict, preset_names
 
 GRID = GridMeta(0.0, 1.0, 101)
 BAND = EnsembleSpec("band_limited", 100, radii=(1.0, 0.5, 0.25), grid=GRID)
@@ -54,7 +54,8 @@ def report_line(num, text):
 @pytest.fixture(scope="module")
 def preset_sweep():
     t0 = time.perf_counter()
-    reports = {name: run_experiment(get_preset(name)) for name in preset_names()}
+    reports = {name: run_experiment(ExperimentConfig.from_dict(preset_dict(name)))
+               for name in preset_names()}
     return reports, time.perf_counter() - t0
 
 
@@ -81,7 +82,7 @@ def test_criterion_01_finite_rank_suite():
     cases = []
     for name in ("integral_gaussian", "poisson_dirichlet", "superposition_sin",
                  "matrix_sin_trace"):
-        cfg = get_preset(name)
+        cfg = ExperimentConfig.from_dict(preset_dict(name))
         ens = sample_ensemble(cfg.ensemble, derive_seed(cfg.seed, 0))
         assert len(ens) >= 50
         cases.append((name, build_operator(cfg).apply_many(ens)))
@@ -117,7 +118,7 @@ def test_criterion_02_budget_contract_across_presets(preset_sweep):
     reports, elapsed = preset_sweep
     checked = violations = 0
     for name, report in reports.items():
-        target_index = get_preset(name).target_index
+        target_index = ExperimentConfig.from_dict(preset_dict(name)).target_index
         for run in report.runs:
             if not run.converged:
                 continue
@@ -279,7 +280,7 @@ def strip_timing(report):
 
 
 def test_criterion_09_determinism_and_serialization():
-    cfg = get_preset("matrix_sin_trace")
+    cfg = ExperimentConfig.from_dict(preset_dict("matrix_sin_trace"))
     assert strip_timing(run_experiment(cfg)) == strip_timing(run_experiment(cfg))
 
     ens = sample_ensemble(BAND, derive_seed(314, 0))

@@ -182,7 +182,7 @@ ARRAY_CONSTRUCTORS = {
     "input_rows-matrix": (input_rows, {"samples": [[1.0, 2.0, 3.0, 4.0]],
                                        "signature": ("matrix", (2, 2))}, ["samples"]),
     "CompactEnsemble": (
-        CompactEnsemble, {"flats": [[1.0, 2.0], [0.5, 0.0]], "seed": 0,
+        CompactEnsemble, {"flats": [[1.0, 2.0], [0.5, 0.0]],
                           "spec": EnsembleSpec("sequence_box", 2, radii=(1.0, 1.0))},
         ["flats"]),
     "DualPairing": (DualPairing, {"test": [1.0, 2.0]}, ["test"]),

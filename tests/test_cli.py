@@ -1,5 +1,6 @@
 """Preset registry and the command-line front end."""
 
+import csv
 import json
 import re
 import subprocess
@@ -12,9 +13,8 @@ import shallowop
 from shallowop import experiment
 from shallowop.cli import main
 from shallowop.errors import ConfigError
-from shallowop.experiment import ExperimentConfig, read_report_csv
+from shallowop.experiment import ExperimentConfig
 from shallowop.presets import (
-    get_preset,
     preset_description,
     preset_dict,
     preset_names,
@@ -31,7 +31,7 @@ class TestPresets:
 
     def test_every_preset_parses(self):
         for name in preset_names():
-            cfg = get_preset(name)
+            cfg = ExperimentConfig.from_dict(preset_dict(name))
             assert cfg.name == name
             assert preset_description(name)
 
@@ -45,12 +45,12 @@ class TestPresets:
 
     def test_unknown_preset_lists_alternatives(self):
         with pytest.raises(ConfigError, match="integral_gaussian"):
-            get_preset("not_a_preset")
+            preset_dict("not_a_preset")
 
     def test_presets_pin_unregularized_fits(self):
         # the shipped benchmark ensembles need the minimum-norm path to converge
         for name in preset_names():
-            assert get_preset(name).fit["lam"] == 0.0
+            assert ExperimentConfig.from_dict(preset_dict(name)).fit["lam"] == 0.0
 
 
 MATRIX_ENSEMBLE = {"family": "matrix_ball", "count": 30, "shape": [2, 2], "radius": 1.0}
@@ -81,6 +81,12 @@ def quick_config(tmp_path, **overrides):
     return path
 
 
+def report_rows(path):
+    """The rows of an emitted report.csv, as csv.DictReader reads them."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestCliRun:
     def test_run_writes_reports_and_exits_zero(self, tmp_path, capsys):
         cfg = quick_config(tmp_path)
@@ -94,8 +100,8 @@ class TestCliRun:
     def test_run_accepts_preset_name(self, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["run", "--config", "zero_map", "--out", str(out)]) == 0
-        (row,) = read_report_csv(out / "report.csv")[:1]
-        assert row["m_centers"] == 1
+        (row,) = report_rows(out / "report.csv")[:1]
+        assert int(row["m_centers"]) == 1
 
     def test_out_flag_overrides_config(self, tmp_path, capsys):
         cfg = quick_config(tmp_path, out=str(tmp_path / "from_config"))
@@ -147,11 +153,11 @@ class TestCliRun:
         main(["run", "--config", str(cfg), "--out", str(out_a)])
         main(["run", "--config", str(cfg), "--out", str(out_b), "--seed", "12"])
         main(["run", "--config", str(cfg), "--out", str(out_c), "--seed", "11"])
-        rows_a = read_report_csv(out_a / "report.csv")
-        rows_b = read_report_csv(out_b / "report.csv")
-        rows_c = read_report_csv(out_c / "report.csv")
-        assert rows_a[0]["train_sup_error"] != rows_b[0]["train_sup_error"]
-        assert rows_a[0]["train_sup_error"] == rows_c[0]["train_sup_error"]
+        errors_a, errors_b, errors_c = (
+            float(report_rows(out / "report.csv")[0]["train_sup_error"])
+            for out in (out_a, out_b, out_c))
+        assert errors_a != errors_b
+        assert errors_a == errors_c
 
     def test_missing_config_file_diagnosed(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
@@ -168,6 +174,16 @@ class TestCliRun:
         cfg = quick_config(tmp_path, epsilons=[-0.5])
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "epsilons" in capsys.readouterr().err
+
+    def test_seminorm_that_cannot_apply_exits_2_before_running(self, tmp_path, capsys):
+        # a derivative of sequence entries: refused by name, and nothing written
+        doc = {**preset_dict("sequence_decay"), "seminorms": [{"kind": "sup_derivative",
+                                                               "order": 1}]}
+        cfg, out = tmp_path / "config.json", tmp_path / "o"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "field 'seminorms[0].order'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         cfg = quick_config(tmp_path)

@@ -10,7 +10,6 @@ import pytest
 
 from shallowop import construct, network, targets as targets_module
 from shallowop.construct import (
-    SEMINORM_BLOCK_ROWS,
     AssemblyReport,
     EpsilonNet,
     FitConfig,
@@ -68,6 +67,18 @@ def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
 
 def fn_spec(grid):
     return FunctionalSpec(("function", grid), order=3)
+
+
+#: rows that span two full row blocks and part of a third, in row blocks
+#: of 256 rows (see small_row_blocks)
+CROSSING_ROWS = 2 * 256 + 41
+
+
+def small_row_blocks(monkeypatch, width):
+    """Make row blocks of values of width entries 256 rows tall, so that
+    CROSSING_ROWS of them span at least 3 blocks."""
+    monkeypatch.setattr(targets_module, "BLOCK_BYTES", 8 * width * 256)
+    assert len(targets_module._row_blocks(CROSSING_ROWS, width)) >= 3
 
 
 def reference_net_indices(values, rho, epsilon):
@@ -158,20 +169,22 @@ class TestEpsilonNet:
         with pytest.raises(ValueError):
             net.centers.values[0, 0] = 1.0
 
-    def test_matches_scalar_greedy_loop_across_row_blocks(self):
+    def test_matches_scalar_greedy_loop_across_row_blocks(self, monkeypatch):
+        small_row_blocks(monkeypatch, 1)
         rng = np.random.default_rng(370)
-        values = scalar_batch(*rng.uniform(0.0, 10.0, 2 * SEMINORM_BLOCK_ROWS + 41))
+        values = scalar_batch(*rng.uniform(0.0, 10.0, CROSSING_ROWS))
         net = build_epsilon_net(values, ABS, 1.0)
         assert net.center_indices == reference_net_indices(values, ABS, 1.0)
 
     @pytest.mark.parametrize("rho, eps", [(LqNorm(2.0), 1.0), (SupDerivative(1), 20.0)],
                              ids=["lq", "sup_derivative"])
-    def test_distances_are_one_pass_per_center(self, rho, eps):
+    def test_distances_are_one_pass_per_center(self, rho, eps, monkeypatch):
         # the scan's passes over all rows are the net's distances, bit for bit,
         # and the partition's weights are the hats of that same array
+        small_row_blocks(monkeypatch, 9)
         rng = np.random.default_rng(390)
         grid = GridMeta(0.0, 1.0, 9)
-        values = TargetBatch(rng.standard_normal((2 * SEMINORM_BLOCK_ROWS + 41, 9)), grid)
+        values = TargetBatch(rng.standard_normal((CROSSING_ROWS, 9)), grid)
         net = build_epsilon_net(values, rho, eps)
         assert len(net) > 32  # past two doublings of the net's distance buffer
         want = np.stack([construct._seminorm_rows(rho, values.values, grid, c)
@@ -182,6 +195,20 @@ class TestEpsilonNet:
         hats = np.maximum(0.0, 1.0 - net.distances / eps)
         weights = build_partition(net, rho)
         assert weights.tobytes() == (hats / hats.sum(axis=1)[:, None]).tobytes()
+
+    def test_narrow_rows_are_one_seminorm_call(self):
+        # 3200 rows of 5 entries fit one row block
+        calls = []
+
+        class Counted(LqNorm):
+            def __call__(self, values, grid=None):
+                calls.append(values.shape)
+                return super().__call__(values, grid)
+
+        values = np.random.default_rng(391).standard_normal((3200, 5))
+        got = construct._seminorm_rows(Counted(2.0), values, None, values[0])
+        assert calls == [(3200, 5)]
+        assert got.tobytes() == LqNorm(2.0)(values - values[0]).tobytes()
 
     @pytest.mark.parametrize("trial", range(5))
     def test_halving_epsilon_never_drops_centers(self, trial):
@@ -226,10 +253,11 @@ class TestPartition:
         support = weights > 0.0
         assert np.all(net.distances[support] < 1.2)
 
-    def test_distances_match_scalar_calls(self):
+    def test_distances_match_scalar_calls(self, monkeypatch):
+        small_row_blocks(monkeypatch, 3)
         rng = np.random.default_rng(350)
         rho = LqNorm(2.0)
-        values = batch_of([rng.standard_normal(3) for _ in range(2 * SEMINORM_BLOCK_ROWS + 41)])
+        values = batch_of([rng.standard_normal(3) for _ in range(CROSSING_ROWS)])
         net = build_epsilon_net(values, rho, 2.0)
         want = [[gap(rho, t, c) for c in net.centers.values] for t in values.values]
         np.testing.assert_allclose(net.distances, want, rtol=1e-12, atol=0)
@@ -377,6 +405,19 @@ class TestLeastSquares:
             least_squares_solve(np.ones((2, 3, 3)), np.ones((3, 3)), 0.0)
         with pytest.raises(ShapeError):  # one design is a stack of one
             least_squares_solve(np.eye(2), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("solve", (least_squares_solve, fit_ridge_features))
+    @pytest.mark.parametrize("library", (True, False), ids=("dgels", "no_library"))
+    @pytest.mark.parametrize("shape", ((0, 5, 3), (1, 0, 3), (1, 5, 0)),
+                             ids=("no_members", "no_rows", "no_columns"))
+    def test_empty_design_axis_refused_by_name(self, monkeypatch, solve, library, shape):
+        # as the array rule refuses an empty axis, before any member is solved
+        if not library:
+            monkeypatch.setattr(construct, "_openblas", lambda: None)
+        monkeypatch.setattr(construct, "_svd_solve", no_call("_svd_solve"))
+        with pytest.raises(ShapeError, match="must be a nonempty 3-d array") as info:
+            solve(np.ones(shape), np.ones(shape[:2]), 0.0)
+        assert info.value.arg == "design"
 
     @pytest.mark.parametrize("lam", (0.0, 1e-3))
     @pytest.mark.parametrize("n, k", ((6, 3), (3, 6)), ids=("tall", "wide"))
@@ -908,7 +949,7 @@ def expected_stacks(final_widths, n, cfg, cpus):
     """The stacked solves that fit columns with these final widths on cpus
     CPUs, share by share: per width tried, the columns not yet done split
     into min(cpus, pending) contiguous shares, and each share solves its
-    columns in order, in stacks that keep [A | y] (augmented by sqrt(lam) I)
+    columns in order, in stacks that keep their designs, 8 n k bytes each,
     within SOLVE_STACK_BYTES / shares.  A share is the list of its stacks,
     each (width, columns)."""
     shares, k = [], cfg.width
@@ -918,8 +959,7 @@ def expected_stacks(final_widths, n, cfg, cpus):
             return shares
         count = min(cpus, len(pending))
         per = -(-len(pending) // count)
-        rows = n + k if cfg.lam > 0 else n
-        size = max(1, construct.SOLVE_STACK_BYTES // count // (8 * rows * (k + 1)))
+        size = max(1, construct.SOLVE_STACK_BYTES // count // (8 * n * k))
         for first in range(0, len(pending), per):
             share = pending[first:first + per]
             shares.append([(k, tuple(share[i:i + size])) for i in range(0, len(share), size)])
@@ -1163,8 +1203,7 @@ class TestAssemble:
         monkeypatch.setattr(construct, "_cpu_count", lambda: cpus)
         stacks = recording_stacks(monkeypatch, stage_one_weights(values, 0.05))
         # two members of the first width per stack in each share, then one
-        monkeypatch.setattr(construct, "SOLVE_STACK_BYTES",
-                            min(cpus, report.m) * 2 * 8 * (40 + 16) * 17)
+        monkeypatch.setattr(construct, "SOLVE_STACK_BYTES", min(cpus, report.m) * 2 * 8 * 40 * 16)
         small, small_report = assemble_vector_network(values, ens, self.family(), 0, 0.05,
                                                          cfg)
         shares = expected_stacks(report.coefficient_widths, len(ens), cfg, cpus)
@@ -1301,8 +1340,9 @@ class TestUniformError:
         assert got[0] == 0.0
         assert got[1] == pytest.approx(3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("count", [12, 2 * SEMINORM_BLOCK_ROWS + 41])
-    def test_matches_per_sample_loop(self, count):
+    @pytest.mark.parametrize("count", [12, CROSSING_ROWS])
+    def test_matches_per_sample_loop(self, count, monkeypatch):
+        small_row_blocks(monkeypatch, 31)
         rng = np.random.default_rng(400 + count)
         ens = band_ensemble(count, self.GRID, seed=11 + count)
         values = batch_of([rng.standard_normal(31) for _ in range(count)], self.GRID)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shallowop import targets
 from shallowop.errors import ConfigError, ShapeError
 from shallowop.inputs import (
     CompactEnsemble,
@@ -379,9 +380,9 @@ class TestEnsembles:
     def test_ensemble_rejects_rows_of_different_lengths(self):
         spec = EnsembleSpec(family="sequence_box", count=2, radii=(1.0,))
         with pytest.raises(ShapeError):
-            CompactEnsemble([[1.0], [1.0, 2.0]], spec, 0)
+            CompactEnsemble([[1.0], [1.0, 2.0]], spec)
         with pytest.raises(ShapeError):
-            CompactEnsemble([np.ones(1), np.ones(2)], spec, 0)
+            CompactEnsemble([np.ones(1), np.ones(2)], spec)
 
 
 ENSEMBLE_SPECS = (
@@ -431,9 +432,9 @@ class TestEnsembleMatrix:
     def test_built_from_rows_or_matrix(self):
         spec = ENSEMBLE_SPECS[1]
         rows = [[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 0.0, -1.0]]
-        from_rows = CompactEnsemble(rows, spec, 0)
+        from_rows = CompactEnsemble(rows, spec)
         mine = np.array(rows)
-        from_matrix = CompactEnsemble(mine, spec, 0)
+        from_matrix = CompactEnsemble(mine, spec)
         np.testing.assert_array_equal(from_rows.flats, from_matrix.flats)
         # a writable matrix is copied, so the caller's later writes do not leak in
         mine[0, 0] = 9.0
@@ -442,27 +443,31 @@ class TestEnsembleMatrix:
     def test_bad_inputs_raise(self):
         spec = ENSEMBLE_SPECS[1]
         with pytest.raises(ValueError):
-            CompactEnsemble((), spec, 0)
+            CompactEnsemble((), spec)
         with pytest.raises(ShapeError):
-            CompactEnsemble(np.zeros((0, 4)), spec, 0)
+            CompactEnsemble(np.zeros((0, 4)), spec)
         with pytest.raises(ShapeError):
-            CompactEnsemble(np.zeros((3, 5)), spec, 0)
+            CompactEnsemble(np.zeros((3, 5)), spec)
         with pytest.raises(ShapeError):
-            CompactEnsemble(stack_inputs([np.ones(4), np.ones(5)], spec.input_signature), spec, 0)
+            CompactEnsemble(stack_inputs([np.ones(4), np.ones(5)], spec.input_signature), spec)
         with pytest.raises(ShapeError):
-            CompactEnsemble(stack_inputs([np.ones(GRID.n)], ("function", GRID)), spec, 0)
+            CompactEnsemble(stack_inputs([np.ones(GRID.n)], ("function", GRID)), spec)
         bad = np.ones((3, 4))
         bad[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            CompactEnsemble(bad, spec, 0)
+            CompactEnsemble(bad, spec)
         bad[1, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            CompactEnsemble(bad, spec, 0)
+            CompactEnsemble(bad, spec)
 
     @pytest.mark.parametrize("spec", ENSEMBLE_SPECS[:2], ids=lambda s: s.family)
     def test_first_rows_do_not_depend_on_count(self, spec):
-        full = sample_ensemble(spec, derive_seed(5, 0))
-        for k in (1, 7, 256, 299):
+        # two full row blocks of 101-node rows and part of a third
+        rows = targets.BLOCK_BYTES // (8 * GRID.n)
+        count = 2 * rows + 41
+        assert len(targets._row_blocks(count, GRID.n)) >= 3
+        full = sample_ensemble(replace(spec, count=count), derive_seed(5, 0))
+        for k in (1, 7, rows, rows + 1, count - 1):
             head = sample_ensemble(replace(spec, count=k), derive_seed(5, 0))
             assert head.flats.tobytes() == full.flats[:k].tobytes()
 

@@ -85,7 +85,6 @@ class TestActivations:
     def test_negative_control_flag(self):
         assert Polynomial().negative_control
         assert not Tanh().negative_control
-        assert Polynomial().degree == 2
 
 
 class TestEvaluate:
@@ -147,10 +146,11 @@ class TestEvaluate:
 
     def test_batch_longer_than_a_block_matches_pointwise(self, monkeypatch):
         # blocks of 16 rows for the 7 neurons
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 7 * 16)
+        monkeypatch.setattr(targets, "BLOCK_BYTES", 8 * 7 * 16)
         rng = np.random.default_rng(1)
         net = random_network(rng, width=7)
         pts = [rng.standard_normal(6) for _ in range(2 * 16 + 37)]
+        assert len(targets._row_blocks(len(pts), 7)) >= 3
         batch = net.evaluate_many(pts)
         single = np.stack([net.evaluate_many([p])[0] for p in pts])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
@@ -621,7 +621,7 @@ class TestFactored:
             got = net.evaluate_many(np.array([[2.0, 1.0]]))
         np.testing.assert_array_equal(got, [[np.inf, np.inf]])
 
-    def test_spy_activation_gets_at_most_eval_block_bytes(self):
+    def test_spy_activation_gets_at_most_block_bytes(self):
         # 700 inputs: row blocks of 109 rows, for the 300-neuron panel product
         net, flats = mixed_width_network(np.random.default_rng(28), False, count=700)
         sizes = []
@@ -636,7 +636,7 @@ class TestFactored:
         spied = ShallowVectorNetwork(net.weights, net.thresholds, net.coefficients,
                                      net.centers, net.widths, Spy(), net.input_signature)
         spied.evaluate_many(list(flats))
-        assert sizes and max(sizes) <= network.EVAL_BLOCK_BYTES
+        assert sizes and max(sizes) <= targets.BLOCK_BYTES
         assert sum(sizes) == 8 * 700 * net.width
 
     @pytest.mark.parametrize("bad, match", [
@@ -734,10 +734,10 @@ def mixed_width_network(rng, with_basis, count=40):
 def many_block_network(kind, rng, monkeypatch, count=300, width=2048, block=16):
     """A random factored network of width neurons in blocks of block
     neurons, each a panel, with a basis for functions, and count inputs
-    from the ensemble of its kind.  EVAL_BLOCK_BYTES is sized for row
+    from the ensemble of its kind.  targets.BLOCK_BYTES is sized for row
     blocks of 16 inputs, 19 of them for 300 inputs, as long as there are
     at most 128 blocks and none is wider than 128 neurons."""
-    monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 128 * 16)
+    monkeypatch.setattr(targets, "BLOCK_BYTES", 8 * 128 * 16)
     spec = {
         "function": EnsembleSpec("band_limited", count, radii=(1.0, 0.5),
                                  grid=GridMeta(0.0, 1.0, 13)),
@@ -816,8 +816,9 @@ class TestThreads:
     def test_mixed_width_outputs_do_not_depend_on_the_worker_count(self, with_basis,
                                                                    monkeypatch):
         # the widest panel holds 300 neurons: row blocks of 8 inputs, 38 of them
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 300 * 8)
+        monkeypatch.setattr(targets, "BLOCK_BYTES", 8 * 300 * 8)
         net, flats = mixed_width_network(np.random.default_rng(45), with_basis, count=300)
+        assert len(targets._row_blocks(len(flats), 300)) >= 3
         pts = list(flats)
         outputs = []
         for cpus in (1, 2, 3):
@@ -828,6 +829,7 @@ class TestThreads:
     @pytest.mark.parametrize("kind", ("function", "sequence", "matrix"))
     def test_outputs_do_not_depend_on_the_worker_count(self, kind, monkeypatch):
         net, ens = many_block_network(kind, np.random.default_rng(41), monkeypatch)
+        assert len(targets._row_blocks(len(ens), 128)) >= 3
         outputs = []
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
@@ -902,7 +904,8 @@ class TestThreads:
     def test_blas_thread_count_held_and_restored(self, cpus, raises, monkeypatch, blas_at_two):
         # 8 neurons: blocks of 4 rows, 5 of them; with raises, the last
         # block's activation raises Boom
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 8 * 4)
+        monkeypatch.setattr(targets, "BLOCK_BYTES", 8 * 8 * 4)
+        assert len(targets._row_blocks(20, 8)) >= 3
         if blas_at_two is None:
             pytest.skip("numpy ships no scipy-openblas library")
         use_cpus(monkeypatch, cpus)
@@ -931,7 +934,7 @@ class TestThreads:
     def test_one_neuron_blocks_are_one_panel_scaled_elementwise(self):
         # 600 one-neuron blocks, a dense network: one panel of 600 neurons,
         # and row blocks of 54 inputs keep the (rows, 600) sums within
-        # EVAL_BLOCK_BYTES
+        # targets.BLOCK_BYTES
         rng = np.random.default_rng(48)
         shapes = []
 
@@ -948,7 +951,7 @@ class TestThreads:
         flats = rng.standard_normal((200, 3))
         got = net.evaluate_many(list(flats))
         assert shapes == [(54, 600)] * 3 + [(38, 600)]
-        assert 8 * 54 * 600 <= network.EVAL_BLOCK_BYTES
+        assert 8 * 54 * 600 <= targets.BLOCK_BYTES
         want = dense_formula(net, flats)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -970,14 +973,15 @@ class TestThreads:
         flats = rng.standard_normal((20, 4096))
         got = net.evaluate_many(flats)
         assert shapes == [(7, 8)] * 2 + [(6, 8)]
-        assert 8 * 7 * 4097 <= network.EVAL_BLOCK_BYTES
+        assert 8 * 7 * 4097 <= targets.BLOCK_BYTES
         want = dense_formula(net, flats)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("cpus", (1, 2, 3))
     def test_error_state_holds_in_every_worker(self, cpus, monkeypatch):
         # 8 neurons: blocks of 4 rows; only the last of the 5 blocks overflows
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 8 * 4)
+        monkeypatch.setattr(targets, "BLOCK_BYTES", 8 * 8 * 4)
+        assert len(targets._row_blocks(20, 8)) >= 3
         use_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(43)
         net = dense(np.abs(rng.standard_normal((8, 3))) + 0.5, np.zeros(8),
@@ -996,7 +1000,8 @@ class TestThreads:
     @pytest.mark.parametrize("row", (0, 9, 19), ids=("first", "middle", "last"))
     def test_a_worker_failure_is_raised_after_every_thread_ends(self, cpus, row,
                                                                 monkeypatch):
-        monkeypatch.setattr(network, "EVAL_BLOCK_BYTES", 8 * 8 * 4)
+        monkeypatch.setattr(targets, "BLOCK_BYTES", 8 * 8 * 4)
+        assert len(targets._row_blocks(20, 8)) >= 3
         use_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(44)
         net = dense(np.abs(rng.standard_normal((8, 3))) + 0.5, np.zeros(8),

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from shallowop import targets
 from shallowop.construct import uniform_error
 from shallowop.errors import ShapeError
 from shallowop.network import ShallowVectorNetwork, Tanh
@@ -28,6 +29,23 @@ def seminorm_of(rho, v, grid=None):
 def on_grid(rho, f, grid=GRID):
     """rho of f sampled on grid."""
     return seminorm_of(rho, f(grid.nodes()), grid)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("width", (1, 5, 101, 4096))
+    @pytest.mark.parametrize("extra", (None, 0, 1), ids=("one_row", "one_block", "block_plus_one"))
+    def test_every_row_once_in_order(self, width, extra):
+        rows = targets.BLOCK_BYTES // (8 * width)
+        n = 1 if extra is None else rows + extra
+        blocks = targets._row_blocks(n, width)
+        covered = [i for block in blocks for i in range(n)[block]]
+        assert covered == list(range(n))
+        assert all(1 <= len(range(n)[block]) <= rows for block in blocks)
+        assert len(blocks) == (1 if n <= rows else 2)
+
+    def test_a_row_wider_than_the_budget_is_a_block(self):
+        assert targets._row_blocks(3, targets.BLOCK_BYTES) == [slice(0, 1), slice(1, 2),
+                                                               slice(2, 3)]
 
 
 class TestGridMeta:
@@ -126,12 +144,14 @@ class TestSupDerivative:
         assert on_grid(SupDerivative(3), lambda x: x**2, g) == pytest.approx(0.0, abs=1e-6)
 
     def test_needs_grid_metadata(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="needs values on a grid") as info:
             seminorm_of(SupDerivative(1), np.ones(8))
+        assert info.value.arg == "order"
 
     def test_order_exceeding_resolution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="needs at least 5 nodes, grid has 3") as info:
             seminorm_of(SupDerivative(4), np.ones(3), GridMeta(0.0, 1.0, 3))
+        assert info.value.arg == "order"
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -155,6 +175,11 @@ class TestSchwartzWeighted:
     def test_needs_grid_metadata(self):
         with pytest.raises(ShapeError):
             seminorm_of(SchwartzWeighted(), np.ones(8))
+
+    def test_beta_exceeding_resolution(self):
+        with pytest.raises(ShapeError, match="needs at least 4 nodes, grid has 3") as info:
+            seminorm_of(SchwartzWeighted(beta=3), np.ones(3), GridMeta(-1.0, 1.0, 3))
+        assert info.value.arg == "beta"
 
     def test_label_names_the_radius(self):
         assert SchwartzWeighted(1, 2, 8.0).label() == "schwartz(a1,b2,r=8)"
