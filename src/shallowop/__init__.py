@@ -65,7 +65,6 @@ from .targets import (
     Seminorm,
     SeminormFamily,
     SupDerivative,
-    TargetBatch,
 )
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"

@@ -36,7 +36,6 @@ from .seeding import derive_seed
 from .targets import (
     Seminorm,
     SeminormFamily,
-    TargetBatch,
     _as_array,
     _as_float,
     _as_int,
@@ -49,7 +48,7 @@ from .targets import (
 SOLVE_STACK_BYTES = 1 << 20
 
 
-def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.ndarray:
+def _seminorm_rows(rho: Seminorm, values: np.ndarray, center=None) -> np.ndarray:
     """rho(values[i] - center) for every row i, one row block (_row_blocks)
     at a time.
 
@@ -58,20 +57,20 @@ def _seminorm_rows(rho: Seminorm, values: np.ndarray, grid, center=None) -> np.n
     """
     out = np.empty(values.shape[0])
     for rows in _row_blocks(*values.shape):
-        out[rows] = rho(values[rows] if center is None else values[rows] - center, grid)
+        out[rows] = rho(values[rows] if center is None else values[rows] - center)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class EpsilonNet:
-    """Greedy net: centers, the read-only (m, d) batch of the source values at
-    center_indices, cover those values strictly within epsilon.
+    """Greedy net: centers, the read-only (m, d) matrix of the source values
+    at center_indices, cover those values strictly within epsilon.
 
     distances[i, j] is the seminorm distance from source value i to center
     j, the read-only (n, m) matrix the scan computed.
     """
 
-    centers: TargetBatch
+    centers: np.ndarray
     epsilon: float
     center_indices: tuple[int, ...]
     distances: np.ndarray
@@ -80,7 +79,7 @@ class EpsilonNet:
         return len(self.centers)
 
 
-def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> EpsilonNet:
+def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
     """Scan values in order; keep one as a center iff no existing center is
     strictly within epsilon of it.
 
@@ -90,11 +89,12 @@ def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> Eps
     which is its column of the net's distances; the next center is the first
     value whose nearest center so far is at distance >= epsilon.  Earlier
     values are covered or centers, so that is the first such later value.
-    The centers are the rows values[i] for the center indices.  epsilon must
-    be a finite number > 0, else a ConfigError names it.
+    values is the (n, d) matrix of source values, read by the array rule
+    (arg values), and the centers are its rows for the center indices.
+    epsilon must be a finite number > 0, else a ConfigError names it.
     """
     epsilon = _as_float(epsilon, "epsilon", above=0)
-    F, grid = values.values, values.grid
+    F = _as_array(values, "values", 2)
     nearest = np.full(F.shape[0], np.inf)
     # columns go into one buffer, doubled when full: keeping one array per
     # center instead made every later pass about twice as slow at n=3200,
@@ -105,7 +105,7 @@ def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> Eps
     while True:
         if len(indices) == distances.shape[1]:
             distances = np.concatenate([distances, np.empty_like(distances)], axis=1)
-        column = _seminorm_rows(rho, F, grid, F[i])
+        column = _seminorm_rows(rho, F, F[i])
         distances[:, len(indices)] = column
         indices.append(i)
         np.minimum(nearest, column, out=nearest)
@@ -115,7 +115,9 @@ def build_epsilon_net(values: TargetBatch, rho: Seminorm, epsilon: float) -> Eps
         i = int(uncovered[0])
     distances = distances[:, :len(indices)].copy()
     distances.setflags(write=False)
-    return EpsilonNet(TargetBatch(F[indices], grid), epsilon, tuple(indices), distances)
+    centers = F[indices]
+    centers.setflags(write=False)
+    return EpsilonNet(centers, epsilon, tuple(indices), distances)
 
 
 def build_partition(net: EpsilonNet, rho: Seminorm) -> np.ndarray:
@@ -412,13 +414,15 @@ class AssemblyReport:
                 raise ValueError("per-coefficient tolerance overruns the stage budget")
 
 
-def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
+def assemble_vector_network(f_values, ensemble: CompactEnsemble,
                             family: SeminormFamily, rho_index: int, epsilon: float,
                             fit_cfg: FitConfig):
     """Run the full two-stage construction for the target seminorm
     rho = family[rho_index], and return (network, report).
 
-    f_values holds the operator value of each ensemble sample.  epsilon must
+    f_values is the (n, d) matrix of the operator value of each ensemble
+    sample, read by the array rule (arg f_values); the network's outputs
+    are on family.grid.  epsilon must
     be a finite number > 0 and rho_index an integer in [0, len(family)),
     else a ConfigError names the argument, and fit_cfg's spec must draw
     functionals of the ensemble's signature, else a ShapeError; all are
@@ -435,6 +439,7 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     uniform_error pass over the whole family, so a caller that wants them
     under more seminorms than the target passes those in the family too.
     """
+    f_values = _as_array(f_values, "f_values", 2, subject="operator values")
     if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per ensemble sample required")
     epsilon = _as_float(epsilon, "epsilon", above=0)
@@ -448,18 +453,18 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     rho = family[rho_index]
 
     net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
-    T, U = build_partition(net1, rho), net1.centers.values
+    T, U = build_partition(net1, rho), net1.centers
     stage1_sup = float(np.max(np.sum(T * net1.distances, axis=1)))
     if not stage1_sup < (epsilon / 2.0) * (1.0 + 1e-9):
         raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")
 
     m = len(net1)
-    c_max = float(np.max(rho(U, net1.centers.grid)))
+    c_max = float(np.max(rho(U)))
     if c_max == 0.0:
         # every center is rho-null, so the zero network is already within
         # epsilon/2, which is then the bound its training error is held to
         network = ShallowVectorNetwork.zero(fit_cfg.activation, ensemble.signature,
-                                            f_values.dim, f_values.grid)
+                                            f_values.shape[1], family.grid)
         delta, errors, widths = None, np.zeros(m), np.zeros(m, dtype=int)
         converged, bound = True, epsilon / 2.0
     else:
@@ -467,7 +472,7 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
         seeds = [derive_seed(fit_cfg.seed, j) for j in range(m)]
         P, theta, c, widths, errors = fit_columns(ensemble.flats, T, fit_cfg, seeds, delta)
         network = ShallowVectorNetwork(P, theta, c, U, widths, fit_cfg.activation,
-                                       ensemble.signature, f_values.grid, spec.basis)
+                                       ensemble.signature, family.grid, spec.basis)
         converged, bound = bool(np.all(errors < delta)), epsilon
 
     train_errors = uniform_error(f_values, network, ensemble, family)
@@ -480,20 +485,21 @@ def assemble_vector_network(f_values: TargetBatch, ensemble: CompactEnsemble,
     return network, report
 
 
-def uniform_error(f_values: TargetBatch, net: ShallowVectorNetwork, ensemble,
+def uniform_error(f_values, net: ShallowVectorNetwork, ensemble,
                   family: SeminormFamily) -> np.ndarray:
     """Per-seminorm max over samples of rho(F(s) - net(s)).
 
-    f_values holds the value of each sample of ensemble, a CompactEnsemble
-    or an (n, dim) matrix of input rows.  One batched pass per seminorm
-    over the residual matrix, which overwrites the network outputs.
+    f_values is the (n, d) matrix of the value of each sample of ensemble,
+    a CompactEnsemble or an (n, dim) matrix of input rows, read by the
+    array rule (arg f_values).  One batched pass per seminorm over the
+    residual matrix, which overwrites the network outputs.
     """
-    if len(f_values) != len(ensemble):
+    F = _as_array(f_values, "f_values", 2, subject="operator values")
+    if len(F) != len(ensemble):
         raise ShapeError("one operator value per sample required")
     approx = net.evaluate_many(ensemble)
-    F, grid = f_values.values, f_values.grid
     if approx.shape != F.shape:
         raise ShapeError(f"network outputs {approx.shape} do not match values {F.shape}")
     residual = np.subtract(F, approx, out=approx)
-    return np.array([np.max(_seminorm_rows(rho, residual, grid)) for rho in family])
+    return np.array([np.max(_seminorm_rows(rho, residual)) for rho in family])
 

@@ -42,7 +42,6 @@ from .targets import (
     Seminorm,
     SeminormFamily,
     SupDerivative,
-    TargetBatch,
     _as_float,
     _as_int,
 )
@@ -299,27 +298,17 @@ def build_operator(config: ExperimentConfig) -> Operator:
 
 
 def build_seminorm(spec: dict, field: str, op: Operator) -> Seminorm:
-    """The seminorm spec describes on op's outputs; its bad fields are named under field.
-
-    The seminorm is evaluated once on a zero row of op's outputs, so one
-    that cannot apply to them, such as a derivative of sequence entries, is
-    refused here rather than in a run.  Outputs too wide for numpy to hold
-    one row are left to fail in the run, as before.
-    """
+    """The seminorm spec describes on op's outputs, built on their grid, so
+    one that cannot apply to them, such as a derivative of sequence entries,
+    is refused by its constructor; its bad fields are named under field."""
     kind = _get(spec, field, "kind", None, lambda k: isinstance(k, str) and k in _SEMINORMS,
                 f"unknown seminorm kind {spec.get('kind')!r}")
     make, names = _SEMINORMS[kind]
     _only(spec, field, names)
     if make is None:
         return _build_dual(spec, field, op)
-    rho = _from_field(field, make, **{k: v for k, v in spec.items() if k != "kind"})
-    try:
-        row = np.zeros((1, op.output_dim))
-    except (ValueError, MemoryError):
-        return rho
-    with np.errstate(all="ignore"):  # only whether it applies matters, not its value
-        _from_field(field, rho, row, op.output_grid)
-    return rho
+    return _from_field(field, make, grid=op.output_grid,
+                       **{k: v for k, v in spec.items() if k != "kind"})
 
 
 def _build_dual(spec: dict, field: str, op: Operator) -> DualPairing:
@@ -418,8 +407,8 @@ class ExperimentReport:
         }
 
 
-def _split(ensemble: CompactEnsemble, values: TargetBatch, fraction: float):
-    """Train and held-out parts of the ensemble and its values, as views."""
+def _split(ensemble: CompactEnsemble, values: np.ndarray, fraction: float):
+    """Train and held-out parts of the ensemble and its value matrix, as views."""
     n = len(ensemble)
     n_heldout = int(np.floor(fraction * n))
     n_train = n - n_heldout

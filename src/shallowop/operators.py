@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .inputs import stack_inputs
-from .targets import GridMeta, TargetBatch, _as_float, _as_int
+from .targets import GridMeta, _as_array, _as_float, _as_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +129,9 @@ class Operator:
 
     fn is the batched map: it takes the (n, dim) matrix whose rows are n
     flattened inputs of input_signature and returns the (n, output_dim)
-    matrix of their images.  The built-in operators return new read-only
-    matrices, which apply_many holds without a copy.
+    matrix of their images, sampled on output_grid when that is given.  The
+    built-in operators return new read-only matrices, which apply_many
+    returns without a copy.
     """
 
     name: str
@@ -140,21 +141,20 @@ class Operator:
     output_grid: GridMeta | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "output_dim", _as_int(self.output_dim, "output_dim"))
-        if self.output_dim < 1:
-            raise ShapeError(f"must be positive, got {self.output_dim}", "output_dim")
+        object.__setattr__(self, "output_dim", _as_int(self.output_dim, "output_dim", 1,
+                                                       sized=True, error=ShapeError))
         if self.output_grid is not None and self.output_dim != self.output_grid.n:
             raise ShapeError("operator output dim does not match its output grid")
 
-    def apply_many(self, samples) -> TargetBatch:
+    def apply_many(self, samples) -> np.ndarray:
         """Images of an ensemble or an (n, dim) matrix of input rows (see
         stack_inputs), in one batched map.
 
-        Returns the read-only (n, output_dim) value matrix with the output
-        grid, as a TargetBatch.  A signature or output shape mismatch raises
+        Returns the read-only (n, output_dim) value matrix, read by the array
+        rule (arg values).  A signature or output shape mismatch raises
         ShapeError, and a value that is not a finite real raises ConfigError.
-        fn's matrix is never changed: the batch holds it as it is only when
-        nothing can write it (see TargetBatch), and a read-only copy otherwise.
+        fn's matrix is never changed: it is returned as it is only when
+        nothing can write it, and as a read-only copy otherwise.
         """
         flats = stack_inputs(samples, self.input_signature)
         out = np.asarray(self.fn(flats))
@@ -163,12 +163,12 @@ class Operator:
                 f"operator {self.name} produced values of shape {out.shape}, expected "
                 f"{(flats.shape[0], self.output_dim)}"
             )
-        return TargetBatch(out, self.output_grid)
+        return _as_array(out, "values", 2, subject=f"operator {self.name} values")
 
 
 def _frozen(out: np.ndarray) -> np.ndarray:
-    """An operator function's new result, marked read-only so that the
-    TargetBatch apply_many builds holds it without a copy."""
+    """An operator function's new result, marked read-only so that
+    apply_many returns it without a copy."""
     out.setflags(write=False)
     return out
 

@@ -1,18 +1,20 @@
 """Discretized target values and the seminorms that topologize them.
 
 A target value is a finite real vector: samples of a function on a uniform
-grid, truncated sequence coefficients, or a flattened matrix.  A TargetBatch
-holds n values sharing one grid as one (n, dim) matrix.  Seminorms come in
-four evaluable flavors (weighted Lq, sup of a finite-difference derivative,
-polynomially weighted sup on a truncated grid, and pairing against a fixed
-test vector); each is nonnegative, absolutely homogeneous, and subadditive on
-compatible values.
+grid, truncated sequence coefficients, or a flattened matrix; n values are
+the rows of one (n, dim) matrix.  Seminorms come in four evaluable flavors
+(weighted Lq, sup of a finite-difference derivative, polynomially weighted
+sup on a truncated grid, and pairing against a fixed test vector); each is
+nonnegative, absolutely homogeneous, and subadditive on compatible values.
 
-Every seminorm is evaluated row-wise: ``rho(values, grid)`` maps an (n, dim)
-matrix of values sharing one grid to the n seminorm values, so a sup over
-thousands of samples is one array pass, and one value v is the one-row
-matrix, ``rho(v[None], grid)[0]``.  A custom seminorm subclasses ``Seminorm``
-and implements ``__call__`` and ``label``.
+A seminorm is a function on the discretized target space, so it holds the
+grid its values are sampled on (None for sequence or matrix entries), and
+what it cannot apply to on that grid is refused when it is built.  Every
+seminorm is evaluated row-wise: ``rho(values)`` maps an (n, dim) matrix of
+values to the n seminorm values, so a sup over thousands of samples is one
+array pass, and one value v is the one-row matrix, ``rho(v[None])[0]``.  A
+custom seminorm subclasses ``Seminorm``, implements ``__call__`` and
+``label``, and sets ``grid`` when its values sit on one.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class GridMeta:
         object.__setattr__(self, "b", _as_float(self.b, "b", above=self.a))
         if not math.isfinite(self.b - self.a):
             raise ConfigError(f"is {self.b}, too far from a={self.a} for a finite spacing", "b")
-        object.__setattr__(self, "n", _as_int(self.n, "n", 2, subject="grid node count n"))
+        object.__setattr__(self, "n", _as_int(self.n, "n", 2, sized=True,
+                                              subject="grid node count n"))
 
     @property
     def spacing(self) -> float:
@@ -67,14 +70,20 @@ class GridMeta:
         return w
 
 
-def _as_int(value, arg: str, least=None, *, subject: str | None = None) -> int:
-    """value as an int if it is a Python or numpy integer, not a boolean, and
-    at least least when that is given; nothing is truncated, and anything
-    else is a ConfigError naming the argument arg."""
+def _as_int(value, arg: str, least=None, *, sized=False, error=ConfigError,
+            subject: str | None = None) -> int:
+    """value as an int if it is a Python or numpy integer, not a boolean, at
+    least least when that is given, and, when sized, at most
+    np.iinfo(np.intp).max // 8, the most float64 entries numpy can size one
+    array by.  Nothing is truncated; anything else is a ConfigError naming
+    the argument arg, or error for an integer out of range."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"must be an integer, got {value!r}", arg, subject)
     if least is not None and value < least:
-        raise ConfigError(f"must be at least {least}, got {value}", arg, subject)
+        raise error(f"must be at least {least}, got {value}", arg, subject)
+    if sized and value > np.iinfo(np.intp).max // 8:
+        raise error(f"must be at most {np.iinfo(np.intp).max // 8}, the most float64 "
+                    f"entries of one array, got {value}", arg, subject)
     return int(value)
 
 
@@ -163,58 +172,30 @@ def _unwritable(a) -> bool:
     return a is None or isinstance(a, bytes)
 
 
-@dataclass(frozen=True, eq=False)
-class TargetBatch:
-    """n target values sharing one grid, held as one read-only (n, dim) matrix.
-
-    A slice is a TargetBatch over a view of the same matrix; value i is the
-    row values[i].
-    """
-
-    values: np.ndarray
-    grid: GridMeta | None = None
-
-    def __post_init__(self):
-        v = _as_array(self.values, "values", 2, subject="batch values")
-        if self.grid is not None and v.shape[1] != self.grid.n:
-            raise ShapeError(
-                f"batch rows have {v.shape[1]} values, grid has {self.grid.n} nodes"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    def __getitem__(self, i):
-        if not isinstance(i, slice):
-            raise TypeError(f"a TargetBatch takes slices only; value {i!r} is the row "
-                            f"batch.values[{i!r}]")
-        return TargetBatch(self.values[i], self.grid)
+def _check_order(order: int, grid: GridMeta | None, arg: str):
+    """ShapeError naming arg, the argument that set order, unless values on
+    grid have an order-th derivative: order 0, or a grid of order + 1 nodes
+    or more."""
+    if order and grid is None:
+        raise ShapeError(f"is {order}, and a derivative needs values on a grid", arg)
+    if order and grid.n < order + 1:
+        raise ShapeError(f"is {order}, and a derivative of that order needs at least "
+                         f"{order + 1} nodes, grid has {grid.n}", arg)
 
 
-def _difference_at_nodes(values: np.ndarray, grid: GridMeta | None, order: int,
-                        arg: str) -> np.ndarray:
-    """Order-th finite difference of each row of values at every grid node.
+def _difference_at_nodes(values: np.ndarray, grid: GridMeta | None,
+                        order: int) -> np.ndarray:
+    """Order-th finite difference of each row of values at every grid node,
+    for an order _check_order allows.
 
     Uses the binomial-coefficient difference over a window of order+1
     consecutive nodes, centered on the node where possible and shifted
     one-sided near the boundaries.  Exact for polynomials of degree <= order,
-    so the difference of x**order is the constant order! at every node.  An
-    order the values cannot take is a ShapeError naming arg, the argument
-    that set it.
+    so the difference of x**order is the constant order! at every node.
     """
     if order == 0:
         return values
-    if grid is None:
-        raise ShapeError(f"is {order}, and a derivative needs values on a grid", arg)
     n = values.shape[1]
-    if n < order + 1:
-        raise ShapeError(f"is {order}, and a derivative of that order needs at least "
-                         f"{order + 1} nodes, grid has {n}", arg)
     d = np.diff(values, n=order, axis=1) / grid.spacing**order
     window_start = np.clip(np.arange(n) - order // 2, 0, n - 1 - order)
     return d[:, window_start]
@@ -230,13 +211,16 @@ def _require_rows(values: np.ndarray, grid: GridMeta | None):
 class Seminorm:
     """Base class for evaluable continuous seminorms on target values.
 
-    rho(values, grid) takes an (n, dim) matrix whose rows are values sharing
-    the grid metadata and returns the n seminorm values; a subclass
-    implements it and label.  Each shipped seminorm defines __call__ in its
-    own class body, where benchmarks/tracer.py wraps it to count passes.
+    rho(values) takes an (n, dim) matrix whose rows are values on rho.grid
+    (None for values not sampled on a grid) and returns the n seminorm
+    values; a subclass implements it and label.  Each shipped seminorm
+    defines __call__ in its own class body, where benchmarks/tracer.py wraps
+    it to count passes.
     """
 
-    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
+    grid: GridMeta | None = None
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def label(self) -> str:
@@ -255,17 +239,18 @@ class LqNorm(Seminorm):
     """Discrete Lq norm: trapezoid-weighted on grid values, plain lq else."""
 
     q: float = 2.0
+    grid: GridMeta | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "q", _as_float(self.q, "q", 1, subject="Lq norm q"))
 
-    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
-        _require_rows(values, grid)
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        _require_rows(values, self.grid)
         # in place: values may be thousands of rows
         a = np.abs(values)
         a **= self.q
-        if grid is not None:
-            a *= grid.trapezoid_weights()
+        if self.grid is not None:
+            a *= self.grid.trapezoid_weights()
         return np.sum(a, axis=1) ** (1.0 / self.q)
 
     def label(self) -> str:
@@ -274,17 +259,20 @@ class LqNorm(Seminorm):
 
 @dataclass(frozen=True)
 class SupDerivative(Seminorm):
-    """Sup over nodes of the |order|-th finite-difference derivative."""
+    """Sup over nodes of the |order|-th finite-difference derivative; an
+    order >= 1 needs a grid of more than order nodes."""
 
     order: int = 0
+    grid: GridMeta | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "order", _as_int(self.order, "order", 0,
                                                   subject="derivative order"))
+        _check_order(self.order, self.grid, "order")
 
-    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
-        _require_rows(values, grid)
-        return np.max(np.abs(_difference_at_nodes(values, grid, self.order, "order")), axis=1)
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        _require_rows(values, self.grid)
+        return np.max(np.abs(_difference_at_nodes(values, self.grid, self.order)), axis=1)
 
     def label(self) -> str:
         return f"sup_d{self.order}"
@@ -295,28 +283,31 @@ class SchwartzWeighted(Seminorm):
     """Sup of |x**alpha * d^beta t| over the grid truncated to |x| <= radius.
 
     The sup over an unbounded domain is not computable from samples; the
-    truncation radius is an explicit approximation parameter.
+    truncation radius is an explicit approximation parameter.  The seminorm
+    needs a grid, of more than beta nodes.
     """
 
     alpha: int = 0
     beta: int = 0
     radius: float = 8.0
+    grid: GridMeta | None = None
 
     def __post_init__(self):
         for index in ("alpha", "beta"):
             object.__setattr__(self, index, _as_int(getattr(self, index), index, 0))
         object.__setattr__(self, "radius", _as_float(self.radius, "radius", above=0,
                                                      subject="truncation radius"))
+        if self.grid is None:
+            raise ShapeError("Schwartz seminorm needs values on a grid")
+        _check_order(self.beta, self.grid, "beta")
 
-    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
-        if grid is None:
-            raise ShapeError("Schwartz seminorm needs grid metadata")
-        _require_rows(values, grid)
-        x = grid.nodes()
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        _require_rows(values, self.grid)
+        x = self.grid.nodes()
         mask = np.abs(x) <= self.radius
         if not np.any(mask):
             return np.zeros(values.shape[0])
-        d = _difference_at_nodes(values, grid, self.beta, "beta")
+        d = _difference_at_nodes(values, self.grid, self.beta)
         return np.max(np.abs(x[mask] ** self.alpha * d[:, mask]), axis=1)
 
     def label(self) -> str:
@@ -343,9 +334,9 @@ class DualPairing(Seminorm):
             raise ConfigError(f"must be a nonempty string, got {self.name!r}", "name")
         object.__setattr__(self, "test", v)
 
-    def __call__(self, values: np.ndarray, grid: GridMeta | None = None) -> np.ndarray:
-        _require_rows(values, grid)
-        if grid != self.grid or values.shape[1] != self.test.shape[0]:
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        _require_rows(values, self.grid)
+        if values.shape[1] != self.test.shape[0]:
             raise ShapeError("values are incompatible with the dual pairing's test vector")
         if self.grid is not None:
             return np.abs(np.sum(self.grid.trapezoid_weights() * self.test * values, axis=1))
@@ -359,7 +350,8 @@ class DualPairing(Seminorm):
 
 @dataclass(frozen=True)
 class SeminormFamily:
-    """Ordered finite family of seminorms defining the target topology."""
+    """Ordered finite family of seminorms defining the target topology, all
+    on one grid, family.grid."""
 
     members: tuple[Seminorm, ...]
 
@@ -367,7 +359,15 @@ class SeminormFamily:
         members = tuple(self.members)
         if not members:
             raise ValueError("seminorm family must be nonempty")
+        for i, rho in enumerate(members):
+            if rho.grid != members[0].grid:
+                raise ShapeError(f"member {i} is on grid {rho.grid}, member 0 on "
+                                 f"{members[0].grid}", "members")
         object.__setattr__(self, "members", members)
+
+    @property
+    def grid(self) -> GridMeta | None:
+        return self.members[0].grid
 
     def __len__(self):
         return len(self.members)

@@ -78,17 +78,17 @@ def sup_error_at_width(ens, y, width, activation, lam, seed):
 
 def test_criterion_01_finite_rank_suite():
     t0 = time.perf_counter()
-    rho = LqNorm(2.0)
     cases = []
     for name in ("integral_gaussian", "poisson_dirichlet", "superposition_sin",
                  "matrix_sin_trace"):
         cfg = ExperimentConfig.from_dict(preset_dict(name))
         ens = sample_ensemble(cfg.ensemble, derive_seed(cfg.seed, 0))
         assert len(ens) >= 50
-        cases.append((name, build_operator(cfg).apply_many(ens)))
+        op = build_operator(cfg)
+        cases.append((name, op.apply_many(ens), LqNorm(2.0, op.output_grid)))
 
     worst = 0.0
-    for name, values in cases:
+    for name, values, rho in cases:
         for eps in EPSILONS:
             net = build_epsilon_net(values, rho, eps)
             weights = build_partition(net, rho)
@@ -99,14 +99,11 @@ def test_criterion_01_finite_rank_suite():
             assert np.all(net.distances[weights > 0.0] < eps)
             for a in range(len(net)):
                 for b in range(a + 1, len(net)):
-                    gap = net.centers.values[a] - net.centers.values[b]
-                    assert rho(gap[None], net.centers.grid)[0] >= eps
+                    gap = net.centers[a] - net.centers[b]
+                    assert rho(gap[None])[0] >= eps
             # the finite-rank map: row i is sum_j psi_j(s_i) v_j
-            finite_rank = weights @ net.centers.values
-            err = max(
-                rho((values.values[i] - finite_rank[i])[None], values.grid)[0]
-                for i in range(len(values))
-            )
+            finite_rank = weights @ net.centers
+            err = max(rho((values[i] - finite_rank[i])[None])[0] for i in range(len(values)))
             assert err < eps * (1.0 + 1e-9), f"{name} at eps={eps}: {err}"
             worst = max(worst, err / eps)
     elapsed = time.perf_counter() - t0
@@ -174,13 +171,13 @@ def test_criterion_06_seminorm_axiom_trials():
         dim = 17 if grid is None else grid.n
         variant = i % 8
         if variant < 3:
-            rho = LqNorm((1.0, 1.5, 2.0)[variant])
+            rho = LqNorm((1.0, 1.5, 2.0)[variant], grid)
         elif variant < 5:
-            rho = SupDerivative(variant - 3)
+            rho = SupDerivative(variant - 3, grid)
         elif variant == 5:
-            rho = SupDerivative(2)
+            rho = SupDerivative(2, grid)
         elif variant == 6 and grid is sym:
-            rho = SchwartzWeighted(2, 1, radius=6.0)
+            rho = SchwartzWeighted(2, 1, radius=6.0, grid=grid)
         else:
             rho = DualPairing(rng.standard_normal(dim), grid)
         t = rng.standard_normal(dim) * 3.0
@@ -188,7 +185,7 @@ def test_criterion_06_seminorm_axiom_trials():
         lam = float(rng.uniform(-3.0, 3.0))
 
         def one(v):
-            return rho(v[None], grid)[0]
+            return rho(v[None])[0]
 
         rho_t, rho_u = one(t), one(u)
         hom = one(lam * t)
@@ -207,12 +204,12 @@ def test_criterion_07_operator_oracles():
     # -u'' = 1, u(0) = u(1) = 0 has u = x(1-x)/2; the second-difference
     # scheme reproduces quadratics exactly
     u = poisson_operator(GRID).apply_many([np.ones(GRID.n)])
-    np.testing.assert_allclose(u.values[0], x * (1.0 - x) / 2.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u[0], x * (1.0 - x) / 2.0, rtol=0, atol=1e-12)
 
     def poisson_sin_err(grid):
         xs = grid.nodes()
         u = poisson_operator(grid).apply_many([np.sin(np.pi * xs)])
-        return float(np.max(np.abs(u.values[0] - np.sin(np.pi * xs) / np.pi**2)))
+        return float(np.max(np.abs(u[0] - np.sin(np.pi * xs) / np.pi**2)))
 
     e_p1 = poisson_sin_err(GRID)
     e_p2 = poisson_sin_err(GridMeta(0.0, 1.0, 201))
@@ -224,7 +221,7 @@ def test_criterion_07_operator_oracles():
     def integral_err(grid, n_fine):
         xs = grid.nodes()
         f = np.sin(np.pi * xs)
-        out = integral_operator(kernel, grid).apply_many([f]).values[0]
+        out = integral_operator(kernel, grid).apply_many([f])[0]
         fine = np.linspace(0.0, 1.0, n_fine)
         w = np.full(n_fine, fine[1] - fine[0])
         w[0] *= 0.5
@@ -245,7 +242,7 @@ def test_criterion_08_dual_errors_along_width_sweep():
     ens = sample_ensemble(BAND, derive_seed(314, 0))
     op = integral_operator(make_kernel("gaussian", width=0.25), GRID)
     values = op.apply_many(ens)
-    family = SeminormFamily((LqNorm(2.0),))
+    family = SeminormFamily((LqNorm(2.0, GRID),))
     duals = SeminormFamily((DualPairing(np.ones(GRID.n), GRID, name="mean"),
                             DualPairing(2.0 * np.sin(np.pi * GRID.nodes()), GRID,
                                         name="mode1")))
@@ -288,7 +285,7 @@ def test_criterion_09_determinism_and_serialization():
     fit_cfg = FitConfig(functional_spec=FSPEC, width=32, max_width=256,
                         lam=0.0, seed=5)
     net, _ = assemble_vector_network(op.apply_many(ens), ens,
-                                        SeminormFamily((LqNorm(2.0),)), 0, 0.2,
+                                        SeminormFamily((LqNorm(2.0, GRID),)), 0, 0.2,
                                         fit_cfg)
     doc = json.loads(json.dumps(serialize_network(net)))
     again = deserialize_network(doc)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shallowop.construct import FitConfig
+from shallowop.construct import FitConfig, build_epsilon_net
 from shallowop.errors import ConfigError
 from shallowop.inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, stack_inputs
 from shallowop.network import Polynomial, ShallowVectorNetwork, Tanh
@@ -24,7 +24,6 @@ from shallowop.targets import (
     LqNorm,
     SchwartzWeighted,
     SupDerivative,
-    TargetBatch,
 )
 
 SPEC = FunctionalSpec(("sequence", 3))
@@ -50,8 +49,10 @@ CONSTRUCTORS = {
                   [("width", None, True), ("max_width", None, True),
                    ("theta_range", 0, False), ("theta_range", 1, False), ("lam", None, False)]),
     "LqNorm": (LqNorm, {"q": 2.0}, [("q", None, False)]),
-    "SupDerivative": (SupDerivative, {"order": 1}, [("order", None, True)]),
-    "SchwartzWeighted": (SchwartzWeighted, {"alpha": 1, "beta": 1, "radius": 2.0},
+    "SupDerivative": (SupDerivative, {"order": 1, "grid": GridMeta(0, 1, 5)},
+                      [("order", None, True)]),
+    "SchwartzWeighted": (SchwartzWeighted, {"alpha": 1, "beta": 1, "radius": 2.0,
+                                            "grid": GridMeta(-1, 1, 5)},
                          [("alpha", None, True), ("beta", None, True),
                           ("radius", None, False)]),
     "make_kernel-gaussian": (make_kernel, {"name": "gaussian", "width": 0.5},
@@ -124,6 +125,7 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
     (GridMeta, {"a": 1.0, "b": 1.0, "n": 5}, "b"),
     (GridMeta, {"a": 0.0, "b": 1.0, "n": 1}, "n"),
     (GridMeta, {"a": -1.7e308, "b": 1.7e308, "n": 5}, "b"),
+    (GridMeta, {"a": 0.0, "b": 1.0, "n": np.iinfo(np.intp).max // 8 + 1}, "n"),
     (SchwartzWeighted, {"radius": 0.0}, "radius"),
     (make_kernel, {"name": "gaussian", "width": 0.0}, "width"),
     (make_kernel, {"name": "gaussian", "value": 1.0}, "value"),
@@ -141,6 +143,7 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
 ], ids=["theta_triple", "theta_string", "theta_not_increasing", "max_width_below_width",
         "negative_lam", "string_radii", "scalar_radii", "shape_triple", "unknown_family",
         "no_coefficients", "scalar_coefficients", "empty_grid", "one_node", "infinite_spacing",
+        "more_nodes_than_numpy_sizes",
         "zero_truncation_radius", "zero_kernel_width", "parameter_of_another_kernel",
         "unknown_kernel", "empty_dual_name", "row_sums_out_dim", "unknown_matrix_map",
         "grid_on_sequence_box", "grid_on_matrix_ball", "band_limited_without_grid",
@@ -154,7 +157,8 @@ def test_shape_and_range_refused_by_name(make, kwargs, arg):
 def test_accepted_numbers_are_normalized():
     # integers read as floats where the argument is real, numpy integers as
     # ints, so equal arguments give one label and one report key
-    assert SupDerivative(np.int64(2)).label() == SupDerivative(2).label() == "sup_d2"
+    grid = GridMeta(0, 1, 5)
+    assert SupDerivative(np.int64(2), grid).label() == SupDerivative(2, grid).label() == "sup_d2"
     assert LqNorm(2).q == 2.0 and type(LqNorm(2).q) is float
     assert GridMeta(0, 1, 5) == GridMeta(0.0, 1.0, 5) and type(GridMeta(0, 1, 5).a) is float
     assert FitConfig(SPEC, theta_range=[-1, 1]).theta_range == (-1.0, 1.0)
@@ -169,11 +173,18 @@ def input_rows(samples, signature):
     return SimpleNamespace(samples=stack_inputs(samples, signature))
 
 
+def epsilon_net(values):
+    """The centers of the epsilon net of the value matrix values at an
+    epsilon below their spacing, so every row, as the attribute named after
+    its argument."""
+    return SimpleNamespace(values=build_epsilon_net(values, LqNorm(2.0), 1e-3).centers)
+
+
 #: each constructor taking arrays, the keyword arguments of one it accepts,
-#: and its array arguments (input rows as their reader takes them)
+#: and its array arguments (input rows and values as their readers take them)
 ARRAY_CONSTRUCTORS = {
-    "TargetBatch": (TargetBatch, {"values": [[1.0, 2.0], [3.0, 4.0]]}, ["values"]),
-    "TargetBatch-one_row": (TargetBatch, {"values": [[1.0, 2.0]]}, ["values"]),
+    "epsilon_net": (epsilon_net, {"values": [[1.0, 2.0], [3.0, 4.0]]}, ["values"]),
+    "epsilon_net-one_row": (epsilon_net, {"values": [[1.0, 2.0]]}, ["values"]),
     "input_rows-function": (input_rows, {"samples": [[0.0, 1.0, 0.5]],
                                          "signature": ("function", GridMeta(0, 1, 3))},
                             ["samples"]),
@@ -250,17 +261,17 @@ def test_array_is_held_unless_something_can_write_it():
     view = whole[1:]
     view.setflags(write=False)
     # a read-only view of a writeable array is copied: writing that array
-    # later does not change the batch
-    batch = TargetBatch(view)
-    assert not np.shares_memory(batch.values, whole)
+    # later does not change the operator values held
+    held = Operator("view", lambda F: view, ("sequence", 3), 3).apply_many(np.zeros((3, 3)))
+    assert not np.shares_memory(held, whole)
     whole[1, 0] = -1.0
-    assert batch.values[0, 0] == 3.0
-    # a row slice of a batch and a row of it view the batch's matrix
-    assert np.shares_memory(batch[1:].values, batch.values)
-    assert np.shares_memory(batch.values[1], batch.values)
+    assert held[0, 0] == 3.0
+    # a row slice of held values is held as it is
+    rows = held[1:]
+    assert stack_inputs(rows, ("sequence", 3)) is rows
     # integers and Fortran order are copied to C-ordered float64
     for values in (np.arange(6).reshape(2, 3), np.asfortranarray(whole)):
-        held = TargetBatch(values).values
+        held = epsilon_net(values).values
         assert held.dtype == np.float64 and held.flags.c_contiguous
         assert not held.flags.writeable and not np.shares_memory(held, values)
     # a buffer nothing can write, as a network document's arrays are, is held

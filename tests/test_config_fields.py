@@ -7,6 +7,7 @@ fit.max_width >= fit.width), the error names the later field of the pair.
 """
 
 import copy
+import math
 import re
 import warnings
 
@@ -59,13 +60,17 @@ FIELDS = [(kind, path) for kind, (_, paths) in CONFIGS.items() for path in paths
 #: the later field of each pair of fields one rule relates
 PARTNER = {"grid.a": "grid.b", "fit.width": "fit.max_width"}
 
+#: values of no number type or beyond every float and array size
+EXTREMES = [10**400, -10**400, "1", "", None, [1.0], {"x": 1.0}]
 #: small integers only, so that no size builds a large operator
 VALUES = st.one_of(
     st.integers(min_value=-3, max_value=40),
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),
-    st.sampled_from([10**400, -10**400, "1", "", None, [1.0], {"x": 1.0}]),
+    st.sampled_from(EXTREMES),
 )
+#: the edge values written into every field, not only those the draws reach
+EDGES = EXTREMES + [math.nan, math.inf, -math.inf, True]
 
 
 def written(doc, path, value):
@@ -93,6 +98,19 @@ def test_value_loads_or_is_refused_naming_its_field(field, value):
         named = re.match(r"field '([^']*)'", str(exc))
         assert named is not None, str(exc)
         assert named.group(1) in (name, PARTNER.get(name)), str(exc)
+
+
+def edge_id(value):
+    if isinstance(value, int) and abs(value) == 10**400:
+        return "-10**400" if value < 0 else "10**400"
+    return repr(value)
+
+
+@pytest.mark.parametrize("value", EDGES, ids=edge_id)
+@pytest.mark.parametrize("field", FIELDS, ids=lambda field: "-".join(field))
+def test_edge_value_loads_or_is_refused_naming_its_field(field, value):
+    # the property test's own body, run on each (field, value) pair
+    test_value_loads_or_is_refused_naming_its_field.hypothesis.inner_test(field, value)
 
 
 @pytest.mark.parametrize("kind", CONFIGS)

@@ -38,25 +38,19 @@ from shallowop.targets import (
     LqNorm,
     SeminormFamily,
     SupDerivative,
-    TargetBatch,
 )
 
 ABS = LqNorm(1.0)  # on 1-entry values this is plain absolute value
 
 
-def scalar_batch(*xs):
-    """The 1-entry values xs as one (len(xs), 1) batch."""
-    return TargetBatch(np.array(xs, dtype=float)[:, None])
+def scalar_values(*xs):
+    """The 1-entry values xs as one (len(xs), 1) matrix."""
+    return np.array(xs, dtype=float)[:, None]
 
 
-def batch_of(rows, grid=None):
-    """The value rows as one batch."""
-    return TargetBatch(np.array(rows, dtype=float), grid)
-
-
-def gap(rho, t, c, grid=None):
-    """rho(t - c) for two value rows on grid, as a one-row matrix."""
-    return rho((t - c)[None], grid)[0]
+def gap(rho, t, c):
+    """rho(t - c) for two value rows, as a one-row matrix."""
+    return rho((t - c)[None])[0]
 
 
 def band_ensemble(count, grid, seed, radii=(1.0, 0.5, 0.25)):
@@ -84,8 +78,8 @@ def small_row_blocks(monkeypatch, width):
 def reference_net_indices(values, rho, epsilon):
     """The greedy net, one one-row seminorm call per (value, center) pair."""
     centers, indices = [], []
-    for i, t in enumerate(values.values):
-        if all(gap(rho, t, c, values.grid) >= epsilon for c in centers):
+    for i, t in enumerate(values):
+        if all(gap(rho, t, c) >= epsilon for c in centers):
             centers.append(t)
             indices.append(i)
     return tuple(indices)
@@ -93,33 +87,40 @@ def reference_net_indices(values, rho, epsilon):
 
 class TestEpsilonNet:
     def test_single_value(self):
-        net = build_epsilon_net(scalar_batch(7.0), ABS, 0.5)
+        net = build_epsilon_net(scalar_values(7.0), ABS, 0.5)
         assert len(net) == 1
-        np.testing.assert_array_equal(net.centers.values[0], [7.0])
+        np.testing.assert_array_equal(net.centers[0], [7.0])
 
     def test_three_point_line(self):
-        values = scalar_batch(0.0, 1.0, 2.0)
+        values = scalar_values(0.0, 1.0, 2.0)
         net = build_epsilon_net(values, ABS, 1.5)
-        assert [c[0] for c in net.centers.values] == [0.0, 2.0]
+        assert [c[0] for c in net.centers] == [0.0, 2.0]
         # brute-force cover check: every value strictly within epsilon
-        for t in values.values:
-            assert min(gap(ABS, t, c) for c in net.centers.values) < 1.5
+        for t in values:
+            assert min(gap(ABS, t, c) for c in net.centers) < 1.5
 
     def test_epsilon_above_diameter(self):
-        values = scalar_batch(0.0, 1.0, 2.0)
+        values = scalar_values(0.0, 1.0, 2.0)
         net = build_epsilon_net(values, ABS, 10.0)
         assert len(net) == 1
 
     def test_rejects_bad_arguments(self):
+        with pytest.raises(ShapeError) as info:
+            build_epsilon_net(np.zeros((0, 1)), ABS, 1.0)
+        assert info.value.arg == "values"
+        with pytest.raises(ShapeError) as info:
+            build_epsilon_net(np.zeros(3), ABS, 1.0)
+        assert info.value.arg == "values"
+        with pytest.raises(ConfigError, match="non-finite") as info:
+            build_epsilon_net(scalar_values(0.0, np.nan), ABS, 1.0)
+        assert info.value.arg == "values"
         with pytest.raises(ValueError):
-            build_epsilon_net(TargetBatch(np.zeros((0, 1))), ABS, 1.0)
-        with pytest.raises(ValueError):
-            build_epsilon_net(scalar_batch(0.0), ABS, 0.0)
+            build_epsilon_net(scalar_values(0.0), ABS, 0.0)
 
     @pytest.mark.parametrize("epsilon", [True, float("inf"), float("nan"), 0, 0.0, -1.0, "1"],
                              ids=["True", "inf", "nan", "0", "0.0", "negative", "str"])
     def test_epsilon_refused_by_name(self, epsilon):
-        values = batch_of(np.random.default_rng(5).standard_normal((10, 2)))
+        values = np.random.default_rng(5).standard_normal((10, 2))
         with pytest.raises(ConfigError, match="epsilon") as info:
             build_epsilon_net(values, LqNorm(2.0), epsilon)
         assert info.value.arg == "epsilon"
@@ -128,10 +129,10 @@ class TestEpsilonNet:
     def test_cover_and_separation(self, trial):
         rng = np.random.default_rng(300 + trial)
         rho = LqNorm(2.0)
-        values = batch_of([rng.standard_normal(6) for _ in range(40)])
+        values = np.array([rng.standard_normal(6) for _ in range(40)])
         net = build_epsilon_net(values, rho, 1.0)
-        centers = net.centers.values
-        for t in values.values:
+        centers = net.centers
+        for t in values:
             assert min(gap(rho, t, c) for c in centers) < 1.0
         for a in range(len(net)):
             for b in range(a + 1, len(net)):
@@ -139,7 +140,7 @@ class TestEpsilonNet:
 
     def test_value_at_exactly_epsilon_becomes_a_center(self):
         # |1.0 - 0.0| is exactly epsilon: not strictly covered
-        values = scalar_batch(0.0, 0.5, 1.0, 1.25, 2.0)
+        values = scalar_values(0.0, 0.5, 1.0, 1.25, 2.0)
         net = build_epsilon_net(values, ABS, 1.0)
         assert net.center_indices == (0, 2, 4)
         assert net.center_indices == reference_net_indices(values, ABS, 1.0)
@@ -148,47 +149,50 @@ class TestEpsilonNet:
     def test_matches_scalar_greedy_loop(self, trial):
         rng = np.random.default_rng(360 + trial)
         grid = GridMeta(0.0, 1.0, 9)
-        values = batch_of([rng.standard_normal(9) for _ in range(50)], grid)
-        for rho, eps in ((LqNorm(2.0), 1.0), (SupDerivative(1), 12.0), (LqNorm(1.0), 0.6)):
+        values = np.array([rng.standard_normal(9) for _ in range(50)])
+        for rho, eps in ((LqNorm(2.0, grid), 1.0), (SupDerivative(1, grid), 12.0),
+                         (LqNorm(1.0, grid), 0.6)):
             net = build_epsilon_net(values, rho, eps)
             assert net.center_indices == reference_net_indices(values, rho, eps)
-            want = np.array([values.values[i] for i in net.center_indices])
-            assert net.centers.values.shape == want.shape
-            assert net.centers.values.tobytes() == want.tobytes()
+            want = np.array([values[i] for i in net.center_indices])
+            assert net.centers.shape == want.shape
+            assert net.centers.tobytes() == want.tobytes()
 
-    def test_centers_are_a_read_only_batch_of_value_rows(self):
+    def test_centers_are_a_read_only_matrix_of_value_rows(self):
         rng = np.random.default_rng(380)
         grid = GridMeta(0.0, 1.0, 9)
-        values = TargetBatch(rng.standard_normal((50, 9)), grid)
-        net = build_epsilon_net(values, LqNorm(2.0), 1.0)
-        assert len(net) > 1
-        assert isinstance(net.centers, TargetBatch) and net.centers.grid == grid
-        want = values.values[list(net.center_indices)]
-        assert net.centers.values.shape == want.shape
-        assert net.centers.values.tobytes() == want.tobytes()
+        values = rng.standard_normal((50, 9))
+        net = build_epsilon_net(values, LqNorm(2.0, grid), 1.0)
+        assert len(net) > 1 and len(net) == len(net.center_indices)
+        assert isinstance(net.centers, np.ndarray)
+        want = values[list(net.center_indices)]
+        assert net.centers.shape == want.shape
+        assert net.centers.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
-            net.centers.values[0, 0] = 1.0
+            net.centers[0, 0] = 1.0
+        # the net holds no view of the caller's writeable values
+        assert not np.shares_memory(net.centers, values)
 
     def test_matches_scalar_greedy_loop_across_row_blocks(self, monkeypatch):
         small_row_blocks(monkeypatch, 1)
         rng = np.random.default_rng(370)
-        values = scalar_batch(*rng.uniform(0.0, 10.0, CROSSING_ROWS))
+        values = scalar_values(*rng.uniform(0.0, 10.0, CROSSING_ROWS))
         net = build_epsilon_net(values, ABS, 1.0)
         assert net.center_indices == reference_net_indices(values, ABS, 1.0)
 
-    @pytest.mark.parametrize("rho, eps", [(LqNorm(2.0), 1.0), (SupDerivative(1), 20.0)],
+    @pytest.mark.parametrize("rho, eps", [(LqNorm(2.0, GridMeta(0.0, 1.0, 9)), 1.0),
+                                          (SupDerivative(1, GridMeta(0.0, 1.0, 9)), 20.0)],
                              ids=["lq", "sup_derivative"])
     def test_distances_are_one_pass_per_center(self, rho, eps, monkeypatch):
         # the scan's passes over all rows are the net's distances, bit for bit,
         # and the partition's weights are the hats of that same array
         small_row_blocks(monkeypatch, 9)
         rng = np.random.default_rng(390)
-        grid = GridMeta(0.0, 1.0, 9)
-        values = TargetBatch(rng.standard_normal((CROSSING_ROWS, 9)), grid)
+        values = rng.standard_normal((CROSSING_ROWS, 9))
         net = build_epsilon_net(values, rho, eps)
         assert len(net) > 32  # past two doublings of the net's distance buffer
-        want = np.stack([construct._seminorm_rows(rho, values.values, grid, c)
-                         for c in net.centers.values], axis=1)
+        want = np.stack([construct._seminorm_rows(rho, values, c) for c in net.centers],
+                        axis=1)
         assert net.distances.shape == want.shape
         assert net.distances.tobytes() == want.tobytes()
         assert not net.distances.flags.writeable
@@ -201,19 +205,19 @@ class TestEpsilonNet:
         calls = []
 
         class Counted(LqNorm):
-            def __call__(self, values, grid=None):
+            def __call__(self, values):
                 calls.append(values.shape)
-                return super().__call__(values, grid)
+                return super().__call__(values)
 
         values = np.random.default_rng(391).standard_normal((3200, 5))
-        got = construct._seminorm_rows(Counted(2.0), values, None, values[0])
+        got = construct._seminorm_rows(Counted(2.0), values, values[0])
         assert calls == [(3200, 5)]
         assert got.tobytes() == LqNorm(2.0)(values - values[0]).tobytes()
 
     @pytest.mark.parametrize("trial", range(5))
     def test_halving_epsilon_never_drops_centers(self, trial):
         rng = np.random.default_rng(320 + trial)
-        values = batch_of([rng.standard_normal(4) for _ in range(60)])
+        values = np.array([rng.standard_normal(4) for _ in range(60)])
         rho = LqNorm(2.0)
         counts = [len(build_epsilon_net(values, rho, eps)) for eps in (2.0, 1.0, 0.5, 0.25)]
         assert counts == sorted(counts)
@@ -221,22 +225,22 @@ class TestEpsilonNet:
 
 class TestPartition:
     def test_single_center_is_all_ones(self):
-        values = scalar_batch(0.0, 0.3, -0.2)
+        values = scalar_values(0.0, 0.3, -0.2)
         net = build_epsilon_net(values, ABS, 5.0)
         np.testing.assert_array_equal(build_partition(net, ABS), np.ones((3, 1)))
 
     # hand-built nets carry the distance rows of their samples: here sample
     # 0.0, 1.0 or (0.5, 9.0) against centers 0.0 and 2.0, or 0.0 alone
     def test_support_condition_gives_unit_weight(self):
-        net = EpsilonNet(scalar_batch(0.0, 2.0), 1.5, (0, 1), np.array([[0.0, 2.0]]))
+        net = EpsilonNet(scalar_values(0.0, 2.0), 1.5, (0, 1), np.array([[0.0, 2.0]]))
         np.testing.assert_array_equal(build_partition(net, ABS), [[1.0, 0.0]])
 
     def test_equidistant_sample_splits_evenly(self):
-        net = EpsilonNet(scalar_batch(0.0, 2.0), 2.0, (0, 1), np.array([[1.0, 1.0]]))
+        net = EpsilonNet(scalar_values(0.0, 2.0), 2.0, (0, 1), np.array([[1.0, 1.0]]))
         np.testing.assert_array_equal(build_partition(net, ABS), [[0.5, 0.5]])
 
     def test_uncovered_sample_diagnosed_by_index(self):
-        net = EpsilonNet(scalar_batch(0.0), 1.0, (0,), np.array([[0.5], [9.0]]))
+        net = EpsilonNet(scalar_values(0.0), 1.0, (0,), np.array([[0.5], [9.0]]))
         with pytest.raises(CoverageError, match="sample 1"):
             build_partition(net, ABS)
 
@@ -244,7 +248,7 @@ class TestPartition:
     def test_partition_invariants(self, trial):
         rng = np.random.default_rng(340 + trial)
         rho = LqNorm(2.0)
-        values = batch_of([rng.standard_normal(5) for _ in range(30)])
+        values = np.array([rng.standard_normal(5) for _ in range(30)])
         net = build_epsilon_net(values, rho, 1.2)
         weights = build_partition(net, rho)
         assert weights.shape == (30, len(net))
@@ -257,15 +261,15 @@ class TestPartition:
         small_row_blocks(monkeypatch, 3)
         rng = np.random.default_rng(350)
         rho = LqNorm(2.0)
-        values = batch_of([rng.standard_normal(3) for _ in range(CROSSING_ROWS)])
+        values = np.array([rng.standard_normal(3) for _ in range(CROSSING_ROWS)])
         net = build_epsilon_net(values, rho, 2.0)
-        want = [[gap(rho, t, c) for c in net.centers.values] for t in values.values]
+        want = [[gap(rho, t, c) for c in net.centers] for t in values]
         np.testing.assert_allclose(net.distances, want, rtol=1e-12, atol=0)
 
 
 def finite_rank(weights, net):
     """The finite-rank map on every sample: row i is sum_j psi_j(s_i) v_j."""
-    return weights @ net.centers.values
+    return weights @ net.centers
 
 
 def overrun_partition(net, rho):
@@ -279,29 +283,30 @@ def overrun_partition(net, rho):
 
 class TestFiniteRank:
     def test_single_center_reproduced_exactly(self):
-        values = scalar_batch(3.0, 3.2)
+        values = scalar_values(3.0, 3.2)
         net = build_epsilon_net(values, ABS, 1.0)
         out = finite_rank(build_partition(net, ABS), net)[1]
         np.testing.assert_array_equal(out, [3.0])
 
     def test_constant_operator_exact(self):
-        values = scalar_batch(*[5.0] * 4)
+        values = scalar_values(*[5.0] * 4)
         net = build_epsilon_net(values, ABS, 0.7)
         assert len(net) == 1
         out = finite_rank(build_partition(net, ABS), net)
         for i in range(4):
-            assert gap(ABS, out[i], values.values[i]) == 0.0
+            assert gap(ABS, out[i], values[i]) == 0.0
 
     def test_convexity_bound_survives_stripped_asserts(self, monkeypatch):
         # assembly's stage-1 check: the largest sum_j psi_j d_ij must stay
         # below epsilon/2; the constant values 0..4 are five centers
         grid = GridMeta(0.0, 1.0, 101)
         ens = band_ensemble(5, grid, seed=1)
-        values = TargetBatch(np.repeat(np.arange(5.0)[:, None], 101, axis=1), grid)
+        values = np.repeat(np.arange(5.0)[:, None], 101, axis=1)
         cfg = FitConfig(functional_spec=fn_spec(grid), width=4, seed=0)
         monkeypatch.setattr(construct, "build_partition", overrun_partition)
+        family = SeminormFamily((LqNorm(2.0, grid),))
         with pytest.raises(BudgetError, match="stage-1 error .* reached its budget 0.05"):
-            assemble_vector_network(values, ens, SeminormFamily((LqNorm(2.0),)), 0, 0.1, cfg)
+            assemble_vector_network(values, ens, family, 0, 0.1, cfg)
 
     def test_convexity_bound_raises_under_python_O(self):
         code = (
@@ -310,17 +315,17 @@ class TestFiniteRank:
             "from shallowop.construct import FitConfig, assemble_vector_network\n"
             "from shallowop.errors import BudgetError\n"
             "from shallowop.inputs import EnsembleSpec, FunctionalSpec, sample_ensemble\n"
-            "from shallowop.targets import GridMeta, LqNorm, SeminormFamily, TargetBatch\n"
+            "from shallowop.targets import GridMeta, LqNorm, SeminormFamily\n"
             "grid = GridMeta(0.0, 1.0, 101)\n"
             "spec = EnsembleSpec('band_limited', 5, radii=(1.0,), grid=grid)\n"
             "ens = sample_ensemble(spec, 1)\n"
-            "values = TargetBatch(np.repeat(np.arange(5.0)[:, None], 101, axis=1), grid)\n"
+            "values = np.repeat(np.arange(5.0)[:, None], 101, axis=1)\n"
             "cfg = FitConfig(functional_spec=FunctionalSpec(('function', grid)), width=4)\n"
             "def overrun(net, rho):\n"
             "    return np.eye(len(net))[np.argmax(net.distances, axis=1)]\n"
             "construct.build_partition = overrun\n"
             "try:\n"
-            "    family = SeminormFamily((LqNorm(2.0),))\n"
+            "    family = SeminormFamily((LqNorm(2.0, grid),))\n"
             "    assemble_vector_network(values, ens, family, 0, 0.1, cfg)\n"
             "except BudgetError as exc:\n"
             "    print(__debug__, exc)\n"
@@ -338,13 +343,13 @@ class TestFiniteRank:
         op = poisson_operator(grid)
         ens = band_ensemble(50, grid, seed=77)
         values = op.apply_many(ens)
-        rho = LqNorm(2.0)
+        rho = LqNorm(2.0, grid)
         eps = 0.05
         net = build_epsilon_net(values, rho, eps)
         weights = build_partition(net, rho)
         out = finite_rank(weights, net)
-        for i, t in enumerate(values.values):
-            err = gap(rho, t, out[i], grid)
+        for i, t in enumerate(values):
+            err = gap(rho, t, out[i])
             bound = float(np.dot(weights[i], net.distances[i]))
             assert err <= bound + 1e-9 * eps
             assert bound < eps * (1.0 + 1e-9)
@@ -630,8 +635,8 @@ class TestDgels:
         ens = band_ensemble(40, grid, seed=5)
         values = poisson_operator(grid).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(grid), width=16, seed=8)
-        net, report = assemble_vector_network(values, ens, SeminormFamily((LqNorm(2.0),)), 0,
-                                              0.05, cfg)
+        net, report = assemble_vector_network(values, ens, SeminormFamily((LqNorm(2.0, grid),)),
+                                              0, 0.05, cfg)
         assert report.converged and report.train_sup_error < 0.05
         # every member of every width tried, each solved alone
         tried = sum(int(np.sum(report.coefficient_widths >= k)) for k in (16, 32, 64, 128, 256,
@@ -997,8 +1002,9 @@ def recording_stacks(monkeypatch, psi, designs=None):
 
 
 def stage_one_weights(values, eps):
-    """The partition weights assembly fits at eps under the L2 norm."""
-    rho = LqNorm(2.0)
+    """The partition weights assembly fits at eps under the L2 norm on
+    TestAssemble's grid."""
+    rho = LqNorm(2.0, TestAssemble.GRID)
     return build_partition(build_epsilon_net(values, rho, eps / 2.0), rho)
 
 
@@ -1006,11 +1012,11 @@ class TestAssemble:
     GRID = GridMeta(0.0, 1.0, 101)
 
     def family(self):
-        return SeminormFamily((LqNorm(2.0),))
+        return SeminormFamily((LqNorm(2.0, self.GRID),))
 
     def test_zero_operator_takes_degenerate_branch(self):
         ens = band_ensemble(20, self.GRID, seed=1)
-        values = TargetBatch(np.zeros((20, 101)), self.GRID)
+        values = np.zeros((20, 101))
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
         net, report = assemble_vector_network(
             values, ens, self.family(), 0, 0.1, cfg
@@ -1020,15 +1026,17 @@ class TestAssemble:
         assert net.width == 0
         assert report.converged
         assert report.train_sup_error == 0.0
+        assert net.output_grid == self.GRID and net.output_dim == 101
 
     def test_constant_operator_fits_through_bias(self):
         ens = band_ensemble(20, self.GRID, seed=2)
-        values = TargetBatch(np.full((20, 101), 2.0), self.GRID)
+        values = np.full((20, 101), 2.0)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
         eps = 0.05
         net, report = assemble_vector_network(
             values, ens, self.family(), 0, eps, cfg
         )
+        assert net.output_grid == self.GRID
         assert report.m == 1
         assert report.C == pytest.approx(2.0, rel=1e-12)
         assert report.converged
@@ -1058,8 +1066,8 @@ class TestAssemble:
         ens = band_ensemble(30, self.GRID, seed=4)
         values = poisson_operator(self.GRID).apply_many(ens)
         if zero:
-            values = TargetBatch(np.zeros((30, 101)), self.GRID)
-        family = SeminormFamily((LqNorm(2.0), SupDerivative(0)))
+            values = np.zeros((30, 101))
+        family = SeminormFamily((LqNorm(2.0, self.GRID), SupDerivative(0, self.GRID)))
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, lam=0.0, seed=6)
         net, report = assemble_vector_network(values, ens, family, 1, 0.2, cfg)
         np.testing.assert_array_equal(report.train_errors,
@@ -1073,10 +1081,10 @@ class TestAssemble:
         net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         assert report.m >= 2
         assert np.any(report.coefficient_widths > cfg.width)  # some banks were grown
-        centers = build_epsilon_net(values, LqNorm(2.0), 0.025).centers
+        centers = build_epsilon_net(values, LqNorm(2.0, self.GRID), 0.025).centers
         start = 0
         # every coefficient row of block j is a multiple of center j
-        np.testing.assert_array_equal(net.centers, centers.values)
+        np.testing.assert_array_equal(net.centers, centers)
         np.testing.assert_array_equal(net.widths, report.coefficient_widths)
         np.testing.assert_array_equal(net.basis, cfg.functional_spec.basis)
         for j, width in enumerate(report.coefficient_widths):
@@ -1098,11 +1106,11 @@ class TestAssemble:
         assert_share_order(stacks, expected_stacks(report.coefficient_widths, len(ens), cfg, 2))
         assert np.any(report.coefficient_widths > cfg.width)
         # block j of the network is fit_columns on partition column j alone
-        rho = LqNorm(2.0)
+        rho = LqNorm(2.0, self.GRID)
         net1 = build_epsilon_net(values, rho, 0.025)
         psi = build_partition(net1, rho)
         start = 0
-        for j, center in enumerate(net1.centers.values):
+        for j, center in enumerate(net1.centers):
             P, thetas, coeffs, width, (err,) = fit_columns(
                 ens.flats, psi[:, j:j + 1], cfg, [derive_seed(cfg.seed, j)], report.delta)
             assert width.tolist() == [len(thetas)]
@@ -1140,13 +1148,13 @@ class TestAssemble:
         assert len(calls) == 1 and len(nets) == 1
         flats, targets, fit_cfg, seeds, delta, (P, thetas, c, widths, errors) = calls[0]
         assert flats is ens.flats and fit_cfg is cfg and delta == report.delta
-        assert targets.tobytes() == build_partition(nets[0], LqNorm(2.0)).tobytes()
+        assert targets.tobytes() == build_partition(nets[0], LqNorm(2.0, self.GRID)).tobytes()
         assert targets.shape == (len(ens), report.m)
         want = [derive_seed(cfg.seed, j) for j in range(report.m)]
         assert [(s.entropy, s.spawn_key) for s in seeds] == [(s.entropy, s.spawn_key)
                                                              for s in want]
         assert net.weights is P and net.thresholds is thetas and net.coefficients is c
-        assert net.centers is nets[0].centers.values
+        assert net.centers is nets[0].centers
         np.testing.assert_array_equal(net.widths, widths)
         assert report.coefficient_widths is widths and report.coefficient_errors is errors
 
@@ -1155,7 +1163,7 @@ class TestAssemble:
                                   "None"])
     def test_rho_index_refused_before_stage_one(self, rho_index, monkeypatch):
         ens = band_ensemble(5, self.GRID, seed=6)
-        values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
+        values = np.full((5, 101), 1.0)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4)
         monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
         with pytest.raises(ConfigError, match="rho_index") as info:
@@ -1165,7 +1173,7 @@ class TestAssemble:
     @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -0.1, True, "0.1"])
     def test_epsilon_refused_before_stage_one(self, epsilon, monkeypatch):
         ens = band_ensemble(5, self.GRID, seed=6)
-        values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
+        values = np.full((5, 101), 1.0)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4)
         monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
         with pytest.raises(ConfigError, match="epsilon") as info:
@@ -1233,7 +1241,7 @@ class TestAssemble:
 
     def test_violated_budget_raises_not_asserts(self, monkeypatch):
         ens = band_ensemble(20, self.GRID, seed=2)
-        values = TargetBatch(np.full((20, 101), 2.0), self.GRID)
+        values = np.full((20, 101), 2.0)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
         eps = 0.05
         monkeypatch.setattr(construct, "uniform_error",
@@ -1285,14 +1293,43 @@ class TestAssemble:
 
     def test_misaligned_values_rejected(self):
         ens = band_ensemble(5, self.GRID, seed=6)
-        values = TargetBatch(np.zeros((4, 101)), self.GRID)
+        values = np.zeros((4, 101))
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4, seed=0)
         with pytest.raises(ShapeError):
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
 
+    @pytest.mark.parametrize("values, error", [
+        (np.zeros(5), ShapeError),
+        (np.full((5, 101), np.inf), ConfigError),
+        (np.ones((5, 101), dtype=complex), ConfigError),
+    ], ids=["one_row", "infinite", "complex"])
+    def test_values_refused_by_name_before_stage_one(self, values, error, monkeypatch):
+        ens = band_ensemble(5, self.GRID, seed=6)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4, seed=0)
+        monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
+        with pytest.raises(error, match="operator values") as info:
+            assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
+        assert info.value.arg == "f_values"
+
+    def test_values_off_the_family_grid_refused(self):
+        ens = band_ensemble(5, self.GRID, seed=6)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4, seed=0)
+        with pytest.raises(ShapeError, match="grid has 101 nodes"):
+            assemble_vector_network(np.ones((5, 100)), ens, self.family(), 0, 0.1, cfg)
+
+    def test_network_outputs_sit_on_the_family_grid(self):
+        # an unweighted family on grid values gives a network without an
+        # output grid, as its seminorms measure the values
+        ens = band_ensemble(20, self.GRID, seed=2)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
+        for fill in (2.0, 0.0):
+            net, _ = assemble_vector_network(np.full((20, 101), fill), ens,
+                                             SeminormFamily((LqNorm(2.0),)), 0, 0.5, cfg)
+            assert net.output_grid is None and net.output_dim == 101
+
     def test_mismatched_functional_spec_rejected(self):
         ens = band_ensemble(5, self.GRID, seed=6)
-        values = TargetBatch(np.full((5, 101), 1.0), self.GRID)
+        values = np.full((5, 101), 1.0)
         cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 101)), width=4)
         with pytest.raises(ShapeError, match="functional spec"):
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
@@ -1301,7 +1338,7 @@ class TestAssemble:
     def test_mismatched_functional_spec_rejected_before_stage_one(self, fill, monkeypatch):
         # also when every center is rho-null (C = 0) and stage 2 would not run
         ens = band_ensemble(5, self.GRID, seed=6)
-        values = TargetBatch(np.full((5, 101), fill), self.GRID)
+        values = np.full((5, 101), fill)
         cfg = FitConfig(functional_spec=fn_spec(GridMeta(0.0, 2.0, 101)), width=4)
         monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
         with pytest.raises(ShapeError, match="functional spec"):
@@ -1313,24 +1350,24 @@ class TestUniformError:
 
     def test_exact_reproduction_gives_zero(self):
         ens = band_ensemble(10, self.GRID, seed=7)
-        values = TargetBatch(np.zeros((10, 31)), self.GRID)
+        values = np.zeros((10, 31))
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
-        fam = SeminormFamily((LqNorm(2.0), LqNorm(1.0)))
+        fam = SeminormFamily((LqNorm(2.0, self.GRID), LqNorm(1.0, self.GRID)))
         np.testing.assert_array_equal(uniform_error(values, net, ens, fam), [0.0, 0.0])
 
     def test_empty_net_against_constant(self):
         ens = band_ensemble(10, self.GRID, seed=8)
         v = np.full((1, 31), 3.0)
-        values = TargetBatch(np.full((10, 31), 3.0), self.GRID)
+        values = np.full((10, 31), 3.0)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
-        fam = SeminormFamily((LqNorm(2.0), LqNorm(1.0)))
+        fam = SeminormFamily((LqNorm(2.0, self.GRID), LqNorm(1.0, self.GRID)))
         got = uniform_error(values, net, ens, fam)
-        want = [LqNorm(2.0)(v, self.GRID)[0], LqNorm(1.0)(v, self.GRID)[0]]
+        want = [LqNorm(2.0, self.GRID)(v)[0], LqNorm(1.0, self.GRID)(v)[0]]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_dual_errors(self):
         ens = band_ensemble(10, self.GRID, seed=9)
-        values = TargetBatch(np.full((10, 31), 3.0), self.GRID)
+        values = np.full((10, 31), 3.0)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
         duals = SeminormFamily((
             DualPairing(np.zeros(31), self.GRID, name="null"),
@@ -1345,27 +1382,40 @@ class TestUniformError:
         small_row_blocks(monkeypatch, 31)
         rng = np.random.default_rng(400 + count)
         ens = band_ensemble(count, self.GRID, seed=11 + count)
-        values = batch_of([rng.standard_normal(31) for _ in range(count)], self.GRID)
+        values = np.array([rng.standard_normal(31) for _ in range(count)])
         net = ShallowVectorNetwork(rng.standard_normal((5, 31)), rng.uniform(-1, 1, 5),
                                    np.ones(5), rng.standard_normal((5, 31)), np.ones(5, int),
                                    Tanh(), ens.signature, self.GRID)
-        fam = SeminormFamily((LqNorm(2.0), SupDerivative(1),
+        fam = SeminormFamily((LqNorm(2.0, self.GRID), SupDerivative(1, self.GRID),
                               DualPairing(rng.standard_normal(31), self.GRID)))
-        want = [max(gap(rho, t, net.evaluate_many([s])[0], self.GRID)
-                    for t, s in zip(values.values, ens)) for rho in fam]
+        want = [max(gap(rho, t, net.evaluate_many([s])[0]) for t, s in zip(values, ens))
+                for rho in fam]
         np.testing.assert_allclose(uniform_error(values, net, ens, fam), want,
                                    rtol=1e-12, atol=0)
 
     def test_output_dim_mismatch(self):
         ens = band_ensemble(3, self.GRID, seed=10)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 30)
-        values = TargetBatch(np.zeros((3, 31)), self.GRID)
+        values = np.zeros((3, 31))
         with pytest.raises(ShapeError):
-            uniform_error(values, net, ens, SeminormFamily((LqNorm(2.0),)))
+            uniform_error(values, net, ens, SeminormFamily((LqNorm(2.0, self.GRID),)))
 
     def test_shape_mismatch(self):
         ens = band_ensemble(3, self.GRID, seed=10)
         net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
-        fam = SeminormFamily((LqNorm(2.0),))
+        fam = SeminormFamily((LqNorm(2.0, self.GRID),))
         with pytest.raises(ShapeError):
-            uniform_error(TargetBatch(np.zeros((2, 31)), self.GRID), net, ens, fam)
+            uniform_error(np.zeros((2, 31)), net, ens, fam)
+
+    @pytest.mark.parametrize("values, error", [
+        (np.zeros(31), ShapeError),
+        (np.full((3, 31), np.nan), ConfigError),
+        ([["x"] * 31] * 3, ConfigError),
+    ], ids=["one_row", "nan", "strings"])
+    def test_values_refused_by_name(self, values, error):
+        ens = band_ensemble(3, self.GRID, seed=10)
+        net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
+        fam = SeminormFamily((LqNorm(2.0, self.GRID),))
+        with pytest.raises(error, match="operator values") as info:
+            uniform_error(values, net, ens, fam)
+        assert info.value.arg == "f_values"

@@ -21,6 +21,13 @@ from shallowop.experiment import (
 from shallowop.inputs import sample_ensemble
 from shallowop.network import ShallowVectorNetwork, deserialize_network
 from shallowop.presets import preset_dict
+from shallowop.targets import (
+    DualPairing,
+    GridMeta,
+    LqNorm,
+    SchwartzWeighted,
+    SupDerivative,
+)
 
 
 def small_dict(**overrides):
@@ -51,6 +58,8 @@ BEYOND_FLOAT_RANGE = {
                                            "kernel": {"name": "gaussian", "width": 10**400}}},
     "fit.activation": {"fit": {"activation": {"name": "polynomial",
                                               "coefficients": [0.0, 10**400]}}},
+    # an integer node count that numpy cannot size the grid's nodes by
+    "grid.n": {"grid": {"a": 0.0, "b": 1.0, "n": 10**400}, "operator": {"kind": "integral"}},
 }
 
 
@@ -216,13 +225,37 @@ class TestConfigParsing:
     def test_seminorm_that_applies_to_the_outputs_loads(self, overrides):
         ExperimentConfig.from_dict(small_dict(**overrides))
 
-    def test_outputs_no_row_can_hold_are_not_evaluated(self):
-        # out_dim 10**400 is a valid integer that numpy cannot size a row by:
-        # the config loads as before, and only its run fails
-        cfg = ExperimentConfig.from_dict(small_dict(
-            seminorms=[{"kind": "lq", "q": 2.0}], grid=None, ensemble=MATRIX_BALL,
-            operator={**MATRIX_SIN_TRACE, "out_dim": 10**400}))
-        assert cfg.parts.operator.output_dim == 10**400
+    def test_outputs_no_row_can_hold_are_refused(self):
+        # out_dim 10**400 is an integer that numpy cannot size a row by: the
+        # operator refuses it by name when the config loads, before any run
+        refusal = re.escape("field 'operator.out_dim' must be at most")
+        with pytest.raises(ConfigError, match=refusal):
+            ExperimentConfig.from_dict(small_dict(
+                seminorms=[{"kind": "lq", "q": 2.0}], grid=None, ensemble=MATRIX_BALL,
+                operator={**MATRIX_SIN_TRACE, "out_dim": 10**400}))
+
+    def test_seminorms_are_built_on_the_output_grid(self):
+        parts = ExperimentConfig.from_dict(small_dict(
+            seminorms=[{"kind": "lq"}, {"kind": "sup_derivative", "order": 1},
+                       {"kind": "schwartz", "radius": 1.0}],
+            duals=[{"name": "mean"}])).parts
+        grid = parts.operator.output_grid
+        assert grid == GridMeta(0.0, 1.0, 41)
+        assert all(rho.grid == grid for rho in parts.members + parts.duals)
+        sequences = ExperimentConfig.from_dict(small_dict(
+            grid=None, operator=SEQUENCE_SQUARE, ensemble=SEQUENCE_BOX)).parts
+        assert sequences.members[0].grid is None
+
+    def test_loading_evaluates_no_seminorm(self, monkeypatch):
+        def refused(self, values):
+            raise AssertionError("a seminorm was evaluated while the config loaded")
+
+        for kind in (LqNorm, SupDerivative, SchwartzWeighted, DualPairing):
+            monkeypatch.setattr(kind, "__call__", refused)
+        ExperimentConfig.from_dict(small_dict(
+            seminorms=[{"kind": "lq"}, {"kind": "sup_derivative", "order": 2},
+                       {"kind": "schwartz", "beta": 1, "radius": 1.0}],
+            duals=[{"name": "mean"}]))
 
     def test_empty_epsilons_allowed(self):
         cfg = ExperimentConfig.from_dict(small_dict(epsilons=[]))
@@ -543,6 +576,6 @@ class TestRunDiagnostics:
         for part, whole in ((train, ens), (heldout, ens)):
             assert np.shares_memory(part.flats, whole.flats)
         for part in (train_values, heldout_values):
-            assert np.shares_memory(part.values, values.values)
+            assert np.shares_memory(part, values) and not part.flags.writeable
         np.testing.assert_array_equal(heldout.flats, ens.flats[32:])
-        np.testing.assert_array_equal(heldout_values.values, values.values[32:])
+        np.testing.assert_array_equal(heldout_values, values[32:])

@@ -16,7 +16,7 @@ from shallowop.operators import (
     zero_operator,
 )
 from shallowop.seeding import derive_seed
-from shallowop.targets import GridMeta, TargetBatch
+from shallowop.targets import GridMeta
 
 EXP_NEG_1 = 0.36787944117144233
 
@@ -39,19 +39,19 @@ class TestIntegralOperator:
         g = GridMeta(0.0, 1.0, 31)
         out = integral_operator(make_kernel("constant", value=0.0), g).apply_many(
             [fn_row(np.sin, g)])
-        np.testing.assert_array_equal(out.values[0], np.zeros(31))
+        np.testing.assert_array_equal(out[0], np.zeros(31))
 
     def test_unit_kernel_integrates_constants(self):
         g = GridMeta(0.0, 1.0, 31)
         out = integral_operator(make_kernel("constant"), g).apply_many(
             [fn_row(np.ones_like, g)])
-        np.testing.assert_allclose(out.values[0], 1.0, rtol=1e-12)
+        np.testing.assert_allclose(out[0], 1.0, rtol=1e-12)
 
     def test_gaussian_kernel_against_fine_quadrature(self):
         g = GridMeta(0.0, 1.0, 101)
         kernel = make_kernel("gaussian", width=1.0)
         f = fn_row(lambda x: np.sin(np.pi * x), g)
-        got = integral_operator(kernel, g).apply_many([f]).values[0]
+        got = integral_operator(kernel, g).apply_many([f])[0]
         want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
         assert np.max(np.abs(got - want)) < 1e-3
 
@@ -61,7 +61,7 @@ class TestIntegralOperator:
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
             f = fn_row(lambda x: np.sin(np.pi * x), g)
-            got = integral_operator(kernel, g).apply_many([f]).values[0]
+            got = integral_operator(kernel, g).apply_many([f])[0]
             want = fine_quadrature_oracle(kernel, lambda s: np.sin(np.pi * s), g.nodes())
             errs.append(np.max(np.abs(got - want)))
         assert 3.0 < errs[0] / errs[1] < 5.0
@@ -75,8 +75,8 @@ class TestIntegralOperator:
         h = rng.standard_normal(41)
         a, b = rng.uniform(-2.0, 2.0, 2)
         op = integral_operator(kernel, g)
-        lhs = op.apply_many([a * f + b * h]).values[0]
-        rhs = a * op.apply_many([f]).values[0] + b * op.apply_many([h]).values[0]
+        lhs = op.apply_many([a * f + b * h])[0]
+        rhs = a * op.apply_many([f])[0] + b * op.apply_many([h])[0]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_unknown_kernel(self):
@@ -91,15 +91,15 @@ class TestPoisson:
         g = GridMeta(0.0, 1.0, 101)
         u = poisson_operator(g).apply_many([fn_row(np.ones_like, g)])
         x = g.nodes()
-        np.testing.assert_allclose(u.values[0], x * (1.0 - x) / 2.0, atol=1e-13)
-        assert u.values[0, 50] == pytest.approx(0.125, abs=1e-13)
+        np.testing.assert_allclose(u[0], x * (1.0 - x) / 2.0, atol=1e-13)
+        assert u[0, 50] == pytest.approx(0.125, abs=1e-13)
 
     def test_boundary_values_exactly_zero(self):
         g = GridMeta(0.0, 1.0, 41)
         f = np.random.default_rng(0).standard_normal(41)
         u = poisson_operator(g).apply_many([f])
-        assert u.values[0, 0] == 0.0
-        assert u.values[0, -1] == 0.0
+        assert u[0, 0] == 0.0
+        assert u[0, -1] == 0.0
 
     def test_sine_load_second_order_accurate(self):
         errs = []
@@ -107,14 +107,14 @@ class TestPoisson:
             g = GridMeta(0.0, 1.0, n)
             u = poisson_operator(g).apply_many([fn_row(lambda x: np.sin(np.pi * x), g)])
             exact = np.sin(np.pi * g.nodes()) / np.pi**2
-            errs.append(np.max(np.abs(u.values[0] - exact)))
+            errs.append(np.max(np.abs(u[0] - exact)))
         assert errs[0] < 1e-3
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_zero_load(self):
         g = GridMeta(0.0, 1.0, 11)
         u = poisson_operator(g).apply_many([fn_row(np.zeros_like, g)])
-        np.testing.assert_array_equal(u.values[0], np.zeros(11))
+        np.testing.assert_array_equal(u[0], np.zeros(11))
 
     @pytest.mark.parametrize("trial", range(5))
     def test_linearity(self, trial):
@@ -124,8 +124,8 @@ class TestPoisson:
         h = rng.standard_normal(33)
         a, b = rng.uniform(-2.0, 2.0, 2)
         op = poisson_operator(g)
-        lhs = op.apply_many([a * f + b * h]).values[0]
-        rhs = a * op.apply_many([f]).values[0] + b * op.apply_many([h]).values[0]
+        lhs = op.apply_many([a * f + b * h])[0]
+        rhs = a * op.apply_many([f])[0] + b * op.apply_many([h])[0]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("trial", range(5))
@@ -133,14 +133,14 @@ class TestPoisson:
         rng = np.random.default_rng(60 + trial)
         g = GridMeta(0.0, 1.0, 51)
         f = np.abs(rng.standard_normal(51))
-        assert np.min(poisson_operator(g).apply_many([f]).values) >= -1e-12
+        assert np.min(poisson_operator(g).apply_many([f])) >= -1e-12
 
     @pytest.mark.parametrize("n, rows", [(4, 50), (5, 50), (11, 50), (101, 50), (201, 50),
                                          (101, 4000)])
     def test_sweeps_are_the_per_row_banded_solve(self, n, rows):
         g = GridMeta(0.0, 1.0, n)
         F = np.random.default_rng(n + rows).standard_normal((rows, n))
-        got = poisson_operator(g).apply_many(list(F)).values
+        got = poisson_operator(g).apply_many(list(F))
         h = g.spacing
         ab = np.zeros((2, n - 2))
         ab[0, 1:] = -1.0 / h**2
@@ -152,7 +152,7 @@ class TestPoisson:
 
     def test_one_interior_node(self):
         g = GridMeta(0.0, 1.0, 3)
-        u = poisson_operator(g).apply_many([[0.7, -1.3, 2.9]]).values[0]
+        u = poisson_operator(g).apply_many([[0.7, -1.3, 2.9]])[0]
         # bytes, so the boundary values are +0.0 exactly
         assert u.tobytes() == np.array([0.0, -1.3 / (2.0 / g.spacing**2), 0.0]).tobytes()
 
@@ -167,25 +167,25 @@ class TestSuperposition:
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("sin", ("function", g)).apply_many(
             [fn_row(np.zeros_like, g)])
-        np.testing.assert_array_equal(out.values[0], np.zeros(11))
+        np.testing.assert_array_equal(out[0], np.zeros(11))
 
     def test_square_is_exact_nodewise(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("square", ("function", g)).apply_many(
             [fn_row(lambda x: x, g)])
-        np.testing.assert_array_equal(out.values[0], g.nodes() ** 2)
+        np.testing.assert_array_equal(out[0], g.nodes() ** 2)
 
     def test_exp_minus_constant(self):
         g = GridMeta(0.0, 1.0, 11)
         out = superposition_operator("exp-", ("function", g)).apply_many(
             [fn_row(np.ones_like, g)])
-        np.testing.assert_allclose(out.values[0], EXP_NEG_1, rtol=1e-15)
+        np.testing.assert_allclose(out[0], EXP_NEG_1, rtol=1e-15)
 
     def test_sequence_input(self):
-        out = superposition_operator("sin", ("sequence", 2)).apply_many(
-            [[0.0, np.pi / 2]])
-        np.testing.assert_allclose(out.values[0], [0.0, 1.0], atol=1e-15)
-        assert out.grid is None
+        op = superposition_operator("sin", ("sequence", 2))
+        out = op.apply_many([[0.0, np.pi / 2]])
+        np.testing.assert_allclose(out[0], [0.0, 1.0], atol=1e-15)
+        assert op.output_grid is None
 
     def test_unknown_map(self):
         g = GridMeta(0.0, 1.0, 11)
@@ -197,21 +197,21 @@ class TestMatrixMaps:
     def test_row_sums(self):
         out = matrix_map_operator("row_sums", (2, 2)).apply_many(
             [[1.0, 2.0, 3.0, 4.0]])
-        np.testing.assert_array_equal(out.values[0], [3.0, 7.0])
+        np.testing.assert_array_equal(out[0], [3.0, 7.0])
 
     def test_zero_matrix(self):
         z = np.zeros(4)
         np.testing.assert_array_equal(
-            matrix_map_operator("row_sums", (2, 2)).apply_many([z]).values[0], [0.0, 0.0])
+            matrix_map_operator("row_sums", (2, 2)).apply_many([z])[0], [0.0, 0.0])
         np.testing.assert_array_equal(
-            matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z]).values[0],
+            matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z])[0],
             [0.0, 0.0, 0.0]
         )
 
     def test_sin_of_trace_at_half_pi(self):
         z = np.diag([np.pi / 4, np.pi / 4]).reshape(-1)
         out = matrix_map_operator("sin_of_trace_times_basis", (2, 2)).apply_many([z])
-        np.testing.assert_allclose(out.values[0], [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_unknown_map(self):
         with pytest.raises(ConfigError):
@@ -231,8 +231,7 @@ class TestOperatorWrappers:
         g = GridMeta(0.0, 1.0, 21)
         op = integral_operator(make_kernel("gaussian"), g)
         outs = op.apply_many([fn_row(np.sin, g), fn_row(np.cos, g)])
-        assert len(outs) == 2
-        assert outs.grid == g and outs.values.shape == (2, 21)
+        assert op.output_grid == g and outs.shape == (2, 21)
 
     def test_superposition_operator_variants(self):
         g = GridMeta(0.0, 1.0, 21)
@@ -240,18 +239,18 @@ class TestOperatorWrappers:
         assert op.output_grid == g
         seq_op = superposition_operator("square", ("sequence", 4))
         out = seq_op.apply_many([[1.0, 2.0, 3.0, 4.0]])
-        np.testing.assert_array_equal(out.values[0], [1.0, 4.0, 9.0, 16.0])
+        np.testing.assert_array_equal(out[0], [1.0, 4.0, 9.0, 16.0])
 
     def test_matrix_operator_row_sums_dim(self):
         op = matrix_map_operator("row_sums", (3, 2))
         assert op.output_dim == 3
         out = op.apply_many([np.ones(6)])
-        np.testing.assert_array_equal(out.values[0], [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(out[0], [2.0, 2.0, 2.0])
 
     def test_zero_operator(self):
         op = zero_operator(("sequence", 3), 5)
         out = op.apply_many([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(out.values[0], np.zeros(5))
+        np.testing.assert_array_equal(out[0], np.zeros(5))
 
 
 BATCH_GRID = GridMeta(0.0, 1.0, 101)
@@ -282,7 +281,7 @@ def bytes_equal(a, b):
 class TestBatchedOperators:
     def test_poisson_is_the_per_sample_banded_solve(self):
         ens = batch_ensemble("function")
-        got = poisson_operator(BATCH_GRID).apply_many(ens).values
+        got = poisson_operator(BATCH_GRID).apply_many(ens)
         n, h = BATCH_GRID.n, BATCH_GRID.spacing
         ab = np.zeros((2, n - 2))
         ab[0, 1:] = -1.0 / h**2
@@ -304,7 +303,7 @@ class TestBatchedOperators:
     def test_integral_matches_a_quadrature_loop(self):
         ens = batch_ensemble("function")
         kernel = make_kernel("gaussian", width=0.3)
-        got = integral_operator(kernel, BATCH_GRID).apply_many(ens).values
+        got = integral_operator(kernel, BATCH_GRID).apply_many(ens)
         x = BATCH_GRID.nodes()
         w = BATCH_GRID.trapezoid_weights()
         want = per_row(lambda f: np.array([np.sum(w * kernel(xi, x) * f) for xi in x]), ens)
@@ -318,7 +317,7 @@ class TestBatchedOperators:
     def test_superposition_is_elementwise(self, map_id, g, family):
         ens = batch_ensemble(family)
         op = superposition_operator(map_id, ens.signature)
-        assert bytes_equal(op.apply_many(ens).values, per_row(g, ens))
+        assert bytes_equal(op.apply_many(ens), per_row(g, ens))
 
     def test_matrix_maps_over_the_stack(self):
         ens = batch_ensemble("matrix")
@@ -328,15 +327,15 @@ class TestBatchedOperators:
             out[0] = np.sin(np.trace(z))
             return out
 
-        rows = matrix_map_operator("row_sums", (3, 2)).apply_many(ens).values
+        rows = matrix_map_operator("row_sums", (3, 2)).apply_many(ens)
         assert bytes_equal(rows, per_row(lambda z: z.sum(axis=1), ens))
         traces = matrix_map_operator("sin_of_trace_times_basis", (3, 2), 4).apply_many(ens)
-        assert bytes_equal(traces.values, per_row(sin_trace, ens))
+        assert bytes_equal(traces, per_row(sin_trace, ens))
 
     @pytest.mark.parametrize("family", ["function", "sequence", "matrix"])
     def test_zero_gives_zeros(self, family):
         ens = batch_ensemble(family)
-        got = zero_operator(ens.signature, 7).apply_many(ens).values
+        got = zero_operator(ens.signature, 7).apply_many(ens)
         assert bytes_equal(got, np.zeros((BATCH_ROWS, 7)))
 
     def operators(self):
@@ -355,55 +354,45 @@ class TestBatchedOperators:
         for family, op in self.operators():
             ens = batch_ensemble(family)
             a, b = op.apply_many(ens), op.apply_many(list(ens))
-            assert isinstance(a, TargetBatch) and isinstance(b, TargetBatch)
-            assert bytes_equal(a.values, b.values)
-            assert a.grid == b.grid == op.output_grid
-            assert len(a) == BATCH_ROWS and a.dim == op.output_dim
+            assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            assert bytes_equal(a, b)
+            assert a.shape == (BATCH_ROWS, op.output_dim)
 
     def test_one_sample_is_the_one_row_batch(self):
         for family, op in self.operators():
             ens = batch_ensemble(family)
             one = op.apply_many([ens[5]])
-            assert isinstance(one, TargetBatch) and len(one) == 1
-            assert one.grid == op.output_grid
-            np.testing.assert_allclose(one.values[0], op.apply_many(ens).values[5],
-                                       rtol=1e-13, atol=1e-15)
-            assert bytes_equal(one.values[0], op.apply_many([ens[5]]).values[0])
+            assert one.shape == (1, op.output_dim)
+            np.testing.assert_allclose(one[0], op.apply_many(ens)[5], rtol=1e-13, atol=1e-15)
+            assert bytes_equal(one[0], op.apply_many([ens[5]])[0])
 
-    def test_batch_is_read_only_and_slices_are_views(self):
+    def test_values_are_read_only_and_slices_are_views(self):
         ens = batch_ensemble("function")
-        batch = poisson_operator(BATCH_GRID).apply_many(ens)
-        assert not batch.values.flags.writeable
+        values = poisson_operator(BATCH_GRID).apply_many(ens)
+        assert not values.flags.writeable
         with pytest.raises(ValueError):
-            batch.values[0, 0] = 1.0
-        head, tail = batch[:240], batch[240:]
-        assert isinstance(head, TargetBatch) and len(tail) == 60
-        assert np.shares_memory(head.values, batch.values)
-        assert np.shares_memory(tail.values, batch.values)
-        # value i is the row batch.values[i]; the batch holds no elements
-        with pytest.raises(TypeError, match=re.escape("batch.values[-1]")):
-            batch[-1]
-        with pytest.raises(TypeError):
-            list(batch)
-        assert batch.grid == BATCH_GRID
-        assert np.shares_memory(batch.values[-1], batch.values)
+            values[0, 0] = 1.0
+        head, tail = values[:240], values[240:]
+        assert len(head) == 240 and len(tail) == 60
+        assert np.shares_memory(head, values) and np.shares_memory(tail, values)
+        assert not head.flags.writeable and not values[-1].flags.writeable
 
     def test_built_in_results_are_held_without_a_copy(self):
         for family, op in self.operators():
             ens = batch_ensemble(family)
             out = op.fn(ens.flats)
-            # what TargetBatch holds as it is: float64, C-contiguous, read-only
+            # what apply_many returns as it is: float64, C-contiguous, read-only
             assert out.dtype == np.float64 and out.flags.c_contiguous
             assert not out.flags.writeable and out.base is None
 
     def test_fn_array_is_left_writable(self):
         cache = np.array([[1.0, 2.0]])
         op = Operator("cached", lambda F: cache, ("sequence", 2), 2)
-        batch = op.apply_many([[1.0, 2.0]])
+        values = op.apply_many([[1.0, 2.0]])
         assert cache.flags.writeable
-        assert not batch.values.flags.writeable
+        assert not values.flags.writeable
         cache[0, 0] = 5.0
-        assert batch.values[0, 0] == 1.0
+        assert values[0, 0] == 1.0
 
     def test_shape_and_finiteness_are_checked(self):
         ens = batch_ensemble("sequence")
@@ -412,15 +401,30 @@ class TestBatchedOperators:
             Operator("short", lambda F: F[:, :3], sig, 5).apply_many(ens)
         with pytest.raises(ShapeError, match="shape"):
             Operator("rows", lambda F: F[:-1], sig, 5).apply_many(ens)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ConfigError, match="operator blowup values contain non-finite") as info:
             Operator("blowup", lambda F: F + np.inf, sig, 5).apply_many(ens)
+        assert info.value.arg == "values"
+        with pytest.raises(ConfigError, match="operator nan values contain non-finite"):
+            Operator("nan", lambda F: np.where(F > 0, np.nan, F), sig, 5).apply_many(ens)
+        with pytest.raises(ConfigError, match="operator words values must hold real"):
+            Operator("words", lambda F: F.astype(str), sig, 5).apply_many(ens)
         with pytest.raises(ShapeError):
             superposition_operator("sin", ("sequence", 6)).apply_many(ens)
         with pytest.raises(ShapeError):
             zero_operator(sig, 0)
         with pytest.raises(ShapeError):
             poisson_operator(BATCH_GRID).apply_many([])
-        with pytest.raises(ValueError, match="non-finite"):
-            TargetBatch(np.array([[1.0, np.nan]]))
-        with pytest.raises(ShapeError):
-            TargetBatch(np.ones((2, 3)), GridMeta(0.0, 1.0, 4))
+        with pytest.raises(ShapeError, match=r"operator flat .* shape \(300,\)"):
+            Operator("flat", lambda F: F[:, 0], sig, 5).apply_many(ens)
+
+    @pytest.mark.parametrize("dim", [0, -1, np.iinfo(np.intp).max // 8 + 1, 10**400],
+                             ids=["zero", "negative", "past_the_bound", "10**400"])
+    def test_output_dim_numpy_cannot_size_is_refused(self, dim):
+        # refused when built, before any row of that width is asked for
+        with pytest.raises(ShapeError) as info:
+            Operator("wide", None, ("sequence", 3), dim)
+        assert info.value.arg == "output_dim"
+
+    def test_widest_sizable_output_dim_is_held(self):
+        dim = np.iinfo(np.intp).max // 8
+        assert Operator("wide", None, ("sequence", 3), dim).output_dim == dim

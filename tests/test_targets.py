@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -15,20 +13,19 @@ from shallowop.targets import (
     Seminorm,
     SeminormFamily,
     SupDerivative,
-    TargetBatch,
 )
 
 GRID = GridMeta(0.0, 1.0, 101)
 
 
-def seminorm_of(rho, v, grid=None):
+def seminorm_of(rho, v):
     """rho of the one value v, evaluated as the one-row matrix v[None]."""
-    return rho(np.asarray(v, dtype=float)[None], grid)[0]
+    return rho(np.asarray(v, dtype=float)[None])[0]
 
 
-def on_grid(rho, f, grid=GRID):
-    """rho of f sampled on grid."""
-    return seminorm_of(rho, f(grid.nodes()), grid)
+def on_grid(rho, f):
+    """rho of f sampled on rho's grid."""
+    return seminorm_of(rho, f(rho.grid.nodes()))
 
 
 class TestRowBlocks:
@@ -77,38 +74,18 @@ class TestGridMeta:
         assert g == GridMeta(0.0, 1.0, 11) and type(g.n) is int
 
 
-class TestTargetBatch:
-    def test_values_are_read_only(self):
-        t = TargetBatch(np.ones((1, 4)))
-        with pytest.raises(ValueError):
-            t.values[0, 0] = 2.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            TargetBatch(np.array([[1.0, np.nan]]))
-
-    def test_takes_slices_only(self):
-        batch = TargetBatch(np.arange(6.0).reshape(3, 2))
-        for i in (1, np.int64(1), -1):
-            with pytest.raises(TypeError, match=re.escape(f"batch.values[{i!r}]")):
-                batch[i]
-        with pytest.raises(TypeError):
-            list(batch)
-        np.testing.assert_array_equal(batch[1:].values, [[2.0, 3.0], [4.0, 5.0]])
-
-
 class TestLqNorm:
     def test_constant_one_has_unit_l2_norm(self):
-        assert on_grid(LqNorm(2.0), np.ones_like) == pytest.approx(1.0, rel=1e-12)
+        assert on_grid(LqNorm(2.0, GRID), np.ones_like) == pytest.approx(1.0, rel=1e-12)
 
     def test_identity_l2_norm(self):
         # exact value is 1/sqrt(3); trapezoid error at n=101 is ~1e-5
-        got = on_grid(LqNorm(2.0), lambda x: x)
+        got = on_grid(LqNorm(2.0, GRID), lambda x: x)
         assert got == pytest.approx(0.5773502691896258, abs=1e-3)
 
     def test_identity_l1_norm_exact(self):
         # trapezoid integrates piecewise-linear data exactly
-        assert on_grid(LqNorm(1.0), lambda x: x) == pytest.approx(0.5, rel=1e-12)
+        assert on_grid(LqNorm(1.0, GRID), lambda x: x) == pytest.approx(0.5, rel=1e-12)
 
     def test_plain_vector_is_euclidean(self):
         assert seminorm_of(LqNorm(2.0), [3.0, 4.0]) == 5.0
@@ -118,7 +95,7 @@ class TestLqNorm:
         errs = []
         for n in (101, 201):
             g = GridMeta(0.0, 1.0, n)
-            errs.append(abs(on_grid(LqNorm(2.0), lambda x: x**3, g) - exact))
+            errs.append(abs(on_grid(LqNorm(2.0, g), lambda x: x**3) - exact))
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_rejects_q_below_one(self):
@@ -127,31 +104,35 @@ class TestLqNorm:
 
     def test_label(self):
         assert LqNorm(2.0).label() == "lq(q=2)"
+        assert LqNorm(2.0, GRID).label() == "lq(q=2)"
 
 
 class TestSupDerivative:
     def test_order_zero_is_sup(self):
-        assert on_grid(SupDerivative(0), lambda x: x) == pytest.approx(1.0, rel=1e-12)
+        assert on_grid(SupDerivative(0, GRID), lambda x: x) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha,factorial", [(1, 1.0), (2, 2.0), (3, 6.0)])
     def test_monomial_gives_factorial(self, alpha, factorial):
         g = GridMeta(0.0, 1.0, 201)
-        got = on_grid(SupDerivative(alpha), lambda x: x**alpha, g)
+        got = on_grid(SupDerivative(alpha, g), lambda x: x**alpha)
         assert got == pytest.approx(factorial, abs=1e-6)
 
     def test_annihilates_lower_degree(self):
         g = GridMeta(0.0, 1.0, 201)
-        assert on_grid(SupDerivative(3), lambda x: x**2, g) == pytest.approx(0.0, abs=1e-6)
+        assert on_grid(SupDerivative(3, g), lambda x: x**2) == pytest.approx(0.0, abs=1e-6)
 
     def test_needs_grid_metadata(self):
+        # refused when built, not when first evaluated
         with pytest.raises(ShapeError, match="needs values on a grid") as info:
-            seminorm_of(SupDerivative(1), np.ones(8))
+            SupDerivative(1)
         assert info.value.arg == "order"
+        assert seminorm_of(SupDerivative(0), [3.0, -4.0]) == 4.0
 
     def test_order_exceeding_resolution(self):
         with pytest.raises(ShapeError, match="needs at least 5 nodes, grid has 3") as info:
-            seminorm_of(SupDerivative(4), np.ones(3), GridMeta(0.0, 1.0, 3))
+            SupDerivative(4, GridMeta(0.0, 1.0, 3))
         assert info.value.arg == "order"
+        assert on_grid(SupDerivative(2, GridMeta(0.0, 1.0, 3)), np.square) == pytest.approx(2.0)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
@@ -161,36 +142,48 @@ class TestSupDerivative:
 class TestSchwartzWeighted:
     def test_weighted_sup_on_integer_grid(self):
         g = GridMeta(-10.0, 10.0, 21)
-        assert seminorm_of(SchwartzWeighted(alpha=1, beta=0), np.ones(21), g) == 8.0
+        assert seminorm_of(SchwartzWeighted(alpha=1, beta=0, grid=g), np.ones(21)) == 8.0
 
     def test_truncation_radius_masks_tail(self):
         g = GridMeta(-10.0, 10.0, 21)
-        assert on_grid(SchwartzWeighted(alpha=0, beta=0, radius=8.0), lambda x: x**2, g) == 64.0
-        assert on_grid(SchwartzWeighted(alpha=0, beta=0, radius=3.0), lambda x: x**2, g) == 9.0
+        assert on_grid(SchwartzWeighted(0, 0, 8.0, g), lambda x: x**2) == 64.0
+        assert on_grid(SchwartzWeighted(0, 0, 3.0, g), lambda x: x**2) == 9.0
 
     def test_empty_truncation_window_is_zero(self):
-        rho = SchwartzWeighted(alpha=2, beta=0, radius=2.0)
-        assert seminorm_of(rho, np.ones(11), GridMeta(5.0, 6.0, 11)) == 0.0
+        rho = SchwartzWeighted(alpha=2, beta=0, radius=2.0, grid=GridMeta(5.0, 6.0, 11))
+        assert seminorm_of(rho, np.ones(11)) == 0.0
 
     def test_needs_grid_metadata(self):
-        with pytest.raises(ShapeError):
-            seminorm_of(SchwartzWeighted(), np.ones(8))
+        # refused when built, whatever beta is; the refusal names no argument
+        for beta in (0, 1):
+            with pytest.raises(ShapeError, match="needs values on a grid") as info:
+                SchwartzWeighted(beta=beta)
+            assert info.value.arg is None
 
     def test_beta_exceeding_resolution(self):
         with pytest.raises(ShapeError, match="needs at least 4 nodes, grid has 3") as info:
-            seminorm_of(SchwartzWeighted(beta=3), np.ones(3), GridMeta(-1.0, 1.0, 3))
+            SchwartzWeighted(beta=3, grid=GridMeta(-1.0, 1.0, 3))
+        assert info.value.arg == "beta"
+        SchwartzWeighted(beta=2, grid=GridMeta(-1.0, 1.0, 3))
+
+    def test_bad_index_named_before_the_grid(self):
+        # an argument's own refusal comes first, with or without a grid
+        with pytest.raises(ValueError) as info:
+            SchwartzWeighted(beta=-1)
         assert info.value.arg == "beta"
 
     def test_label_names_the_radius(self):
-        assert SchwartzWeighted(1, 2, 8.0).label() == "schwartz(a1,b2,r=8)"
-        assert SchwartzWeighted(radius=0.25).label() != SchwartzWeighted().label()
+        assert SchwartzWeighted(1, 2, 8.0, GRID).label() == "schwartz(a1,b2,r=8)"
+        assert (SchwartzWeighted(radius=0.25, grid=GRID).label()
+                != SchwartzWeighted(grid=GRID).label())
 
     def test_labels_keep_parameters_g_format_would_merge(self):
         assert LqNorm(2.0000001).label() == "lq(q=2.0000001)"
         assert LqNorm(2.0000001).label() != LqNorm(2.0000002).label()
         assert LqNorm(1.5).label() == "lq(q=1.5)"
-        assert SchwartzWeighted(radius=8.0000001).label() == "schwartz(a0,b0,r=8.0000001)"
-        assert SchwartzWeighted().label() == "schwartz(a0,b0,r=8)"
+        assert (SchwartzWeighted(radius=8.0000001, grid=GRID).label()
+                == "schwartz(a0,b0,r=8.0000001)")
+        assert SchwartzWeighted(grid=GRID).label() == "schwartz(a0,b0,r=8)"
 
 
 class TestDualPairing:
@@ -201,12 +194,12 @@ class TestDualPairing:
 
     def test_zero_element_pairs_to_zero(self):
         rho = DualPairing(np.ones(101), GRID)
-        assert seminorm_of(rho, np.zeros(101), GRID) == 0.0
+        assert seminorm_of(rho, np.zeros(101)) == 0.0
 
     def test_absolute_value(self):
         rho = DualPairing(np.ones(101), GRID)
         t = np.ones(101)
-        assert seminorm_of(rho, -t, GRID) == seminorm_of(rho, t, GRID)
+        assert seminorm_of(rho, -t) == seminorm_of(rho, t)
 
     def test_plain_dot_without_grid(self):
         rho = DualPairing(np.array([1.0, 2.0]))
@@ -215,21 +208,20 @@ class TestDualPairing:
     def test_incompatible_value_rejected(self):
         rho = DualPairing(np.ones(101), GRID)
         with pytest.raises(ShapeError):
-            seminorm_of(rho, np.ones(101))
+            seminorm_of(rho, np.ones(100))
 
 
 class TestSeminormAxioms:
-    FAMILY = [
-        LqNorm(1.0),
-        LqNorm(2.0),
-        LqNorm(3.5),
-        SupDerivative(0),
-        SupDerivative(1),
-        SupDerivative(2),
-        SchwartzWeighted(alpha=1, beta=1, radius=0.9),
-    ]
-
     GRID = GridMeta(0.0, 1.0, 64)
+    FAMILY = [
+        LqNorm(1.0, GRID),
+        LqNorm(2.0, GRID),
+        LqNorm(3.5, GRID),
+        SupDerivative(0, GRID),
+        SupDerivative(1, GRID),
+        SupDerivative(2, GRID),
+        SchwartzWeighted(alpha=1, beta=1, radius=0.9, grid=GRID),
+    ]
 
     def random_values(self, trial):
         rng = np.random.default_rng(1000 + trial)
@@ -238,7 +230,7 @@ class TestSeminormAxioms:
         return s, t, rng
 
     def rho_of(self, rho, v):
-        return seminorm_of(rho, v, self.GRID)
+        return seminorm_of(rho, v)
 
     @pytest.mark.parametrize("trial", range(25))
     def test_triangle_inequality(self, trial):
@@ -259,7 +251,7 @@ class TestSeminormAxioms:
     def test_power_of_two_scaling_is_exact(self, trial):
         _, t, rng = self.random_values(trial)
         dual = DualPairing(rng.standard_normal(64), self.GRID)
-        for rho in (SupDerivative(0), SupDerivative(1), dual):
+        for rho in (SupDerivative(0, self.GRID), SupDerivative(1, self.GRID), dual):
             assert self.rho_of(rho, 2.0 * t) == 2.0 * self.rho_of(rho, t)
 
     @pytest.mark.parametrize("trial", range(25))
@@ -281,9 +273,28 @@ class TestSeminormFamily:
         with pytest.raises(ValueError):
             SeminormFamily(())
 
+    def test_grid_is_the_members_grid(self):
+        assert SeminormFamily((LqNorm(2.0), DualPairing(np.ones(3)))).grid is None
+        fam = SeminormFamily((LqNorm(2.0, GRID), SupDerivative(1, GRID),
+                              DualPairing(np.ones(101), GRID)))
+        assert fam.grid == GRID
 
-def scalar_reference(rho, v, grid):
+    @pytest.mark.parametrize("members", [
+        (LqNorm(2.0, GRID), LqNorm(1.0)),
+        (LqNorm(2.0), SupDerivative(1, GRID)),
+        (SupDerivative(0, GRID), DualPairing(np.ones(101), GridMeta(0.0, 2.0, 101))),
+        (LqNorm(2.0, GRID), SchwartzWeighted(grid=GridMeta(0.0, 1.0, 100))),
+    ], ids=["gridded_then_plain", "plain_then_gridded", "dual_on_another_grid",
+            "another_node_count"])
+    def test_members_on_different_grids_refused(self, members):
+        with pytest.raises(ShapeError, match="member 1 is on grid") as info:
+            SeminormFamily(members)
+        assert info.value.arg == "members"
+
+
+def scalar_reference(rho, v):
     """The seminorm of one value vector, written out per kind."""
+    grid = rho.grid
     if isinstance(rho, LqNorm):
         w = np.ones_like(v) if grid is None else grid.trapezoid_weights()
         return float(np.sum(w * np.abs(v) ** rho.q) ** (1.0 / rho.q))
@@ -306,36 +317,36 @@ class TestRowwise:
     """rho on an (n, dim) matrix agrees, row by row, with rho on that row
     alone and with a per-kind scalar reference."""
 
+    G = GridMeta(-1.0, 1.0, 33)
     GRIDDED = [
-        LqNorm(1.0),
-        LqNorm(2.0),
-        LqNorm(3.5),
-        SupDerivative(0),
-        SupDerivative(1),
-        SupDerivative(2),
-        SchwartzWeighted(alpha=0, beta=0, radius=0.5),
-        SchwartzWeighted(alpha=2, beta=1, radius=0.7),
-        SchwartzWeighted(alpha=1, beta=2, radius=8.0),
+        LqNorm(1.0, G),
+        LqNorm(2.0, G),
+        LqNorm(3.5, G),
+        SupDerivative(0, G),
+        SupDerivative(1, G),
+        SupDerivative(2, G),
+        SchwartzWeighted(alpha=0, beta=0, radius=0.5, grid=G),
+        SchwartzWeighted(alpha=2, beta=1, radius=0.7, grid=G),
+        SchwartzWeighted(alpha=1, beta=2, radius=8.0, grid=G),
     ]
     PLAIN = [LqNorm(1.0), LqNorm(2.0), LqNorm(3.5), SupDerivative(0)]
 
     @staticmethod
-    def check_rows(rho, values, grid):
-        got = rho(values, grid)
+    def check_rows(rho, values):
+        got = rho(values)
         assert got.shape == (values.shape[0],)
-        called = [seminorm_of(rho, row, grid) for row in values]
+        called = [seminorm_of(rho, row) for row in values]
         np.testing.assert_allclose(got, called, rtol=1e-12, atol=0)
-        reference = [scalar_reference(rho, row, grid) for row in values]
+        reference = [scalar_reference(rho, row) for row in values]
         np.testing.assert_allclose(got, reference, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_rows_agree_with_call_on_a_grid(self, trial):
         rng = np.random.default_rng(2000 + trial)
-        g = GridMeta(-1.0, 1.0, 33)
         values = rng.standard_normal((17, 33)) * rng.uniform(0.01, 100.0, (17, 1))
-        dual = DualPairing(rng.standard_normal(33), g)
+        dual = DualPairing(rng.standard_normal(33), self.G)
         for rho in self.GRIDDED + [dual]:
-            self.check_rows(rho, values, g)
+            self.check_rows(rho, values)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_rows_agree_with_call_without_a_grid(self, trial):
@@ -343,56 +354,77 @@ class TestRowwise:
         values = rng.standard_normal((17, 12)) * rng.uniform(0.01, 100.0, (17, 1))
         dual = DualPairing(rng.standard_normal(12))
         for rho in self.PLAIN + [dual]:
-            self.check_rows(rho, values, None)
+            self.check_rows(rho, values)
 
     def test_radius_masking_every_node_gives_zeros(self):
-        g = GridMeta(1.0, 2.0, 9)
-        rho = SchwartzWeighted(alpha=1, beta=1, radius=0.5)
+        rho = SchwartzWeighted(alpha=1, beta=1, radius=0.5, grid=GridMeta(1.0, 2.0, 9))
         values = np.random.default_rng(0).standard_normal((4, 9))
-        np.testing.assert_array_equal(rho(values, g), np.zeros(4))
+        np.testing.assert_array_equal(rho(values), np.zeros(4))
 
     def test_a_row_does_not_depend_on_the_other_rows(self):
         rng = np.random.default_rng(1)
         g = GridMeta(0.0, 1.0, 50)
         values = rng.standard_normal((300, 50))
         test = rng.standard_normal(50)
-        for rho, grid in [(LqNorm(2.0), g), (SupDerivative(1), g), (DualPairing(test, g), g),
-                          (LqNorm(3.5), None), (DualPairing(test), None)]:
-            whole = rho(values, grid)
-            np.testing.assert_array_equal(whole[120:127], rho(values[120:127], grid))
+        for rho in [LqNorm(2.0, g), SupDerivative(1, g), DualPairing(test, g), LqNorm(3.5),
+                    DualPairing(test)]:
+            whole = rho(values)
+            np.testing.assert_array_equal(whole[120:127], rho(values[120:127]))
 
-    def test_dual_rejects_mismatched_grid_or_length(self):
-        dual = DualPairing(np.ones(11), GridMeta(0.0, 1.0, 11))
+    def test_dual_rejects_mismatched_length(self):
         with pytest.raises(ShapeError):
-            dual(np.ones((3, 11)), None)
-        with pytest.raises(ShapeError):
-            dual(np.ones((3, 11)), GridMeta(0.0, 2.0, 11))
+            DualPairing(np.ones(11), GridMeta(0.0, 1.0, 11))(np.ones((3, 12)))
         with pytest.raises(ShapeError):
             DualPairing(np.ones(11))(np.ones((3, 12)))
 
     def test_shape_checked(self):
         g = GridMeta(0.0, 1.0, 11)
-        for rho in (LqNorm(2.0), SupDerivative(1), SchwartzWeighted()):
+        for rho in (LqNorm(2.0, g), SupDerivative(1, g), SchwartzWeighted(grid=g),
+                    DualPairing(np.ones(11), g)):
             with pytest.raises(ShapeError):
-                rho(np.ones(11), g)
+                rho(np.ones(11))
             with pytest.raises(ShapeError):
-                rho(np.ones((2, 10)), g)
-        with pytest.raises(ShapeError):
-            SupDerivative(1)(np.ones((2, 11)), None)
+                rho(np.ones((2, 10)))
+            assert rho(np.ones((2, 11))).shape == (2,)
+
+    def test_call_takes_the_values_only(self):
+        # the grid is the seminorm's own; no call passes it
+        g = GridMeta(0.0, 1.0, 11)
+        for rho in (LqNorm(2.0, g), SupDerivative(1, g), SchwartzWeighted(grid=g),
+                    DualPairing(np.ones(11), g)):
+            with pytest.raises(TypeError):
+                rho(np.ones((2, 11)), g)
 
     def test_custom_seminorm_needs_only_call_and_label(self):
         class MaxAbs(Seminorm):
-            def __call__(self, values, grid=None):
+            def __call__(self, values):
                 return np.max(np.abs(values), axis=1)
 
             def label(self):
                 return "max_abs"
 
+        assert MaxAbs().grid is None
         assert seminorm_of(MaxAbs(), [1.0, -3.0]) == 3.0
         # a family of it measures the pipeline's uniform error; against the
         # zero network the residuals are the values themselves
         fam = SeminormFamily((MaxAbs(),))
-        diffs = TargetBatch(np.array([[1.0, -3.0], [4.0, 0.0]]))
+        diffs = np.array([[1.0, -3.0], [4.0, 0.0]])
         inputs = [[0.0], [1.0]]
         zero = ShallowVectorNetwork.zero(Tanh(), ("sequence", 1), 2)
         np.testing.assert_array_equal(uniform_error(diffs, zero, inputs, fam), [4.0])
+
+    def test_custom_seminorm_on_a_grid_joins_a_family_on_it(self):
+        class Endpoint(Seminorm):
+            def __init__(self, grid):
+                self.grid = grid
+
+            def __call__(self, values):
+                return np.abs(values[:, -1])
+
+            def label(self):
+                return "endpoint"
+
+        fam = SeminormFamily((LqNorm(2.0, GRID), Endpoint(GRID)))
+        assert fam.grid == GRID
+        with pytest.raises(ShapeError):
+            SeminormFamily((LqNorm(2.0), Endpoint(GRID)))
