@@ -44,7 +44,10 @@ from .targets import (
 )
 
 #: bytes of float64 designs per stacked solve in stage 2, shared out among
-#: fit_columns' workers, so stage 2's working set is bounded however many columns
+#: fit_columns' shares.  A share holds its stack's designs and one copy of them
+#: at once (the activation's result, then the LAPACK operand of _dgels_members,
+#: which with lam > 0 adds a k x k ridge block per member), so stage 2's
+#: working set is about twice this however many columns there are
 SOLVE_STACK_BYTES = 1 << 20
 
 
@@ -143,8 +146,10 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
     """Minimize ||A c - y||^2 + lam ||c||^2 for each member of a stack.
 
     design is a (b, n, k) stack with targets (b, n), and the result is
-    (b, k); one design is the stack design[None].  Each member is one LAPACK
-    dgels call (see _dgels_members); a member it leaves is solved alone by
+    (b, k); one design is the stack design[None].  The stack is copied into
+    one LAPACK buffer and each member is one dgels call on it, after which
+    INFO, R's diagonal and the coefficients are checked for the whole stack
+    (see _dgels_members); a member those checks leave is solved alone by
     SVD least squares, which with lam = 0 gives the minimum-norm minimizer
     and warns that the design is rank-deficient.  A design or targets array
     of strings, booleans, complex numbers or objects, or with a non-finite
@@ -181,9 +186,11 @@ def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.nd
     finite, as least_squares_solve checks.  A tall design (n >= k) or
     lam > 0 is solved as [A; sqrt(lam) I] c = [y; 0] ('N'), so the
     conditioning is that of A, not A^T A; a wide one with lam = 0 through
-    A^T ('T'), which gives the minimum-norm c.  Members are copied
-    column-major into one buffer, which R overwrites, and one workspace
-    query serves the stack.
+    A^T ('T'), which gives the minimum-norm c.  The whole stack is copied
+    column-major into one buffer, which the members' R factors overwrite,
+    and its right-hand sides into another; one workspace query serves the
+    stack, each member is one dgels call at its offset in the two buffers,
+    and INFO and the diagonals of R are read for every member at once.
     """
     b, n, k = design.shape
     coeffs = np.full((b, k), np.nan)
@@ -192,24 +199,28 @@ def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.nd
         return coeffs
     tall = lam > 0 or n >= k
     rows, cols = (n + k if lam > 0 else n, k) if tall else (k, n)
-    # buffer row j is column j of the matrix LAPACK factors (102: column-major)
-    buffer, rhs, query = np.empty((cols, rows)), np.empty(rows), np.empty(1)
-    dgels = functools.partial(library[0], 102, b"N" if tall else b"T", rows, cols, 1,
-                              buffer.ctypes.data, rows, rhs.ctypes.data, rows)
-    dgels(query.ctypes.data, -1)
-    work, ridge = np.empty(max(1, int(query[0]))), np.sqrt(lam) * np.eye(k, rows - n)
-    for i in range(b):
-        if tall:
-            buffer[:, :n], buffer[:, n:] = design[i].T, ridge
-        else:
-            buffer[:] = design[i]
-        rhs[:n], rhs[n:] = targets[i], 0.0
-        info = dgels(work.ctypes.data, work.size)
-        if info < 0:
-            raise RuntimeError(f"dgels refused its argument {-info}")
-        diag = np.abs(np.diagonal(buffer))
-        if not info and diag.min() > np.finfo(float).eps * max(n, k) * diag.max():
-            coeffs[i] = rhs[:k]
+    # buffer[i] row j is column j of the matrix LAPACK factors for member i
+    # (102: column-major)
+    buffer, rhs, query = np.empty((b, cols, rows)), np.empty((b, rows)), np.empty(1)
+    if tall:
+        ridge = np.sqrt(lam) * np.eye(k, rows - n)
+        buffer[:, :, :n], buffer[:, :, n:] = design.transpose(0, 2, 1), ridge
+    else:
+        buffer[:] = design
+    rhs[:, :n], rhs[:, n:] = targets, 0.0
+    # member i's operands start i strides into each buffer
+    (a, a_step), (y, y_step) = ((x.ctypes.data, x.strides[0]) for x in (buffer, rhs))
+    dgels = functools.partial(library[0], 102, b"N" if tall else b"T", rows, cols, 1)
+    dgels(a, rows, y, rows, query.ctypes.data, -1)
+    work = np.empty(max(1, int(query[0])))
+    w, lwork = work.ctypes.data, work.size
+    info = np.array([dgels(a + i * a_step, rows, y + i * y_step, rows, w, lwork)
+                     for i in range(b)])
+    if np.any(info < 0):
+        raise RuntimeError(f"dgels refused its argument {-info.min()}")
+    diag = np.abs(np.diagonal(buffer, axis1=1, axis2=2))
+    solved = (info == 0) & (diag.min(axis=1) > np.finfo(float).eps * max(n, k) * diag.max(axis=1))
+    coeffs[solved] = rhs[solved, :k]
     return coeffs
 
 
@@ -306,11 +317,13 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     least one column, else a ShapeError names targets; delta must be a
     finite number >= 0, else a ConfigError names it.  All pending columns
     share one width: cfg.width, doubled per step up to cfg.max_width (a
-    fixed-width fit sets max_width = width).  A step splits the pending
-    columns into one contiguous share per CPU this process may use, run by
-    _in_shares; a share draws its banks' new features with draw_features,
-    continuing their streams, and builds and solves its designs in stacks
-    of at most SOLVE_STACK_BYTES / shares.  A column stops once its
+    fixed-width fit sets max_width = width).  A step first draws every
+    pending bank's new features with draw_features on the calling thread,
+    continuing its streams, then splits the pending columns into one
+    contiguous share per CPU this process may use, run by _in_shares; a
+    share builds and solves its designs in stacks of at most
+    SOLVE_STACK_BYTES / shares, each stack's designs by one product, one
+    threshold subtraction and one activation call.  A column stops once its
     training sup error is below delta or its width reaches cfg.max_width.
     Each design is eta(S P^T - theta), the pre-activation a network
     evaluates, with the inputs projected once, S = flats B^T (S = flats
@@ -340,10 +353,6 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     width, target = 0, cfg.width
 
     def fit_share(share):
-        for j in share:
-            grown = draw_features(cfg, streams[j], width, target)
-            banks[j] = grown if width == 0 else tuple(
-                np.concatenate(parts) for parts in zip(banks[j], grown))
         # members per stack: as many as keep the designs within the share's
         # part of SOLVE_STACK_BYTES, and at least one
         size = max(1, SOLVE_STACK_BYTES // shares // (8 * n * target))
@@ -351,11 +360,10 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             stack = share[first:first + size]
             # member i holds the transposed design A^T: one feature per row
             designs = np.empty((len(stack), target, n))
-            for i, j in enumerate(stack):
-                P, thetas = banks[j]
-                block = np.matmul(P, S.T, out=designs[i])
-                block -= thetas[:, None]
-                designs[i] = cfg.activation(block)
+            P, thetas = (np.stack(parts) for parts in zip(*(banks[j] for j in stack)))
+            np.matmul(P, S.T, out=designs)
+            designs -= thetas[:, :, None]
+            designs[...] = cfg.activation(designs)
             fitted, errors = fit_ridge_features(designs.transpose(0, 2, 1),
                                                 targets[:, stack].T, cfg.lam)
             for i, j in enumerate(stack):
@@ -365,6 +373,10 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     with _one_blas_thread():
         S = flats if spec.basis is None else flats @ spec.basis.T
         while pending:
+            for j in pending:
+                grown = draw_features(cfg, streams[j], width, target)
+                banks[j] = grown if width == 0 else tuple(
+                    np.concatenate(parts) for parts in zip(banks[j], grown))
             shares = min(_cpu_count(), len(pending))
             _in_shares(fit_share, pending, shares)
             pending = [j for j in pending if coeffs[j] is None]

@@ -295,6 +295,9 @@ class SchwartzWeighted(Seminorm):
     def __post_init__(self):
         for index in ("alpha", "beta"):
             object.__setattr__(self, index, _as_int(getattr(self, index), index, 0))
+        if self.alpha > np.iinfo(np.int64).max:
+            raise ConfigError(f"must be at most {np.iinfo(np.int64).max}, the largest exponent "
+                              f"numpy's integer power takes, got {self.alpha}", "alpha")
         object.__setattr__(self, "radius", _as_float(self.radius, "radius", above=0,
                                                      subject="truncation radius"))
         if self.grid is None:

@@ -207,6 +207,7 @@ class TestCliRun:
         ({"seminorms": [{"kind": "schwartz", "alpha": -1}]}, "seminorms[0].alpha"),
         ({"seminorms": [{"kind": "schwartz", "alpha": "x"}]}, "seminorms[0].alpha"),
         ({"seminorms": [{"kind": "schwartz", "alpha": 1.5}]}, "seminorms[0].alpha"),
+        ({"seminorms": [{"kind": "schwartz", "alpha": 10**400}]}, "seminorms[0].alpha"),
         ({"seminorms": [{"kind": "schwartz", "beta": -1}]}, "seminorms[0].beta"),
         ({"seminorms": [{"kind": "schwartz", "beta": "x"}]}, "seminorms[0].beta"),
         ({"seminorms": [{"kind": "schwartz", "beta": 1.5}]}, "seminorms[0].beta"),
@@ -264,7 +265,7 @@ class TestCliRun:
           "operator": {"kind": "superposition", "map": "sin"}}, "'grid'"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
-            "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha",
+            "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha", "huge_alpha",
             "negative_beta", "string_beta", "float_beta", "string_count", "string_radii",
             "mixed_radii", "scalar_radii", "string_shape", "string_radius_matrix",
             "string_theta_range", "string_dual_values", "float_count", "bool_count",

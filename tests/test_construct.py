@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -605,6 +606,77 @@ class TestDgels:
         for i in range(4):
             if not (deficient and i == 2):
                 assert_matches_lstsq(coeffs[i], a[i], y[i], lam)
+
+    @pytest.mark.parametrize("b", (1, 3, 5))
+    @pytest.mark.parametrize("n, k, lam", [(40, 12, 0.0), (12, 40, 0.0), (40, 12, 1e-3),
+                                           (12, 40, 1e-3)],
+                             ids=["tall", "wide", "tall_lam", "wide_lam"])
+    def test_one_query_per_stack_and_one_call_per_member(self, monkeypatch, b, n, k, lam):
+        library = network._openblas()
+        if library is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])  # lwork: -1 asks for the workspace size
+            return library[0](*args)
+
+        monkeypatch.setattr(construct, "_openblas", lambda: (counting, *library[1:]))
+        a, y = random_stack(np.random.default_rng(b + n), b, n, k)
+        least_squares_solve(a, y, lam)
+        assert calls[0] == -1 and calls.count(-1) == 1
+        assert len(calls) == b + 1
+
+    @pytest.mark.parametrize("member", (0, 2))
+    @pytest.mark.parametrize("n, k", [(9, 4), (4, 9)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("fallback", ("info", "diagonal", "non_finite"))
+    def test_each_fallback_sends_only_its_member_to_svd(self, monkeypatch, fallback, n, k,
+                                                        member):
+        library = network._openblas()
+        if library is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        rng = np.random.default_rng(31 + n)
+        a, y = random_stack(rng, 4, n, k)
+        if fallback == "diagonal":  # a repeated column (tall) or row (wide)
+            if n >= k:
+                a[member, :, 1] = a[member, :, 0]
+            else:
+                a[member, 1] = a[member, 0]
+        import warnings as _w
+
+        with _w.catch_warnings():
+            _w.simplefilter("ignore")
+            alone = [least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0] for i in range(4)]
+        svd, solved, infos = construct._svd_solve, [], []
+
+        def dgels(*args):
+            info = library[0](*args)
+            if args[-1] == -1:
+                return info
+            infos.append(info)
+            if len(infos) - 1 != member:
+                return info
+            if fallback == "non_finite":  # the first coefficient of B
+                ctypes.c_double.from_address(args[7]).value = np.nan
+            return 1 if fallback == "info" else info
+
+        def solving(design, targets, lam):
+            solved.append(design.tobytes())
+            return svd(design, targets, lam)
+
+        monkeypatch.setattr(construct, "_openblas", lambda: (dgels, *library[1:]))
+        monkeypatch.setattr(construct, "_svd_solve", solving)
+        with _w.catch_warnings(record=True) as caught:
+            _w.simplefilter("always")
+            coeffs = least_squares_solve(a, y, 0.0)
+        # dgels itself found no zero diagonal: each fallback is its own check
+        assert infos == [0, 0, 0, 0]
+        assert solved == [a[member].tobytes()]
+        assert len(caught) == (fallback == "diagonal")
+        np.testing.assert_array_equal(coeffs[member], svd(a[member], y[member], 0.0)
+                                      if fallback != "diagonal" else alone[member])
+        for i in set(range(4)) - {member}:
+            np.testing.assert_array_equal(coeffs[i], alone[i])
 
     def test_binding_found_where_numpy_ships_scipy_openblas(self):
         try:
@@ -1238,6 +1310,36 @@ class TestAssemble:
                 report.coefficient_errors, report.train_errors, *fitted)])
         assert np.any(report.coefficient_widths > cfg.width) and report.m >= 3
         assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_every_draw_runs_on_the_calling_thread(self, cpus, monkeypatch):
+        # the shares build and solve designs; the banks are drawn before
+        # they start, so every stream is read on one thread
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        psi = stage_one_weights(values, 0.05)
+        draw, solve, drawn, solved = construct.draw_features, construct.fit_ridge_features, [], []
+
+        def drawing(*args):
+            drawn.append(threading.get_ident())
+            return draw(*args)
+
+        def solving(*args):
+            solved.append(threading.get_ident())
+            return solve(*args)
+
+        monkeypatch.setattr(construct, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(construct, "draw_features", drawing)
+        monkeypatch.setattr(construct, "fit_ridge_features", solving)
+        seeds = [derive_seed(3, j) for j in range(psi.shape[1])]
+        widths = fit_columns(ens.flats, psi, cfg, seeds, 1e-3)[3]
+        assert np.any(widths > cfg.width) and psi.shape[1] >= 3
+        # one draw per column per width it tried
+        assert len(drawn) == sum(int(np.log2(w // cfg.width)) + 1 for w in widths)
+        assert set(drawn) == {threading.get_ident()}
+        # the solves did run on started threads when there were shares
+        assert (set(solved) != {threading.get_ident()}) == (cpus > 1)
 
     def test_violated_budget_raises_not_asserts(self, monkeypatch):
         ens = band_ensemble(20, self.GRID, seed=2)

@@ -234,6 +234,22 @@ class TestConfigParsing:
                 seminorms=[{"kind": "lq", "q": 2.0}], grid=None, ensemble=MATRIX_BALL,
                 operator={**MATRIX_SIN_TRACE, "out_dim": 10**400}))
 
+    def test_schwartz_alpha_beyond_int64_is_refused(self):
+        # alpha 10**400 used to load and end the run in a bare OverflowError
+        refusal = re.escape("field 'seminorms[0].alpha' must be at most")
+        for alpha in (np.iinfo(np.int64).max + 1, 10**400):
+            with pytest.raises(ConfigError, match=refusal):
+                ExperimentConfig.from_dict(small_dict(
+                    seminorms=[{"kind": "schwartz", "alpha": alpha, "radius": 0.5}]))
+
+    def test_schwartz_alpha_at_int64_max_runs(self):
+        cfg = ExperimentConfig.from_dict(small_dict(
+            seminorms=[{"kind": "schwartz", "alpha": int(np.iinfo(np.int64).max),
+                        "radius": 0.5}]))
+        run = run_experiment(cfg).runs[0]
+        # every node in the window has |x| <= 0.5, so the weight is zero
+        assert list(run.train_errors.values()) == [0.0]
+
     def test_seminorms_are_built_on_the_output_grid(self):
         parts = ExperimentConfig.from_dict(small_dict(
             seminorms=[{"kind": "lq"}, {"kind": "sup_derivative", "order": 1},

@@ -3,7 +3,7 @@ import pytest
 
 from shallowop import targets
 from shallowop.construct import uniform_error
-from shallowop.errors import ShapeError
+from shallowop.errors import ConfigError, ShapeError
 from shallowop.network import ShallowVectorNetwork, Tanh
 from shallowop.targets import (
     DualPairing,
@@ -165,6 +165,16 @@ class TestSchwartzWeighted:
             SchwartzWeighted(beta=3, grid=GridMeta(-1.0, 1.0, 3))
         assert info.value.arg == "beta"
         SchwartzWeighted(beta=2, grid=GridMeta(-1.0, 1.0, 3))
+
+    def test_alpha_beyond_int64_refused_by_name(self):
+        # numpy's integer power takes no larger exponent; the largest it
+        # takes is accepted
+        big = np.iinfo(np.int64).max
+        for alpha in (big + 1, 10**400):
+            with pytest.raises(ConfigError, match=f"must be at most {big}") as info:
+                SchwartzWeighted(alpha=alpha, grid=GRID)
+            assert info.value.arg == "alpha"
+        assert SchwartzWeighted(alpha=big, grid=GRID).alpha == big
 
     def test_bad_index_named_before_the_grid(self):
         # an argument's own refusal comes first, with or without a grid
