@@ -26,7 +26,6 @@ from .inputs import (
 )
 from .network import (
     ShallowVectorNetwork,
-    _cpu_count,
     _in_shares,
     _one_blas_thread,
     _openblas,
@@ -43,12 +42,12 @@ from .targets import (
     _row_blocks,
 )
 
-#: bytes of float64 designs per stacked solve in stage 2, shared out among
-#: fit_columns' shares.  A share holds its stack's designs and one copy of them
-#: at once (the activation's result, then the LAPACK operand of _dgels_members,
-#: which with lam > 0 adds a k x k ridge block per member), so stage 2's
-#: working set is about twice this however many columns there are
-SOLVE_STACK_BYTES = 1 << 20
+#: bytes of float64 designs per stacked solve in a share of stage 2.  A
+#: share holds its stack's designs and one LAPACK copy of them at once (the
+#: activation's result, then the operand of _dgels_members, which with
+#: lam > 0 adds a k x k ridge block per member), so stage 2's working set is
+#: about 1 MiB per CPU however many columns there are
+SOLVE_STACK_BYTES = 1 << 19
 
 
 def _seminorm_rows(rho: Seminorm, values: np.ndarray, center=None) -> np.ndarray:
@@ -261,8 +260,9 @@ class FitConfig:
         if not isinstance(self.functional_spec, FunctionalSpec):
             raise ConfigError(f"must be a FunctionalSpec, got {self.functional_spec!r}",
                               "functional_spec")
-        object.__setattr__(self, "width", _as_int(self.width, "width", 1))
-        object.__setattr__(self, "max_width", _as_int(self.max_width, "max_width", self.width))
+        object.__setattr__(self, "width", _as_int(self.width, "width", 1, sized=True))
+        object.__setattr__(self, "max_width", _as_int(self.max_width, "max_width", self.width,
+                                                      sized=True))
         object.__setattr__(self, "lam", _as_float(self.lam, "lam", 0,
                                                   subject="regularization lam"))
         theta = self.theta_range
@@ -322,7 +322,7 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     continuing its streams, then splits the pending columns into one
     contiguous share per CPU this process may use, run by _in_shares; a
     share builds and solves its designs in stacks of at most
-    SOLVE_STACK_BYTES / shares, each stack's designs by one product, one
+    SOLVE_STACK_BYTES, each stack's designs by one product, one
     threshold subtraction and one activation call.  A column stops once its
     training sup error is below delta or its width reaches cfg.max_width.
     Each design is eta(S P^T - theta), the pre-activation a network
@@ -331,7 +331,8 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     returns them, thresholds theta and coefficients c, each factor
     concatenated in column order and read-only, so a network holds it
     without a copy; sup_errors[j] is column j's training error.  No block
-    depends on the shares.  OpenBLAS is held at one thread throughout.
+    depends on the shares.  OpenBLAS is held at one thread throughout, the
+    projection S outside the shares too.
     """
     spec = cfg.functional_spec
     dim = signature_dim(spec.signature)
@@ -353,9 +354,9 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     width, target = 0, cfg.width
 
     def fit_share(share):
-        # members per stack: as many as keep the designs within the share's
-        # part of SOLVE_STACK_BYTES, and at least one
-        size = max(1, SOLVE_STACK_BYTES // shares // (8 * n * target))
+        # members per stack: as many as keep the designs within
+        # SOLVE_STACK_BYTES, and at least one
+        size = max(1, SOLVE_STACK_BYTES // (8 * n * target))
         for first in range(0, len(share), size):
             stack = share[first:first + size]
             # member i holds the transposed design A^T: one feature per row
@@ -377,8 +378,7 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
                 grown = draw_features(cfg, streams[j], width, target)
                 banks[j] = grown if width == 0 else tuple(
                     np.concatenate(parts) for parts in zip(banks[j], grown))
-            shares = min(_cpu_count(), len(pending))
-            _in_shares(fit_share, pending, shares)
+            _in_shares(fit_share, pending)
             pending = [j for j in pending if coeffs[j] is None]
             width, target = target, min(2 * target, cfg.max_width)
     P, theta = (np.concatenate(parts) for parts in zip(*banks))

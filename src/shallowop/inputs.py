@@ -22,11 +22,13 @@ from .targets import GridMeta, _as_array, _as_float, _as_floats, _as_int, _row_b
 
 
 def _checked_shape(shape, arg: str) -> tuple[int, int]:
-    """shape as a (rows, cols) pair of positive ints; a ConfigError naming arg
-    otherwise."""
+    """shape as a (rows, cols) pair of positive ints whose product numpy can
+    size an array by; a ConfigError naming arg otherwise."""
     if not isinstance(shape, (list, tuple)) or len(shape) != 2:
         raise ConfigError(f"must be a (rows, cols) pair, got {shape!r}", arg, "matrix shape")
-    return tuple(_as_int(d, arg, 1, subject="matrix shape entry") for d in shape)
+    rows, cols = (_as_int(d, arg, 1, subject="matrix shape entry") for d in shape)
+    _as_int(rows * cols, arg, sized=True, subject="matrix entry count rows x cols")
+    return rows, cols
 
 
 def _checked_signature(signature, arg: str) -> tuple:
@@ -101,6 +103,7 @@ class FunctionalSpec:
         object.__setattr__(self, "signature", _checked_signature(self.signature, "signature"))
         object.__setattr__(self, "order", _as_int(self.order, "order", 0,
                                                   subject="trigonometric order"))
+        _as_int(1 + 2 * self.order, "order", sized=True, subject="basis row count 1 + 2 order")
         object.__setattr__(self, "scale", _as_float(self.scale, "scale", above=0,
                                                     subject="functional scale"))
 
@@ -170,7 +173,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in ("band_limited", "sequence_box", "matrix_ball"):
             raise ConfigError(f"is unknown, got {self.family!r}", "family", "ensemble family")
-        object.__setattr__(self, "count", _as_int(self.count, "count", 1, subject="sample count"))
+        object.__setattr__(self, "count", _as_int(self.count, "count", 1, sized=True,
+                                                  subject="sample count"))
         # each family takes its own arguments and refuses the others'
         takes = {"band_limited": ("radii", "grid"), "sequence_box": ("radii",),
                  "matrix_ball": ("shape", "radius")}[self.family]

@@ -142,13 +142,6 @@ def make_activation(spec) -> Activation:
                             f"{exc}") from exc
 
 
-#: fewest panel products (one row block through one panel) in a share of
-#: ShallowVectorNetwork.evaluate_many that gets a thread of its own: with
-#: fewer, starting and joining the thread costs more than it saves, and
-#: evaluation runs on the calling thread
-EVAL_SHARE_BLOCKS = 16
-
-
 class ShallowVectorNetwork:
     """Finite sum of ridges s |-> eta(l_k(s) - theta_k) v_k sharing one activation.
 
@@ -236,12 +229,9 @@ class ShallowVectorNetwork:
         augmented inputs, a panel's activations and the per-center sums, so
         each array of a block stays within targets.BLOCK_BYTES.
 
-        The row blocks are split into contiguous shares, one per CPU this
-        process may use, as long as each keeps about EVAL_SHARE_BLOCKS
-        panel products, and evaluated by _in_shares with OpenBLAS held at
-        one thread (_one_blas_thread), so its workers never compete with
-        the shares for the CPUs.  Each block is computed alone, so the
-        outputs do not depend on the number of threads.
+        The row blocks are evaluated by _in_shares, in one contiguous share
+        per CPU.  Each block is computed alone, so the outputs do not depend
+        on the number of threads.
         """
         flats = stack_inputs(samples, self.input_signature)
         n, r, m = flats.shape[0], self.weights.shape[1], self.centers.shape[0]
@@ -264,9 +254,7 @@ class ShallowVectorNetwork:
                         sums[:, centers] = act @ coefficients
                 out[rows] = sums @ self.centers
 
-        products = len(blocks) * len(self._panels)
-        with _one_blas_thread():
-            _in_shares(evaluate, blocks, max(1, min(_cpu_count(), products // EVAL_SHARE_BLOCKS)))
+        _in_shares(evaluate, blocks)
         return out
 
 
@@ -303,11 +291,17 @@ def _panels(weights, thresholds, coefficients, widths) -> list:
     return panels
 
 
-def _in_shares(work, items, shares: int) -> None:
-    """work(run) for up to shares contiguous runs of items: the calling
-    thread takes the first, and one started thread each of the others, in a
-    copy of the caller's context, so np.errstate holds there too.  An
-    exception raised in any run is raised here once every thread has ended."""
+def _in_shares(work, items) -> None:
+    """work(share) for contiguous shares of items, one per CPU this process
+    may use (_cpu_count) and at most one per item; nothing for no items.
+    The calling thread takes the first share, and one started thread each
+    of the others, in a copy of the caller's context, so np.errstate holds
+    there too.  OpenBLAS is held at one thread (_one_blas_thread) while the
+    shares run, so its workers never compete with them for the CPUs.  An
+    exception raised in any share is raised here once every thread has
+    ended."""
+    if not items:
+        return
     errors = []
 
     def run(share):
@@ -316,18 +310,21 @@ def _in_shares(work, items, shares: int) -> None:
         except BaseException as exc:  # raised once every thread has ended
             errors.append(exc)
 
-    per = -(-len(items) // shares)
+    shares = min(_cpu_count(), len(items))
+    # share i is items[bounds[i]:bounds[i + 1]]; the sizes differ by one at most
+    bounds = [-(-i * len(items) // shares) for i in range(shares + 1)]
     started = []
-    try:
-        for first in range(per, len(items), per):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run, items[first:first + per]))
-            thread.start()
-            started.append(thread)
-        run(items[:per])
-    finally:
-        for thread in started:
-            thread.join()
+    with _one_blas_thread():
+        try:
+            for first, last in zip(bounds[1:], bounds[2:]):
+                thread = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(run, items[first:last]))
+                thread.start()
+                started.append(thread)
+            run(items[:bounds[1]])
+        finally:
+            for thread in started:
+                thread.join()
     if errors:
         raise errors[0]
 

@@ -246,12 +246,30 @@ class LqNorm(Seminorm):
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         _require_rows(values, self.grid)
-        # in place: values may be thousands of rows
-        a = np.abs(values)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = self._powered_sums(np.abs(values))
+            out = sums ** (1.0 / self.q)
+            # a row whose sum underflowed below the normal range or overflowed
+            # while its entries are finite and not all zero is m rho(v / m),
+            # m its largest magnitude, whose sum does neither; one count
+            # passes rows of zeros only, such as a center's distance to itself
+            flagged = (sums < np.finfo(float).tiny) | (sums == np.inf)
+            if np.count_nonzero(values[flagged]):
+                rows = np.flatnonzero(flagged)
+                a = np.abs(values[rows])
+                m = np.max(a, axis=1)
+                scaled = (m > 0) & (m < np.inf)
+                rows, a, m = rows[scaled], a[scaled], m[scaled]
+                out[rows] = m * self._powered_sums(a / m[:, None]) ** (1.0 / self.q)
+        return out
+
+    def _powered_sums(self, a: np.ndarray) -> np.ndarray:
+        """The weighted sums of the rows of a, the magnitudes, to the power
+        q; a is overwritten, since values may be thousands of rows."""
         a **= self.q
         if self.grid is not None:
             a *= self.grid.trapezoid_weights()
-        return np.sum(a, axis=1) ** (1.0 / self.q)
+        return np.sum(a, axis=1)
 
     def label(self) -> str:
         return f"lq(q={_number_label(self.q)})"

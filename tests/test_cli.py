@@ -223,6 +223,12 @@ class TestCliRun:
         ({"duals": [{"values": ["a"]}]}, "duals[0].values"),
         ({"ensemble": {**BAND_ENSEMBLE, "count": 2.5}}, "ensemble.count"),
         ({"ensemble": {**BAND_ENSEMBLE, "count": True}}, "ensemble.count"),
+        ({"ensemble": {**BAND_ENSEMBLE, "count": 10**30}}, "ensemble.count"),
+        ({**MATRIX_CONFIG, "ensemble": {**MATRIX_ENSEMBLE, "shape": [10**30, 2]},
+          "operator": sin_trace(3)}, "ensemble.shape"),
+        ({"fit": {"width": 10**30}}, "fit.width"),
+        ({"fit": {"max_width": 10**30}}, "fit.max_width"),
+        ({"fit": {"functional_order": 10**30}}, "fit.functional_order"),
         ({"grid": {"a": 0.0, "b": 1.0, "n": 2.7}}, "grid.n"),
         ({"fit": {"width": True}}, "fit.width"),
         ({"fit": {"lam": True}}, "fit.lam"),
@@ -269,6 +275,7 @@ class TestCliRun:
             "negative_beta", "string_beta", "float_beta", "string_count", "string_radii",
             "mixed_radii", "scalar_radii", "string_shape", "string_radius_matrix",
             "string_theta_range", "string_dual_values", "float_count", "bool_count",
+            "huge_count", "huge_shape", "huge_width", "huge_max_width", "huge_order",
             "float_grid_n", "bool_width", "bool_lam", "bool_seed", "bool_target_index",
             "bool_order", "bool_q", "bool_epsilon", "infinite_epsilon",
             "short_dual_values", "int_dual_name", "unknown_lq_key", "unknown_operator_key",

@@ -1025,20 +1025,20 @@ class TestScalarRidge:
 def expected_stacks(final_widths, n, cfg, cpus):
     """The stacked solves that fit columns with these final widths on cpus
     CPUs, share by share: per width tried, the columns not yet done split
-    into min(cpus, pending) contiguous shares, and each share solves its
-    columns in order, in stacks that keep their designs, 8 n k bytes each,
-    within SOLVE_STACK_BYTES / shares.  A share is the list of its stacks,
-    each (width, columns)."""
+    into min(cpus, pending) contiguous shares whose sizes differ by one at
+    most, and each share solves its columns in order, in stacks that keep
+    their designs, 8 n k bytes each, within SOLVE_STACK_BYTES.  A share is
+    the list of its stacks, each (width, columns)."""
     shares, k = [], cfg.width
     while True:
         pending = np.flatnonzero(np.asarray(final_widths) >= k).tolist()
         if not pending:
             return shares
         count = min(cpus, len(pending))
-        per = -(-len(pending) // count)
-        size = max(1, construct.SOLVE_STACK_BYTES // count // (8 * n * k))
-        for first in range(0, len(pending), per):
-            share = pending[first:first + per]
+        bounds = [-(-i * len(pending) // count) for i in range(count + 1)]
+        size = max(1, construct.SOLVE_STACK_BYTES // (8 * n * k))
+        for first, last in zip(bounds, bounds[1:]):
+            share = pending[first:last]
             shares.append([(k, tuple(share[i:i + size])) for i in range(0, len(share), size)])
         if k >= cfg.max_width:
             return shares
@@ -1171,7 +1171,7 @@ class TestAssemble:
         ens = band_ensemble(40, self.GRID, seed=5)
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
-        monkeypatch.setattr(construct, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(network, "_cpu_count", lambda: 2)
         stacks = recording_stacks(monkeypatch, stage_one_weights(values, 0.05))
         net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         # one stacked solve per width tried and stack, each share's in order
@@ -1258,7 +1258,7 @@ class TestAssemble:
         ens = band_ensemble(40, self.GRID, seed=5)
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
-        monkeypatch.setattr(construct, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(network, "_cpu_count", lambda: 3)
         designs = []
         stacks = recording_stacks(monkeypatch, stage_one_weights(values, 0.05), designs)
         net, _ = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
@@ -1280,10 +1280,10 @@ class TestAssemble:
         values = poisson_operator(self.GRID).apply_many(ens)
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
         net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
-        monkeypatch.setattr(construct, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
         stacks = recording_stacks(monkeypatch, stage_one_weights(values, 0.05))
         # two members of the first width per stack in each share, then one
-        monkeypatch.setattr(construct, "SOLVE_STACK_BYTES", min(cpus, report.m) * 2 * 8 * 40 * 16)
+        monkeypatch.setattr(construct, "SOLVE_STACK_BYTES", 2 * 8 * 40 * 16)
         small, small_report = assemble_vector_network(values, ens, self.family(), 0, 0.05,
                                                          cfg)
         shares = expected_stacks(report.coefficient_widths, len(ens), cfg, cpus)
@@ -1302,7 +1302,7 @@ class TestAssemble:
         seeds = [derive_seed(3, j) for j in range(psi.shape[1])]
         results = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(construct, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
             net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
             fitted = fit_columns(ens.flats, psi, cfg, seeds, report.delta)
             results.append([a.tobytes() for a in (
@@ -1329,7 +1329,7 @@ class TestAssemble:
             solved.append(threading.get_ident())
             return solve(*args)
 
-        monkeypatch.setattr(construct, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(construct, "draw_features", drawing)
         monkeypatch.setattr(construct, "fit_ridge_features", solving)
         seeds = [derive_seed(3, j) for j in range(psi.shape[1])]

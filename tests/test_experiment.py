@@ -21,6 +21,7 @@ from shallowop.experiment import (
 from shallowop.inputs import sample_ensemble
 from shallowop.network import ShallowVectorNetwork, deserialize_network
 from shallowop.presets import preset_dict
+from shallowop.seeding import derive_seed
 from shallowop.targets import (
     DualPairing,
     GridMeta,
@@ -233,6 +234,47 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(small_dict(
                 seminorms=[{"kind": "lq", "q": 2.0}], grid=None, ensemble=MATRIX_BALL,
                 operator={**MATRIX_SIN_TRACE, "out_dim": 10**400}))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"ensemble": {"family": "band_limited", "count": 10**30, "radii": [1.0, 0.5]}},
+         "ensemble.count"),
+        ({"ensemble": {**MATRIX_BALL, "shape": [10**30, 2]}, "grid": None,
+          "operator": MATRIX_SIN_TRACE}, "ensemble.shape"),
+        ({"ensemble": {**MATRIX_BALL, "shape": [2**31, 2**31]}, "grid": None,
+          "operator": MATRIX_SIN_TRACE}, "ensemble.shape"),
+        ({"fit": {"lam": 0.0, "width": 10**30, "max_width": 10**30}}, "fit.width"),
+        ({"fit": {"lam": 0.0, "width": 32, "max_width": 10**30}}, "fit.max_width"),
+        ({"fit": {"lam": 0.0, "width": 32, "functional_order": 10**30}},
+         "fit.functional_order"),
+        ({"fit": {"lam": 0.0, "width": 32, "functional_order": 2**59}},
+         "fit.functional_order"),
+    ], ids=["count", "shape_entry", "shape_entries", "width", "max_width", "order",
+            "order_basis_rows"])
+    def test_sizes_no_array_can_hold_are_refused(self, overrides, field):
+        # each loaded and ended its run in numpy's bare "Maximum allowed
+        # dimension exceeded"; the bound covers a shape's rows x cols and
+        # the 1 + 2 order rows of the functional basis
+        refusal = re.escape(f"field '{field}' must be at most")
+        with pytest.raises(ConfigError, match=refusal):
+            ExperimentConfig.from_dict(small_dict(**overrides))
+
+    def test_large_q_training_error_is_the_scaled_norm_of_the_residuals(self):
+        # q = 200 underflowed every training residual's sum to 0, so the run
+        # reported a training error of 0.0 and converged on it
+        cfg = ExperimentConfig.from_dict({
+            **preset_dict("poisson_dirichlet"), "seminorms": [{"kind": "lq", "q": 200}],
+            "target_index": 0, "epsilons": [0.02], "save_networks": True})
+        (run,) = run_experiment(cfg).runs
+        net = deserialize_network(run.network_doc)
+        ens = sample_ensemble(cfg.ensemble, derive_seed(derive_seed(cfg.seed, 0), 0))
+        train = ens[:run.n_train]
+        residual = np.abs(cfg.parts.operator.apply_many(train) - net.evaluate_many(train))
+        m = np.max(residual, axis=1)
+        weights = cfg.parts.operator.output_grid.trapezoid_weights()
+        scaled = m * np.sum(weights * (residual / m[:, None]) ** 200, axis=1) ** (1 / 200)
+        assert np.all(m > 0)
+        assert run.train_errors["lq(q=200)"] == pytest.approx(np.max(scaled), rel=1e-12)
+        assert run.converged and 0.0 < run.train_errors["lq(q=200)"] < 0.02
 
     def test_schwartz_alpha_beyond_int64_is_refused(self):
         # alpha 10**400 used to load and end the run in a bare OverflowError

@@ -756,11 +756,9 @@ def many_block_network(kind, rng, monkeypatch, count=300, width=2048, block=16):
     return net, ens
 
 
-def use_cpus(monkeypatch, cpus, share_blocks=1):
-    """Evaluate as if on cpus CPUs, giving a thread to shares of share_blocks
-    panel products or more."""
+def use_cpus(monkeypatch, cpus):
+    """Evaluate as if on cpus CPUs."""
     monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(network, "EVAL_SHARE_BLOCKS", share_blocks)
 
 
 class Boom(Exception):
@@ -806,11 +804,44 @@ def count_threads(monkeypatch):
     return started
 
 
+class TestInShares:
+    """_in_shares runs one contiguous share of its items per CPU, at most one
+    per item, with OpenBLAS held at one thread."""
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    @pytest.mark.parametrize("count", (1, 2, 4, 5))
+    def test_threads_started_are_one_fewer_than_the_shares(self, cpus, count, monkeypatch):
+        use_cpus(monkeypatch, cpus)
+        started, shares = count_threads(monkeypatch), []
+        network._in_shares(shares.append, list(range(count)))
+        assert len(started) == min(cpus, count) - 1
+        assert len(shares) == min(cpus, count)
+        # contiguous shares that take every item once, in sizes one apart at most
+        assert [item for share in sorted(shares) for item in share] == list(range(count))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+    @pytest.mark.parametrize("cpus", (1, 2))
+    def test_no_items_run_nothing(self, cpus, monkeypatch):
+        use_cpus(monkeypatch, cpus)
+        started, shares = count_threads(monkeypatch), []
+        network._in_shares(shares.append, [])
+        assert shares == [] and started == []
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3))
+    def test_shares_run_at_one_blas_thread(self, cpus, monkeypatch, blas_at_two):
+        if blas_at_two is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        use_cpus(monkeypatch, cpus)
+        seen = []
+        network._in_shares(lambda share: seen.append(blas_at_two()), list(range(3)))
+        # every share at one thread, the count restored after
+        assert seen == [1] * cpus
+        assert blas_at_two() == 2 and network._holds[0] == 0
+
+
 class TestThreads:
     """evaluate_many splits its row blocks over the CPUs: the caller's thread
-    evaluates the first share, a started thread each of the others.  Each
-    test but the thread counts gives a thread to shares of one panel
-    product."""
+    evaluates the first share, a started thread each of the others."""
 
     @pytest.mark.parametrize("with_basis", (False, True), ids=("no_basis", "basis"))
     def test_mixed_width_outputs_do_not_depend_on_the_worker_count(self, with_basis,
@@ -836,31 +867,18 @@ class TestThreads:
             outputs.append(net.evaluate_many(ens).tobytes())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    @pytest.mark.parametrize("cpus, share_blocks, blocks, threads", [
-        (1, 1, 19, 0), (2, 1, 19, 1), (3, 1, 19, 2), (4, 1, 3, 2), (3, 1, 1, 0),
-        (2, 16, 31, 0), (2, 16, 32, 1), (3, 16, 47, 1), (3, 16, 48, 2), (3, 16, 49, 2),
+    @pytest.mark.parametrize("cpus, blocks, threads", [
+        (1, 19, 0), (2, 19, 1), (3, 19, 2), (4, 3, 2), (3, 1, 0),
     ])
-    def test_threads_started_are_one_fewer_than_the_shares(self, cpus, share_blocks, blocks,
-                                                           threads, monkeypatch):
+    def test_threads_started_are_one_fewer_than_the_shares(self, cpus, blocks, threads,
+                                                           monkeypatch):
         # one block of 128 neurons: a panel product per row block
         net, ens = many_block_network("sequence", np.random.default_rng(42), monkeypatch,
                                       count=800, width=128, block=128)
         ens = ens[:16 * blocks - 8]
-        use_cpus(monkeypatch, cpus, share_blocks)
+        use_cpus(monkeypatch, cpus)
         started = count_threads(monkeypatch)
         assert net.evaluate_many(ens).shape == (16 * blocks - 8, 4)
-        assert len(started) == threads
-
-    @pytest.mark.parametrize("count, threads", [(16, 0), (17, 1), (48, 2)])
-    def test_shares_count_panel_products(self, count, threads, monkeypatch):
-        # 16 blocks of 128 neurons, 16 panels: one row block of 16 inputs
-        # makes 16 panel products, too few for two shares of 16; two row
-        # blocks make 32, three make 48
-        net, ens = many_block_network("sequence", np.random.default_rng(47), monkeypatch,
-                                      count=count, block=128)
-        use_cpus(monkeypatch, 3, 16)
-        started = count_threads(monkeypatch)
-        assert net.evaluate_many(ens).shape == (count, 4)
         assert len(started) == threads
 
     @pytest.mark.parametrize("cpus", (2, 3))
@@ -950,14 +968,15 @@ class TestThreads:
                                    np.ones(600, dtype=int), Spy(), ("sequence", 3))
         flats = rng.standard_normal((200, 3))
         got = net.evaluate_many(list(flats))
-        assert shapes == [(54, 600)] * 3 + [(38, 600)]
+        assert sorted(shapes) == [(38, 600)] + [(54, 600)] * 3
         assert 8 * 54 * 600 <= targets.BLOCK_BYTES
         want = dense_formula(net, flats)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_wide_inputs_bound_the_row_blocks(self):
         # 8 neurons on 4096-entry inputs with no basis: the (rows, 4097)
-        # augmented inputs, not the 8 activations, set row blocks of 7 inputs
+        # augmented inputs, not the 8 activations, set row blocks of 7 inputs;
+        # shares on several CPUs call the activation in any order
         rng = np.random.default_rng(50)
         shapes = []
 
@@ -972,7 +991,7 @@ class TestThreads:
                     rng.standard_normal((8, 2)), Spy(), ("sequence", 4096))
         flats = rng.standard_normal((20, 4096))
         got = net.evaluate_many(flats)
-        assert shapes == [(7, 8)] * 2 + [(6, 8)]
+        assert sorted(shapes) == [(6, 8)] + [(7, 8)] * 2
         assert 8 * 7 * 4097 <= targets.BLOCK_BYTES
         want = dense_formula(net, flats)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

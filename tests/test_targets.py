@@ -106,6 +106,36 @@ class TestLqNorm:
         assert LqNorm(2.0).label() == "lq(q=2)"
         assert LqNorm(2.0, GRID).label() == "lq(q=2)"
 
+    @pytest.mark.parametrize("q, entry", [(200.0, 1e-3), (2.0, 1e200)],
+                             ids=["underflow", "overflow"])
+    @pytest.mark.parametrize("grid", [None, GridMeta(0.0, 1.0, 50)], ids=["plain", "grid"])
+    def test_sums_beyond_float_range_scale_by_the_largest_entry(self, q, entry, grid):
+        # fifty 1e-3 entries to the 200th power underflow to a zero sum, and
+        # 1e200 squared overflows; each row is m rho(v / m), m = max |v|,
+        # with no warning (the suite turns warnings into errors)
+        row = np.full(50, entry)
+        weights = np.ones(50) if grid is None else grid.trapezoid_weights()
+        want = entry * np.sum(weights * (row / entry) ** q) ** (1.0 / q)
+        got = seminorm_of(LqNorm(q, grid), row)
+        assert 0.0 < got < np.inf
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_rows_in_float_range_keep_their_bits(self):
+        # beside rescaled rows, the others are the plain formula bitwise; a
+        # zero row stays 0, and rows with an infinite or NaN entry are not
+        # rescaled
+        rng = np.random.default_rng(51)
+        values = rng.standard_normal((6, 40))
+        values[1], values[3] = 1e-3, 1e200
+        values[4], values[5, 7], values[5, 8] = 0.0, np.inf, np.nan
+        values[2, 0] = np.inf
+        rho = LqNorm(200.0)
+        got = rho(values)
+        plain = np.sum(np.abs(values[[0]]) ** 200.0, axis=1) ** (1.0 / 200.0)
+        assert got[0].tobytes() == plain[0].tobytes()
+        assert 0.0 < got[1] < np.inf and 0.0 < got[3] < np.inf
+        assert got[2] == np.inf and got[4] == 0.0 and np.isnan(got[5])
+
 
 class TestSupDerivative:
     def test_order_zero_is_sup(self):
