@@ -65,16 +65,17 @@ def _seminorm_rows(rho: Seminorm, values: np.ndarray, center=None) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class EpsilonNet:
-    """Greedy net: centers, the read-only (m, d) matrix of the source values
-    at center_indices, cover those values strictly within epsilon.
+    """Greedy net: centers, a read-only (m, d) matrix of source value rows,
+    cover those values strictly within epsilon.
 
     distances[i, j] is the seminorm distance from source value i to center
-    j, the read-only (n, m) matrix the scan computed.
+    j, the read-only (n, m) matrix the scan computed.  Center j is source
+    value np.argmax(distances[:, j] == 0): no earlier value is at distance
+    0 from it, else that value would have covered it.
     """
 
     centers: np.ndarray
     epsilon: float
-    center_indices: tuple[int, ...]
     distances: np.ndarray
 
     def __len__(self):
@@ -92,7 +93,7 @@ def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
     value whose nearest center so far is at distance >= epsilon.  Earlier
     values are covered or centers, so that is the first such later value.
     values is the (n, d) matrix of source values, read by the array rule
-    (arg values), and the centers are its rows for the center indices.
+    (arg values), and the centers are the rows the scan keeps.
     epsilon must be a finite number > 0, else a ConfigError names it.
     """
     epsilon = _as_float(epsilon, "epsilon", above=0)
@@ -119,7 +120,7 @@ def build_epsilon_net(values, rho: Seminorm, epsilon: float) -> EpsilonNet:
     distances.setflags(write=False)
     centers = F[indices]
     centers.setflags(write=False)
-    return EpsilonNet(centers, epsilon, tuple(indices), distances)
+    return EpsilonNet(centers, epsilon, distances)
 
 
 def build_partition(net: EpsilonNet, rho: Seminorm) -> np.ndarray:
@@ -270,6 +271,9 @@ class FitConfig:
             raise ConfigError(f"must be a (low, high) pair, got {theta!r}", "theta_range")
         lo = _as_float(theta[0], "theta_range", subject="threshold range low")
         hi = _as_float(theta[1], "theta_range", subject="threshold range high", above=lo)
+        if not np.isfinite(hi - lo):
+            raise ConfigError(f"must have a finite width high - low, got {theta!r}",
+                              "theta_range")
         object.__setattr__(self, "theta_range", (lo, hi))
         object.__setattr__(self, "activation", make_activation(self.activation))
 
@@ -396,33 +400,27 @@ class AssemblyReport:
     The budget splits epsilon into epsilon/2 for the net and delta =
     epsilon/(2 m C) per fit; a degenerate run (C = 0) carries no delta.
     train_errors holds the training uniform error under every member of the
-    family, and train_sup_error is that of the targeted member.
+    family, the targeted member's at its rho_index.
     """
 
     epsilon: float
     m: int
     C: float
     delta: float | None
-    degenerate: bool
     stage1_sup: float
     coefficient_errors: np.ndarray
     coefficient_widths: np.ndarray
     converged: bool
-    train_sup_error: float
     train_errors: np.ndarray
 
-    @property
-    def stage1(self) -> float:
-        return self.epsilon / 2.0
-
     def __post_init__(self):
-        if self.degenerate:
+        if self.C == 0.0:
             if self.delta is not None:
                 raise ValueError("degenerate budget carries no per-coefficient tolerance")
         else:
             if self.delta is None or not self.delta > 0:
                 raise ValueError("per-coefficient tolerance must be positive")
-            if self.delta * self.m * self.C > self.stage1 * (1.0 + 1e-12):
+            if self.delta * self.m * self.C > self.epsilon / 2.0 * (1.0 + 1e-12):
                 raise ValueError("per-coefficient tolerance overruns the stage budget")
 
 
@@ -492,8 +490,8 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble,
     if converged and not train_sup < bound * (1.0 + 1e-9):
         raise BudgetError(f"budget violated: uniform error {train_sup} is not below {bound} "
                           f"with epsilon {epsilon}")
-    report = AssemblyReport(float(epsilon), m, c_max, delta, c_max == 0.0, stage1_sup, errors,
-                            widths, converged, train_sup, train_errors)
+    report = AssemblyReport(float(epsilon), m, c_max, delta, stage1_sup, errors, widths,
+                            converged, train_errors)
     return network, report
 
 

@@ -455,7 +455,7 @@ def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
         m_centers=report.m,
         C=report.C,
         delta=report.delta,
-        degenerate=report.degenerate,
+        degenerate=report.C == 0.0,
         stage1_sup=report.stage1_sup,
         converged=report.converged,
         network_width=net.width,
@@ -467,8 +467,7 @@ def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
         heldout_errors=heldout_errs,
         dual_train_errors=dual_train,
         dual_heldout_errors=dual_heldout,
-        activation_flagged=fit_cfg.activation.negative_control
-        or fit_cfg.activation.name == "relu",
+        activation_flagged=fit_cfg.activation.flagged,
         wall_ms=wall_ms,
         network_doc=serialize_network(net) if config.save_networks else None,
     )

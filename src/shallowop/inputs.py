@@ -185,11 +185,17 @@ class EnsembleSpec:
         if self.family == "matrix_ball":
             object.__setattr__(self, "shape", _checked_shape(self.shape, "shape"))
             object.__setattr__(self, "radius", _as_float(self.radius, "radius", 0))
-            return
-        object.__setattr__(self, "radii", _as_floats(self.radii, "radii", 0,
-                                                     subject="ensemble radii"))
-        if self.family == "band_limited" and not isinstance(self.grid, GridMeta):
-            raise ConfigError(f"must be a GridMeta, got {self.grid!r}", "grid")
+        else:
+            object.__setattr__(self, "radii", _as_floats(self.radii, "radii", 0,
+                                                         subject="ensemble radii"))
+            if self.family == "band_limited" and not isinstance(self.grid, GridMeta):
+                raise ConfigError(f"must be a GridMeta, got {self.grid!r}", "grid")
+        # a draw's widest array is (count, row): its inputs or band-limited coefficients
+        row = max(signature_dim(self.input_signature), len(self.radii or ()))
+        most = np.iinfo(np.intp).max // 8 // row
+        if self.count > most:
+            raise ConfigError(f"must be at most {most}, the most draws of {row} entries one "
+                              f"float64 array holds, got {self.count}", "count", "sample count")
 
     @property
     def input_signature(self) -> tuple:
@@ -202,39 +208,37 @@ class EnsembleSpec:
 
 @dataclass(frozen=True, eq=False)
 class CompactEnsemble:
-    """Finite sample of a parametric compact set, with its generator.
+    """Finite sample of a parametric compact set.
 
     Held as one validated, read-only (n_samples, dim) matrix `flats`: row i
-    is sample i flattened for spec.input_signature.  Indexing and iteration
-    give the rows, read-only views of flats, and a slice is an ensemble over
-    a view of the same matrix, not a copy.
+    is sample i flattened for the input signature, checked by the rule
+    _checked_signature applies (arg signature).  Indexing and iteration give
+    the rows, read-only views of flats, and a slice is an ensemble of the
+    same signature over a view of the same matrix, not a copy.
     """
 
     flats: np.ndarray
-    spec: EnsembleSpec
+    signature: tuple
 
     def __post_init__(self):
-        sig = self.spec.input_signature
+        sig = _checked_signature(self.signature, "signature")
         flats = _as_array(self.flats, "flats", 2, subject="ensemble inputs")
         if flats.shape[1] != signature_dim(sig):
             raise ShapeError(f"ensemble rows have {flats.shape[1]} entries, {sig} needs "
                              f"{signature_dim(sig)}")
         object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "signature", sig)
 
     def __len__(self):
         return self.flats.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return CompactEnsemble(self.flats[i], self.spec)
+            return CompactEnsemble(self.flats[i], self.signature)
         return self.flats[i]
 
     def __iter__(self):
         return iter(self.flats)
-
-    @property
-    def signature(self):
-        return self.spec.input_signature
 
 
 def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
@@ -271,4 +275,4 @@ def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
         radial = spec.radius * rng.uniform(0.0, 1.0, spec.count) ** (1.0 / d)
         flats = dirs / norms[:, None] * radial[:, None]
     flats.setflags(write=False)
-    return CompactEnsemble(flats, spec)
+    return CompactEnsemble(flats, spec.input_signature)

@@ -33,9 +33,9 @@ class Activation:
     Batch evaluation calls it from several threads at once, one block of
     pre-activations per call, so it must not keep state between calls."""
 
-    #: set on variants that are polynomial on intervals and therefore cannot
-    #: yield a dense class; kept for stall experiments
-    negative_control = False
+    #: marks an activation that is polynomial on some interval, which results
+    #: stated for nowhere-polynomial activations do not cover (activation_flagged)
+    flagged = False
 
     name = ""
 
@@ -72,10 +72,10 @@ class Sigmoid(Activation):
 @dataclass(frozen=True)
 class Relu(Activation):
     """Rectifier; affine on each half-line, so approximation claims relying on
-    nowhere-polynomial activations do not literally cover it.  Runs that use
-    it are flagged in experiment reports."""
+    nowhere-polynomial activations do not literally cover it."""
 
     name = "relu"
+    flagged = True
 
     def __call__(self, x):
         return np.maximum(x, 0.0)
@@ -100,7 +100,7 @@ class Polynomial(Activation):
     coefficients: tuple[float, ...] = (0.0, 0.0, 1.0)
 
     name = "polynomial"
-    negative_control = True
+    flagged = True
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _as_floats(
@@ -123,7 +123,8 @@ _ACTIVATIONS = {
 
 
 def make_activation(spec) -> Activation:
-    """Build an activation from its name, an (name, options) dict, or itself."""
+    """Build an activation from its name, an (name, options) dict, or itself;
+    a ConfigError otherwise, or the activation's own naming a bad option."""
     if isinstance(spec, Activation):
         return spec
     if isinstance(spec, str):
@@ -132,14 +133,10 @@ def make_activation(spec) -> Activation:
         options = dict(spec)
         name = options.pop("name", None)
     else:
-        raise DocumentError(f"activation spec must be a name or mapping, got {type(spec).__name__}")
+        raise ConfigError(f"activation spec must be a name or mapping, got {type(spec).__name__}")
     if not isinstance(name, str) or name not in _ACTIVATIONS:
-        raise DocumentError(f"unknown activation {name!r} in field 'activation'")
-    try:
-        return _ACTIVATIONS[name](**options)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad options for activation {name!r} in field 'activation': "
-                            f"{exc}") from exc
+        raise ConfigError(f"unknown activation {name!r}")
+    return _ACTIVATIONS[name](**options)
 
 
 class ShallowVectorNetwork:
@@ -520,7 +517,7 @@ def deserialize_network(doc: dict) -> ShallowVectorNetwork:
     for field in _NETWORK_FIELDS:
         if field not in doc:
             raise DocumentError(f"network document is missing field {field!r}")
-    activation = make_activation(doc["activation"])
+    activation = _named(DocumentError, {}, "activation", make_activation, doc["activation"])
     signature = _signature_from_doc(doc["input_shape"])
     output_grid = _grid_from_doc(doc.get("output_grid"), "output_grid")
     output_dim = _size_from_doc(doc, "output_dim")

@@ -302,7 +302,8 @@ class SchwartzWeighted(Seminorm):
 
     The sup over an unbounded domain is not computable from samples; the
     truncation radius is an explicit approximation parameter.  The seminorm
-    needs a grid, of more than beta nodes.
+    needs a grid, of more than beta nodes, and a weight |x|**alpha finite on
+    every node it keeps, else an infinite weight would read NaN on zeros.
     """
 
     alpha: int = 0
@@ -321,6 +322,12 @@ class SchwartzWeighted(Seminorm):
         if self.grid is None:
             raise ShapeError("Schwartz seminorm needs values on a grid")
         _check_order(self.beta, self.grid, "beta")
+        x = self.grid.nodes()
+        with np.errstate(over="ignore"):
+            weights = np.abs(x[np.abs(x) <= self.radius]) ** self.alpha
+        if weights.size and not np.isfinite(weights.max()):
+            raise ConfigError(f"makes the weight |x|**alpha overflow within radius "
+                              f"{self.radius}, got {self.alpha}", "alpha")
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         _require_rows(values, self.grid)

@@ -262,7 +262,7 @@ def test_criterion_08_dual_errors_along_width_sweep():
     zero_vals = zero_operator(ens.signature, GRID.n, GRID).apply_many(ens)
     zcfg = FitConfig(functional_spec=FSPEC, width=8, max_width=8, lam=0.0, seed=0)
     znet, zreport = assemble_vector_network(zero_vals, ens, family, 0, 0.1, zcfg)
-    assert zreport.train_sup_error == 0.0
+    assert zreport.train_errors[0] == 0.0
     assert np.all(uniform_error(zero_vals, znet, ens, duals) == 0.0)
     report_line(8, "dual errs " + " ".join(f"{e:.2e}" for e in sweeps[:, 0])
                    + "; zero case exact 0")

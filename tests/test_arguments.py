@@ -113,6 +113,7 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
     (FitConfig, {"functional_spec": SPEC, "theta_range": (0.0, 1.0, 2.0)}, "theta_range"),
     (FitConfig, {"functional_spec": SPEC, "theta_range": "ab"}, "theta_range"),
     (FitConfig, {"functional_spec": SPEC, "theta_range": (1.0, 1.0)}, "theta_range"),
+    (FitConfig, {"functional_spec": SPEC, "theta_range": (-1.7e308, 1.7e308)}, "theta_range"),
     (FitConfig, {"functional_spec": SPEC, "width": 8, "max_width": 4}, "max_width"),
     (FitConfig, {"functional_spec": SPEC, "lam": -1.0}, "lam"),
     (EnsembleSpec, {"family": "sequence_box", "count": 3, "radii": "abc"}, "radii"),
@@ -120,6 +121,7 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
     (EnsembleSpec, {"family": "matrix_ball", "count": 3, "shape": (2, 2, 2), "radius": 1.0},
      "shape"),
     (EnsembleSpec, {"family": "cube", "count": 3}, "family"),
+    (EnsembleSpec, {"family": "sequence_box", "count": 2**59, "radii": (1.0,) * 4}, "count"),
     (Polynomial, {"coefficients": ()}, "coefficients"),
     (Polynomial, {"coefficients": 5}, "coefficients"),
     (GridMeta, {"a": 1.0, "b": 1.0, "n": 5}, "b"),
@@ -127,6 +129,7 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
     (GridMeta, {"a": -1.7e308, "b": 1.7e308, "n": 5}, "b"),
     (GridMeta, {"a": 0.0, "b": 1.0, "n": np.iinfo(np.intp).max // 8 + 1}, "n"),
     (SchwartzWeighted, {"radius": 0.0}, "radius"),
+    (SchwartzWeighted, {"alpha": 400, "grid": GridMeta(-10.0, 10.0, 101)}, "alpha"),
     (make_kernel, {"name": "gaussian", "width": 0.0}, "width"),
     (make_kernel, {"name": "gaussian", "value": 1.0}, "value"),
     (make_kernel, {"name": "cauchy"}, "name"),
@@ -140,18 +143,28 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
     (EnsembleSpec, {"family": "band_limited", "count": 3, "radii": (1.0,)}, "grid"),
     (FitConfig, {"functional_spec": None}, "functional_spec"),
     (ShallowVectorNetwork, {**NETWORK, "activation": "tanh"}, "activation"),
-], ids=["theta_triple", "theta_string", "theta_not_increasing", "max_width_below_width",
-        "negative_lam", "string_radii", "scalar_radii", "shape_triple", "unknown_family",
-        "no_coefficients", "scalar_coefficients", "empty_grid", "one_node", "infinite_spacing",
-        "more_nodes_than_numpy_sizes",
-        "zero_truncation_radius", "zero_kernel_width", "parameter_of_another_kernel",
-        "unknown_kernel", "empty_dual_name", "row_sums_out_dim", "unknown_matrix_map",
+], ids=["theta_triple", "theta_string", "theta_not_increasing", "theta_infinite_width",
+        "max_width_below_width", "negative_lam", "string_radii", "scalar_radii", "shape_triple",
+        "unknown_family", "draw_no_array_holds", "no_coefficients", "scalar_coefficients",
+        "empty_grid", "one_node", "infinite_spacing", "more_nodes_than_numpy_sizes",
+        "zero_truncation_radius", "overflowing_schwartz_weight", "zero_kernel_width",
+        "parameter_of_another_kernel", "unknown_kernel", "empty_dual_name", "row_sums_out_dim", "unknown_matrix_map",
         "grid_on_sequence_box", "grid_on_matrix_ball", "band_limited_without_grid",
         "no_functional_spec", "activation_name"])
 def test_shape_and_range_refused_by_name(make, kwargs, arg):
     with pytest.raises(ConfigError) as info:
         make(**kwargs)
     assert info.value.arg == arg
+
+
+def test_fit_config_refuses_an_activation_as_a_config_error():
+    # as every other bad FitConfig argument; a bad option keeps its argument
+    with pytest.raises(ConfigError, match="^unknown activation 'nope'$") as info:
+        FitConfig(SPEC, activation="nope")
+    assert info.value.arg is None
+    with pytest.raises(ConfigError) as info:
+        FitConfig(SPEC, activation={"name": "polynomial", "coefficients": []})
+    assert info.value.arg == "coefficients"
 
 
 def test_accepted_numbers_are_normalized():
@@ -194,7 +207,8 @@ ARRAY_CONSTRUCTORS = {
                                        "signature": ("matrix", (2, 2))}, ["samples"]),
     "CompactEnsemble": (
         CompactEnsemble, {"flats": [[1.0, 2.0], [0.5, 0.0]],
-                          "spec": EnsembleSpec("sequence_box", 2, radii=(1.0, 1.0))},
+                          "signature": EnsembleSpec("sequence_box", 2,
+                                                    radii=(1.0, 1.0)).input_signature},
         ["flats"]),
     "DualPairing": (DualPairing, {"test": [1.0, 2.0]}, ["test"]),
     "ShallowVectorNetwork": (ShallowVectorNetwork, NETWORK,

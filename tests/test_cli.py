@@ -269,6 +269,13 @@ class TestCliRun:
         ({"ensemble": MATRIX_ENSEMBLE, "operator": sin_trace(3)}, "'grid'"),
         ({"ensemble": {"family": "sequence_box", "count": 30, "radii": [1.0, 0.5]},
           "operator": {"kind": "superposition", "map": "sin"}}, "'grid'"),
+        ({"fit": {"theta_range": [-1e308, 1e308]}}, "'fit.theta_range'"),
+        ({"ensemble": {**BAND_ENSEMBLE, "count": 2 * 10**17}}, "'ensemble.count'"),
+        ({"grid": {"a": -10.0, "b": 10.0, "n": 101},
+          "seminorms": [{"kind": "schwartz", "alpha": 400, "radius": 8.0}]},
+         "'seminorms[0].alpha'"),
+        ({"fit": {"activation": {"name": "polynomial", "coefficients": []}}},
+         "'fit.activation.coefficients'"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
             "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha", "huge_alpha",
@@ -284,7 +291,9 @@ class TestCliRun:
             "string_kernel_width", "bool_kernel_width", "nan_kernel_width",
             "string_kernel_value", "bool_kernel_value", "unnamed_kernel",
             "kernel_param_of_another_kernel", "poisson_grid_without_interior",
-            "grid_on_matrix_ball", "grid_on_sequence_box"])
+            "grid_on_matrix_ball", "grid_on_sequence_box", "infinite_theta_width",
+            "unallocatable_count", "overflowing_schwartz_weight",
+            "empty_polynomial_coefficients"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):

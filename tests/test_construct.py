@@ -86,6 +86,11 @@ def reference_net_indices(values, rho, epsilon):
     return tuple(indices)
 
 
+def center_indices(net):
+    """The source row of each center: the first at distance 0 from it."""
+    return tuple(np.argmax(net.distances == 0, axis=0).tolist())
+
+
 class TestEpsilonNet:
     def test_single_value(self):
         net = build_epsilon_net(scalar_values(7.0), ABS, 0.5)
@@ -143,8 +148,8 @@ class TestEpsilonNet:
         # |1.0 - 0.0| is exactly epsilon: not strictly covered
         values = scalar_values(0.0, 0.5, 1.0, 1.25, 2.0)
         net = build_epsilon_net(values, ABS, 1.0)
-        assert net.center_indices == (0, 2, 4)
-        assert net.center_indices == reference_net_indices(values, ABS, 1.0)
+        assert center_indices(net) == (0, 2, 4)
+        assert center_indices(net) == reference_net_indices(values, ABS, 1.0)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_matches_scalar_greedy_loop(self, trial):
@@ -154,19 +159,32 @@ class TestEpsilonNet:
         for rho, eps in ((LqNorm(2.0, grid), 1.0), (SupDerivative(1, grid), 12.0),
                          (LqNorm(1.0, grid), 0.6)):
             net = build_epsilon_net(values, rho, eps)
-            assert net.center_indices == reference_net_indices(values, rho, eps)
-            want = np.array([values[i] for i in net.center_indices])
+            assert center_indices(net) == reference_net_indices(values, rho, eps)
+            want = np.array([values[i] for i in center_indices(net)])
             assert net.centers.shape == want.shape
             assert net.centers.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_first_zero_distance_is_the_center_row_with_duplicate_rows(self, trial):
+        # a later copy of a center is at distance 0 from it, and an earlier
+        # one would have covered it, so each column's first zero is its center
+        rng = np.random.default_rng(390 + trial)
+        grid = GridMeta(0.0, 1.0, 9)
+        values = rng.standard_normal((300, 9))
+        values[200:210] = values[:10]
+        for rho, eps in ((LqNorm(2.0, grid), 1.0), (LqNorm(1.0, grid), 0.6)):
+            net = build_epsilon_net(values, rho, eps)
+            assert center_indices(net) == reference_net_indices(values, rho, eps)
+            assert net.centers.tobytes() == values[list(center_indices(net))].tobytes()
 
     def test_centers_are_a_read_only_matrix_of_value_rows(self):
         rng = np.random.default_rng(380)
         grid = GridMeta(0.0, 1.0, 9)
         values = rng.standard_normal((50, 9))
         net = build_epsilon_net(values, LqNorm(2.0, grid), 1.0)
-        assert len(net) > 1 and len(net) == len(net.center_indices)
+        assert len(net) > 1 and len(net) == len(center_indices(net))
         assert isinstance(net.centers, np.ndarray)
-        want = values[list(net.center_indices)]
+        want = values[list(center_indices(net))]
         assert net.centers.shape == want.shape
         assert net.centers.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
@@ -179,7 +197,7 @@ class TestEpsilonNet:
         rng = np.random.default_rng(370)
         values = scalar_values(*rng.uniform(0.0, 10.0, CROSSING_ROWS))
         net = build_epsilon_net(values, ABS, 1.0)
-        assert net.center_indices == reference_net_indices(values, ABS, 1.0)
+        assert center_indices(net) == reference_net_indices(values, ABS, 1.0)
 
     @pytest.mark.parametrize("rho, eps", [(LqNorm(2.0, GridMeta(0.0, 1.0, 9)), 1.0),
                                           (SupDerivative(1, GridMeta(0.0, 1.0, 9)), 20.0)],
@@ -233,15 +251,15 @@ class TestPartition:
     # hand-built nets carry the distance rows of their samples: here sample
     # 0.0, 1.0 or (0.5, 9.0) against centers 0.0 and 2.0, or 0.0 alone
     def test_support_condition_gives_unit_weight(self):
-        net = EpsilonNet(scalar_values(0.0, 2.0), 1.5, (0, 1), np.array([[0.0, 2.0]]))
+        net = EpsilonNet(scalar_values(0.0, 2.0), 1.5, np.array([[0.0, 2.0]]))
         np.testing.assert_array_equal(build_partition(net, ABS), [[1.0, 0.0]])
 
     def test_equidistant_sample_splits_evenly(self):
-        net = EpsilonNet(scalar_values(0.0, 2.0), 2.0, (0, 1), np.array([[1.0, 1.0]]))
+        net = EpsilonNet(scalar_values(0.0, 2.0), 2.0, np.array([[1.0, 1.0]]))
         np.testing.assert_array_equal(build_partition(net, ABS), [[0.5, 0.5]])
 
     def test_uncovered_sample_diagnosed_by_index(self):
-        net = EpsilonNet(scalar_values(0.0), 1.0, (0,), np.array([[0.5], [9.0]]))
+        net = EpsilonNet(scalar_values(0.0), 1.0, np.array([[0.5], [9.0]]))
         with pytest.raises(CoverageError, match="sample 1"):
             build_partition(net, ABS)
 
@@ -709,7 +727,7 @@ class TestDgels:
         cfg = FitConfig(functional_spec=fn_spec(grid), width=16, seed=8)
         net, report = assemble_vector_network(values, ens, SeminormFamily((LqNorm(2.0, grid),)),
                                               0, 0.05, cfg)
-        assert report.converged and report.train_sup_error < 0.05
+        assert report.converged and report.train_errors[0] < 0.05
         # every member of every width tried, each solved alone
         tried = sum(int(np.sum(report.coefficient_widths >= k)) for k in (16, 32, 64, 128, 256,
                                                                           512))
@@ -1093,11 +1111,10 @@ class TestAssemble:
         net, report = assemble_vector_network(
             values, ens, self.family(), 0, 0.1, cfg
         )
-        assert report.degenerate
-        assert report.C == 0.0
+        assert report.C == 0.0 and report.delta is None
         assert net.width == 0
         assert report.converged
-        assert report.train_sup_error == 0.0
+        assert report.train_errors[0] == 0.0
         assert net.output_grid == self.GRID and net.output_dim == 101
 
     def test_constant_operator_fits_through_bias(self):
@@ -1112,7 +1129,7 @@ class TestAssemble:
         assert report.m == 1
         assert report.C == pytest.approx(2.0, rel=1e-12)
         assert report.converged
-        assert report.train_sup_error < eps
+        assert report.train_errors[0] < eps
 
     def test_integral_operator_pipeline_converges(self):
         ens = band_ensemble(100, self.GRID, seed=3)
@@ -1129,8 +1146,7 @@ class TestAssemble:
         assert report.converged
         measured = uniform_error(values, net, ens, self.family())[0]
         assert measured < eps
-        np.testing.assert_allclose(measured, report.train_sup_error, rtol=1e-12)
-        assert report.train_errors[0] == report.train_sup_error
+        np.testing.assert_allclose(measured, report.train_errors[0], rtol=1e-12)
         assert np.all(report.coefficient_errors < report.delta)
 
     @pytest.mark.parametrize("zero", [False, True], ids=["fitted", "degenerate"])
@@ -1144,7 +1160,6 @@ class TestAssemble:
         net, report = assemble_vector_network(values, ens, family, 1, 0.2, cfg)
         np.testing.assert_array_equal(report.train_errors,
                                       uniform_error(values, net, ens, family))
-        assert report.train_errors[1] == report.train_sup_error
 
     def test_network_neurons_are_the_public_banks(self):
         ens = band_ensemble(40, self.GRID, seed=5)
@@ -1352,22 +1367,23 @@ class TestAssemble:
             assemble_vector_network(values, ens, self.family(), 0, eps, cfg)
 
     @staticmethod
-    def budget(epsilon, m, C, delta, degenerate):
+    def budget(epsilon, m, C, delta):
         """An AssemblyReport with the given budget and placeholder stage figures."""
-        return AssemblyReport(epsilon, m, C, delta, degenerate, 0.0, np.zeros(m),
-                              np.zeros(m, dtype=int), True, 0.0, np.zeros(1))
+        return AssemblyReport(epsilon, m, C, delta, 0.0, np.zeros(m),
+                              np.zeros(m, dtype=int), True, np.zeros(1))
 
     def test_budget_arithmetic(self):
-        b = self.budget(0.1, 4, 0.5, 0.1 / (2 * 4 * 0.5), False)
-        assert b.stage1 == 0.05
+        # delta m C exactly epsilon/2 fills the stage budget; C = 0 is degenerate
+        self.budget(0.1, 4, 0.5, 0.1 / (2 * 4 * 0.5))
+        self.budget(0.1, 1, 0.0, None)
         with pytest.raises(ValueError):
-            self.budget(0.1, 4, 0.5, 0.5, False)  # delta overruns the stage budget
+            self.budget(0.1, 4, 0.5, 0.5)  # delta overruns the stage budget
         with pytest.raises(ValueError):
-            self.budget(0.1, 1, 0.0, 0.1, True)  # degenerate carries no delta
+            self.budget(0.1, 1, 0.0, 0.1)  # degenerate (C = 0) carries no delta
         with pytest.raises(ValueError):
-            self.budget(0.1, 4, 0.5, 0.0, False)  # delta must be positive
+            self.budget(0.1, 4, 0.5, 0.0)  # delta must be positive
         with pytest.raises(ValueError):
-            self.budget(0.1, 4, 0.5, None, False)  # a fitted run carries a delta
+            self.budget(0.1, 4, 0.5, None)  # a fitted run carries a delta
 
     def test_non_convergence_is_reported_not_raised(self):
         ens = band_ensemble(60, self.GRID, seed=4)
@@ -1389,7 +1405,7 @@ class TestAssemble:
         cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
         a_net, a_rep = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
         b_net, b_rep = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
-        assert a_rep.train_sup_error == b_rep.train_sup_error
+        np.testing.assert_array_equal(a_rep.train_errors, b_rep.train_errors)
         probe = list(ens)[:5]
         np.testing.assert_array_equal(a_net.evaluate_many(probe), b_net.evaluate_many(probe))
 

@@ -31,6 +31,10 @@ from shallowop.targets import (
 )
 
 
+#: the most float64 entries numpy can size one array by
+LIMIT = np.iinfo(np.intp).max // 8
+
+
 def small_dict(**overrides):
     base = {
         "name": "small",
@@ -57,8 +61,8 @@ BEYOND_FLOAT_RANGE = {
     "fit.theta_range": {"fit": {"theta_range": [-3.0, 10**400]}},
     "operator.kernel.width": {"operator": {"kind": "integral",
                                            "kernel": {"name": "gaussian", "width": 10**400}}},
-    "fit.activation": {"fit": {"activation": {"name": "polynomial",
-                                              "coefficients": [0.0, 10**400]}}},
+    "fit.activation.coefficients": {"fit": {"activation": {"name": "polynomial",
+                                                           "coefficients": [0.0, 10**400]}}},
     # an integer node count that numpy cannot size the grid's nodes by
     "grid.n": {"grid": {"a": 0.0, "b": 1.0, "n": 10**400}, "operator": {"kind": "integral"}},
 }
@@ -126,6 +130,10 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(small_dict(fit={"lam": -1.0}))
         with pytest.raises(ConfigError, match="fit.theta_range"):
             ExperimentConfig.from_dict(small_dict(fit={"theta_range": [3, -3]}))
+        # its width overflowed, and the run ended in numpy's OverflowError
+        with pytest.raises(ConfigError, match=re.escape(
+                "field 'fit.theta_range' must have a finite width")):
+            ExperimentConfig.from_dict(small_dict(fit={"theta_range": [-1e308, 1e308]}))
         with pytest.raises(ConfigError, match="fit.nonsense"):
             ExperimentConfig.from_dict(small_dict(fit={"nonsense": 1}))
 
@@ -248,12 +256,17 @@ class TestConfigParsing:
          "fit.functional_order"),
         ({"fit": {"lam": 0.0, "width": 32, "functional_order": 2**59}},
          "fit.functional_order"),
+        ({"ensemble": {"family": "band_limited", "count": 2 * 10**17, "radii": [1.0, 0.5]}},
+         "ensemble.count"),
+        ({"ensemble": {"family": "band_limited", "count": LIMIT // 50, "radii": [1.0] * 64}},
+         "ensemble.count"),
     ], ids=["count", "shape_entry", "shape_entries", "width", "max_width", "order",
-            "order_basis_rows"])
+            "order_basis_rows", "draw_rows", "draw_coefficients"])
     def test_sizes_no_array_can_hold_are_refused(self, overrides, field):
         # each loaded and ended its run in numpy's bare "Maximum allowed
-        # dimension exceeded"; the bound covers a shape's rows x cols and
-        # the 1 + 2 order rows of the functional basis
+        # dimension exceeded", or, for a draw, in its _ArrayMemoryError; the
+        # bound covers a shape's rows x cols, the 1 + 2 order rows of the
+        # functional basis, and a draw's count x 41 grid nodes or x 64 radii
         refusal = re.escape(f"field '{field}' must be at most")
         with pytest.raises(ConfigError, match=refusal):
             ExperimentConfig.from_dict(small_dict(**overrides))
@@ -283,6 +296,38 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=refusal):
                 ExperimentConfig.from_dict(small_dict(
                     seminorms=[{"kind": "schwartz", "alpha": alpha, "radius": 0.5}]))
+
+    def test_draw_count_at_the_bound_loads(self):
+        # 41 grid nodes per row: the bound is on count x 41, and nothing is drawn
+        cfg = ExperimentConfig.from_dict(small_dict(
+            ensemble={"family": "band_limited", "count": LIMIT // 41, "radii": [1.0, 0.5]}))
+        assert cfg.ensemble.count == LIMIT // 41
+
+    def test_schwartz_weight_that_overflows_is_refused(self):
+        # 8.0**400 is inf: a zero row read NaN, and the run ended in a
+        # BudgetError on a NaN stage-1 error
+        refusal = re.escape("field 'seminorms[0].alpha' makes the weight")
+        with pytest.raises(ConfigError, match=refusal):
+            ExperimentConfig.from_dict(small_dict(
+                grid={"a": -10.0, "b": 10.0, "n": 101},
+                seminorms=[{"kind": "schwartz", "alpha": 400, "radius": 8.0}]))
+
+    def test_activation_errors_name_their_field_once(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(small_dict(fit={"activation": "nope"}))
+        assert str(info.value) == "field 'fit.activation': unknown activation 'nope'"
+        with pytest.raises(ConfigError, match=re.escape(
+                "field 'fit.activation.coefficients' must be a nonempty sequence")):
+            ExperimentConfig.from_dict(small_dict(
+                fit={"activation": {"name": "polynomial", "coefficients": []}}))
+
+    @pytest.mark.parametrize("activation, flagged", [
+        ("relu", True), ({"name": "polynomial", "coefficients": [0.0, 1.0, 1.0]}, True),
+        ("tanh", False)], ids=["relu", "polynomial", "tanh"])
+    def test_runs_flag_activations_polynomial_on_an_interval(self, activation, flagged):
+        cfg = ExperimentConfig.from_dict(small_dict(
+            fit={"lam": 1e-6, "width": 8, "max_width": 8, "activation": activation}))
+        assert run_experiment(cfg).runs[0].activation_flagged is flagged
 
     def test_schwartz_alpha_at_int64_max_runs(self):
         cfg = ExperimentConfig.from_dict(small_dict(

@@ -380,9 +380,9 @@ class TestEnsembles:
     def test_ensemble_rejects_rows_of_different_lengths(self):
         spec = EnsembleSpec(family="sequence_box", count=2, radii=(1.0,))
         with pytest.raises(ShapeError):
-            CompactEnsemble([[1.0], [1.0, 2.0]], spec)
+            CompactEnsemble([[1.0], [1.0, 2.0]], spec.input_signature)
         with pytest.raises(ShapeError):
-            CompactEnsemble([np.ones(1), np.ones(2)], spec)
+            CompactEnsemble([np.ones(1), np.ones(2)], spec.input_signature)
 
 
 ENSEMBLE_SPECS = (
@@ -426,15 +426,15 @@ class TestEnsembleMatrix:
         for part in (head, tail):
             assert isinstance(part, CompactEnsemble)
             assert np.shares_memory(part.flats, ens.flats)
-            assert part.spec is ens.spec and part.signature == ens.signature
+            assert part.signature == ens.signature == spec.input_signature
         np.testing.assert_array_equal(tail.flats, ens.flats[240:])
 
     def test_built_from_rows_or_matrix(self):
         spec = ENSEMBLE_SPECS[1]
         rows = [[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 0.0, -1.0]]
-        from_rows = CompactEnsemble(rows, spec)
+        from_rows = CompactEnsemble(rows, spec.input_signature)
         mine = np.array(rows)
-        from_matrix = CompactEnsemble(mine, spec)
+        from_matrix = CompactEnsemble(mine, spec.input_signature)
         np.testing.assert_array_equal(from_rows.flats, from_matrix.flats)
         # a writable matrix is copied, so the caller's later writes do not leak in
         mine[0, 0] = 9.0
@@ -442,23 +442,32 @@ class TestEnsembleMatrix:
 
     def test_bad_inputs_raise(self):
         spec = ENSEMBLE_SPECS[1]
+        sig = spec.input_signature
         with pytest.raises(ValueError):
-            CompactEnsemble((), spec)
+            CompactEnsemble((), sig)
         with pytest.raises(ShapeError):
-            CompactEnsemble(np.zeros((0, 4)), spec)
+            CompactEnsemble(np.zeros((0, 4)), sig)
         with pytest.raises(ShapeError):
-            CompactEnsemble(np.zeros((3, 5)), spec)
+            CompactEnsemble(np.zeros((3, 5)), sig)
         with pytest.raises(ShapeError):
-            CompactEnsemble(stack_inputs([np.ones(4), np.ones(5)], spec.input_signature), spec)
+            CompactEnsemble(stack_inputs([np.ones(4), np.ones(5)], sig), sig)
         with pytest.raises(ShapeError):
-            CompactEnsemble(stack_inputs([np.ones(GRID.n)], ("function", GRID)), spec)
+            CompactEnsemble(stack_inputs([np.ones(GRID.n)], ("function", GRID)), sig)
         bad = np.ones((3, 4))
         bad[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            CompactEnsemble(bad, spec)
+            CompactEnsemble(bad, sig)
         bad[1, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            CompactEnsemble(bad, spec)
+            CompactEnsemble(bad, sig)
+
+    def test_signature_is_checked_by_name(self):
+        # the ensemble spec itself is no signature
+        spec = ENSEMBLE_SPECS[1]
+        for signature in (spec, ("sequence", 0), ("function", 4)):
+            with pytest.raises(ConfigError) as info:
+                CompactEnsemble(np.ones((3, 4)), signature)
+            assert info.value.arg == "signature"
 
     @pytest.mark.parametrize("spec", ENSEMBLE_SPECS[:2], ids=lambda s: s.family)
     def test_first_rows_do_not_depend_on_count(self, spec):

@@ -77,14 +77,24 @@ class TestActivations:
             (1.0, 2.0)
         )
         assert make_activation(Relu()) == Relu()
-        with pytest.raises(DocumentError):
+        with pytest.raises(ConfigError, match="unknown activation 'foo'") as info:
             make_activation("foo")
-        with pytest.raises(DocumentError):
+        assert info.value.arg is None
+        with pytest.raises(ConfigError, match="must be a name or mapping") as info:
+            make_activation(["tanh"])
+        assert info.value.arg is None
+        # an option the activation does not take, as for any call
+        with pytest.raises(TypeError, match="coefficients"):
             make_activation({"name": "tanh", "coefficients": [1.0]})
+        # a bad option value keeps the argument its activation names
+        with pytest.raises(ConfigError, match="must be a nonempty sequence") as info:
+            make_activation({"name": "polynomial", "coefficients": []})
+        assert info.value.arg == "coefficients"
 
-    def test_negative_control_flag(self):
-        assert Polynomial().negative_control
-        assert not Tanh().negative_control
+    def test_flagged_activations(self):
+        # polynomial on some interval: on all of it, or on each half-line
+        assert Polynomial().flagged and Relu().flagged
+        assert not any(eta.flagged for eta in (Tanh(), Sigmoid(), Gaussian()))
 
 
 class TestEvaluate:
@@ -715,7 +725,7 @@ class TestFactored:
         doc = serialize_network(random_network(np.random.default_rng(26),
                                                activation=Polynomial((0.0, 1.0))))
         doc["activation"]["coefficients"] = coefficients
-        with pytest.raises(DocumentError, match="'activation'"):
+        with pytest.raises(DocumentError, match="'activation.coefficients'"):
             deserialize_network(doc)
 
 

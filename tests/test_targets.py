@@ -206,6 +206,15 @@ class TestSchwartzWeighted:
             assert info.value.arg == "alpha"
         assert SchwartzWeighted(alpha=big, grid=GRID).alpha == big
 
+    def test_weight_that_overflows_is_refused_by_name(self):
+        # 8.0**400 is inf, and inf * 0 read NaN on a zero row; 8.0**300 is finite
+        grid = GridMeta(-10.0, 10.0, 101)
+        with pytest.raises(ConfigError, match="alpha makes the weight") as info:
+            SchwartzWeighted(alpha=400, radius=8.0, grid=grid)
+        assert info.value.arg == "alpha"
+        assert seminorm_of(SchwartzWeighted(alpha=300, radius=8.0, grid=grid),
+                           np.zeros(101)) == 0.0
+
     def test_bad_index_named_before_the_grid(self):
         # an argument's own refusal comes first, with or without a grid
         with pytest.raises(ValueError) as info:
