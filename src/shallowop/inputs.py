@@ -27,7 +27,10 @@ def _checked_shape(shape, arg: str) -> tuple[int, int]:
     if not isinstance(shape, (list, tuple)) or len(shape) != 2:
         raise ConfigError(f"must be a (rows, cols) pair, got {shape!r}", arg, "matrix shape")
     rows, cols = (_as_int(d, arg, 1, subject="matrix shape entry") for d in shape)
-    _as_int(rows * cols, arg, sized=True, subject="matrix entry count rows x cols")
+    most = np.iinfo(np.intp).max // 8
+    if rows * cols > most:
+        raise ConfigError(f"must be at most {most}, the most float64 entries of one array, "
+                          f"got {rows} x {cols}", arg, "matrix entry count rows x cols")
     return rows, cols
 
 
@@ -103,7 +106,10 @@ class FunctionalSpec:
         object.__setattr__(self, "signature", _checked_signature(self.signature, "signature"))
         object.__setattr__(self, "order", _as_int(self.order, "order", 0,
                                                   subject="trigonometric order"))
-        _as_int(1 + 2 * self.order, "order", sized=True, subject="basis row count 1 + 2 order")
+        most = (np.iinfo(np.intp).max // 8 - 1) // 2
+        if self.order > most:
+            raise ConfigError(f"must be at most {most}, whose 1 + 2 order basis rows fill one "
+                              f"float64 array, got {self.order}", "order", "trigonometric order")
         object.__setattr__(self, "scale", _as_float(self.scale, "scale", above=0,
                                                     subject="functional scale"))
 

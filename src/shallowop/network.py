@@ -17,7 +17,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +124,7 @@ _ACTIVATIONS = {
 
 def make_activation(spec) -> Activation:
     """Build an activation from its name, an (name, options) dict, or itself;
-    a ConfigError otherwise, or the activation's own naming a bad option."""
+    a ConfigError otherwise, naming any option its class has no field for."""
     if isinstance(spec, Activation):
         return spec
     if isinstance(spec, str):
@@ -136,7 +136,11 @@ def make_activation(spec) -> Activation:
         raise ConfigError(f"activation spec must be a name or mapping, got {type(spec).__name__}")
     if not isinstance(name, str) or name not in _ACTIVATIONS:
         raise ConfigError(f"unknown activation {name!r}")
-    return _ACTIVATIONS[name](**options)
+    cls = _ACTIVATIONS[name]
+    for option in options:
+        if option not in {field.name for field in fields(cls)}:
+            raise ConfigError(f"is not an option of the {name} activation", str(option))
+    return cls(**options)
 
 
 class ShallowVectorNetwork:
@@ -393,7 +397,10 @@ def _one_blas_thread():
 
 def _readonly_widths(values, neurons: int) -> np.ndarray:
     """values as a read-only int64 vector of positive block sizes that sum to
-    neurons; a ShapeError or ValueError naming widths otherwise."""
+    neurons, a list or tuple read entry by entry by _as_int, or an integer
+    array; a ConfigError, ShapeError or ValueError naming widths otherwise."""
+    if isinstance(values, (list, tuple)):
+        values = [_as_int(v, "widths", 1, sized=True) for v in values]
     a = np.array(values)
     if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
         raise ShapeError(f"widths must be a 1-d integer array, got {a.dtype} shape {a.shape}")
@@ -497,15 +504,6 @@ def serialize_network(net: ShallowVectorNetwork) -> dict:
     }
 
 
-def _widths_from_doc(value) -> list:
-    """value when it is a list of JSON integers; a DocumentError naming
-    'widths' otherwise, so no boolean is read as a block size."""
-    if not (isinstance(value, list)
-            and all(isinstance(n, int) and not isinstance(n, bool) for n in value)):
-        raise DocumentError(f"field 'widths' must be a list of integers, got {value!r}")
-    return value
-
-
 _NETWORK_FIELDS = ("activation", "input_shape", "output_dim", "weights", "basis",
                    "thresholds", "coefficients", "centers", "widths")
 
@@ -525,14 +523,13 @@ def deserialize_network(doc: dict) -> ShallowVectorNetwork:
         _matrix_from_doc(doc[field], field)
         for field in ("weights", "thresholds", "coefficients", "centers"))
     basis = None if doc["basis"] is None else _matrix_from_doc(doc["basis"], "basis")
-    widths = _widths_from_doc(doc["widths"])
     if centers.ndim == 2 and centers.shape[1] != output_dim:
         raise DocumentError(
             f"field 'centers' has {centers.shape[1]} columns, "
             f"field 'output_dim' says {output_dim}"
         )
     try:
-        return ShallowVectorNetwork(weights, thresholds, coefficients, centers, widths,
+        return ShallowVectorNetwork(weights, thresholds, coefficients, centers, doc["widths"],
                                     activation, signature, output_grid, basis)
     except (ShapeError, ValueError) as exc:
         raise DocumentError(f"inconsistent network document: {exc}") from exc

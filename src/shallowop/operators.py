@@ -114,15 +114,6 @@ def _pointwise_map(map_id: str):
     return _POINTWISE_MAPS[map_id]
 
 
-def _matrix_map_rows(map_id: str, Z: np.ndarray, out_dim: int) -> np.ndarray:
-    """Row sums, or sin(trace) * e_1, of each matrix of the (n, rows, cols) stack Z."""
-    if map_id == "row_sums":
-        return Z.sum(axis=2)
-    out = np.zeros((Z.shape[0], out_dim))
-    out[:, 0] = np.sin(np.trace(Z, axis1=1, axis2=2))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Operator:
     """An opaque map from input rows to target values, with shape metadata.
@@ -214,17 +205,21 @@ def matrix_map_operator(map_id: str, shape: tuple[int, int],
         if out_dim is not None:
             raise ConfigError(f"does not apply to row_sums, got {out_dim!r}", "out_dim")
         out_dim = shape[0]
+
+        def image(Z):
+            return Z.sum(axis=2)
     elif map_id == "sin_of_trace_times_basis":
         out_dim = 3 if out_dim is None else out_dim
+
+        def image(Z):
+            out = np.zeros((Z.shape[0], out_dim))
+            out[:, 0] = np.sin(np.trace(Z, axis1=1, axis2=2))
+            return out
     else:
         raise ConfigError(f"must be 'row_sums' or 'sin_of_trace_times_basis', got {map_id!r}",
                           "map_id", "matrix map")
-    return Operator(
-        f"matrix_{map_id}",
-        lambda F: _frozen(_matrix_map_rows(map_id, F.reshape(-1, *shape), out_dim)),
-        ("matrix", tuple(shape)),
-        out_dim,
-    )
+    return Operator(f"matrix_{map_id}", lambda F: _frozen(image(F.reshape(-1, *shape))),
+                    ("matrix", tuple(shape)), out_dim)
 
 
 def zero_operator(signature: tuple, output_dim: int,

@@ -322,21 +322,21 @@ class SchwartzWeighted(Seminorm):
         if self.grid is None:
             raise ShapeError("Schwartz seminorm needs values on a grid")
         _check_order(self.beta, self.grid, "beta")
+        # the nodes kept and their signed powers x**alpha; |powers * d| is
+        # bitwise |x**alpha * d|, where |x|**alpha * |d| may differ in the last bit
         x = self.grid.nodes()
+        object.__setattr__(self, "_mask", np.abs(x) <= self.radius)
         with np.errstate(over="ignore"):
-            weights = np.abs(x[np.abs(x) <= self.radius]) ** self.alpha
-        if weights.size and not np.isfinite(weights.max()):
+            object.__setattr__(self, "_powers", x[self._mask] ** self.alpha)
+        if not np.all(np.isfinite(self._powers)):
             raise ConfigError(f"makes the weight |x|**alpha overflow within radius "
                               f"{self.radius}, got {self.alpha}", "alpha")
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         _require_rows(values, self.grid)
-        x = self.grid.nodes()
-        mask = np.abs(x) <= self.radius
-        if not np.any(mask):
-            return np.zeros(values.shape[0])
         d = _difference_at_nodes(values, self.grid, self.beta)
-        return np.max(np.abs(x[mask] ** self.alpha * d[:, mask]), axis=1)
+        # initial 0 reads zeros when no node is kept
+        return np.max(np.abs(self._powers * d[:, self._mask]), axis=1, initial=0.0)
 
     def label(self) -> str:
         return f"schwartz(a{self.alpha},b{self.beta},r={_number_label(self.radius)})"
@@ -361,16 +361,16 @@ class DualPairing(Seminorm):
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"must be a nonempty string, got {self.name!r}", "name")
         object.__setattr__(self, "test", v)
+        object.__setattr__(self, "_weighted",
+                           v if self.grid is None else self.grid.trapezoid_weights() * v)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         _require_rows(values, self.grid)
         if values.shape[1] != self.test.shape[0]:
             raise ShapeError("values are incompatible with the dual pairing's test vector")
-        if self.grid is not None:
-            return np.abs(np.sum(self.grid.trapezoid_weights() * self.test * values, axis=1))
         # a row-wise sum, not a matrix product, so a row's value does not
         # depend on the other rows
-        return np.abs(np.sum(self.test * values, axis=1))
+        return np.abs(np.sum(self._weighted * values, axis=1))
 
     def label(self) -> str:
         return self.name

@@ -276,6 +276,12 @@ class TestCliRun:
          "'seminorms[0].alpha'"),
         ({"fit": {"activation": {"name": "polynomial", "coefficients": []}}},
          "'fit.activation.coefficients'"),
+        ({"fit": {"activation": {"name": "tanh", "scale": 2}}},
+         "'fit.activation.scale' is not an option of the tanh activation"),
+        ({**MATRIX_CONFIG, "ensemble": {**MATRIX_ENSEMBLE, "shape": [2**31, 2**31]},
+          "operator": sin_trace(3)}, "'ensemble.shape' must be at most 1152921504606846975, "
+                                     "the most float64 entries of one array, "
+                                     "got 2147483648 x 2147483648"),
     ], ids=["unknown_activation", "empty_polynomial", "string_order", "string_scale",
             "string_q", "string_radius", "zero_out_dim", "string_out_dim", "float_out_dim",
             "negative_out_dim", "negative_alpha", "string_alpha", "float_alpha", "huge_alpha",
@@ -293,7 +299,8 @@ class TestCliRun:
             "kernel_param_of_another_kernel", "poisson_grid_without_interior",
             "grid_on_matrix_ball", "grid_on_sequence_box", "infinite_theta_width",
             "unallocatable_count", "overflowing_schwartz_weight",
-            "empty_polynomial_coefficients"])
+            "empty_polynomial_coefficients", "option_tanh_does_not_take",
+            "shape_entries_no_array_holds"])
     def test_bad_field_type_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         cfg = quick_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=re.escape(field)):

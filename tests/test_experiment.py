@@ -271,6 +271,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=refusal):
             ExperimentConfig.from_dict(small_dict(**overrides))
 
+    @pytest.mark.parametrize("overrides, refusal", [
+        ({"ensemble": {**MATRIX_BALL, "shape": [2**31, 2**31]}, "grid": None,
+          "operator": MATRIX_SIN_TRACE},
+         f"field 'ensemble.shape' must be at most {LIMIT}, the most float64 entries of one "
+         f"array, got 2147483648 x 2147483648"),
+        ({"fit": {"lam": 0.0, "width": 32, "functional_order": 2**61}},
+         f"field 'fit.functional_order' must be at most {(LIMIT - 1) // 2}, whose 1 + 2 "
+         f"order basis rows fill one float64 array, got {2**61}"),
+        ({"fit": {"lam": 0.0, "width": 32, "functional_order": (LIMIT - 1) // 2 + 1}},
+         f"got {(LIMIT - 1) // 2 + 1}"),
+    ], ids=["shape_entries", "order", "order_past_the_bound"])
+    def test_size_refusals_quote_the_figures_written(self, overrides, refusal):
+        # the refusals quoted rows * cols and 1 + 2 order, figures never written
+        with pytest.raises(ConfigError, match=re.escape(refusal)):
+            ExperimentConfig.from_dict(small_dict(**overrides))
+
     def test_large_q_training_error_is_the_scaled_norm_of_the_residuals(self):
         # q = 200 underflowed every training residual's sum to 0, so the run
         # reported a training error of 0.0 and converged on it

@@ -281,6 +281,13 @@ class TestRandomFunctional:
         with pytest.raises(ConfigError, match="order"):
             FunctionalSpec(("function", GRID), order=True)
 
+    def test_order_bounded_by_its_basis_rows(self):
+        # 1 + 2 order rows of float64 at most; a sequence spec builds no basis
+        most = (np.iinfo(np.intp).max // 8 - 1) // 2
+        assert FunctionalSpec(("sequence", 2), order=most).order == most
+        with pytest.raises(ConfigError, match=f"must be at most {most}, .* got {most + 1}$"):
+            FunctionalSpec(("sequence", 2), order=most + 1)
+
     @pytest.mark.parametrize("scale", [np.nan, 0.0])
     def test_scale_must_be_finite_and_positive(self, scale):
         # a NaN scale used to draw NaN parameters; a zero one draws only zeros

@@ -83,9 +83,10 @@ class TestActivations:
         with pytest.raises(ConfigError, match="must be a name or mapping") as info:
             make_activation(["tanh"])
         assert info.value.arg is None
-        # an option the activation does not take, as for any call
-        with pytest.raises(TypeError, match="coefficients"):
+        # an option the activation does not take is refused by name
+        with pytest.raises(ConfigError, match="not an option of the tanh") as info:
             make_activation({"name": "tanh", "coefficients": [1.0]})
+        assert info.value.arg == "coefficients"
         # a bad option value keeps the argument its activation names
         with pytest.raises(ConfigError, match="must be a nonempty sequence") as info:
             make_activation({"name": "polynomial", "coefficients": []})
@@ -702,6 +703,36 @@ class TestFactored:
         doc["widths"] = bad
         with pytest.raises(DocumentError, match="widths"):
             deserialize_network(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("bad, match", [
+        ([1, True], "widths must be an integer, got True"),
+        ((1, 1.0), "widths must be an integer, got 1.0"),
+        ([2, 0], "widths must be at least 1, got 0"),
+        ([1, 10**400], "widths must be at most"),
+        (np.array([1.0, 1.0]), "widths must be a 1-d integer array"),
+        (np.array([[1, 1]]), "widths must be a 1-d integer array"),
+    ], ids=["bool", "float", "zero", "beyond_int64", "float_array", "2d_array"])
+    def test_bad_widths_refused_by_name_when_built(self, bad, match):
+        # a list or tuple is read entry by entry; [1, True] was read as [1, 1]
+        with pytest.raises(ValueError, match=match):
+            ShallowVectorNetwork(np.ones((2, 3)), [0.1, -0.2], [1.0, 2.0], np.ones((2, 2)),
+                                 bad, Tanh(), ("sequence", 3))
+
+    @pytest.mark.parametrize("widths", [[1, 1], (1, 1), [np.int64(1), np.uint8(1)],
+                                        np.array([1, 1], dtype=np.int32)],
+                             ids=["list", "tuple", "numpy_ints", "int_array"])
+    def test_widths_held_as_a_readonly_int64_vector(self, widths):
+        net = ShallowVectorNetwork(np.ones((2, 3)), [0.1, -0.2], [1.0, 2.0], np.ones((2, 2)),
+                                   widths, Tanh(), ("sequence", 3))
+        assert net.widths.dtype == np.int64 and net.widths.tolist() == [1, 1]
+        assert not net.widths.flags.writeable
+
+    def test_activation_option_it_does_not_take_rejected_by_name(self):
+        doc = serialize_network(random_network(np.random.default_rng(27)))
+        doc["activation"] = {"name": "tanh", "scale": 2}
+        with pytest.raises(DocumentError, match="field 'activation.scale' is not an option "
+                                                "of the tanh activation"):
+            deserialize_network(doc)
 
     def test_dense_document_of_0_11_rejected_by_name(self):
         # 0.11.0 stored dense L and V and no basis, centers or widths

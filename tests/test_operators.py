@@ -217,6 +217,18 @@ class TestMatrixMaps:
         with pytest.raises(ConfigError):
             matrix_map_operator("det", (2, 2)).apply_many([np.eye(2).reshape(-1)])
 
+    @pytest.mark.parametrize("map_id, out_dim, error, arg", [
+        ("det", None, ConfigError, "map_id"),
+        (3, None, ConfigError, "map_id"),
+        ("row_sums", 2, ConfigError, "out_dim"),
+        ("sin_of_trace_times_basis", 0, ShapeError, "output_dim"),
+        ("sin_of_trace_times_basis", 2.5, ConfigError, "output_dim"),
+    ])
+    def test_refused_by_name_when_built(self, map_id, out_dim, error, arg):
+        with pytest.raises(error) as info:
+            matrix_map_operator(map_id, (2, 2), out_dim)
+        assert info.value.arg == arg
+
 
 class TestOperatorWrappers:
     def test_signature_enforced(self):

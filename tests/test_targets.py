@@ -477,3 +477,49 @@ class TestRowwise:
         assert fam.grid == GRID
         with pytest.raises(ShapeError):
             SeminormFamily((LqNorm(2.0), Endpoint(GRID)))
+
+
+class TestValuesFixedWhenBuilt:
+    """A Schwartz seminorm fixes its kept nodes and signed weights x**alpha,
+    and a dual its weighted test vector, when built; each value is bitwise
+    the one the formula computed in full on every call gives."""
+
+    G = GridMeta(-10.0, 10.0, 101)
+
+    @staticmethod
+    def schwartz_in_full(rho, values):
+        x = rho.grid.nodes()
+        mask = np.abs(x) <= rho.radius
+        if not np.any(mask):
+            return np.zeros(values.shape[0])
+        d = targets._difference_at_nodes(values, rho.grid, rho.beta)
+        return np.max(np.abs(x[mask] ** rho.alpha * d[:, mask]), axis=1)
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 12, 300])
+    @pytest.mark.parametrize("beta", [0, 1, 2])
+    @pytest.mark.parametrize("radius", [0.01, 0.2, 3.3, 8.0, 50.0])
+    def test_schwartz_bitwise(self, alpha, beta, radius):
+        rng = np.random.default_rng(alpha + 10 * beta)
+        values = rng.standard_normal((9, 101)) * rng.uniform(0.01, 100.0, (9, 1))
+        values[0] = 0.0
+        rho = SchwartzWeighted(alpha, beta, radius, self.G)
+        assert rho(values).tobytes() == self.schwartz_in_full(rho, values).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+    @pytest.mark.parametrize("beta", [0, 1, 2])
+    def test_schwartz_keeping_no_node_reads_zeros(self, alpha, beta):
+        rho = SchwartzWeighted(alpha, beta, 2.0, GridMeta(5.0, 6.0, 11))
+        values = np.random.default_rng(beta).standard_normal((4, 11))
+        assert rho(values).tobytes() == np.zeros(4).tobytes()
+        assert rho(values[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("grid", [GridMeta(0.0, 1.0, 33), GridMeta(-3.0, 7.0, 33), None],
+                             ids=["unit_grid", "wide_grid", "no_grid"])
+    def test_dual_bitwise(self, grid):
+        rng = np.random.default_rng(5)
+        test = rng.standard_normal(33)
+        values = rng.standard_normal((17, 33)) * rng.uniform(0.01, 100.0, (17, 1))
+        in_full = (test * values if grid is None
+                   else grid.trapezoid_weights() * test * values)
+        got = DualPairing(test, grid)(values)
+        assert got.tobytes() == np.abs(np.sum(in_full, axis=1)).tobytes()
