@@ -45,8 +45,10 @@ from .targets import (
 #: bytes of float64 designs per stacked solve in a share of stage 2.  A
 #: share holds its stack's designs and one LAPACK copy of them at once (the
 #: activation's result, then the operand of _dgels_members, which with
-#: lam > 0 adds a k x k ridge block per member), so stage 2's working set is
-#: about 1 MiB per CPU however many columns there are
+#: lam > 0 adds a k x k ridge block per member).  A stack holds at least
+#: one member, of 8 n k bytes, so a share's working set is at most twice
+#: max(SOLVE_STACK_BYTES, 8 n k), plus the ridge blocks, however many
+#: columns there are
 SOLVE_STACK_BYTES = 1 << 19
 
 
@@ -247,14 +249,16 @@ class FitConfig:
 
     `seed` is the fit seed s: assembly seeds partition column j's feature
     bank with derive_seed(s, j) (see seeding.py); fit_columns never reads it.
+    A config's `fit` mapping holds the fields between the spec and the seed,
+    with their defaults, and report.json echoes it in this field order.
     """
 
     functional_spec: FunctionalSpec
+    activation: object = "tanh"
     width: int = 64
     max_width: int = 512
-    activation: object = "tanh"
     theta_range: tuple[float, float] = (-3.0, 3.0)
-    lam: float = 1e-10
+    lam: float = 0.0
     seed: int = 0
 
     def __post_init__(self):

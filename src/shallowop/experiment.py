@@ -12,7 +12,7 @@ import copy
 import csv
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from pathlib import Path
@@ -67,23 +67,9 @@ _OPERATORS = {
     "matrix_map": (("matrix",), ("kind", "map", "out_dim")),
     "zero": (("function", "sequence", "matrix"), ("kind", "out_dim")),
 }
-_DUAL_FIELDS = ("values", "name")
-#: each seminorm kind's constructor (None for duals) and the fields it reads
-_SEMINORMS = {
-    "lq": (LqNorm, ("kind", "q")),
-    "sup_derivative": (SupDerivative, ("kind", "order")),
-    "schwartz": (SchwartzWeighted, ("kind", "alpha", "beta", "radius")),
-    "dual": (None, ("kind",) + _DUAL_FIELDS),
-}
-_FIT_DEFAULTS = {
-    "activation": "tanh",
-    "width": 64,
-    "max_width": 512,
-    "theta_range": [-3.0, 3.0],
-    "lam": 0.0,
-    "functional_order": 3,
-    "functional_scale": 1.0,
-}
+#: each seminorm kind's constructor; a kind reads its fields but grid
+_SEMINORMS = {"lq": LqNorm, "sup_derivative": SupDerivative, "schwartz": SchwartzWeighted,
+              "dual": DualPairing}
 
 
 def _require(cond, field, message):
@@ -118,6 +104,33 @@ _FIELD_NAMES = {
 #: _from_field(at, make, *args, **kwargs) is make(*args, **kwargs) read from
 #: the field at; what it raises is a ConfigError naming the field written
 _from_field = partial(_named, ConfigError, _FIELD_NAMES)
+
+
+def _keys(cls, at, skip=()) -> dict:
+    """{key: (name, default)} for the fields of the dataclass cls but skip:
+    the key that fills each in the mapping read at field `at` (see
+    _FIELD_NAMES), its name, and its default, None where it has none."""
+    return {_FIELD_NAMES.get(f"{at}.{f.name}", _FIELD_NAMES.get(f.name, f.name))
+            .removeprefix(f"{at}."): (f.name, None if f.default is MISSING else f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
+def _read(cls, doc, at, **given):
+    """cls built from the mapping doc read at field `at`: the arguments
+    given, and each other field the value at its key in doc, or its default
+    when absent.  A key of doc that fills no other field is refused by name
+    before anything is built."""
+    keys = _keys(cls, at, given)
+    _only(doc, at, keys)
+    return _from_field(at, cls, **given,
+                       **{name: doc.get(key, default) for key, (name, default) in keys.items()})
+
+
+#: fit's keys and defaults, in the order report.json echoes them: FitConfig's
+#: fields but its spec and seed, then FunctionalSpec's but its signature
+_FIT_DEFAULTS = {key: default for cls, skip in ((FitConfig, ("functional_spec", "seed")),
+                                                (FunctionalSpec, ("signature",)))
+                 for key, (_, default) in _keys(cls, "fit", skip).items()}
 
 
 def _is_list(value) -> bool:
@@ -166,9 +179,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
         raw = copy.deepcopy(raw)
-        _only(raw, "", ("name", "operator", "grid", "ensemble", "heldout_fraction",
-                        "seminorms", "target_index", "epsilons", "fit", "duals", "seed",
-                        "out", "save_networks"))
+        _only(raw, "", [f.name for f in fields(ExperimentConfig)] + ["grid"])
         grid = _get(raw, "", "grid", None, lambda g: g is None or _is_mapping(g),
                     "must be a mapping")
         seminorms = _mappings(raw, "seminorms", nonempty=True)
@@ -187,9 +198,9 @@ class ExperimentConfig:
             name=_get(raw, "", "name", "experiment", lambda v: isinstance(v, str) and v,
                       "must be a nonempty string"),
             operator=_get(raw, "", "operator", None, _is_mapping, "must be a mapping"),
-            ensemble=_build_ensemble(
-                _get(raw, "", "ensemble", None, _is_mapping, "must be a mapping"),
-                None if grid is None else _build_grid(grid)),
+            ensemble=_read(
+                EnsembleSpec, _get(raw, "", "ensemble", None, _is_mapping, "must be a mapping"),
+                "ensemble", grid=None if grid is None else _read(GridMeta, grid, "grid")),
             heldout_fraction=heldout,
             seminorms=seminorms,
             target_index=target_index,
@@ -211,19 +222,12 @@ class ExperimentConfig:
         return config
 
     def to_dict(self) -> dict:
-        doc = {
-            "name": self.name,
-            "operator": self.operator,
-            "ensemble": _ensemble_to_dict(self.ensemble),
-            "heldout_fraction": self.heldout_fraction,
-            "seminorms": list(self.seminorms),
-            "target_index": self.target_index,
-            "epsilons": list(self.epsilons),
-            "fit": self.fit,
-            "duals": list(self.duals),
-            "seed": self.seed,
-            "save_networks": self.save_networks,
-        }
+        """The document the config reads back from: its fields in order, but
+        out, with tuples as lists and the ensemble as a mapping; then the
+        ensemble's grid as `grid` and out, each when set."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        doc = {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
+        doc["ensemble"] = _ensemble_to_dict(self.ensemble)
         if self.ensemble.grid is not None:
             doc["grid"] = _grid_to_doc(self.ensemble.grid)
         if self.out is not None:
@@ -243,27 +247,12 @@ def _unique(labels, field):
                  f"label {label!r} repeats that of {field.format(labels.index(label))}")
 
 
-def _build_grid(doc) -> GridMeta:
-    _only(doc, "grid", ("a", "b", "n"))
-    return _from_field("grid", GridMeta, doc.get("a"), doc.get("b"), doc.get("n"))
-
-
-def _build_ensemble(doc, grid) -> EnsembleSpec:
-    _only(doc, "ensemble", ("family", "count", "radii", "shape", "radius"))
-    return _from_field("ensemble", EnsembleSpec, doc.get("family"), doc.get("count"),
-                       radii=doc.get("radii"), shape=doc.get("shape"), radius=doc.get("radius"),
-                       grid=grid)
-
-
 def _ensemble_to_dict(spec: EnsembleSpec) -> dict:
-    doc = {"family": spec.family, "count": spec.count}
-    if spec.radii is not None:
-        doc["radii"] = list(spec.radii)
-    if spec.shape is not None:
-        doc["shape"] = list(spec.shape)
-    if spec.radius is not None:
-        doc["radius"] = spec.radius
-    return doc
+    """The ensemble mapping spec reads back from: each field but grid that is
+    set, under its key, with tuples as lists."""
+    doc = {key: getattr(spec, name)
+           for key, (name, _) in _keys(EnsembleSpec, "ensemble", ("grid",)).items()}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in doc.items() if v is not None}
 
 
 def build_operator(config: ExperimentConfig) -> Operator:
@@ -303,12 +292,10 @@ def build_seminorm(spec: dict, field: str, op: Operator) -> Seminorm:
     is refused by its constructor; its bad fields are named under field."""
     kind = _get(spec, field, "kind", None, lambda k: isinstance(k, str) and k in _SEMINORMS,
                 f"unknown seminorm kind {spec.get('kind')!r}")
-    make, names = _SEMINORMS[kind]
-    _only(spec, field, names)
-    if make is None:
+    spec = {k: v for k, v in spec.items() if k != "kind"}
+    if kind == "dual":
         return _build_dual(spec, field, op)
-    return _from_field(field, make, grid=op.output_grid,
-                       **{k: v for k, v in spec.items() if k != "kind"})
+    return _read(_SEMINORMS[kind], spec, field, grid=op.output_grid)
 
 
 def _build_dual(spec: dict, field: str, op: Operator) -> DualPairing:
@@ -318,23 +305,22 @@ def _build_dual(spec: dict, field: str, op: Operator) -> DualPairing:
     # the one rule a dual cannot check itself: its length is the operator's output's
     _require(values == "ones" or len(values) == n, f"{field}.values",
              f"dual test vector has {len(values)} entries, output has {n}")
-    return _from_field(field, DualPairing, np.ones(n) if values == "ones" else values,
-                       op.output_grid, name=spec.get("name", "dual"))
+    return _read(DualPairing, {**spec, "values": np.ones(n) if values == "ones" else values},
+                 field, grid=op.output_grid)
 
 
 def build_fit_config(config: ExperimentConfig) -> FitConfig:
     """The stage-2 fit config of config.fit; runs give it their own bank seed."""
     fit = config.fit
+
+    def held(cls):
+        """{name: value} for each field of cls that fit holds"""
+        return {name: fit[key] for key, (name, _) in _keys(cls, "fit").items() if key in fit}
+
     spec = _from_field("fit", FunctionalSpec, config.ensemble.input_signature,
-                       fit["functional_order"], fit["functional_scale"])
-    return _from_field(
-        "fit", FitConfig, spec,
-        width=fit["width"],
-        max_width=fit["max_width"],
-        activation=_from_field("fit.activation", make_activation, fit["activation"]),
-        theta_range=fit["theta_range"],
-        lam=fit["lam"],
-    )
+                       **held(FunctionalSpec))
+    activation = _from_field("fit.activation", make_activation, fit["activation"])
+    return _from_field("fit", FitConfig, spec, **{**held(FitConfig), "activation": activation})
 
 
 class _Parts(NamedTuple):
@@ -348,8 +334,6 @@ class _Parts(NamedTuple):
 
 def _build(config: ExperimentConfig) -> _Parts:
     op = build_operator(config)
-    for i, dual in enumerate(config.duals):
-        _only(dual, f"duals[{i}]", _DUAL_FIELDS)
     return _Parts(
         op,
         tuple(build_seminorm(s, f"seminorms[{i}]", op) for i, s in enumerate(config.seminorms)),

@@ -232,7 +232,9 @@ class ShallowVectorNetwork:
 
         The row blocks are evaluated by _in_shares, in one contiguous share
         per CPU.  Each block is computed alone, so the outputs do not depend
-        on the number of threads.
+        on the number of threads, and a row in a full block has the same
+        bits in any batch; a row in a partial block can move in the last
+        bits, since its products round apart (one row is a gemv).
         """
         flats = stack_inputs(samples, self.input_signature)
         n, r, m = flats.shape[0], self.weights.shape[1], self.centers.shape[0]
