@@ -147,22 +147,26 @@ def build_partition(net: EpsilonNet, rho: Seminorm) -> np.ndarray:
 def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
     """Minimize ||A c - y||^2 + lam ||c||^2 for each member of a stack.
 
-    design is a (b, n, k) stack with targets (b, n), and the result is
-    (b, k); one design is the stack design[None].  The stack is copied into
-    one LAPACK buffer and each member is one dgels call on it, after which
-    INFO, R's diagonal and the coefficients are checked for the whole stack
-    (see _dgels_members); a member those checks leave is solved alone by
-    SVD least squares, which with lam = 0 gives the minimum-norm minimizer
-    and warns that the design is rank-deficient.  A design or targets array
-    of strings, booleans, complex numbers or objects, or with a non-finite
-    entry, is refused by a ConfigError naming it, and a design with an
-    empty axis by a ShapeError naming it, before any member is solved.  A
-    member's result depends only on its own design, targets and lam.
-    OpenBLAS is held at one thread (_one_blas_thread).
+    design is a (b, n, k) stack with targets (b, n, r), r >= 1
+    right-hand sides per member, and the result is (b, k, r); targets
+    (b, n) are the case r = 1, read as (b, n, 1), with a (b, k) result.
+    One design is the stack design[None].  The stack is copied into one
+    LAPACK buffer and each member is one dgels call on it, with its r
+    right-hand sides, after which INFO, R's diagonal and the coefficients
+    are checked for the whole stack (see _dgels_members); a member those
+    checks leave is solved alone by SVD least squares, which with lam = 0
+    gives the minimum-norm minimizer and warns, once per member, that the
+    design is rank-deficient.  A design or
+    targets array of strings, booleans, complex numbers or objects, or with
+    a non-finite entry, is refused by a ConfigError naming it, and a design
+    with an empty axis by a ShapeError naming it, before any member is
+    solved.  A member's result depends only on its own design, targets and
+    lam.  OpenBLAS is held at one thread (_one_blas_thread).
     """
     design = np.asarray(_as_real(design, "design"), dtype=float)
     targets = np.asarray(_as_real(targets, "targets"), dtype=float)
-    if design.ndim != 3 or targets.ndim != 2 or design.shape[:2] != targets.shape:
+    if (design.ndim != 3 or targets.ndim not in (2, 3) or design.shape[:2] != targets.shape[:2]
+            or 0 in targets.shape[2:]):
         raise ShapeError(
             f"design {design.shape} and targets {targets.shape} are inconsistent"
         )
@@ -172,11 +176,12 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
         if not np.all(np.isfinite(values)):
             raise ConfigError("contain non-finite entries", arg, subject)
     lam = _as_float(lam, "lam", 0, subject="regularization lam")
+    columns = targets if targets.ndim == 3 else targets[..., None]
     with _one_blas_thread():
-        coeffs = _dgels_members(design, targets, lam)
-        for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=1)):
-            coeffs[i] = _svd_solve(design[i], targets[i], lam)
-    return coeffs
+        coeffs = _dgels_members(design, columns, lam)
+        for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=(1, 2))):
+            coeffs[i] = _svd_solve(design[i], columns[i], lam)
+    return coeffs if targets.ndim == 3 else coeffs[..., 0]
 
 
 def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -185,17 +190,19 @@ def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.nd
     library, and one whose triangular factor R has a zero diagonal entry
     (INFO > 0), is numerically singular (min |r_ii| / max |r_ii| <=
     eps * max(n, k)) or gives non-finite coefficients.  The stack must be
-    finite, as least_squares_solve checks.  A tall design (n >= k) or
+    finite, as least_squares_solve checks, with (b, n, r) targets and a
+    (b, k, r) result.  A tall design (n >= k) or
     lam > 0 is solved as [A; sqrt(lam) I] c = [y; 0] ('N'), so the
     conditioning is that of A, not A^T A; a wide one with lam = 0 through
     A^T ('T'), which gives the minimum-norm c.  The whole stack is copied
     column-major into one buffer, which the members' R factors overwrite,
-    and its right-hand sides into another; one workspace query serves the
-    stack, each member is one dgels call at its offset in the two buffers,
-    and INFO and the diagonals of R are read for every member at once.
+    and its right-hand sides into another, r columns of ldb = rows entries
+    per member; one workspace query serves the stack, each member is one
+    dgels call with NRHS = r at its offset in the two buffers, and INFO and
+    the diagonals of R are read for every member at once.
     """
-    b, n, k = design.shape
-    coeffs = np.full((b, k), np.nan)
+    (b, n, k), r = design.shape, targets.shape[2]
+    coeffs = np.full((b, k, r), np.nan)
     library = _openblas()
     if library is None:
         return coeffs
@@ -203,16 +210,16 @@ def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.nd
     rows, cols = (n + k if lam > 0 else n, k) if tall else (k, n)
     # buffer[i] row j is column j of the matrix LAPACK factors for member i
     # (102: column-major)
-    buffer, rhs, query = np.empty((b, cols, rows)), np.empty((b, rows)), np.empty(1)
+    buffer, rhs, query = np.empty((b, cols, rows)), np.empty((b, r, rows)), np.empty(1)
     if tall:
         ridge = np.sqrt(lam) * np.eye(k, rows - n)
         buffer[:, :, :n], buffer[:, :, n:] = design.transpose(0, 2, 1), ridge
     else:
         buffer[:] = design
-    rhs[:, :n], rhs[:, n:] = targets, 0.0
+    rhs[:, :, :n], rhs[:, :, n:] = targets.transpose(0, 2, 1), 0.0
     # member i's operands start i strides into each buffer
     (a, a_step), (y, y_step) = ((x.ctypes.data, x.strides[0]) for x in (buffer, rhs))
-    dgels = functools.partial(library[0], 102, b"N" if tall else b"T", rows, cols, 1)
+    dgels = functools.partial(library[0], 102, b"N" if tall else b"T", rows, cols, r)
     dgels(a, rows, y, rows, query.ctypes.data, -1)
     work = np.empty(max(1, int(query[0])))
     w, lwork = work.ctypes.data, work.size
@@ -222,16 +229,17 @@ def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.nd
         raise RuntimeError(f"dgels refused its argument {-info.min()}")
     diag = np.abs(np.diagonal(buffer, axis1=1, axis2=2))
     solved = (info == 0) & (diag.min(axis=1) > np.finfo(float).eps * max(n, k) * diag.max(axis=1))
-    coeffs[solved] = rhs[solved, :k]
+    coeffs[solved] = rhs[solved, :, :k].transpose(0, 2, 1)
     return coeffs
 
 
 def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """One member by SVD least squares on the sqrt(lam)-augmented design."""
+    """One member by SVD least squares on the sqrt(lam)-augmented design,
+    with (n, r) targets and a (k, r) result."""
     n, k = design.shape
     if lam > 0:
         aug = np.vstack([design, np.sqrt(lam) * np.eye(k)])
-        rhs = np.concatenate([targets, np.zeros(k)])
+        rhs = np.concatenate([targets, np.zeros((k,) + targets.shape[1:])])
         return np.linalg.lstsq(aug, rhs, rcond=None)[0]
     coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < min(n, k):
@@ -247,8 +255,10 @@ def _svd_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarra
 class FitConfig:
     """Knobs for one scalar random-feature fit.
 
-    `seed` is the fit seed s: assembly seeds partition column j's feature
-    bank with derive_seed(s, j) (see seeding.py); fit_columns never reads it.
+    `seed` is the fit seed s: assembly seeds bank j, the feature bank that
+    fits partition column j, with derive_seed(s, j) (see seeding.py);
+    fit_columns never reads it, and fits the columns given to each seed
+    with that seed's bank.
     A config's `fit` mapping holds the fields between the spec and the seed,
     with their defaults, and report.json echoes it in this field order.
     """
@@ -303,43 +313,48 @@ def draw_features(cfg: FitConfig, streams, start: int, stop: int):
 
 def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
     """Ridge-solve the coefficients of a (b, n, k) stack of designs with
-    targets (b, n).
+    targets (b, n, r), or (b, n) for r = 1 (see least_squares_solve).
 
-    Returns (coeffs, sup_error): coeffs (b, k), and sup_error (b,), each
-    member's largest absolute training residual.
+    Returns (coeffs, sup_error): coeffs (b, k, r), and sup_error (b, r),
+    each member's largest absolute training residual per column; (b, k) and
+    (b,) for targets (b, n).
     """
     coeffs = least_squares_solve(design, targets, lam)
-    residual = np.matmul(design, coeffs[..., None])[..., 0] - targets
-    return coeffs, np.max(np.abs(residual), axis=-1)
+    fitted = np.matmul(design, coeffs.reshape(*coeffs.shape[:2], -1))
+    return coeffs, np.max(np.abs(fitted.reshape(np.shape(targets)) - targets), axis=1)
 
 
 def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
                 delta: float):
-    """Fit column j of targets with the feature bank seeded by seeds[j], every
-    column stepping through the width schedule in lockstep, and return the
-    factors (P, theta, c, widths, sup_errors) of the network whose block j
-    fits column j.
+    """Fit the r consecutive columns j r, ..., j r + r - 1 of targets with
+    the feature bank seeded by seeds[j], r = targets.shape[1] / len(seeds),
+    every bank stepping through the width schedule in lockstep, and return
+    the factors (P, theta, c, widths, sup_errors) of the network whose block
+    j is bank j.
 
     flats is the (n_samples, dim) input matrix, read by the array rule
-    (arg flats), and targets a real (n_samples, len(seeds)) matrix of at
-    least one column, else a ShapeError names targets; delta must be a
-    finite number >= 0, else a ConfigError names it.  All pending columns
-    share one width: cfg.width, doubled per step up to cfg.max_width (a
-    fixed-width fit sets max_width = width).  A step first draws every
-    pending bank's new features with draw_features on the calling thread,
-    continuing its streams, then splits the pending columns into one
-    contiguous share per CPU this process may use, run by _in_shares; a
-    share builds and solves its designs in stacks of at most
-    SOLVE_STACK_BYTES, each stack's designs by one product, one
-    threshold subtraction and one activation call.  A column stops once its
-    training sup error is below delta or its width reaches cfg.max_width.
-    Each design is eta(S P^T - theta), the pre-activation a network
-    evaluates, with the inputs projected once, S = flats B^T (S = flats
-    with no basis).  Block j is widths[j] neurons: its bank's parameters P, as draw_features
-    returns them, thresholds theta and coefficients c, each factor
-    concatenated in column order and read-only, so a network holds it
-    without a copy; sup_errors[j] is column j's training error.  No block
-    depends on the shares.  OpenBLAS is held at one thread throughout, the
+    (arg flats), and so is targets (arg targets), which must have
+    n_samples rows and r >= 1 columns per seed, else a ShapeError names
+    targets; delta must be a finite number >= 0, else a ConfigError names
+    it.  All pending banks share one width: cfg.width, doubled per step up
+    to cfg.max_width (a fixed-width fit sets max_width = width).  A step
+    first draws every pending bank's new features with draw_features on
+    the calling thread, continuing its streams, then splits the pending
+    banks into one contiguous share per CPU this process may use, run by
+    _in_shares; a share builds and solves its designs in stacks of at most
+    SOLVE_STACK_BYTES, each stack's designs by one product, one threshold
+    subtraction and one activation call, and each member's r columns by
+    one solve.  A bank stops once the training sup error of every one of
+    its columns is below delta or its width reaches cfg.max_width.  Each
+    design is eta(S P^T - theta), the pre-activation a network evaluates,
+    with the inputs projected once, S = flats B^T (S = flats with no
+    basis).  Block j is widths[j] neurons: its bank's parameters P, as
+    draw_features returns them, thresholds theta and its (widths[j], r)
+    coefficients, row by row in c, each factor concatenated in bank order
+    and read-only, so a network holds it without a copy; sup_errors[i] is
+    column i's training error.  With one column per seed (r = 1), block j
+    fits column j and c holds one coefficient per neuron.  No block depends
+    on the shares.  OpenBLAS is held at one thread throughout, the
     projection S outside the shares too.
     """
     spec = cfg.functional_spec
@@ -348,16 +363,17 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
     if flats.shape[1] != dim:
         raise ShapeError(f"must have rows of {dim} entries, got {flats.shape}", "flats", "inputs")
     n = flats.shape[0]
-    targets = _as_real(targets, "targets")
-    if not len(seeds) or targets.shape != (n, len(seeds)):
-        raise ShapeError(f"must be ({n}, {len(seeds)}), one column per seed and at least "
-                         f"one, got shape {targets.shape}", "targets")
+    targets = _as_array(targets, "targets", 2)
+    if not len(seeds) or len(targets) != n or targets.shape[1] % len(seeds):
+        raise ShapeError(f"must be ({n}, r * {len(seeds)}), r >= 1 columns per seed and at "
+                         f"least one seed, got shape {targets.shape}", "targets")
     delta = _as_float(delta, "delta", 0)
+    # bank j's (n, r) targets are columns[:, j]
+    columns = targets.reshape(n, len(seeds), -1)
     # bank j's (parameters, thresholds) generators, rooted at seeds[j]
     streams = [tuple(np.random.default_rng(derive_seed(seed, k)) for k in (0, 1))
                for seed in seeds]
-    banks, coeffs = [None] * len(seeds), [None] * len(seeds)
-    sup_errors = np.empty(len(seeds))
+    banks, coeffs, sup_errors = [None] * len(seeds), [None] * len(seeds), [None] * len(seeds)
     pending = list(range(len(seeds)))
     width, target = 0, cfg.width
 
@@ -374,9 +390,9 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             designs -= thetas[:, :, None]
             designs[...] = cfg.activation(designs)
             fitted, errors = fit_ridge_features(designs.transpose(0, 2, 1),
-                                                targets[:, stack].T, cfg.lam)
+                                                columns[:, stack].transpose(1, 0, 2), cfg.lam)
             for i, j in enumerate(stack):
-                if errors[i] < delta or target >= cfg.max_width:
+                if errors[i].max() < delta or target >= cfg.max_width:
                     coeffs[j], sup_errors[j] = fitted[i], errors[i]
 
     with _one_blas_thread():
@@ -390,7 +406,7 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
             pending = [j for j in pending if coeffs[j] is None]
             width, target = target, min(2 * target, cfg.max_width)
     P, theta = (np.concatenate(parts) for parts in zip(*banks))
-    c = np.concatenate(coeffs)
+    c, sup_errors = (np.concatenate(parts, axis=None) for parts in (coeffs, sup_errors))
     widths = np.array([len(thetas) for _, thetas in banks], dtype=int)
     for factor in (P, theta, c, widths, sup_errors):
         factor.setflags(write=False)  # new arrays, held by the network without a copy

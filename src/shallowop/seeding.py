@@ -6,7 +6,7 @@ pure function of the root seed and its integer path.  A sweep uses:
     derive_seed(root, r)            run r, the r-th epsilon of a sweep
     derive_seed(run, 0)             the run's ensemble draw
     derive_seed(run, 1)             the run's fit seed s
-    derive_seed(s, j)               partition coefficient j's feature bank b
+    derive_seed(s, j)               bank j, b, which fits partition coefficient j
     derive_seed(b, 0)               the bank's functional parameters, rows 1, 2, ...
     derive_seed(b, 1)               the bank's thresholds, rows 0, 1, ...
 

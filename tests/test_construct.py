@@ -443,6 +443,13 @@ class TestLeastSquares:
             solve(np.ones(shape), np.ones(shape[:2]), 0.0)
         assert info.value.arg == "design"
 
+    @pytest.mark.parametrize("solve", (least_squares_solve, fit_ridge_features))
+    def test_targets_without_columns_refused(self, monkeypatch, solve):
+        # (b, n, r) targets need r >= 1, refused before any member is solved
+        monkeypatch.setattr(construct, "_dgels_members", no_call("_dgels_members"))
+        with pytest.raises(ShapeError, match="inconsistent"):
+            solve(np.ones((2, 5, 3)), np.ones((2, 5, 0)), 0.0)
+
     @pytest.mark.parametrize("lam", (0.0, 1e-3))
     @pytest.mark.parametrize("n, k", ((6, 3), (3, 6)), ids=("tall", "wide"))
     @pytest.mark.parametrize("arg, bad", [("design", np.nan), ("design", np.inf),
@@ -554,6 +561,44 @@ class TestStackedSolve:
                 np.testing.assert_array_equal(coeffs[i],
                                               least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
 
+    @pytest.mark.parametrize("n, k, lam", SHAPES, ids=IDS)
+    def test_one_column_targets_give_the_same_bits_in_either_shape(self, n, k, lam):
+        # (b, n) targets are read as (b, n, 1): one solve, not a second path
+        a, y = random_stack(np.random.default_rng(3 + n * k), 4, n, k)
+        coeffs, errors = fit_ridge_features(a, y, lam)
+        column, column_errors = fit_ridge_features(a, y[..., None], lam)
+        assert coeffs.shape == (4, k) and errors.shape == (4,)
+        assert column.shape == (4, k, 1) and column_errors.shape == (4, 1)
+        assert column.tobytes() == coeffs.tobytes()
+        assert column_errors.tobytes() == errors.tobytes()
+
+    @pytest.mark.parametrize("library", (True, False), ids=("dgels", "no_library"))
+    @pytest.mark.parametrize("n, k", [(9, 4), (4, 9)], ids=["tall", "wide"])
+    def test_rank_deficient_member_of_r_columns_falls_back_alone(self, monkeypatch, n, k,
+                                                                 library):
+        if not library:
+            monkeypatch.setattr(construct, "_openblas", lambda: None)
+        rng = np.random.default_rng(12)
+        a, _ = random_stack(rng, 3, n, k)
+        y = rng.standard_normal((3, n, 3))
+        if n >= k:
+            a[1, :, 1] = a[1, :, 0]
+        else:
+            a[1, 1] = a[1, 0]
+        with pytest.warns(UserWarning, match="rank-deficient") as caught:
+            coeffs = least_squares_solve(a, y, 0.0)
+        # one warning for the member, not one per column
+        assert len([w for w in caught if "rank-deficient" in str(w.message)]) == 1
+        assert coeffs.shape == (3, k, 3)
+        np.testing.assert_array_equal(coeffs[1], np.linalg.lstsq(a[1], y[1], rcond=None)[0])
+        import warnings as _w
+
+        with _w.catch_warnings():
+            _w.simplefilter("error")
+            for i in (0, 2):
+                np.testing.assert_array_equal(coeffs[i],
+                                              least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
+
     @pytest.mark.parametrize("column", (0, 4), ids=("first_column", "fifth_column"))
     def test_identity_reflector_member_solved_alone(self, column):
         # column c of A^T is e_c and row c of A^T is zero left of it, so
@@ -578,17 +623,18 @@ class TestStackedSolve:
                     coeffs[i], least_squares_solve(a[i:i + 1], y[i:i + 1], 0.0)[0])
 
 
-def assert_matches_lstsq(coeffs, a, y, lam):
-    """coeffs are SVD least squares on the sqrt(lam)-augmented a, to within
-    16 max(n, k) times the first-order bound for a backward-stable solve:
-    eps (cond + cond^2 |r| / (|A| |x|)) |x|, cond the augmented a's
-    condition number over its min(n, k) singular values and r the residual."""
+def assert_matches_lstsq(coeffs, a, y, lam, want=None):
+    """coeffs are want, by default SVD least squares on the
+    sqrt(lam)-augmented a, to within 16 max(n, k) times the first-order
+    bound for a backward-stable solve: eps (cond + cond^2 |r| / (|A| |x|))
+    |x|, cond the augmented a's condition number over its min(n, k)
+    singular values and r the residual."""
     n, k = a.shape
     aug = np.vstack([a, np.sqrt(lam) * np.eye(k)])
     rhs = np.concatenate([y, np.zeros(k)])
     sigma = np.linalg.svd(aug if lam > 0 else a, compute_uv=False)
     cond = sigma[0] / sigma[-1]
-    want = reference_solve(a, y, lam)
+    want = reference_solve(a, y, lam) if want is None else want
     size = np.linalg.norm(want)
     residual = np.linalg.norm(aug @ want - rhs)
     bound = np.finfo(float).eps * (cond + cond ** 2 * residual / (sigma[0] * size)) * size
@@ -624,6 +670,23 @@ class TestDgels:
         for i in range(4):
             if not (deficient and i == 2):
                 assert_matches_lstsq(coeffs[i], a[i], y[i], lam)
+
+    @pytest.mark.parametrize("n, k, lam", [(40, 12, 0.0), (12, 40, 0.0), (40, 12, 1e-3),
+                                           (12, 40, 1e-3)],
+                             ids=["tall", "wide", "tall_lam", "wide_lam"])
+    def test_each_of_r_columns_matches_its_one_column_solve(self, n, k, lam):
+        # one dgels call with NRHS = 3 per member; LAPACK need not round it
+        # as three NRHS = 1 calls, so the columns agree to the solve's bound
+        rng = np.random.default_rng(5 * n + k)
+        a, _ = random_stack(rng, 4, n, k)
+        a *= np.logspace(0, -4, k) * rng.uniform(0.5, 2.0, (4, 1, 1))
+        y = rng.standard_normal((4, n, 3))
+        coeffs = least_squares_solve(a, y, lam)
+        assert coeffs.shape == (4, k, 3)
+        for i in range(4):
+            for column in range(3):
+                alone = least_squares_solve(a[i:i + 1], y[i:i + 1, :, column], lam)[0]
+                assert_matches_lstsq(coeffs[i, :, column], a[i], y[i, :, column], lam, alone)
 
     @pytest.mark.parametrize("b", (1, 3, 5))
     @pytest.mark.parametrize("n, k, lam", [(40, 12, 0.0), (12, 40, 0.0), (40, 12, 1e-3),
@@ -882,9 +945,9 @@ class TestScalarRidge:
             fit_columns(np.zeros((4, 100)), np.zeros((4, 1)), cfg, [cfg.seed], 0.1)
 
     @pytest.mark.parametrize("targets, seeds", [
-        (np.zeros((4, 3)), [11]), (np.zeros(4), [11]), (np.zeros((3, 1)), [11]),
+        (np.zeros((4, 3)), [11, 12]), (np.zeros(4), [11]), (np.zeros((3, 1)), [11]),
         (np.zeros((4, 1, 1)), [11]), (np.zeros((4, 0)), []),
-    ], ids=["three-columns-one-seed", "1-d", "wrong-rows", "3-d", "no-column"])
+    ], ids=["three-columns-two-seeds", "1-d", "wrong-rows", "3-d", "no-column"])
     def test_targets_must_have_one_column_per_seed(self, targets, seeds, monkeypatch):
         cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
         monkeypatch.setattr(construct, "draw_features", no_call("draw_features"))
@@ -898,6 +961,30 @@ class TestScalarRidge:
         for bad in (np.full((4, 1), "0.5"), np.ones((4, 1), dtype=bool)):
             with pytest.raises(ConfigError, match="targets"):
                 fit_columns(np.zeros((4, 3)), bad, cfg, [cfg.seed], 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_targets_must_be_finite(self, bad, monkeypatch):
+        # read by the array rule, before any bank is drawn or solved
+        cfg = FitConfig(functional_spec=FunctionalSpec(("sequence", 3)), width=4, seed=11)
+        monkeypatch.setattr(construct, "draw_features", no_call("draw_features"))
+        targets = np.zeros((4, 2))
+        targets[2, 1] = bad
+        with pytest.raises(ConfigError, match="non-finite") as info:
+            fit_columns(np.zeros((4, 3)), targets, cfg, [11, 12], 0.1)
+        assert info.value.arg == "targets"
+
+    def test_bank_stops_once_every_column_is_below_delta(self):
+        ens, y = self.sin_problem()
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, max_width=32, seed=3)
+        zeros = np.zeros(len(y))
+        alone = fit_columns(ens.flats, zeros[:, None], cfg, [3], 1e-6)
+        assert alone[3].tolist() == [8] and alone[4].tolist() == [0.0]
+        # the sin column stays above delta, so the bank grows to max_width
+        P, thetas, c, widths, errors = fit_columns(ens.flats, np.stack([zeros, y], axis=1),
+                                                   cfg, [3], 1e-6)
+        assert widths.tolist() == [32] and len(thetas) == 32 and c.shape == (64,)
+        assert errors[0] == 0.0 and errors[1] >= 1e-6
+        np.testing.assert_array_equal(c.reshape(32, 2)[:, 0], np.zeros(32))
 
     def test_flats_list_of_rows_is_read_as_its_array(self, monkeypatch):
         # array rows are stacked by one numpy call, Python numbers read
@@ -1325,6 +1412,54 @@ class TestAssemble:
                 report.coefficient_errors, report.train_errors, *fitted)])
         assert np.any(report.coefficient_widths > cfg.width) and report.m >= 3
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_banks_of_r_columns_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # three banks of two partition columns each, which stop at
+        # different widths
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, seed=8)
+        psi = stage_one_weights(values, 0.05)
+        assert psi.shape[1] == 6
+        seeds = [derive_seed(4, j) for j in range(3)]
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+            fitted = fit_columns(ens.flats, psi, cfg, seeds, 0.1)
+            results.append([a.tobytes() for a in fitted])
+        widths = fitted[3]
+        assert len(set(widths.tolist())) > 1 and fitted[4].shape == (6,)
+        assert fitted[2].shape == (2 * widths.sum(),)
+        assert results[1] == results[0] and results[2] == results[0]
+        # bank j is columns 2 j and 2 j + 1 fitted alone, its block in order
+        starts = np.cumsum(widths) - widths
+        for j, seed in enumerate(seeds):
+            alone = fit_columns(ens.flats, psi[:, 2 * j:2 * j + 2], cfg, [seed], 0.1)
+            block = slice(starts[j], starts[j] + widths[j])
+            whole = (fitted[0][block], fitted[1][block], fitted[2][2 * block.start:2 * block.stop],
+                     widths[j:j + 1], fitted[4][2 * j:2 * j + 2])
+            assert [a.tobytes() for a in whole] == [a.tobytes() for a in alone]
+
+    @pytest.mark.parametrize("lam", (0.0, 1e-6))
+    def test_one_bank_fits_every_partition_column(self, lam):
+        # the stage-1 coordinates T as one bank of m columns: block 0's
+        # (W, m) coefficients, row by row, and column i's one-column solve
+        # on the same bank
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=16, lam=lam, seed=8)
+        T = stage_one_weights(values, 0.05)
+        m = T.shape[1]
+        P, thetas, c, widths, errors = fit_columns(ens.flats, T, cfg, [8], 1e-3)
+        (W,) = widths
+        assert len(thetas) == W and errors.shape == (m,) and c.shape == (W * m,)
+        design = bank_design(ens.flats @ cfg.functional_spec.basis.T, P, thetas, cfg.activation)
+        fixed = replace(cfg, width=W, max_width=W)
+        for i in range(m):
+            one = fit_columns(ens.flats, T[:, i:i + 1], fixed, [8], 1e-3)
+            np.testing.assert_array_equal(one[0], P)
+            np.testing.assert_array_equal(one[1], thetas)
+            assert_matches_lstsq(c.reshape(W, m)[:, i], design, T[:, i], lam, one[2])
 
     @pytest.mark.parametrize("cpus", (1, 2, 3))
     def test_every_draw_runs_on_the_calling_thread(self, cpus, monkeypatch):
