@@ -476,7 +476,9 @@ def _fmt(value) -> str:
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     """Write report.csv, report.json, and any serialized networks.
 
-    CSV has one row per (epsilon, seminorm); floats are written in shortest
+    CSV has one row per (epsilon, seminorm): each column the run record's
+    field of that name, but the row's seminorm label, its train and held-out
+    sup errors, and width, the network's; floats are written in shortest
     round-trip form so parsing the file back is lossless.
     """
     out = Path(out_dir)
@@ -488,21 +490,12 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for run in report.runs:
+                record, heldout = run.to_dict(), run.heldout_errors or {}
                 for label, err in run.train_errors.items():
-                    heldout = (None if run.heldout_errors is None
-                               else run.heldout_errors[label])
-                    writer.writerow([
-                        _fmt(run.epsilon),
-                        label,
-                        _fmt(run.m_centers),
-                        _fmt(run.C),
-                        _fmt(run.delta),
-                        _fmt(run.network_width),
-                        _fmt(run.converged),
-                        _fmt(err),
-                        _fmt(heldout),
-                        _fmt(run.wall_ms),
-                    ])
+                    row = {**record, "seminorm": label, "train_sup_error": err,
+                           "heldout_sup_error": heldout.get(label),
+                           "width": record["network_width"]}
+                    writer.writerow([_fmt(row[column]) for column in CSV_COLUMNS])
         written.append(csv_path)
 
         json_path = out / "report.json"

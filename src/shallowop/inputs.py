@@ -155,6 +155,8 @@ def random_functional(spec: FunctionalSpec, seed) -> np.ndarray:
     with no basis), and pairs with a flattened input of spec.signature by a
     dot product.
     """
+    if seed is None:  # numpy would draw it from fresh OS entropy
+        raise ConfigError("must be given, got None", "seed")
     params = draw_functional_params(spec, np.random.default_rng(seed), 1)[0]
     return params if spec.basis is None else params @ spec.basis
 
@@ -255,6 +257,8 @@ def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
     drawn in one pass; for band_limited and sequence_box a row's bits do not
     depend on count, so the first k rows of a draw are a draw of k.
     """
+    if seed is None:  # numpy would draw it from fresh OS entropy
+        raise ConfigError("must be given, got None", "seed")
     rng = np.random.default_rng(seed)
     if spec.family == "band_limited":
         grid = spec.grid

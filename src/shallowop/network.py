@@ -17,7 +17,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,13 +113,7 @@ class Polynomial(Activation):
         return {"name": self.name, "coefficients": list(self.coefficients)}
 
 
-_ACTIVATIONS = {
-    "tanh": Tanh,
-    "sigmoid": Sigmoid,
-    "relu": Relu,
-    "gaussian": Gaussian,
-    "polynomial": Polynomial,
-}
+_ACTIVATIONS = {cls.name: cls for cls in (Tanh, Sigmoid, Relu, Gaussian, Polynomial)}
 
 
 def make_activation(spec) -> Activation:
@@ -170,6 +164,8 @@ class ShallowVectorNetwork:
             raise ConfigError(f"must be an Activation, got {activation!r}", "activation")
         self.activation = activation
         self.input_signature = _checked_signature(input_signature, "input_signature")
+        if output_grid is not None and not isinstance(output_grid, GridMeta):
+            raise ConfigError(f"must be a GridMeta or None, got {output_grid!r}", "output_grid")
         self.output_grid = output_grid
         self.output_dim = self.centers.shape[1]
         width = self.thresholds.shape[0]
@@ -416,9 +412,7 @@ def _readonly_widths(values, neurons: int) -> np.ndarray:
 
 
 def _grid_to_doc(grid: GridMeta | None):
-    if grid is None:
-        return None
-    return {"a": grid.a, "b": grid.b, "n": grid.n}
+    return None if grid is None else asdict(grid)
 
 
 def _size_from_doc(doc, key, at=""):
@@ -428,13 +422,8 @@ def _size_from_doc(doc, key, at=""):
 
 
 def _grid_from_doc(doc, field):
-    if doc is None:
-        return None
-    try:
-        a, b, n = doc["a"], doc["b"], doc["n"]
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"malformed grid in field {field!r}: {exc}") from exc
-    return _named(DocumentError, {}, field, GridMeta, a, b, n)
+    """The GridMeta of doc, its fields by name, read at field; None for None."""
+    return None if doc is None else _named(DocumentError, {}, field, lambda: GridMeta(**doc))
 
 
 def _signature_to_doc(signature: tuple):
@@ -463,7 +452,9 @@ def _signature_from_doc(doc):
     raise DocumentError(f"unknown input kind {kind!r} in field 'input_shape'")
 
 
-def _matrix_to_doc(a: np.ndarray) -> dict:
+def _matrix_to_doc(a: np.ndarray | None) -> dict | None:
+    if a is None:
+        return None
     return {"shape": list(a.shape),
             "data": base64.b64encode(a.astype("<f8", copy=False).tobytes()).decode("ascii")}
 
@@ -484,6 +475,10 @@ def _matrix_from_doc(doc, field: str) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
+#: the network's arrays, in the order its document holds them
+_ARRAYS = ("weights", "basis", "thresholds", "coefficients", "centers")
+
+
 def serialize_network(net: ShallowVectorNetwork) -> dict:
     """JSON-compatible document capturing the network exactly.
 
@@ -497,17 +492,12 @@ def serialize_network(net: ShallowVectorNetwork) -> dict:
         "input_shape": _signature_to_doc(net.input_signature),
         "output_grid": _grid_to_doc(net.output_grid),
         "output_dim": net.output_dim,
-        "weights": _matrix_to_doc(net.weights),
-        "basis": None if net.basis is None else _matrix_to_doc(net.basis),
-        "thresholds": _matrix_to_doc(net.thresholds),
-        "coefficients": _matrix_to_doc(net.coefficients),
-        "centers": _matrix_to_doc(net.centers),
+        **{field: _matrix_to_doc(getattr(net, field)) for field in _ARRAYS},
         "widths": net.widths.tolist(),
     }
 
 
-_NETWORK_FIELDS = ("activation", "input_shape", "output_dim", "weights", "basis",
-                   "thresholds", "coefficients", "centers", "widths")
+_NETWORK_FIELDS = ("activation", "input_shape", "output_dim", *_ARRAYS, "widths")
 
 
 def deserialize_network(doc: dict) -> ShallowVectorNetwork:
@@ -521,17 +511,16 @@ def deserialize_network(doc: dict) -> ShallowVectorNetwork:
     signature = _signature_from_doc(doc["input_shape"])
     output_grid = _grid_from_doc(doc.get("output_grid"), "output_grid")
     output_dim = _size_from_doc(doc, "output_dim")
-    weights, thresholds, coefficients, centers = (
-        _matrix_from_doc(doc[field], field)
-        for field in ("weights", "thresholds", "coefficients", "centers"))
-    basis = None if doc["basis"] is None else _matrix_from_doc(doc["basis"], "basis")
+    arrays = {field: None if field == "basis" and doc[field] is None
+              else _matrix_from_doc(doc[field], field) for field in _ARRAYS}
+    centers = arrays["centers"]
     if centers.ndim == 2 and centers.shape[1] != output_dim:
         raise DocumentError(
             f"field 'centers' has {centers.shape[1]} columns, "
             f"field 'output_dim' says {output_dim}"
         )
     try:
-        return ShallowVectorNetwork(weights, thresholds, coefficients, centers, doc["widths"],
-                                    activation, signature, output_grid, basis)
+        return ShallowVectorNetwork(**arrays, widths=doc["widths"], activation=activation,
+                                    input_signature=signature, output_grid=output_grid)
     except (ShapeError, ValueError) as exc:
         raise DocumentError(f"inconsistent network document: {exc}") from exc

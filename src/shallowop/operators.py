@@ -134,6 +134,9 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "output_dim", _as_int(self.output_dim, "output_dim", 1,
                                                        sized=True, error=ShapeError))
+        if self.output_grid is not None and not isinstance(self.output_grid, GridMeta):
+            raise ConfigError(f"must be a GridMeta or None, got {self.output_grid!r}",
+                              "output_grid")
         if self.output_grid is not None and self.output_dim != self.output_grid.n:
             raise ShapeError("operator output dim does not match its output grid")
 

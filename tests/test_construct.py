@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -670,6 +671,41 @@ class TestDgels:
         for i in range(4):
             if not (deficient and i == 2):
                 assert_matches_lstsq(coeffs[i], a[i], y[i], lam)
+
+    @pytest.mark.parametrize("n, k", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    def test_ridge_rows_are_written_whatever_new_memory_holds(self, monkeypatch, n, k):
+        # every array np.empty makes starts as 1e3, so a right-hand side
+        # whose ridge rows are left unwritten solves another system
+        if network._openblas() is None:
+            pytest.skip("numpy ships no scipy-openblas library")
+        empty = np.empty
+
+        def filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(1e3)
+            return out
+
+        rng = np.random.default_rng(7 * n + k)
+        a, y = random_stack(rng, 3, n, k)
+        monkeypatch.setattr(np, "empty", filled)
+        coeffs = construct._dgels_members(a, y[..., None], 1e-3)
+        monkeypatch.undo()
+        for i in range(3):
+            assert_matches_lstsq(coeffs[i, :, 0], a[i], y[i], 1e-3)
+
+    @pytest.mark.parametrize("n, k", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    def test_svd_fallback_with_ridge_is_lstsq_on_the_augmented_system(self, monkeypatch, n, k):
+        monkeypatch.setattr(construct, "_openblas", lambda: None)
+        rng = np.random.default_rng(11 * n + k)
+        a, y = random_stack(rng, 3, n, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = least_squares_solve(a, y, 1e-2)
+        for i in range(3):
+            aug = np.vstack([a[i], np.sqrt(1e-2) * np.eye(k)])
+            rhs = np.concatenate([y[i], np.zeros(k)])[:, None]
+            want = np.linalg.lstsq(aug, rhs, rcond=None)[0][:, 0]
+            np.testing.assert_array_equal(coeffs[i], want)
 
     @pytest.mark.parametrize("n, k, lam", [(40, 12, 0.0), (12, 40, 0.0), (40, 12, 1e-3),
                                            (12, 40, 1e-3)],

@@ -422,6 +422,13 @@ class TestBuildOperator:
         op = build_operator(ExperimentConfig.from_dict(mat))
         assert op.output_dim == 2
 
+    def test_zero_operator_on_sequences_keeps_their_length(self):
+        op = build_operator(ExperimentConfig.from_dict(
+            small_dict(grid=None, ensemble=SEQUENCE_BOX, operator={"kind": "zero"})))
+        assert op.input_signature == ("sequence", 2)
+        assert op.output_dim == 2 and op.output_grid is None
+        np.testing.assert_array_equal(op.apply_many([[1.0, -0.5]]), [[0.0, 0.0]])
+
 
 class TestRunExperiment:
     def test_zero_ensemble_superposition_trivial_branch(self):
@@ -598,6 +605,26 @@ class TestEmitReport:
             assert float(row["train_sup_error"]) == run.train_errors["lq(q=2)"]
             assert float(row["heldout_sup_error"]) == run.heldout_errors["lq(q=2)"]
             assert float(row["wall_ms"]) == run.wall_ms
+
+    def test_columns_but_the_rows_four_are_the_run_records(self, tmp_path):
+        # each column is the report.json run record's field of that name,
+        # but the seminorm label, its two sup errors, and width
+        cfg = ExperimentConfig.from_dict(small_dict(
+            epsilons=[0.2, 0.1],
+            seminorms=[{"kind": "lq", "q": 2.0}, {"kind": "sup_derivative", "order": 0}]))
+        emit_report(run_experiment(cfg), tmp_path)
+        records = json.loads((tmp_path / "report.json").read_text())["runs"]
+        rows = report_rows(tmp_path / "report.csv")
+        own = {"seminorm", "train_sup_error", "heldout_sup_error", "width"}
+        assert set(CSV_COLUMNS) - own <= set(records[0])
+        for i, row in enumerate(rows):
+            record = records[i // 2]
+            for column in set(CSV_COLUMNS) - own:
+                assert row[column] == experiment._fmt(record[column]), column
+            assert row["width"] == str(record["network_width"])
+            assert float(row["train_sup_error"]) == record["train_errors"][row["seminorm"]]
+            assert float(row["heldout_sup_error"]) == record["heldout_errors"][row["seminorm"]]
+        assert [row["seminorm"] for row in rows] == [*records[0]["train_errors"]] * 2
 
     def test_degenerate_run_blanks_delta(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_dict(

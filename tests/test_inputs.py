@@ -222,6 +222,12 @@ class TestRandomFunctional:
         c = random_functional(spec, derive_seed(42, 1))
         assert not np.array_equal(a, c)
 
+    def test_none_seed_refused_by_name(self):
+        # numpy would seed None from fresh OS entropy, so no two draws agree
+        with pytest.raises(ConfigError, match="seed must be given") as info:
+            random_functional(FunctionalSpec(("function", GRID), order=3), None)
+        assert info.value.arg == "seed"
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.signature[0])
     def test_one_row_draw_matches_batch_head(self, spec):
         l = random_functional(spec, derive_seed(42, 0))
@@ -297,6 +303,12 @@ class TestRandomFunctional:
 
 
 class TestEnsembles:
+    def test_none_seed_refused_by_name(self):
+        # numpy would seed None from fresh OS entropy, so no two draws agree
+        with pytest.raises(ConfigError, match="seed must be given") as info:
+            sample_ensemble(EnsembleSpec("sequence_box", 4, radii=(1.0, 0.5)), None)
+        assert info.value.arg == "seed"
+
     def test_band_limited_membership_and_determinism(self):
         spec = EnsembleSpec(
             family="band_limited", count=20, radii=(1.0, 0.5, 0.25), grid=GRID

@@ -210,6 +210,23 @@ class TestEvaluate:
         assert len(calls) == 101
 
 
+    def test_widths_need_one_block_per_center(self):
+        with pytest.raises(ShapeError, match="widths has 2 blocks, centers have 1 rows"):
+            ShallowVectorNetwork(np.ones((2, 3)), np.zeros(2), np.ones(2), np.ones((1, 4)),
+                                 [1, 1], Tanh(), ("sequence", 3))
+
+    def test_centers_need_a_column(self):
+        with pytest.raises(ShapeError, match="centers need at least one column"):
+            ShallowVectorNetwork(np.ones((1, 3)), np.zeros(1), np.ones(1), np.ones((1, 0)),
+                                 [1], Tanh(), ("sequence", 3))
+
+    @pytest.mark.parametrize("grid", [{"a": 0.0, "b": 1.0, "n": 4}, 4, (0.0, 1.0, 4)],
+                             ids=["mapping", "number", "tuple"])
+    def test_output_grid_must_be_a_grid(self, grid):
+        with pytest.raises(ConfigError, match="output_grid must be a GridMeta or None") as info:
+            dense(np.ones((1, 3)), [0.0], np.ones((1, 4)), Tanh(), ("sequence", 3), grid)
+        assert info.value.arg == "output_grid"
+
 def stacked(a, b):
     """The network over a's neuron blocks and then b's (both without a
     basis): it evaluates to a + b."""
@@ -513,6 +530,39 @@ class TestSerialization:
         with pytest.raises(DocumentError, match=f"'{field}' must be a finite number, got"):
             deserialize_network(json.loads(json.dumps(doc)))
 
+
+    @pytest.mark.parametrize("doc", [[], "network", None], ids=["list", "string", "null"])
+    def test_document_not_a_mapping_rejected(self, doc):
+        with pytest.raises(DocumentError, match="network document must be a mapping"):
+            deserialize_network(doc)
+
+    @pytest.mark.parametrize("shape", [[2, 6.0], [-2, -6], [True, 6], "2x6", {"rows": 2}],
+                             ids=["float", "negative", "bool", "string", "mapping"])
+    def test_array_shape_not_a_list_of_sizes_rejected(self, shape):
+        doc = serialize_network(random_network(np.random.default_rng(21), width=2))
+        doc["weights"]["shape"] = shape
+        with pytest.raises(DocumentError, match="'weights' has shape .* not a list of sizes"):
+            deserialize_network(doc)
+
+    # a grid is read as GridMeta's fields by name: a grid that is not a
+    # mapping, or one missing a field or holding another, names the grid
+    @pytest.mark.parametrize("field", ["output_grid", "input_shape.grid"])
+    @pytest.mark.parametrize("change", [
+        lambda grid: [grid["a"], grid["b"], grid["n"]],
+        lambda grid: 13,
+        lambda grid: {k: v for k, v in grid.items() if k != "n"},
+        lambda grid: {**grid, "spacing": 0.25},
+        lambda grid: {**grid, 1: 0.25},
+    ], ids=["list", "number", "missing_n", "unknown_key", "non_string_key"])
+    def test_malformed_grid_names_its_field(self, field, change):
+        doc = serialize_network(kind_network("function", np.random.default_rng(20)))
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = change(node[key])
+        with pytest.raises(DocumentError, match=f"field '{field}': "):
+            deserialize_network(doc)
 
 def dense_formula(net, flats):
     """eta(S L^T - theta) V for a factored network, with L = P B and row k of

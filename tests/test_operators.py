@@ -264,6 +264,21 @@ class TestOperatorWrappers:
         out = op.apply_many([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(out[0], np.zeros(5))
 
+    @pytest.mark.parametrize("grid", [{"a": 0.0, "b": 1.0, "n": 3}, 3, (0.0, 1.0, 3)],
+                             ids=["mapping", "number", "tuple"])
+    def test_output_grid_must_be_a_grid(self, grid):
+        with pytest.raises(ConfigError, match="output_grid must be a GridMeta or None") as info:
+            Operator("cached", np.zeros_like, ("sequence", 3), 3, grid)
+        assert info.value.arg == "output_grid"
+
+    def test_output_dim_must_match_the_grid(self):
+        with pytest.raises(ShapeError, match="output dim does not match its output grid"):
+            Operator("cached", np.zeros_like, ("sequence", 3), 3, GridMeta(0.0, 1.0, 4))
+
+    def test_superposition_refuses_matrices(self):
+        with pytest.raises(ShapeError, match="accept function or sequence inputs"):
+            superposition_operator("sin", ("matrix", (2, 2)))
+
 
 BATCH_GRID = GridMeta(0.0, 1.0, 101)
 BATCH_ROWS = 300  # more than one 256-row block

@@ -259,6 +259,10 @@ class TestDualPairing:
         with pytest.raises(ShapeError):
             seminorm_of(rho, np.ones(100))
 
+    def test_test_vector_must_match_its_grid(self):
+        with pytest.raises(ShapeError, match="test vector length does not match its grid"):
+            DualPairing(np.ones(100), GRID)
+
 
 class TestSeminormAxioms:
     GRID = GridMeta(0.0, 1.0, 64)
