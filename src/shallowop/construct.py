@@ -521,12 +521,17 @@ def uniform_error(f_values, net: ShallowVectorNetwork, ensemble,
 
     f_values is the (n, d) matrix of the value of each sample of ensemble,
     a CompactEnsemble or an (n, dim) matrix of input rows, read by the
-    array rule (arg f_values).  One batched pass per seminorm over the
-    residual matrix, which overwrites the network outputs.
+    array rule (arg f_values).  The family measures values on the
+    network's output grid, so a family on another grid is a ShapeError
+    naming family.  One batched pass per seminorm over the residual matrix,
+    which overwrites the network outputs.
     """
     F = _as_array(f_values, "f_values", 2, subject="operator values")
     if len(F) != len(ensemble):
         raise ShapeError("one operator value per sample required")
+    if family.grid != net.output_grid:
+        raise ShapeError(f"is on grid {family.grid}, the network's outputs on "
+                         f"{net.output_grid}", "family", "seminorm family")
     approx = net.evaluate_many(ensemble)
     if approx.shape != F.shape:
         raise ShapeError(f"network outputs {approx.shape} do not match values {F.shape}")

@@ -12,9 +12,9 @@ import copy
 import csv
 import json
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -141,10 +141,11 @@ def _is_mapping(value) -> bool:
     return isinstance(value, dict)
 
 
-def _mappings(doc, key, nonempty) -> tuple[dict, ...]:
-    """doc[key] as a tuple of mappings, item i named key[i] when bad."""
-    items = _get(doc, "", key, [], lambda v: _is_list(v) and (v or not nonempty),
-                 "must be a nonempty list" if nonempty else "must be a list")
+def _mappings(items, key, nonempty) -> tuple[dict, ...]:
+    """items, the value at key, as a tuple of mappings, item i named
+    key[i] when bad."""
+    _require(_is_list(items) and (items or not nonempty), key,
+             "must be a nonempty list" if nonempty else "must be a list")
     for i, item in enumerate(items):
         _require(_is_mapping(item), f"{key}[{i}]", "must be a mapping")
     return tuple(items)
@@ -152,74 +153,78 @@ def _mappings(doc, key, nonempty) -> tuple[dict, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and validated experiment description.
+    """A checked experiment description.
 
-    from_dict checks a config by building its operator, seminorms, duals and
-    fit config once, so a config that loads builds; a bad field raises
-    ConfigError naming it.  What it built is kept as `parts`, which runs use.
-    The config holds a deep copy of the document it was read from, and
-    to_dict returns a new one, so neither aliases the caller's mappings.
+    However it is made, directly, by from_dict or by dataclasses.replace,
+    the config checks every field, a bad one raising ConfigError naming it,
+    and then builds its operator, seminorms, duals and fit config once, so a
+    config that exists builds.  What it built is kept as `parts`, which runs
+    use.  The config holds deep copies of the mappings it is given, fit
+    with its defaults filled in, and to_dict returns a new document, so
+    neither aliases the caller's mappings.
     """
 
-    name: str
-    operator: dict
-    ensemble: EnsembleSpec
-    heldout_fraction: float
-    seminorms: tuple[dict, ...]
-    target_index: int
-    epsilons: tuple[float, ...]
-    fit: dict
-    duals: tuple[dict, ...]
-    seed: int
-    out: str | None
-    save_networks: bool
+    name: str = "experiment"
+    operator: dict | None = None
+    ensemble: EnsembleSpec | None = None
+    heldout_fraction: float = 0.2
+    seminorms: tuple[dict, ...] = ()
+    target_index: int = 0
+    epsilons: tuple[float, ...] = ()
+    fit: dict = field(default_factory=dict)
+    duals: tuple[dict, ...] = ()
+    seed: int = 0
+    out: str | None = None
+    save_networks: bool = False
 
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
-        raw = copy.deepcopy(raw)
-        _only(raw, "", [f.name for f in fields(ExperimentConfig)] + ["grid"])
-        grid = _get(raw, "", "grid", None, lambda g: g is None or _is_mapping(g),
-                    "must be a mapping")
-        seminorms = _mappings(raw, "seminorms", nonempty=True)
-        fit = _get(raw, "", "fit", {}, _is_mapping, "must be a mapping")
-        _only(fit, "fit", _FIT_DEFAULTS)
-        heldout = _from_field("", _as_float, raw.get("heldout_fraction", 0.2),
-                              "heldout_fraction", 0)
+    def __post_init__(self):
+        seminorms = _mappings(self.seminorms, "seminorms", nonempty=True)
+        _require(_is_mapping(self.fit), "fit", "must be a mapping")
+        _only(self.fit, "fit", _FIT_DEFAULTS)
+        heldout = _from_field("", _as_float, self.heldout_fraction, "heldout_fraction", 0)
         _require(heldout < 1.0, "heldout_fraction", "must be below 1")
+        _require(_is_list(self.epsilons), "epsilons", "must be a list")
         epsilons = tuple(_from_field("", _as_float, e, "epsilons", above=0)
-                         for e in _get(raw, "", "epsilons", [], _is_list, "must be a list"))
-        target_index = _from_field("", _as_int, raw.get("target_index", 0), "target_index", 0)
+                         for e in self.epsilons)
+        target_index = _from_field("", _as_int, self.target_index, "target_index", 0)
         _require(target_index < len(seminorms), "target_index",
                  f"must index the {len(seminorms)} configured seminorms")
-        seed = _from_field("", _as_int, raw.get("seed", 0), "seed", 0)
-        config = ExperimentConfig(
-            name=_get(raw, "", "name", "experiment", lambda v: isinstance(v, str) and v,
-                      "must be a nonempty string"),
-            operator=_get(raw, "", "operator", None, _is_mapping, "must be a mapping"),
-            ensemble=_read(
-                EnsembleSpec, _get(raw, "", "ensemble", None, _is_mapping, "must be a mapping"),
-                "ensemble", grid=None if grid is None else _read(GridMeta, grid, "grid")),
-            heldout_fraction=heldout,
-            seminorms=seminorms,
-            target_index=target_index,
-            epsilons=epsilons,
-            fit={**_FIT_DEFAULTS, **fit},
-            duals=_mappings(raw, "duals", nonempty=False),
-            seed=seed,
-            out=_get(raw, "", "out", None, lambda v: v is None or (isinstance(v, str) and v),
-                     "must be a nonempty string when given"),
-            save_networks=_get(raw, "", "save_networks", False, lambda v: isinstance(v, bool),
-                               "must be a boolean"),
-        )
-        parts = config.parts
+        seed = _from_field("", _as_int, self.seed, "seed", 0)
+        _require(isinstance(self.name, str) and self.name, "name", "must be a nonempty string")
+        _require(_is_mapping(self.operator), "operator", "must be a mapping")
+        _require(isinstance(self.ensemble, EnsembleSpec), "ensemble", "must be an EnsembleSpec")
+        _require(self.out is None or (isinstance(self.out, str) and self.out), "out",
+                 "must be a nonempty string when given")
+        _require(isinstance(self.save_networks, bool), "save_networks", "must be a boolean")
+        checked = {"operator": self.operator, "heldout_fraction": heldout,
+                   "seminorms": seminorms, "target_index": target_index, "epsilons": epsilons,
+                   "fit": {**_FIT_DEFAULTS, **self.fit},
+                   "duals": _mappings(self.duals, "duals", nonempty=False), "seed": seed}
+        for name, value in copy.deepcopy(checked).items():
+            object.__setattr__(self, name, value)
+        parts = _build(self)
+        object.__setattr__(self, "parts", parts)
         # report errors are keyed by label, so a repeated one would hide a column
         _unique([rho.label() for rho in parts.members], "seminorms[{}]")
         _unique([d.label() for d in parts.duals], "duals[{}].name")
         # kept as the fit config holds it, so integer bounds read back as floats
-        config.fit["theta_range"] = list(parts.fit.theta_range)
-        return config
+        self.fit["theta_range"] = list(parts.fit.theta_range)
+
+    @staticmethod
+    def from_dict(raw: dict) -> "ExperimentConfig":
+        """The config a document describes: each top-level key fills the
+        field of its name, and an absent one takes the field's default, but
+        ensemble and grid, which are read into one EnsembleSpec."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
+        _only(raw, "", [f.name for f in fields(ExperimentConfig)] + ["grid"])
+        raw = dict(raw)
+        grid = raw.pop("grid", None)
+        _require(grid is None or _is_mapping(grid), "grid", "must be a mapping")
+        ensemble = _get(raw, "", "ensemble", None, _is_mapping, "must be a mapping")
+        return ExperimentConfig(**{**raw, "ensemble": _read(
+            EnsembleSpec, ensemble, "ensemble",
+            grid=None if grid is None else _read(GridMeta, grid, "grid"))})
 
     def to_dict(self) -> dict:
         """The document the config reads back from: its fields in order, but
@@ -233,11 +238,6 @@ class ExperimentConfig:
         if self.out is not None:
             doc["out"] = self.out
         return copy.deepcopy(doc)
-
-    @cached_property
-    def parts(self) -> _Parts:
-        """The operator, seminorms, duals and fit config, built on first use."""
-        return _build(self)
 
 
 def _unique(labels, field):

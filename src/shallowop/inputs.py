@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .seeding import derive_seed
 from .targets import GridMeta, _as_array, _as_float, _as_floats, _as_int, _row_blocks
 
 
@@ -153,11 +154,9 @@ def random_functional(spec: FunctionalSpec, seed) -> np.ndarray:
 
     It is the drawn parameters over spec.basis (the parameters themselves
     with no basis), and pairs with a flattened input of spec.signature by a
-    dot product.
+    dot product.  seed is a root seed as derive_seed reads it.
     """
-    if seed is None:  # numpy would draw it from fresh OS entropy
-        raise ConfigError("must be given, got None", "seed")
-    params = draw_functional_params(spec, np.random.default_rng(seed), 1)[0]
+    params = draw_functional_params(spec, np.random.default_rng(derive_seed(seed)), 1)[0]
     return params if spec.basis is None else params @ spec.basis
 
 
@@ -252,14 +251,13 @@ class CompactEnsemble:
 def sample_ensemble(spec: EnsembleSpec, seed) -> CompactEnsemble:
     """Draw samples uniformly within the ensemble's parameter box/ball.
 
-    Pure in (spec, seed): rerunning reproduces bit-identical samples.  Every
+    Pure in (spec, seed), seed a root seed as derive_seed reads it:
+    rerunning reproduces bit-identical samples.  Every
     sample satisfies its family bound exactly.  The (count, dim) matrix is
     drawn in one pass; for band_limited and sequence_box a row's bits do not
     depend on count, so the first k rows of a draw are a draw of k.
     """
-    if seed is None:  # numpy would draw it from fresh OS entropy
-        raise ConfigError("must be given, got None", "seed")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(derive_seed(seed))
     if spec.family == "band_limited":
         grid = spec.grid
         radii = np.asarray(spec.radii)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DocumentError, ShapeError, _named
 from .inputs import _checked_signature, signature_dim, stack_inputs
-from .targets import GridMeta, _as_array, _as_floats, _as_int, _row_blocks
+from .targets import GridMeta, _as_array, _as_floats, _as_int, _checked_output_grid, _row_blocks
 
 
 class Activation:
@@ -164,9 +164,6 @@ class ShallowVectorNetwork:
             raise ConfigError(f"must be an Activation, got {activation!r}", "activation")
         self.activation = activation
         self.input_signature = _checked_signature(input_signature, "input_signature")
-        if output_grid is not None and not isinstance(output_grid, GridMeta):
-            raise ConfigError(f"must be a GridMeta or None, got {output_grid!r}", "output_grid")
-        self.output_grid = output_grid
         self.output_dim = self.centers.shape[1]
         width = self.thresholds.shape[0]
         if self.weights.shape[0] != width or self.coefficients.shape[0] != width:
@@ -191,11 +188,7 @@ class ShallowVectorNetwork:
                              f"{input_signature} has dimension {dim}")
         if self.output_dim < 1:
             raise ShapeError("centers need at least one column (output dim)")
-        if output_grid is not None and self.output_dim != output_grid.n:
-            raise ShapeError(
-                f"centers have {self.output_dim} columns, output grid has "
-                f"{output_grid.n} nodes"
-            )
+        self.output_grid = _checked_output_grid(output_grid, self.output_dim)
         self._panels = _panels(self.weights, self.thresholds, self.coefficients, self.widths)
 
     @classmethod

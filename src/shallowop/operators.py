@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .inputs import stack_inputs
-from .targets import GridMeta, _as_array, _as_float, _as_int
+from .inputs import _checked_signature, stack_inputs
+from .targets import GridMeta, _as_array, _as_float, _as_int, _checked_output_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +132,11 @@ class Operator:
     output_grid: GridMeta | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "input_signature",
+                           _checked_signature(self.input_signature, "input_signature"))
         object.__setattr__(self, "output_dim", _as_int(self.output_dim, "output_dim", 1,
                                                        sized=True, error=ShapeError))
-        if self.output_grid is not None and not isinstance(self.output_grid, GridMeta):
-            raise ConfigError(f"must be a GridMeta or None, got {self.output_grid!r}",
-                              "output_grid")
-        if self.output_grid is not None and self.output_dim != self.output_grid.n:
-            raise ShapeError("operator output dim does not match its output grid")
+        _checked_output_grid(self.output_grid, self.output_dim)
 
     def apply_many(self, samples) -> np.ndarray:
         """Images of an ensemble or an (n, dim) matrix of input rows (see

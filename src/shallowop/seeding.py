@@ -18,20 +18,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+from .targets import _as_int
+
 
 def derive_seed(root, *path: int) -> np.random.SeedSequence:
     """Child seed for an integer path under a root seed.
 
-    Identical (root, path) pairs always produce the same stream; distinct
-    paths produce independent ones.  A root that is itself a derived seed
-    keeps its own path, so derivations nest without collisions.
+    A root seed is an integer of at least 0, never a boolean, or a
+    SeedSequence; anything else, None too, which numpy would fill from
+    fresh OS entropy, is a ConfigError naming seed.  Identical (root, path)
+    pairs always produce the same stream; distinct paths produce
+    independent ones.  A root that is itself a derived seed keeps its own
+    path, so derivations nest without collisions, and the empty path seeds
+    the root's own stream.
     """
+    if root is None:
+        raise ConfigError("must be given, got None", "seed")
     if isinstance(root, np.random.SeedSequence):
         base, prefix = root.entropy, tuple(root.spawn_key)
     else:
-        base, prefix = root, ()
-    if base is None:
-        raise ValueError("derive_seed needs an explicit root seed")
+        base, prefix = _as_int(root, "seed", 0), ()
     return np.random.SeedSequence(
         entropy=base, spawn_key=prefix + tuple(int(p) for p in path)
     )

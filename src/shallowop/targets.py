@@ -70,6 +70,18 @@ class GridMeta:
         return w
 
 
+def _checked_output_grid(grid, n: int) -> GridMeta | None:
+    """grid as the output grid of n values: None, or a GridMeta of n nodes;
+    a ConfigError naming output_grid for anything else, a ShapeError for a
+    grid of another node count."""
+    if grid is not None and not isinstance(grid, GridMeta):
+        raise ConfigError(f"must be a GridMeta or None, got {grid!r}", "output_grid")
+    if grid is not None and grid.n != n:
+        raise ShapeError(f"does not match its output grid: {n} values, {grid.n} nodes",
+                         "output_grid", "output dim")
+    return grid
+
+
 def _as_int(value, arg: str, least=None, *, sized=False, error=ConfigError,
             subject: str | None = None) -> int:
     """value as an int if it is a Python or numpy integer, not a boolean, at

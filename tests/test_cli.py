@@ -164,6 +164,12 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "nope.json" in err
 
+    def test_config_directory_diagnosed(self, tmp_path, capsys):
+        # a path that exists but is no file: open's OSError, exit status 2
+        assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config {tmp_path}" in err and not (tmp_path / "o").exists()
+
     def test_invalid_json_diagnosed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

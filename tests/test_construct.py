@@ -832,6 +832,37 @@ class TestDgels:
                                                                           512))
         assert len(solved) == tried and report.m >= 2
 
+    def test_without_the_library_the_hold_sets_nothing(self, monkeypatch):
+        # the platform without numpy's bundled OpenBLAS: neither module finds
+        # the library, so the hold sets no thread count and every solve of
+        # an assembly is by SVD; where the library is there, its count is
+        # set to 2 first and must still read 2 in every solve
+        library = network._openblas()
+        monkeypatch.setattr(network, "_openblas", lambda: None)
+        monkeypatch.setattr(construct, "_openblas", lambda: None)
+        svd, seen = construct._svd_solve, []
+
+        def counting(design, targets, lam):
+            seen.append((network._holds[0], library and library[1]()))
+            return svd(design, targets, lam)
+
+        monkeypatch.setattr(construct, "_svd_solve", counting)
+        grid = GridMeta(0.0, 1.0, 101)
+        ens = band_ensemble(40, grid, seed=5)
+        values = poisson_operator(grid).apply_many(ens)
+        cfg = FitConfig(functional_spec=fn_spec(grid), width=16, seed=8)
+        before = library and library[1]()
+        try:
+            if library:
+                library[2](2)
+            net, report = assemble_vector_network(
+                values, ens, SeminormFamily((LqNorm(2.0, grid),)), 0, 0.05, cfg)
+        finally:
+            if library:
+                library[2](before)
+        assert report.converged and report.train_errors[0] < 0.05
+        assert seen and set(seen) == {(0, 2 if library else None)}
+
     def test_thread_count_held_and_restored(self, monkeypatch):
         library = network._openblas()
         if library is None:
@@ -1688,6 +1719,16 @@ class TestUniformError:
         values = np.zeros((3, 31))
         with pytest.raises(ShapeError):
             uniform_error(values, net, ens, SeminormFamily((LqNorm(2.0, self.GRID),)))
+
+    @pytest.mark.parametrize("other", [GridMeta(0.0, 2.0, 31), None], ids=["wider", "none"])
+    def test_family_on_another_grid_refused(self, other):
+        # a seminorm on [0, 2] weighs values on [0, 1] as if they were twice
+        # as far apart: a Poisson network's L2 error read 0.0397 for 0.0281
+        ens = band_ensemble(3, self.GRID, seed=10)
+        net = ShallowVectorNetwork.zero(Tanh(), ens.signature, 31, self.GRID)
+        with pytest.raises(ShapeError, match="seminorm family is on grid") as info:
+            uniform_error(np.ones((3, 31)), net, ens, SeminormFamily((LqNorm(2.0, other),)))
+        assert info.value.arg == "family"
 
     def test_shape_mismatch(self):
         ens = band_ensemble(3, self.GRID, seed=10)

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -400,6 +401,84 @@ class TestConfigParsing:
         doc["fit"]["theta_range"][1] = 8.0
         assert json.dumps(cfg.to_dict()) == before
         assert cfg.operator["kernel"]["width"] == 0.25
+
+
+    @pytest.mark.parametrize("doc", [[], "config", None], ids=["list", "string", "null"])
+    def test_document_not_a_mapping_refused(self, doc):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config must be a mapping, got {type(doc).__name__}")):
+            ExperimentConfig.from_dict(doc)
+
+
+#: fields a config built by dataclasses.replace used to keep unchecked, and
+#: the refusal each now meets; on sequence_decay the repeated label hid a
+#: report column, heldout_fraction 1.5 trained on 60 of its 120 samples, and
+#: the unknown fit key ran
+REPLACED = {
+    "repeated_label": ({"seminorms": ({"kind": "lq", "q": 1}, {"kind": "lq", "q": 1})},
+                       "field 'seminorms[1]': label 'lq(q=1)' repeats that of seminorms[0]"),
+    "heldout_fraction": ({"heldout_fraction": 1.5}, "field 'heldout_fraction': must be below 1"),
+    "fit_key": ({"fit": {"bogus": 1}}, "field 'fit.bogus': unknown field"),
+    "seed": ({"seed": True}, "field 'seed' must be an integer, got True"),
+    "epsilons": ({"epsilons": (0.1, -0.1)}, "field 'epsilons' must be greater than 0, got -0.1"),
+    "target_index": ({"target_index": 1},
+                     "field 'target_index': must index the 1 configured seminorms"),
+    "repeated_dual": ({"duals": ({"name": "d"}, {"name": "d"})},
+                      "field 'duals[1].name': label 'd' repeats that of duals[0].name"),
+    "ensemble": ({"ensemble": {"family": "sequence_box"}},
+                 "field 'ensemble': must be an EnsembleSpec"),
+}
+
+
+class TestConfigConstructor:
+    """A config checks and builds itself, however it is made."""
+
+    @pytest.mark.parametrize("case", REPLACED)
+    def test_replaced_config_is_checked_as_a_document_is(self, case):
+        overrides, refusal = REPLACED[case]
+        config = ExperimentConfig.from_dict(preset_dict("sequence_decay"))
+        with pytest.raises(ConfigError, match=re.escape(refusal)):
+            replace(config, **overrides)
+        if "ensemble" not in overrides:  # a document's ensemble is read, not held
+            with pytest.raises(ConfigError, match=re.escape(refusal)):
+                ExperimentConfig.from_dict({**config.to_dict(), **overrides})
+
+    def test_replaced_config_builds_and_runs_as_its_document(self):
+        doc = preset_dict("sequence_decay")
+        replaced = replace(ExperimentConfig.from_dict(doc), seed=5, epsilons=(0.3,))
+        read = ExperimentConfig.from_dict({**doc, "seed": 5, "epsilons": [0.3]})
+        assert replaced == read and replaced.parts.fit == read.parts.fit
+        assert stripped(run_experiment(replaced)) == stripped(run_experiment(read))
+
+    def test_config_built_directly_is_the_one_its_document_reads(self):
+        doc = small_dict(duals=[{"name": "mean"}])
+        read = ExperimentConfig.from_dict(doc)
+        fields = {key: value for key, value in doc.items() if key != "grid"}
+        built = ExperimentConfig(**{**fields, "ensemble": read.ensemble})
+        assert built == read and built.to_dict() == read.to_dict()
+        # the fields a document leaves out take the constructor's defaults
+        least = {key: doc[key] for key in ("operator", "seminorms")}
+        assert (ExperimentConfig(**least, ensemble=read.ensemble)
+                == ExperimentConfig.from_dict({**least, "grid": doc["grid"],
+                                               "ensemble": doc["ensemble"]}))
+
+    def test_config_built_directly_does_not_alias_its_mappings(self):
+        fit = {"lam": 0.0, "theta_range": [-2, 2]}
+        seminorms = [{"kind": "lq", "q": 2.0}]
+        config = ExperimentConfig(operator={"kind": "poisson"}, seminorms=seminorms, fit=fit,
+                                  ensemble=ExperimentConfig.from_dict(small_dict()).ensemble)
+        # the config fills its own copy of fit and echoes theta_range as floats
+        assert fit == {"lam": 0.0, "theta_range": [-2, 2]}
+        assert config.fit["theta_range"] == [-2.0, 2.0] and "width" in config.fit
+        seminorms[0]["q"] = 3.0
+        assert config.seminorms == ({"kind": "lq", "q": 2.0},)
+
+    def test_missing_fields_named(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "field 'seminorms': must be a nonempty list")):
+            ExperimentConfig()
+        with pytest.raises(ConfigError, match=re.escape("field 'operator': must be a mapping")):
+            ExperimentConfig(seminorms=[{"kind": "lq"}])
 
 
 class TestBuildOperator:

@@ -16,7 +16,7 @@ from shallowop.inputs import (
     stack_inputs,
 )
 from shallowop.network import Polynomial, ShallowVectorNetwork
-from shallowop.operators import zero_operator
+from shallowop.operators import Operator, zero_operator
 from shallowop.seeding import derive_seed
 from shallowop.targets import GridMeta
 
@@ -263,12 +263,16 @@ class TestRandomFunctional:
     def test_spec_validation(self):
         # a malformed signature: an unknown kind, a function signature
         # without a grid, a sequence without a length or below length 1,
-        # a bad matrix shape, a signature that is not a (kind, size) pair
+        # a bad matrix shape, a signature that is not a (kind, size) pair;
+        # an operator holds one too, and refuses each when it is built
         for signature in (("nope", 3), ("function", None), ("sequence", None),
                           ("sequence", 0), ("matrix", (0, 2)), ("matrix", None),
-                          "sequence", ("sequence", 4, 1)):
+                          ("matrix", (2,)), "sequence", ("sequence", 4, 1)):
             with pytest.raises(ConfigError):
                 FunctionalSpec(signature)
+            with pytest.raises(ConfigError) as info:
+                Operator("x", np.zeros_like, signature, 3)
+            assert info.value.arg == "input_signature"
         with pytest.raises(ConfigError):
             FunctionalSpec(("sequence", 4), scale=-1.0)
         with pytest.raises(ConfigError):
@@ -308,6 +312,12 @@ class TestEnsembles:
         with pytest.raises(ConfigError, match="seed must be given") as info:
             sample_ensemble(EnsembleSpec("sequence_box", 4, radii=(1.0, 0.5)), None)
         assert info.value.arg == "seed"
+
+    def test_band_limited_grid_must_be_a_grid(self):
+        for grid in ({"a": 0.0, "b": 1.0, "n": 5}, 5, (0.0, 1.0, 5)):
+            with pytest.raises(ConfigError, match="grid must be a GridMeta") as info:
+                EnsembleSpec("band_limited", 3, radii=(1.0,), grid=grid)
+            assert info.value.arg == "grid"
 
     def test_band_limited_membership_and_determinism(self):
         spec = EnsembleSpec(
@@ -514,3 +524,33 @@ class TestSeeding:
     def test_requires_explicit_root(self):
         with pytest.raises(ValueError):
             derive_seed(None, 1)
+
+
+#: the root seeds every draw refuses: a generator, whose stream depends on
+#: what drew from it before, a boolean, a negative integer and a fraction
+NOT_SEEDS = [np.random.default_rng(0), True, -1, 1.5]
+#: each function of a root seed, on a seed
+SEEDED = {
+    "sample_ensemble": lambda seed: sample_ensemble(
+        EnsembleSpec("sequence_box", 4, radii=(1.0, 0.5)), seed),
+    "random_functional": lambda seed: random_functional(FunctionalSpec(("sequence", 3)), seed),
+    "derive_seed": lambda seed: derive_seed(seed, 1),
+}
+
+
+@pytest.mark.parametrize("seed", NOT_SEEDS, ids=["generator", "true", "negative", "fraction"])
+@pytest.mark.parametrize("draw", SEEDED)
+def test_root_seed_refused_by_name(draw, seed):
+    # one rule, derive_seed's, for every root seed
+    with pytest.raises(ConfigError, match="^seed must be") as info:
+        SEEDED[draw](seed)
+    assert info.value.arg == "seed"
+
+
+@pytest.mark.parametrize("root", [0, 7, 2**64 + 3, np.int64(9), derive_seed(5, 3, 1)],
+                         ids=["zero", "seven", "wide", "numpy", "derived"])
+def test_empty_path_seeds_the_roots_own_stream(root):
+    # so that draws of an integer or a derived seed kept their bits when
+    # they began to read it through derive_seed
+    want = np.random.default_rng(root).standard_normal(8)
+    assert np.random.default_rng(derive_seed(root)).standard_normal(8).tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import threading
 
 import numpy as np
@@ -460,6 +461,18 @@ class TestSerialization:
         wider = serialize_network(random_network(rng, width=5))
         doc[field] = wider[field]
         with pytest.raises(DocumentError, match="rows"):
+            deserialize_network(doc)
+
+    @pytest.mark.parametrize("shape, refusal", [
+        ({"kind": "tensor", "length": 2}, "unknown input kind 'tensor' in field 'input_shape'"),
+        (["sequence", 2], "malformed field 'input_shape'"),
+        ("sequence", "malformed field 'input_shape'"),
+        (None, "malformed field 'input_shape'"),
+    ], ids=["unknown_kind", "list", "string", "null"])
+    def test_input_shape_of_no_known_kind_rejected(self, shape, refusal):
+        doc = serialize_network(ShallowVectorNetwork.zero(Tanh(), ("sequence", 2), 2))
+        doc["input_shape"] = shape
+        with pytest.raises(DocumentError, match=re.escape(refusal)):
             deserialize_network(doc)
 
     def test_weights_width_disagrees_with_input_shape(self):
