@@ -67,4 +67,4 @@ from .targets import (
     SupDerivative,
 )
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"

@@ -26,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an epsilon sweep from a JSON config")
     run.add_argument("--config", required=True,
-                     help="path to a JSON experiment config, or a preset name")
+                     help="a preset name, else a JSON config path (a preset-named file: ./name)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config's root seed")
     run.add_argument("--out", default=None,
@@ -41,11 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path_or_name: str):
-    """The raw config document of a JSON file, or of a preset by name."""
+    """The raw config document of a preset by name, or else of a JSON file;
+    a file named like a preset is read by a path such as ./name."""
+    if path_or_name in preset_names():
+        return preset_dict(path_or_name)
     path = Path(path_or_name)
     if not path.exists():
-        if path_or_name in preset_names():
-            return preset_dict(path_or_name)
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:

@@ -148,40 +148,37 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> 
     """Minimize ||A c - y||^2 + lam ||c||^2 for each member of a stack.
 
     design is a (b, n, k) stack with targets (b, n, r), r >= 1
-    right-hand sides per member, and the result is (b, k, r); targets
-    (b, n) are the case r = 1, read as (b, n, 1), with a (b, k) result.
-    One design is the stack design[None].  The stack is copied into one
-    LAPACK buffer and each member is one dgels call on it, with its r
-    right-hand sides, after which INFO, R's diagonal and the coefficients
-    are checked for the whole stack (see _dgels_members); a member those
-    checks leave is solved alone by SVD least squares, which with lam = 0
-    gives the minimum-norm minimizer and warns, once per member, that the
-    design is rank-deficient.  A design or
+    right-hand sides per member, and the result is (b, k, r); one target
+    column is y[..., None], and one design the stack design[None].  The
+    stack is copied into one LAPACK buffer and each member is one dgels
+    call on it, with its r right-hand sides, after which INFO, R's diagonal
+    and the coefficients are checked for the whole stack (see
+    _dgels_members); a member those checks leave is solved alone by SVD
+    least squares, which with lam = 0 gives the minimum-norm minimizer and
+    warns, once per member, that the design is rank-deficient.  A design or
     targets array of strings, booleans, complex numbers or objects, or with
     a non-finite entry, is refused by a ConfigError naming it, and a design
-    with an empty axis by a ShapeError naming it, before any member is
-    solved.  A member's result depends only on its own design, targets and
-    lam.  OpenBLAS is held at one thread (_one_blas_thread).
+    with an empty axis, or targets of any other shape, by a ShapeError
+    naming it, before any member is solved.  A member's result depends only
+    on its own design, targets and lam.  OpenBLAS is held at one thread
+    (_one_blas_thread).
     """
     design = np.asarray(_as_real(design, "design"), dtype=float)
     targets = np.asarray(_as_real(targets, "targets"), dtype=float)
-    if (design.ndim != 3 or targets.ndim not in (2, 3) or design.shape[:2] != targets.shape[:2]
-            or 0 in targets.shape[2:]):
-        raise ShapeError(
-            f"design {design.shape} and targets {targets.shape} are inconsistent"
-        )
-    if 0 in design.shape:
+    if design.ndim != 3 or 0 in design.shape:
         raise ShapeError(f"must be a nonempty 3-d array, got shape {design.shape}", "design")
+    if targets.ndim != 3 or targets.shape[:2] != design.shape[:2] or not targets.shape[2]:
+        raise ShapeError(f"must be (b, n, r), r >= 1: design {design.shape} and targets "
+                         f"{targets.shape} are inconsistent", "targets")
     for arg, values, subject in (("design", design, "design rows"), ("targets", targets, None)):
         if not np.all(np.isfinite(values)):
             raise ConfigError("contain non-finite entries", arg, subject)
     lam = _as_float(lam, "lam", 0, subject="regularization lam")
-    columns = targets if targets.ndim == 3 else targets[..., None]
     with _one_blas_thread():
-        coeffs = _dgels_members(design, columns, lam)
+        coeffs = _dgels_members(design, targets, lam)
         for i in np.flatnonzero(~np.all(np.isfinite(coeffs), axis=(1, 2))):
-            coeffs[i] = _svd_solve(design[i], columns[i], lam)
-    return coeffs if targets.ndim == 3 else coeffs[..., 0]
+            coeffs[i] = _svd_solve(design[i], targets[i], lam)
+    return coeffs
 
 
 def _dgels_members(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -313,15 +310,13 @@ def draw_features(cfg: FitConfig, streams, start: int, stop: int):
 
 def fit_ridge_features(design: np.ndarray, targets: np.ndarray, lam: float):
     """Ridge-solve the coefficients of a (b, n, k) stack of designs with
-    targets (b, n, r), or (b, n) for r = 1 (see least_squares_solve).
+    targets (b, n, r) (see least_squares_solve).
 
     Returns (coeffs, sup_error): coeffs (b, k, r), and sup_error (b, r),
-    each member's largest absolute training residual per column; (b, k) and
-    (b,) for targets (b, n).
+    each member's largest absolute training residual per column.
     """
     coeffs = least_squares_solve(design, targets, lam)
-    fitted = np.matmul(design, coeffs.reshape(*coeffs.shape[:2], -1))
-    return coeffs, np.max(np.abs(fitted.reshape(np.shape(targets)) - targets), axis=1)
+    return coeffs, np.max(np.abs(np.matmul(design, coeffs) - targets), axis=1)
 
 
 def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,

@@ -26,6 +26,7 @@ from .inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, sample_ensemb
 from .network import _grid_to_doc, _one_blas_thread, make_activation, serialize_network
 from .operators import (
     Operator,
+    _same_shape,
     integral_operator,
     make_kernel,
     matrix_map_operator,
@@ -159,9 +160,10 @@ class ExperimentConfig:
     the config checks every field, a bad one raising ConfigError naming it,
     and then builds its operator, seminorms, duals and fit config once, so a
     config that exists builds.  What it built is kept as `parts`, which runs
-    use.  The config holds deep copies of the mappings it is given, fit
-    with its defaults filled in, and to_dict returns a new document, so
-    neither aliases the caller's mappings.
+    use.  The config holds the mappings it is given as new JSON documents
+    (see _document), fit with its defaults filled in and its theta_range
+    and activation as the built fit config holds them, and to_dict returns
+    a new document, so neither aliases the caller's mappings.
     """
 
     name: str = "experiment"
@@ -200,15 +202,19 @@ class ExperimentConfig:
                    "seminorms": seminorms, "target_index": target_index, "epsilons": epsilons,
                    "fit": {**_FIT_DEFAULTS, **self.fit},
                    "duals": _mappings(self.duals, "duals", nonempty=False), "seed": seed}
-        for name, value in copy.deepcopy(checked).items():
+        for name, value in checked.items():
             object.__setattr__(self, name, value)
         parts = _build(self)
         object.__setattr__(self, "parts", parts)
         # report errors are keyed by label, so a repeated one would hide a column
         _unique([rho.label() for rho in parts.members], "seminorms[{}]")
         _unique([d.label() for d in parts.duals], "duals[{}].name")
-        # kept as the fit config holds it, so integer bounds read back as floats
-        self.fit["theta_range"] = list(parts.fit.theta_range)
+        # kept as the fit config holds them, so integer bounds read back as
+        # floats and a built activation as its document
+        self.fit.update(theta_range=list(parts.fit.theta_range),
+                        activation=parts.fit.activation.to_doc())
+        for name in ("operator", "seminorms", "fit", "duals"):
+            object.__setattr__(self, name, _document(getattr(self, name), name))
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -238,6 +244,23 @@ class ExperimentConfig:
         if self.out is not None:
             doc["out"] = self.out
         return copy.deepcopy(doc)
+
+
+def _document(value, field):
+    """value as a new JSON document: mappings, lists and tuples of
+    documents, strings, booleans, None and Python numbers, a numpy number
+    held as the Python number it is; anything else is a ConfigError naming
+    its field.  (A mapping's keys are strings: every reader refuses a key
+    it does not know.)"""
+    if isinstance(value, np.generic) and value.dtype.kind in "biuf":
+        value = value.item()
+    if value is None or isinstance(value, (str, bool, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        items = (_document(item, f"{field}[{i}]") for i, item in enumerate(value))
+        return tuple(items) if isinstance(value, tuple) else list(items)
+    _require(_is_mapping(value), field, f"no JSON document holds {value!r}")
+    return {key: _document(item, f"{field}.{key}") for key, item in value.items()}
 
 
 def _unique(labels, field):
@@ -281,9 +304,7 @@ def build_operator(config: ExperimentConfig) -> Operator:
         return _from_field("operator", zero_operator, sig, 3 if out_dim is None else out_dim)
     # on functions and sequences the zero operator's output is its input's shape
     _require(out_dim is None, "operator.out_dim", f"does not apply to {sig[0]} inputs")
-    if sig[0] == "function":
-        return zero_operator(sig, sig[1].n, sig[1])
-    return zero_operator(sig, sig[1])
+    return zero_operator(sig, *_same_shape(sig, "zero"))
 
 
 def build_seminorm(spec: dict, field: str, op: Operator) -> Seminorm:
@@ -483,6 +504,8 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     """
     out = Path(out_dir)
     written = []
+    # built before anything is written, so a value no JSON holds leaves no file
+    report_json = json.dumps(report.to_dict(), indent=2) + "\n"
     try:
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "report.csv"
@@ -499,9 +522,7 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
         written.append(csv_path)
 
         json_path = out / "report.json"
-        with open(json_path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        json_path.write_text(report_json)
         written.append(json_path)
 
         for i, run in enumerate(report.runs):

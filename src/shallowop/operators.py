@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .inputs import _checked_signature, stack_inputs
+from .inputs import _checked_shape, _checked_signature, stack_inputs
 from .targets import GridMeta, _as_array, _as_float, _as_int, _checked_output_grid
 
 
@@ -167,7 +167,12 @@ def _frozen(out: np.ndarray) -> np.ndarray:
 
 def integral_operator(kernel: Kernel, grid: GridMeta) -> Operator:
     """(Ff)(x_i) = sum_k w_k K(x_i, s_k) f(s_k) with trapezoid weights w_k on
-    grid; the matrix w_k K(x_i, s_k) is built once here."""
+    grid; the matrix w_k K(x_i, s_k) is built once here.  A kernel that is
+    not a Kernel, or a grid that is not a GridMeta, is a ConfigError naming
+    it."""
+    if not isinstance(kernel, Kernel):
+        raise ConfigError(f"must be a Kernel, got {kernel!r}", "kernel")
+    _, grid = _checked_signature(("function", grid), "grid")
     x = grid.nodes()
     mat = kernel(x[:, None], x[None, :]) * grid.trapezoid_weights()
     return Operator(f"integral_{kernel.name}", lambda F: _frozen(F @ mat.T),
@@ -176,32 +181,42 @@ def integral_operator(kernel: Kernel, grid: GridMeta) -> Operator:
 
 def poisson_operator(grid: GridMeta) -> Operator:
     """The 1-d Dirichlet Poisson solution operator f |-> u on grid; its L D L^T
-    factors are computed once here.  A grid of fewer than 3 nodes, which has
-    no interior, raises ValueError."""
+    factors are computed once here.  A grid that is not a GridMeta is a
+    ConfigError naming it, and one of fewer than 3 nodes, which has no
+    interior, raises ValueError."""
+    _, grid = _checked_signature(("function", grid), "grid")
     d, e = _poisson_factors(grid)
     return Operator("poisson_1d", lambda F: _frozen(_poisson_rows(F, d, e)),
                     ("function", grid), grid.n, grid)
 
 
+def _same_shape(signature, kind: str) -> tuple[int, GridMeta | None]:
+    """(output_dim, output_grid) of a kind operator whose values have the
+    shape of its inputs of signature (arg signature): a function's grid, or
+    a sequence's length and no grid.  Matrix inputs are a ShapeError."""
+    input_kind, size = _checked_signature(signature, "signature")
+    if input_kind == "function":
+        return size.n, size
+    if input_kind == "sequence":
+        return size, None
+    raise ShapeError("accept function or sequence inputs", "signature", f"{kind} operators")
+
+
 def superposition_operator(map_id: str, signature: tuple) -> Operator:
+    """The pointwise map map_id of each function or sequence input, on the
+    inputs' own grid or length."""
     g = _pointwise_map(map_id)
-
-    def fn(F):
-        return _frozen(g(F))
-
-    kind = signature[0]
-    if kind == "function":
-        grid = signature[1]
-        return Operator(f"superpose_{map_id}", fn, signature, grid.n, grid)
-    if kind == "sequence":
-        return Operator(f"superpose_{map_id}", fn, signature, signature[1])
-    raise ShapeError("superposition operators accept function or sequence inputs")
+    return Operator(f"superpose_{map_id}", lambda F: _frozen(g(F)), signature,
+                    *_same_shape(signature, "superposition"))
 
 
 def matrix_map_operator(map_id: str, shape: tuple[int, int],
                         out_dim: int | None = None) -> Operator:
     """Each matrix's row sums, one output per row, or sin(trace) times the
-    first of out_dim unit vectors (3 unless given); row sums take no out_dim."""
+    first of out_dim unit vectors (3 unless given); row sums take no out_dim.
+    A shape that is not a (rows, cols) pair of sizes is a ConfigError
+    naming it."""
+    shape = _checked_shape(shape, "shape")
     if map_id == "row_sums":
         if out_dim is not None:
             raise ConfigError(f"does not apply to row_sums, got {out_dim!r}", "out_dim")
@@ -220,7 +235,7 @@ def matrix_map_operator(map_id: str, shape: tuple[int, int],
         raise ConfigError(f"must be 'row_sums' or 'sin_of_trace_times_basis', got {map_id!r}",
                           "map_id", "matrix map")
     return Operator(f"matrix_{map_id}", lambda F: _frozen(image(F.reshape(-1, *shape))),
-                    ("matrix", tuple(shape)), out_dim)
+                    ("matrix", shape), out_dim)
 
 
 def zero_operator(signature: tuple, output_dim: int,

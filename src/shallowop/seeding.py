@@ -27,7 +27,9 @@ def derive_seed(root, *path: int) -> np.random.SeedSequence:
 
     A root seed is an integer of at least 0, never a boolean, or a
     SeedSequence; anything else, None too, which numpy would fill from
-    fresh OS entropy, is a ConfigError naming seed.  Identical (root, path)
+    fresh OS entropy, is a ConfigError naming seed.  Each path entry is an
+    integer of at least 0 by the same rule, or a ConfigError names path, so
+    no fraction or boolean is read as another entry.  Identical (root, path)
     pairs always produce the same stream; distinct paths produce
     independent ones.  A root that is itself a derived seed keeps its own
     path, so derivations nest without collisions, and the empty path seeds
@@ -40,5 +42,5 @@ def derive_seed(root, *path: int) -> np.random.SeedSequence:
     else:
         base, prefix = _as_int(root, "seed", 0), ()
     return np.random.SeedSequence(
-        entropy=base, spawn_key=prefix + tuple(int(p) for p in path)
+        entropy=base, spawn_key=prefix + tuple(_as_int(p, "path", 0) for p in path)
     )

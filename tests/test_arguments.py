@@ -17,7 +17,14 @@ from shallowop.construct import FitConfig, build_epsilon_net
 from shallowop.errors import ConfigError
 from shallowop.inputs import CompactEnsemble, EnsembleSpec, FunctionalSpec, stack_inputs
 from shallowop.network import Polynomial, ShallowVectorNetwork, Tanh
-from shallowop.operators import Operator, make_kernel, matrix_map_operator
+from shallowop.operators import (
+    Operator,
+    integral_operator,
+    make_kernel,
+    matrix_map_operator,
+    poisson_operator,
+    superposition_operator,
+)
 from shallowop.targets import (
     DualPairing,
     GridMeta,
@@ -62,6 +69,14 @@ CONSTRUCTORS = {
     "Operator": (Operator, {"name": "id", "fn": None, "input_signature": ("sequence", 3),
                             "output_dim": 3},
                  [("output_dim", None, True)]),
+    "integral_operator": (integral_operator, {"kernel": make_kernel("gaussian"),
+                                              "grid": GridMeta(0, 1, 5)}, []),
+    "poisson_operator": (poisson_operator, {"grid": GridMeta(0, 1, 5)}, []),
+    "superposition_operator": (superposition_operator,
+                               {"map_id": "sin", "signature": ("sequence", 3)},
+                               [("signature", 1, True)]),
+    "matrix_map_operator": (matrix_map_operator, {"map_id": "row_sums", "shape": (2, 3)},
+                            [("shape", 0, True), ("shape", 1, True)]),
     "Polynomial": (Polynomial, {"coefficients": (0.0, 1.0)}, [("coefficients", 1, False)]),
     "DualPairing": (DualPairing, {"test": [1.0, 2.0], "name": "d"}, [("test", 0, False)]),
 }
@@ -136,6 +151,11 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
     (DualPairing, {"test": [1.0], "name": ""}, "name"),
     (matrix_map_operator, {"map_id": "row_sums", "shape": (2, 2), "out_dim": 2}, "out_dim"),
     (matrix_map_operator, {"map_id": "det", "shape": (2, 2)}, "map_id"),
+    (matrix_map_operator, {"map_id": "row_sums", "shape": 5}, "shape"),
+    (poisson_operator, {"grid": 5}, "grid"),
+    (integral_operator, {"kernel": make_kernel("gaussian"), "grid": 5}, "grid"),
+    (integral_operator, {"kernel": "gaussian", "grid": GridMeta(0, 1, 5)}, "kernel"),
+    (superposition_operator, {"map_id": "sin", "signature": ("function", None)}, "signature"),
     (EnsembleSpec, {"family": "sequence_box", "count": 3, "radii": (1.0,),
                     "grid": GridMeta(0, 1, 5)}, "grid"),
     (EnsembleSpec, {"family": "matrix_ball", "count": 3, "shape": (2, 2), "radius": 1.0,
@@ -148,7 +168,9 @@ def test_numeric_argument_refuses_non_numbers_by_name(key, arg, index, bad):
         "unknown_family", "draw_no_array_holds", "no_coefficients", "scalar_coefficients",
         "empty_grid", "one_node", "infinite_spacing", "more_nodes_than_numpy_sizes",
         "zero_truncation_radius", "overflowing_schwartz_weight", "zero_kernel_width",
-        "parameter_of_another_kernel", "unknown_kernel", "empty_dual_name", "row_sums_out_dim", "unknown_matrix_map",
+        "parameter_of_another_kernel", "unknown_kernel", "empty_dual_name", "row_sums_out_dim",
+        "unknown_matrix_map", "matrix_shape_number", "poisson_grid_number",
+        "integral_grid_number", "kernel_name", "function_signature_without_grid",
         "grid_on_sequence_box", "grid_on_matrix_ball", "band_limited_without_grid",
         "no_functional_spec", "activation_name"])
 def test_shape_and_range_refused_by_name(make, kwargs, arg):

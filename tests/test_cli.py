@@ -164,11 +164,36 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "nope.json" in err
 
-    def test_config_directory_diagnosed(self, tmp_path, capsys):
+    def test_config_directory_diagnosed(self, tmp_path, capsys, monkeypatch):
         # a path that exists but is no file: open's OSError, exit status 2
         assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"cannot read config {tmp_path}" in err and not (tmp_path / "o").exists()
+        # so is a name in the working directory that names no preset
+        (tmp_path / "results").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "results", "--out", "o"]) == 2
+        assert "cannot read config results" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_preset_name_is_the_preset_beside_a_directory_of_that_name(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        # such as the output of an earlier --out zero_map; it used to be read
+        # as the config path and fail with "Is a directory"
+        (tmp_path / "zero_map").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "zero_map", "--out", "zero_map"]) == 0
+        assert int(report_rows(tmp_path / "zero_map" / "report.csv")[0]["m_centers"]) == 1
+
+    def test_file_named_like_a_preset_is_read_by_its_path(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "zero_map").write_text(json.dumps({**preset_dict("zero_map"),
+                                                       "name": "local"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "zero_map", "--out", "preset"]) == 0
+        assert main(["run", "--config", "./zero_map", "--out", "file"]) == 0
+        names = [json.loads((tmp_path / out / "report.json").read_text())["config"]["name"]
+                 for out in ("preset", "file")]
+        assert names == ["zero_map", "local"]
 
     def test_invalid_json_diagnosed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -20,7 +20,7 @@ from shallowop.experiment import (
     run_experiment,
 )
 from shallowop.inputs import sample_ensemble
-from shallowop.network import ShallowVectorNetwork, deserialize_network
+from shallowop.network import ShallowVectorNetwork, Tanh, deserialize_network
 from shallowop.presets import preset_dict
 from shallowop.seeding import derive_seed
 from shallowop.targets import (
@@ -430,8 +430,41 @@ REPLACED = {
 }
 
 
+#: values a config builds from that a JSON document cannot hold as given:
+#: the document's overrides, the path of the held value and what it holds
+NOT_JSON = {
+    "activation": ({"fit": {"lam": 0.0, "activation": Tanh()}}, ("fit", "activation"), "tanh"),
+    "numpy_width": ({"fit": {"lam": 0.0, "width": np.int64(64)}}, ("fit", "width"), 64),
+    "numpy_order": ({"seminorms": [{"kind": "sup_derivative", "order": np.int64(1)}]},
+                    ("seminorms", 0, "order"), 1),
+}
+
+
 class TestConfigConstructor:
     """A config checks and builds itself, however it is made."""
+
+    @pytest.mark.parametrize("case", NOT_JSON)
+    def test_config_holds_json_and_writes_its_report(self, tmp_path, case):
+        # each used to build and run, then fail in emit_report with a
+        # TypeError after report.csv and part of report.json were written
+        overrides, path, want = NOT_JSON[case]
+        config = ExperimentConfig.from_dict({**preset_dict("hilbert_poisson"),
+                                             "epsilons": [0.2], **overrides})
+        held = getattr(config, path[0])
+        for key in path[1:]:
+            held = held[key]
+        assert held == want and type(held) is type(want)
+        emit_report(run_experiment(config), tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert ExperimentConfig.from_dict(doc["config"]) == config
+
+    def test_value_no_json_holds_is_refused_by_field(self):
+        # 0-d arrays are dual values as their rows stack, but no document
+        # holds one
+        doc = small_dict(duals=[{"name": "d", "values": [np.array(1.0)] * 41}])
+        with pytest.raises(ConfigError, match=re.escape(
+                "field 'duals[0].values[0]': no JSON document holds array(1.)")):
+            ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("case", REPLACED)
     def test_replaced_config_is_checked_as_a_document_is(self, case):
@@ -507,6 +540,20 @@ class TestBuildOperator:
         assert op.input_signature == ("sequence", 2)
         assert op.output_dim == 2 and op.output_grid is None
         np.testing.assert_array_equal(op.apply_many([[1.0, -0.5]]), [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("kind", [{"kind": "zero"}, {"kind": "superposition", "map": "sin"}],
+                             ids=["zero", "superposition"])
+    @pytest.mark.parametrize("inputs, dim, grid", [
+        ({}, 41, GridMeta(0.0, 1.0, 41)),
+        ({"grid": None, "ensemble": SEQUENCE_BOX}, 2, None),
+    ], ids=["function", "sequence"])
+    def test_same_shape_operators_keep_their_inputs_shape(self, kind, inputs, dim, grid):
+        # one rule gives both kinds their output dim and grid
+        config = ExperimentConfig.from_dict(small_dict(operator=kind, **inputs))
+        op = build_operator(config)
+        assert (op.output_dim, op.output_grid) == (dim, grid)
+        ens = sample_ensemble(config.ensemble, 3)
+        assert op.apply_many(ens).shape == (len(ens), dim)
 
 
 class TestRunExperiment:
@@ -729,6 +776,13 @@ class TestEmitReport:
         doc = json.loads((tmp_path / "network_run0.json").read_text())
         net = deserialize_network(doc)
         assert net.width == report.runs[0].network_width
+
+    def test_report_no_json_holds_writes_nothing(self, tmp_path):
+        # report.json's text is built before any file is opened
+        report = run_experiment(ExperimentConfig.from_dict(small_dict(epsilons=[])))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_report(replace(report, created_at=object()), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_io_failure_names_path(self, tmp_path):
         blocker = tmp_path / "taken"

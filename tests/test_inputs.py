@@ -554,3 +554,21 @@ def test_empty_path_seeds_the_roots_own_stream(root):
     # they began to read it through derive_seed
     want = np.random.default_rng(root).standard_normal(8)
     assert np.random.default_rng(derive_seed(root)).standard_normal(8).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entry", [1.7, True, -1, "1"], ids=["fraction", "true", "negative",
+                                                            "string"])
+@pytest.mark.parametrize("root", [5, derive_seed(5, 2)], ids=["integer", "derived"])
+def test_path_entry_refused_by_name(root, entry):
+    # the root's rule: 1.7 and True used to give the stream of path entry 1,
+    # and -1 ended in numpy's bare ValueError
+    with pytest.raises(ConfigError, match="^path must be") as info:
+        derive_seed(root, 0, entry)
+    assert info.value.arg == "path"
+
+
+@pytest.mark.parametrize("entry", [np.int64(1), np.uint8(1)], ids=["int64", "uint8"])
+def test_numpy_path_entry_is_the_int_it_holds(entry):
+    want = derive_seed(5, 1).generate_state(4)
+    assert derive_seed(5, entry).generate_state(4).tobytes() == want.tobytes()
+    assert derive_seed(5, entry).spawn_key == (1,)

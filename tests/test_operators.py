@@ -250,6 +250,7 @@ class TestOperatorWrappers:
         op = superposition_operator("sin", ("function", g))
         assert op.output_grid == g
         seq_op = superposition_operator("square", ("sequence", 4))
+        assert (op.output_dim, seq_op.output_dim, seq_op.output_grid) == (21, 4, None)
         out = seq_op.apply_many([[1.0, 2.0, 3.0, 4.0]])
         np.testing.assert_array_equal(out[0], [1.0, 4.0, 9.0, 16.0])
 
