@@ -1,11 +1,12 @@
 """The constructive approximation pipeline.
 
-Stage 1 compresses the operator's sampled image to a finite epsilon net and a
-subordinate partition of unity, giving a finite-rank map within epsilon/2.
-Stage 2 fits each partition coefficient with a random-feature ridge network
-to tolerance delta = epsilon / (2 m C), where C is the largest coefficient
-seminorm.  The triangle inequality then bounds the assembled network's
-uniform error by epsilon whenever every scalar fit met delta.
+Stage 1 (stage1_partition) compresses the operator's sampled image to a
+finite net and a subordinate partition of unity, giving a finite-rank map
+within its budget, epsilon/2.  Stage 2 fits each of the m partition
+coefficients with a random-feature ridge network to tolerance
+delta = (epsilon - budget) / (m C), where C is the largest center seminorm.
+The triangle inequality then bounds the assembled network's uniform error by
+epsilon whenever every scalar fit met delta.
 """
 
 from __future__ import annotations
@@ -142,6 +143,26 @@ def build_partition(net: EpsilonNet, rho: Seminorm) -> np.ndarray:
             f"sample {dead[0]} is not within {eps} of any center under {rho.label()}"
         )
     return raw / norms[:, None]
+
+
+def stage1_partition(f_values, rho: Seminorm, epsilon: float):
+    """Stage 1 at epsilon: (T, U, stage1_sup, budget).
+
+    budget = epsilon/2 is stage 1's share of epsilon, and the radius of the
+    net of f_values (an (n, d) matrix) under rho; U is the net's (m, d)
+    centers and T the (n, m) partition weights on them.  stage1_sup, the
+    largest sum_j T_ij rho(F_i - U_j), bounds rho(F - T U) on every sample
+    by convexity, and a BudgetError is raised unless it is below budget.
+    Stage 2 then has epsilon - budget to spend.  epsilon must be a finite
+    number > 0, else a ConfigError names it.
+    """
+    budget = _as_float(epsilon, "epsilon", above=0) / 2.0
+    net = build_epsilon_net(f_values, rho, budget)
+    T = build_partition(net, rho)
+    stage1_sup = float(np.max(np.sum(T * net.distances, axis=1)))
+    if not stage1_sup < budget * (1.0 + 1e-9):
+        raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {budget}")
+    return T, net.centers, stage1_sup, budget
 
 
 def least_squares_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
@@ -412,10 +433,13 @@ def fit_columns(flats: np.ndarray, targets: np.ndarray, cfg: FitConfig, seeds,
 class AssemblyReport:
     """What the pipeline budgeted and actually achieved, stage by stage.
 
-    The budget splits epsilon into epsilon/2 for the net and delta =
-    epsilon/(2 m C) per fit; a degenerate run (C = 0) carries no delta.
-    train_errors holds the training uniform error under every member of the
-    family, the targeted member's at its rho_index.
+    stage1_budget is the share of epsilon stage 1 kept (see
+    stage1_partition), and stage1_sup the bound it reached; each of the m
+    fits gets delta = (epsilon - stage1_budget)/(m C), and a report whose
+    delta m C overruns epsilon - stage1_budget is refused.  A degenerate run
+    (C = 0) carries no delta.  train_errors holds the training uniform
+    error under every member of the family, the targeted member's at its
+    rho_index.
     """
 
     epsilon: float
@@ -423,6 +447,7 @@ class AssemblyReport:
     C: float
     delta: float | None
     stage1_sup: float
+    stage1_budget: float
     coefficient_errors: np.ndarray
     coefficient_widths: np.ndarray
     converged: bool
@@ -435,7 +460,7 @@ class AssemblyReport:
         else:
             if self.delta is None or not self.delta > 0:
                 raise ValueError("per-coefficient tolerance must be positive")
-            if self.delta * self.m * self.C > self.epsilon / 2.0 * (1.0 + 1e-12):
+            if self.delta * self.m * self.C > (self.epsilon - self.stage1_budget) * (1.0 + 1e-12):
                 raise ValueError("per-coefficient tolerance overruns the stage budget")
 
 
@@ -447,16 +472,17 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble,
 
     f_values is the (n, d) matrix of the operator value of each ensemble
     sample, read by the array rule (arg f_values); the network's outputs
-    are on family.grid.  epsilon must
-    be a finite number > 0 and rho_index an integer in [0, len(family)),
+    are on family.grid.  ensemble must be a CompactEnsemble, epsilon a
+    finite number > 0 and rho_index an integer in [0, len(family)),
     else a ConfigError names the argument, and fit_cfg's spec must draw
     functionals of the ensemble's signature, else a ShapeError; all are
-    checked before stage 1 runs.  Stage 1 gives the
-    (n, m) partition weights T and the (m, d) centers U, with T U within
-    epsilon/2 of f_values; its bound and C are checked between the stages.
-    Stage 2 is one fit_columns call on T, column j seeded by
-    derive_seed(fit_cfg.seed, j), to delta = epsilon/(2 m C), and the
-    network is ShallowVectorNetwork(P, theta, c, U, widths) on its factors.
+    checked before stage 1 runs.  Stage 1 is stage1_partition, which gives
+    the (n, m) partition weights T and the (m, d) centers U, with T U within
+    its budget of f_values; C is checked between the stages.  Stage 2 is
+    one fit_columns call on T, column j seeded by
+    derive_seed(fit_cfg.seed, j), to delta = (epsilon - budget)/(m C), and
+    the network is ShallowVectorNetwork(P, theta, c, U, widths) on its
+    factors.
     A fit that cannot reach delta at fit_cfg.max_width leaves
     report.converged False rather than raising; whenever it is True, the
     training uniform error is below epsilon by construction, and a
@@ -465,6 +491,8 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble,
     under more seminorms than the target passes those in the family too.
     """
     f_values = _as_array(f_values, "f_values", 2, subject="operator values")
+    if not isinstance(ensemble, CompactEnsemble):
+        raise ConfigError(f"must be a CompactEnsemble, got {type(ensemble).__name__}", "ensemble")
     if len(f_values) != len(ensemble):
         raise ShapeError("one operator value per ensemble sample required")
     epsilon = _as_float(epsilon, "epsilon", above=0)
@@ -477,23 +505,19 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble,
                          f"{ensemble.signature}")
     rho = family[rho_index]
 
-    net1 = build_epsilon_net(f_values, rho, epsilon / 2.0)
-    T, U = build_partition(net1, rho), net1.centers
-    stage1_sup = float(np.max(np.sum(T * net1.distances, axis=1)))
-    if not stage1_sup < (epsilon / 2.0) * (1.0 + 1e-9):
-        raise BudgetError(f"stage-1 error {stage1_sup} reached its budget {epsilon / 2.0}")
-
-    m = len(net1)
+    T, U, stage1_sup, budget = stage1_partition(f_values, rho, epsilon)
+    m = len(U)
     c_max = float(np.max(rho(U)))
     if c_max == 0.0:
         # every center is rho-null, so the zero network is already within
-        # epsilon/2, which is then the bound its training error is held to
+        # stage 1's budget, which is then the bound its training error is
+        # held to
         network = ShallowVectorNetwork.zero(fit_cfg.activation, ensemble.signature,
                                             f_values.shape[1], family.grid)
         delta, errors, widths = None, np.zeros(m), np.zeros(m, dtype=int)
-        converged, bound = True, epsilon / 2.0
+        converged, bound = True, budget
     else:
-        delta = float(epsilon / (2.0 * m * c_max))
+        delta = float((epsilon - budget) / (m * c_max))
         seeds = [derive_seed(fit_cfg.seed, j) for j in range(m)]
         P, theta, c, widths, errors = fit_columns(ensemble.flats, T, fit_cfg, seeds, delta)
         network = ShallowVectorNetwork(P, theta, c, U, widths, fit_cfg.activation,
@@ -505,8 +529,8 @@ def assemble_vector_network(f_values, ensemble: CompactEnsemble,
     if converged and not train_sup < bound * (1.0 + 1e-9):
         raise BudgetError(f"budget violated: uniform error {train_sup} is not below {bound} "
                           f"with epsilon {epsilon}")
-    report = AssemblyReport(float(epsilon), m, c_max, delta, stage1_sup, errors, widths,
-                            converged, train_errors)
+    report = AssemblyReport(float(epsilon), m, c_max, delta, stage1_sup, budget, errors,
+                            widths, converged, train_errors)
     return network, report
 
 

@@ -422,9 +422,9 @@ def _split(ensemble: CompactEnsemble, values: np.ndarray, fraction: float):
     return ensemble[:n_train], values[:n_train], ensemble[n_train:], values[n_train:]
 
 
-def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
-             epsilon: float) -> RunResult:
+def _run_one(config: ExperimentConfig, run_index: int, epsilon: float) -> RunResult:
     start = time.perf_counter()
+    parts = config.parts
     run_seed = derive_seed(config.seed, run_index)
     ensemble = sample_ensemble(config.ensemble, derive_seed(run_seed, 0))
     values = parts.operator.apply_many(ensemble)
@@ -481,7 +481,7 @@ def _run_one(config: ExperimentConfig, parts: _Parts, run_index: int,
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the epsilon sweep at one OpenBLAS thread; results come in sweep order."""
     with _one_blas_thread():
-        runs = [_run_one(config, config.parts, i, e) for i, e in enumerate(config.epsilons)]
+        runs = [_run_one(config, i, e) for i, e in enumerate(config.epsilons)]
     created = datetime.now(timezone.utc).isoformat()
     return ExperimentReport(config, tuple(runs), created)
 

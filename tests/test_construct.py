@@ -22,6 +22,7 @@ from shallowop.construct import (
     fit_columns,
     fit_ridge_features,
     least_squares_solve,
+    stage1_partition,
     uniform_error,
 )
 from shallowop.errors import BudgetError, ConfigError, CoverageError, ShapeError
@@ -1247,8 +1248,7 @@ def recording_stacks(monkeypatch, psi, designs=None):
 def stage_one_weights(values, eps):
     """The partition weights assembly fits at eps under the L2 norm on
     TestAssemble's grid."""
-    rho = LqNorm(2.0, TestAssemble.GRID)
-    return build_partition(build_epsilon_net(values, rho, eps / 2.0), rho)
+    return stage1_partition(values, LqNorm(2.0, TestAssemble.GRID), eps)[0]
 
 
 class TestAssemble:
@@ -1346,11 +1346,9 @@ class TestAssemble:
         assert_share_order(stacks, expected_stacks(report.coefficient_widths, len(ens), cfg, 2))
         assert np.any(report.coefficient_widths > cfg.width)
         # block j of the network is fit_columns on partition column j alone
-        rho = LqNorm(2.0, self.GRID)
-        net1 = build_epsilon_net(values, rho, 0.025)
-        psi = build_partition(net1, rho)
+        psi, centers, _, _ = stage1_partition(values, LqNorm(2.0, self.GRID), 0.05)
         start = 0
-        for j, center in enumerate(net1.centers):
+        for j, center in enumerate(centers):
             P, thetas, coeffs, width, (err,) = fit_columns(
                 ens.flats, psi[:, j:j + 1], cfg, [derive_seed(cfg.seed, j)], report.delta)
             assert width.tolist() == [len(thetas)]
@@ -1568,9 +1566,12 @@ class TestAssemble:
             assemble_vector_network(values, ens, self.family(), 0, eps, cfg)
 
     @staticmethod
-    def budget(epsilon, m, C, delta):
-        """An AssemblyReport with the given budget and placeholder stage figures."""
-        return AssemblyReport(epsilon, m, C, delta, 0.0, np.zeros(m),
+    def budget(epsilon, m, C, delta, stage1_budget=None):
+        """An AssemblyReport with the given budget and placeholder stage
+        figures; stage 1 keeps epsilon/2 unless stage1_budget says otherwise."""
+        if stage1_budget is None:
+            stage1_budget = epsilon / 2
+        return AssemblyReport(epsilon, m, C, delta, 0.0, stage1_budget, np.zeros(m),
                               np.zeros(m, dtype=int), True, np.zeros(1))
 
     def test_budget_arithmetic(self):
@@ -1585,6 +1586,56 @@ class TestAssemble:
             self.budget(0.1, 4, 0.5, 0.0)  # delta must be positive
         with pytest.raises(ValueError):
             self.budget(0.1, 4, 0.5, None)  # a fitted run carries a delta
+
+    def test_budget_is_what_stage_one_kept(self):
+        # the check reads the stage-1 budget it is given, not epsilon/2:
+        # with none kept, stage 2 may spend all of epsilon
+        self.budget(0.1, 4, 0.5, 0.1 / (4 * 0.5), stage1_budget=0.0)
+        with pytest.raises(ValueError, match="overruns the stage budget"):
+            self.budget(0.1, 4, 0.5, 0.05 / (4 * 0.5), stage1_budget=0.08)
+
+    def test_stage_one_keeps_half_of_epsilon(self):
+        # the net's radius and the budget are epsilon/2; T and U are the
+        # partition and centers of that net
+        ens = band_ensemble(40, self.GRID, seed=5)
+        values = poisson_operator(self.GRID).apply_many(ens)
+        rho = LqNorm(2.0, self.GRID)
+        T, U, stage1_sup, budget = stage1_partition(values, rho, 0.05)
+        net = build_epsilon_net(values, rho, 0.025)
+        assert budget == 0.025 and len(U) >= 2
+        assert T.tobytes() == build_partition(net, rho).tobytes()
+        np.testing.assert_array_equal(U, net.centers)
+        assert stage1_sup == float(np.max(np.sum(T * net.distances, axis=1))) < budget
+
+    @pytest.mark.parametrize("epsilon", [True, float("inf"), float("nan"), 0.0, "0.1"])
+    def test_stage_one_refuses_epsilon_by_name(self, epsilon, monkeypatch):
+        # True would halve to a radius of 0.5, and inf to a net of one center
+        monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
+        with pytest.raises(ConfigError, match="epsilon") as info:
+            stage1_partition(np.ones((5, 101)), LqNorm(2.0, self.GRID), epsilon)
+        assert info.value.arg == "epsilon"
+
+    @pytest.mark.parametrize("fill", [1.0, 0.0], ids=["fitted", "degenerate"])
+    def test_assembly_spends_what_stage_one_left(self, fill, monkeypatch):
+        # delta, the report's check and the zero network's bound all read
+        # the budget stage1_partition returns
+        ens = band_ensemble(20, self.GRID, seed=2)
+        values = np.full((20, 101), fill)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=8, seed=0)
+        stage1 = construct.stage1_partition
+        monkeypatch.setattr(construct, "stage1_partition",
+                            lambda *args: (*stage1(*args)[:3], 0.01))
+        net, report = assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        assert report.stage1_budget == 0.01 and report.converged
+        monkeypatch.setattr(construct, "uniform_error", lambda *args: np.array([0.02]))
+        if fill:
+            assert report.delta == (0.05 - 0.01) / (report.m * report.C)
+            assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
+        else:
+            # the zero network is held to stage 1's budget, not epsilon/2
+            assert report.delta is None and report.train_errors[0] == 0.0
+            with pytest.raises(BudgetError, match="not below 0.01 "):
+                assemble_vector_network(values, ens, self.family(), 0, 0.05, cfg)
 
     def test_non_convergence_is_reported_not_raised(self):
         ens = band_ensemble(60, self.GRID, seed=4)
@@ -1629,6 +1680,18 @@ class TestAssemble:
         with pytest.raises(error, match="operator values") as info:
             assemble_vector_network(values, ens, self.family(), 0, 0.1, cfg)
         assert info.value.arg == "f_values"
+
+    @pytest.mark.parametrize("form", ["matrix", "rows"])
+    def test_ensemble_refused_by_name_before_stage_one(self, form, monkeypatch):
+        # an (n, dim) matrix of input rows, or a list of them, is not an
+        # ensemble: it has no signature for the functional spec to match
+        ens = band_ensemble(5, self.GRID, seed=6)
+        rows = ens.flats if form == "matrix" else list(ens.flats)
+        cfg = FitConfig(functional_spec=fn_spec(self.GRID), width=4, seed=0)
+        monkeypatch.setattr(construct, "build_epsilon_net", no_call("build_epsilon_net"))
+        with pytest.raises(ConfigError, match="ensemble must be a CompactEnsemble") as info:
+            assemble_vector_network(np.ones((5, 101)), rows, self.family(), 0, 0.1, cfg)
+        assert info.value.arg == "ensemble"
 
     def test_values_off_the_family_grid_refused(self):
         ens = band_ensemble(5, self.GRID, seed=6)
